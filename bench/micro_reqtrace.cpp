@@ -14,6 +14,10 @@
 //     (`tcsactl trace flight`) side; off the hot path but bounded.
 //   * BM_ClockOffsetAdd — folding one request/ack exchange into the
 //     estimator: four subtractions and a compare, paid per ack.
+//   * BM_ReqPercentilesPublish/N — the server's request-delay tails: N
+//     lognormal service times recorded, the gauges republished every 64
+//     completions as the flush path does. Storage is one fixed histogram, so
+//     publish_ns (reported, not gated) must stay flat from 10^3 to 10^6.
 //
 // The *_total counters come from fixed passes (constant event counts), so
 // BENCH_micro.json stays machine-independent for the CI counter gate.
@@ -21,13 +25,18 @@
 
 #include <unistd.h>
 
+#include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "obs/clock_sync.hpp"
 #include "obs/reqtrace.hpp"
 #include "obs/trace.hpp"
+#include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace {
 
@@ -172,5 +181,44 @@ void BM_ClockOffsetAdd(benchmark::State& state) {
   state.counters["clock_samples_total"] = static_cast<double>(fixed.samples());
 }
 BENCHMARK(BM_ClockOffsetAdd);
+
+void BM_ReqPercentilesPublish(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  tcsa::Rng rng(0x5EED);
+  std::vector<double> samples(n);
+  for (double& x : samples) x = std::exp(rng.normal(std::log(2000.0), 1.0));
+
+  std::uint64_t publishes = 0;
+  std::chrono::nanoseconds publish_time{0};
+  double p99 = 0.0;
+  std::size_t retained = 0;
+  for (auto _ : state) {
+    tcsa::obs::ReqPercentiles pct("bench_reqpct_delay", "us",
+                                  "Benchmark request delay", {1000.0});
+    for (std::size_t i = 0; i < n; ++i) {
+      pct.record(samples[i]);
+      if (i % 64 == 0) {
+        const auto start = std::chrono::steady_clock::now();
+        pct.publish();
+        publish_time += std::chrono::steady_clock::now() - start;
+        ++publishes;
+      }
+    }
+    p99 = pct.percentile(0.99);
+    retained = pct.retained_bytes();
+    benchmark::DoNotOptimize(p99);
+  }
+  state.counters["publish_ns"] =
+      static_cast<double>(publish_time.count()) /
+      static_cast<double>(publishes);
+  std::vector<double> scratch(samples);
+  const double exact = tcsa::nearest_rank(scratch, 0.99);
+  state.counters["reqpct_samples_total"] = static_cast<double>(n);
+  state.counters["reqpct_retained_bytes_total"] =
+      static_cast<double>(retained);
+  state.counters["reqpct_p99_rel_err_ppm_total"] =
+      std::round(std::abs(p99 - exact) / exact * 1e6);
+}
+BENCHMARK(BM_ReqPercentilesPublish)->RangeMultiplier(10)->Range(1000, 1000000);
 
 }  // namespace

@@ -6,8 +6,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
-#include <cmath>
 #include <cstring>
 #include <stdexcept>
 
@@ -233,64 +233,46 @@ std::vector<FlightEvent> flight_load(const std::string& path, bool* sealed) {
 
 // ------------------------------------------------------- ReqPercentiles
 
-namespace {
-/// Reservoir bound, matching loadgen's offset sampling: exact below this
-/// many samples, stride-decimated (still unbiased in rank) above it.
-constexpr std::size_t kReqSampleCap = std::size_t{1} << 17;
-}  // namespace
-
 ReqPercentiles::ReqPercentiles(const std::string& base,
                                const std::string& unit,
                                const std::string& help,
                                std::vector<double> upper_bounds)
     : hist_(register_histogram(base + "_" + unit, help,
                                std::move(upper_bounds))),
-      p50_(register_gauge(base + "_p50_" + unit, help + " (exact p50)")),
-      p99_(register_gauge(base + "_p99_" + unit, help + " (exact p99)")),
-      p999_(register_gauge(base + "_p999_" + unit, help + " (exact p999)")),
-      p9999_(
-          register_gauge(base + "_p9999_" + unit, help + " (exact p9999)")) {
-  samples_.reserve(1024);
-}
+      p50_(register_gauge(base + "_p50_" + unit, help + " (p50, <1% error)")),
+      p99_(register_gauge(base + "_p99_" + unit, help + " (p99, <1% error)")),
+      p999_(
+          register_gauge(base + "_p999_" + unit, help + " (p999, <1% error)")),
+      p9999_(register_gauge(base + "_p9999_" + unit,
+                            help + " (p9999, <1% error)")) {}
 
 void ReqPercentiles::record(double value) noexcept {
   histogram_observe(hist_, value);
   std::lock_guard<std::mutex> lock(mu_);
-  const std::uint64_t index = seen_++;
-  if (index % stride_ != 0) return;
-  samples_.push_back(value);
-  if (samples_.size() >= kReqSampleCap) {
-    // Halve the reservoir, double the stride: the retained set stays an
-    // every-stride_-th subsample of the full stream.
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < samples_.size(); i += 2)
-      samples_[kept++] = samples_[i];
-    samples_.resize(kept);
-    stride_ *= 2;
-  }
+  values_.record(value);
 }
 
 void ReqPercentiles::publish() noexcept {
-  gauge_set(p50_, percentile(0.50));
-  gauge_set(p99_, percentile(0.99));
-  gauge_set(p999_, percentile(0.999));
-  gauge_set(p9999_, percentile(0.9999));
+  static constexpr std::array<double, 4> kQs{0.50, 0.99, 0.999, 0.9999};
+  std::array<double, 4> value{};
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    values_.quantiles(kQs, value);
+  }
+  gauge_set(p50_, value[0]);
+  gauge_set(p99_, value[1]);
+  gauge_set(p999_, value[2]);
+  gauge_set(p9999_, value[3]);
 }
 
 std::uint64_t ReqPercentiles::count() const noexcept {
   std::lock_guard<std::mutex> lock(mu_);
-  return seen_;
+  return values_.count();
 }
 
 double ReqPercentiles::percentile(double q) const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (samples_.empty()) return 0.0;
-  std::vector<double> sorted(samples_);
-  std::sort(sorted.begin(), sorted.end());
-  const double rank = std::ceil(q * static_cast<double>(sorted.size()));
-  std::size_t index = rank <= 1.0 ? 0 : static_cast<std::size_t>(rank) - 1;
-  if (index >= sorted.size()) index = sorted.size() - 1;
-  return sorted[index];
+  return values_.quantile(q);
 }
 
 }  // namespace tcsa::obs

@@ -1,4 +1,4 @@
-// reqtrace.hpp — per-request journey events, exact delay/slack percentiles,
+// reqtrace.hpp — per-request journey events, delay/slack percentiles,
 // and a crash-safe flight recorder.
 //
 // The paper's contract is per-request: a page requested at time t must air
@@ -53,6 +53,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/log_histogram.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -253,35 +254,35 @@ inline void req_event(std::uint64_t, ReqStage, std::uint64_t,
 
 // --------------------------------------------------------- ReqPercentiles
 
-/// Exact per-request distribution exported through the registry: a
+/// Per-request distribution exported through the registry: a
 /// fixed-boundary histogram `<base>_<unit>` plus nearest-rank
-/// p50/p99/p999/p9999 gauges `<base>_p*_<unit>` computed over retained raw
-/// samples (no bucket interpolation — "exact-boundary" percentiles). The
-/// reservoir holds every sample up to 2^17, then decimates by doubling a
-/// keep-stride, the same bounded-memory scheme loadgen uses for offsets.
-/// record() is mutex-guarded — requests are orders of magnitude rarer than
-/// page sends, so contention is not a concern.
+/// p50/p99/p999/p9999 gauges `<base>_p*_<unit>` read from a LogHistogram
+/// (relative error under 1%, integer values below 128 exact). Memory and
+/// publish() cost are fixed whatever the sample count. record() is
+/// mutex-guarded — requests are orders of magnitude rarer than page sends,
+/// so contention is not a concern.
 class ReqPercentiles {
  public:
   ReqPercentiles(const std::string& base, const std::string& unit,
                  const std::string& help, std::vector<double> upper_bounds);
 
   void record(double value) noexcept;
-  /// Recomputes the four percentile gauges from the reservoir.
+  /// Recomputes the four percentile gauges in one bucket scan.
   void publish() noexcept;
 
   std::uint64_t count() const noexcept;
-  /// Nearest-rank percentile over retained samples; q in [0,1].
-  /// Returns 0 when empty.
+  /// Nearest-rank percentile; q in [0,1]. Returns 0 when empty.
   double percentile(double q) const;
+  /// Bytes held for the percentiles: fixed, whatever the sample count.
+  std::size_t retained_bytes() const noexcept {
+    return sizeof(*this) + values_.storage_bytes();
+  }
 
  private:
   MetricId hist_;
   MetricId p50_, p99_, p999_, p9999_;
   mutable std::mutex mu_;
-  std::vector<double> samples_;
-  std::uint64_t seen_ = 0;
-  std::uint64_t stride_ = 1;
+  LogHistogram values_;
 };
 
 }  // namespace tcsa::obs

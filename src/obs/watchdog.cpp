@@ -1,25 +1,12 @@
 #include "obs/watchdog.hpp"
 
-#include <algorithm>
 #include <cstdio>
 
 #include "obs/metrics.hpp"
 #include "util/contracts.hpp"
+#include "util/stats.hpp"
 
 namespace tcsa::obs {
-namespace {
-
-/// Nearest-rank percentile over an unsorted scratch buffer (mutates it).
-double percentile(std::vector<double>& samples, double q) {
-  const std::size_t idx = static_cast<std::size_t>(
-      q * static_cast<double>(samples.size() - 1) + 0.5);
-  std::nth_element(samples.begin(),
-                   samples.begin() + static_cast<std::ptrdiff_t>(idx),
-                   samples.end());
-  return samples[idx];
-}
-
-}  // namespace
 
 SloWatchdog::SloWatchdog(SloWatchdogConfig config)
     : config_(std::move(config)) {
@@ -63,9 +50,9 @@ void SloWatchdog::observe(double lag_us, std::int64_t now_us) {
 }
 
 void SloWatchdog::close_window() {
-  const double fresh50 = percentile(window_, 0.50);
-  const double fresh99 = percentile(window_, 0.99);
-  const double fresh999 = percentile(window_, 0.999);
+  const double fresh50 = nearest_rank(window_, 0.50);
+  const double fresh99 = nearest_rank(window_, 0.99);
+  const double fresh999 = nearest_rank(window_, 0.999);
   const bool first = windows_.load(std::memory_order_relaxed) == 0;
   const double w = first ? 1.0 : config_.decay;
   const auto blend = [&](std::atomic<double>& cell, double fresh) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/contracts.hpp"
+#include "util/stats.hpp"
 
 namespace tcsa {
 
@@ -41,11 +42,8 @@ SlotCount ToleranceEstimator::estimate(GroupId cls, double quantile,
                "ToleranceEstimator: class out of range");
   const Window& w = windows_[static_cast<std::size_t>(cls)];
   if (w.samples.empty()) return fallback;
-  std::vector<SlotCount> sorted = w.samples;
-  std::sort(sorted.begin(), sorted.end());
-  const auto idx = static_cast<std::size_t>(
-      quantile * static_cast<double>(sorted.size() - 1));
-  return std::max<SlotCount>(1, sorted[idx]);
+  std::vector<SlotCount> scratch = w.samples;
+  return std::max<SlotCount>(1, nearest_rank(scratch, quantile));
 }
 
 }  // namespace tcsa

@@ -20,6 +20,7 @@
 #include "net/event_loop.hpp"
 #include "net/framing.hpp"
 #include "net/socket.hpp"
+#include "obs/log_histogram.hpp"
 #include "obs/reqtrace.hpp"
 #include "obs/trace.hpp"
 #include "util/contracts.hpp"
@@ -49,10 +50,6 @@ std::uint64_t process_rss_bytes() {
 }
 
 enum Phase : int { kRamp = 0, kMeasure = 1, kDone = 2 };
-
-/// Decimated-sample cap per thread: enough resolution for a p999 at any
-/// realistic page rate without unbounded memory.
-constexpr std::size_t kSampleCap = 1 << 17;
 
 /// One traced kReq a loadgen session has in flight. Mirrors TuneClient's
 /// OpenReq: the deadline lands with the ack (t0 + expected_slots * slot_us
@@ -98,16 +95,13 @@ struct ThreadResult {
   std::uint64_t bytes = 0;
   std::uint64_t early_closes = 0;
   std::uint64_t connect_failures = 0;
-  std::vector<double> offsets;  // decimated arrival offsets (us)
-  double min_offset = std::numeric_limits<double>::infinity();
-  double max_offset = -std::numeric_limits<double>::infinity();
+  obs::LogHistogram offsets;  // arrival offsets (us) past the shared base
   std::uint64_t requests_sent = 0;
   std::uint64_t request_acks = 0;
   std::uint64_t request_completions = 0;
   std::uint64_t request_misses = 0;
-  std::vector<double> req_delays;  // us, one per completion (small counts)
-  std::vector<double> req_slacks;  // us, signed (negative = missed)
-  double req_slack_min = std::numeric_limits<double>::infinity();
+  obs::LogHistogram req_delays;  // us, one per completion
+  obs::LogHistogram req_slacks;  // us, signed (negative = missed)
   std::uint64_t wants_issued = 0;
   std::uint64_t wants_broadcast = 0;
   std::uint64_t wants_pulled = 0;
@@ -115,17 +109,23 @@ struct ThreadResult {
   std::uint64_t pull_waiters = 0;  // coalescing factors summed
   std::uint64_t pull_completions = 0;
   std::uint64_t pull_misses = 0;
-  std::vector<double> pull_delays;
-  std::vector<double> pull_slacks;
+  obs::LogHistogram pull_delays;
   double pull_slack_min = std::numeric_limits<double>::infinity();
 };
 
+/// Unset value of the offset base shared by all client threads.
+constexpr std::int64_t kNoBase = std::numeric_limits<std::int64_t>::min();
+
 /// One client I/O thread: dials its quota in bounded batches, greets and
-/// tunes each session, and samples page-arrival offsets while the
-/// coordinator holds the phase at kMeasure.
+/// tunes each session, and records page-arrival offsets while the
+/// coordinator holds the phase at kMeasure. Offsets are recorded past
+/// `offset_base`, the first offset any thread saw (normally during the
+/// ramp), so the histogram holds small signed values: its 1% relative error
+/// is then at most 1% of the offsets' spread, not of the clock's epoch.
 void client_thread_body(const LoadGenConfig& config, std::size_t first_index,
                        std::size_t quota, const std::atomic<int>& phase,
                        std::atomic<std::size_t>& ramped_threads,
+                       std::atomic<std::int64_t>& offset_base,
                        ThreadResult& result) {
   net::EventLoop loop;
   std::unordered_map<int, ClientSession> sessions;
@@ -133,27 +133,10 @@ void client_thread_body(const LoadGenConfig& config, std::size_t first_index,
   std::uint32_t channels = 0;
   std::size_t dialed = 0;
   std::size_t inflight = 0;
-  std::uint64_t kept_stride = 1;
-  std::uint64_t pages_seen = 0;
+  std::int64_t base = kNoBase;  // offset_base, once this thread learns it
   bool reported_ramped = false;
   const std::uint64_t ramp_deadline =
       mono_us() + config.ramp_timeout_ms * 1000ull;
-
-  const auto sample_offset = [&](double offset) {
-    result.min_offset = std::min(result.min_offset, offset);
-    result.max_offset = std::max(result.max_offset, offset);
-    if (pages_seen++ % kept_stride != 0) return;
-    result.offsets.push_back(offset);
-    if (result.offsets.size() >= kSampleCap) {
-      // Halve the resolution deterministically instead of growing without
-      // bound: keep every other sample and double the keep stride.
-      std::size_t kept = 0;
-      for (std::size_t i = 0; i < result.offsets.size(); i += 2)
-        result.offsets[kept++] = result.offsets[i];
-      result.offsets.resize(kept);
-      kept_stride *= 2;
-    }
-  };
 
   const auto close_session = [&](int fd, bool failure) {
     const auto it = sessions.find(fd);
@@ -249,19 +232,13 @@ void client_thread_body(const LoadGenConfig& config, std::size_t first_index,
       if (via_pull) {
         ++result.pull_completions;
         if (slack < 0.0) ++result.pull_misses;
-        if (result.pull_delays.size() < kSampleCap) {
-          result.pull_delays.push_back(static_cast<double>(now - it->t0_us));
-          result.pull_slacks.push_back(slack);
-        }
+        result.pull_delays.record(static_cast<double>(now - it->t0_us));
         result.pull_slack_min = std::min(result.pull_slack_min, slack);
       } else {
         ++result.request_completions;
         if (slack < 0.0) ++result.request_misses;
-        if (result.req_delays.size() < kSampleCap) {
-          result.req_delays.push_back(static_cast<double>(now - it->t0_us));
-          result.req_slacks.push_back(slack);
-        }
-        result.req_slack_min = std::min(result.req_slack_min, slack);
+        result.req_delays.record(static_cast<double>(now - it->t0_us));
+        result.req_slacks.record(slack);
       }
       TCSA_REQ_EVENT(it->trace_id, obs::ReqStage::kClientDone, now,
                      static_cast<std::uint64_t>(
@@ -306,11 +283,21 @@ void client_thread_body(const LoadGenConfig& config, std::size_t first_index,
         ++session.pages_seen;
         const bool measuring =
             phase.load(std::memory_order_acquire) == kMeasure;
-        if (measuring && slot_us != 0) {
-          ++result.pages;
-          sample_offset(static_cast<double>(mono_us()) -
-                        static_cast<double>(slot) *
-                            static_cast<double>(slot_us));
+        if (slot_us != 0) {
+          const std::int64_t offset =
+              static_cast<std::int64_t>(mono_us()) -
+              static_cast<std::int64_t>(slot * slot_us);
+          if (base == kNoBase) {
+            base = offset_base.load(std::memory_order_relaxed);
+            if (base == kNoBase &&
+                offset_base.compare_exchange_strong(
+                    base, offset, std::memory_order_relaxed))
+              base = offset;
+          }
+          if (measuring) {
+            ++result.pages;
+            result.offsets.record(static_cast<double>(offset - base));
+          }
         }
         // Impatient wants: expire first (decision-time accounting), then
         // credit the broadcast for any want whose page aired in time.
@@ -487,15 +474,6 @@ void client_thread_body(const LoadGenConfig& config, std::size_t first_index,
   for (const int fd : fds) close_session(fd, false);
 }
 
-double percentile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
-}
-
 }  // namespace
 
 obs::MetricsSnapshot LoadGenReport::to_snapshot() const {
@@ -563,8 +541,8 @@ obs::MetricsSnapshot LoadGenReport::to_snapshot() const {
   gauge("tcsa_loadgen_jitter_p999_us", "p99.9 slot-airing jitter",
         jitter_p999_us);
   gauge("tcsa_loadgen_jitter_max_us",
-        "Worst slot-airing jitter (exact, pre-decimation)", jitter_max_us);
-  gauge("tcsa_loadgen_jitter_samples", "Decimated jitter samples kept",
+        "Worst slot-airing jitter (exact)", jitter_max_us);
+  gauge("tcsa_loadgen_jitter_samples", "Jitter samples measured",
         static_cast<double>(samples));
   gauge("tcsa_loadgen_rss_per_session_bytes",
         "Process RSS growth across the ramp divided by sessions",
@@ -605,6 +583,7 @@ LoadGenReport run_loadgen(const LoadGenConfig& config) {
 
   std::atomic<int> phase{kRamp};
   std::atomic<std::size_t> ramped{0};
+  std::atomic<std::int64_t> offset_base{kNoBase};
   std::vector<ThreadResult> results(threads);
   std::vector<std::thread> workers;
   workers.reserve(threads);
@@ -616,7 +595,7 @@ LoadGenReport run_loadgen(const LoadGenConfig& config) {
         config.sessions / threads + (t < config.sessions % threads ? 1 : 0);
     workers.emplace_back(client_thread_body, std::cref(config), assigned,
                          quota, std::cref(phase), std::ref(ramped),
-                         std::ref(results[t]));
+                         std::ref(offset_base), std::ref(results[t]));
     assigned += quota;
   }
 
@@ -636,9 +615,14 @@ LoadGenReport run_loadgen(const LoadGenConfig& config) {
 
   LoadGenReport report;
   report.sessions_requested = config.sessions;
-  std::vector<double> offsets;
-  double min_offset = std::numeric_limits<double>::infinity();
-  double max_offset = -std::numeric_limits<double>::infinity();
+  // Per-thread histograms merge exactly, so the fleet tails are the tails
+  // of every sample, not an average of per-thread percentiles.
+  obs::LogHistogram offsets;
+  obs::LogHistogram req_delays;
+  obs::LogHistogram req_slacks;
+  obs::LogHistogram pull_delays;
+  double pull_slack_min = std::numeric_limits<double>::infinity();
+  std::uint64_t pull_waiters = 0;
   for (const ThreadResult& r : results) {
     report.sessions_connected += r.established;
     report.frames += r.frames;
@@ -646,34 +630,20 @@ LoadGenReport run_loadgen(const LoadGenConfig& config) {
     report.bytes += r.bytes;
     report.early_closes += r.early_closes;
     report.connect_failures += r.connect_failures;
-    offsets.insert(offsets.end(), r.offsets.begin(), r.offsets.end());
-    min_offset = std::min(min_offset, r.min_offset);
-    max_offset = std::max(max_offset, r.max_offset);
-  }
-  std::vector<double> req_delays;
-  std::vector<double> req_slacks;
-  double req_slack_min = std::numeric_limits<double>::infinity();
-  std::vector<double> pull_delays;
-  double pull_slack_min = std::numeric_limits<double>::infinity();
-  std::uint64_t pull_waiters = 0;
-  for (const ThreadResult& r : results) {
+    offsets.merge(r.offsets);
     report.requests_sent += r.requests_sent;
     report.request_acks += r.request_acks;
     report.request_completions += r.request_completions;
     report.request_misses += r.request_misses;
-    req_delays.insert(req_delays.end(), r.req_delays.begin(),
-                      r.req_delays.end());
-    req_slacks.insert(req_slacks.end(), r.req_slacks.begin(),
-                      r.req_slacks.end());
-    req_slack_min = std::min(req_slack_min, r.req_slack_min);
+    req_delays.merge(r.req_delays);
+    req_slacks.merge(r.req_slacks);
     report.wants_issued += r.wants_issued;
     report.wants_broadcast += r.wants_broadcast;
     report.wants_pulled += r.wants_pulled;
     report.pull_frames += r.pull_frames;
     report.pull_completions += r.pull_completions;
     report.pull_misses += r.pull_misses;
-    pull_delays.insert(pull_delays.end(), r.pull_delays.begin(),
-                       r.pull_delays.end());
+    pull_delays.merge(r.pull_delays);
     pull_slack_min = std::min(pull_slack_min, r.pull_slack_min);
     pull_waiters += r.pull_waiters;
   }
@@ -681,19 +651,16 @@ LoadGenReport run_loadgen(const LoadGenConfig& config) {
     report.request_miss_rate =
         static_cast<double>(report.request_misses) /
         static_cast<double>(report.request_completions);
-    std::sort(req_delays.begin(), req_delays.end());
-    std::sort(req_slacks.begin(), req_slacks.end());
-    report.request_delay_p50_us = percentile(req_delays, 0.50);
-    report.request_delay_p99_us = percentile(req_delays, 0.99);
-    report.request_slack_p50_us = percentile(req_slacks, 0.50);
-    report.request_slack_min_us = req_slack_min;
+    report.request_delay_p50_us = req_delays.quantile(0.50);
+    report.request_delay_p99_us = req_delays.quantile(0.99);
+    report.request_slack_p50_us = req_slacks.quantile(0.50);
+    report.request_slack_min_us = req_slacks.min();
   }
   if (report.pull_completions > 0) {
     report.pull_miss_rate = static_cast<double>(report.pull_misses) /
                             static_cast<double>(report.pull_completions);
-    std::sort(pull_delays.begin(), pull_delays.end());
-    report.pull_delay_p50_us = percentile(pull_delays, 0.50);
-    report.pull_delay_p99_us = percentile(pull_delays, 0.99);
+    report.pull_delay_p50_us = pull_delays.quantile(0.50);
+    report.pull_delay_p99_us = pull_delays.quantile(0.99);
     report.pull_slack_min_us = pull_slack_min;
   }
   if (report.pull_frames > 0)
@@ -703,17 +670,15 @@ LoadGenReport run_loadgen(const LoadGenConfig& config) {
   if (config.pull_slo_p99_us > 0.0 && report.pull_completions > 0 &&
       report.pull_delay_p99_us > config.pull_slo_p99_us)
     report.pull_slo_violations = 1;
-  report.samples = offsets.size();
-  if (!offsets.empty()) {
+  report.samples = offsets.count();
+  if (report.samples > 0) {
     // The epoch estimate is the luckiest frame ever observed: jitter is
-    // each arrival offset relative to that. Exact extremes are tracked
-    // pre-decimation, so jitter_max never loses the worst sample.
-    std::sort(offsets.begin(), offsets.end());
-    const double epoch = min_offset;
-    report.jitter_p50_us = percentile(offsets, 0.50) - epoch;
-    report.jitter_p99_us = percentile(offsets, 0.99) - epoch;
-    report.jitter_p999_us = percentile(offsets, 0.999) - epoch;
-    report.jitter_max_us = max_offset - epoch;
+    // each arrival offset relative to that.
+    const double epoch = offsets.min();
+    report.jitter_p50_us = offsets.quantile(0.50) - epoch;
+    report.jitter_p99_us = offsets.quantile(0.99) - epoch;
+    report.jitter_p999_us = offsets.quantile(0.999) - epoch;
+    report.jitter_max_us = offsets.max() - epoch;
   }
   if (report.sessions_connected > 0 && rss_after_ramp > rss_before)
     report.rss_per_session_bytes =

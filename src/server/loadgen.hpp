@@ -63,11 +63,11 @@ struct LoadGenReport {
   std::uint64_t bytes = 0;
   std::uint64_t early_closes = 0;      ///< server closed us before teardown
   std::uint64_t connect_failures = 0;
-  std::uint64_t samples = 0;           ///< jitter samples kept (decimated)
+  std::uint64_t samples = 0;           ///< jitter samples measured
   double jitter_p50_us = 0.0;
   double jitter_p99_us = 0.0;
   double jitter_p999_us = 0.0;
-  double jitter_max_us = 0.0;          ///< exact (tracked before decimation)
+  double jitter_max_us = 0.0;          ///< exact
   /// RSS growth of this process across the ramp divided by sessions — an
   /// estimate of per-session memory cost. When server and loadgen share
   /// the process (the bench harness) it covers both sides of each session.

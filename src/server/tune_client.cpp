@@ -15,6 +15,7 @@
 #include "model/serialize.hpp"
 #include "obs/reqtrace.hpp"
 #include "obs/trace.hpp"
+#include "util/stats.hpp"
 #include "util/wire.hpp"
 
 namespace tcsa {
@@ -29,17 +30,6 @@ std::string format_double(double value) {
   os.precision(std::numeric_limits<double>::max_digits10);
   os << value;
   return os.str();
-}
-
-/// Exact nearest-rank percentile over an unsorted sample set (copies —
-/// request counts are small); 0 when empty.
-double nearest_rank(std::vector<double> samples, double q) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  const double rank = std::ceil(q * static_cast<double>(samples.size()));
-  std::size_t index = rank <= 1.0 ? 0 : static_cast<std::size_t>(rank) - 1;
-  if (index >= samples.size()) index = samples.size() - 1;
-  return samples[index];
 }
 
 }  // namespace
@@ -559,17 +549,16 @@ TuneSummary TuneClient::summary() const {
   out.requests.acked = reqs_acked_;
   out.requests.completed = reqs_completed_;
   out.requests.misses = req_misses_;
-  out.requests.delay_p50_us = nearest_rank(req_delay_us_, 0.50);
-  out.requests.delay_p99_us = nearest_rank(req_delay_us_, 0.99);
-  out.requests.delay_max_us =
-      req_delay_us_.empty()
-          ? 0.0
-          : *std::max_element(req_delay_us_.begin(), req_delay_us_.end());
-  out.requests.slack_p50_us = nearest_rank(req_slack_us_, 0.50);
-  out.requests.slack_min_us =
-      req_slack_us_.empty()
-          ? 0.0
-          : *std::min_element(req_slack_us_.begin(), req_slack_us_.end());
+  if (!req_delay_us_.empty()) {
+    // Request counts are small: rank over copies, keeping the members.
+    std::vector<double> delays(req_delay_us_);
+    out.requests.delay_p50_us = nearest_rank(delays, 0.50);
+    out.requests.delay_p99_us = nearest_rank(delays, 0.99);
+    out.requests.delay_max_us = nearest_rank(delays, 1.0);
+    std::vector<double> slacks(req_slack_us_);
+    out.requests.slack_p50_us = nearest_rank(slacks, 0.50);
+    out.requests.slack_min_us = nearest_rank(slacks, 0.0);
+  }
   if (offset_.has_estimate()) {
     out.requests.clock_offset_us = offset_.offset_us();
     out.requests.clock_rtt_us = offset_.rtt_us();

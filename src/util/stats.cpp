@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "util/contracts.hpp"
-#include "util/rng.hpp"
 
 namespace tcsa {
 
@@ -49,10 +47,7 @@ double OnlineStats::min() const noexcept { return count_ ? min_ : 0.0; }
 
 double OnlineStats::max() const noexcept { return count_ ? max_ : 0.0; }
 
-void SampleSet::add(double x) {
-  samples_.push_back(x);
-  sorted_valid_ = false;
-}
+void SampleSet::add(double x) { samples_.push_back(x); }
 
 double SampleSet::mean() const {
   TCSA_REQUIRE(!samples_.empty(), "SampleSet::mean on empty set");
@@ -80,104 +75,10 @@ double SampleSet::max() const {
   return *std::max_element(samples_.begin(), samples_.end());
 }
 
-void SampleSet::ensure_sorted() const {
-  if (sorted_valid_) return;
-  sorted_ = samples_;
-  std::sort(sorted_.begin(), sorted_.end());
-  sorted_valid_ = true;
-}
-
 double SampleSet::quantile(double q) const {
   TCSA_REQUIRE(!samples_.empty(), "SampleSet::quantile on empty set");
-  TCSA_REQUIRE(q >= 0.0 && q <= 1.0, "quantile: q outside [0,1]");
-  ensure_sorted();
-  if (sorted_.size() == 1) return sorted_.front();
-  const double pos = q * static_cast<double>(sorted_.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted_.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted_[lo] * (1.0 - frac) + sorted_[hi] * frac;
-}
-
-Reservoir::Reservoir(std::size_t capacity, Rng& rng)
-    : capacity_(capacity), rng_(&rng) {
-  TCSA_REQUIRE(capacity > 0, "Reservoir: capacity must be positive");
-  samples_.reserve(capacity);
-}
-
-void Reservoir::add(double x) {
-  ++seen_;
-  if (samples_.size() < capacity_) {
-    samples_.push_back(x);
-    return;
-  }
-  const auto j = static_cast<std::size_t>(
-      rng_->uniform_int(0, static_cast<std::int64_t>(seen_) - 1));
-  if (j < capacity_) samples_[j] = x;
-}
-
-double Reservoir::quantile(double q) const {
-  TCSA_REQUIRE(!samples_.empty(), "Reservoir::quantile on empty reservoir");
-  TCSA_REQUIRE(q >= 0.0 && q <= 1.0, "quantile: q outside [0,1]");
-  std::vector<double> sorted = samples_;
-  std::sort(sorted.begin(), sorted.end());
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)),
-      counts_(buckets, 0) {
-  TCSA_REQUIRE(hi > lo, "Histogram: hi must exceed lo");
-  TCSA_REQUIRE(buckets > 0, "Histogram: need at least one bucket");
-}
-
-void Histogram::add(double x) noexcept {
-  std::size_t idx;
-  if (x < lo_) {
-    idx = 0;
-  } else if (x >= hi_) {
-    idx = counts_.size() - 1;
-  } else {
-    idx = static_cast<std::size_t>((x - lo_) / width_);
-    if (idx >= counts_.size()) idx = counts_.size() - 1;  // fp edge
-  }
-  ++counts_[idx];
-  ++total_;
-}
-
-double Histogram::bucket_lo(std::size_t i) const {
-  TCSA_REQUIRE(i < counts_.size(), "Histogram: bucket index out of range");
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double Histogram::bucket_hi(std::size_t i) const {
-  TCSA_REQUIRE(i < counts_.size(), "Histogram: bucket index out of range");
-  return lo_ + width_ * static_cast<double>(i + 1);
-}
-
-std::string Histogram::render(std::size_t bar_width) const {
-  std::uint64_t peak = 1;
-  for (std::uint64_t c : counts_) peak = std::max(peak, c);
-  std::ostringstream os;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar = static_cast<std::size_t>(
-        static_cast<double>(counts_[i]) / static_cast<double>(peak) *
-        static_cast<double>(bar_width));
-    os << '[';
-    os.width(9);
-    os << bucket_lo(i) << ", ";
-    os.width(9);
-    os << bucket_hi(i) << ") ";
-    os.width(8);
-    os << counts_[i] << ' ';
-    for (std::size_t b = 0; b < bar; ++b) os << '#';
-    os << '\n';
-  }
-  return os.str();
+  std::vector<double> scratch(samples_);
+  return nearest_rank(scratch, q);
 }
 
 }  // namespace tcsa

@@ -3,17 +3,46 @@
 //
 // OnlineStats accumulates mean / variance / extrema in one pass (Welford's
 // algorithm), so simulations never need to retain raw samples unless
-// percentiles are requested, in which case Reservoir or SampleSet is used.
+// percentiles are requested, in which case SampleSet is used.
+//
+// Percentiles follow one definition everywhere in the tree: nearest rank,
+// the sample at rank ceil(q*n) clamped to [1, n] (the same as
+// perfbench/run.py). nearest_rank() below serves inputs of bounded size;
+// unbounded live streams use obs::LogHistogram, which reads the same rank
+// out of fixed-size log-linear buckets.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
+
+#include "util/contracts.hpp"
 
 namespace tcsa {
 
-class Rng;
+/// 1-based nearest rank of the q-quantile among n > 0 samples: ceil(q*n)
+/// clamped to [1, n].
+inline std::uint64_t nearest_rank_position(double q, std::uint64_t n) noexcept {
+  const double rank = std::ceil(q * static_cast<double>(n));
+  if (!(rank > 1.0)) return 1;
+  if (rank >= static_cast<double>(n)) return n;
+  return static_cast<std::uint64_t>(rank);
+}
+
+/// Nearest-rank q-quantile of a non-empty sample, q in [0, 1]. Reorders
+/// `scratch` (one nth_element); pass a copy to keep the original order.
+template <typename T>
+T nearest_rank(std::vector<T>& scratch, double q) {
+  TCSA_REQUIRE(!scratch.empty(), "nearest_rank: empty sample");
+  TCSA_REQUIRE(q >= 0.0 && q <= 1.0, "nearest_rank: q outside [0,1]");
+  const auto nth =
+      scratch.begin() +
+      static_cast<std::ptrdiff_t>(nearest_rank_position(q, scratch.size()) - 1);
+  std::nth_element(scratch.begin(), nth, scratch.end());
+  return *nth;
+}
 
 /// One-pass mean / variance / min / max accumulator (Welford).
 class OnlineStats {
@@ -41,8 +70,8 @@ class OnlineStats {
   double max_ = 0.0;
 };
 
-/// Retains every sample; supplies exact quantiles. Use when the sample count
-/// is bounded (e.g. one value per simulated request).
+/// Retains every sample; supplies exact nearest-rank quantiles. Use when the
+/// sample count is bounded (e.g. one value per simulated request).
 class SampleSet {
  public:
   void add(double x);
@@ -54,58 +83,14 @@ class SampleSet {
   double min() const;
   double max() const;
 
-  /// Exact quantile with linear interpolation; q in [0, 1]. Requires at
+  /// Nearest-rank quantile (see nearest_rank); q in [0, 1]. Requires at
   /// least one sample.
   double quantile(double q) const;
 
   const std::vector<double>& samples() const noexcept { return samples_; }
 
  private:
-  void ensure_sorted() const;
-
   std::vector<double> samples_;
-  mutable std::vector<double> sorted_;
-  mutable bool sorted_valid_ = false;
-};
-
-/// Fixed-capacity uniform reservoir sample (Vitter's Algorithm R) for
-/// unbounded streams where approximate quantiles suffice.
-class Reservoir {
- public:
-  Reservoir(std::size_t capacity, Rng& rng);
-
-  void add(double x);
-  std::size_t seen() const noexcept { return seen_; }
-  /// Approximate quantile over the retained sample.
-  double quantile(double q) const;
-
- private:
-  std::size_t capacity_;
-  std::size_t seen_ = 0;
-  Rng* rng_;
-  std::vector<double> samples_;
-};
-
-/// Equal-width histogram over [lo, hi); out-of-range values clamp to the
-/// first/last bucket. Used by benches to show delay distributions.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x) noexcept;
-  std::size_t bucket_count() const noexcept { return counts_.size(); }
-  std::uint64_t bucket(std::size_t i) const { return counts_.at(i); }
-  double bucket_lo(std::size_t i) const;
-  double bucket_hi(std::size_t i) const;
-  std::uint64_t total() const noexcept { return total_; }
-
-  /// Multi-line ASCII rendering (one row per bucket with a proportional bar).
-  std::string render(std::size_t bar_width = 40) const;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace tcsa

@@ -3,9 +3,11 @@
 // eviction, announce exactly-once per session regardless of owning loop,
 // broadcast validity at four loops, and an in-process loadgen smoke run.
 #include <sys/socket.h>
+#include <sys/time.h>
 
 #include <chrono>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -160,6 +162,53 @@ TEST(MultiLoop, EverySessionSeesOneAnnouncePerSwap) {
         << "announce must reach each session exactly once";
     EXPECT_EQ(summary.generation, 2u);
     EXPECT_EQ(summary.deadline_misses, 0u);
+  }
+}
+
+// A session that never tuned (mask 0) is in no slot's fan-out, so only the
+// announce path itself can flush the swap's kAnnounce to it — at one loop
+// and on worker shards alike.
+TEST(MultiLoop, UntunedSessionHearsTheAnnounceAtActivation) {
+  for (const std::size_t loops : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("loops=" + std::to_string(loops));
+    AirServerConfig config;
+    config.slot_us = 1000;
+    config.max_slots = 0;
+    config.loops = loops;
+    ServerHarness harness(paper_workload(), config);
+
+    net::Fd idle = net::connect_tcp("127.0.0.1", harness.server().port());
+    const timeval timeout{0, 100'000};
+    ASSERT_EQ(::setsockopt(idle.get(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                           sizeof(timeout)),
+              0);
+    TuneClient swapper(harness.client_options(0));
+    const SwapReply reply = swapper.request_swap(grown_workload());
+    ASSERT_TRUE(reply.accepted) << reply.error;
+
+    net::FrameDecoder decoder;
+    net::Frame frame;
+    bool announced = false;
+    std::uint64_t heard_by_slot = 0;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!announced && std::chrono::steady_clock::now() < deadline) {
+      char buffer[4096];
+      const ssize_t n = ::recv(idle.get(), buffer, sizeof(buffer), 0);
+      if (n == 0) break;
+      if (n > 0)
+        decoder.feed(std::string_view(buffer, static_cast<std::size_t>(n)));
+      while (!announced && decoder.next(frame)) {
+        EXPECT_NE(frame.type, net::FrameType::kPage) << "mask 0 airs nothing";
+        if (frame.type != net::FrameType::kAnnounce) continue;
+        announced = true;
+        heard_by_slot = harness.server().slots_aired();
+        WireReader reader(frame.payload);
+        EXPECT_EQ(reader.read_u32(), reply.generation);
+      }
+    }
+    ASSERT_TRUE(announced) << "untuned session never received the announce";
+    EXPECT_LE(heard_by_slot, reply.activation_slot + 64);
   }
 }
 

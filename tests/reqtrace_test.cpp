@@ -1,12 +1,15 @@
 // Tests for the request-journey layer: the NTP-style clock-offset
 // estimator, the crash-safe flight recorder (including a SIGKILL'd child),
-// trace-id minting, and the exact-percentile reservoir.
+// trace-id minting, the bounded log-linear histogram and the request
+// percentiles built on it.
 #include <signal.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -18,8 +21,11 @@
 
 #include "gtest/gtest.h"
 #include "obs/clock_sync.hpp"
+#include "obs/log_histogram.hpp"
 #include "obs/metrics.hpp"
 #include "obs/reqtrace.hpp"
+#include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace tcsa::obs {
 namespace {
@@ -364,23 +370,128 @@ TEST(ReqPercentiles, NearestRankMatchesHandComputedValues) {
   EXPECT_EQ(hist->total(), 100u);
 }
 
-TEST(ReqPercentiles, DecimationKeepsPercentilesStable) {
+TEST(ReqPercentiles, LargeStreamStaysWithinOnePercent) {
   MetricsEnabledScope metrics_on;
-  ReqPercentiles pct("test_reqtrace_big", "us", "decimation test", {1.0});
-  // 2^17 + a half more forces at least one halving of the reservoir. A
-  // uniform ramp keeps the true percentiles known.
+  ReqPercentiles pct("test_reqtrace_big", "us", "large stream test", {1.0});
+  // Far past the old 2^17-sample reservoir; a uniform ramp 0..total-1 keeps
+  // the nearest-rank truth known: rank ceil(q*total) is value rank-1.
   const std::uint64_t total = (std::uint64_t{1} << 17) + 60000;
   for (std::uint64_t i = 0; i < total; ++i)
     pct.record(static_cast<double>(i));
   EXPECT_EQ(pct.count(), total);
-  const double p50 = pct.percentile(0.50);
-  const double p99 = pct.percentile(0.99);
-  // Stride-decimated nearest rank stays within a stride of the truth;
-  // 1% slack is orders of magnitude looser than that.
-  EXPECT_NEAR(p50, static_cast<double>(total) * 0.50,
-              static_cast<double>(total) * 0.01);
-  EXPECT_NEAR(p99, static_cast<double>(total) * 0.99,
-              static_cast<double>(total) * 0.01);
+  for (const double q : {0.50, 0.99, 0.9999}) {
+    const double truth =
+        static_cast<double>(tcsa::nearest_rank_position(q, total) - 1);
+    EXPECT_NEAR(pct.percentile(q), truth, truth * 0.01) << "q=" << q;
+  }
+  EXPECT_EQ(pct.percentile(0.0), 0.0);
+  EXPECT_EQ(pct.percentile(1.0), static_cast<double>(total - 1));
+}
+
+// ---------------------------------------------------------- LogHistogram
+
+/// Seeded heavy-tailed and bimodal streams, each with a negative share
+/// (slack goes negative when a promise breaks).
+std::vector<double> test_stream(const std::string& shape, std::uint64_t seed) {
+  tcsa::Rng rng(seed);
+  std::vector<double> out;
+  for (int i = 0; i < 50000; ++i) {
+    double x = 0.0;
+    if (shape == "pareto") {
+      x = 100.0 / std::pow(1.0 - rng.uniform01(), 1.0 / 1.5);
+    } else if (shape == "lognormal") {
+      x = std::exp(rng.normal(std::log(2000.0), 1.2));
+    } else {
+      x = rng.bernoulli(0.7) ? rng.normal(800.0, 120.0)
+                             : rng.normal(40000.0, 5000.0);
+    }
+    out.push_back(rng.bernoulli(0.2) ? -x : x);
+  }
+  return out;
+}
+
+TEST(LogHistogram, WithinOnePercentOfNearestRank) {
+  for (const std::string shape : {"pareto", "lognormal", "bimodal"}) {
+    const std::vector<double> stream = test_stream(shape, 1013);
+    LogHistogram hist;
+    for (const double x : stream) hist.record(x);
+    ASSERT_EQ(hist.count(), stream.size());
+    for (const double q : {0.0, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+      std::vector<double> scratch(stream);
+      const double exact = tcsa::nearest_rank(scratch, q);
+      // Values are rounded to integer units first, so below ~50 in
+      // magnitude the half-unit rounding, not the 1% bound, dominates.
+      EXPECT_NEAR(hist.quantile(q), exact,
+                  std::max(std::abs(exact) * 0.01, 0.5))
+          << shape << " q=" << q;
+    }
+    std::vector<double> scratch(stream);
+    EXPECT_EQ(hist.quantile(0.0), tcsa::nearest_rank(scratch, 0.0))
+        << "extremes are exact";
+    EXPECT_EQ(hist.quantile(1.0), tcsa::nearest_rank(scratch, 1.0));
+  }
+}
+
+TEST(LogHistogram, MergeOfHalvesEqualsTheWhole) {
+  const std::vector<double> stream = test_stream("lognormal", 7);
+  LogHistogram whole, first, second;
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    whole.record(stream[i]);
+    (i < stream.size() / 2 ? first : second).record(stream[i]);
+  }
+  first.merge(second);
+  EXPECT_TRUE(first == whole) << "bucket for bucket, extremes included";
+  LogHistogram empty;
+  empty.merge(whole);
+  EXPECT_TRUE(empty == whole);
+}
+
+TEST(LogHistogram, ConstantStreamReadsBackExactly) {
+  for (const double value : {1234.567, -98765.4321, 3.0}) {
+    LogHistogram hist;
+    for (int i = 0; i < 1000; ++i) hist.record(value);
+    for (const double q : {0.0, 0.5, 0.99, 1.0})
+      EXPECT_EQ(hist.quantile(q), value) << value << " q=" << q;
+  }
+}
+
+TEST(LogHistogram, SmallIntegersReadBackExactly) {
+  // Unit-width buckets below 128: nearest rank over 1..100 is exact.
+  LogHistogram hist;
+  for (int i = 100; i >= 1; --i) hist.record(static_cast<double>(i));
+  EXPECT_EQ(hist.quantile(0.50), 50.0);
+  EXPECT_EQ(hist.quantile(0.99), 99.0);
+  EXPECT_EQ(hist.quantile(0.01), 1.0);
+  const std::array<double, 3> qs{0.25, 0.5, 0.75};
+  std::array<double, 3> out{};
+  hist.quantiles(qs, out);
+  EXPECT_EQ(out[0], 25.0);
+  EXPECT_EQ(out[1], 50.0);
+  EXPECT_EQ(out[2], 75.0);
+}
+
+TEST(LogHistogram, EmptyReadsZero) {
+  LogHistogram hist;
+  EXPECT_EQ(hist.count(), 0u);
+  EXPECT_EQ(hist.quantile(0.5), 0.0);
+  EXPECT_EQ(hist.quantile(1.0), 0.0);
+  EXPECT_EQ(hist.min(), 0.0);
+  EXPECT_EQ(hist.max(), 0.0);
+}
+
+TEST(LogHistogram, StorageIsFixedAndHugeValuesSaturate) {
+  LogHistogram hist;
+  const std::size_t bytes = hist.storage_bytes();
+  EXPECT_LE(bytes, std::size_t{64} * 1024);
+  hist.record(std::nan(""));  // ignored
+  hist.record(1e300);
+  hist.record(-1e300);
+  for (int i = 0; i < 100000; ++i) hist.record(static_cast<double>(i));
+  EXPECT_EQ(hist.count(), 100002u);
+  EXPECT_EQ(hist.storage_bytes(), bytes);
+  EXPECT_EQ(hist.min(), -1e300);
+  EXPECT_EQ(hist.max(), 1e300);
+  EXPECT_NEAR(hist.quantile(0.5), 50000.0, 500.0);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <set>
 #include <sstream>
@@ -336,12 +337,14 @@ TEST(SampleSet, QuantilesExact) {
   EXPECT_DOUBLE_EQ(s.quantile(0.25), 2.0);
 }
 
-TEST(SampleSet, QuantileInterpolates) {
+TEST(SampleSet, QuantileIsNearestRank) {
+  // Two samples: no interpolation — every q up to 1/2 reads the lower one.
   SampleSet s;
   s.add(0.0);
   s.add(10.0);
-  EXPECT_DOUBLE_EQ(s.quantile(0.5), 5.0);
-  EXPECT_DOUBLE_EQ(s.quantile(0.3), 3.0);
+  EXPECT_DOUBLE_EQ(s.quantile(0.3), 0.0);
+  EXPECT_DOUBLE_EQ(s.quantile(0.5), 0.0);
+  EXPECT_DOUBLE_EQ(s.quantile(0.51), 10.0);
 }
 
 TEST(SampleSet, AddAfterQuantileResorts) {
@@ -359,44 +362,39 @@ TEST(SampleSet, EmptyThrows) {
   EXPECT_THROW(s.quantile(0.5), std::invalid_argument);
 }
 
-TEST(Reservoir, RetainsEverythingUnderCapacity) {
-  Rng rng(43);
-  Reservoir r(100, rng);
-  for (int i = 0; i < 50; ++i) r.add(i);
-  EXPECT_EQ(r.seen(), 50u);
-  EXPECT_DOUBLE_EQ(r.quantile(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(r.quantile(1.0), 49.0);
+TEST(NearestRank, MatchesThePerfbenchDefinition) {
+  // The vectors perfbench/tests/test_perfbench.py pins for run.py's
+  // percentile (q in percent there): the C++ tree and the benchmark share
+  // one p99.
+  std::vector<double> hundred;
+  for (int i = 1; i <= 100; ++i) hundred.push_back(i);
+  EXPECT_EQ(nearest_rank(hundred, 0.50), 50.0);
+  EXPECT_EQ(nearest_rank(hundred, 0.99), 99.0);
+  EXPECT_EQ(nearest_rank(hundred, 1.0), 100.0);
+  std::vector<double> reversed(hundred.rbegin(), hundred.rend());
+  EXPECT_EQ(nearest_rank(reversed, 0.01), 1.0);
+  std::vector<double> three{3, 1, 2};
+  EXPECT_EQ(nearest_rank(three, 0.50), 2.0);
+  std::vector<double> four{4, 1, 3, 2};
+  EXPECT_EQ(nearest_rank(four, 0.50), 2.0);
+  std::vector<double> single{7.5};
+  EXPECT_EQ(nearest_rank(single, 0.99), 7.5);
+  std::vector<double> pair{10, 20};
+  EXPECT_EQ(nearest_rank(pair, 0.001), 10.0);
 }
 
-TEST(Reservoir, ApproximatesQuantilesOverCapacity) {
-  Rng rng(47);
-  Reservoir r(2000, rng);
-  for (int i = 0; i < 100000; ++i) r.add(rng.uniform01());
-  EXPECT_NEAR(r.quantile(0.5), 0.5, 0.05);
-  EXPECT_NEAR(r.quantile(0.9), 0.9, 0.05);
-}
-
-TEST(Histogram, CountsAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);   // bucket 0
-  h.add(9.5);   // bucket 9
-  h.add(-5.0);  // clamps to 0
-  h.add(15.0);  // clamps to 9
-  EXPECT_EQ(h.bucket(0), 2u);
-  EXPECT_EQ(h.bucket(9), 2u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(3), 3.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(3), 4.0);
-}
-
-TEST(Histogram, RenderShowsBars) {
-  Histogram h(0.0, 2.0, 2);
-  h.add(0.5);
-  h.add(0.6);
-  h.add(1.5);
-  const std::string out = h.render(10);
-  EXPECT_NE(out.find('#'), std::string::npos);
-  EXPECT_NE(out.find('\n'), std::string::npos);
+TEST(NearestRank, RankClampsToTheSample) {
+  EXPECT_EQ(nearest_rank_position(0.0, 5), 1u);
+  EXPECT_EQ(nearest_rank_position(1.0, 5), 5u);
+  EXPECT_EQ(nearest_rank_position(0.2, 5), 1u);
+  EXPECT_EQ(nearest_rank_position(0.21, 5), 2u);
+  std::vector<std::int64_t> ints{9, 7, 8};
+  EXPECT_EQ(nearest_rank(ints, 0.0), 7);
+  EXPECT_EQ(nearest_rank(ints, 1.0), 9);
+  std::vector<double> empty;
+  EXPECT_THROW(nearest_rank(empty, 0.5), std::invalid_argument);
+  std::vector<double> one{1.0};
+  EXPECT_THROW(nearest_rank(one, 1.5), std::invalid_argument);
 }
 
 // -------------------------------------------------------------------- table
