@@ -14,7 +14,6 @@
 
 namespace tcsa_bench {
 
-#if TCSA_OBS_COMPILED
 /// Runs `fn` once with metric recording enabled and returns the registry
 /// delta it produced. Restores the previous enable state.
 template <class Fn>
@@ -41,6 +40,5 @@ inline void attach_counters(benchmark::State& state,
         static_cast<double>(delta.counter_value(name)));
   }
 }
-#endif
 
 }  // namespace tcsa_bench

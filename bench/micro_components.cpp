@@ -100,7 +100,6 @@ void BM_LossySimulation(benchmark::State& state) {
 }
 BENCHMARK(BM_LossySimulation)->Unit(benchmark::kMillisecond);
 
-#if TCSA_OBS_COMPILED
 // Observability overhead in isolation: the per-site cost instrumented code
 // pays. Disabled rows are the acceptance budget (every PR-1 kernel carries
 // these sites); enabled rows bound the cost of scraping-grade detail.
@@ -189,6 +188,5 @@ void BM_SnapshotMerge(benchmark::State& state) {
   state.SetLabel(std::to_string(shards) + " shards");
 }
 BENCHMARK(BM_SnapshotMerge)->Arg(2)->Arg(8);
-#endif
 
 }  // namespace

@@ -50,8 +50,7 @@ std::string bench_ring_path(const char* tag) {
 }
 
 void BM_ReqEventOff(benchmark::State& state) {
-  // Neither sink armed: the branch-only floor of TCSA_REQ_EVENT in an
-  // obs-on build (an obs-off build compiles the macro away entirely).
+  // Neither sink armed: the branch-only floor of TCSA_REQ_EVENT.
   tcsa::obs::set_tracing_enabled(false);
   std::uint64_t t = 0;
   for (auto _ : state) {

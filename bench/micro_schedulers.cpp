@@ -94,7 +94,6 @@ void BM_OptLadderSearch(benchmark::State& state) {
     const OptResult r = opt_frequencies(w, 100, threads);
     benchmark::DoNotOptimize(r.predicted_delay);
   }
-#if TCSA_OBS_COMPILED
   // One untimed instrumented run attaches the search's registry delta to
   // the JSON entry (deterministic, so exact for every timed iteration).
   const auto delta = tcsa_bench::instrumented_delta([&] {
@@ -104,7 +103,6 @@ void BM_OptLadderSearch(benchmark::State& state) {
                               {"tcsa_opt_nodes_total", "tcsa_opt_leaves_total",
                                "tcsa_opt_prunes_total",
                                "tcsa_opt_subtrees_total"});
-#endif
 }
 BENCHMARK(BM_OptLadderSearch)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
@@ -124,7 +122,6 @@ void BM_PlacementEvenSpread(benchmark::State& state) {
   state.SetLabel(reference ? "reference" : "tracker");
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(total_slots(w, S)));
-#if TCSA_OBS_COMPILED
   if (!reference) {
     const auto delta = tcsa_bench::instrumented_delta([&] {
       benchmark::DoNotOptimize(place_even_spread(w, S, 5).program.occupied());
@@ -134,7 +131,6 @@ void BM_PlacementEvenSpread(benchmark::State& state) {
         {"tcsa_placement_copies_total", "tcsa_placement_uf_jumps_total",
          "tcsa_warn_placement_window_overflow_total"});
   }
-#endif
 }
 BENCHMARK(BM_PlacementEvenSpread)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);

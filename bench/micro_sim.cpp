@@ -108,7 +108,6 @@ void BM_SimulateRequestStream(benchmark::State& state) {
   state.SetLabel(reference ? "reference" : "batched");
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(requests.size()));
-#if TCSA_OBS_COMPILED
   if (!reference) {
     // One untimed instrumented run attaches the stream's registry delta
     // (deterministic: the request stream is fixed above).
@@ -119,7 +118,6 @@ void BM_SimulateRequestStream(benchmark::State& state) {
                                 {"tcsa_sim_requests_total",
                                  "tcsa_sim_deadline_misses_total"});
   }
-#endif
 }
 BENCHMARK(BM_SimulateRequestStream)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);

@@ -93,7 +93,6 @@ void BM_WatchdogObserve(benchmark::State& state) {
 }
 BENCHMARK(BM_WatchdogObserve);
 
-#if TCSA_OBS_COMPILED
 void BM_PrometheusExpose(benchmark::State& state) {
   // A registry shaped like a live server's: the tcsa_server_* counter
   // family, the watchdog gauges, and one latency histogram.
@@ -128,6 +127,5 @@ void BM_PrometheusExpose(benchmark::State& state) {
   state.counters["expose_bytes"] = static_cast<double>(bytes);
 }
 BENCHMARK(BM_PrometheusExpose);
-#endif  // TCSA_OBS_COMPILED
 
 }  // namespace

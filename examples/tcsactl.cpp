@@ -262,10 +262,8 @@ int run_sweep_command(const Cli& cli) {
       static_cast<unsigned>(shards)};
 
   const std::string out_dir = cli.get_string("out-dir");
-#if TCSA_OBS_COMPILED
   // Artifact runs capture a trace alongside the metrics delta.
   if (!out_dir.empty()) obs::set_tracing_enabled(true);
-#endif
   const SweepReport report = run_sweep_shard(w, config, shard);
 
   std::cout << "channels method    AvgD      predicted  miss%     p95\n";
@@ -290,20 +288,12 @@ int run_sweep_command(const Cli& cli) {
     obs::RunManifest manifest = obs::make_manifest(
         run_id, static_cast<int>(shard.index), static_cast<int>(shard.count),
         sweep_config_digest(w, config), "sweep");
-#if TCSA_OBS_COMPILED
     manifest.metrics_file = stem + ".metrics.json";
     manifest.trace_file = stem + ".trace.json";
     write_text_file(out_dir + "/" + manifest.metrics_file,
                     report.metrics.to_json());
     obs::set_tracing_enabled(false);
     write_trace_file(out_dir + "/" + manifest.trace_file);
-#else
-    // Instrumentation is compiled out: the metrics delta and the trace
-    // would be empty documents, so they are skipped (manifest says so by
-    // leaving the fields empty); points stay fully usable.
-    std::cerr << "tcsactl: warning: built with TCSA_OBS=OFF — writing "
-                 "points + manifest only, no metrics/trace artifacts\n";
-#endif
     manifest.points_file = stem + ".points.json";
     std::vector<obs::SweepPointRecord> records;
     records.reserve(report.points.size());
@@ -466,23 +456,14 @@ int serve_main(int argc, const char* const* argv) {
   // write the export files below) instead of losing its telemetry.
   config.install_signal_handlers = true;
 
-  std::string metrics_out = cli.get_string("metrics-out");
-  std::string trace_out = cli.get_string("trace-out");
-  std::string out_dir = cli.get_string("out-dir");
-#if TCSA_OBS_COMPILED
+  const std::string metrics_out = cli.get_string("metrics-out");
+  const std::string trace_out = cli.get_string("trace-out");
+  const std::string out_dir = cli.get_string("out-dir");
   if (!metrics_out.empty() || !out_dir.empty()) obs::set_enabled(true);
   // A live admin endpoint is a standing request for metrics: scrapes of a
   // server that never wrote an export file must still see real counters.
   if (config.admin_port >= 0) obs::set_enabled(true);
   if (!trace_out.empty() || !out_dir.empty()) obs::set_tracing_enabled(true);
-#else
-  if (!metrics_out.empty() || !trace_out.empty() || !out_dir.empty()) {
-    std::cerr << "tcsactl serve: warning: built with TCSA_OBS=OFF; "
-                 "metrics/trace exports are ignored\n";
-    metrics_out.clear();
-    trace_out.clear();
-  }
-#endif
   const std::string digest =
       fnv_digest(workload_to_string(workload) +
                  "|channels=" + std::to_string(config.channels) +
@@ -516,7 +497,6 @@ int serve_main(int argc, const char* const* argv) {
             << server.sessions_evicted() << " evictions)\n";
 
   if (!metrics_out.empty()) write_metrics_file(metrics_out);
-#if TCSA_OBS_COMPILED
   if (!trace_out.empty()) {
     obs::set_tracing_enabled(false);
     write_trace_file(trace_out);
@@ -535,7 +515,6 @@ int serve_main(int argc, const char* const* argv) {
     write_text_file(out_dir + "/serve.manifest.json",
                     obs::manifest_to_json(manifest));
   }
-#endif
   return 0;
 }
 
@@ -595,16 +574,8 @@ int tune_main(int argc, const char* const* argv) {
   const long long patience = cli.get_int("patience-slots");
   if (patience < -1)
     throw std::invalid_argument("tune: --patience-slots must be >= -1");
-  std::string out_dir = cli.get_string("out-dir");
-#if TCSA_OBS_COMPILED
+  const std::string out_dir = cli.get_string("out-dir");
   if (!out_dir.empty()) obs::set_tracing_enabled(true);
-#else
-  if (!out_dir.empty()) {
-    std::cerr << "tcsactl tune: warning: built with TCSA_OBS=OFF; "
-                 "--out-dir trace artifacts are ignored\n";
-    out_dir.clear();
-  }
-#endif
 
   TuneClient client(options);
   std::cerr << "tcsactl tune: generation " << client.generation() << ", "
@@ -618,7 +589,6 @@ int tune_main(int argc, const char* const* argv) {
   else
     client.run(slots);
   const TuneSummary summary = client.summary();
-#if TCSA_OBS_COMPILED
   if (!out_dir.empty()) {
     std::filesystem::create_directories(out_dir);
     std::string run_id = cli.get_string("run-id");
@@ -646,7 +616,6 @@ int tune_main(int argc, const char* const* argv) {
             ", \"rtt_us\": " + std::to_string(r.clock_rtt_us) +
             ", \"samples\": " + std::to_string(r.clock_samples) + "}\n");
   }
-#endif
   if (cli.get_flag("json")) {
     std::cout << summary.to_json() << '\n';
   } else {
@@ -831,7 +800,6 @@ int loadgen_main(int argc, const char* const* argv) {
   if (const std::string json_out = cli.get_string("json-out");
       !json_out.empty())
     write_text_file(json_out, report.to_json());
-#if TCSA_OBS_COMPILED
   if (const std::string out_dir = cli.get_string("out-dir");
       !out_dir.empty()) {
     std::filesystem::create_directories(out_dir);
@@ -848,11 +816,6 @@ int loadgen_main(int argc, const char* const* argv) {
     write_text_file(out_dir + "/loadgen.manifest.json",
                     obs::manifest_to_json(manifest));
   }
-#else
-  if (!cli.get_string("out-dir").empty())
-    std::cerr << "tcsactl loadgen: warning: built with TCSA_OBS=OFF; "
-                 "--out-dir manifest writing is ignored\n";
-#endif
 
   if (report.sessions_connected == 0) {
     std::cerr << "tcsactl loadgen: no session ever connected\n";
@@ -1297,8 +1260,8 @@ int stat_once(const std::string& host, std::uint16_t port, bool as_json) {
   }
   std::cout << table;
 
-  // The registry scrape is optional garnish (obs-off builds answer 503):
-  // fold in the egress counters when available.
+  // The registry scrape is optional garnish: fold in the egress counters
+  // when the scrape succeeds.
   const net::HttpResponse metrics = net::http_get(host, port, "/metrics.json");
   if (metrics.status == 200) {
     const obs::MetricsSnapshot snap = obs::snapshot_from_json(metrics.body);
@@ -1429,20 +1392,8 @@ int run(int argc, const char* const* argv) {
                  "from clock + pid)");
   if (!cli.parse(argc, argv)) return 0;
 
-  std::string metrics_out = cli.get_string("metrics-out");
-  std::string trace_out = cli.get_string("trace-out");
-#if !TCSA_OBS_COMPILED
-  // Instrumentation was compiled out (-DTCSA_OBS=OFF): recording is
-  // impossible, so exports would be empty shells. Refuse quietly writing
-  // lies — warn once and skip the files entirely.
-  if (!metrics_out.empty() || !trace_out.empty()) {
-    std::cerr << "tcsactl: warning: this binary was built with TCSA_OBS=OFF; "
-                 "--metrics-out/--trace-out would export empty documents and "
-                 "are ignored (rebuild with -DTCSA_OBS=ON)\n";
-    metrics_out.clear();
-    trace_out.clear();
-  }
-#endif
+  const std::string metrics_out = cli.get_string("metrics-out");
+  const std::string trace_out = cli.get_string("trace-out");
   if (!metrics_out.empty()) obs::set_enabled(true);
   if (!trace_out.empty()) obs::set_tracing_enabled(true);
 

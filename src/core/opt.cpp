@@ -16,7 +16,6 @@
 namespace tcsa {
 namespace {
 
-#if TCSA_OBS_COMPILED
 /// Search observability: per-subtree counts are accumulated in plain ints
 /// inside LadderOutcome (zero atomic traffic in the hot loop) and flushed to
 /// the registry once per subtree.
@@ -51,7 +50,6 @@ const OptMetrics& opt_metrics() {
   };
   return metrics;
 }
-#endif
 
 /// Candidate tracker under the deterministic total order:
 /// min delay -> fewer total slots -> lexicographically smallest S.
@@ -352,7 +350,7 @@ std::vector<LadderTask> make_ladder_tasks(const LadderContext& ctx) {
 OptResult ladder_search(const Workload& workload, SlotCount channels,
                         unsigned threads) {
   TCSA_TRACE_SPAN_VAR(search_span, "opt.ladder_search");
-  TCSA_METRIC_ADD(opt_metrics().searches, 1);
+  obs::counter_add(opt_metrics().searches, 1);
   const LadderContext ctx(workload, channels);
   if (ctx.h == 1) {
     Best best;
@@ -373,7 +371,6 @@ OptResult ladder_search(const Workload& workload, SlotCount channels,
     if (subtree_span.active()) subtree_span.set_arg("task", i);
     LadderWorker worker(ctx);
     outcomes[i] = worker.run(tasks[i]);
-#if TCSA_OBS_COMPILED
     if (obs::enabled()) {
       const OptMetrics& om = opt_metrics();
       obs::counter_add(om.subtrees, 1);
@@ -381,7 +378,6 @@ OptResult ladder_search(const Workload& workload, SlotCount channels,
       obs::counter_add(om.leaves, outcomes[i].evaluations);
       obs::counter_add(om.prunes, outcomes[i].prunes);
     }
-#endif
   });
 
   TCSA_TRACE_SPAN("opt.merge");
@@ -398,15 +394,11 @@ OptResult ladder_search(const Workload& workload, SlotCount channels,
     evaluations += outcome.evaluations;
     exhausted = exhausted || outcome.budget_exhausted;
   }
-#if TCSA_OBS_COMPILED
   obs::gauge_set(opt_metrics().merge_winner, static_cast<double>(winner));
-#endif
   if (exhausted) {
-#if TCSA_OBS_COMPILED
     // Always counted (not gated on obs::enabled) so budget bails stay
     // observable even when nobody asked for metrics up front.
     obs::counter_add_always(opt_metrics().budget_bails, 1);
-#endif
     TCSA_LOG(kWarn) << "opt ladder search: per-subtree evaluation budget "
                        "reached; result refined by hill climb only";
   }

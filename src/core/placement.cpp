@@ -14,7 +14,6 @@
 namespace tcsa {
 namespace {
 
-#if TCSA_OBS_COMPILED
 struct PlacementMetrics {
   obs::MetricId placements;
   obs::MetricId copies;
@@ -37,7 +36,6 @@ const PlacementMetrics& placement_metrics() {
   };
   return metrics;
 }
-#endif
 
 /// Groups ordered by descending frequency (Algorithm 4's sort). Stable on
 /// ties so equal-frequency groups keep ascending-deadline order.
@@ -184,7 +182,6 @@ PlacementResult place_even_spread(const Workload& workload,
       }
     }
   }
-#if TCSA_OBS_COMPILED
   if (span.active()) span.set_arg("copies", copies);
   if (obs::enabled()) {
     const PlacementMetrics& pm = placement_metrics();
@@ -196,9 +193,6 @@ PlacementResult place_even_spread(const Workload& workload,
     obs::counter_add_always(
         placement_metrics().overflows,
         static_cast<std::uint64_t>(result.window_overflows));
-#else
-  (void)copies;
-#endif
   if (result.window_overflows > 0) {
     TCSA_LOG(kWarn) << "place_even_spread: " << result.window_overflows
                     << " copies fell outside their even-spread window";
@@ -264,16 +258,12 @@ PlacementResult place_first_fit(const Workload& workload,
       }
     }
   }
-#if TCSA_OBS_COMPILED
   if (obs::enabled()) {
     const PlacementMetrics& pm = placement_metrics();
     obs::counter_add(pm.placements, 1);
     obs::counter_add(pm.copies, copies);
     obs::counter_add(pm.uf_jumps, tracker.jumps());
   }
-#else
-  (void)copies;
-#endif
   return result;
 }
 

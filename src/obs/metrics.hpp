@@ -10,11 +10,10 @@
 // when their thread exits, so memory stays bounded no matter how many worker
 // threads the pool spawns over a process lifetime.
 //
-// Cost model (the PR-1 kernels must not regress):
-//  * compiled out (TCSA_OBS_COMPILED=0): instrumentation macros expand to
-//    nothing, this header is the only trace left;
-//  * compiled in, runtime-disabled (the default): one relaxed atomic bool
-//    load and a predicted-not-taken branch per site;
+// Cost model (the scheduling kernels must not regress): instrumentation is
+// always compiled in and switched at runtime, cheap enough to leave on.
+//  * runtime-disabled (the default): one relaxed atomic bool load and a
+//    predicted-not-taken branch per site;
 //  * enabled: thread-local shard lookup + relaxed fetch_add.
 //
 // Registration is idempotent by name and typically hangs off a function-local
@@ -25,10 +24,6 @@
 #include <iosfwd>
 #include <string>
 #include <vector>
-
-#ifndef TCSA_OBS_COMPILED
-#define TCSA_OBS_COMPILED 1
-#endif
 
 namespace tcsa::obs {
 
@@ -138,12 +133,3 @@ MetricsSnapshot snapshot();
 void reset_metrics();
 
 }  // namespace tcsa::obs
-
-// Site macros: compiled out entirely with -DTCSA_OBS_COMPILED=0.
-#if TCSA_OBS_COMPILED
-#define TCSA_METRIC_ADD(id, n) ::tcsa::obs::counter_add((id), (n))
-#define TCSA_METRIC_OBSERVE(id, v) ::tcsa::obs::histogram_observe((id), (v))
-#else
-#define TCSA_METRIC_ADD(id, n) ((void)0)
-#define TCSA_METRIC_OBSERVE(id, v) ((void)0)
-#endif

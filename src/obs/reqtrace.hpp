@@ -40,10 +40,7 @@
 //                          airing's coalescing factor (waiters satisfied)
 //
 // Writing one event is a handful of relaxed stores (~timeline-record cost,
-// benched by bench/micro_reqtrace); with TCSA_OBS=OFF the TCSA_REQ_EVENT
-// macro compiles to nothing. The flight recorder itself stays available in
-// obs-off builds (it is a postmortem tool, not instrumentation), but with
-// the macro compiled out nothing feeds it from the hot paths.
+// benched by bench/micro_reqtrace).
 #pragma once
 
 #include <atomic>
@@ -56,10 +53,6 @@
 #include "obs/log_histogram.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-
-#ifndef TCSA_OBS_COMPILED
-#define TCSA_OBS_COMPILED 1
-#endif
 
 namespace tcsa::obs {
 
@@ -234,7 +227,6 @@ std::vector<FlightEvent> flight_load(const std::string& path,
 
 // ------------------------------------------------------------- req_event
 
-#if TCSA_OBS_COMPILED
 /// Fans one journey event out to the flight recorder (when open) and the
 /// Chrome trace ring (when tracing is enabled). `t_us` is trace_now_us().
 /// Inline so the both-sinks-idle case costs one load and two branches.
@@ -246,11 +238,6 @@ inline void req_event(std::uint64_t trace_id, ReqStage stage,
 }
 #define TCSA_REQ_EVENT(id, stage, t, arg) \
   ::tcsa::obs::req_event((id), (stage), (t), (arg))
-#else
-inline void req_event(std::uint64_t, ReqStage, std::uint64_t,
-                      std::uint64_t = 0) noexcept {}
-#define TCSA_REQ_EVENT(id, stage, t, arg) ((void)0)
-#endif
 
 // --------------------------------------------------------- ReqPercentiles
 

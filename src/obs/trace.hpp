@@ -17,10 +17,6 @@
 #include <cstdint>
 #include <iosfwd>
 
-#ifndef TCSA_OBS_COMPILED
-#define TCSA_OBS_COMPILED 1
-#endif
-
 namespace tcsa::obs {
 
 /// Runtime switch, independent of the metrics switch (tracing costs more,
@@ -95,16 +91,8 @@ class SpanTimer {
   bool active_;
 };
 
-/// Stand-in for SpanTimer when instrumentation is compiled out: every
-/// member folds to a constant, so guarded span code disappears entirely.
-struct NullSpan {
-  constexpr bool active() const noexcept { return false; }
-  constexpr void set_arg(const char*, std::uint64_t) const noexcept {}
-};
-
 }  // namespace tcsa::obs
 
-#if TCSA_OBS_COMPILED
 #define TCSA_TRACE_CONCAT_INNER(a, b) a##b
 #define TCSA_TRACE_CONCAT(a, b) TCSA_TRACE_CONCAT_INNER(a, b)
 /// Scoped span covering the rest of the enclosing block.
@@ -112,8 +100,3 @@ struct NullSpan {
   ::tcsa::obs::SpanTimer TCSA_TRACE_CONCAT(tcsa_trace_span_, __LINE__)(name)
 /// Scoped span bound to a local variable so the site can set_arg on it.
 #define TCSA_TRACE_SPAN_VAR(var, name) ::tcsa::obs::SpanTimer var(name)
-#else
-#define TCSA_TRACE_SPAN(name) ((void)0)
-#define TCSA_TRACE_SPAN_VAR(var, name) \
-  constexpr ::tcsa::obs::NullSpan var {}
-#endif

@@ -19,7 +19,6 @@ SloWatchdog::SloWatchdog(SloWatchdogConfig config)
       std::fprintf(stderr, "[warn] %s\n", msg.c_str());
     };
   }
-#if TCSA_OBS_COMPILED
   gauge_p50_ = register_gauge("tcsa_slot_lag_p50_us",
                               "Rolling-window median slot airing lag");
   gauge_p99_ = register_gauge("tcsa_slot_lag_p99_us",
@@ -28,16 +27,13 @@ SloWatchdog::SloWatchdog(SloWatchdogConfig config)
                                "Rolling-window p999 slot airing lag");
   breach_counter_ = register_counter(
       "tcsa_slo_breach_total", "Slots aired later than the configured SLO");
-#endif
 }
 
 void SloWatchdog::observe(double lag_us, std::int64_t now_us) {
   window_.push_back(lag_us);
   if (config_.breach_us > 0.0 && lag_us > config_.breach_us) {
     breaches_.fetch_add(1, std::memory_order_relaxed);
-#if TCSA_OBS_COMPILED
     counter_add_always(breach_counter_);
-#endif
     if (!warned_ever_ || now_us - last_warn_us_ >= config_.warn_interval_us) {
       warned_ever_ = true;
       last_warn_us_ = now_us;
@@ -62,13 +58,11 @@ void SloWatchdog::close_window() {
   blend(p99_, fresh99);
   blend(p999_, fresh999);
   windows_.fetch_add(1, std::memory_order_relaxed);
-#if TCSA_OBS_COMPILED
   // *_always: live SLO gauges must stay visible on /metrics even when the
   // hot-path recording switch is off.
   gauge_set_always(gauge_p50_, p50_us());
   gauge_set_always(gauge_p99_, p99_us());
   gauge_set_always(gauge_p999_, p999_us());
-#endif
   window_.clear();
 }
 

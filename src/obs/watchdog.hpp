@@ -68,7 +68,7 @@ class SloWatchdog {
   std::atomic<std::uint64_t> windows_{0};
   std::int64_t last_warn_us_ = 0;
   bool warned_ever_ = false;
-  std::uint32_t gauge_p50_ = 0;  ///< registry ids (TCSA_OBS_COMPILED only)
+  std::uint32_t gauge_p50_ = 0;  ///< registry ids
   std::uint32_t gauge_p99_ = 0;
   std::uint32_t gauge_p999_ = 0;
   std::uint32_t breach_counter_ = 0;

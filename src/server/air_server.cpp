@@ -30,7 +30,6 @@
 namespace tcsa {
 namespace {
 
-#if TCSA_OBS_COMPILED
 struct ServerMetrics {
   obs::MetricId sessions_opened;
   obs::MetricId sessions_closed;
@@ -201,22 +200,13 @@ obs::ReqPercentiles& server_pull_delay() {
        1000000});
   return percentiles;
 }
-#endif
 
 void note_session_count(std::size_t n) {
-#if TCSA_OBS_COMPILED
   obs::gauge_set(server_metrics().sessions_gauge, static_cast<double>(n));
-#else
-  (void)n;
-#endif
 }
 
 void note_generation(std::uint32_t id) {
-#if TCSA_OBS_COMPILED
   obs::gauge_set(server_metrics().generation_gauge, static_cast<double>(id));
-#else
-  (void)id;
-#endif
 }
 
 /// Next completion of `page` strictly after cycle position `from`, as a
@@ -335,14 +325,12 @@ AirServer::AirServer(Workload workload, AirServerConfig config)
   current_->workload_binary = workload_to_binary(current_->workload);
   generation_id_.store(1, std::memory_order_relaxed);
   note_generation(1);
-#if TCSA_OBS_COMPILED
   // Touch the lazily-constructed request-delay percentiles NOW, while the
   // server is still single-threaded: their constructors register metrics,
   // and the registry's definition table must not grow while worker loops
   // are concurrently bumping counters.
   server_req_delay();
   server_pull_delay();
-#endif
   if (config_.pull_channels > 0)
     pull_estimator_ = std::make_unique<ToleranceEstimator>(
         current_->workload.group_count());
@@ -399,7 +387,6 @@ AirServer::AirServer(Workload workload, AirServerConfig config)
       shards_[i]->listener = net::listen_reuseport(config_.bind_address, port_);
   }
 
-#if TCSA_OBS_COMPILED
   loop_queue_gauges_.reserve(loop_count_);
   for (std::size_t i = 0; i < loop_count_; ++i)
     loop_queue_gauges_.push_back(obs::register_gauge(
@@ -415,7 +402,6 @@ AirServer::AirServer(Workload workload, AirServerConfig config)
           obs::format_label("obs", obs::enabled() ? "on" : "off") + ',' +
           obs::format_label("loops", std::to_string(loop_count_)));
   obs::gauge_set_always(build_info_gauge_, 1.0);
-#endif
 
   if (config_.admin_port >= 0) {
     admin_ = std::make_unique<net::HttpAdmin>(
@@ -490,10 +476,8 @@ void AirServer::run() {
   }
   clock_ = std::make_unique<net::SlotClock>(config_.slot_us);
   on_air_epoch_us_ = clock_->now_us();
-#if TCSA_OBS_COMPILED
   obs::gauge_set(server_metrics().loops_gauge,
                  static_cast<double>(loop_count_));
-#endif
   LoopShard& shard0 = *shards_[0];
   shard0.loop->add(shard0.listener.get(), EPOLLIN,
                    [this, &shard0](std::uint32_t) { on_accept(shard0); });
@@ -573,29 +557,16 @@ void AirServer::remove_signal_pipe() {
 }
 
 void AirServer::setup_admin_routes() {
-  // /metrics + /metrics.json: whole-registry scrapes. With the obs library
-  // compiled out there is no registry to scrape — answer an explicit 503
-  // (mirroring the PR-3 export warning) rather than an empty document a
-  // dashboard would chart as zeros.
+  // /metrics + /metrics.json: whole-registry scrapes.
   admin_->route("/metrics", [](std::string_view) -> net::HttpResponse {
-#if TCSA_OBS_COMPILED
     return {200, "text/plain; version=0.0.4; charset=utf-8",
             obs::snapshot().to_prometheus()};
-#else
-    return {503, "text/plain; charset=utf-8",
-            "metrics unavailable: built with TCSA_OBS=OFF\n"};
-#endif
   });
   admin_->route("/metrics.json", [](std::string_view) -> net::HttpResponse {
-#if TCSA_OBS_COMPILED
     return {200, "application/json", obs::snapshot().to_json()};
-#else
-    return {503, "text/plain; charset=utf-8",
-            "metrics unavailable: built with TCSA_OBS=OFF\n"};
-#endif
   });
-  // /healthz answers in every build flavor: liveness must not depend on
-  // the metrics registry.
+  // /healthz reads server state only: liveness must not depend on the
+  // metrics registry recording.
   admin_->route("/healthz", [this](std::string_view) -> net::HttpResponse {
     if (clock_ == nullptr)
       return {503, "application/json", "{\"status\": \"off air\"}\n"};
@@ -659,9 +630,9 @@ std::string AirServer::healthz_json() const {
     out += ",\n  \"pull_oldest_wait_slots\": ";
     out += std::to_string(pull_table_.oldest_wait(next_slot_));
     out += ",\n  \"pull_airings\": ";
-    out += std::to_string(pull_airings());
+    out += std::to_string(pull_airings_);
     out += ",\n  \"pull_waiters_served\": ";
-    out += std::to_string(pull_waiters_served());
+    out += std::to_string(pull_waiters_served_);
   }
   out += "\n}\n";
   return out;
@@ -671,13 +642,11 @@ void AirServer::note_slot_aired(std::uint64_t lag_us,
                                 std::uint64_t aired_mask) {
   const std::int64_t now_us = static_cast<std::int64_t>(clock_->now_us());
   watchdog_.observe(static_cast<double>(lag_us), now_us);
-#if TCSA_OBS_COMPILED
   // *_always: a long-lived server's scrape must show uptime even while
   // hot-path recording is disabled.
   obs::gauge_set_always(
       uptime_gauge_,
       static_cast<double>(clock_->now_us() - on_air_epoch_us_) / 1e6);
-#endif
   const std::uint64_t flushed =
       bytes_flushed_total_.load(std::memory_order_relaxed);
   obs::SlotRecord rec;
@@ -725,7 +694,6 @@ void AirServer::drain_and_close(LoopShard& shard) {
 }
 
 void AirServer::stop() {
-  stop_requested_.store(true, std::memory_order_relaxed);
   shards_[0]->loop->post([this] { running_ = false; });
 }
 
@@ -766,9 +734,7 @@ void AirServer::maybe_activate_swap() {
     const std::size_t orphaned = pull_table_.drop_pages_at_or_above(
         static_cast<PageId>(current_->workload.total_pages()));
     if (orphaned > 0) {
-#if TCSA_OBS_COMPILED
-      TCSA_METRIC_ADD(server_metrics().pull_waiters_dropped, orphaned);
-#endif
+      obs::counter_add(server_metrics().pull_waiters_dropped, orphaned);
       TCSA_LOG(kWarn) << "air server: swap to generation " << current_->id
                       << " dropped " << orphaned
                       << " pending pull waiter(s) for pages beyond the new "
@@ -776,9 +742,7 @@ void AirServer::maybe_activate_swap() {
     }
   }
   publish_hello(*current_);
-#if TCSA_OBS_COMPILED
-  TCSA_METRIC_ADD(server_metrics().swaps, 1);
-#endif
+  obs::counter_add(server_metrics().swaps, 1);
   TCSA_LOG(kInfo) << "air server: generation " << current_->id
                   << " on air at slot " << next_slot_ << " (offset "
                   << current_->offset << ")";
@@ -824,11 +788,9 @@ void AirServer::air_slot() {
       (gen.offset + static_cast<SlotCount>(next_slot_ - gen.start_slot)) %
       cycle;
   const std::uint64_t lag_us = clock_->lag_us(next_slot_);
-#if TCSA_OBS_COMPILED
-  TCSA_METRIC_OBSERVE(server_metrics().lag_hist,
-                      static_cast<double>(lag_us));
-  TCSA_METRIC_ADD(server_metrics().slots_aired, 1);
-#endif
+  obs::histogram_observe(server_metrics().lag_hist,
+                         static_cast<double>(lag_us));
+  obs::counter_add(server_metrics().slots_aired, 1);
   std::uint64_t slot_aired_mask = 0;
 
   // Audience union across every shard: O(loops) atomic loads, exact
@@ -896,11 +858,9 @@ void AirServer::air_slot() {
     for (const auto& [fd, session] : shard.sessions)
       queued += session.out.bytes();
     shard.queued_bytes.store(queued, std::memory_order_release);
-#if TCSA_OBS_COMPILED
     obs::gauge_set(server_metrics().queue_depth_gauge,
                    static_cast<double>(queued));
     obs::gauge_set(loop_queue_gauges_[0], static_cast<double>(queued));
-#endif
   } else {
     // Multi-loop airing: build the slot's frame set out of the epoch-
     // stamped cache (a steady-state cycle is all slot-word patches, zero
@@ -944,7 +904,6 @@ void AirServer::air_slot() {
     deliver_slot(*shards_[0], *token);
     token.reset();
 
-#if TCSA_OBS_COMPILED
     // Worker depths are one token behind — a gauge reads "after the last
     // flush each loop completed", which is the honest aggregate anyway.
     std::size_t queued = 0;
@@ -952,7 +911,6 @@ void AirServer::air_slot() {
       queued += shard->queued_bytes.load(std::memory_order_acquire);
     obs::gauge_set(server_metrics().queue_depth_gauge,
                    static_cast<double>(queued));
-#endif
   }
 
   note_slot_aired(lag_us, slot_aired_mask);
@@ -977,10 +935,6 @@ void AirServer::reset_frame_cache(std::uint32_t gen_id,
   const std::size_t cells = static_cast<std::size_t>(channel_count) * cycle;
   frame_cache_.assign(cells, net::SharedBuf());
   frame_cache_slot_.assign(cells, 0);
-  // The per-generation hit counter starts over: a hot swap must never air
-  // a stale-generation frame, and the counter resetting is how tests pin
-  // that the cache really was invalidated.
-  frame_cache_gen_hits_.store(0, std::memory_order_relaxed);
 }
 
 net::SharedBuf AirServer::slot_frame(const Generation& gen, SlotCount ch,
@@ -995,11 +949,7 @@ net::SharedBuf AirServer::slot_frame(const Generation& gen, SlotCount ch,
   // the cache hitting.
   const bool epoch_ok = floor > frame_cache_slot_[cell];
   if (epoch_ok && cached.patch_u64(net::kFrameHeaderSize, next_slot_)) {
-    frame_cache_hits_.fetch_add(1, std::memory_order_relaxed);
-    frame_cache_gen_hits_.fetch_add(1, std::memory_order_relaxed);
-#if TCSA_OBS_COMPILED
-    TCSA_METRIC_ADD(server_metrics().frame_cache_hits, 1);
-#endif
+    obs::counter_add(server_metrics().frame_cache_hits, 1);
   } else {
     std::string payload;
     wire_put_u64(payload, next_slot_);
@@ -1009,10 +959,7 @@ net::SharedBuf AirServer::slot_frame(const Generation& gen, SlotCount ch,
     std::string bytes;
     net::append_frame(bytes, net::FrameType::kPage, payload);
     cached = net::SharedBuf::wrap(std::move(bytes));
-    frames_encoded_.fetch_add(1, std::memory_order_relaxed);
-#if TCSA_OBS_COMPILED
-    TCSA_METRIC_ADD(server_metrics().frames_encoded, 1);
-#endif
+    obs::counter_add(server_metrics().frames_encoded, 1);
   }
   frame_cache_slot_[cell] = next_slot_;
   return cached;
@@ -1040,10 +987,8 @@ void AirServer::deliver_slot(LoopShard& shard, const SlotFrames& frames) {
   for (const auto& [fd, session] : shard.sessions)
     queued += session.out.bytes();
   shard.queued_bytes.store(queued, std::memory_order_release);
-#if TCSA_OBS_COMPILED
   obs::gauge_set(loop_queue_gauges_[shard.index],
                  static_cast<double>(queued));
-#endif
 }
 
 void AirServer::flush_fanout(LoopShard& shard, const std::vector<int>& fds) {
@@ -1112,14 +1057,10 @@ void AirServer::flush_fanout_uring(LoopShard& shard, std::vector<int> dirty) {
         ring.harvest(cqes);
       }
       const std::size_t sqes = window_fds.size();
-      uring_enters_.fetch_add(enters, std::memory_order_relaxed);
-      uring_sqes_.fetch_add(sqes, std::memory_order_relaxed);
-#if TCSA_OBS_COMPILED
-      TCSA_METRIC_ADD(server_metrics().uring_enters, enters);
-      TCSA_METRIC_ADD(server_metrics().uring_sqes, sqes);
+      obs::counter_add(server_metrics().uring_enters, enters);
+      obs::counter_add(server_metrics().uring_sqes, sqes);
       if (sqes > enters)
-        TCSA_METRIC_ADD(server_metrics().uring_saved, sqes - enters);
-#endif
+        obs::counter_add(server_metrics().uring_saved, sqes - enters);
       // CQE processing mirrors flush_queue's ledger: positive results
       // consume queue bytes, -EAGAIN parks the session for its own
       // EPOLLOUT wakeup (classic flush path), anything else is fatal.
@@ -1132,16 +1073,12 @@ void AirServer::flush_fanout_uring(LoopShard& shard, std::vector<int> dirty) {
           const std::size_t sent = static_cast<std::size_t>(cqe.res);
           const std::size_t retired = session.out.consume(sent);
           bytes_flushed_total_.fetch_add(retired, std::memory_order_relaxed);
-#if TCSA_OBS_COMPILED
-          TCSA_METRIC_ADD(server_metrics().bytes_sent, sent);
-          TCSA_METRIC_ADD(server_metrics().bytes_flushed, retired);
-#endif
+          obs::counter_add(server_metrics().bytes_sent, sent);
+          obs::counter_add(server_metrics().bytes_flushed, retired);
           if (!session.out.empty()) next_round.push_back(fd);
         } else if (cqe.res == -EAGAIN || cqe.res == -EWOULDBLOCK ||
                    cqe.res == 0) {
-#if TCSA_OBS_COMPILED
-          TCSA_METRIC_ADD(server_metrics().flush_eagain, 1);
-#endif
+          obs::counter_add(server_metrics().flush_eagain, 1);
         } else if (cqe.res == -EINTR) {
           next_round.push_back(fd);
         } else {
@@ -1162,9 +1099,7 @@ void AirServer::flush_fanout_uring(LoopShard& shard, std::vector<int> dirty) {
     Session& session = it->second;
     if (should_evict(session.out.bytes(), config_.max_session_buffer)) {
       evicted_.fetch_add(1, std::memory_order_relaxed);
-#if TCSA_OBS_COMPILED
-      TCSA_METRIC_ADD(server_metrics().evictions, 1);
-#endif
+      obs::counter_add(server_metrics().evictions, 1);
       TCSA_LOG(kWarn) << "air server: evicting slow client (queued "
                       << session.out.bytes() << " > cap "
                       << config_.max_session_buffer << ")";
@@ -1202,9 +1137,7 @@ void AirServer::on_accept(LoopShard& shard) {
     });
     shard.session_count.store(shard.sessions.size(),
                               std::memory_order_release);
-#if TCSA_OBS_COMPILED
-    TCSA_METRIC_ADD(server_metrics().sessions_opened, 1);
-#endif
+    obs::counter_add(server_metrics().sessions_opened, 1);
     note_session_count(total_sessions());
     std::uint32_t gen_id = 0;
     const std::string hello = hello_payload_now(&gen_id);
@@ -1269,9 +1202,7 @@ void AirServer::handle_frame(LoopShard& shard, int fd,
       const std::uint64_t mask = reader.read_u64();
       reader.expect_done();
       set_mask(shard, session, mask);
-#if TCSA_OBS_COMPILED
-      TCSA_METRIC_ADD(server_metrics().tunes, 1);
-#endif
+      obs::counter_add(server_metrics().tunes, 1);
       return;
     }
     case net::FrameType::kReq: {
@@ -1306,9 +1237,7 @@ void AirServer::handle_page_request(LoopShard& shard, Session& session,
                                     std::uint64_t trace_id, PageId page) {
   const std::uint64_t t_recv = obs::trace_now_us();
   TCSA_REQ_EVENT(trace_id, obs::ReqStage::kServerRecv, t_recv, page);
-#if TCSA_OBS_COMPILED
-  TCSA_METRIC_ADD(server_metrics().reqs, 1);
-#endif
+  obs::counter_add(server_metrics().reqs, 1);
   // Promise + generation under the airing program, from the published
   // hello snapshot — worker loops must not touch loop-0 program state.
   std::uint32_t gen_id = 0;
@@ -1323,9 +1252,7 @@ void AirServer::handle_page_request(LoopShard& shard, Session& session,
   }
   if (session.pending.size() >= kMaxPendingReqs) {
     session.pending.erase(session.pending.begin());
-#if TCSA_OBS_COMPILED
-    TCSA_METRIC_ADD(server_metrics().reqs_dropped, 1);
-#endif
+    obs::counter_add(server_metrics().reqs_dropped, 1);
   }
   session.pending.push_back(PendingReq{trace_id, page, t_recv,
                                        kReqUnmatched, false});
@@ -1386,9 +1313,8 @@ void AirServer::finish_requests(Session& session) {
     }
     TCSA_REQ_EVENT(req.trace_id, obs::ReqStage::kServerFlushed, now,
                    session.out.bytes());
-#if TCSA_OBS_COMPILED
-    TCSA_METRIC_ADD(server_metrics().reqs_completed, 1);
-    if (req.via_pull) TCSA_METRIC_ADD(server_metrics().reqs_pull_served, 1);
+    obs::counter_add(server_metrics().reqs_completed, 1);
+    if (req.via_pull) obs::counter_add(server_metrics().reqs_pull_served, 1);
     // Separate service-time populations: the pull plane exists exactly for
     // the requests whose broadcast wait was unacceptable, so mixing them
     // into one distribution would hide the tail it fixes.
@@ -1396,7 +1322,6 @@ void AirServer::finish_requests(Session& session) {
         req.via_pull ? server_pull_delay() : server_req_delay();
     delay.record(static_cast<double>(now - req.recv_us));
     if (delay.count() % 64 == 1) delay.publish();
-#endif
   }
   session.pending.resize(kept);
 }
@@ -1408,22 +1333,16 @@ void AirServer::note_pull_demand(std::uint64_t session_id,
     // The kReqAck already went out (with expected_slots = 0); nothing can
     // ever air for this page, so the demand is counted and dropped rather
     // than parked in the table forever.
-#if TCSA_OBS_COMPILED
-    TCSA_METRIC_ADD(server_metrics().pull_unknown, 1);
-#endif
+    obs::counter_add(server_metrics().pull_unknown, 1);
     return;
   }
   const PullAdd outcome = pull_table_.add(
       page,
       PullWaiter{session_id, trace_id, next_slot_, obs::trace_now_us()});
-#if TCSA_OBS_COMPILED
   if (outcome == PullAdd::kDuplicate)
-    TCSA_METRIC_ADD(server_metrics().pull_dups, 1);
+    obs::counter_add(server_metrics().pull_dups, 1);
   else
-    TCSA_METRIC_ADD(server_metrics().pull_reqs, 1);
-#else
-  (void)outcome;
-#endif
+    obs::counter_add(server_metrics().pull_reqs, 1);
 }
 
 void AirServer::schedule_pulls(SlotFrames& frames) {
@@ -1442,16 +1361,12 @@ void AirServer::schedule_pulls(SlotFrames& frames) {
     net::append_frame(bytes, net::FrameType::kPull, payload);
     frames.pull_frames.push_back(net::SharedBuf::wrap(std::move(bytes)));
     frames.pull_pages.push_back(airing->page);
-    pull_airings_.fetch_add(1, std::memory_order_relaxed);
-    pull_waiters_served_.fetch_add(airing->waiters.size(),
-                                   std::memory_order_relaxed);
-    frames_encoded_.fetch_add(1, std::memory_order_relaxed);
-#if TCSA_OBS_COMPILED
-    TCSA_METRIC_ADD(server_metrics().frames_encoded, 1);
-    TCSA_METRIC_ADD(server_metrics().pull_airings, 1);
-    TCSA_METRIC_ADD(server_metrics().pull_waiters_served,
-                    airing->waiters.size());
-#endif
+    ++pull_airings_;
+    pull_waiters_served_ += airing->waiters.size();
+    obs::counter_add(server_metrics().frames_encoded, 1);
+    obs::counter_add(server_metrics().pull_airings, 1);
+    obs::counter_add(server_metrics().pull_waiters_served,
+                     airing->waiters.size());
     // Observed pull waits feed popularity re-estimation: each waiter's
     // wait is a genuine demand-pressure sample for the page's deadline
     // class (clamped — a swap may have changed the class count since the
@@ -1467,14 +1382,12 @@ void AirServer::schedule_pulls(SlotFrames& frames) {
           cls, std::max<SlotCount>(1, static_cast<SlotCount>(waited)));
     }
   }
-#if TCSA_OBS_COMPILED
   obs::gauge_set(server_metrics().pull_pending_pages_gauge,
                  static_cast<double>(pull_table_.pending_pages()));
   obs::gauge_set(server_metrics().pull_pending_waiters_gauge,
                  static_cast<double>(pull_table_.pending_waiters()));
   obs::gauge_set(server_metrics().pull_oldest_wait_gauge,
                  static_cast<double>(pull_table_.oldest_wait(next_slot_)));
-#endif
 }
 
 void AirServer::deliver_pull_frames(LoopShard& shard, const SlotFrames& frames,
@@ -1509,9 +1422,7 @@ void AirServer::deliver_pull_frames(LoopShard& shard, const SlotFrames& frames,
 void AirServer::handle_swap_request(SessionRef requester,
                                     const std::string& payload) {
   const auto reject = [&](const std::string& error) {
-#if TCSA_OBS_COMPILED
-    TCSA_METRIC_ADD(server_metrics().swaps_rejected, 1);
-#endif
+    obs::counter_add(server_metrics().swaps_rejected, 1);
     std::string reply;
     wire_put_u8(reply, 0);
     wire_put_u32(reply, 0);
@@ -1600,10 +1511,8 @@ void AirServer::handle_swap_request(SessionRef requester,
       if (gen) {
         pending_ = std::make_unique<Generation>(std::move(*gen));
       }
-#if TCSA_OBS_COMPILED
       if (!error.empty())
-        TCSA_METRIC_ADD(server_metrics().swaps_rejected, 1);
-#endif
+        obs::counter_add(server_metrics().swaps_rejected, 1);
       // Activation lands on the next major-cycle boundary of the current
       // generation — exact, because slots advance deterministically.
       std::uint64_t activation = 0;
@@ -1651,10 +1560,8 @@ void AirServer::queue_frame(Session& session, net::FrameType type,
 }
 
 void AirServer::enqueue_buf(Session& session, net::SharedBuf buf) {
-#if TCSA_OBS_COMPILED
-  TCSA_METRIC_ADD(server_metrics().frames_sent, 1);
-  TCSA_METRIC_ADD(server_metrics().bytes_queued, buf.size());
-#endif
+  obs::counter_add(server_metrics().frames_sent, 1);
+  obs::counter_add(server_metrics().bytes_queued, buf.size());
   session.out.push(std::move(buf));
 }
 
@@ -1665,27 +1572,23 @@ bool AirServer::flush_session(LoopShard& shard, Session& session) {
   // registry counter: the timeline must work with recording disabled.
   bytes_flushed_total_.fetch_add(result.bytes_retired,
                                  std::memory_order_relaxed);
-#if TCSA_OBS_COMPILED
   if (result.syscalls > 0) {
-    TCSA_METRIC_ADD(server_metrics().writev_calls, result.syscalls);
-    TCSA_METRIC_ADD(server_metrics().bytes_sent, result.bytes_sent);
-    TCSA_METRIC_ADD(server_metrics().bytes_flushed, result.bytes_retired);
+    obs::counter_add(server_metrics().writev_calls, result.syscalls);
+    obs::counter_add(server_metrics().bytes_sent, result.bytes_sent);
+    obs::counter_add(server_metrics().bytes_flushed, result.bytes_retired);
   }
   // Would-block probes on their own meter: they are syscall overhead that
   // moved no bytes, and folding them into writev_calls would skew the
   // syscalls-per-flushed-byte ratio the egress benches gate on.
   if (result.eagain_calls > 0)
-    TCSA_METRIC_ADD(server_metrics().flush_eagain, result.eagain_calls);
-#endif
+    obs::counter_add(server_metrics().flush_eagain, result.eagain_calls);
   if (result.error != 0) {
     close_session(shard, fd, "send error");
     return false;
   }
   if (should_evict(session.out.bytes(), config_.max_session_buffer)) {
     evicted_.fetch_add(1, std::memory_order_relaxed);
-#if TCSA_OBS_COMPILED
-    TCSA_METRIC_ADD(server_metrics().evictions, 1);
-#endif
+    obs::counter_add(server_metrics().evictions, 1);
     TCSA_LOG(kWarn) << "air server: evicting slow client (queued "
                     << session.out.bytes() << " > cap "
                     << config_.max_session_buffer << ")";
@@ -1731,12 +1634,8 @@ void AirServer::close_session(LoopShard& shard, int fd, const char* reason) {
     const std::uint64_t session_id = it->second.id;
     auto drop = [this, session_id] {
       const std::size_t dropped = pull_table_.drop_session(session_id);
-#if TCSA_OBS_COMPILED
       if (dropped > 0)
-        TCSA_METRIC_ADD(server_metrics().pull_waiters_dropped, dropped);
-#else
-      (void)dropped;
-#endif
+        obs::counter_add(server_metrics().pull_waiters_dropped, dropped);
     };
     if (shard.index == 0)
       drop();
@@ -1747,9 +1646,7 @@ void AirServer::close_session(LoopShard& shard, int fd, const char* reason) {
   shard.loop->remove(fd);
   shard.sessions.erase(it);  // Fd destructor closes the socket
   shard.session_count.store(shard.sessions.size(), std::memory_order_release);
-#if TCSA_OBS_COMPILED
-  TCSA_METRIC_ADD(server_metrics().sessions_closed, 1);
-#endif
+  obs::counter_add(server_metrics().sessions_closed, 1);
   note_session_count(total_sessions());
 }
 

@@ -197,45 +197,10 @@ class AirServer {
   /// Live session count per loop shard (index = loop).
   std::vector<std::size_t> sessions_per_loop() const;
 
-  // --- egress-path introspection ---
-  /// Frame bodies encoded from scratch on the airing loop (page-frame
-  /// cache misses plus pull frames, which are never cached).
-  std::uint64_t frames_encoded() const noexcept {
-    return frames_encoded_.load(std::memory_order_relaxed);
-  }
-  /// Page frames served by patching the cached buffer's slot word instead
-  /// of re-encoding (all generations).
-  std::uint64_t frame_cache_hits() const noexcept {
-    return frame_cache_hits_.load(std::memory_order_relaxed);
-  }
-  /// Cache hits since the current generation went on air — resets to zero
-  /// at every hot-swap activation (the cache is invalidated wholesale).
-  std::uint64_t frame_cache_generation_hits() const noexcept {
-    return frame_cache_gen_hits_.load(std::memory_order_relaxed);
-  }
   /// True when slot-fanout flushes ride io_uring (resolved at startup by
   /// the config mode + compile/runtime probe ladder).
   bool uring_active() const noexcept { return uring_active_; }
-  /// io_uring_enter syscalls issued for batched slot-fanout flushes.
-  std::uint64_t uring_enters() const noexcept {
-    return uring_enters_.load(std::memory_order_relaxed);
-  }
-  /// sendmsg SQEs submitted through those batches; minus uring_enters()
-  /// this is the syscalls the batching saved over the classic path.
-  std::uint64_t uring_sqes() const noexcept {
-    return uring_sqes_.load(std::memory_order_relaxed);
-  }
 
-  // --- pull-plane introspection ---
-  /// kPull airings served so far.
-  std::uint64_t pull_airings() const noexcept {
-    return pull_airings_.load(std::memory_order_relaxed);
-  }
-  /// Waiters satisfied across all pull airings; divided by pull_airings()
-  /// this is the mean coalescing factor.
-  std::uint64_t pull_waiters_served() const noexcept {
-    return pull_waiters_served_.load(std::memory_order_relaxed);
-  }
   /// Demand-driven tolerance estimator fed by pull waits, or nullptr with
   /// the pull plane off. Loop-0 state: read only after run() returns (or
   /// from loop-0 callbacks).
@@ -274,8 +239,8 @@ class AirServer {
   };
 
   /// Everything one loop owns. Only that loop's thread touches the
-  /// non-atomic members; the atomics are the shard's published face (read
-  /// by loop 0 at air time and by cross-thread introspection).
+  /// non-atomic members; the atomics are what other threads read (loop 0
+  /// at air time, health probes). Counters live in the obs registry.
   struct LoopShard {
     std::size_t index = 0;
     net::EventLoop* loop = nullptr;
@@ -505,30 +470,22 @@ class AirServer {
   /// with the pull plane off). Observed pull waits are the genuine demand
   /// signal the adaptive path re-estimates popularity from.
   std::unique_ptr<ToleranceEstimator> pull_estimator_;
+  std::uint64_t pull_airings_ = 0;         // kPull airings so far (/healthz)
+  std::uint64_t pull_waiters_served_ = 0;  // waiters those airings satisfied
 
   mutable std::mutex hello_mutex_;
   HelloSnapshot hello_;
 
-#if TCSA_OBS_COMPILED
   std::vector<obs::MetricId> loop_queue_gauges_;  // one per loop shard
   obs::MetricId uptime_gauge_ = 0;     // tcsa_uptime_seconds
   obs::MetricId build_info_gauge_ = 0; // tcsa_build_info (labeled, value 1)
-#endif
   std::uint64_t on_air_epoch_us_ = 0;  // clock_->now_us() when airing began
 
   bool uring_active_ = false;  // resolved at construction, then read-only
-  std::atomic<std::uint64_t> frames_encoded_{0};
-  std::atomic<std::uint64_t> frame_cache_hits_{0};
-  std::atomic<std::uint64_t> frame_cache_gen_hits_{0};  // reset per swap
-  std::atomic<std::uint64_t> uring_enters_{0};
-  std::atomic<std::uint64_t> uring_sqes_{0};
   std::atomic<std::uint64_t> next_session_id_{0};
-  std::atomic<std::uint64_t> pull_airings_{0};
-  std::atomic<std::uint64_t> pull_waiters_served_{0};
   std::atomic<std::uint64_t> slots_aired_{0};
   std::atomic<std::uint32_t> generation_id_{0};
   std::atomic<std::uint64_t> evicted_{0};
-  std::atomic<bool> stop_requested_{false};
 };
 
 }  // namespace tcsa

@@ -20,7 +20,6 @@ struct PhasedRequest {
   std::uint32_t index = 0;
 };
 
-#if TCSA_OBS_COMPILED
 struct SimMetrics {
   obs::MetricId requests;
   obs::MetricId misses;
@@ -43,7 +42,6 @@ const SimMetrics& sim_metrics() {
   };
   return metrics;
 }
-#endif
 
 }  // namespace
 
@@ -114,19 +112,15 @@ void compute_waits(const AppearanceIndex& index, SlotCount page_count,
     }
   }
 
-#if TCSA_OBS_COMPILED
   const bool obs_on = obs::enabled();
-#endif
   for (PageId page = 0; static_cast<SlotCount>(page) < page_count; ++page) {
     const auto begin = static_cast<std::ptrdiff_t>(page_start[page]);
     const auto end = static_cast<std::ptrdiff_t>(
         page_start[static_cast<std::size_t>(page) + 1]);
     if (begin == end) continue;
-#if TCSA_OBS_COMPILED
     if (obs_on)
       obs::histogram_observe(sim_metrics().batch_hist,
                              static_cast<double>(end - begin));
-#endif
     const std::span<const SlotCount> times = index.appearances(page);
     TCSA_REQUIRE(!times.empty(),
                  "AppearanceIndex: page never appears in the program");
@@ -181,9 +175,7 @@ SimResult simulate_requests(const AppearanceIndex& index,
       static_cast<std::size_t>(workload.group_count()));
   std::size_t misses = 0;
 
-#if TCSA_OBS_COMPILED
   const bool obs_on = obs::enabled();
-#endif
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const double wait = request_waits[i];
     const GroupId g = workload.group_of(requests[i].page);
@@ -193,17 +185,13 @@ SimResult simulate_requests(const AppearanceIndex& index,
     delays.add(delay);
     group_delays[static_cast<std::size_t>(g)].add(delay);
     if (wait > deadline) ++misses;
-#if TCSA_OBS_COMPILED
     if (obs_on) obs::histogram_observe(sim_metrics().wait_hist, wait);
-#endif
   }
-#if TCSA_OBS_COMPILED
   if (obs_on) {
     const SimMetrics& sm = sim_metrics();
     obs::counter_add(sm.requests, requests.size());
     obs::counter_add(sm.misses, misses);
   }
-#endif
 
   result.avg_wait = waits.mean();
   result.avg_delay = delays.mean();

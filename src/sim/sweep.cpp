@@ -13,13 +13,11 @@
 namespace tcsa {
 namespace {
 
-#if TCSA_OBS_COMPILED
 obs::MetricId sweep_points_metric() {
   static const obs::MetricId id = obs::register_counter(
       "tcsa_sweep_points_total", "(channels, method) sweep points measured");
   return id;
 }
-#endif
 
 /// One (channels, method) measurement — the shared kernel of both drivers.
 SweepPoint measure_point(const Workload& workload, const SweepConfig& config,
@@ -27,7 +25,7 @@ SweepPoint measure_point(const Workload& workload, const SweepConfig& config,
   TCSA_TRACE_SPAN_VAR(span, "sweep.point");
   if (span.active())
     span.set_arg("channels", static_cast<std::uint64_t>(channels));
-  TCSA_METRIC_ADD(sweep_points_metric(), 1);
+  obs::counter_add(sweep_points_metric(), 1);
   const ScheduleOutcome outcome = make_schedule(method, workload, channels);
 
   SimConfig sim = config.sim;

@@ -31,7 +31,6 @@
 namespace tcsa {
 
 namespace detail {
-#if TCSA_OBS_COMPILED
 /// Work-pool metrics, registered once per process on first use.
 struct PoolMetrics {
   obs::MetricId runs;
@@ -61,7 +60,6 @@ inline const PoolMetrics& pool_metrics() {
   };
   return metrics;
 }
-#endif
 }  // namespace detail
 
 /// Resolves a requested thread count: 0 = hardware concurrency (at least 1).
@@ -81,7 +79,6 @@ void parallel_for(std::size_t tasks, unsigned threads, Fn&& fn) {
   const unsigned workers = std::min<std::size_t>(
       resolve_thread_count(threads), tasks);
 
-#if TCSA_OBS_COMPILED
   // Hoisted once: the disabled path costs one relaxed load + branch per run
   // and per task; values never depend on instrumentation, so determinism is
   // untouched. Task latency / idle time use the shared trace clock.
@@ -106,9 +103,6 @@ void parallel_for(std::size_t tasks, unsigned threads, Fn&& fn) {
         detail::pool_metrics().task_us,
         static_cast<double>(obs::trace_now_us() - start));
   };
-#else
-  const auto run_task = [&](std::size_t i) { fn(i); };
-#endif
 
   if (workers <= 1) {
     for (std::size_t i = 0; i < tasks; ++i) run_task(i);
@@ -132,7 +126,6 @@ void parallel_for(std::size_t tasks, unsigned threads, Fn&& fn) {
       }
     }
   };
-#if TCSA_OBS_COMPILED
   // Spawned workers additionally report idle time (wall time in the worker
   // loop minus wall time inside tasks) and show as tracks in the trace.
   auto instrumented_worker = [&]() {
@@ -164,9 +157,6 @@ void parallel_for(std::size_t tasks, unsigned threads, Fn&& fn) {
       obs::counter_add(detail::pool_metrics().idle_us,
                        obs::trace_now_us() - entered - busy);
   };
-#else
-  auto& instrumented_worker = worker;
-#endif
 
   std::vector<std::thread> pool;
   pool.reserve(workers - 1);

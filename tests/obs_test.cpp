@@ -21,10 +21,6 @@
 namespace tcsa {
 namespace {
 
-#if !TCSA_OBS_COMPILED
-TEST(Obs, CompiledOut) { GTEST_SKIP() << "built with TCSA_OBS=OFF"; }
-#else
-
 /// Enables metrics for one test body and restores the prior state.
 class ObsTest : public ::testing::Test {
  protected:
@@ -437,8 +433,6 @@ TEST_F(ObsTest, TraceEpochWallClockIsSane) {
   EXPECT_GT(obs::trace_epoch_wall_us(), 1577836800000000ULL);
   EXPECT_EQ(obs::trace_epoch_wall_us(), obs::trace_epoch_wall_us());
 }
-
-#endif  // TCSA_OBS_COMPILED
 
 }  // namespace
 }  // namespace tcsa

@@ -3,8 +3,8 @@
 // fleet (coalesced pull airings, client-observed coalescing factor > 1)
 // and a traced impatient tune client whose timed-out pages come back on
 // the pull channel, with the pull airing span in causal order through the
-// merged cross-process trace. A second test drives the loadgen pull-SLO
-// exit-code gate, and the obs-off build keeps the protocol itself working.
+// merged cross-process trace. Further tests check that the protocol itself
+// works with recording off, and drive the loadgen pull-SLO exit-code gate.
 #include <signal.h>
 #include <unistd.h>
 
@@ -146,8 +146,6 @@ class PullE2E : public ::testing::Test {
   std::filesystem::path root_;
   int port_ = 0;
 };
-
-#if TCSA_OBS_COMPILED
 
 TEST_F(PullE2E, ImpatientAudienceIsServedByCoalescedTracedPullAirings) {
   const std::string art = path("art");
@@ -294,11 +292,10 @@ TEST_F(PullE2E, ImpatientAudienceIsServedByCoalescedTracedPullAirings) {
          "client";
 }
 
-#else  // !TCSA_OBS_COMPILED
-
-// Obs-off contract: tracing and metrics compile out, but the pull protocol
-// itself — wants, timeouts, kReq demand, kPull completions — still works.
-TEST_F(PullE2E, ObsOffPullChannelStillServesImpatientClients) {
+// With recording off at runtime (no --metrics-out, no --admin-port) the pull
+// protocol itself — wants, timeouts, kReq demand, kPull completions — still
+// works.
+TEST_F(PullE2E, PullChannelServesImpatientClientsWithRecordingOff) {
   Subprocess serve = spawn_serve({"--pull-policy", "lwf"});
 
   SpawnOptions tune_options;
@@ -322,8 +319,6 @@ TEST_F(PullE2E, ObsOffPullChannelStillServesImpatientClients) {
   EXPECT_EQ(requests.at("completed").expect_uint("completed"),
             requests.at("sent").expect_uint("sent"));
 }
-
-#endif  // TCSA_OBS_COMPILED
 
 // The loadgen pull-SLO gate is a CLI exit-code contract (used by the CI
 // smoke): an absurd 1us p99 threshold must fail the run. maxrt on the

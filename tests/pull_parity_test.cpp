@@ -18,7 +18,6 @@
 // wide tolerances asserted below.
 #include <algorithm>
 #include <random>
-#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -29,32 +28,11 @@
 #include "server/tune_client.hpp"
 #include "sim/hybrid.hpp"
 
+#include "server_harness.hpp"
+
 using namespace tcsa;
 
 namespace {
-
-/// Runs an AirServer on a background thread; stops and joins on scope exit.
-class ServerHarness {
- public:
-  ServerHarness(Workload workload, AirServerConfig config)
-      : server_(std::move(workload), config),
-        thread_([this] { server_.run(); }) {}
-  ~ServerHarness() {
-    server_.stop();
-    if (thread_.joinable()) thread_.join();
-  }
-  AirServer& server() { return server_; }
-  TuneClient::Options client_options(std::uint64_t mask) const {
-    TuneClient::Options options;
-    options.port = server_.port();
-    options.channel_mask = mask;
-    return options;
-  }
-
- private:
-  AirServer server_;
-  std::thread thread_;
-};
 
 TEST(PullParity, LivePlaneMatchesHybridSimOnTightenedDeadlines) {
   // Same program on both sides: SUSC is deterministic, so building it here
@@ -83,6 +61,7 @@ TEST(PullParity, LivePlaneMatchesHybridSimOnTightenedDeadlines) {
   config.auto_method = false;
   config.method = Method::kSusc;
   config.pull_channels = 1;
+  MetricsDelta metrics;
   ServerHarness harness(base, config);
 
   TuneClient client(harness.client_options(net::kAllChannels));
@@ -120,7 +99,7 @@ TEST(PullParity, LivePlaneMatchesHybridSimOnTightenedDeadlines) {
 
   // The timed-out wants exercised the real pull channel, not a stub: the
   // server aired them and the kPull completions came back.
-  EXPECT_GE(harness.server().pull_airings(), 1u);
+  EXPECT_GE(metrics.counter("tcsa_server_pull_airings_total"), 1u);
   EXPECT_GE(wants.pull_completed, 1u);
   EXPECT_GE(wants.pull_frames, 1u);
 }

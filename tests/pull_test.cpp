@@ -11,17 +11,55 @@
 
 #include "model/workload.hpp"
 #include "net/framing.hpp"
+#include "net/http_admin.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "online/estimator.hpp"
 #include "server/air_server.hpp"
 #include "server/pull_plane.hpp"
 #include "server/tune_client.hpp"
 
+#include "server_harness.hpp"
+
 using namespace tcsa;
 
 namespace {
 
 Workload paper_workload() { return make_workload({2, 4, 8}, {3, 5, 3}); }
+
+/// The pull counts a /healthz scrape reports.
+struct PullHealth {
+  std::uint64_t airings = 0;
+  std::uint64_t waiters_served = 0;
+};
+
+/// Airs a pull-enabled server with the admin plane, has a mask-0 session
+/// request two distinct pages, and polls /healthz until both were served.
+PullHealth serve_two_pulls_and_scrape() {
+  AirServerConfig config;
+  config.slot_us = 1000;
+  config.pull_channels = 1;
+  config.admin_port = 0;
+  ServerHarness harness(paper_workload(), config);
+  TuneClient client(harness.client_options(0));  // pull frames only
+  client.request_page(4);
+  client.request_page(5);
+
+  PullHealth health;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (health.waiters_served < 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    const obs::JsonValue doc = obs::json_parse(
+        net::http_get("127.0.0.1", harness.server().admin_port(), "/healthz")
+            .body);
+    health.airings = doc.at("pull_airings").expect_uint("pull_airings");
+    health.waiters_served =
+        doc.at("pull_waiters_served").expect_uint("pull_waiters_served");
+  }
+  return health;
+}
 
 PullWaiter waiter(std::uint64_t session, std::uint64_t slot) {
   return PullWaiter{session, /*trace_id=*/session * 1000 + slot, slot,
@@ -136,37 +174,11 @@ TEST(PullDemandTable, OldestWaitTracksTheFirstRequest) {
 
 // --------------------------------------------------- live-server edge cases
 
-/// Runs an AirServer on a background thread; stops and joins on scope exit.
-class ServerHarness {
- public:
-  ServerHarness(Workload workload, AirServerConfig config)
-      : server_(std::move(workload), config),
-        thread_([this] { server_.run(); }) {}
-  ~ServerHarness() {
-    server_.stop();
-    if (thread_.joinable()) thread_.join();
-  }
-  AirServer& server() { return server_; }
-  TuneClient::Options client_options(std::uint64_t mask) const {
-    TuneClient::Options options;
-    options.port = server_.port();
-    options.channel_mask = mask;
-    return options;
-  }
-
- private:
-  AirServer server_;
-  std::thread thread_;
-};
-
 // A session asking twice for the same page holds ONE seat in the demand
 // table, and the single kPull airing completes both of its pending
 // requests — coalescing inside one session.
 TEST(PullPlane, DuplicateRequestsShareOneAiring) {
-#if TCSA_OBS_COMPILED
-  obs::set_enabled(true);
-  const obs::MetricsSnapshot before = obs::snapshot();
-#endif
+  MetricsDelta metrics;
   AirServerConfig config;
   // A wide slot keeps both kReqs inside one inter-tick window even on a
   // loaded box — a tick between them would (correctly) split the airings.
@@ -187,26 +199,18 @@ TEST(PullPlane, DuplicateRequestsShareOneAiring) {
   EXPECT_EQ(summary.requests.completed, 2u)
       << "one pull airing must complete every pending request of its page";
   EXPECT_EQ(summary.wants.pull_frames, 1u);
-  EXPECT_EQ(harness.server().pull_airings(), 1u);
-  EXPECT_EQ(harness.server().pull_waiters_served(), 1u)
+  EXPECT_EQ(metrics.counter("tcsa_server_pull_airings_total"), 1u);
+  EXPECT_EQ(metrics.counter("tcsa_server_pull_waiters_served_total"), 1u)
       << "the duplicate holds no second seat in the demand table";
-#if TCSA_OBS_COMPILED
-  const obs::MetricsSnapshot delta = obs::snapshot().minus(before);
-  obs::set_enabled(false);
-  EXPECT_EQ(delta.counter_value("tcsa_server_pull_reqs_total"), 1u);
-  EXPECT_EQ(delta.counter_value("tcsa_server_pull_reqs_duplicate_total"), 1u);
-  EXPECT_EQ(delta.counter_value("tcsa_server_pull_airings_total"), 1u);
-  EXPECT_EQ(delta.counter_value("tcsa_server_reqs_pull_served_total"), 2u);
-#endif
+  EXPECT_EQ(metrics.counter("tcsa_server_pull_reqs_total"), 1u);
+  EXPECT_EQ(metrics.counter("tcsa_server_pull_reqs_duplicate_total"), 1u);
+  EXPECT_EQ(metrics.counter("tcsa_server_reqs_pull_served_total"), 2u);
 }
 
 // A requester that hangs up before its airing must not win a pull slot:
 // the HUP drops its demand long before the next (far-away) slot tick.
 TEST(PullPlane, DisconnectBeforeAiringDropsTheDemand) {
-#if TCSA_OBS_COMPILED
-  obs::set_enabled(true);
-  const obs::MetricsSnapshot before = obs::snapshot();
-#endif
+  MetricsDelta metrics;
   AirServerConfig config;
   config.slot_us = 200000;  // next airing tick is 200ms away
   config.pull_channels = 1;
@@ -219,24 +223,17 @@ TEST(PullPlane, DisconnectBeforeAiringDropsTheDemand) {
     // The ack round trip proved the demand is in the table; the close
     // races only against a slot tick 200ms out.
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    EXPECT_EQ(harness.server().pull_airings(), 0u)
+    EXPECT_EQ(metrics.counter("tcsa_server_pull_airings_total"), 0u)
         << "a vanished audience must not be aired to";
   }
-#if TCSA_OBS_COMPILED
-  const obs::MetricsSnapshot delta = obs::snapshot().minus(before);
-  obs::set_enabled(false);
-  EXPECT_EQ(delta.counter_value("tcsa_server_pull_waiters_dropped_total"), 1u);
-  EXPECT_EQ(delta.counter_value("tcsa_server_pull_airings_total"), 0u);
-#endif
+  EXPECT_EQ(metrics.counter("tcsa_server_pull_waiters_dropped_total"), 1u);
+  EXPECT_EQ(metrics.counter("tcsa_server_pull_airings_total"), 0u);
 }
 
 // Demand for a page outside the program is acked (expected 0), counted,
 // and dropped — never parked in the table forever.
 TEST(PullPlane, RequestForUnknownPageIsCountedAndDropped) {
-#if TCSA_OBS_COMPILED
-  obs::set_enabled(true);
-  const obs::MetricsSnapshot before = obs::snapshot();
-#endif
+  MetricsDelta metrics;
   AirServerConfig config;
   config.slot_us = 1000;
   config.max_slots = 60;
@@ -249,13 +246,9 @@ TEST(PullPlane, RequestForUnknownPageIsCountedAndDropped) {
   const TuneSummary summary = client.summary();
   EXPECT_EQ(summary.requests.acked, 1u);
   EXPECT_EQ(summary.requests.completed, 0u);
-  EXPECT_EQ(harness.server().pull_airings(), 0u);
-#if TCSA_OBS_COMPILED
-  const obs::MetricsSnapshot delta = obs::snapshot().minus(before);
-  obs::set_enabled(false);
-  EXPECT_EQ(delta.counter_value("tcsa_server_pull_unknown_page_total"), 1u);
-  EXPECT_EQ(delta.counter_value("tcsa_server_pull_reqs_total"), 0u);
-#endif
+  EXPECT_EQ(metrics.counter("tcsa_server_pull_airings_total"), 0u);
+  EXPECT_EQ(metrics.counter("tcsa_server_pull_unknown_page_total"), 1u);
+  EXPECT_EQ(metrics.counter("tcsa_server_pull_reqs_total"), 0u);
 }
 
 // Swap-during-pending: a generation that shrinks the page universe prunes
@@ -265,10 +258,7 @@ TEST(PullPlane, RequestForUnknownPageIsCountedAndDropped) {
 // them air first — the rest of pages >= 8 are deterministically dropped
 // when the 8-page generation activates. Invariant: airings + dropped = 9.
 TEST(PullPlane, ShrinkingSwapPrunesStrandedDemand) {
-#if TCSA_OBS_COMPILED
-  obs::set_enabled(true);
-  const obs::MetricsSnapshot before = obs::snapshot();
-#endif
+  MetricsDelta metrics;
   AirServerConfig config;
   config.slot_us = 20000;  // 20ms: nine acked kReqs land inside one slot
   config.pull_channels = 1;
@@ -291,18 +281,15 @@ TEST(PullPlane, ShrinkingSwapPrunesStrandedDemand) {
   swapper_pump.join();
   EXPECT_TRUE(puller.run(0));
 
-  const std::uint64_t airings = harness.server().pull_airings();
+  const std::uint64_t airings =
+      metrics.counter("tcsa_server_pull_airings_total");
   EXPECT_GE(airings, 6u) << "pages 2..7 stay valid and must all air";
   EXPECT_LE(airings, 7u) << "at most 7 airings fit before the boundary, and "
                             "pages >= 8 are pruned at activation";
   EXPECT_EQ(puller.summary().requests.completed, airings)
       << "each single-waiter airing completes exactly one request";
-#if TCSA_OBS_COMPILED
-  const obs::MetricsSnapshot delta = obs::snapshot().minus(before);
-  obs::set_enabled(false);
-  EXPECT_EQ(delta.counter_value("tcsa_server_pull_waiters_dropped_total"),
+  EXPECT_EQ(metrics.counter("tcsa_server_pull_waiters_dropped_total"),
             9u - airings);
-#endif
 }
 
 // The demand table is a live sample of client tolerances: every pull
@@ -336,13 +323,30 @@ TEST(PullPlane, AiringsFeedTheToleranceEstimator) {
       << "pull tolerances are clamped to >= 1 slot";
 }
 
+// /healthz reports the pull counts from loop-0 state, so they hold with
+// recording off; with recording on they agree with the registry counters.
+TEST(PullPlane, HealthzReportsPullCountsWithRecordingOffAndOn) {
+  ASSERT_FALSE(obs::enabled()) << "recording is off by default";
+  const PullHealth off = serve_two_pulls_and_scrape();
+  EXPECT_GT(off.airings, 0u);
+  EXPECT_GT(off.waiters_served, 0u);
+
+  MetricsDelta metrics;
+  const PullHealth on = serve_two_pulls_and_scrape();
+  EXPECT_GT(on.airings, 0u);
+  EXPECT_EQ(on.airings, metrics.counter("tcsa_server_pull_airings_total"));
+  EXPECT_EQ(on.waiters_served,
+            metrics.counter("tcsa_server_pull_waiters_served_total"));
+}
+
 TEST(PullPlane, DisabledByDefaultHasNoEstimator) {
   AirServerConfig config;
   config.slot_us = 500;
   config.max_slots = 10;
+  MetricsDelta metrics;
   ServerHarness harness(paper_workload(), config);
   EXPECT_EQ(harness.server().pull_estimator(), nullptr);
-  EXPECT_EQ(harness.server().pull_airings(), 0u);
+  EXPECT_EQ(metrics.counter("tcsa_server_pull_airings_total"), 0u);
 }
 
 }  // namespace

@@ -19,35 +19,14 @@
 #include "server/tune_client.hpp"
 #include "util/wire.hpp"
 
+#include "server_harness.hpp"
+
 using namespace tcsa;
 
 namespace {
 
 Workload paper_workload() { return make_workload({2, 4, 8}, {3, 5, 3}); }
 Workload grown_workload() { return make_workload({2, 4, 8}, {3, 5, 4}); }
-
-/// Runs an AirServer on a background thread; stops and joins on scope exit.
-class ServerHarness {
- public:
-  ServerHarness(Workload workload, AirServerConfig config)
-      : server_(std::move(workload), config),
-        thread_([this] { server_.run(); }) {}
-  ~ServerHarness() {
-    server_.stop();
-    if (thread_.joinable()) thread_.join();
-  }
-  AirServer& server() { return server_; }
-  TuneClient::Options client_options(std::uint64_t mask) const {
-    TuneClient::Options options;
-    options.port = server_.port();
-    options.channel_mask = mask;
-    return options;
-  }
-
- private:
-  AirServer server_;
-  std::thread thread_;
-};
 
 /// Rebuilds the broadcast program a full-mask client observed over one
 /// cycle-length window of `generation` frames, starting at the first slot
@@ -245,11 +224,8 @@ TEST(PlanSwapSeam, ReportsPositiveLatenessWhenNoRotationPreservesPromises) {
   EXPECT_EQ(plan.seam_lateness, 1);
 }
 
-#if TCSA_OBS_COMPILED
 TEST(AirServer, ExportsServerMetrics) {
-  obs::set_enabled(true);
-  const obs::MetricsSnapshot before = obs::snapshot();
-
+  MetricsDelta metrics;
   {
     AirServerConfig config;
     config.slot_us = 300;
@@ -262,8 +238,7 @@ TEST(AirServer, ExportsServerMetrics) {
     client.run(0);
   }
 
-  const obs::MetricsSnapshot delta = obs::snapshot().minus(before);
-  obs::set_enabled(false);
+  const obs::MetricsSnapshot delta = metrics.delta();
   EXPECT_GE(delta.counter_value("tcsa_server_sessions_opened_total"), 1u);
   EXPECT_GE(delta.counter_value("tcsa_server_sessions_closed_total"), 1u);
   EXPECT_GE(delta.counter_value("tcsa_server_slots_aired_total"), 200u);
@@ -293,9 +268,7 @@ TEST(AirServer, ExportsServerMetrics) {
 // column) body once per generation and slot-patches it afterwards, while
 // queued frames scale with the audience.
 TEST(AirServer, FanOutSharesOneEncodePerFrameAcrossSessions) {
-  obs::set_enabled(true);
-  const obs::MetricsSnapshot before = obs::snapshot();
-
+  MetricsDelta metrics;
   {
     AirServerConfig config;
     config.slot_us = 300;
@@ -314,8 +287,7 @@ TEST(AirServer, FanOutSharesOneEncodePerFrameAcrossSessions) {
     EXPECT_EQ(c.summary().deadline_misses, 0u);
   }
 
-  const obs::MetricsSnapshot delta = obs::snapshot().minus(before);
-  obs::set_enabled(false);
+  const obs::MetricsSnapshot delta = metrics.delta();
   const std::uint64_t encoded =
       delta.counter_value("tcsa_server_frames_encoded_total");
   const std::uint64_t sent =
@@ -332,6 +304,5 @@ TEST(AirServer, FanOutSharesOneEncodePerFrameAcrossSessions) {
   EXPECT_EQ(delta.counter_value("tcsa_server_bytes_flushed_total"),
             delta.counter_value("tcsa_server_bytes_sent_total"));
 }
-#endif
 
 }  // namespace

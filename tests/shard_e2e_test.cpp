@@ -30,15 +30,6 @@ using namespace tcsa;
 
 namespace {
 
-#if !TCSA_OBS_COMPILED
-
-// Without compiled-in instrumentation the shards produce no metrics/trace
-// artifacts (by design — satellite: warn and skip); points still merge, but
-// the acceptance assertions below are about the observability pipeline.
-TEST(ShardE2E, CompiledOut) { GTEST_SKIP() << "built with TCSA_OBS=OFF"; }
-
-#else
-
 std::string slurp(const std::string& path) {
   std::ifstream file(path);
   EXPECT_TRUE(file.is_open()) << path;
@@ -235,7 +226,5 @@ TEST_F(ShardE2E, ObsReportSummarizesTheRun) {
   EXPECT_NE(md.find("tcsa_sweep_points_total"), std::string::npos);
   EXPECT_NE(md.find("| channels | method |"), std::string::npos);
 }
-
-#endif  // TCSA_OBS_COMPILED
 
 }  // namespace

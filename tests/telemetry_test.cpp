@@ -211,7 +211,6 @@ TEST(SloWatchdog, ZeroThresholdDisablesBreachChecks) {
   EXPECT_FALSE(warned);
 }
 
-#if TCSA_OBS_COMPILED
 TEST(SloWatchdog, PublishesGaugesAndBreachCounterEvenWhenDisabled) {
   // The watchdog uses the *_always recorders: SLO state must stay visible
   // on a scrape even when per-request recording is gated off.
@@ -229,7 +228,6 @@ TEST(SloWatchdog, PublishesGaugesAndBreachCounterEvenWhenDisabled) {
   EXPECT_GE(snap.counter_value("tcsa_slo_breach_total"), 4u);
   EXPECT_DOUBLE_EQ(snap.gauge_value("tcsa_slot_lag_p99_us"), 40.0);
 }
-#endif
 
 // ------------------------------------------------------------ http admin
 

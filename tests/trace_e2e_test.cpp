@@ -134,8 +134,6 @@ class TraceE2E : public ::testing::Test {
   int port_ = 0;
 };
 
-#if TCSA_OBS_COMPILED
-
 TEST_F(TraceE2E, MergedJourneysCarryEverySpanInCausalOrder) {
   const std::string art = path("art");
   Subprocess serve = spawn_serve({"--out-dir", art, "--run-id", "trace-e2e"});
@@ -287,28 +285,5 @@ TEST_F(TraceE2E, SigkilledServerLeavesAReplayableFlightRing) {
             obs::req_stage_name(
                 static_cast<obs::ReqStage>(events.front().stage)));
 }
-
-#else  // !TCSA_OBS_COMPILED
-
-// Obs-off contract: request tracing needs the obs layer, but the flight
-// recorder is a postmortem tool and must still produce a valid (if empty)
-// ring that the replayer accepts.
-TEST_F(TraceE2E, ObsOffFlightRingStillValidButEmpty) {
-  const std::string flight = path("flight.bin");
-  Subprocess serve =
-      spawn_serve({"--flight-out", flight, "--flight-events", "256"});
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  ASSERT_EQ(::kill(static_cast<pid_t>(serve.pid()), SIGTERM), 0);
-  EXPECT_EQ(serve.wait(), 0) << slurp(path("serve.stderr.txt"));
-
-  bool sealed = false;
-  const std::vector<obs::FlightEvent> events =
-      obs::flight_load(flight, &sealed);
-  EXPECT_TRUE(sealed) << "a graceful shutdown seals the ring";
-  EXPECT_TRUE(events.empty())
-      << "TCSA_REQ_EVENT compiles out with TCSA_OBS=OFF";
-}
-
-#endif  // TCSA_OBS_COMPILED
 
 }  // namespace

@@ -12,7 +12,6 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -27,6 +26,8 @@
 #include "net/uring_flush.hpp"
 #include "server/air_server.hpp"
 #include "server/tune_client.hpp"
+
+#include "server_harness.hpp"
 
 using namespace tcsa;
 
@@ -71,28 +72,6 @@ std::string read_up_to(int fd, std::size_t cap) {
   }
   return out;
 }
-
-class ServerHarness {
- public:
-  ServerHarness(Workload workload, AirServerConfig config)
-      : server_(std::move(workload), config),
-        thread_([this] { server_.run(); }) {}
-  ~ServerHarness() {
-    server_.stop();
-    if (thread_.joinable()) thread_.join();
-  }
-  AirServer& server() { return server_; }
-  TuneClient::Options client_options(std::uint64_t mask) const {
-    TuneClient::Options options;
-    options.port = server_.port();
-    options.channel_mask = mask;
-    return options;
-  }
-
- private:
-  AirServer server_;
-  std::thread thread_;
-};
 
 // --------------------------------------------------- ring-level primitives
 
@@ -256,6 +235,7 @@ TEST(UringServer, AutoModeFallsBackToSendmsgWhenUnavailable) {
   config.slot_us = 1000;
   config.max_slots = 0;
   config.uring = UringMode::kAuto;
+  MetricsDelta metrics;
   ServerHarness harness(paper_workload(), config);
   EXPECT_FALSE(harness.server().uring_active());
 
@@ -264,7 +244,7 @@ TEST(UringServer, AutoModeFallsBackToSendmsgWhenUnavailable) {
   const TuneSummary summary = client.summary();
   EXPECT_GE(summary.slots_seen, 30u);
   EXPECT_EQ(summary.deadline_misses, 0u);
-  EXPECT_EQ(harness.server().uring_enters(), 0u);
+  EXPECT_EQ(metrics.counter("tcsa_server_uring_enter_total"), 0u);
 }
 
 // --uring on is a hard requirement: an unavailable backend fails startup
@@ -288,6 +268,7 @@ TEST(UringServer, BatchedEgressServesAValidBroadcast) {
   config.max_slots = 600;
   config.loops = 2;
   config.uring = UringMode::kOn;
+  MetricsDelta metrics;
   ServerHarness harness(paper_workload(), config);
   ASSERT_TRUE(harness.server().uring_active());
 
@@ -312,8 +293,10 @@ TEST(UringServer, BatchedEgressServesAValidBroadcast) {
   EXPECT_TRUE(report.valid)
       << (report.violations.empty() ? "" : report.violations.front());
 
-  const std::uint64_t enters = harness.server().uring_enters();
-  const std::uint64_t sqes = harness.server().uring_sqes();
+  const std::uint64_t enters =
+      metrics.counter("tcsa_server_uring_enter_total");
+  const std::uint64_t sqes =
+      metrics.counter("tcsa_server_uring_sqe_batched_total");
   EXPECT_GT(enters, 0u) << "kOn server never used the ring";
   EXPECT_GE(sqes, enters) << "each enter must carry at least one SQE";
 }
