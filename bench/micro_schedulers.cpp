@@ -16,6 +16,8 @@
 #include "core/susc.hpp"
 #include "workload/distributions.hpp"
 
+#include "oracles.hpp"
+
 namespace {
 
 using namespace tcsa;

@@ -13,6 +13,8 @@
 #include "util/rng.hpp"
 #include "workload/distributions.hpp"
 
+#include "oracles.hpp"
+
 namespace {
 
 using namespace tcsa;

@@ -122,25 +122,6 @@ class ColumnTracker {
   std::vector<SlotCount> next_;  ///< pointer-jumping "next maybe-free", +1 sentinel
 };
 
-/// Reference column scan of the seed implementation: first empty slot at
-/// column >= `from`, cyclically, channels inner. Kept verbatim as the oracle
-/// the tracker is tested against.
-SlotCount reference_place_from(BroadcastProgram& program, PageId page,
-                               SlotCount from) {
-  const SlotCount cycle = program.cycle_length();
-  for (SlotCount step = 0; step < cycle; ++step) {
-    const SlotCount column = (from + step) % cycle;
-    for (SlotCount channel = 0; channel < program.channels(); ++channel) {
-      if (program.empty_at(channel, column)) {
-        program.place(channel, column, page);
-        return column;
-      }
-    }
-  }
-  TCSA_ASSERT(false, "place_from: program is full (capacity bug)");
-  return -1;
-}
-
 }  // namespace
 
 PlacementResult place_even_spread(const Workload& workload,
@@ -196,43 +177,6 @@ PlacementResult place_even_spread(const Workload& workload,
   if (result.window_overflows > 0) {
     TCSA_LOG(kWarn) << "place_even_spread: " << result.window_overflows
                     << " copies fell outside their even-spread window";
-  }
-  return result;
-}
-
-PlacementResult place_even_spread_reference(const Workload& workload,
-                                            std::span<const SlotCount> S,
-                                            SlotCount channels) {
-  TCSA_REQUIRE(channels >= 1, "place_even_spread: need at least one channel");
-  const SlotCount t_major = major_cycle(workload, S, channels);
-  PlacementResult result{BroadcastProgram(channels, t_major), 0};
-  BroadcastProgram& program = result.program;
-
-  for (GroupId g : descending_frequency_order(workload, S)) {
-    const SlotCount s = S[static_cast<std::size_t>(g)];
-    for (SlotCount j = 0; j < workload.pages_in_group(g); ++j) {
-      const PageId page = workload.first_page(g) + static_cast<PageId>(j);
-      for (SlotCount k = 1; k <= s; ++k) {
-        const SlotCount lo =
-            std::min((t_major * (k - 1) + s - 1) / s, t_major - 1);  // ceil
-        const SlotCount hi =
-            std::max(std::min((t_major * k + s - 1) / s, t_major), lo + 1);
-        bool placed = false;
-        for (SlotCount column = lo; column < hi && !placed; ++column) {
-          for (SlotCount channel = 0; channel < channels; ++channel) {
-            if (program.empty_at(channel, column)) {
-              program.place(channel, column, page);
-              placed = true;
-              break;
-            }
-          }
-        }
-        if (!placed) {
-          ++result.window_overflows;
-          reference_place_from(program, page, hi % t_major);
-        }
-      }
-    }
   }
   return result;
 }

@@ -40,13 +40,6 @@ PlacementResult place_even_spread(const Workload& workload,
                                   std::span<const SlotCount> S,
                                   SlotCount channels);
 
-/// The seed's naive double-scan placer, kept verbatim as a test oracle:
-/// place_even_spread must produce a bit-identical program. O(copies *
-/// t_major * channels) worst case — do not use on hot paths.
-PlacementResult place_even_spread_reference(const Workload& workload,
-                                            std::span<const SlotCount> S,
-                                            SlotCount channels);
-
 /// Ablation variant (experiment A2): ignores the even-spread windows and
 /// fills slots first-fit in page order. Same cycle length and copy counts,
 /// typically much worse spacing — quantifies how much Algorithm 4's

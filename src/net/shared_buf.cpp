@@ -15,7 +15,7 @@ bool SharedBuf::patch_u64(std::size_t offset, std::uint64_t value) {
   // token references, and loop 0 patches a cached frame only when every
   // worker's acquire-read floor has passed the frame's last airing — so
   // any worker-held reference from that airing has provably been released
-  // (see AirServer::delivered_floor in server/air_server.cpp).
+  // (see server/frame_cache.hpp).
   if (!bytes_ || bytes_.use_count() != 1) return false;
   // The count is read relaxed; if the value 1 we just observed was written
   // by another thread's release-decrement, this acquire fence upgrades the

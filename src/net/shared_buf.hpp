@@ -12,7 +12,7 @@
 // patch_u64(), which rewrites a word in place ONLY when the caller holds
 // the sole reference — the periodic-program frame cache uses it to stamp
 // the slot number into last cycle's otherwise-identical frame instead of
-// re-encoding it (see server/air_server.cpp). A buffer some session still
+// re-encoding it (see server/frame_cache.hpp). A buffer some session still
 // has queued refuses the patch and the caller re-encodes, so queued bytes
 // can never change underneath a socket.
 #pragma once

@@ -97,13 +97,18 @@ std::uint16_t local_port(int fd) {
   return ntohs(addr.sin_port);
 }
 
-Fd accept_connection(int listener_fd) {
+Fd accept_connection(int listener_fd, bool* backoff) {
   const int fd = ::accept4(listener_fd, nullptr, nullptr,
                            SOCK_NONBLOCK | SOCK_CLOEXEC);
   if (fd < 0) {
     if (errno == EAGAIN || errno == EWOULDBLOCK || errno == ECONNABORTED ||
         errno == EINTR)
       return Fd();
+    if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+        errno == ENOMEM) {
+      if (backoff) *backoff = true;
+      return Fd();
+    }
     fail("accept4");
   }
   return Fd(fd);

@@ -72,8 +72,12 @@ Fd listen_reuseport(const std::string& address, std::uint16_t port);
 std::uint16_t local_port(int fd);
 
 /// Accepts one pending connection as a non-blocking fd. Returns an invalid
-/// Fd when no connection is pending (EAGAIN) — never blocks.
-Fd accept_connection(int listener_fd);
+/// Fd when no connection is pending (EAGAIN) — never blocks. Running out of
+/// descriptors or socket memory (EMFILE, ENFILE, ENOBUFS, ENOMEM) also
+/// returns an invalid Fd and sets `*backoff`: the connection stays in the
+/// kernel backlog, and the caller should stop polling the listener for a
+/// while instead of spinning on it.
+Fd accept_connection(int listener_fd, bool* backoff = nullptr);
 
 /// Blocking IPv4 connect for clients; the returned fd stays blocking.
 Fd connect_tcp(const std::string& address, std::uint16_t port);

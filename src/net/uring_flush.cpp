@@ -6,15 +6,12 @@
 #include <stdexcept>
 #include <string>
 
-#include "util/contracts.hpp"
-
-#if TCSA_URING_COMPILED
 #include <linux/io_uring.h>
-#include <sys/eventfd.h>
 #include <sys/mman.h>
 #include <sys/syscall.h>
 #include <unistd.h>
-#endif
+
+#include "util/contracts.hpp"
 
 namespace tcsa::net {
 
@@ -25,8 +22,6 @@ bool force_unsupported_env() {
   return force != nullptr && force[0] == '1';
 }
 
-#if TCSA_URING_COMPILED
-
 int sys_io_uring_setup(unsigned entries, io_uring_params* params) {
   return static_cast<int>(::syscall(__NR_io_uring_setup, entries, params));
 }
@@ -35,12 +30,6 @@ int sys_io_uring_enter(int fd, unsigned to_submit, unsigned min_complete,
                        unsigned flags) {
   return static_cast<int>(::syscall(__NR_io_uring_enter, fd, to_submit,
                                     min_complete, flags, nullptr, 0));
-}
-
-int sys_io_uring_register(int fd, unsigned opcode, const void* arg,
-                          unsigned nr_args) {
-  return static_cast<int>(
-      ::syscall(__NR_io_uring_register, fd, opcode, arg, nr_args));
 }
 
 [[noreturn]] void throw_errno(const char* what) {
@@ -60,21 +49,15 @@ void ring_store_release(std::uint32_t* p, std::uint32_t v) {
   __atomic_store_n(p, v, __ATOMIC_RELEASE);
 }
 
-#endif  // TCSA_URING_COMPILED
-
 }  // namespace
 
 bool UringFlusher::probe() {
-#if TCSA_URING_COMPILED
   if (force_unsupported_env()) return false;
   io_uring_params params{};
   const int fd = sys_io_uring_setup(4, &params);
   if (fd < 0) return false;
   ::close(fd);
   return true;
-#else
-  return false;
-#endif
 }
 
 bool UringFlusher::supported() {
@@ -85,8 +68,6 @@ bool UringFlusher::supported() {
   static const bool ok = probe();
   return ok;
 }
-
-#if TCSA_URING_COMPILED
 
 UringFlusher::UringFlusher(unsigned entries) {
   TCSA_REQUIRE(entries >= 1 && entries <= 4096,
@@ -106,37 +87,24 @@ UringFlusher::UringFlusher(unsigned entries) {
   const bool single_mmap = (params.features & IORING_FEAT_SINGLE_MMAP) != 0;
   if (single_mmap && cq_ring_bytes_ > sq_ring_bytes_)
     sq_ring_bytes_ = cq_ring_bytes_;
-  sq_ring_ = ::mmap(nullptr, sq_ring_bytes_, PROT_READ | PROT_WRITE,
-                    MAP_SHARED | MAP_POPULATE, ring_fd_.get(), IORING_OFF_SQ_RING);
-  if (sq_ring_ == MAP_FAILED) {
-    sq_ring_ = nullptr;
-    throw_errno("mmap(SQ ring)");
-  }
-  if (single_mmap) {
-    cq_ring_ = sq_ring_;
-    cq_ring_bytes_ = 0;  // owned by the SQ mapping
-  } else {
-    cq_ring_ = ::mmap(nullptr, cq_ring_bytes_, PROT_READ | PROT_WRITE,
-                      MAP_SHARED | MAP_POPULATE, ring_fd_.get(),
-                      IORING_OFF_CQ_RING);
-    if (cq_ring_ == MAP_FAILED) {
-      cq_ring_ = nullptr;
-      ::munmap(sq_ring_, sq_ring_bytes_);
-      sq_ring_ = nullptr;
-      throw_errno("mmap(CQ ring)");
-    }
-  }
+  // A failed mapping unmaps the earlier ones: a throwing constructor runs
+  // no destructor.
+  const auto map = [this](std::size_t bytes, off_t offset, const char* what) {
+    void* mem = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                       MAP_SHARED | MAP_POPULATE, ring_fd_.get(), offset);
+    if (mem != MAP_FAILED) return mem;
+    const int err = errno;
+    unmap();
+    errno = err;
+    throw_errno(what);
+  };
+  sq_ring_ = map(sq_ring_bytes_, IORING_OFF_SQ_RING, "mmap(SQ ring)");
+  cq_ring_ = single_mmap ? sq_ring_
+                         : map(cq_ring_bytes_, IORING_OFF_CQ_RING,
+                               "mmap(CQ ring)");
+  if (single_mmap) cq_ring_bytes_ = 0;  // owned by the SQ mapping
   sqe_bytes_ = params.sq_entries * sizeof(io_uring_sqe);
-  sqe_mem_ = ::mmap(nullptr, sqe_bytes_, PROT_READ | PROT_WRITE,
-                    MAP_SHARED | MAP_POPULATE, ring_fd_.get(), IORING_OFF_SQES);
-  if (sqe_mem_ == MAP_FAILED) {
-    sqe_mem_ = nullptr;
-    if (cq_ring_ != nullptr && cq_ring_ != sq_ring_)
-      ::munmap(cq_ring_, cq_ring_bytes_);
-    ::munmap(sq_ring_, sq_ring_bytes_);
-    sq_ring_ = cq_ring_ = nullptr;
-    throw_errno("mmap(SQE array)");
-  }
+  sqe_mem_ = map(sqe_bytes_, IORING_OFF_SQES, "mmap(SQE array)");
 
   auto* sq_base = static_cast<char*>(sq_ring_);
   sq_head_ = reinterpret_cast<std::uint32_t*>(sq_base + params.sq_off.head);
@@ -150,20 +118,16 @@ UringFlusher::UringFlusher(unsigned entries) {
   cq_mask_ = *reinterpret_cast<std::uint32_t*>(cq_base +
                                                params.cq_off.ring_mask);
   cqes_ = cq_base + params.cq_off.cqes;
-
-  event_fd_ = Fd(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC));
-  if (!event_fd_.valid()) throw_errno("eventfd");
-  const int efd = event_fd_.get();
-  if (sys_io_uring_register(ring_fd_.get(), IORING_REGISTER_EVENTFD, &efd,
-                            1) < 0)
-    throw_errno("io_uring_register(EVENTFD)");
 }
 
-UringFlusher::~UringFlusher() {
+UringFlusher::~UringFlusher() { unmap(); }
+
+void UringFlusher::unmap() noexcept {
   if (sqe_mem_ != nullptr) ::munmap(sqe_mem_, sqe_bytes_);
   if (cq_ring_ != nullptr && cq_ring_ != sq_ring_)
     ::munmap(cq_ring_, cq_ring_bytes_);
   if (sq_ring_ != nullptr) ::munmap(sq_ring_, sq_ring_bytes_);
+  sqe_mem_ = cq_ring_ = sq_ring_ = nullptr;
 }
 
 bool UringFlusher::push_sendmsg(int fd, const struct msghdr* msg,
@@ -234,34 +198,5 @@ std::size_t UringFlusher::harvest(std::vector<Completion>& out) {
   inflight_ -= static_cast<unsigned>(count);
   return count;
 }
-
-void UringFlusher::drain_event_fd() {
-  std::uint64_t counter = 0;
-  while (::read(event_fd_.get(), &counter, sizeof counter) > 0) {
-  }
-}
-
-#else  // !TCSA_URING_COMPILED — the stub flavor: never supported.
-
-UringFlusher::UringFlusher(unsigned entries) {
-  (void)entries;
-  (void)force_unsupported_env();
-  throw std::runtime_error(
-      "UringFlusher: built with TCSA_URING=OFF (backend compiled out)");
-}
-
-UringFlusher::~UringFlusher() = default;
-
-bool UringFlusher::push_sendmsg(int, const struct msghdr*, std::uint64_t) {
-  return false;
-}
-
-std::size_t UringFlusher::submit_and_wait(unsigned) { return 0; }
-
-std::size_t UringFlusher::harvest(std::vector<Completion>&) { return 0; }
-
-void UringFlusher::drain_event_fd() {}
-
-#endif  // TCSA_URING_COMPILED
 
 }  // namespace tcsa::net

@@ -11,9 +11,8 @@
 // each send inline during that one enter and posts a CQE synchronously —
 // a socket with a full buffer yields -EAGAIN in its CQE instead of
 // punting the op to a kernel worker. Completions therefore arrive before
-// submit_and_wait() returns in the normal case; the ring's eventfd is
-// registered with the owning epoll loop purely as a defensive harvest
-// path for the rare op the kernel decides to finish asynchronously.
+// submit_and_wait() returns; the caller waits out any op still in flight
+// before its batch ends, so nothing is ever left to harvest later.
 //
 // This is deliberately liburing-free: the container toolchain has the
 // kernel UAPI header (<linux/io_uring.h>) but no library, so the ring is
@@ -22,13 +21,12 @@
 // write — the same contract liburing's smp_load_acquire/store_release
 // macros implement).
 //
-// Degradation ladder (DESIGN.md §7): TCSA_URING=OFF compiles this class
-// down to an always-unsupported stub; at runtime supported() probes
-// io_uring_setup(2) once (ENOSYS on old kernels, EPERM in locked-down
-// sandboxes) and honors TCSA_URING_FORCE_ENOSYS=1 so CI can force the
-// fallback; and any per-ring construction failure just leaves the server
-// on the classic flush_queue() path. Callers never #if on the backend —
-// they ask supported() and fall back.
+// Fallback (DESIGN.md §7): supported() probes io_uring_setup(2) once
+// (ENOSYS on old kernels, EPERM in locked-down sandboxes) and honors
+// TCSA_URING_FORCE_ENOSYS=1 so CI can force the fallback; any per-ring
+// construction failure just leaves the server on the classic flush_queue()
+// path. Callers never #if on the backend — they ask supported() and fall
+// back.
 #pragma once
 
 #include <sys/socket.h>
@@ -38,10 +36,6 @@
 #include <vector>
 
 #include "net/socket.hpp"
-
-#ifndef TCSA_URING_COMPILED
-#define TCSA_URING_COMPILED 1
-#endif
 
 namespace tcsa::net {
 
@@ -54,12 +48,9 @@ class UringFlusher {
     std::int32_t res = 0;
   };
 
-  /// True when the backend was compiled in (TCSA_URING=ON).
-  static constexpr bool compiled() noexcept { return TCSA_URING_COMPILED; }
-
   /// Uncached runtime probe: can this process set up a ring right now?
-  /// Returns false when compiled out, when TCSA_URING_FORCE_ENOSYS=1 is in
-  /// the environment, or when io_uring_setup(2) fails (ENOSYS/EPERM/...).
+  /// Returns false when TCSA_URING_FORCE_ENOSYS=1 is in the environment or
+  /// when io_uring_setup(2) fails (ENOSYS/EPERM/...).
   static bool probe();
 
   /// Cached probe — the kernel's verdict is read once per process; the
@@ -67,7 +58,7 @@ class UringFlusher {
   static bool supported();
 
   /// Builds a ring with at least `entries` submission slots (the kernel
-  /// rounds up to a power of two) and registers a completion eventfd.
+  /// rounds up to a power of two).
   /// Throws std::runtime_error when the kernel refuses; callers that
   /// probed supported() first should treat that as "fall back", not fatal.
   explicit UringFlusher(unsigned entries);
@@ -77,11 +68,6 @@ class UringFlusher {
 
   /// Submission slots actually granted (>= the requested entries).
   unsigned capacity() const noexcept { return sq_entries_; }
-
-  /// Completion eventfd: readable whenever unharvested CQEs exist. Meant
-  /// for epoll registration; the owning loop drains it (drain_event_fd)
-  /// and harvests on readiness.
-  int event_fd() const noexcept { return event_fd_.get(); }
 
   /// Stages one sendmsg SQE (MSG_NOSIGNAL | MSG_DONTWAIT). The msghdr and
   /// the iovec array it points at must stay alive until the matching
@@ -106,14 +92,10 @@ class UringFlusher {
   /// SQEs submitted whose CQE has not been harvested yet.
   unsigned inflight() const noexcept { return inflight_; }
 
-  /// Empties the eventfd counter (call on epoll readiness before
-  /// harvest(), so a level-triggered loop does not spin).
-  void drain_event_fd();
-
  private:
-#if TCSA_URING_COMPILED
+  void unmap() noexcept;
+
   Fd ring_fd_;
-  Fd event_fd_;
   // Submission side: one mapping for the ring indices + index array, one
   // for the SQE array itself.
   void* sq_ring_ = nullptr;
@@ -131,10 +113,6 @@ class UringFlusher {
   std::uint32_t* cq_tail_ = nullptr;   // kernel-written producer (acquire)
   std::uint32_t cq_mask_ = 0;
   void* cqes_ = nullptr;
-#else
-  Fd ring_fd_;   // never valid in the stub flavor
-  Fd event_fd_;
-#endif
   unsigned sq_entries_ = 0;
   unsigned staged_ = 0;
   unsigned inflight_ = 0;

@@ -1,0 +1,214 @@
+// loop_shard.hpp — the delivery shard: one event loop's client sessions.
+//
+// Every session is pinned to the loop that accepted it, so its decoder,
+// egress queue and epoll registration need no locks. A LoopShard accepts,
+// reads and decodes; fans each aired slot's shared frame buffers into its
+// subscribers' egress queues (a pointer copy per session, never a byte
+// copy); and flushes through one entry point that picks the batched
+// io_uring backend or per-session sendmsg. Both backends end in the same
+// post-flush step: a session over the queued-bytes cap is evicted — one
+// slow client must never stall the broadcast — and every other session has
+// its write interest re-armed. Out of descriptors, the shard stops polling
+// its listener until its next slot delivery; the pending connection waits
+// in the kernel backlog.
+//
+// The shard knows nothing of programs, generations or the pull plane: it
+// calls into the server (ShardHooks) only to forward kSwap and kReq frames
+// and to report a closed session.
+#pragma once
+
+#include <array>
+#include <atomic>
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <mutex>
+#include <string>
+#include <string_view>
+#include <unordered_map>
+#include <vector>
+
+#include "net/event_loop.hpp"
+#include "net/framing.hpp"
+#include "net/out_queue.hpp"
+#include "net/shared_buf.hpp"
+#include "net/socket.hpp"
+#include "net/uring_flush.hpp"
+#include "obs/metrics.hpp"
+#include "server/pull_plane.hpp"
+
+namespace tcsa {
+
+/// Slow-client eviction predicate over queued egress bytes: a session is
+/// evicted only when its queue strictly exceeds the cap — a queue sitting
+/// exactly at the cap stays (tests pin the boundary so fan-out rewrites
+/// cannot drift it by one frame).
+constexpr bool should_evict(std::size_t queued_bytes,
+                            std::size_t cap) noexcept {
+  return queued_bytes > cap;
+}
+
+/// One client connection, owned by the loop that accepted it.
+struct Session {
+  net::Fd fd;
+  net::FrameDecoder decoder;
+  net::OutQueue out;            // chunked egress queue (shared buffers)
+  std::uint64_t id = 0;         // monotonic, validates cross-loop refs
+  std::uint64_t mask = 0;       // subscribed channel mask (0 = none yet)
+  std::uint32_t hello_generation = 0;  // gen the session last heard about
+  bool want_write = false;      // EPOLLOUT currently armed
+  PendingRequests pending;      // open traced requests (usually none)
+};
+
+/// Cross-loop session address: fd alone is unsafe (fds are reused), so
+/// deliveries validate the monotonic id on arrival.
+struct SessionRef {
+  std::size_t loop = 0;
+  int fd = -1;
+  std::uint64_t id = 0;
+};
+
+/// One aired slot, shipped to every loop as a refcounted token: the frame
+/// (if any) per channel, the mask of channels that aired, and the page each
+/// aired channel carried (so shards resolve their own sessions' pending
+/// requests without touching program state).
+struct SlotFrames {
+  std::uint64_t slot = 0;
+  std::uint64_t aired_mask = 0;
+  std::vector<net::SharedBuf> by_channel;
+  std::vector<PageId> page_by_channel;
+  // On-demand airings riding the same token (usually empty): shards
+  // deliver pull_frames[i] to every local session with a pending kReq
+  // for pull_pages[i], independent of the session's channel mask.
+  std::vector<net::SharedBuf> pull_frames;
+  std::vector<PageId> pull_pages;
+};
+
+/// Hello/announce ingredients, republished at each generation activation
+/// (the slot number is read live). `expected_times` holds each page's
+/// promised wait t_p, so any loop can stamp a request ack.
+struct HelloSnapshot {
+  std::uint32_t id = 0;
+  std::uint32_t channels = 0;
+  std::uint32_t cycle = 0;
+  std::string workload_binary;
+  std::vector<SlotCount> expected_times;
+};
+
+class LoopShard;
+
+/// The shard's only calls into the server, made on the shard's thread.
+struct ShardHooks {
+  /// A kSwap frame's payload from `requester`.
+  std::function<void(const SessionRef& requester, std::string payload)> swap;
+  /// A parsed kReq; the handler may send (and so close) the session.
+  std::function<void(LoopShard& shard, Session& session,
+                     std::uint64_t trace_id, PageId page)>
+      request;
+  /// Session `id` of loop `loop` closed, for any reason.
+  std::function<void(std::size_t loop, std::uint64_t id)> closed;
+};
+
+/// What every shard shares: limits, hooks, the hello snapshot and the
+/// counters all loops add to. Owned by the server; outlives the shards.
+struct ShardCommon {
+  std::size_t max_session_buffer = 0;
+  int session_send_buffer = 0;
+  std::uint32_t slot_us = 0;
+  ShardHooks hooks;
+  std::atomic<std::uint64_t> slots_aired{0};  // == the next slot to air
+  std::atomic<std::uint64_t> evicted{0};
+  /// Retired bytes across all loops: the timeline's per-slot delta reads
+  /// this, not the registry counter, so it works with recording off.
+  std::atomic<std::uint64_t> bytes_flushed{0};
+  std::atomic<std::uint64_t> next_session_id{0};
+  std::atomic<std::size_t> sessions{0};
+
+  void publish(HelloSnapshot snapshot);
+  /// Hello/announce payload; any thread. `gen_out` (optional) receives the
+  /// generation id baked into the bytes.
+  std::string hello_payload(std::uint32_t* gen_out = nullptr) const;
+  /// The generation on air; `*expected_slots` gets `page`'s promised wait
+  /// under it (0 for a page outside the workload).
+  std::uint32_t promise(PageId page, std::uint32_t* expected_slots) const;
+
+ private:
+  mutable std::mutex mutex_;
+  HelloSnapshot hello_;
+};
+
+class LoopShard {
+ public:
+  LoopShard(std::size_t index, net::EventLoop& loop, net::Fd listener,
+            ShardCommon& common);
+  LoopShard(const LoopShard&) = delete;
+  LoopShard& operator=(const LoopShard&) = delete;
+
+  std::size_t index() const noexcept { return index_; }
+  net::EventLoop& loop() noexcept { return loop_; }
+
+  // --- the shard's own thread ---
+  void listen();  ///< starts polling the listener
+  /// Worker loops: listen, poll until stop(), then drain_and_close().
+  void run();
+  void stop() noexcept { running_ = false; }
+  /// Bounded flush window, then closes every session and the listener.
+  void drain_and_close();
+  /// Fans one slot's frames into the subscribed sessions and its pull
+  /// frames into the sessions waiting for them, flushes, retires the
+  /// requests that flush completed, and publishes the queue depth.
+  void deliver(const SlotFrames& frames);
+  /// Sends the announce to every session not yet greeted under `gen_id`.
+  void announce(const net::SharedBuf& buf, std::uint32_t gen_id);
+  /// Queues one frame and flushes the session, which may close it.
+  void send(Session& session, net::FrameType type, std::string_view payload);
+  /// send() to the session `ref` names; dropped silently when that session
+  /// is gone (closed, or its fd reused by someone else).
+  void send_to(const SessionRef& ref, net::FrameType type,
+               std::string_view payload);
+
+  /// Batched flush ring (null = per-session sendmsg). Set on the main
+  /// thread before the loops start, then touched only by the owning loop.
+  std::unique_ptr<net::UringFlusher> uring;
+
+  // --- read by other threads ---
+  std::atomic<std::uint64_t> audience{0};    // union of session masks
+  std::atomic<std::size_t> session_count{0};
+  std::atomic<std::size_t> queued_bytes{0};  // after the last slot flush
+  /// Worker shards' epoch mark for the frame cache: slots below it were
+  /// delivered AND their token references released (stored with release
+  /// after the drop; the airing loop acquire-reads the minimum).
+  std::atomic<std::uint64_t> delivered_through{0};
+
+ private:
+  void on_accept();
+  void on_event(int fd, std::uint32_t events);
+  void handle_frame(Session& session, int fd, const net::Frame& frame);
+  void enqueue(Session& session, net::SharedBuf buf);
+  /// The fan-out flush entry point: batches `fds` (each at most once)
+  /// through the ring when there is one, else sendmsg per session; then
+  /// settles each survivor and retires its flushed requests.
+  void flush(const std::vector<int>& fds);
+  void write_uring(std::vector<int> fds);
+  /// sendmsg drain of one session; false when a send error closed it.
+  bool write(Session& session);
+  /// The post-flush step of both backends: evicts an over-cap session
+  /// (false) or re-arms its write interest (true).
+  bool settle(Session& session);
+  void close(int fd, const char* reason);
+  /// Rewrites a session's subscription mask, keeping the subscriber counts
+  /// and the published audience union exact.
+  void set_mask(Session& session, std::uint64_t mask);
+
+  std::size_t index_;
+  net::EventLoop& loop_;
+  net::Fd listener_;  // SO_REUSEPORT clone (plain with one loop)
+  ShardCommon& common_;
+  obs::MetricId queue_gauge_;
+  std::unordered_map<int, Session> sessions_;
+  std::array<std::uint32_t, 64> channel_subs_{};
+  bool running_ = false;        // worker poll-loop flag
+  bool accept_paused_ = false;  // listener out of epoll until next slot
+};
+
+}  // namespace tcsa

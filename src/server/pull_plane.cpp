@@ -2,6 +2,11 @@
 
 #include <algorithm>
 
+#include "net/framing.hpp"
+#include "obs/reqtrace.hpp"
+#include "server/server_metrics.hpp"
+#include "util/wire.hpp"
+
 namespace tcsa {
 
 bool parse_pull_policy(const std::string& name, PullPolicy* out) noexcept {
@@ -107,6 +112,140 @@ std::uint64_t PullDemandTable::oldest_wait(
   for (const auto& [page, entry] : entries_)
     oldest = std::max(oldest, now_slot - entry.first_request_slot);
   return oldest;
+}
+
+void PendingRequests::open(std::uint64_t trace_id, PageId page,
+                           std::uint64_t recv_us) {
+  if (reqs_.size() >= kCap) {
+    reqs_.erase(reqs_.begin());
+    obs::counter_add(server_metrics().reqs_dropped, 1);
+  }
+  reqs_.push_back(PendingReq{trace_id, page, recv_us, PendingReq::kUnmatched,
+                             false});
+}
+
+void PendingRequests::match_broadcast(
+    std::uint64_t slot, std::uint64_t subscribed, std::uint64_t aired_mask,
+    const std::vector<PageId>& page_by_channel) {
+  const std::uint64_t hit_mask = subscribed & aired_mask;
+  for (std::size_t ch = 0; ch < page_by_channel.size(); ++ch)
+    if ((hit_mask >> ch) & 1) match(slot, page_by_channel[ch], false);
+}
+
+bool PendingRequests::match(std::uint64_t slot, PageId page, bool via_pull) {
+  bool matched = false;
+  for (PendingReq& req : reqs_) {
+    if (req.page != page || req.encoded_slot != PendingReq::kUnmatched)
+      continue;
+    req.encoded_slot = slot;
+    req.via_pull = via_pull;
+    TCSA_REQ_EVENT(req.trace_id, obs::ReqStage::kServerEncoded,
+                   obs::trace_now_us(), slot);
+    matched = true;
+  }
+  return matched;
+}
+
+void PendingRequests::retire(std::size_t queued_bytes) {
+  const std::uint64_t now = obs::trace_now_us();
+  std::erase_if(reqs_, [&](const PendingReq& req) {
+    if (req.encoded_slot == PendingReq::kUnmatched) return false;
+    TCSA_REQ_EVENT(req.trace_id, obs::ReqStage::kServerFlushed, now,
+                   queued_bytes);
+    obs::counter_add(server_metrics().reqs_completed, 1);
+    if (req.via_pull) obs::counter_add(server_metrics().reqs_pull_served, 1);
+    // Separate service-time populations: the pull plane exists exactly for
+    // the requests whose broadcast wait was unacceptable, so mixing them
+    // into one distribution would hide the tail it fixes. Percentile gauges
+    // are recomputed every 64 completions (one fixed-size bucket scan).
+    obs::ReqPercentiles& delay =
+        req.via_pull ? server_pull_delay() : server_req_delay();
+    delay.record(static_cast<double>(now - req.recv_us));
+    if (delay.count() % 64 == 1) delay.publish();
+    return true;
+  });
+}
+
+PullPlane::PullPlane(std::size_t channels, PullPolicy policy,
+                     GroupId classes)
+    : channels_(channels), policy_(policy) {
+  if (channels_ > 0)
+    estimator_ = std::make_unique<ToleranceEstimator>(classes);
+}
+
+void PullPlane::add_demand(std::uint64_t session_id, std::uint64_t trace_id,
+                           PageId page, std::uint64_t slot,
+                           SlotCount page_count) {
+  if (page >= static_cast<PageId>(page_count)) {
+    obs::counter_add(server_metrics().pull_unknown, 1);
+    return;
+  }
+  const PullAdd outcome = table_.add(
+      page, PullWaiter{session_id, trace_id, slot, obs::trace_now_us()});
+  if (outcome == PullAdd::kDuplicate)
+    obs::counter_add(server_metrics().pull_dups, 1);
+  else
+    obs::counter_add(server_metrics().pull_reqs, 1);
+}
+
+void PullPlane::drop_session(std::uint64_t session_id) {
+  const std::size_t dropped = table_.drop_session(session_id);
+  if (dropped > 0)
+    obs::counter_add(server_metrics().pull_waiters_dropped, dropped);
+}
+
+std::size_t PullPlane::drop_pages_at_or_above(PageId page_limit) {
+  const std::size_t dropped = table_.drop_pages_at_or_above(page_limit);
+  if (dropped > 0)
+    obs::counter_add(server_metrics().pull_waiters_dropped, dropped);
+  return dropped;
+}
+
+void PullPlane::schedule(std::uint64_t slot, std::uint32_t generation,
+                         const Workload& workload,
+                         std::vector<net::SharedBuf>& frames,
+                         std::vector<PageId>& pages) {
+  if (channels_ == 0) return;
+  [[maybe_unused]] const std::uint64_t now_us = obs::trace_now_us();
+  for (std::size_t i = 0; i < channels_; ++i) {
+    std::optional<PullAiring> airing = table_.pick(policy_, slot);
+    if (!airing) break;
+    std::string payload;
+    wire_put_u64(payload, slot);
+    wire_put_u32(payload, generation);
+    wire_put_u32(payload, airing->page);
+    wire_put_u32(payload, static_cast<std::uint32_t>(airing->waiters.size()));
+    std::string bytes;
+    net::append_frame(bytes, net::FrameType::kPull, payload);
+    frames.push_back(net::SharedBuf::wrap(std::move(bytes)));
+    pages.push_back(airing->page);
+    ++airings_;
+    waiters_served_ += airing->waiters.size();
+    obs::counter_add(server_metrics().frames_encoded, 1);
+    obs::counter_add(server_metrics().pull_airings, 1);
+    obs::counter_add(server_metrics().pull_waiters_served,
+                     airing->waiters.size());
+    // Observed pull waits feed popularity re-estimation: each waiter's
+    // wait is a genuine demand-pressure sample for the page's deadline
+    // class (clamped — a swap may have changed the class count since the
+    // estimator was sized).
+    const GroupId cls =
+        std::min<GroupId>(workload.group_of(airing->page),
+                          static_cast<GroupId>(estimator_->classes() - 1));
+    for (const PullWaiter& waiter : airing->waiters) {
+      TCSA_REQ_EVENT(waiter.trace_id, obs::ReqStage::kServerPullAired,
+                     now_us, airing->waiters.size());
+      const std::uint64_t waited = slot - waiter.arrival_slot;
+      estimator_->add_sample(
+          cls, std::max<SlotCount>(1, static_cast<SlotCount>(waited)));
+    }
+  }
+  obs::gauge_set(server_metrics().pull_pending_pages_gauge,
+                 static_cast<double>(table_.pending_pages()));
+  obs::gauge_set(server_metrics().pull_pending_waiters_gauge,
+                 static_cast<double>(table_.pending_waiters()));
+  obs::gauge_set(server_metrics().pull_oldest_wait_gauge,
+                 static_cast<double>(table_.oldest_wait(slot)));
 }
 
 }  // namespace tcsa

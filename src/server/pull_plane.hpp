@@ -1,10 +1,15 @@
-// pull_plane.hpp — the on-demand half of hybrid push/pull serving.
+// pull_plane.hpp — the request plane: traced page requests and the
+// on-demand half of hybrid push/pull serving.
 //
 // The paper's Section-1 scenario has impatient clients fall back to an
 // explicit request when the broadcast wait would blow their deadline. This
-// module is the server side of that fallback: a per-page pending-request
-// table (the "demand table") plus the online policy that picks which page
-// the dedicated pull channel airs next.
+// module is the server side of that fallback, in two halves:
+//  - per session (PendingRequests, owned by the session's loop): the open
+//    kReq requests, matched against broadcast and pull airings and retired
+//    into the two service-delay populations once their slot flushes;
+//  - on loop 0 (PullPlane): a per-page pending-request table (the "demand
+//    table"), the online policy that picks which pages the pull channels
+//    air next, their kPull frames, and the tolerance-estimator feed.
 //
 // Two policies from the online-scheduling literature (PAPERS.md):
 //  - Longest-Wait-First (Edmonds et al., arXiv:0906.2395): air the page with
@@ -19,19 +24,24 @@
 // every pending waiter of that page, so the table keys demand by page and a
 // pick() pops the page together with all of its waiters.
 //
-// Threading: the table is NOT thread-safe. AirServer gives exclusive
-// ownership to loop 0 (the airing plane); other loops forward demands via
-// loop->post(), the same discipline as swap requests (DESIGN.md §7).
+// Threading: nothing here is thread-safe. AirServer gives the PullPlane to
+// loop 0 (the airing plane) — other loops forward demands via loop->post(),
+// the same discipline as swap requests (DESIGN.md §7) — and each session's
+// PendingRequests to the loop that owns the session.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "model/types.hpp"
+#include "model/workload.hpp"
+#include "net/shared_buf.hpp"
+#include "online/estimator.hpp"
 
 namespace tcsa {
 
@@ -117,6 +127,107 @@ class PullDemandTable {
   // Ordered map: deterministic iteration gives deterministic tie-breaks.
   std::map<PageId, Entry> entries_;
   std::size_t waiters_ = 0;
+};
+
+/// One open traced page request (kReq). `encoded_slot` flips from
+/// kUnmatched when an airing of the page enters the session's queue, and
+/// the entry retires after that slot's flush.
+struct PendingReq {
+  static constexpr std::uint64_t kUnmatched = ~0ull;
+  std::uint64_t trace_id = 0;
+  PageId page = 0;
+  std::uint64_t recv_us = 0;     ///< server trace clock at kReq parse
+  std::uint64_t encoded_slot = kUnmatched;
+  bool via_pull = false;         ///< resolved by a kPull airing
+};
+
+/// A session's open traced requests (usually none), session-local so
+/// completion needs no cross-shard lookups: a request resolves when its
+/// page next airs on a channel the session subscribes to, or on a kPull
+/// airing.
+class PendingRequests {
+ public:
+  /// Open requests a session may hold; the oldest is dropped beyond this
+  /// (a client re-requesting faster than pages air is misbehaving).
+  static constexpr std::size_t kCap = 64;
+
+  bool empty() const noexcept { return reqs_.empty(); }
+  const std::vector<PendingReq>& entries() const noexcept { return reqs_; }
+
+  /// Opens a request received at `recv_us`, dropping (and counting in
+  /// reqs_dropped) the oldest when already at the cap.
+  void open(std::uint64_t trace_id, PageId page, std::uint64_t recv_us);
+
+  /// Broadcast airing of `slot` on the channels of `aired_mask`, channel
+  /// ch carrying page_by_channel[ch]: matches every open request whose page
+  /// aired on a channel in the session's `subscribed` mask.
+  void match_broadcast(std::uint64_t slot, std::uint64_t subscribed,
+                       std::uint64_t aired_mask,
+                       const std::vector<PageId>& page_by_channel);
+
+  /// kPull airing of `page` at `slot`: matches every open request for the
+  /// page (duplicates resolve off the one frame). True when any matched —
+  /// the session then needs the frame.
+  bool match_pull(std::uint64_t slot, PageId page) {
+    return match(slot, page, true);
+  }
+
+  /// Retires the matched requests once their slot has flushed, leaving
+  /// `queued_bytes` behind, into the broadcast or pull delay population.
+  void retire(std::size_t queued_bytes);
+
+ private:
+  bool match(std::uint64_t slot, PageId page, bool via_pull);
+
+  std::vector<PendingReq> reqs_;
+};
+
+/// The loop-0 half of the request plane: demand table, per-slot picks and
+/// their kPull frames, and the pull-wait feed into a tolerance estimator
+/// (one class per workload group). With zero channels the plane is off:
+/// no estimator, and schedule() airs nothing.
+class PullPlane {
+ public:
+  PullPlane(std::size_t channels, PullPolicy policy, GroupId classes);
+
+  std::size_t channels() const noexcept { return channels_; }
+
+  /// Registers demand at `slot`. A page outside [0, page_count) is counted
+  /// and dropped — its kReqAck already went out, and nothing can ever air
+  /// for it.
+  void add_demand(std::uint64_t session_id, std::uint64_t trace_id,
+                  PageId page, std::uint64_t slot, SlotCount page_count);
+
+  /// Requester disconnect: its waiters are dropped and counted.
+  void drop_session(std::uint64_t session_id);
+
+  /// Swap hook: drops (and counts) demand for pages >= `page_limit`.
+  /// Returns the waiters dropped.
+  std::size_t drop_pages_at_or_above(PageId page_limit);
+
+  /// Pops up to channels() pages for `slot` by the policy and appends one
+  /// kPull frame per page (stamped with `generation`) to `frames`, its page
+  /// to `pages`. Feeds the estimator with each waiter's wait in slots and
+  /// emits the per-waiter kServerPullAired journey events.
+  void schedule(std::uint64_t slot, std::uint32_t generation,
+                const Workload& workload, std::vector<net::SharedBuf>& frames,
+                std::vector<PageId>& pages);
+
+  const PullDemandTable& table() const noexcept { return table_; }
+  /// Null with the plane off.
+  const ToleranceEstimator* estimator() const noexcept {
+    return estimator_.get();
+  }
+  std::uint64_t airings() const noexcept { return airings_; }
+  std::uint64_t waiters_served() const noexcept { return waiters_served_; }
+
+ private:
+  std::size_t channels_;
+  PullPolicy policy_;
+  PullDemandTable table_;
+  std::unique_ptr<ToleranceEstimator> estimator_;
+  std::uint64_t airings_ = 0;         // kPull airings so far (/healthz)
+  std::uint64_t waiters_served_ = 0;  // waiters those airings satisfied
 };
 
 }  // namespace tcsa

@@ -206,46 +206,6 @@ SimResult simulate_requests(const AppearanceIndex& index,
   return result;
 }
 
-SimResult simulate_requests_reference(const AppearanceIndex& index,
-                                      const Workload& workload,
-                                      const std::vector<Request>& requests) {
-  SimResult result;
-  result.requests = requests.size();
-  result.group_avg_delay.assign(
-      static_cast<std::size_t>(workload.group_count()), 0.0);
-  if (requests.empty()) return result;
-
-  OnlineStats waits;
-  SampleSet delays;
-  delays.reserve(requests.size());
-  std::vector<OnlineStats> group_delays(
-      static_cast<std::size_t>(workload.group_count()));
-  std::size_t misses = 0;
-
-  for (const Request& request : requests) {
-    const double wait = index.wait_after(request.page, request.arrival);
-    const GroupId g = workload.group_of(request.page);
-    const auto deadline = static_cast<double>(workload.expected_time(g));
-    const double delay = std::max(0.0, wait - deadline);
-    waits.add(wait);
-    delays.add(delay);
-    group_delays[static_cast<std::size_t>(g)].add(delay);
-    if (wait > deadline) ++misses;
-  }
-
-  result.avg_wait = waits.mean();
-  result.avg_delay = delays.mean();
-  result.miss_rate =
-      static_cast<double>(misses) / static_cast<double>(requests.size());
-  result.p50_delay = delays.quantile(0.50);
-  result.p95_delay = delays.quantile(0.95);
-  result.p99_delay = delays.quantile(0.99);
-  result.max_delay = delays.max();
-  for (std::size_t g = 0; g < group_delays.size(); ++g)
-    result.group_avg_delay[g] = group_delays[g].mean();
-  return result;
-}
-
 SimResult simulate_requests(const BroadcastProgram& program,
                             const Workload& workload,
                             const SimConfig& config) {

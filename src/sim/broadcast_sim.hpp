@@ -45,8 +45,8 @@ SimResult simulate_requests(const BroadcastProgram& program,
 /// Same, but over a pre-generated request stream (used by tests that need
 /// to inspect individual waits and by the hybrid simulator). Waits come from
 /// compute_waits (page-batched), then statistics accumulate in original
-/// request order, so the result is bit-identical to
-/// simulate_requests_reference.
+/// request order, so the result is bit-identical to the scalar oracle
+/// (tests/oracles: one wait_after binary search per request).
 SimResult simulate_requests(const AppearanceIndex& index,
                             const Workload& workload,
                             const std::vector<Request>& requests);
@@ -60,14 +60,6 @@ SimResult simulate_requests(const AppearanceIndex& index,
 void compute_waits(const AppearanceIndex& index, SlotCount page_count,
                    const std::vector<Request>& requests,
                    std::vector<double>& waits);
-
-/// The scalar reference path: one AppearanceIndex::wait_after binary search
-/// per request, in request order. Semantically the definition of the
-/// simulator; kept for tests (batched must match it bit for bit) and as the
-/// baseline in bench_micro_sim.
-SimResult simulate_requests_reference(const AppearanceIndex& index,
-                                      const Workload& workload,
-                                      const std::vector<Request>& requests);
 
 /// Single-request wait in slots (exposed for tests and the hybrid model).
 double wait_for(const AppearanceIndex& index, PageId page, double arrival);

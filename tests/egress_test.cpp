@@ -1,13 +1,15 @@
 // egress_test.cpp — the zero-copy egress primitives: SharedBuf refcounts
-// and unique-owner patching, OutQueue chunk accounting and O(1) retirement,
-// vectored flush over a backpressured socketpair (partial-send resume and
-// byte-exact ordering), and the queued-bytes eviction boundary.
+// and unique-owner patching, the airing plane's FrameCache patch rule,
+// OutQueue chunk accounting and O(1) retirement, vectored flush over a
+// backpressured socketpair (partial-send resume and byte-exact ordering),
+// and the queued-bytes eviction boundary.
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -18,11 +20,28 @@
 #include "net/shared_buf.hpp"
 #include "net/socket.hpp"
 #include "server/air_server.hpp"
+#include "server/frame_cache.hpp"
 #include "util/wire.hpp"
+
+#include "server_harness.hpp"
 
 using namespace tcsa;
 
 namespace {
+
+/// A kPage frame encoded from scratch, the reference every cached or
+/// patched frame must equal byte for byte.
+std::string page_frame(std::uint64_t slot, std::uint32_t generation,
+                       std::uint32_t channel, PageId page) {
+  std::string payload;
+  wire_put_u64(payload, slot);
+  wire_put_u32(payload, generation);
+  wire_put_u32(payload, channel);
+  wire_put_u32(payload, page);
+  std::string frame;
+  net::append_frame(frame, net::FrameType::kPage, payload);
+  return frame;
+}
 
 // ------------------------------------------------------------- SharedBuf
 
@@ -66,19 +85,86 @@ TEST(SharedBuf, PatchRewritesTheWordOnlyForTheSoleOwner) {
 // The frame-cache contract: reviving a cached kPage frame by patching its
 // slot word produces the same bytes a fresh encode would — to the byte.
 TEST(SharedBuf, PatchedPageFrameIsByteIdenticalToAFreshEncode) {
-  const auto encode = [](std::uint64_t slot) {
-    std::string payload;
-    wire_put_u64(payload, slot);
-    wire_put_u32(payload, 7);   // generation
-    wire_put_u32(payload, 2);   // channel
-    wire_put_u32(payload, 41);  // page
-    std::string frame;
-    net::append_frame(frame, net::FrameType::kPage, payload);
-    return frame;
-  };
-  net::SharedBuf cached = net::SharedBuf::wrap(encode(100));
+  net::SharedBuf cached = net::SharedBuf::wrap(page_frame(100, 7, 2, 41));
   ASSERT_TRUE(cached.patch_u64(net::kFrameHeaderSize, 4242));
-  EXPECT_EQ(cached.view(), encode(4242));
+  EXPECT_EQ(cached.view(), page_frame(4242, 7, 2, 41));
+}
+
+// ------------------------------------------------------------ FrameCache
+
+constexpr std::uint64_t kNoFloor = std::numeric_limits<std::uint64_t>::max();
+constexpr const char* kHits = "tcsa_server_frame_cache_hits_total";
+constexpr const char* kEncoded = "tcsa_server_frames_encoded_total";
+
+/// Two channels, a cycle of four: page 7 at (0, 1), page 9 at (1, 3).
+BroadcastProgram two_page_program() {
+  BroadcastProgram program(2, 4);
+  program.place(0, 1, 7);
+  program.place(1, 3, 9);
+  return program;
+}
+
+// A cell is patched in place only once the floor has passed its last
+// airing and the cache holds the only reference; the patched bytes are
+// exactly a fresh encode's.
+TEST(FrameCache, PatchesPastTheFloorAsSoleOwnerToFreshEncodeBytes) {
+  MetricsDelta metrics;
+  const BroadcastProgram program = two_page_program();
+  FrameCache cache;
+  const char* cell = cache.frame(1, program, 0, 1, 10, kNoFloor).data();
+  EXPECT_EQ(metrics.counter(kEncoded), 1u);
+
+  const net::SharedBuf patched = cache.frame(1, program, 0, 1, 14, 11);
+  EXPECT_EQ(metrics.counter(kHits), 1u);
+  EXPECT_EQ(metrics.counter(kEncoded), 1u);
+  EXPECT_EQ(patched.data(), cell) << "a patch rewrites the cached buffer";
+  EXPECT_EQ(patched.view(), page_frame(14, 1, 0, 7));
+  FrameCache fresh;
+  EXPECT_EQ(patched.view(), fresh.frame(1, program, 0, 1, 14, kNoFloor).view());
+}
+
+// A reference still held elsewhere (a session queue) or a floor that has
+// not passed the cell's last airing (a worker loop may still hold the slot
+// token) each force a fresh encode — and the held bytes never change.
+TEST(FrameCache, AHeldReferenceOrAnUnpassedFloorForcesAFreshEncode) {
+  MetricsDelta metrics;
+  const BroadcastProgram program = two_page_program();
+  FrameCache cache;
+  net::SharedBuf held = cache.frame(1, program, 1, 3, 10, kNoFloor);
+  net::SharedBuf next = cache.frame(1, program, 1, 3, 14, kNoFloor);
+  EXPECT_NE(next.data(), held.data());
+  EXPECT_EQ(held.view(), page_frame(10, 1, 1, 9)) << "queued bytes changed";
+  EXPECT_EQ(next.view(), page_frame(14, 1, 1, 9));
+  EXPECT_EQ(metrics.counter(kEncoded), 2u);
+
+  const char* cell = next.data();
+  held = net::SharedBuf();
+  next = net::SharedBuf();
+  // Sole owner again, but the floor equals the last airing: not yet safe.
+  const net::SharedBuf again = cache.frame(1, program, 1, 3, 18, 14);
+  EXPECT_NE(again.data(), cell);
+  EXPECT_EQ(again.view(), page_frame(18, 1, 1, 9));
+  EXPECT_EQ(metrics.counter(kEncoded), 3u);
+  EXPECT_EQ(metrics.counter(kHits), 0u);
+}
+
+// A new generation resets every cell — even one the floor and refcount
+// would let it patch — and adopts the new program's shape.
+TEST(FrameCache, ANewGenerationNeverReturnsTheOldGenerationsBytes) {
+  MetricsDelta metrics;
+  const BroadcastProgram program = two_page_program();
+  FrameCache cache;
+  cache.frame(1, program, 0, 1, 10, kNoFloor);
+
+  BroadcastProgram wider(3, 4);
+  wider.place(0, 1, 7);
+  wider.place(2, 3, 11);
+  EXPECT_EQ(cache.frame(2, wider, 0, 1, 14, kNoFloor).view(),
+            page_frame(14, 2, 0, 7));
+  EXPECT_EQ(cache.frame(2, wider, 2, 3, 16, kNoFloor).view(),
+            page_frame(16, 2, 2, 11));
+  EXPECT_EQ(metrics.counter(kHits), 0u);
+  EXPECT_EQ(metrics.counter(kEncoded), 3u);
 }
 
 // -------------------------------------------------------------- OutQueue

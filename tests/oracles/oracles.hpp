@@ -1,0 +1,29 @@
+// oracles.hpp — the naive reference implementations the optimised
+// placement and simulator paths are checked against, bit for bit. Test and
+// benchmark code only: none of this ships in the library.
+#pragma once
+
+#include <span>
+#include <vector>
+
+#include "core/placement.hpp"
+#include "model/appearance_index.hpp"
+#include "sim/broadcast_sim.hpp"
+
+namespace tcsa {
+
+/// The seed's naive double-scan placer: place_even_spread must produce a
+/// bit-identical program. O(copies * t_major * channels) worst case.
+PlacementResult place_even_spread_reference(const Workload& workload,
+                                            std::span<const SlotCount> S,
+                                            SlotCount channels);
+
+/// The scalar simulator: one AppearanceIndex::wait_after binary search per
+/// request, in request order. Semantically the definition of the
+/// simulator; the batched simulate_requests must match it bit for bit, and
+/// bench_micro_sim uses it as the baseline.
+SimResult simulate_requests_reference(const AppearanceIndex& index,
+                                      const Workload& workload,
+                                      const std::vector<Request>& requests);
+
+}  // namespace tcsa

@@ -9,6 +9,8 @@
 #include "sim/broadcast_sim.hpp"
 #include "workload/distributions.hpp"
 
+#include "oracles.hpp"
+
 namespace tcsa {
 namespace {
 

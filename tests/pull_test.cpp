@@ -1,5 +1,6 @@
-// pull_test.cpp — the on-demand pull plane: demand-table policy units
-// (LWF vs max-response-time, coalescing, dedup, maintenance) and the
+// pull_test.cpp — the request plane: per-session pending-request units
+// (the cap, pull-frame sharing, broadcast matching), demand-table policy
+// units (LWF vs max-response-time, coalescing, dedup, maintenance) and the
 // loopback edge cases around a live AirServer with --pull-channels: one
 // airing satisfying duplicate requests, a requester that disconnects
 // before its airing, a request for a page outside the program, demand
@@ -170,6 +171,55 @@ TEST(PullDemandTable, OldestWaitTracksTheFirstRequest) {
   table.add(4, waiter(1, 7));
   table.add(2, waiter(2, 4));
   EXPECT_EQ(table.oldest_wait(10), 6u);
+}
+
+// ------------------------------------------------------ pending requests
+
+// A session over the cap loses its OLDEST open request, and says so.
+TEST(PendingRequests, TheSixtyFifthOpenRequestDropsTheOldest) {
+  MetricsDelta metrics;
+  PendingRequests pending;
+  for (std::uint64_t i = 0; i <= PendingRequests::kCap; ++i)
+    pending.open(/*trace_id=*/i, static_cast<PageId>(i), /*recv_us=*/i);
+  ASSERT_EQ(pending.entries().size(), PendingRequests::kCap);
+  EXPECT_EQ(pending.entries().front().trace_id, 1u);
+  EXPECT_EQ(pending.entries().back().trace_id, PendingRequests::kCap);
+  EXPECT_EQ(metrics.counter("tcsa_server_reqs_dropped_total"), 1u);
+}
+
+// Two open requests for one page match the same kPull airing: the session
+// needs the frame once, and both retire into the pull population.
+TEST(PendingRequests, DuplicateEntriesForOnePageResolveOffOnePullFrame) {
+  MetricsDelta metrics;
+  PendingRequests pending;
+  pending.open(1, 4, 0);
+  pending.open(2, 4, 0);
+  pending.open(3, 5, 0);
+  EXPECT_TRUE(pending.match_pull(10, 4));
+  EXPECT_FALSE(pending.match_pull(10, 4)) << "nothing left to match";
+  pending.retire(0);
+  ASSERT_EQ(pending.entries().size(), 1u);
+  EXPECT_EQ(pending.entries().front().page, 5u);
+  EXPECT_EQ(metrics.counter("tcsa_server_reqs_completed_total"), 2u);
+  EXPECT_EQ(metrics.counter("tcsa_server_reqs_pull_served_total"), 2u);
+}
+
+// A broadcast airing resolves a request only when the page rode a channel
+// the session subscribes to AND that channel aired this slot.
+TEST(PendingRequests, BroadcastMatchesOnlyOnASubscribedChannelThatAired) {
+  PendingRequests pending;
+  pending.open(1, 4, 0);
+  const std::vector<PageId> pages = {4, 2, 4};
+  pending.match_broadcast(10, /*subscribed=*/0b010, /*aired=*/0b111, pages);
+  pending.match_broadcast(11, /*subscribed=*/0b001, /*aired=*/0b110, pages);
+  pending.retire(0);
+  ASSERT_EQ(pending.entries().size(), 1u) << "matched off-mask or unaired";
+
+  pending.match_broadcast(12, /*subscribed=*/0b101, /*aired=*/0b100, pages);
+  EXPECT_EQ(pending.entries().front().encoded_slot, 12u);
+  EXPECT_FALSE(pending.entries().front().via_pull);
+  pending.retire(0);
+  EXPECT_TRUE(pending.empty());
 }
 
 // --------------------------------------------------- live-server edge cases

@@ -1,7 +1,13 @@
 // server_test.cpp — loopback acceptance for the live broadcast server:
 // deadline validity before/during/after a hot swap, channel switching,
-// slow-client eviction, the seam planner, and the tcsa_server_* metrics.
+// slow-client eviction, accept backoff when out of descriptors, the seam
+// planner, and the tcsa_server_* metrics.
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <map>
@@ -184,6 +190,66 @@ TEST(AirServer, EvictsASlowClientInsteadOfStallingTheBroadcast) {
   }
   EXPECT_EQ(harness.server().sessions_evicted(), 1u);
   EXPECT_EQ(healthy.summary().deadline_misses, 0u);
+}
+
+/// Lowers the soft descriptor limit to the lowest free descriptor number,
+/// so the process can open nothing new; restores it on scope exit.
+class NoFreeDescriptors {
+ public:
+  NoFreeDescriptors() {
+    EXPECT_EQ(::getrlimit(RLIMIT_NOFILE, &saved_), 0);
+    const int lowest_free = ::dup(STDERR_FILENO);
+    ::close(lowest_free);
+    rlimit tight = saved_;
+    tight.rlim_cur = static_cast<rlim_t>(lowest_free);
+    EXPECT_EQ(::setrlimit(RLIMIT_NOFILE, &tight), 0);
+  }
+  ~NoFreeDescriptors() { restore(); }
+  void restore() { ::setrlimit(RLIMIT_NOFILE, &saved_); }
+
+ private:
+  rlimit saved_{};
+};
+
+// Running out of descriptors must not take the broadcast off air: the
+// accepting shard stops polling its listener for a slot, the tuned
+// audience keeps every deadline, and the connection waiting in the kernel
+// backlog is greeted once descriptors free up.
+TEST(AirServer, OutOfDescriptorsBacksOffAcceptAndStaysOnAir) {
+  MetricsDelta metrics;
+  AirServerConfig config;
+  config.slot_us = 1000;
+  config.max_slots = 0;
+  ServerHarness harness(paper_workload(), config);
+  TuneClient tuned(harness.client_options(net::kAllChannels));
+  net::Fd waiting(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
+  ASSERT_TRUE(waiting.valid());
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(harness.server().port());
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+
+  NoFreeDescriptors limit;
+  ASSERT_EQ(::connect(waiting.get(), reinterpret_cast<sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  const std::uint64_t aired_before = harness.server().slots_aired();
+  tuned.run(40);
+  EXPECT_GT(metrics.counter("tcsa_server_accept_backoffs_total"), 0u);
+  EXPECT_GE(harness.server().slots_aired(), aired_before + 30);
+  EXPECT_EQ(tuned.summary().deadline_misses, 0u);
+  limit.restore();
+
+  pollfd readable{waiting.get(), POLLIN, 0};
+  ASSERT_EQ(::poll(&readable, 1, 5000), 1) << "backlogged client never served";
+  char buffer[4096];
+  const ssize_t n = ::recv(waiting.get(), buffer, sizeof(buffer), 0);
+  ASSERT_GT(n, 0);
+  net::FrameDecoder decoder;
+  decoder.feed(std::string_view(buffer, static_cast<std::size_t>(n)));
+  net::Frame frame;
+  ASSERT_TRUE(decoder.next(frame));
+  EXPECT_EQ(frame.type, net::FrameType::kHello);
 }
 
 TEST(PlanSwapSeam, IdenticalProgramsAreSeamFreeAtTheMatchingRotation) {
