@@ -112,8 +112,7 @@ tcsa::obs::MetricId obs_bench_counter() {
 
 tcsa::obs::MetricId obs_bench_histogram() {
   static const tcsa::obs::MetricId id = tcsa::obs::register_histogram(
-      "tcsa_bench_probe_value", "Synthetic histogram for overhead benches",
-      {1, 10, 100, 1000, 10000});
+      "tcsa_bench_probe_value", "Synthetic histogram for overhead benches");
   return id;
 }
 

@@ -33,7 +33,7 @@ namespace {
 struct CampaignOutcome {
   tcsa::LoadGenReport report;
   double slot_lag_mean_us = 0.0;
-  std::uint64_t slots_over_100ms = 0;  // +Inf bucket of the lag histogram
+  std::uint64_t slots_over_100ms = 0;  // lag buckets above 100 ms's
   // Egress-path composition (PR 10): how many page frames were re-encoded
   // versus revived from the epoch cache, and how the flush syscalls split.
   std::uint64_t frames_encoded = 0;
@@ -69,8 +69,12 @@ CampaignOutcome run_campaign(std::size_t loops, std::size_t sessions,
   const tcsa::obs::MetricsSnapshot delta = tcsa::obs::snapshot().minus(before);
   if (const tcsa::obs::HistogramSnapshot* lag =
           delta.histogram("tcsa_server_slot_lag_us")) {
-    if (lag->total() > 0) outcome.slot_lag_mean_us = lag->sum / lag->total();
-    if (!lag->counts.empty()) outcome.slots_over_100ms = lag->counts.back();
+    const std::uint64_t slots = lag->values.count();
+    if (slots > 0) outcome.slot_lag_mean_us = lag->sum / slots;
+    const std::size_t edge =
+        tcsa::obs::LogHistogram::bucket_index(100000.0);
+    for (const tcsa::obs::LogHistogram::Bucket& bucket : lag->values.buckets())
+      if (bucket.index > edge) outcome.slots_over_100ms += bucket.count;
   }
   outcome.frames_encoded =
       delta.counter_value("tcsa_server_frames_encoded_total");

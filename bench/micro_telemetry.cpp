@@ -111,8 +111,7 @@ void BM_PrometheusExpose(benchmark::State& state) {
         tcsa::obs::register_gauge(name, "expose bench gauge"), 1.5 * i);
   }
   const tcsa::obs::MetricId hist = tcsa::obs::register_histogram(
-      "tcsa_bench_expose_lag_us", "expose bench histogram",
-      {1, 5, 25, 125, 625, 3125});
+      "tcsa_bench_expose_lag_us", "expose bench histogram");
   for (int i = 0; i < 1000; ++i) {
     tcsa::obs::histogram_observe(hist, static_cast<double>(i % 700));
   }

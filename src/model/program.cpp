@@ -14,18 +14,6 @@ BroadcastProgram::BroadcastProgram(SlotCount channels, SlotCount cycle_length)
   grid_.assign(static_cast<std::size_t>(channels * cycle_length), kNoPage);
 }
 
-std::size_t BroadcastProgram::index(SlotCount channel, SlotCount slot) const {
-  TCSA_REQUIRE(channel >= 0 && channel < channels_,
-               "BroadcastProgram: channel out of range");
-  TCSA_REQUIRE(slot >= 0 && slot < cycle_length_,
-               "BroadcastProgram: slot out of range");
-  return static_cast<std::size_t>(channel * cycle_length_ + slot);
-}
-
-PageId BroadcastProgram::at(SlotCount channel, SlotCount slot) const {
-  return grid_[index(channel, slot)];
-}
-
 void BroadcastProgram::place(SlotCount channel, SlotCount slot, PageId page) {
   TCSA_REQUIRE(page != kNoPage, "BroadcastProgram: cannot place kNoPage");
   PageId& cell = grid_[index(channel, slot)];

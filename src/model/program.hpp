@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "model/types.hpp"
+#include "util/contracts.hpp"
 
 namespace tcsa {
 
@@ -22,8 +23,11 @@ class BroadcastProgram {
   SlotCount channels() const noexcept { return channels_; }
   SlotCount cycle_length() const noexcept { return cycle_length_; }
 
-  /// Page at (channel, slot); kNoPage when empty.
-  PageId at(SlotCount channel, SlotCount slot) const;
+  /// Page at (channel, slot); kNoPage when empty. Inline: SUSC scans it
+  /// cell by cell, and an out-of-line call made that scan layout-sensitive.
+  PageId at(SlotCount channel, SlotCount slot) const {
+    return grid_[index(channel, slot)];
+  }
 
   /// True when (channel, slot) holds no page.
   bool empty_at(SlotCount channel, SlotCount slot) const {
@@ -54,7 +58,13 @@ class BroadcastProgram {
       default;
 
  private:
-  std::size_t index(SlotCount channel, SlotCount slot) const;
+  std::size_t index(SlotCount channel, SlotCount slot) const {
+    TCSA_REQUIRE(channel >= 0 && channel < channels_,
+                 "BroadcastProgram: channel out of range");
+    TCSA_REQUIRE(slot >= 0 && slot < cycle_length_,
+                 "BroadcastProgram: slot out of range");
+    return static_cast<std::size_t>(channel * cycle_length_ + slot);
+  }
 
   SlotCount channels_;
   SlotCount cycle_length_;

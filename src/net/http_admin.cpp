@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 #include "util/contracts.hpp"
 
@@ -68,6 +69,13 @@ void HttpAdmin::start() {
   loop_.add(listener_.get(), EPOLLIN, [this](std::uint32_t) { on_accept(); });
 }
 
+bool HttpAdmin::resume_accept() {
+  if (!std::exchange(accept_paused_, false)) return false;
+  if (started_)
+    loop_.add(listener_.get(), EPOLLIN, [this](auto) { on_accept(); });
+  return true;
+}
+
 void HttpAdmin::shutdown() {
   if (!started_) {
     conns_.clear();
@@ -85,7 +93,15 @@ void HttpAdmin::on_accept() {
   // Drain the accept queue: epoll is level-triggered here, but one pass
   // per wakeup keeps the handler bounded anyway.
   while (true) {
-    Fd fd = accept_connection(listener_.get());
+    bool backoff = false;
+    Fd fd = accept_connection(listener_.get(), &backoff);
+    if (backoff) {
+      // Out of descriptors: the level-triggered listener would wake the
+      // loop again at once, so it leaves epoll until resume_accept().
+      loop_.remove(listener_.get());
+      accept_paused_ = true;
+      return;
+    }
     if (!fd.valid()) return;
     const int raw = fd.get();
     auto conn = std::make_unique<Conn>();

@@ -60,6 +60,10 @@ class HttpAdmin {
   /// Registers the listener with the loop. Loop-thread (or pre-loop) only.
   void start();
 
+  /// Re-adds a listener that ran out of descriptors (off the loop so it
+  /// cannot spin). Loop-thread only, once per slot; true if it backed off.
+  bool resume_accept();
+
   /// Removes the listener and every live connection from the loop and
   /// closes them. Loop-thread only; idempotent.
   void shutdown();
@@ -88,6 +92,7 @@ class HttpAdmin {
   Fd listener_;
   std::uint16_t port_ = 0;
   bool started_ = false;
+  bool accept_paused_ = false;  ///< listener off the loop until resume
   std::map<std::string, Handler> routes_;
   std::unordered_map<int, std::unique_ptr<Conn>> conns_;
   std::atomic<std::size_t> conn_count_{0};  ///< == conns_.size()

@@ -5,9 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <limits>
 #include <map>
-#include <sstream>
 
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
@@ -23,13 +21,6 @@ namespace tcsa::obs {
 namespace {
 
 constexpr const char* kManifestSchema = "tcsa-run-manifest/v1";
-
-std::string format_double(double value) {
-  std::ostringstream os;
-  os.precision(std::numeric_limits<double>::max_digits10);
-  os << value;
-  return os.str();
-}
 
 /// Fixed-width helper for report tables (3 significant decimals).
 std::string format_fixed(double value) {
@@ -168,31 +159,36 @@ MetricsSnapshot snapshot_from_json(const std::string& json) {
     h.name = name;
     h.sum = obj.at("sum").expect_number(name + ".sum");
     const std::uint64_t count = obj.at("count").expect_uint(name + ".count");
-    const JsonValue& buckets =
-        obj.at("buckets").expect_array(name + ".buckets");
-    TCSA_REQUIRE(!buckets.array.empty(), "snapshot: histogram needs buckets");
+    const double min = obj.at("min").expect_number(name + ".min");
+    const double max = obj.at("max").expect_number(name + ".max");
+    TCSA_REQUIRE(min <= max, "snapshot: histogram min above max");
+    std::vector<LogHistogram::Bucket> buckets;
     std::uint64_t total = 0;
-    for (std::size_t b = 0; b < buckets.array.size(); ++b) {
-      const JsonValue& bucket =
-          buckets.array[b].expect_object(name + ".buckets[i]");
-      const JsonValue& le = bucket.at("le");
-      const bool last = b + 1 == buckets.array.size();
-      if (last) {
-        TCSA_REQUIRE(le.is(JsonValue::Kind::kString) && le.string == "+Inf",
-                     "snapshot: final bucket le must be \"+Inf\"");
-      } else {
-        const double bound = le.expect_number(name + ".buckets[].le");
-        TCSA_REQUIRE(h.upper_bounds.empty() || bound > h.upper_bounds.back(),
-                     "snapshot: bucket bounds must ascend");
-        h.upper_bounds.push_back(bound);
-      }
-      const std::uint64_t c =
-          bucket.at("count").expect_uint(name + ".buckets[].count");
-      h.counts.push_back(c);
-      total += c;
+    const std::string what = name + ".buckets";
+    for (const JsonValue& raw : obj.at("buckets").expect_array(what).array) {
+      const JsonValue& pair = raw.expect_array(what);
+      TCSA_REQUIRE(pair.array.size() == 2,
+                   "snapshot: a bucket is an [index, count] pair");
+      const std::uint64_t index = pair.array[0].expect_uint(what);
+      const std::uint64_t n = pair.array[1].expect_uint(what);
+      TCSA_REQUIRE(index < LogHistogram::kBuckets,
+                   "snapshot: bucket index out of range");
+      TCSA_REQUIRE(buckets.empty() || index > buckets.back().index,
+                   "snapshot: bucket indices must strictly ascend");
+      TCSA_REQUIRE(n > 0, "snapshot: empty buckets are not exported");
+      TCSA_REQUIRE(n <= count - total,
+                   "snapshot: bucket counts disagree with count");
+      total += n;
+      buckets.push_back({static_cast<std::size_t>(index), n});
     }
     TCSA_REQUIRE(total == count,
                  "snapshot: bucket counts disagree with count");
+    // Quantiles scan up from min's bucket, so the extremes must bracket.
+    TCSA_REQUIRE(buckets.empty() ||
+                     (LogHistogram::bucket_index(min) <= buckets.front().index &&
+                      LogHistogram::bucket_index(max) >= buckets.back().index),
+                 "snapshot: min/max outside the non-empty buckets");
+    h.values.merge_buckets(buckets, min, max);
     snap.histograms.push_back(std::move(h));
   }
   return snap;
@@ -210,10 +206,11 @@ bool snapshots_equal(const MetricsSnapshot& a, const MetricsSnapshot& b,
     const auto it = counters.find(c.name);
     if (it == counters.end() || it->second != c.value) return false;
   }
-  std::map<std::string, double> gauges;
-  for (const GaugeSnapshot& g : a.gauges) gauges[g.name] = g.value;
+  // Labeled series share a name, so a gauge's identity is name + labels.
+  std::map<std::pair<std::string, std::string>, double> gauges;
+  for (const GaugeSnapshot& g : a.gauges) gauges[{g.name, g.labels}] = g.value;
   for (const GaugeSnapshot& g : b.gauges) {
-    const auto it = gauges.find(g.name);
+    const auto it = gauges.find({g.name, g.labels});
     if (it == gauges.end() || it->second != g.value) return false;
   }
   std::map<std::string, const HistogramSnapshot*> hists;
@@ -222,36 +219,10 @@ bool snapshots_equal(const MetricsSnapshot& a, const MetricsSnapshot& b,
     const auto it = hists.find(h.name);
     if (it == hists.end()) return false;
     const HistogramSnapshot& mine = *it->second;
-    if (mine.upper_bounds != h.upper_bounds || mine.counts != h.counts)
-      return false;
+    if (!(mine.values == h.values)) return false;
     if (std::abs(mine.sum - h.sum) > sum_eps) return false;
   }
   return true;
-}
-
-double histogram_quantile(const HistogramSnapshot& hist, double q) {
-  TCSA_REQUIRE(q >= 0.0 && q <= 1.0, "histogram_quantile: q outside [0, 1]");
-  const std::uint64_t total = hist.total();
-  if (total == 0) return std::numeric_limits<double>::quiet_NaN();
-  const double target = q * static_cast<double>(total);
-  double cumulative = 0.0;
-  for (std::size_t b = 0; b < hist.counts.size(); ++b) {
-    const double next = cumulative + static_cast<double>(hist.counts[b]);
-    if (next >= target && hist.counts[b] > 0) {
-      // +Inf bucket: no finite upper edge to interpolate toward.
-      if (b >= hist.upper_bounds.size())
-        return hist.upper_bounds.empty() ? std::numeric_limits<double>::quiet_NaN()
-                                         : hist.upper_bounds.back();
-      const double lower = b == 0 ? 0.0 : hist.upper_bounds[b - 1];
-      const double upper = hist.upper_bounds[b];
-      const double fraction =
-          (target - cumulative) / static_cast<double>(hist.counts[b]);
-      return lower + (upper - lower) * std::min(1.0, std::max(0.0, fraction));
-    }
-    cumulative = next;
-  }
-  return hist.upper_bounds.empty() ? std::numeric_limits<double>::quiet_NaN()
-                                   : hist.upper_bounds.back();
 }
 
 // ------------------------------------------------------------ trace merge
@@ -351,7 +322,7 @@ std::map<std::string, double> comparable_series(const MetricsSnapshot& snap) {
   for (const CounterSnapshot& c : snap.counters)
     series[c.name] = static_cast<double>(c.value);
   for (const HistogramSnapshot& h : snap.histograms) {
-    series[h.name + "_count"] = static_cast<double>(h.total());
+    series[h.name + "_count"] = static_cast<double>(h.values.count());
     series[h.name + "_sum"] = h.sum;
   }
   return series;
@@ -409,13 +380,13 @@ std::string DiffResult::to_markdown(bool verbose) const {
     else if (e.out_of_tolerance) status = "REGRESSION";
     else if (changed) status = "within tolerance";
     out += "| " + e.name + " | " +
-           (e.base_missing ? std::string("—") : format_double(e.base)) +
+           (e.base_missing ? std::string("—") : json_number(e.base)) +
            " | " +
-           (e.current_missing ? std::string("—") : format_double(e.current)) +
+           (e.current_missing ? std::string("—") : json_number(e.current)) +
            " | " +
            (e.base_missing || e.current_missing
                 ? std::string("—")
-                : format_double(e.current - e.base)) +
+                : json_number(e.current - e.base)) +
            " | " + status + " |\n";
   }
   return out;
@@ -459,10 +430,10 @@ std::string points_to_json(const std::vector<SweepPointRecord>& points) {
     out += i == 0 ? "\n" : ",\n";
     out += "    {\"channels\": " + std::to_string(p.channels) +
            ", \"method\": \"" + json_escape(p.method) +
-           "\", \"avg_delay\": " + format_double(p.avg_delay) +
-           ", \"predicted_delay\": " + format_double(p.predicted_delay) +
-           ", \"miss_rate\": " + format_double(p.miss_rate) +
-           ", \"p95_delay\": " + format_double(p.p95_delay) +
+           "\", \"avg_delay\": " + json_number(p.avg_delay) +
+           ", \"predicted_delay\": " + json_number(p.predicted_delay) +
+           ", \"miss_rate\": " + json_number(p.miss_rate) +
+           ", \"p95_delay\": " + json_number(p.p95_delay) +
            ", \"t_major\": " + std::to_string(p.t_major) +
            ", \"window_overflows\": " + std::to_string(p.window_overflows) +
            "}";
@@ -547,14 +518,14 @@ std::string report_markdown(const MetricsSnapshot& metrics,
     out += "| histogram | count | mean | p50 | p90 | p99 |\n";
     out += "|---|---:|---:|---:|---:|---:|\n";
     for (const HistogramSnapshot& h : metrics.histograms) {
-      const std::uint64_t total = h.total();
+      const std::uint64_t total = h.values.count();
       const double mean =
           total == 0 ? 0.0 : h.sum / static_cast<double>(total);
       out += "| " + h.name + " | " + std::to_string(total) + " | " +
-             format_fixed(mean) + " | " +
-             format_fixed(histogram_quantile(h, 0.50)) + " | " +
-             format_fixed(histogram_quantile(h, 0.90)) + " | " +
-             format_fixed(histogram_quantile(h, 0.99)) + " |\n";
+             format_fixed(mean);
+      for (const double q : {0.50, 0.90, 0.99})
+        out += " | " + format_fixed(h.values.quantile(q));
+      out += " |\n";
     }
   }
   return out;

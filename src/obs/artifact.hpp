@@ -10,8 +10,10 @@
 //    shard's trace epoch (the clock-alignment anchor), and the build's git
 //    describe. Schema: "tcsa-run-manifest/v1", documented in DESIGN.md §6.
 //  * snapshot_from_json — the strict importer for MetricsSnapshot::to_json
-//    output. import(export(s)) reproduces s exactly (help strings are not
-//    part of the export and come back empty; snapshots_equal ignores them).
+//    output, whose histograms are sparse LogHistogram buckets plus count,
+//    sum and exact extremes, so merged shards keep exact tails.
+//    import(export(s)) reproduces s exactly (help strings are not part of
+//    the export and come back empty; snapshots_equal ignores them).
 //    Malformed documents throw std::invalid_argument, never crash.
 //  * merge_chrome_traces — folds per-shard trace files onto one timeline:
 //    pids are re-keyed to the shard index (each process wrote pid 1), and
@@ -21,8 +23,9 @@
 //    the CI counter-regression gate; counters_from_json_document also
 //    understands merged google-benchmark documents (BENCH_micro.json) so
 //    bench counters gate the same way.
-//  * report_markdown — human summary: counters, histogram percentiles, and
-//    per-sweep-point deadline-miss rates from the points artifact.
+//  * report_markdown — human summary: counters, histogram percentiles
+//    (LogHistogram's nearest rank), and per-sweep-point deadline-miss rates
+//    from the points artifact.
 #pragma once
 
 #include <cstdint>
@@ -74,21 +77,17 @@ RunManifest manifest_from_json(const std::string& json);
 
 /// Parses MetricsSnapshot::to_json output back into a snapshot. Strict:
 /// the exact exporter grammar is required (sections present, counters
-/// non-negative integers, bucket bounds ascending, final bucket "+Inf",
-/// bucket counts summing to "count"); anything else throws.
+/// non-negative integers, bucket indices in range and strictly ascending,
+/// counts positive and summing to "count", min <= max bracketing the
+/// buckets); anything else throws std::invalid_argument.
 MetricsSnapshot snapshot_from_json(const std::string& json);
 
-/// Semantic equality, order-insensitive by metric name, ignoring help text
-/// (help is registry metadata, not part of a snapshot's identity). Counter
-/// values and bucket counts compare exactly; histogram sums compare within
+/// Semantic equality, order-insensitive by metric name (gauges: name and
+/// labels), ignoring help text (registry metadata, not snapshot identity).
+/// Counters and histograms compare exactly; histogram sums within
 /// `sum_eps` because merge reassociates floating-point addition.
 bool snapshots_equal(const MetricsSnapshot& a, const MetricsSnapshot& b,
                      double sum_eps = 0.0);
-
-/// Quantile estimate from bucket counts (linear interpolation inside the
-/// containing bucket, Prometheus histogram_quantile-style; the +Inf bucket
-/// clamps to the largest finite bound). q in [0, 1]; NaN when empty.
-double histogram_quantile(const HistogramSnapshot& hist, double q);
 
 // ----------------------------------------------------------- trace merge
 

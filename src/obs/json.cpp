@@ -310,13 +310,8 @@ void serialize_into(const JsonValue& value, std::string& out) {
     case JsonValue::Kind::kNull: out += "null"; break;
     case JsonValue::Kind::kBool: out += value.boolean ? "true" : "false"; break;
     case JsonValue::Kind::kNumber:
-      if (value.is_uint) {
-        out += std::to_string(value.uint_value);
-      } else {
-        char buf[32];
-        std::snprintf(buf, sizeof buf, "%.17g", value.number);
-        out += buf;
-      }
+      out += value.is_uint ? std::to_string(value.uint_value)
+                           : json_number(value.number);
       break;
     case JsonValue::Kind::kString:
       out += '"';
@@ -357,6 +352,12 @@ std::string json_serialize(const JsonValue& value) {
   std::string out;
   serialize_into(value, out);
   return out;
+}
+
+std::string json_number(double value) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", value);
+  return buf;
 }
 
 std::string json_escape(const std::string& text) {

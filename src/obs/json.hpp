@@ -61,6 +61,9 @@ JsonValue json_parse(const std::string& text);
 /// `text` with JSON string escaping applied (no surrounding quotes).
 std::string json_escape(const std::string& text);
 
+/// `value` as "%.17g": enough digits to parse back to the same double.
+std::string json_number(double value);
+
 /// Compact one-line serialization of a parsed value (object order kept).
 /// Used by the trace merger to re-emit events it did not fully model.
 std::string json_serialize(const JsonValue& value);

@@ -1,4 +1,5 @@
-// log_histogram.hpp — bounded log-linear histogram for unbounded streams.
+// log_histogram.hpp — bounded log-linear histogram for unbounded streams;
+// the tree's only bucket layout and quantile rule (registry too).
 //
 // HDR-style buckets over values rounded to the caller's integer unit
 // (microseconds everywhere in the tree). Magnitudes below 128 get one
@@ -29,6 +30,13 @@ class LogHistogram {
   static constexpr std::size_t kSideBuckets = 128 + (48 - 7) * 64;
   static constexpr std::size_t kBuckets = 2 * kSideBuckets;
 
+  struct Bucket { std::size_t index = 0; std::uint64_t count = 0; };
+
+  /// Bucket of a non-NaN value's rounded integer (ascending with value),
+  /// and bucket b's midpoint, which a quantile reads.
+  static std::size_t bucket_index(double value) noexcept;
+  static double bucket_value(std::size_t b) noexcept;
+
   LogHistogram();
 
   /// O(1). NaN is ignored; infinities land in the outermost buckets.
@@ -36,9 +44,19 @@ class LogHistogram {
   /// Adds `other`'s samples: the result equals one histogram fed both
   /// streams, bucket for bucket.
   void merge(const LogHistogram& other) noexcept;
+  /// merge() of a histogram given as buckets (index < kBuckets) and extremes.
+  void merge_buckets(std::span<const Bucket> buckets, double min,
+                     double max) noexcept;
+  /// Removes `base`, an earlier state of this stream. A difference loses
+  /// its extremes; each becomes the tighter of this one's and the outer
+  /// edge of the outermost non-empty bucket, so merging `base` back is exact.
+  void subtract(const LogHistogram& base) noexcept;
+
+  /// The non-empty buckets, ascending.
+  std::vector<Bucket> buckets() const;
 
   std::uint64_t count() const noexcept { return count_; }
-  /// Exact extremes; 0 when empty.
+  /// Extremes, exact unless subtract() bounded them; 0 when empty.
   double min() const noexcept { return count_ ? min_ : 0.0; }
   double max() const noexcept { return count_ ? max_ : 0.0; }
 

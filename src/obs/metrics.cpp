@@ -1,14 +1,19 @@
 #include "obs/metrics.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <array>
 #include <atomic>
-#include <cstdio>
+#include <bit>
+#include <cmath>
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <sstream>
+#include <new>
 #include <unordered_map>
 
+#include "obs/json.hpp"
 #include "util/contracts.hpp"
 
 namespace tcsa::obs {
@@ -16,16 +21,23 @@ namespace {
 
 std::atomic<bool> g_enabled{false};
 
-// Fixed capacities let every shard preallocate its cells once, so recording
+// Fixed capacities let every shard lay out its cells once, so recording
 // never allocates, never resizes, and never races a registration. The caps
 // are far above the library's instrumentation set; exceeding one is a
 // programming error caught at registration.
 constexpr std::size_t kMaxMetrics = 256;
-constexpr std::size_t kMaxIntCells = 4096;  // counters + histogram buckets
 constexpr std::size_t kMaxGauges = 128;
 constexpr std::size_t kMaxHistograms = 64;
+constexpr std::size_t kBuckets = LogHistogram::kBuckets;
+// A shard marks which 64-bucket blocks of a histogram it has written, so a
+// scrape reads those blocks only.
+constexpr std::size_t kBlockBuckets = 64;
+static_assert(kBuckets % kBlockBuckets == 0);
+constexpr std::size_t kMaskWords = (kBuckets / kBlockBuckets + 63) / 64;
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 enum class Kind : std::uint8_t { kCounter, kGauge, kHistogram };
+constexpr std::array kCapacity{kMaxMetrics, kMaxGauges, kMaxHistograms};
 
 /// Immutable once registered; published to recorders via the happens-before
 /// edge of the registering call returning the MetricId.
@@ -33,11 +45,8 @@ struct Def {
   Kind kind = Kind::kCounter;
   std::string name;
   std::string help;
-  std::string labels;            ///< gauge-only fixed label pairs, no braces
-  std::uint32_t cell = 0;        ///< first int cell (counter/histogram)
-  std::uint32_t gauge_slot = 0;  ///< gauge index
-  std::uint32_t hist_slot = 0;   ///< histogram index (for the sum cell)
-  std::vector<double> bounds;    ///< histogram upper bounds, ascending
+  std::string labels;      ///< gauge-only fixed label pairs, no braces
+  std::uint32_t slot = 0;  ///< index among the metrics of its kind
 };
 
 /// Registry key: labeled gauges are distinct series, so the identity is the
@@ -47,17 +56,101 @@ std::string series_key(const std::string& name, const std::string& labels) {
   return name + '{' + labels + '}';
 }
 
-/// One thread's value cells. Writers are the owning thread only (relaxed
-/// fetch_add); the scrape thread reads the same atomics, so TSan sees no
-/// race and torn reads are impossible.
-struct Shard {
-  std::vector<std::atomic<std::uint64_t>> ints;
-  std::vector<std::atomic<double>> sums;
+/// One histogram's shard state beside its bucket cells.
+struct HistCells {
+  std::atomic<double> sum{0.0};
+  std::atomic<double> min{kInf};
+  std::atomic<double> max{-kInf};
+  std::array<std::atomic<std::uint64_t>, kMaskWords> written{};  ///< blocks
+};
 
-  Shard() : ints(kMaxIntCells), sums(kMaxHistograms) {
-    for (auto& cell : ints) cell.store(0, std::memory_order_relaxed);
-    for (auto& cell : sums) cell.store(0.0, std::memory_order_relaxed);
+/// Owner-only update: a shard has one writer, so no read-modify-write.
+template <typename Cell, typename T>
+void bump(Cell&& cell, T n,
+          std::memory_order order = std::memory_order_relaxed) noexcept {
+  cell.store(cell.load(std::memory_order_relaxed) + n, order);
+}
+
+/// One thread's value cells, written only by the thread holding the shard
+/// and read by scrapes through the same atomics. An exited thread's shard
+/// goes to the next thread that records: its sums keep counting.
+class Shard {
+ public:
+  /// The bucket cells are one anonymous mapping: pages no sample touches
+  /// are never made resident.
+  Shard()
+      : cells_(static_cast<std::uint64_t*>(
+            ::mmap(nullptr, kCellBytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0))) {
+    if (cells_ == MAP_FAILED) throw std::bad_alloc();
   }
+  ~Shard() { ::munmap(cells_, kCellBytes); }
+  Shard(const Shard&) = delete;
+  Shard& operator=(const Shard&) = delete;
+
+  void observe(std::uint32_t slot, double value) noexcept {
+    const std::size_t bucket = LogHistogram::bucket_index(value);
+    HistCells& hist = hists[slot];
+    // Sum and extremes first, the count (release) after: a scrape that
+    // reads the count also reads extremes that cover it.
+    bump(hist.sum, value);
+    if (value < hist.min.load(std::memory_order_relaxed))
+      hist.min.store(value, std::memory_order_relaxed);
+    if (value > hist.max.load(std::memory_order_relaxed))
+      hist.max.store(value, std::memory_order_relaxed);
+    bump(std::atomic_ref(cells_[slot * kBuckets + bucket]), std::uint64_t{1},
+         std::memory_order_release);
+    const std::size_t block = bucket / kBlockBuckets;
+    const std::uint64_t bit = std::uint64_t{1} << (block % 64);
+    if ((hist.written[block / 64].load(std::memory_order_relaxed) & bit) == 0)
+      bump(hist.written[block / 64], bit, std::memory_order_release);
+  }
+
+  /// Adds this shard's samples of histogram `slot` to `values` and `sum`,
+  /// reading only the written blocks. `scratch` is reused between calls.
+  void read(std::uint32_t slot, LogHistogram& values, double& sum,
+            std::vector<LogHistogram::Bucket>& scratch) const {
+    const HistCells& hist = hists[slot];
+    scratch.clear();
+    for (std::size_t w = 0; w < kMaskWords; ++w) {
+      for (std::uint64_t blocks = hist.written[w].load(std::memory_order_acquire);
+           blocks != 0; blocks &= blocks - 1) {
+        const std::size_t first =
+            (w * 64 + static_cast<std::size_t>(std::countr_zero(blocks))) *
+            kBlockBuckets;
+        for (std::size_t b = first; b < first + kBlockBuckets; ++b) {
+          const std::uint64_t n = std::atomic_ref(cells_[slot * kBuckets + b])
+                                      .load(std::memory_order_acquire);
+          if (n != 0) scratch.push_back({b, n});
+        }
+      }
+    }
+    values.merge_buckets(scratch, hist.min.load(std::memory_order_relaxed),
+                         hist.max.load(std::memory_order_relaxed));
+    sum += hist.sum.load(std::memory_order_relaxed);
+  }
+
+  /// Zeroes every value; the bucket pages go back to the kernel.
+  void clear() noexcept {
+    for (auto& cell : counters) cell.store(0, std::memory_order_relaxed);
+    for (HistCells& hist : hists) {
+      hist.sum.store(0.0, std::memory_order_relaxed);
+      hist.min.store(kInf, std::memory_order_relaxed);
+      hist.max.store(-kInf, std::memory_order_relaxed);
+      for (auto& word : hist.written) word.store(0, std::memory_order_relaxed);
+    }
+    ::madvise(cells_, kCellBytes, MADV_DONTNEED);
+  }
+
+ private:
+  static constexpr std::size_t kCellBytes =
+      kMaxHistograms * kBuckets * sizeof(std::uint64_t);
+
+  std::uint64_t* cells_;  ///< kMaxHistograms x kBuckets, mapped
+
+ public:
+  std::array<std::atomic<std::uint64_t>, kMaxMetrics> counters{};
+  std::array<HistCells, kMaxHistograms> hists;
 };
 
 class Registry {
@@ -71,79 +164,49 @@ class Registry {
   }
 
   MetricId register_metric(Kind kind, const std::string& name,
-                           const std::string& help, std::vector<double> bounds,
+                           const std::string& help,
                            const std::string& labels = {}) {
     const std::lock_guard<std::mutex> lock(mutex_);
     const std::string key = series_key(name, labels);
     if (const auto it = by_name_.find(key); it != by_name_.end()) {
-      const Def& def = defs_[it->second];
-      TCSA_REQUIRE(def.kind == kind,
+      TCSA_REQUIRE(defs_[it->second].kind == kind,
                    "metrics: name re-registered with a different kind");
-      TCSA_REQUIRE(def.bounds == bounds,
-                   "metrics: histogram re-registered with different buckets");
       return it->second;
     }
     TCSA_REQUIRE(defs_.size() < kMaxMetrics, "metrics: registry full");
     TCSA_REQUIRE(labels.empty() || kind == Kind::kGauge,
                  "metrics: labels are gauge-only");
-    Def def;
-    def.kind = kind;
-    def.name = name;
-    def.help = help;
-    def.labels = labels;
-    switch (kind) {
-      case Kind::kCounter:
-        TCSA_REQUIRE(next_int_cell_ + 1 <= kMaxIntCells,
-                     "metrics: out of counter cells");
-        def.cell = next_int_cell_++;
-        break;
-      case Kind::kGauge:
-        TCSA_REQUIRE(next_gauge_ < kMaxGauges, "metrics: out of gauge slots");
-        def.gauge_slot = next_gauge_++;
-        break;
-      case Kind::kHistogram: {
-        TCSA_REQUIRE(!bounds.empty(), "metrics: histogram needs buckets");
-        TCSA_REQUIRE(std::is_sorted(bounds.begin(), bounds.end()),
-                     "metrics: histogram bounds must ascend");
-        const std::size_t cells = bounds.size() + 1;  // + the +Inf bucket
-        TCSA_REQUIRE(next_int_cell_ + cells <= kMaxIntCells,
-                     "metrics: out of histogram cells");
-        TCSA_REQUIRE(next_hist_ < kMaxHistograms,
-                     "metrics: out of histogram slots");
-        def.cell = next_int_cell_;
-        def.hist_slot = next_hist_++;
-        def.bounds = std::move(bounds);
-        next_int_cell_ += static_cast<std::uint32_t>(cells);
-        break;
-      }
-    }
+    std::uint32_t& next = next_slot_[static_cast<std::size_t>(kind)];
+    TCSA_REQUIRE(next < kCapacity[static_cast<std::size_t>(kind)],
+                 "metrics: out of slots");
     const auto id = static_cast<MetricId>(defs_.size());
-    defs_.push_back(std::move(def));
+    defs_.push_back({kind, name, help, labels, next++});
     by_name_.emplace(key, id);
     return id;
   }
 
   // -- hot path -----------------------------------------------------------
 
-  /// The calling thread's shard, created on first use. The thread_local
-  /// handle folds the shard back into `retired_` when the thread exits, so
-  /// short-lived pool workers do not leak shards.
-  Shard& local_shard() {
-    struct Handle {
-      Shard* shard = nullptr;
-      ~Handle() {
-        if (shard != nullptr) Registry::instance().retire(shard);
-      }
-    };
-    thread_local Handle handle;
-    if (handle.shard == nullptr) handle.shard = adopt_shard();
-    return *handle.shard;
-  }
+  /// Kind-local slot of a registered id. defs_ never reallocates, so
+  /// recorders may read it while a registration appends.
+  std::uint32_t slot(MetricId id) const noexcept { return defs_[id].slot; }
 
-  const Def& def(MetricId id) const { return defs_[id]; }
+  std::atomic<double>& gauge_cell(MetricId id) { return gauges_[slot(id)]; }
 
-  std::atomic<double>& gauge_cell(MetricId id) {
-    return gauges_[defs_[id].gauge_slot];
+  /// The calling thread's shard, taken on first use. The thread_local
+  /// handle gives it back when the thread exits, for the next thread to
+  /// take, so short-lived pool workers do not leak shards.
+  static Shard& local_shard() {
+    thread_local Shard* shard = nullptr;
+    if (shard == nullptr) [[unlikely]] {
+      struct Handle {
+        Shard* shard = nullptr;
+        ~Handle() { Registry::instance().release(shard); }
+      };
+      thread_local Handle handle{instance().take_shard()};
+      shard = handle.shard;
+    }
+    return *shard;
   }
 
   // -- scrape / lifecycle -------------------------------------------------
@@ -153,27 +216,24 @@ class Registry {
     MetricsSnapshot snap;
     for (const Def& def : defs_) {
       switch (def.kind) {
-        case Kind::kCounter:
-          snap.counters.push_back({def.name, def.help, sum_int(def.cell)});
+        case Kind::kCounter: {
+          std::uint64_t total = 0;
+          for (const auto& shard : shards_)
+            total += shard->counters[def.slot].load(std::memory_order_relaxed);
+          snap.counters.push_back({def.name, def.help, total});
           break;
+        }
         case Kind::kGauge:
           snap.gauges.push_back(
               {def.name, def.help, def.labels,
-               gauges_[def.gauge_slot].load(std::memory_order_relaxed)});
+               gauges_[def.slot].load(std::memory_order_relaxed)});
           break;
         case Kind::kHistogram: {
-          HistogramSnapshot hist;
+          HistogramSnapshot& hist = snap.histograms.emplace_back();
           hist.name = def.name;
           hist.help = def.help;
-          hist.upper_bounds = def.bounds;
-          hist.counts.resize(def.bounds.size() + 1);
-          for (std::size_t b = 0; b < hist.counts.size(); ++b)
-            hist.counts[b] = sum_int(def.cell + static_cast<std::uint32_t>(b));
-          hist.sum = retired_sums_[def.hist_slot];
-          for (const Shard* shard : live_)
-            hist.sum +=
-                shard->sums[def.hist_slot].load(std::memory_order_relaxed);
-          snap.histograms.push_back(std::move(hist));
+          for (const auto& shard : shards_)
+            shard->read(def.slot, hist.values, hist.sum, scratch_);
           break;
         }
       }
@@ -181,101 +241,53 @@ class Registry {
     return snap;
   }
 
+  LogHistogram histogram(MetricId id) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    LogHistogram values;
+    double sum = 0.0;
+    for (const auto& shard : shards_)
+      shard->read(slot(id), values, sum, scratch_);
+    return values;
+  }
+
   void reset() {
     const std::lock_guard<std::mutex> lock(mutex_);
-    retired_ints_.assign(kMaxIntCells, 0);
-    retired_sums_.assign(kMaxHistograms, 0.0);
-    for (Shard* shard : live_) {
-      for (auto& cell : shard->ints) cell.store(0, std::memory_order_relaxed);
-      for (auto& cell : shard->sums)
-        cell.store(0.0, std::memory_order_relaxed);
-    }
+    for (const auto& shard : shards_) shard->clear();
     for (auto& cell : gauges_) cell.store(0.0, std::memory_order_relaxed);
   }
 
  private:
-  Registry()
-      : gauges_(kMaxGauges),
-        retired_ints_(kMaxIntCells, 0),
-        retired_sums_(kMaxHistograms, 0.0) {
-    for (auto& cell : gauges_) cell.store(0.0, std::memory_order_relaxed);
-  }
+  Registry() { defs_.reserve(kMaxMetrics); }
 
-  Shard* adopt_shard() {
-    auto shard = std::make_unique<Shard>();
-    Shard* raw = shard.get();
+  Shard* take_shard() {
     const std::lock_guard<std::mutex> lock(mutex_);
-    owned_.push_back(std::move(shard));
-    live_.push_back(raw);
-    return raw;
+    if (idle_.empty())
+      idle_.push_back(shards_.emplace_back(std::make_unique<Shard>()).get());
+    Shard* shard = idle_.back();
+    idle_.pop_back();
+    return shard;
   }
 
-  void retire(Shard* shard) {
+  void release(Shard* shard) {
     const std::lock_guard<std::mutex> lock(mutex_);
-    for (std::size_t i = 0; i < kMaxIntCells; ++i)
-      retired_ints_[i] += shard->ints[i].load(std::memory_order_relaxed);
-    for (std::size_t i = 0; i < kMaxHistograms; ++i)
-      retired_sums_[i] += shard->sums[i].load(std::memory_order_relaxed);
-    live_.erase(std::remove(live_.begin(), live_.end(), shard), live_.end());
-    owned_.erase(std::remove_if(owned_.begin(), owned_.end(),
-                                [&](const std::unique_ptr<Shard>& owned) {
-                                  return owned.get() == shard;
-                                }),
-                 owned_.end());
-  }
-
-  std::uint64_t sum_int(std::uint32_t cell) const {
-    std::uint64_t total = retired_ints_[cell];
-    for (const Shard* shard : live_)
-      total += shard->ints[cell].load(std::memory_order_relaxed);
-    return total;
+    idle_.push_back(shard);
   }
 
   mutable std::mutex mutex_;
-  std::vector<Def> defs_;
+  std::vector<Def> defs_;  ///< reserved to kMaxMetrics: never reallocates
+  std::array<std::uint32_t, 3> next_slot_{};  ///< per Kind
   std::unordered_map<std::string, MetricId> by_name_;
-  std::uint32_t next_int_cell_ = 0;
-  std::uint32_t next_gauge_ = 0;
-  std::uint32_t next_hist_ = 0;
-  std::vector<std::atomic<double>> gauges_;
-  std::vector<std::unique_ptr<Shard>> owned_;
-  std::vector<Shard*> live_;
-  std::vector<std::uint64_t> retired_ints_;   ///< folded exited-thread cells
-  std::vector<double> retired_sums_;
+  std::array<std::atomic<double>, kMaxGauges> gauges_{};
+  std::vector<std::unique_ptr<Shard>> shards_;  ///< every shard ever made
+  std::vector<Shard*> idle_;  ///< shards of exited threads, taken first
+  std::vector<LogHistogram::Bucket> scratch_;  ///< Shard::read's buffer
 };
 
-void add_to_shard(MetricId id, std::uint64_t n) {
-  Registry& registry = Registry::instance();
-  registry.local_shard().ints[registry.def(id).cell].fetch_add(
-      n, std::memory_order_relaxed);
-}
-
-// ---------------------------------------------------------------- exports
-
-void append_json_escaped(std::string& out, const std::string& text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-std::string format_double(double value) {
-  std::ostringstream os;
-  os.precision(std::numeric_limits<double>::max_digits10);
-  os << value;
-  return os.str();
+/// The element of `items` named `name`, or end().
+template <typename Items>
+auto find_named(Items& items, const std::string& name) {
+  return std::find_if(items.begin(), items.end(),
+                      [&](const auto& item) { return item.name == name; });
 }
 
 }  // namespace
@@ -287,16 +299,16 @@ void set_enabled(bool on) noexcept {
 }
 
 MetricId register_counter(const std::string& name, const std::string& help) {
-  return Registry::instance().register_metric(Kind::kCounter, name, help, {});
+  return Registry::instance().register_metric(Kind::kCounter, name, help);
 }
 
 MetricId register_gauge(const std::string& name, const std::string& help) {
-  return Registry::instance().register_metric(Kind::kGauge, name, help, {});
+  return Registry::instance().register_metric(Kind::kGauge, name, help);
 }
 
 MetricId register_gauge(const std::string& name, const std::string& help,
                         const std::string& labels) {
-  return Registry::instance().register_metric(Kind::kGauge, name, help, {},
+  return Registry::instance().register_metric(Kind::kGauge, name, help,
                                               labels);
 }
 
@@ -314,24 +326,22 @@ std::string format_label(const std::string& key, const std::string& value) {
   return out;
 }
 
-MetricId register_histogram(const std::string& name, const std::string& help,
-                            std::vector<double> upper_bounds) {
-  return Registry::instance().register_metric(Kind::kHistogram, name, help,
-                                              std::move(upper_bounds));
+MetricId register_histogram(const std::string& name, const std::string& help) {
+  return Registry::instance().register_metric(Kind::kHistogram, name, help);
 }
 
 void counter_add(MetricId id, std::uint64_t n) noexcept {
   if (!enabled()) return;
-  add_to_shard(id, n);
+  counter_add_always(id, n);
 }
 
 void counter_add_always(MetricId id, std::uint64_t n) noexcept {
-  add_to_shard(id, n);
+  bump(Registry::local_shard().counters[Registry::instance().slot(id)], n);
 }
 
 void gauge_set(MetricId id, double value) noexcept {
   if (!enabled()) return;
-  Registry::instance().gauge_cell(id).store(value, std::memory_order_relaxed);
+  gauge_set_always(id, value);
 }
 
 void gauge_set_always(MetricId id, double value) noexcept {
@@ -339,29 +349,17 @@ void gauge_set_always(MetricId id, double value) noexcept {
 }
 
 void histogram_observe(MetricId id, double value) noexcept {
-  if (!enabled()) return;
-  Registry& registry = Registry::instance();
-  const Def& def = registry.def(id);
-  // Linear scan: bucket counts are small (<= ~16) and the bounds are hot in
-  // cache, so this beats a branchy binary search at this size.
-  std::size_t bucket = 0;
-  while (bucket < def.bounds.size() && value > def.bounds[bucket]) ++bucket;
-  Shard& shard = registry.local_shard();
-  shard.ints[def.cell + bucket].fetch_add(1, std::memory_order_relaxed);
-  shard.sums[def.hist_slot].fetch_add(value, std::memory_order_relaxed);
+  if (!enabled() || std::isnan(value)) return;
+  Registry::local_shard().observe(Registry::instance().slot(id), value);
 }
 
-std::uint64_t HistogramSnapshot::total() const noexcept {
-  std::uint64_t total = 0;
-  for (const std::uint64_t c : counts) total += c;
-  return total;
+LogHistogram histogram_values(MetricId id) {
+  return Registry::instance().histogram(id);
 }
 
 void MetricsSnapshot::merge(const MetricsSnapshot& other) {
   for (const CounterSnapshot& theirs : other.counters) {
-    const auto it =
-        std::find_if(counters.begin(), counters.end(),
-                     [&](const auto& c) { return c.name == theirs.name; });
+    const auto it = find_named(counters, theirs.name);
     if (it == counters.end()) {
       counters.push_back(theirs);
     } else {
@@ -379,36 +377,26 @@ void MetricsSnapshot::merge(const MetricsSnapshot& other) {
     }
   }
   for (const HistogramSnapshot& theirs : other.histograms) {
-    const auto it =
-        std::find_if(histograms.begin(), histograms.end(),
-                     [&](const auto& h) { return h.name == theirs.name; });
+    const auto it = find_named(histograms, theirs.name);
     if (it == histograms.end()) {
       histograms.push_back(theirs);
-      continue;
+    } else {
+      it->values.merge(theirs.values);
+      it->sum += theirs.sum;
     }
-    TCSA_REQUIRE(it->upper_bounds == theirs.upper_bounds,
-                 "MetricsSnapshot::merge: histogram buckets differ");
-    for (std::size_t b = 0; b < it->counts.size(); ++b)
-      it->counts[b] += theirs.counts[b];
-    it->sum += theirs.sum;
   }
 }
 
 MetricsSnapshot MetricsSnapshot::minus(const MetricsSnapshot& base) const {
   MetricsSnapshot delta = *this;
   for (CounterSnapshot& mine : delta.counters) {
-    const auto it =
-        std::find_if(base.counters.begin(), base.counters.end(),
-                     [&](const auto& c) { return c.name == mine.name; });
+    const auto it = find_named(base.counters, mine.name);
     if (it != base.counters.end()) mine.value -= it->value;
   }
   for (HistogramSnapshot& mine : delta.histograms) {
-    const auto it =
-        std::find_if(base.histograms.begin(), base.histograms.end(),
-                     [&](const auto& h) { return h.name == mine.name; });
+    const auto it = find_named(base.histograms, mine.name);
     if (it == base.histograms.end()) continue;
-    for (std::size_t b = 0; b < mine.counts.size(); ++b)
-      mine.counts[b] -= it->counts[b];
+    mine.values.subtract(it->values);
     mine.sum -= it->sum;
   }
   return delta;
@@ -416,23 +404,20 @@ MetricsSnapshot MetricsSnapshot::minus(const MetricsSnapshot& base) const {
 
 std::uint64_t MetricsSnapshot::counter_value(
     const std::string& name) const noexcept {
-  for (const CounterSnapshot& c : counters)
-    if (c.name == name) return c.value;
-  return 0;
+  const auto it = find_named(counters, name);
+  return it != counters.end() ? it->value : 0;
 }
 
 const HistogramSnapshot* MetricsSnapshot::histogram(
     const std::string& name) const noexcept {
-  for (const HistogramSnapshot& h : histograms)
-    if (h.name == name) return &h;
-  return nullptr;
+  const auto it = find_named(histograms, name);
+  return it != histograms.end() ? &*it : nullptr;
 }
 
 const GaugeSnapshot* MetricsSnapshot::gauge(
     const std::string& name) const noexcept {
-  for (const GaugeSnapshot& g : gauges)
-    if (g.name == name) return &g;
-  return nullptr;
+  const auto it = find_named(gauges, name);
+  return it != gauges.end() ? &*it : nullptr;
 }
 
 double MetricsSnapshot::gauge_value(const std::string& name) const noexcept {
@@ -441,49 +426,35 @@ double MetricsSnapshot::gauge_value(const std::string& name) const noexcept {
 }
 
 std::string MetricsSnapshot::to_json() const {
-  std::string out = "{\n  \"counters\": {";
+  std::string out;
   bool first = true;
-  for (const CounterSnapshot& c : counters) {
-    out += first ? "\n" : ",\n";
+  const auto section = [&](const char* head) {
+    out += head;
+    first = true;
+  };
+  const auto member = [&](const std::string& key, const std::string& value) {
+    out += first ? "\n    \"" : ",\n    \"";
     first = false;
-    out += "    \"";
-    append_json_escaped(out, c.name);
-    out += "\": ";
-    out += std::to_string(c.value);
-  }
-  out += "\n  },\n  \"gauges\": {";
-  first = true;
-  for (const GaugeSnapshot& g : gauges) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"";
-    append_json_escaped(out, series_key(g.name, g.labels));
-    out += "\": ";
-    out += format_double(g.value);
-  }
-  out += "\n  },\n  \"histograms\": {";
-  first = true;
+    out += json_escape(key) + "\": " + value;
+  };
+  section("{\n  \"counters\": {");
+  for (const CounterSnapshot& c : counters)
+    member(c.name, std::to_string(c.value));
+  section("\n  },\n  \"gauges\": {");
+  for (const GaugeSnapshot& g : gauges)
+    member(series_key(g.name, g.labels), json_number(g.value));
+  section("\n  },\n  \"histograms\": {");
   for (const HistogramSnapshot& h : histograms) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"";
-    append_json_escaped(out, h.name);
-    out += "\": {\"sum\": ";
-    out += format_double(h.sum);
-    out += ", \"count\": ";
-    out += std::to_string(h.total());
-    out += ", \"buckets\": [";
-    for (std::size_t b = 0; b < h.counts.size(); ++b) {
-      if (b > 0) out += ", ";
-      out += "{\"le\": ";
-      out += b < h.upper_bounds.size()
-                 ? format_double(h.upper_bounds[b])
-                 : std::string("\"+Inf\"");
-      out += ", \"count\": ";
-      out += std::to_string(h.counts[b]);
-      out += '}';
-    }
-    out += "]}";
+    std::string body = "{\"count\": " + std::to_string(h.values.count()) +
+                       ", \"sum\": " + json_number(h.sum) +
+                       ", \"min\": " + json_number(h.values.min()) +
+                       ", \"max\": " + json_number(h.values.max()) +
+                       ", \"buckets\": [";
+    for (const LogHistogram::Bucket& bucket : h.values.buckets())
+      body += (body.back() == '[' ? "[" : ", [") +
+              std::to_string(bucket.index) + ", " +
+              std::to_string(bucket.count) + ']';
+    member(h.name, body + "]}");
   }
   out += "\n  }\n}\n";
   return out;
@@ -508,21 +479,30 @@ std::string MetricsSnapshot::to_prometheus() const {
     if (last_gauge_name == nullptr || *last_gauge_name != g.name)
       header(g.name, g.help, "gauge");
     last_gauge_name = &g.name;
-    out += series_key(g.name, g.labels) + ' ' + format_double(g.value) + '\n';
+    out += series_key(g.name, g.labels) + ' ' + json_number(g.value) + '\n';
   }
   for (const HistogramSnapshot& h : histograms) {
     header(h.name, h.help, "histogram");
+    const std::uint64_t total = h.values.count();
+    const std::vector<LogHistogram::Bucket> buckets = h.values.buckets();
+    auto next = buckets.begin();
     std::uint64_t cumulative = 0;  // Prometheus buckets are cumulative
-    for (std::size_t b = 0; b < h.counts.size(); ++b) {
-      cumulative += h.counts[b];
-      const std::string le = b < h.upper_bounds.size()
-                                 ? format_double(h.upper_bounds[b])
-                                 : std::string("+Inf");
-      out += h.name + "_bucket{le=\"" + le + "\"} " +
-             std::to_string(cumulative) + '\n';
+    // Octave edges ascending, -2^47 .. -2, -1, then 0, 1, 3, 7 .. 2^48 - 1:
+    // each ends a LogHistogram bucket, so its cumulative count is exact.
+    for (int i = 0; i < 97 && cumulative < total; ++i) {
+      const std::int64_t edge = i < 48 ? -(std::int64_t{1} << (47 - i))
+                                       : (std::int64_t{1} << (i - 48)) - 1;
+      const std::size_t last =
+          LogHistogram::bucket_index(static_cast<double>(edge));
+      for (; next != buckets.end() && next->index <= last; ++next)
+        cumulative += next->count;
+      if (cumulative > 0)
+        out += h.name + "_bucket{le=\"" + std::to_string(edge) + "\"} " +
+               std::to_string(cumulative) + '\n';
     }
-    out += h.name + "_sum " + format_double(h.sum) + '\n';
-    out += h.name + "_count " + std::to_string(h.total()) + '\n';
+    out += h.name + "_bucket{le=\"+Inf\"} " + std::to_string(total) + '\n';
+    out += h.name + "_sum " + json_number(h.sum) + '\n';
+    out += h.name + "_count " + std::to_string(total) + '\n';
   }
   return out;
 }

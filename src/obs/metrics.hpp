@@ -1,29 +1,35 @@
-// metrics.hpp — process-wide metrics registry (counters, gauges, fixed-bucket
-// histograms) with a lock-free hot path.
+// metrics.hpp — process-wide metrics registry (counters, gauges and
+// log-bucketed histograms) with a lock-free hot path.
 //
 // Design: metric *definitions* live in one global registry; metric *values*
 // live in per-thread shards of relaxed atomics. Recording touches only the
 // calling thread's shard (no contended cache line, no lock), and a scrape
 // merges every live shard plus the folded remains of exited threads — the
 // same Chan-style "accumulate locally, merge associatively" idiom OnlineStats
-// uses for parallel statistics. Shards are folded into a retired accumulator
-// when their thread exits, so memory stays bounded no matter how many worker
-// threads the pool spawns over a process lifetime.
+// uses for parallel statistics. An exited thread's shard is reused by the
+// next thread that records, so memory stays bounded no matter how many
+// worker threads the pool spawns over a process lifetime.
+//
+// A histogram shard counts samples at LogHistogram::bucket_index() cells
+// (an anonymous mapping: untouched pages stay non-resident) beside its sum
+// and exact min/max, and a scrape merges the shards into one LogHistogram,
+// so every reported quantile is LogHistogram::quantile().
 //
 // Cost model (the scheduling kernels must not regress): instrumentation is
 // always compiled in and switched at runtime, cheap enough to leave on.
 //  * runtime-disabled (the default): one relaxed atomic bool load and a
 //    predicted-not-taken branch per site;
-//  * enabled: thread-local shard lookup + relaxed fetch_add.
+//  * enabled: thread-local shard lookup + relaxed load-then-store.
 //
 // Registration is idempotent by name and typically hangs off a function-local
 // static at the instrumentation site, so it runs once per process.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
+
+#include "obs/log_histogram.hpp"
 
 namespace tcsa::obs {
 
@@ -58,11 +64,8 @@ MetricId register_gauge(const std::string& name, const std::string& help,
 /// escapes applied (backslash, double quote, newline).
 std::string format_label(const std::string& key, const std::string& value);
 
-/// Registers a histogram with explicit ascending upper bounds; an implicit
-/// +Inf bucket catches the remainder. Bounds are fixed at registration —
-/// re-registering the same name with different bounds throws.
-MetricId register_histogram(const std::string& name, const std::string& help,
-                            std::vector<double> upper_bounds);
+/// Registers a histogram over LogHistogram's buckets.
+MetricId register_histogram(const std::string& name, const std::string& help);
 
 /// Hot-path recorders. All are no-ops while disabled; the *_always variants
 /// record even when disabled and exist for rare WARN-class events that must
@@ -72,6 +75,9 @@ void counter_add_always(MetricId id, std::uint64_t n = 1) noexcept;
 void gauge_set(MetricId id, double value) noexcept;
 void gauge_set_always(MetricId id, double value) noexcept;
 void histogram_observe(MetricId id, double value) noexcept;
+
+/// One histogram's samples, merged across every shard (locks like snapshot).
+LogHistogram histogram_values(MetricId id);
 
 /// Point-in-time aggregate of every registered metric (all shards merged).
 struct CounterSnapshot {
@@ -90,10 +96,8 @@ struct GaugeSnapshot {
 struct HistogramSnapshot {
   std::string name;
   std::string help;
-  std::vector<double> upper_bounds;   ///< ascending; +Inf bucket is implicit
-  std::vector<std::uint64_t> counts;  ///< upper_bounds.size() + 1 entries
+  LogHistogram values;  ///< buckets, count and extremes
   double sum = 0.0;
-  std::uint64_t total() const noexcept;
 };
 
 struct MetricsSnapshot {
@@ -101,7 +105,7 @@ struct MetricsSnapshot {
   std::vector<GaugeSnapshot> gauges;
   std::vector<HistogramSnapshot> histograms;
 
-  /// Sums counters and histogram buckets by name; gauges take the other
+  /// Sums counters and merges histograms by name; gauges take the other
   /// side's value (last writer wins, matching gauge semantics). Metrics
   /// present on only one side are kept. Associative, like OnlineStats::merge.
   void merge(const MetricsSnapshot& other);
@@ -119,13 +123,16 @@ struct MetricsSnapshot {
   /// Value of a gauge by name; 0.0 when absent.
   double gauge_value(const std::string& name) const noexcept;
 
-  /// {"counters": {...}, "gauges": {...}, "histograms": {...}}
+  /// {"counters": {...}, "gauges": {...}, "histograms": {...}}; a histogram
+  /// is {count, sum, min, max, buckets: [[index, count], ...]} (non-empty).
   std::string to_json() const;
-  /// Prometheus text exposition format (# HELP / # TYPE / samples).
+  /// Prometheus text exposition format (# HELP / # TYPE / samples). `le`
+  /// lines sit at octave edges, exact bucket boundaries for a value's
+  /// rounded integer: -2^k, 0, 2^k - 1 from min up to max, then +Inf.
   std::string to_prometheus() const;
 };
 
-/// Merges every shard (live and retired) into one snapshot.
+/// Merges every shard into one snapshot.
 MetricsSnapshot snapshot();
 
 /// Zeroes all values (definitions survive). Callers must be quiescent;

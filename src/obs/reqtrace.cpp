@@ -233,46 +233,23 @@ std::vector<FlightEvent> flight_load(const std::string& path, bool* sealed) {
 
 // ------------------------------------------------------- ReqPercentiles
 
+constexpr std::array kGaugeQs{0.50, 0.99, 0.999, 0.9999};
+constexpr std::array kGaugeNames{"p50", "p99", "p999", "p9999"};
+
 ReqPercentiles::ReqPercentiles(const std::string& base,
                                const std::string& unit,
-                               const std::string& help,
-                               std::vector<double> upper_bounds)
-    : hist_(register_histogram(base + "_" + unit, help,
-                               std::move(upper_bounds))),
-      p50_(register_gauge(base + "_p50_" + unit, help + " (p50, <1% error)")),
-      p99_(register_gauge(base + "_p99_" + unit, help + " (p99, <1% error)")),
-      p999_(
-          register_gauge(base + "_p999_" + unit, help + " (p999, <1% error)")),
-      p9999_(register_gauge(base + "_p9999_" + unit,
-                            help + " (p9999, <1% error)")) {}
-
-void ReqPercentiles::record(double value) noexcept {
-  histogram_observe(hist_, value);
-  std::lock_guard<std::mutex> lock(mu_);
-  values_.record(value);
+                               const std::string& help)
+    : hist_(register_histogram(base + "_" + unit, help)) {
+  for (std::size_t i = 0; i < gauges_.size(); ++i)
+    gauges_[i] = register_gauge(base + "_" + kGaugeNames[i] + "_" + unit,
+                                help + " (" + kGaugeNames[i] + ", <1% error)");
 }
 
-void ReqPercentiles::publish() noexcept {
-  static constexpr std::array<double, 4> kQs{0.50, 0.99, 0.999, 0.9999};
-  std::array<double, 4> value{};
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    values_.quantiles(kQs, value);
-  }
-  gauge_set(p50_, value[0]);
-  gauge_set(p99_, value[1]);
-  gauge_set(p999_, value[2]);
-  gauge_set(p9999_, value[3]);
-}
-
-std::uint64_t ReqPercentiles::count() const noexcept {
-  std::lock_guard<std::mutex> lock(mu_);
-  return values_.count();
-}
-
-double ReqPercentiles::percentile(double q) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return values_.quantile(q);
+void ReqPercentiles::publish() {
+  std::array<double, kGaugeQs.size()> value{};
+  histogram_values(hist_).quantiles(kGaugeQs, value);
+  for (std::size_t i = 0; i < gauges_.size(); ++i)
+    gauge_set(gauges_[i], value[i]);
 }
 
 }  // namespace tcsa::obs

@@ -43,14 +43,13 @@
 // benched by bench/micro_reqtrace).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "obs/log_histogram.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -241,35 +240,25 @@ inline void req_event(std::uint64_t trace_id, ReqStage stage,
 
 // --------------------------------------------------------- ReqPercentiles
 
-/// Per-request distribution exported through the registry: a
-/// fixed-boundary histogram `<base>_<unit>` plus nearest-rank
-/// p50/p99/p999/p9999 gauges `<base>_p*_<unit>` read from a LogHistogram
-/// (relative error under 1%, integer values below 128 exact). Memory and
-/// publish() cost are fixed whatever the sample count. record() is
-/// mutex-guarded — requests are orders of magnitude rarer than page sends,
-/// so contention is not a concern.
+/// Per-request distribution exported through the registry: the histogram
+/// `<base>_<unit>` plus nearest-rank p50/p99/p999/p9999 gauges
+/// `<base>_p*_<unit>` that publish() reads off that same histogram
+/// (LogHistogram: relative error under 1%, integer values below 128
+/// exact). record() is one registry write into the calling thread's shard;
+/// publish() merges the shards under the registry lock, so call it off the
+/// per-request path.
 class ReqPercentiles {
  public:
   ReqPercentiles(const std::string& base, const std::string& unit,
-                 const std::string& help, std::vector<double> upper_bounds);
+                 const std::string& help);
 
-  void record(double value) noexcept;
+  void record(double value) noexcept { histogram_observe(hist_, value); }
   /// Recomputes the four percentile gauges in one bucket scan.
-  void publish() noexcept;
-
-  std::uint64_t count() const noexcept;
-  /// Nearest-rank percentile; q in [0,1]. Returns 0 when empty.
-  double percentile(double q) const;
-  /// Bytes held for the percentiles: fixed, whatever the sample count.
-  std::size_t retained_bytes() const noexcept {
-    return sizeof(*this) + values_.storage_bytes();
-  }
+  void publish();
 
  private:
   MetricId hist_;
-  MetricId p50_, p99_, p999_, p9999_;
-  mutable std::mutex mu_;
-  LogHistogram values_;
+  std::array<MetricId, 4> gauges_{};  ///< p50, p99, p999, p9999
 };
 
 }  // namespace tcsa::obs

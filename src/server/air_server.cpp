@@ -526,6 +526,13 @@ void AirServer::air_slot() {
   obs::histogram_observe(server_metrics().lag_hist,
                          static_cast<double>(lag_us));
   obs::counter_add(server_metrics().slots_aired, 1);
+  if (admin_ && admin_->resume_accept())
+    obs::counter_add(server_metrics().accept_backoffs, 1);
+  // One shard merge per 64 slots keeps it off every loop's request path.
+  if (next_slot_ % 64 == 0 && obs::enabled()) {
+    server_req_delay().publish();
+    server_pull_delay().publish();
+  }
 
   // Audience union across every shard: O(loops) atomic loads, exact
   // because each shard maintains per-channel subscriber counts. A channel

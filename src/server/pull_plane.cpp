@@ -156,12 +156,10 @@ void PendingRequests::retire(std::size_t queued_bytes) {
     if (req.via_pull) obs::counter_add(server_metrics().reqs_pull_served, 1);
     // Separate service-time populations: the pull plane exists exactly for
     // the requests whose broadcast wait was unacceptable, so mixing them
-    // into one distribution would hide the tail it fixes. Percentile gauges
-    // are recomputed every 64 completions (one fixed-size bucket scan).
+    // into one distribution would hide the tail it fixes.
     obs::ReqPercentiles& delay =
         req.via_pull ? server_pull_delay() : server_req_delay();
     delay.record(static_cast<double>(now - req.recv_us));
-    if (delay.count() % 64 == 1) delay.publish();
     return true;
   });
 }

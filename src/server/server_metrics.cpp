@@ -87,8 +87,7 @@ const ServerMetrics& server_metrics() {
                             "page universe)"),
       obs::register_histogram(
           "tcsa_server_slot_lag_us",
-          "How late each slot aired vs its drift-free deadline (us)",
-          {50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000, 100000}),
+          "How late each slot aired vs its drift-free deadline (us)"),
       obs::register_gauge("tcsa_server_sessions",
                           "Currently connected sessions"),
       obs::register_gauge("tcsa_server_generation",
@@ -117,9 +116,7 @@ obs::ReqPercentiles& server_req_delay() {
   static obs::ReqPercentiles percentiles(
       "tcsa_server_req_delay", "us",
       "Traced request service time from kReq receipt to the flush of the "
-      "slot airing its page",
-      {100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000, 100000, 250000,
-       1000000});
+      "slot airing its page");
   return percentiles;
 }
 
@@ -127,9 +124,7 @@ obs::ReqPercentiles& server_pull_delay() {
   static obs::ReqPercentiles percentiles(
       "tcsa_server_pull_delay", "us",
       "Traced request service time for requests resolved by a kPull airing "
-      "(kReq receipt to the flush of the pull slot)",
-      {100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000, 100000, 250000,
-       1000000});
+      "(kReq receipt to the flush of the pull slot)");
   return percentiles;
 }
 

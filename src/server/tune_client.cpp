@@ -7,12 +7,11 @@
 #include <cerrno>
 #include <cmath>
 #include <cstring>
-#include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
 #include "model/serialize.hpp"
+#include "obs/json.hpp"
 #include "obs/reqtrace.hpp"
 #include "obs/trace.hpp"
 #include "util/stats.hpp"
@@ -23,13 +22,6 @@ namespace {
 
 [[noreturn]] void io_fail(const std::string& what) {
   throw std::runtime_error("tune: " + what + ": " + std::strerror(errno));
-}
-
-std::string format_double(double value) {
-  std::ostringstream os;
-  os.precision(std::numeric_limits<double>::max_digits10);
-  os << value;
-  return os.str();
 }
 
 }  // namespace
@@ -43,17 +35,17 @@ std::string TuneSummary::to_json() const {
   out += ", \"swaps_observed\": " + std::to_string(swaps_observed);
   out += ", \"retunes\": " + std::to_string(retunes);
   out += ", \"deadline_misses\": " + std::to_string(deadline_misses);
-  out += ", \"mean_access_time\": " + format_double(mean_access_time);
+  out += ", \"mean_access_time\": " + obs::json_number(mean_access_time);
   out += ", \"requests\": {";
   out += "\"sent\": " + std::to_string(requests.sent);
   out += ", \"acked\": " + std::to_string(requests.acked);
   out += ", \"completed\": " + std::to_string(requests.completed);
   out += ", \"misses\": " + std::to_string(requests.misses);
-  out += ", \"delay_p50_us\": " + format_double(requests.delay_p50_us);
-  out += ", \"delay_p99_us\": " + format_double(requests.delay_p99_us);
-  out += ", \"delay_max_us\": " + format_double(requests.delay_max_us);
-  out += ", \"slack_p50_us\": " + format_double(requests.slack_p50_us);
-  out += ", \"slack_min_us\": " + format_double(requests.slack_min_us);
+  out += ", \"delay_p50_us\": " + obs::json_number(requests.delay_p50_us);
+  out += ", \"delay_p99_us\": " + obs::json_number(requests.delay_p99_us);
+  out += ", \"delay_max_us\": " + obs::json_number(requests.delay_max_us);
+  out += ", \"slack_p50_us\": " + obs::json_number(requests.slack_p50_us);
+  out += ", \"slack_min_us\": " + obs::json_number(requests.slack_min_us);
   out += ", \"clock_offset_us\": " + std::to_string(requests.clock_offset_us);
   out += ", \"clock_rtt_us\": " + std::to_string(requests.clock_rtt_us);
   out += ", \"clock_samples\": " + std::to_string(requests.clock_samples);
@@ -64,14 +56,14 @@ std::string TuneSummary::to_json() const {
   out += ", \"pulled\": " + std::to_string(wants.pulled);
   out += ", \"pull_completed\": " + std::to_string(wants.pull_completed);
   out += ", \"undecided\": " + std::to_string(wants.undecided);
-  out += ", \"pull_fraction\": " + format_double(wants.pull_fraction);
+  out += ", \"pull_fraction\": " + obs::json_number(wants.pull_fraction);
   out += ", \"mean_broadcast_wait_slots\": " +
-         format_double(wants.mean_broadcast_wait_slots);
+         obs::json_number(wants.mean_broadcast_wait_slots);
   out += ", \"mean_pull_wait_slots\": " +
-         format_double(wants.mean_pull_wait_slots);
+         obs::json_number(wants.mean_pull_wait_slots);
   out += ", \"pull_frames\": " + std::to_string(wants.pull_frames);
   out += ", \"mean_coalesced_waiters\": " +
-         format_double(wants.mean_coalesced_waiters);
+         obs::json_number(wants.mean_coalesced_waiters);
   out += "}";
   out += ", \"groups\": [";
   for (std::size_t g = 0; g < groups.size(); ++g) {
@@ -82,8 +74,8 @@ std::string TuneSummary::to_json() const {
     out += ", \"chains\": " + std::to_string(s.chains);
     out += ", \"gaps\": " + std::to_string(s.gaps);
     out += ", \"max_gap\": " + std::to_string(s.max_gap);
-    out += ", \"mean_gap\": " + format_double(s.mean_gap);
-    out += ", \"access_time\": " + format_double(s.access_time);
+    out += ", \"mean_gap\": " + obs::json_number(s.mean_gap);
+    out += ", \"access_time\": " + obs::json_number(s.access_time);
     out += ", \"misses\": " + std::to_string(s.misses);
     out += "}";
   }

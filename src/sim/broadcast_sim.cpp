@@ -34,11 +34,9 @@ const SimMetrics& sim_metrics() {
       obs::register_counter("tcsa_sim_deadline_misses_total",
                             "Simulated requests whose wait exceeded t_i"),
       obs::register_histogram("tcsa_sim_wait_slots",
-                              "Request wait distribution (slots)",
-                              {1, 2, 4, 8, 16, 32, 64, 128, 256, 512}),
+                              "Request wait distribution (slots)"),
       obs::register_histogram("tcsa_sim_batch_size",
-                              "Per-page request batch sizes in compute_waits",
-                              {1, 4, 16, 64, 256, 1024, 4096, 16384}),
+                              "Per-page request batch sizes in compute_waits"),
   };
   return metrics;
 }

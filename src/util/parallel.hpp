@@ -52,8 +52,7 @@ inline const PoolMetrics& pool_metrics() {
       obs::register_counter("tcsa_pool_workers_total",
                             "Worker threads spawned (caller excluded)"),
       obs::register_histogram("tcsa_pool_task_us",
-                              "Per-task wall time (microseconds)",
-                              {1, 10, 100, 1000, 10000, 100000, 1000000}),
+                              "Per-task wall time (microseconds)"),
       obs::register_counter(
           "tcsa_pool_idle_us_total",
           "Worker wall time not spent inside tasks (microseconds)"),

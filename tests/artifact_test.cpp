@@ -2,8 +2,10 @@
 // snapshot import round-trips, merge algebra, trace merging and diffing.
 #include <cmath>
 #include <cstdint>
+#include <latch>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -99,15 +101,21 @@ TEST(Manifest, RejectsWrongSchemaAndMissingFields) {
 
 // ----------------------------------------------- snapshot import/export
 
-/// A randomized snapshot: a handful of counters, gauges and histograms with
-/// structurally valid buckets. `name_salt` keeps two generations disjoint.
-obs::MetricsSnapshot random_snapshot(Rng& rng, const std::string& name_salt) {
+/// A randomized snapshot: a handful of counters, gauges and histograms.
+/// Histograms record heavy-tailed, mixed-sign, fractional samples, or none.
+/// `name_salt` keeps two generations disjoint. With `half` the result is
+/// an earlier state of the snapshot an identically seeded generator yields
+/// without it: counters halved, and each histogram holding the first half
+/// of its samples.
+obs::MetricsSnapshot random_snapshot(Rng& rng, const std::string& name_salt,
+                                     bool half = false) {
   obs::MetricsSnapshot s;
   const int n_counters = static_cast<int>(rng.uniform_int(0, 5));
   for (int i = 0; i < n_counters; ++i) {
     obs::CounterSnapshot c;
     c.name = "tcsa_" + name_salt + "_c" + std::to_string(i) + "_total";
     c.value = rng();  // full 64-bit range: exercises the exact-u64 path
+    if (half) c.value /= 2;
     s.counters.push_back(c);
   }
   const int n_gauges = static_cast<int>(rng.uniform_int(0, 3));
@@ -121,15 +129,15 @@ obs::MetricsSnapshot random_snapshot(Rng& rng, const std::string& name_salt) {
   for (int i = 0; i < n_hists; ++i) {
     obs::HistogramSnapshot h;
     h.name = "tcsa_" + name_salt + "_h" + std::to_string(i);
-    // Bounds are a function of the name: merge requires same-name
-    // histograms to share bucket layouts, exactly like the live registry.
-    const int n_buckets = 2 + i;
-    for (int b = 0; b < n_buckets; ++b)
-      h.upper_bounds.push_back(std::pow(2.0, b));
-    for (int b = 0; b <= n_buckets; ++b)
-      h.counts.push_back(static_cast<std::uint64_t>(rng.uniform_int(0, 1000)));
-    h.sum = rng.uniform_real(0.0, 1e6);
-    s.histograms.push_back(h);
+    const auto n = static_cast<std::size_t>(rng.uniform_int(0, 300));
+    for (std::size_t k = 0; k < n; ++k) {
+      const double magnitude = std::exp(rng.uniform_real(-2.0, 14.0));
+      const double x = rng.bernoulli(0.2) ? -magnitude : magnitude;
+      if (half && 2 * k >= n) continue;
+      h.values.record(x);
+      h.sum += x;
+    }
+    s.histograms.push_back(std::move(h));
   }
   return s;
 }
@@ -152,24 +160,36 @@ TEST(SnapshotImport, ImportsLiveRegistryExport) {
 }
 
 TEST(SnapshotImport, RejectsMalformedSnapshots) {
-  const char* bad[] = {
+  const auto hist = [](const std::string& body) {
+    return R"({"counters":{},"gauges":{},"histograms":{"h":)" + body + "}}";
+  };
+  const std::string bad[] = {
       "{}",                                   // missing sections
       "{\"counters\":{},\"gauges\":{}}",      // missing histograms
       "{\"counters\":[],\"gauges\":{},\"histograms\":{}}",  // wrong type
       "{\"counters\":{\"x\":-1},\"gauges\":{},\"histograms\":{}}",  // negative
       "{\"counters\":{\"x\":1.5},\"gauges\":{},\"histograms\":{}}",  // fraction
-      // bucket counts don't sum to count:
-      R"({"counters":{},"gauges":{},"histograms":{"h":{"sum":1,"count":5,
-          "buckets":[{"le":1,"count":1},{"le":"+Inf","count":1}]}}})",
-      // non-ascending bounds:
-      R"({"counters":{},"gauges":{},"histograms":{"h":{"sum":1,"count":2,
-          "buckets":[{"le":5,"count":1},{"le":2,"count":0},
-                     {"le":"+Inf","count":1}]}}})",
-      // missing +Inf bucket:
-      R"({"counters":{},"gauges":{},"histograms":{"h":{"sum":1,"count":1,
-          "buckets":[{"le":5,"count":1}]}}})",
+      // bucket index past LogHistogram::kBuckets (5504):
+      hist(R"({"count":1,"sum":1,"min":1,"max":1,"buckets":[[5504,1]]})"),
+      // indices not strictly ascending (descending, then repeated):
+      hist(R"({"count":2,"sum":3,"min":1,"max":2,"buckets":[[2754,1],[2753,1]]})"),
+      hist(R"({"count":2,"sum":2,"min":1,"max":1,"buckets":[[2753,1],[2753,1]]})"),
+      // a zero count:
+      hist(R"({"count":1,"sum":1,"min":1,"max":1,"buckets":[[2753,1],[2754,0]]})"),
+      // counts that do not sum to count:
+      hist(R"({"count":5,"sum":1,"min":1,"max":1,"buckets":[[2753,1]]})"),
+      hist(R"({"count":1,"sum":3,"min":1,"max":2,"buckets":[[2753,1],[2754,1]]})"),
+      // min above max:
+      hist(R"({"count":2,"sum":3,"min":2,"max":1,"buckets":[[2753,1],[2754,1]]})"),
+      // extremes that do not bracket the buckets (min's bucket is 2754):
+      hist(R"({"count":1,"sum":1,"min":2,"max":2,"buckets":[[2753,1]]})"),
+      // the explicit-bounds grammar this importer replaced:
+      hist(R"({"sum":1,"count":1,"buckets":[{"le":5,"count":1},
+              {"le":"+Inf","count":0}]})"),
+      // a bucket that is not an [index, count] pair:
+      hist(R"({"count":1,"sum":1,"min":1,"max":1,"buckets":[[2753,1,0]]})"),
   };
-  for (const char* text : bad)
+  for (const std::string& text : bad)
     EXPECT_THROW(obs::snapshot_from_json(text), std::invalid_argument) << text;
 }
 
@@ -237,21 +257,37 @@ TEST(MergeAlgebra, CommutativeUpToGaugeSemantics) {
 }
 
 TEST(MergeAlgebra, MinusThenMergeRestoresWhole) {
-  // a.minus(b).merge(b) == a whenever b is a sub-snapshot of a — the exact
-  // shape produced by run_sweep_shard's before/after delta.
-  Rng rng(13);
-  for (int trial = 0; trial < 50; ++trial) {
-    obs::MetricsSnapshot a = random_snapshot(rng, "w");
-    obs::MetricsSnapshot b = a;  // same names and bounds, scaled-down values
-    for (auto& c : b.counters) c.value /= 2;
-    for (auto& h : b.histograms) {
-      for (auto& count : h.counts) count /= 2;
-      h.sum /= 2;
-    }
+  // a.minus(b).merge(b) == a whenever b is an earlier state of a — the
+  // exact shape produced by run_sweep_shard's before/after delta. The
+  // delta's extremes are bucket-edge bounds, yet merging b back restores
+  // a's exact extremes.
+  for (std::uint64_t trial = 0; trial < 50; ++trial) {
+    Rng whole_rng(1300 + trial);
+    Rng part_rng(1300 + trial);
+    const obs::MetricsSnapshot a = random_snapshot(whole_rng, "w");
+    const obs::MetricsSnapshot b = random_snapshot(part_rng, "w", true);
     obs::MetricsSnapshot restored = a.minus(b);
     restored.merge(b);
     EXPECT_TRUE(obs::snapshots_equal(restored, a, 1e-6)) << "trial " << trial;
   }
+}
+
+TEST(MergeAlgebra, MinusBoundsTheDeltaExtremesByItsBuckets) {
+  obs::LogHistogram base, whole;
+  for (const double x : {10.0, 500.0}) {
+    base.record(x);
+    whole.record(x);
+  }
+  for (const double x : {200.3, 300.0}) whole.record(x);
+  obs::LogHistogram delta = whole;
+  delta.subtract(base);
+  EXPECT_EQ(delta.count(), 2u);
+  // 200.3 rounds to 200, in bucket [200, 201], whose values start at
+  // 199.5; 300 sits in [300, 303], whose values end at 303.5.
+  EXPECT_EQ(delta.min(), 199.5);
+  EXPECT_EQ(delta.max(), 303.5);
+  delta.merge(base);
+  EXPECT_TRUE(delta == whole);
 }
 
 // ---------------------------------------------------------------- diff
@@ -318,8 +354,7 @@ TEST(Diff, ComparesHistogramCountAndSumButNotGauges) {
   obs::MetricsSnapshot base;
   obs::HistogramSnapshot h;
   h.name = "tcsa_wait";
-  h.upper_bounds = {1.0};
-  h.counts = {3, 1};
+  for (const double x : {0.5, 0.5, 0.5, 1.0}) h.values.record(x);
   h.sum = 2.5;
   base.histograms.push_back(h);
   obs::GaugeSnapshot g;
@@ -331,7 +366,7 @@ TEST(Diff, ComparesHistogramCountAndSumButNotGauges) {
   current.gauges[0].value = 99.0;  // gauges are excluded: still clean
   EXPECT_TRUE(obs::diff_snapshots(base, current, {}).clean());
 
-  current.histograms[0].counts[1] = 2;  // count series changed
+  current.histograms[0].values.record(2.0);  // count series changed
   EXPECT_FALSE(obs::diff_snapshots(base, current, {}).clean());
 }
 
@@ -345,17 +380,66 @@ TEST(Diff, MarkdownNamesRegressedMetric) {
 
 // ------------------------------------------------------------ quantiles
 
-TEST(HistogramQuantile, InterpolatesWithinBuckets) {
-  obs::HistogramSnapshot h;
-  h.upper_bounds = {1.0, 2.0, 4.0};
-  h.counts = {10, 10, 10, 0};  // 30 observations, none above 4
-  h.sum = 60.0;
-  EXPECT_NEAR(obs::histogram_quantile(h, 0.5), 1.5, 1e-9);
-  EXPECT_NEAR(obs::histogram_quantile(h, 1.0 / 3.0), 1.0, 1e-9);
-  EXPECT_NEAR(obs::histogram_quantile(h, 0.95), 3.7, 1e-9);
-  // Mass in +Inf clamps to the last finite bound.
-  h.counts = {0, 0, 0, 5};
-  EXPECT_DOUBLE_EQ(obs::histogram_quantile(h, 0.9), 4.0);
+TEST(SnapshotEquality, GaugesCompareByNameAndLabels) {
+  const auto labeled = [](double a_value, double b_value) {
+    obs::MetricsSnapshot s;
+    s.gauges.push_back({"X", "", "a=\"1\"", a_value});
+    s.gauges.push_back({"X", "", "b=\"1\"", b_value});
+    return s;
+  };
+  EXPECT_FALSE(obs::snapshots_equal(labeled(1.0, 2.0), labeled(2.0, 2.0)));
+  EXPECT_TRUE(obs::snapshots_equal(labeled(1.0, 2.0), labeled(1.0, 2.0)));
+}
+
+TEST(RegistryHistogram, ShardedQuantilesEqualOneLogHistogram) {
+  // One quantile definition: a registry histogram fed from four threads
+  // reads the same tails as one LogHistogram fed the same values — live,
+  // after the threads exit, and after a JSON round trip.
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  obs::reset_metrics();
+  const obs::MetricId id =
+      obs::register_histogram("tcsa_test_sharded_us", "sharded histogram");
+  constexpr int kThreads = 4;
+  std::vector<std::vector<double>> streams(kThreads);
+  obs::LogHistogram reference;
+  Rng rng(4242);
+  for (int i = 0; i < 20000; ++i) {
+    const double x = std::exp(rng.normal(std::log(2000.0), 1.5)) *
+                     (rng.bernoulli(0.1) ? -1.0 : 1.0);
+    streams[static_cast<std::size_t>(i % kThreads)].push_back(x);
+    reference.record(x);
+  }
+  std::latch recorded(kThreads);
+  std::latch scraped(1);
+  std::vector<std::thread> threads;
+  for (const std::vector<double>& stream : streams)
+    threads.emplace_back([&, id] {
+      for (const double x : stream) obs::histogram_observe(id, x);
+      recorded.count_down();
+      scraped.wait();
+    });
+  const auto expect_reference = [&](const obs::MetricsSnapshot& snap,
+                                    const char* when) {
+    const obs::HistogramSnapshot* h = snap.histogram("tcsa_test_sharded_us");
+    ASSERT_NE(h, nullptr) << when;
+    EXPECT_TRUE(h->values == reference) << when;
+    for (const double q : {0.0, 0.5, 0.9, 0.99, 0.999, 1.0})
+      EXPECT_EQ(h->values.quantile(q), reference.quantile(q))
+          << when << " q=" << q;
+    const obs::MetricsSnapshot back = obs::snapshot_from_json(snap.to_json());
+    for (const double q : {0.0, 0.5, 0.9, 0.99, 0.999, 1.0})
+      EXPECT_EQ(back.histogram("tcsa_test_sharded_us")->values.quantile(q),
+                reference.quantile(q))
+          << when << " after JSON, q=" << q;
+  };
+  recorded.wait();
+  expect_reference(obs::snapshot(), "live shards");
+  scraped.count_down();
+  for (std::thread& thread : threads) thread.join();
+  expect_reference(obs::snapshot(), "threads exited");
+  EXPECT_TRUE(obs::histogram_values(id) == reference);
+  obs::set_enabled(was_enabled);
 }
 
 // -------------------------------------------------------- trace merging

@@ -116,32 +116,48 @@ TEST_F(ObsTest, CountersSumAcrossThreads) {
 
 // ------------------------------------------------------------ histograms
 
-TEST_F(ObsTest, HistogramBucketBoundariesAreInclusiveUpper) {
-  const obs::MetricId id = obs::register_histogram(
-      "tcsa_test_hist_bounds", "boundary semantics", {1.0, 10.0, 100.0});
-  obs::histogram_observe(id, 0.5);    // <= 1
-  obs::histogram_observe(id, 1.0);    // <= 1 (Prometheus: le is inclusive)
-  obs::histogram_observe(id, 1.5);    // <= 10
-  obs::histogram_observe(id, 10.0);   // <= 10
-  obs::histogram_observe(id, 99.0);   // <= 100
-  obs::histogram_observe(id, 1e6);    // +Inf
-  const obs::MetricsSnapshot snap = obs::snapshot();
-  const obs::HistogramSnapshot* h = snap.histogram("tcsa_test_hist_bounds");
-  ASSERT_NE(h, nullptr);
-  ASSERT_EQ(h->counts.size(), 4u);  // 3 bounds + implicit +Inf
-  EXPECT_EQ(h->counts[0], 2u);
-  EXPECT_EQ(h->counts[1], 2u);
-  EXPECT_EQ(h->counts[2], 1u);
-  EXPECT_EQ(h->counts[3], 1u);
-  EXPECT_EQ(h->total(), 6u);
-  EXPECT_DOUBLE_EQ(h->sum, 0.5 + 1.0 + 1.5 + 10.0 + 99.0 + 1e6);
-}
+TEST_F(ObsTest, HistogramPrometheusLinesSitAtOctaveEdges) {
+  const obs::MetricId id =
+      obs::register_histogram("tcsa_test_hist_edges", "octave edges");
+  for (const double value : {0.4, 1.0, 1.5, 3.0, 7.4, 200.0, 255.0, 255.6})
+    obs::histogram_observe(id, value);
+  const std::string text = obs::snapshot().to_prometheus();
+  // A value counts by its rounded integer, so each `le` edge (0, then the
+  // last integer of every octave) is an exact bucket boundary: 1.5 rounds
+  // to 2 and sits above le="1"; 7.4 rounds to 7, inside le="7"; 255.6
+  // rounds to 256 and lands in the first octave edge at or above max.
+  const std::string expected =
+      "tcsa_test_hist_edges_bucket{le=\"0\"} 1\n"
+      "tcsa_test_hist_edges_bucket{le=\"1\"} 2\n"
+      "tcsa_test_hist_edges_bucket{le=\"3\"} 4\n"
+      "tcsa_test_hist_edges_bucket{le=\"7\"} 5\n"
+      "tcsa_test_hist_edges_bucket{le=\"15\"} 5\n"
+      "tcsa_test_hist_edges_bucket{le=\"31\"} 5\n"
+      "tcsa_test_hist_edges_bucket{le=\"63\"} 5\n"
+      "tcsa_test_hist_edges_bucket{le=\"127\"} 5\n"
+      "tcsa_test_hist_edges_bucket{le=\"255\"} 7\n"
+      "tcsa_test_hist_edges_bucket{le=\"511\"} 8\n"
+      "tcsa_test_hist_edges_bucket{le=\"+Inf\"} 8\n"
+      "tcsa_test_hist_edges_sum ";
+  EXPECT_NE(text.find(expected), std::string::npos) << text;
+  EXPECT_NE(text.find("tcsa_test_hist_edges_count 8\n"), std::string::npos);
 
-TEST_F(ObsTest, HistogramRebindingBoundsThrows) {
-  obs::register_histogram("tcsa_test_hist_fixed", "fixed bounds", {1.0, 2.0});
-  EXPECT_THROW(obs::register_histogram("tcsa_test_hist_fixed", "fixed bounds",
-                                       {1.0, 2.0, 3.0}),
-               std::invalid_argument);
+  // Negative values get the mirrored edges -2^k, starting at the first
+  // edge at or above min.
+  const obs::MetricId signed_id =
+      obs::register_histogram("tcsa_test_hist_signed", "signed edges");
+  for (const double value : {-5.0, -1.0, 2.0})
+    obs::histogram_observe(signed_id, value);
+  const std::string signed_text = obs::snapshot().to_prometheus();
+  EXPECT_NE(signed_text.find("tcsa_test_hist_signed_bucket{le=\"-4\"} 1\n"
+                             "tcsa_test_hist_signed_bucket{le=\"-2\"} 1\n"
+                             "tcsa_test_hist_signed_bucket{le=\"-1\"} 2\n"
+                             "tcsa_test_hist_signed_bucket{le=\"0\"} 2\n"
+                             "tcsa_test_hist_signed_bucket{le=\"1\"} 2\n"
+                             "tcsa_test_hist_signed_bucket{le=\"3\"} 3\n"
+                             "tcsa_test_hist_signed_bucket{le=\"+Inf\"} 3\n"),
+            std::string::npos)
+      << signed_text;
 }
 
 // ------------------------------------------------------------- snapshots
@@ -159,8 +175,8 @@ TEST_F(ObsTest, SnapshotMinusIsolatesARun) {
 TEST_F(ObsTest, SnapshotMergeSumsByName) {
   const obs::MetricId c =
       obs::register_counter("tcsa_test_merge_total", "merge");
-  const obs::MetricId h = obs::register_histogram(
-      "tcsa_test_merge_hist", "merge hist", {1.0, 2.0});
+  const obs::MetricId h =
+      obs::register_histogram("tcsa_test_merge_hist", "merge hist");
   const obs::MetricsSnapshot before = obs::snapshot();
   obs::counter_add(c, 3);
   obs::histogram_observe(h, 0.5);
@@ -173,9 +189,9 @@ TEST_F(ObsTest, SnapshotMergeSumsByName) {
   const obs::HistogramSnapshot* hist =
       merged.histogram("tcsa_test_merge_hist");
   ASSERT_NE(hist, nullptr);
-  EXPECT_EQ(hist->total(), 2u);
-  EXPECT_EQ(hist->counts[0], 1u);
-  EXPECT_EQ(hist->counts[1], 1u);
+  EXPECT_EQ(hist->values.count(), 2u);
+  EXPECT_EQ(hist->values.min(), 0.5);
+  EXPECT_EQ(hist->values.max(), 1.5);
   EXPECT_DOUBLE_EQ(hist->sum, 2.0);
 }
 
@@ -200,8 +216,8 @@ TEST_F(ObsTest, JsonExportContainsSectionsAndValues) {
 TEST_F(ObsTest, PrometheusExportFollowsExposition) {
   const obs::MetricId c =
       obs::register_counter("tcsa_test_prom_total", "prom export");
-  const obs::MetricId h = obs::register_histogram(
-      "tcsa_test_prom_hist", "prom hist", {1.0, 2.0});
+  const obs::MetricId h =
+      obs::register_histogram("tcsa_test_prom_hist", "prom hist");
   obs::counter_add(c, 2);
   obs::histogram_observe(h, 0.5);
   obs::histogram_observe(h, 5.0);
@@ -367,7 +383,7 @@ TEST_F(ObsTest, SimulatorReportsRequestsAndWaits) {
   const obs::HistogramSnapshot* waits =
       delta.histogram("tcsa_sim_wait_slots");
   ASSERT_NE(waits, nullptr);
-  EXPECT_EQ(waits->total(), 500u);
+  EXPECT_EQ(waits->values.count(), 500u);
 }
 
 TEST_F(ObsTest, SweepReportCarriesItsOwnDelta) {

@@ -219,7 +219,7 @@ TEST_F(ServeE2E, WritesMergeableObsArtifacts) {
   const obs::HistogramSnapshot* lag =
       direct.histogram("tcsa_server_slot_lag_us");
   ASSERT_NE(lag, nullptr);
-  EXPECT_EQ(lag->total(), 6000u);
+  EXPECT_EQ(lag->values.count(), 6000u);
 
   // The --out-dir artifact set is a well-formed single-shard run …
   const obs::RunManifest manifest =

@@ -212,30 +212,46 @@ class NoFreeDescriptors {
 };
 
 // Running out of descriptors must not take the broadcast off air: the
-// accepting shard stops polling its listener for a slot, the tuned
-// audience keeps every deadline, and the connection waiting in the kernel
-// backlog is greeted once descriptors free up.
+// accepting shard, and the admin plane on loop 0, stop polling their
+// listeners for a slot (level-triggered, they would spin the loop), the
+// tuned audience keeps every deadline, and the connections waiting in the
+// kernel backlogs are served once descriptors free up.
 TEST(AirServer, OutOfDescriptorsBacksOffAcceptAndStaysOnAir) {
   MetricsDelta metrics;
   AirServerConfig config;
   config.slot_us = 1000;
   config.max_slots = 0;
+  config.admin_port = 0;
   ServerHarness harness(paper_workload(), config);
   TuneClient tuned(harness.client_options(net::kAllChannels));
+  const auto connect_local = [](const net::Fd& fd, std::uint16_t port) {
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    EXPECT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+    return ::connect(fd.get(), reinterpret_cast<sockaddr*>(&addr),
+                     sizeof(addr));
+  };
   net::Fd waiting(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
+  net::Fd scraper(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
   ASSERT_TRUE(waiting.valid());
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(harness.server().port());
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_TRUE(scraper.valid());
 
   NoFreeDescriptors limit;
-  ASSERT_EQ(::connect(waiting.get(), reinterpret_cast<sockaddr*>(&addr),
-                      sizeof(addr)),
-            0);
-  const std::uint64_t aired_before = harness.server().slots_aired();
+  // The admin listener alone first, so only it can raise the counter.
+  ASSERT_EQ(connect_local(scraper, harness.server().admin_port()), 0);
+  std::uint64_t aired_before = harness.server().slots_aired();
+  tuned.run(20);
+  const std::uint64_t admin_backoffs =
+      metrics.counter("tcsa_server_accept_backoffs_total");
+  EXPECT_GT(admin_backoffs, 0u) << "admin listener never backed off";
+  EXPECT_GE(harness.server().slots_aired(), aired_before + 15);
+
+  ASSERT_EQ(connect_local(waiting, harness.server().port()), 0);
+  aired_before = harness.server().slots_aired();
   tuned.run(40);
-  EXPECT_GT(metrics.counter("tcsa_server_accept_backoffs_total"), 0u);
+  EXPECT_GT(metrics.counter("tcsa_server_accept_backoffs_total"),
+            admin_backoffs);
   EXPECT_GE(harness.server().slots_aired(), aired_before + 30);
   EXPECT_EQ(tuned.summary().deadline_misses, 0u);
   limit.restore();
@@ -250,6 +266,16 @@ TEST(AirServer, OutOfDescriptorsBacksOffAcceptAndStaysOnAir) {
   net::Frame frame;
   ASSERT_TRUE(decoder.next(frame));
   EXPECT_EQ(frame.type, net::FrameType::kHello);
+
+  const std::string request = "GET /healthz HTTP/1.0\r\n\r\n";
+  ASSERT_EQ(::send(scraper.get(), request.data(), request.size(), 0),
+            static_cast<ssize_t>(request.size()));
+  pollfd answered{scraper.get(), POLLIN, 0};
+  ASSERT_EQ(::poll(&answered, 1, 5000), 1) << "backlogged scrape never served";
+  const ssize_t got = ::recv(scraper.get(), buffer, sizeof(buffer), 0);
+  ASSERT_GT(got, 0);
+  EXPECT_EQ(std::string_view(buffer, static_cast<std::size_t>(got)).substr(0, 12),
+            "HTTP/1.0 200");
 }
 
 TEST(PlanSwapSeam, IdenticalProgramsAreSeamFreeAtTheMatchingRotation) {
@@ -326,7 +352,7 @@ TEST(AirServer, ExportsServerMetrics) {
   const obs::HistogramSnapshot* lag =
       delta.histogram("tcsa_server_slot_lag_us");
   ASSERT_NE(lag, nullptr);
-  EXPECT_GE(lag->total(), 200u);
+  EXPECT_GE(lag->values.count(), 200u);
 }
 
 // Zero-copy fan-out acceptance: with several full-mask subscribers, frame
