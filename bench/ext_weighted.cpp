@@ -1,17 +1,11 @@
 // Extension A14: access-weighted PAMAD. When clients hit some deadline
 // groups far more than others, the general prob_access of Section 4.1
 // (rather than the paper's uniform special case) should steer bandwidth.
-// Also reports the value-decay metric (A15): average realized information
-// value with linear decay past the deadline, the intro's "value diminishes"
-// story made measurable.
 #include <iostream>
 
 #include "core/channel_bound.hpp"
 #include "core/delay_model.hpp"
 #include "core/pamad.hpp"
-#include "core/placement.hpp"
-#include "sim/broadcast_sim.hpp"
-#include "sim/value.hpp"
 #include "util/table.hpp"
 #include "workload/distributions.hpp"
 
@@ -56,26 +50,9 @@ int main() {
         .add(plain.S.front())
         .add(weighted.S.front());
   }
-  std::cout << table.to_string() << '\n';
-
-  std::cout << "# Extension A15 — realized value under linear decay "
-               "(decay over 1x deadline)\n\n";
-  Table value_table({"channels", "avg value (PAMAD)", "full-value %",
-                     "zero-value %"});
-  for (const SlotCount divisor : {20, 10, 5, 3, 1}) {
-    const SlotCount channels = std::max<SlotCount>(1, bound / divisor);
-    const PamadSchedule s = schedule_pamad(w, channels);
-    const ValueSimResult r = simulate_value(s.program, w, 1.0, 10000, 27);
-    value_table.begin_row()
-        .add(channels)
-        .add(r.avg_value, 4)
-        .add(100.0 * r.full_value_rate, 2)
-        .add(100.0 * r.zero_value_rate, 2);
-  }
-  std::cout << value_table.to_string()
+  std::cout << table.to_string()
             << "\n# expected shape: weighted PAMAD shifts copies toward hot "
                "tight groups and\n# wins on the weighted metric at scarce "
-               "channels; realized value climbs\n# steeply with channels and "
-               "saturates at 1.0 by the Theorem 3.1 bound.\n";
+               "channels.\n";
   return 0;
 }

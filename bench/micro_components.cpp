@@ -1,11 +1,10 @@
 // M3 — component microbenchmarks (google-benchmark): validation,
-// serialisation, baseline schedulers, the cache, and lossy reception.
+// serialisation, the EDF baseline, the water-filling bound, lossy reception
+// and observability overhead.
 #include <benchmark/benchmark.h>
 
 #include <sstream>
 
-#include "client/cache.hpp"
-#include "core/bdisk.hpp"
 #include "core/edf.hpp"
 #include "core/pamad.hpp"
 #include "core/theory.hpp"
@@ -15,7 +14,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/lossy.hpp"
-#include "util/rng.hpp"
 #include "workload/distributions.hpp"
 
 namespace {
@@ -54,15 +52,6 @@ void BM_EdfSchedule(benchmark::State& state) {
 }
 BENCHMARK(BM_EdfSchedule)->Arg(4)->Arg(16)->Unit(benchmark::kMillisecond);
 
-void BM_BdiskSchedule(benchmark::State& state) {
-  const Workload w = make_paper_workload(GroupSizeShape::kUniform);
-  for (auto _ : state) {
-    const BdiskSchedule s = schedule_bdisk(w, state.range(0));
-    benchmark::DoNotOptimize(s.program.occupied());
-  }
-}
-BENCHMARK(BM_BdiskSchedule)->Arg(4)->Arg(16);
-
 void BM_WaterfillingBound(benchmark::State& state) {
   const Workload w = make_paper_workload(GroupSizeShape::kUniform);
   for (auto _ : state) {
@@ -71,22 +60,6 @@ void BM_WaterfillingBound(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WaterfillingBound)->Arg(1)->Arg(13);
-
-void BM_CacheLookupInsert(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(1000);
-  const std::vector<double> prob = zipf_weights(n, 0.9);
-  std::vector<double> freq(n, 4.0);
-  ClientCache cache(static_cast<std::size_t>(state.range(0)),
-                    CachePolicy::kPix, prob, freq);
-  Rng rng(5);
-  const DiscreteSampler sampler(prob);
-  for (auto _ : state) {
-    const auto page = static_cast<PageId>(sampler.sample(rng));
-    if (!cache.lookup(page)) cache.insert(page);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CacheLookupInsert)->Arg(32)->Arg(256);
 
 void BM_LossySimulation(benchmark::State& state) {
   const Workload w = make_paper_workload(GroupSizeShape::kUniform);

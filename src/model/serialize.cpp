@@ -231,9 +231,19 @@ Workload workload_from_binary(std::string_view bytes, std::size_t* consumed) {
                                 std::to_string(h) + " out of range");
   std::vector<GroupSpec> groups;
   groups.reserve(h);
+  // A program airs every page at least once, so a workload with more pages
+  // than the program cell cap could never be served: reject it before the
+  // Workload constructor sizes its page table.
+  std::uint64_t total_pages = 0;
   for (std::uint32_t g = 0; g < h; ++g) {
     const SlotCount expected_time = reader.read_i64();
     const SlotCount pages = reader.read_i64();
+    if (pages > 0) {
+      if (static_cast<std::uint64_t>(pages) > kMaxBinaryCells - total_pages)
+        throw std::invalid_argument("binary workload: page count exceeds "
+                                    "cell cap");
+      total_pages += static_cast<std::uint64_t>(pages);
+    }
     groups.push_back(GroupSpec{expected_time, pages});
   }
   finish(reader, consumed);

@@ -70,7 +70,8 @@ std::string workload_to_binary(const Workload& workload);
 /// span the whole buffer (trailing bytes are an error); otherwise the number
 /// of bytes read is returned through `consumed` so documents can be
 /// concatenated. Throws std::invalid_argument on truncation, bad magic /
-/// version, or any workload invariant violation.
+/// version, a total page count above the program codec's cell cap, or any
+/// workload invariant violation.
 Workload workload_from_binary(std::string_view bytes,
                               std::size_t* consumed = nullptr);
 

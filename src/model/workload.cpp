@@ -25,9 +25,10 @@ Workload::Workload(std::vector<GroupSpec> groups) : groups_(std::move(groups)) {
   first_page_.reserve(groups_.size() + 1);
   first_page_.push_back(0);
   for (const GroupSpec& g : groups_) {
-    total_pages_ += g.pages;
-    TCSA_REQUIRE(total_pages_ <= static_cast<SlotCount>(kNoPage),
+    // Checked before adding: a hostile page count must not overflow the sum.
+    TCSA_REQUIRE(g.pages <= static_cast<SlotCount>(kNoPage) - total_pages_,
                  "Workload: too many pages for PageId");
+    total_pages_ += g.pages;
     first_page_.push_back(static_cast<PageId>(total_pages_));
   }
   page_group_.resize(static_cast<std::size_t>(total_pages_));

@@ -1,15 +1,10 @@
-// Tests for failure injection: the Gilbert–Elliott lossy reception model
-// and the broadcast-disk baseline scheduler.
+// Tests for failure injection: the Gilbert–Elliott lossy reception model.
 #include <gtest/gtest.h>
 
-#include "core/bdisk.hpp"
-#include "core/channel_bound.hpp"
-#include "core/mpb.hpp"
 #include "core/pamad.hpp"
 #include "core/susc.hpp"
 #include "model/appearance_index.hpp"
 #include "model/validate.hpp"
-#include "sim/broadcast_sim.hpp"
 #include "sim/lossy.hpp"
 #include "workload/distributions.hpp"
 
@@ -136,60 +131,6 @@ TEST(Lossy, RejectsBadParameters) {
   Rng rng(1);
   EXPECT_THROW(lossy_wait(idx, 0, 0.0, LossModel{}, rng, 0),
                std::invalid_argument);
-}
-
-// -------------------------------------------------------------------- bdisk
-
-TEST(Bdisk, CopyCountsMatchRelativeFrequencies) {
-  const Workload w = make_workload({2, 4, 8}, {3, 5, 3});
-  const BdiskSchedule s = schedule_bdisk(w, 2);
-  const AppearanceIndex idx(s.program, w.total_pages());
-  const std::vector<SlotCount> rel = {4, 2, 1};
-  for (PageId page = 0; page < w.total_pages(); ++page) {
-    const GroupId g = w.group_of(page);
-    EXPECT_EQ(idx.count(page), rel[static_cast<std::size_t>(g)])
-        << "page " << page;
-  }
-}
-
-TEST(Bdisk, MinorCycleStructure) {
-  const Workload w = make_workload({2, 4, 8}, {3, 5, 3});
-  const BdiskSchedule s = schedule_bdisk(w, 1);
-  EXPECT_EQ(s.minor_cycles, 4);  // max_rel = t_h/t_1
-  EXPECT_EQ(s.chunk_count, (std::vector<SlotCount>{1, 2, 4}));
-  // Total slots: 4*3 + 2*5 + 1*3 = 25 on one channel.
-  EXPECT_EQ(s.t_major, 25);
-  EXPECT_EQ(s.program.occupied(), 25);
-}
-
-TEST(Bdisk, ValidAtSufficientChannels) {
-  const Workload w = make_workload({2, 4}, {2, 3});
-  const BdiskSchedule s = schedule_bdisk(w, min_channels(w));
-  SimConfig sim;
-  sim.requests.count = 5000;
-  EXPECT_NEAR(simulate_requests(s.program, w, sim).avg_delay, 0.0, 0.35);
-}
-
-TEST(Bdisk, ComparableToMpbWellBelowBound) {
-  // Same copy counts as m-PB, different interleave: when the cycle is long
-  // the two baselines land in the same delay regime (well above PAMAD).
-  const Workload w = make_paper_workload(GroupSizeShape::kUniform, 6, 300, 4, 2);
-  const SlotCount channels = min_channels(w) / 4;
-  SimConfig sim;
-  sim.requests.count = 20000;
-  const double bdisk =
-      simulate_requests(schedule_bdisk(w, channels).program, w, sim).avg_delay;
-  const double mpb =
-      simulate_requests(schedule_mpb(w, channels).program, w, sim).avg_delay;
-  const double pamad =
-      simulate_requests(schedule_pamad(w, channels).program, w, sim).avg_delay;
-  EXPECT_NEAR(bdisk, mpb, mpb * 0.5);
-  EXPECT_LT(pamad, bdisk);
-}
-
-TEST(Bdisk, RejectsBadChannelCount) {
-  const Workload w = make_workload({2}, {1});
-  EXPECT_THROW(schedule_bdisk(w, 0), std::invalid_argument);
 }
 
 }  // namespace

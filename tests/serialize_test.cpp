@@ -1,11 +1,15 @@
 // Tests for the tcsa v1 text formats (model/serialize).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "core/pamad.hpp"
 #include "core/susc.hpp"
 #include "model/serialize.hpp"
+#include "util/wire.hpp"
 #include "workload/distributions.hpp"
 
 namespace tcsa {
@@ -152,6 +156,26 @@ TEST(BinaryWorkload, RejectsBadMagicVersionTrailingJunkAndHostileCounts) {
   std::string hostile = bytes.substr(0, 5);
   for (int i = 0; i < 4; ++i) hostile.push_back(static_cast<char>(0xff));
   EXPECT_THROW(workload_from_binary(hostile), std::invalid_argument);
+  // Hostile page counts: a sum that overflows int64 (it would wrap negative
+  // past the PageId check), and a single group that fits PageId but would
+  // size a 17 GB page table. Both must be rejected, not thrown as
+  // length_error or bad_alloc.
+  const auto with_groups =
+      [&bytes](std::initializer_list<std::pair<std::int64_t, std::int64_t>>
+                   groups) {
+        std::string out = bytes.substr(0, 5);
+        wire_put_u32(out, static_cast<std::uint32_t>(groups.size()));
+        for (const auto& [expected_time, pages] : groups) {
+          wire_put_i64(out, expected_time);
+          wire_put_i64(out, pages);
+        }
+        return out;
+      };
+  EXPECT_THROW(workload_from_binary(with_groups(
+                   {{1, 2}, {2, std::numeric_limits<std::int64_t>::max()}})),
+               std::invalid_argument);
+  EXPECT_THROW(workload_from_binary(with_groups({{1, 4294967295}})),
+               std::invalid_argument);
 }
 
 TEST(BinaryWorkload, ConsumedSupportsConcatenatedDocuments) {

@@ -10,6 +10,8 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <thread>
 #include <vector>
@@ -17,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "core/api.hpp"
+#include "model/serialize.hpp"
 #include "model/validate.hpp"
 #include "model/workload.hpp"
 #include "net/framing.hpp"
@@ -135,6 +138,7 @@ TEST(AirServer, LoopbackDeadlinesHoldAcrossChannelSwitchAndHotSwap) {
 }
 
 TEST(AirServer, RejectsSwapToAnUnschedulableWorkloadAndStaysOnAir) {
+  MetricsDelta metrics;
   AirServerConfig config;
   config.slot_us = 300;
   config.max_slots = 4000;
@@ -147,6 +151,46 @@ TEST(AirServer, RejectsSwapToAnUnschedulableWorkloadAndStaysOnAir) {
       client.request_swap(make_workload({2}, {40}), /*channels=*/4);
   EXPECT_FALSE(reply.accepted);
   EXPECT_FALSE(reply.error.empty());
+
+  // A raw kSwap whose group page counts overflow their int64 sum: it must
+  // come back as a rejected swap, not unwind the airing loop.
+  const std::uint64_t rejected_before =
+      metrics.counter("tcsa_server_swap_rejected_total");
+  std::string payload;
+  wire_put_u32(payload, 0);  // keep the current channel count
+  wire_put_u8(payload, net::kSwapMethodAuto);
+  payload += workload_to_binary(paper_workload()).substr(0, 5);  // header
+  wire_put_u32(payload, 2);  // groups {t=1, pages=2}, {t=2, pages=INT64_MAX}
+  wire_put_i64(payload, 1);
+  wire_put_i64(payload, 2);
+  wire_put_i64(payload, 2);
+  wire_put_i64(payload, std::numeric_limits<std::int64_t>::max());
+  std::string swap_frame;
+  net::append_frame(swap_frame, net::FrameType::kSwap, payload);
+  net::Fd hostile = net::connect_tcp("127.0.0.1", harness.server().port());
+  ASSERT_EQ(::send(hostile.get(), swap_frame.data(), swap_frame.size(),
+                   MSG_NOSIGNAL),
+            static_cast<ssize_t>(swap_frame.size()));
+  net::FrameDecoder decoder;
+  net::Frame frame;
+  bool replied = false;
+  while (!replied) {
+    pollfd readable{hostile.get(), POLLIN, 0};
+    ASSERT_EQ(::poll(&readable, 1, 5000), 1) << "no swap reply";
+    char buffer[4096];
+    const ssize_t n = ::recv(hostile.get(), buffer, sizeof(buffer), 0);
+    ASSERT_GT(n, 0) << "server closed before the swap reply";
+    decoder.feed(std::string_view(buffer, static_cast<std::size_t>(n)));
+    while (!replied && decoder.next(frame)) {
+      if (frame.type != net::FrameType::kSwapReply) continue;
+      replied = true;
+      WireReader reader(frame.payload);
+      EXPECT_EQ(reader.read_u8(), 0) << "hostile swap accepted";
+    }
+  }
+  EXPECT_EQ(metrics.counter("tcsa_server_swap_rejected_total"),
+            rejected_before + 1);
+
   // The old program keeps airing, still meeting deadlines.
   client.run(60);
   const TuneSummary summary = client.summary();

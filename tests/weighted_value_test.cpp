@@ -1,4 +1,4 @@
-// Tests for access-weighted PAMAD and the value-decay metric.
+// Tests for access-weighted PAMAD.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -6,9 +6,6 @@
 #include "core/channel_bound.hpp"
 #include "core/delay_model.hpp"
 #include "core/pamad.hpp"
-#include "core/placement.hpp"
-#include "core/susc.hpp"
-#include "sim/value.hpp"
 #include "workload/distributions.hpp"
 
 namespace tcsa {
@@ -125,53 +122,6 @@ TEST(WeightedPamad, RejectsBadWeights) {
   EXPECT_THROW(
       pamad_frequencies_weighted(w, 1, std::vector<double>{0.0, 0.0}),
       std::invalid_argument);
-}
-
-// -------------------------------------------------------------- value decay
-
-TEST(Value, PiecewiseShape) {
-  EXPECT_DOUBLE_EQ(realized_value(2.0, 4, 1.0), 1.0);   // within deadline
-  EXPECT_DOUBLE_EQ(realized_value(4.0, 4, 1.0), 1.0);   // at deadline
-  EXPECT_DOUBLE_EQ(realized_value(6.0, 4, 1.0), 0.5);   // halfway decayed
-  EXPECT_DOUBLE_EQ(realized_value(8.0, 4, 1.0), 0.0);   // fully decayed
-  EXPECT_DOUBLE_EQ(realized_value(100.0, 4, 1.0), 0.0); // clamped
-  // Softer decay keeps more value at equal overrun.
-  EXPECT_GT(realized_value(6.0, 4, 2.0), realized_value(6.0, 4, 1.0));
-}
-
-TEST(Value, RejectsBadArguments) {
-  EXPECT_THROW(realized_value(-1.0, 4, 1.0), std::invalid_argument);
-  EXPECT_THROW(realized_value(1.0, 0, 1.0), std::invalid_argument);
-  EXPECT_THROW(realized_value(1.0, 4, 0.0), std::invalid_argument);
-}
-
-TEST(Value, ValidProgramRealizesFullValue) {
-  const Workload w = make_workload({2, 4, 8}, {3, 5, 3});
-  const BroadcastProgram p = schedule_susc(w);
-  const ValueSimResult r = simulate_value(p, w, 1.0, 5000, 3);
-  EXPECT_DOUBLE_EQ(r.avg_value, 1.0);
-  EXPECT_DOUBLE_EQ(r.full_value_rate, 1.0);
-  EXPECT_DOUBLE_EQ(r.zero_value_rate, 0.0);
-}
-
-TEST(Value, MoreChannelsMoreValue) {
-  const Workload w = make_paper_workload(GroupSizeShape::kUniform, 5, 200, 4, 2);
-  double last = -1.0;
-  for (const SlotCount channels : {1, 3, 6, 10}) {
-    const PamadSchedule s = schedule_pamad(w, channels);
-    const ValueSimResult r = simulate_value(s.program, w, 1.0, 10000, 9);
-    EXPECT_GT(r.avg_value, last) << "channels " << channels;
-    last = r.avg_value;
-  }
-}
-
-TEST(Value, SofterDecayScoresHigher) {
-  const Workload w = make_paper_workload(GroupSizeShape::kUniform, 5, 200, 4, 2);
-  const PamadSchedule s = schedule_pamad(w, 3);
-  const ValueSimResult hard = simulate_value(s.program, w, 0.25, 10000, 9);
-  const ValueSimResult soft = simulate_value(s.program, w, 4.0, 10000, 9);
-  EXPECT_LT(hard.avg_value, soft.avg_value);
-  EXPECT_GE(hard.zero_value_rate, soft.zero_value_rate);
 }
 
 }  // namespace
