@@ -3,17 +3,24 @@
 // Measures how long each algorithm takes to build a schedule as the
 // workload scales: the paper notes OPT's "unacceptably high" search cost;
 // these numbers quantify the gap between OPT, the PAMAD heuristic (a few
-// microseconds of frequency search) and plain SUSC packing.
+// microseconds of frequency search) and plain SUSC packing, and how SUSC and
+// swap-seam planning scale to catalog size against their reference scans.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
 
 #include "bench_obs.hpp"
 #include "core/channel_bound.hpp"
 #include "core/delay_model.hpp"
+#include "core/edf.hpp"
 #include "core/mpb.hpp"
 #include "core/opt.hpp"
 #include "core/pamad.hpp"
 #include "core/placement.hpp"
 #include "core/susc.hpp"
+#include "model/appearance_index.hpp"
+#include "model/validate.hpp"
+#include "server/air_server.hpp"
 #include "workload/distributions.hpp"
 
 #include "oracles.hpp"
@@ -34,15 +41,87 @@ void BM_MinChannels(benchmark::State& state) {
 BENCHMARK(BM_MinChannels)->Arg(1000);
 
 void BM_SuscSchedule(benchmark::State& state) {
+  // range(0) is the page count; range(1) selects the paper's rescanning
+  // Algorithm 2 (reference) instead of the cursor-and-pointer scheduler.
   const Workload w = bench_workload(state.range(0));
   const SlotCount channels = min_channels(w);
+  const bool reference = state.range(1) != 0;
   for (auto _ : state) {
-    const BroadcastProgram p = schedule_susc(w, channels);
+    const BroadcastProgram p = reference
+                                   ? schedule_susc_reference(w, channels)
+                                   : schedule_susc(w, channels);
     benchmark::DoNotOptimize(p.occupied());
   }
+  state.SetLabel(reference ? "reference" : "cursor");
   state.SetItemsProcessed(state.iterations() * w.total_pages());
 }
-BENCHMARK(BM_SuscSchedule)->Arg(100)->Arg(1000)->Arg(4000);
+BENCHMARK(BM_SuscSchedule)
+    ->Args({100, 0})->Args({1000, 0})->Args({4000, 0})->Args({4000, 1})
+    ->Args({10000, 0})->Args({100000, 0})->Args({1000000, 0})
+    ->Unit(benchmark::kMillisecond);
+
+void BM_PlanSwapSeam(benchmark::State& state) {
+  // A catalog-scale swap: 10k pages on a 128..1024-slot ladder, from Pareto
+  // to lognormal group sizes, both scheduled by SUSC on a shared channel
+  // count, planned from a mid-cycle boundary. range(0) selects the rotation
+  // scan (reference) instead of the interval sweep.
+  const Workload from =
+      make_workload({128, 256, 512, 1024}, {1063, 1406, 2153, 5378});
+  const Workload to =
+      make_workload({128, 256, 512, 1024}, {567, 1304, 2465, 5664});
+  const SlotCount channels = std::max(min_channels(from), min_channels(to));
+  const BroadcastProgram p_from = schedule_susc(from, channels);
+  const BroadcastProgram p_to = schedule_susc(to, channels);
+  const SlotCount offset = 311;
+  const bool reference = state.range(0) != 0;
+  for (auto _ : state) {
+    const SwapPlan plan =
+        reference ? plan_swap_seam_reference(from, p_from, offset, to, p_to)
+                  : plan_swap_seam(from, p_from, offset, to, p_to);
+    benchmark::DoNotOptimize(plan.seam_lateness);
+  }
+  state.SetLabel(reference ? "reference" : "sweep");
+  state.SetItemsProcessed(state.iterations() * p_to.occupied());
+}
+BENCHMARK(BM_PlanSwapSeam)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+void BM_CatalogScale(benchmark::State& state) {
+  // The layers around SUSC on the same page ladder, to find the next one
+  // that grows faster than the catalog: range(0) picks the stage (0 builds
+  // the AppearanceIndex of the SUSC program, 1 validates it, 2 schedules
+  // PAMAD and 3 EDF at half the Theorem 3.1 bound), range(1) the pages.
+  static constexpr const char* kStage[] = {"index", "validate", "pamad",
+                                           "edf"};
+  const auto stage = static_cast<int>(state.range(0));
+  const Workload w = bench_workload(state.range(1));
+  const SlotCount channels = min_channels(w);
+  const BroadcastProgram program = schedule_susc(w, channels);
+  for (auto _ : state) {
+    switch (stage) {
+      case 0:
+        benchmark::DoNotOptimize(
+            AppearanceIndex(program, w.total_pages()).cycle_length());
+        break;
+      case 1:
+        benchmark::DoNotOptimize(validate_program(program, w).worst_wait);
+        break;
+      case 2:
+        benchmark::DoNotOptimize(
+            schedule_pamad(w, channels / 2).program.occupied());
+        break;
+      default:
+        benchmark::DoNotOptimize(
+            schedule_edf(w, channels / 2).program.occupied());
+        break;
+    }
+  }
+  state.SetLabel(kStage[stage]);
+  state.SetItemsProcessed(state.iterations() * w.total_pages());
+}
+BENCHMARK(BM_CatalogScale)
+    ->ArgsProduct({{0, 1, 2}, {10000, 100000, 1000000}})
+    ->Args({3, 10000})->Args({3, 100000})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_PamadFrequencySearch(benchmark::State& state) {
   const Workload w = bench_workload(1000);

@@ -5,9 +5,16 @@
 //
 //   1. Take pages in ascending expected-time order (tight deadlines claim the
 //      scarce early columns first — Condition (1) of validity).
-//   2. For each page, GetAvailableSlot scans channel by channel for the first
-//      empty slot within the page's first t_i columns. Theorem 3.2 guarantees
-//      one exists whenever channels >= the minimum.
+//   2. For each page, GetAvailableSlot finds the first empty slot, channel by
+//      channel, within the page's first t_i columns. Theorem 3.2 guarantees
+//      one exists whenever channels >= the minimum. Slots are only ever
+//      filled, so each channel keeps a cursor at its first empty column that
+//      only moves forward. Within a group t_i is fixed, so a channel whose
+//      cursor reached t_i stays closed, and a pointer to the first open
+//      channel only moves forward; it resets when the next group starts.
+//      The scan the paper describes costs O(n * N * t); with the cursors and
+//      the pointer SUSC costs O(n + h * N + N * t_h) and places every page
+//      in the same slot.
 //   3. From that slot (x, y), replicate the page every t_i columns to the end
 //      of the cycle t_h (Condition (2)); Theorem 3.3 guarantees all those
 //      slots are still empty, which this implementation asserts.

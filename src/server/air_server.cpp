@@ -66,15 +66,38 @@ SwapPlan plan_swap_seam(const Workload& current_workload,
   }
   if (pages.empty()) return SwapPlan{0, 0};
 
+  // At rotation r, page p next completes at its first appearance a_k with
+  // a_{k-1} <= r < a_k (past the last one it wraps to a_0 + T), so the
+  // seam lateness is L(r) = max_p(a_k - promised_p) - r. Each page's
+  // appearances cut [0, T) into intervals on which a_k - promised_p is
+  // constant, and that value rises from one interval to the next. So the
+  // open interval of a page is the largest-valued one it has started, and
+  // max_p is the largest value of any interval started at or before r:
+  // record the largest value starting at each column, then sweep r upward
+  // with a running maximum. O(cells + T) time, O(T) memory.
   const SlotCount cycle = next_program.cycle_length();
-  SwapPlan best{0, std::numeric_limits<SlotCount>::max()};
-  for (SlotCount r = 0; r < cycle; ++r) {
-    SlotCount lateness = std::numeric_limits<SlotCount>::min();
-    for (std::size_t i = 0; i < pages.size(); ++i) {
-      const SlotCount wait = integral_wait_after(new_index, pages[i], r);
-      lateness = std::max(lateness, wait - promised[i]);
-      if (lateness >= best.seam_lateness) break;  // cannot improve
+  // opens[c]: the largest value of an interval that starts at column c.
+  std::vector<SlotCount> opens(static_cast<std::size_t>(cycle),
+                               std::numeric_limits<SlotCount>::min());
+  const auto open_at = [&](SlotCount column, SlotCount value) {
+    SlotCount& top = opens[static_cast<std::size_t>(column)];
+    top = std::max(top, value);
+  };
+  for (std::size_t i = 0; i < pages.size(); ++i) {
+    const auto times = new_index.appearances(pages[i]);
+    SlotCount start = 0;
+    for (const SlotCount a : times) {
+      if (start < a) open_at(start, a - promised[i]);
+      start = a;
     }
+    if (start < cycle) open_at(start, times.front() + cycle - promised[i]);
+  }
+
+  SwapPlan best{0, std::numeric_limits<SlotCount>::max()};
+  SlotCount worst = std::numeric_limits<SlotCount>::min();
+  for (SlotCount r = 0; r < cycle; ++r) {
+    worst = std::max(worst, opens[static_cast<std::size_t>(r)]);
+    const SlotCount lateness = worst - r;
     if (lateness < best.seam_lateness) best = SwapPlan{r, lateness};
     if (best.seam_lateness <= 0) break;  // smallest seam-clean rotation wins
   }

@@ -123,7 +123,9 @@ struct SwapPlan {
 /// program would have delivered had it kept cycling); the plan minimizes
 /// max_p(first_new(p) - first_old(p)). `current_offset` is the rotation the
 /// old program airs under. Rotation preserves validity condition (2) — the
-/// appearance gaps of a cyclic program are rotation-invariant.
+/// appearance gaps of a cyclic program are rotation-invariant. Returns the
+/// first seam-clean rotation, or failing that the first that minimizes the
+/// lateness. One sweep over the rotations: O(cells + T).
 SwapPlan plan_swap_seam(const Workload& current_workload,
                         const BroadcastProgram& current_program,
                         SlotCount current_offset,

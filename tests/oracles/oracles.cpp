@@ -1,8 +1,12 @@
 #include "oracles.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <numeric>
+#include <optional>
 
+#include "core/channel_bound.hpp"
 #include "core/delay_model.hpp"
 #include "util/contracts.hpp"
 #include "util/stats.hpp"
@@ -41,7 +45,95 @@ SlotCount reference_place_from(BroadcastProgram& program, PageId page,
   return -1;
 }
 
+/// Algorithm 2 (GetAvailableSlot): first empty slot scanning channels in
+/// order, columns [0, t) within each channel. Returns nullopt when every
+/// candidate slot is taken — which Theorem 3.2 rules out under sufficient
+/// channels, so callers treat nullopt as an internal error.
+std::optional<std::pair<SlotCount, SlotCount>> get_available_slot(
+    const BroadcastProgram& program, SlotCount t) {
+  for (SlotCount channel = 0; channel < program.channels(); ++channel) {
+    for (SlotCount slot = 0; slot < t; ++slot) {
+      if (program.empty_at(channel, slot)) return {{channel, slot}};
+    }
+  }
+  return std::nullopt;
+}
+
+/// Next completion of `page` strictly after cycle position `from`, as a
+/// wait in slots (integral: appearances live on integer completion times).
+SlotCount integral_wait_after(const AppearanceIndex& index, PageId page,
+                              SlotCount from) {
+  return static_cast<SlotCount>(
+      std::llround(index.wait_after(page, static_cast<double>(from))));
+}
+
 }  // namespace
+
+BroadcastProgram schedule_susc_reference(const Workload& workload,
+                                         SlotCount channels) {
+  TCSA_REQUIRE(channels >= min_channels(workload),
+               "schedule_susc: channels below the Theorem 3.1 minimum — "
+               "use PAMAD for the insufficient-channel case");
+  const SlotCount cycle = workload.max_expected_time();
+  BroadcastProgram program(channels, cycle);
+
+  // Groups are stored in ascending expected-time order already (Workload
+  // invariant), which is exactly Algorithm 1's sort.
+  for (GroupId g = 0; g < workload.group_count(); ++g) {
+    const SlotCount t = workload.expected_time(g);
+    const SlotCount replications = cycle / t;  // ceil(t_h / t_i) == exact
+    for (SlotCount j = 0; j < workload.pages_in_group(g); ++j) {
+      const PageId page = workload.first_page(g) + static_cast<PageId>(j);
+      const auto found = get_available_slot(program, t);
+      TCSA_ASSERT(found.has_value(),
+                  "schedule_susc: no slot in the first t_i columns — "
+                  "Theorem 3.2 violated (bug)");
+      const auto [x, y] = *found;
+      // Theorem 3.3: the arithmetic progression (x, y + k*t) is free; place()
+      // asserts emptiness, so a violation surfaces immediately.
+      for (SlotCount k = 0; k < replications; ++k)
+        program.place(x, y + k * t, page);
+    }
+  }
+  return program;
+}
+
+SwapPlan plan_swap_seam_reference(const Workload& current_workload,
+                                  const BroadcastProgram& current_program,
+                                  SlotCount current_offset,
+                                  const Workload& next_workload,
+                                  const BroadcastProgram& next_program) {
+  const AppearanceIndex old_index(current_program,
+                                  current_workload.total_pages());
+  const AppearanceIndex new_index(next_program, next_workload.total_pages());
+  const PageId common = static_cast<PageId>(
+      std::min(current_workload.total_pages(), next_workload.total_pages()));
+
+  // Outstanding promise per common page: the wait the continued old cycle
+  // would have delivered from the boundary.
+  std::vector<PageId> pages;
+  std::vector<SlotCount> promised;
+  for (PageId p = 0; p < common; ++p) {
+    if (old_index.count(p) == 0 || new_index.count(p) == 0) continue;
+    pages.push_back(p);
+    promised.push_back(integral_wait_after(old_index, p, current_offset));
+  }
+  if (pages.empty()) return SwapPlan{0, 0};
+
+  const SlotCount cycle = next_program.cycle_length();
+  SwapPlan best{0, std::numeric_limits<SlotCount>::max()};
+  for (SlotCount r = 0; r < cycle; ++r) {
+    SlotCount lateness = std::numeric_limits<SlotCount>::min();
+    for (std::size_t i = 0; i < pages.size(); ++i) {
+      const SlotCount wait = integral_wait_after(new_index, pages[i], r);
+      lateness = std::max(lateness, wait - promised[i]);
+      if (lateness >= best.seam_lateness) break;  // cannot improve
+    }
+    if (lateness < best.seam_lateness) best = SwapPlan{r, lateness};
+    if (best.seam_lateness <= 0) break;  // smallest seam-clean rotation wins
+  }
+  return best;
+}
 
 PlacementResult place_even_spread_reference(const Workload& workload,
                                             std::span<const SlotCount> S,

@@ -1,5 +1,6 @@
 // oracles.hpp — the naive reference implementations the optimised
-// placement and simulator paths are checked against, bit for bit. Test and
+// SUSC, seam-planning, placement and simulator paths are checked against,
+// bit for bit. Test and
 // benchmark code only: none of this ships in the library.
 #pragma once
 
@@ -8,9 +9,25 @@
 
 #include "core/placement.hpp"
 #include "model/appearance_index.hpp"
+#include "server/air_server.hpp"
 #include "sim/broadcast_sim.hpp"
 
 namespace tcsa {
+
+/// The paper's SUSC with Algorithm 2 as written: every page rescans from
+/// channel 0, column 0. schedule_susc must produce a cell-for-cell identical
+/// program. O(n * N * t) worst case.
+BroadcastProgram schedule_susc_reference(const Workload& workload,
+                                         SlotCount channels);
+
+/// The rotation scan: every rotation r of the next program in turn, one
+/// AppearanceIndex::wait_after binary search per common page. plan_swap_seam
+/// must return the same offset and seam_lateness. O(T * pages * log).
+SwapPlan plan_swap_seam_reference(const Workload& current_workload,
+                                  const BroadcastProgram& current_program,
+                                  SlotCount current_offset,
+                                  const Workload& next_workload,
+                                  const BroadcastProgram& next_program);
 
 /// The seed's naive double-scan placer: place_even_spread must produce a
 /// bit-identical program. O(copies * t_major * channels) worst case.

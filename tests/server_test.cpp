@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "core/api.hpp"
+#include "core/channel_bound.hpp"
 #include "model/serialize.hpp"
 #include "model/validate.hpp"
 #include "model/workload.hpp"
@@ -26,7 +27,11 @@
 #include "obs/metrics.hpp"
 #include "server/air_server.hpp"
 #include "server/tune_client.hpp"
+#include "util/rng.hpp"
 #include "util/wire.hpp"
+#include "workload/distributions.hpp"
+
+#include "oracles.hpp"
 
 #include "server_harness.hpp"
 
@@ -358,6 +363,71 @@ TEST(PlanSwapSeam, ReportsPositiveLatenessWhenNoRotationPreservesPromises) {
   new_program.place(0, 1, 1);
   const SwapPlan plan = plan_swap_seam(w, old_program, 0, w, new_program);
   EXPECT_EQ(plan.seam_lateness, 1);
+}
+
+// The interval sweep must pick exactly the rotation the rotation scan
+// picks: the first seam-clean one, or failing that the first that
+// minimizes the lateness. Pairs are seeded random ladders, scheduled by
+// SUSC at or above the Theorem 3.1 minimum and by PAMAD below it, at
+// random boundary offsets; the next catalog may grow, shrink or re-time.
+TEST(PlanSwapSeamOracle, MatchesRotationScan) {
+  Rng rng(7001);
+  const auto random_workload = [&] {
+    std::vector<SlotCount> times{rng.uniform_int(1, 4)};
+    std::vector<SlotCount> pages{rng.uniform_int(1, 12)};
+    for (std::int64_t g = rng.uniform_int(0, 4); g > 0; --g) {
+      times.push_back(times.back() * rng.uniform_int(2, 3));
+      pages.push_back(rng.uniform_int(1, 30));
+    }
+    return make_workload(times, pages);
+  };
+  const auto schedule = [&](const Workload& w, bool pamad) {
+    const SlotCount bound = min_channels(w);
+    if (!pamad)
+      return make_schedule(Method::kSusc, w, bound + rng.uniform_int(0, 2))
+          .program;
+    return make_schedule(Method::kPamad, w,
+                         rng.uniform_int(1, std::max<SlotCount>(1, bound - 1)))
+        .program;
+  };
+  int clean = 0;
+  int unclean = 0;
+  for (int draw = 0; draw < 300; ++draw) {
+    const int kind = draw % 3;  // SUSC->SUSC, SUSC->PAMAD, PAMAD->PAMAD
+    const Workload w1 = random_workload();
+    const Workload w2 = rng.uniform_int(0, 3) == 0 ? w1 : random_workload();
+    const BroadcastProgram p1 = schedule(w1, kind == 2);
+    const BroadcastProgram p2 = schedule(w2, kind != 0);
+    const SlotCount offset = rng.uniform_int(0, p1.cycle_length() - 1);
+    const SwapPlan fast = plan_swap_seam(w1, p1, offset, w2, p2);
+    const SwapPlan ref = plan_swap_seam_reference(w1, p1, offset, w2, p2);
+    EXPECT_EQ(fast.offset, ref.offset) << "draw " << draw;
+    EXPECT_EQ(fast.seam_lateness, ref.seam_lateness) << "draw " << draw;
+    (ref.seam_lateness <= 0 ? clean : unclean) += 1;
+  }
+  // Both branches of the tie rule were exercised.
+  EXPECT_GT(clean, 0);
+  EXPECT_GT(unclean, 0);
+
+  // Catalog scale: 10k pages swapped from Pareto to lognormal group sizes
+  // on the same 128..1024-slot ladder, both scheduled by SUSC.
+  const Workload pareto =
+      make_workload({128, 256, 512, 1024}, {1063, 1406, 2153, 5378});
+  const Workload lognormal =
+      make_workload({128, 256, 512, 1024}, {567, 1304, 2465, 5664});
+  const SlotCount channels =
+      std::max(min_channels(pareto), min_channels(lognormal));
+  const BroadcastProgram big1 =
+      make_schedule(Method::kSusc, pareto, channels).program;
+  const BroadcastProgram big2 =
+      make_schedule(Method::kSusc, lognormal, channels).program;
+  for (const SlotCount offset : {0, 311, 1023}) {
+    const SwapPlan fast = plan_swap_seam(pareto, big1, offset, lognormal, big2);
+    const SwapPlan ref =
+        plan_swap_seam_reference(pareto, big1, offset, lognormal, big2);
+    EXPECT_EQ(fast.offset, ref.offset) << "offset " << offset;
+    EXPECT_EQ(fast.seam_lateness, ref.seam_lateness) << "offset " << offset;
+  }
 }
 
 TEST(AirServer, ExportsServerMetrics) {

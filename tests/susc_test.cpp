@@ -3,13 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/channel_bound.hpp"
 #include "core/susc.hpp"
 #include "model/appearance_index.hpp"
 #include "model/validate.hpp"
 #include "sim/broadcast_sim.hpp"
+#include "util/rng.hpp"
 #include "workload/distributions.hpp"
+
+#include "oracles.hpp"
 
 namespace tcsa {
 namespace {
@@ -161,6 +166,51 @@ TEST(Susc, MixedRatioLadder) {
   const Workload w = make_workload({2, 4, 12, 24}, {3, 4, 6, 10});
   const BroadcastProgram p = schedule_susc(w);
   EXPECT_TRUE(is_valid_program(p, w));
+}
+
+// The cursor-and-pointer SUSC must reproduce the paper's rescanning
+// Algorithm 2 cell for cell: on seeded random ladders of every group-size
+// shape and on random mixed-ratio ladders, from the Theorem 3.1 minimum up
+// to three spare channels (where a later group's larger t reopens channels
+// an earlier group closed).
+TEST(SuscOracle, MatchesReferenceScan) {
+  Rng rng(20050618);
+  const auto check = [](const Workload& w, const std::string& what) {
+    const SlotCount lo = min_channels(w);
+    for (SlotCount channels = lo; channels <= lo + 3; ++channels) {
+      EXPECT_TRUE(schedule_susc(w, channels) ==
+                  schedule_susc_reference(w, channels))
+          << what << " channels=" << channels;
+    }
+  };
+  for (const GroupSizeShape shape :
+       {GroupSizeShape::kUniform, GroupSizeShape::kNormal,
+        GroupSizeShape::kLSkewed, GroupSizeShape::kSSkewed,
+        GroupSizeShape::kZipf, GroupSizeShape::kBinomial}) {
+    for (int draw = 0; draw < 12; ++draw) {
+      const auto h = static_cast<GroupId>(rng.uniform_int(1, 7));
+      const SlotCount n = rng.uniform_int(h, 400);
+      const SlotCount t1 = rng.uniform_int(1, 6);
+      const SlotCount c = rng.uniform_int(2, 3);
+      check(make_paper_workload(shape, h, n, t1, c),
+            shape_name(shape) + " h=" + std::to_string(h) +
+                " n=" + std::to_string(n) + " t1=" + std::to_string(t1) +
+                " c=" + std::to_string(c));
+    }
+  }
+  for (int draw = 0; draw < 24; ++draw) {
+    std::vector<SlotCount> times{rng.uniform_int(1, 5)};
+    std::vector<SlotCount> pages{rng.uniform_int(1, 40)};
+    for (std::int64_t g = rng.uniform_int(0, 5); g > 0; --g) {
+      times.push_back(times.back() * rng.uniform_int(2, 3));
+      pages.push_back(rng.uniform_int(1, 60));
+    }
+    check(make_workload(times, pages), "mixed draw " + std::to_string(draw));
+  }
+  // Catalog scale: 10k pages over a 128..1024-slot ladder with Pareto
+  // (alpha 1.2) group sizes, the loosest group holding the heavy tail.
+  check(make_workload({128, 256, 512, 1024}, {1063, 1406, 2153, 5378}),
+        "10k heavy-tailed catalog");
 }
 
 }  // namespace
