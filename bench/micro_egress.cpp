@@ -43,7 +43,6 @@
 #include "net/shared_buf.hpp"
 #include "net/socket.hpp"
 #include "net/uring_flush.hpp"
-#include "util/wire.hpp"
 
 namespace {
 
@@ -55,14 +54,9 @@ constexpr unsigned kBenchRingEntries = 16;  // small ring: windows show up
 
 std::string encode_page_frame_gen(std::uint64_t slot, std::uint32_t channel,
                                   std::uint32_t generation) {
-  std::string payload;
-  tcsa::wire_put_u64(payload, slot);
-  tcsa::wire_put_u32(payload, generation);
-  tcsa::wire_put_u32(payload, channel);
-  tcsa::wire_put_u32(payload, channel);  // page id: irrelevant to egress
-  std::string frame;
-  tcsa::net::append_frame(frame, tcsa::net::FrameType::kPage, payload);
-  return frame;
+  // The page id is irrelevant to egress: reuse the channel.
+  return tcsa::net::encode(
+      tcsa::net::PageMsg{slot, generation, channel, channel});
 }
 
 std::string encode_page_frame(std::uint64_t slot, std::uint32_t channel) {

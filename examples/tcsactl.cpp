@@ -351,10 +351,6 @@ int serve_main(int argc, const char* const* argv) {
   cli.add_int("loops", 1,
               "I/O event loops; > 1 shards sessions across per-core epoll "
               "loops behind one SO_REUSEPORT listen group");
-  cli.add_string("uring", "auto",
-                 "io_uring batched egress: auto (use it when the kernel "
-                 "offers it), on (fail if unavailable) or off (always "
-                 "sendmsg)");
   cli.add_int("pull-channels", 0,
               "on-demand pull airings per slot on top of the broadcast "
               "schedule: kReq demands enter a pending table and the pull "
@@ -396,7 +392,6 @@ int serve_main(int argc, const char* const* argv) {
   cli.add_int("flight-events", 4096, "flight-recorder ring size in events");
   if (!cli.parse(argc, argv)) return 0;
 
-  Workload workload = workload_from(cli.get_string("workload"));
   AirServerConfig config;
   config.bind_address = cli.get_string("bind");
   const long long port = cli.get_int("port");
@@ -416,14 +411,6 @@ int serve_main(int argc, const char* const* argv) {
   if (loops < 1 || loops > 64)
     throw std::invalid_argument("serve: --loops must be in [1, 64]");
   config.loops = static_cast<std::size_t>(loops);
-  if (const std::string uring = cli.get_string("uring"); uring == "auto")
-    config.uring = UringMode::kAuto;
-  else if (uring == "on")
-    config.uring = UringMode::kOn;
-  else if (uring == "off")
-    config.uring = UringMode::kOff;
-  else
-    throw std::invalid_argument("serve: --uring must be auto, on or off");
   const long long pull_channels = cli.get_int("pull-channels");
   if (pull_channels < 0 || pull_channels > 16)
     throw std::invalid_argument("serve: --pull-channels must be in [0, 16]");
@@ -456,6 +443,9 @@ int serve_main(int argc, const char* const* argv) {
   // write the export files below) instead of losing its telemetry.
   config.install_signal_handlers = true;
 
+  // Read the workload only once every flag checked out: a bad flag must
+  // not wait on stdin.
+  Workload workload = workload_from(cli.get_string("workload"));
   const std::string metrics_out = cli.get_string("metrics-out");
   const std::string trace_out = cli.get_string("trace-out");
   const std::string out_dir = cli.get_string("out-dir");
@@ -582,12 +572,7 @@ int tune_main(int argc, const char* const* argv) {
             << client.channels() << " channels, cycle "
             << client.cycle_length() << ", slot " << client.slot_us()
             << "us, tuned in at slot " << client.tune_in_slot() << '\n';
-  if (requests > 0 && patience >= 0)
-    client.run_with_wants(slots, requests, patience);
-  else if (requests > 0)
-    client.run_with_requests(slots, requests);
-  else
-    client.run(slots);
+  client.run(slots, requests, patience);
   const TuneSummary summary = client.summary();
   if (!out_dir.empty()) {
     std::filesystem::create_directories(out_dir);
@@ -729,7 +714,8 @@ int loadgen_main(int argc, const char* const* argv) {
               "impatient-client mode: requests become wants that watch the "
               "broadcast for this many slots before falling back to a pull "
               "request; the report splits broadcast-served vs pull-served "
-              "populations (-1 = classic immediate requests)");
+              "populations (0 = pull at the next slot, unlike tune's "
+              "per-page t_p; -1 = classic immediate requests)");
   cli.add_double("pull-slo-p99-us", 0.0,
                  "exit 1 when p99 pull-served delay exceeds this many "
                  "microseconds (0 = report only)");

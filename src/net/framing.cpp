@@ -7,14 +7,19 @@
 
 namespace tcsa::net {
 
-void append_frame(std::string& out, FrameType type, std::string_view payload) {
-  TCSA_REQUIRE(payload.size() <= kMaxPayload,
+void append_frame_header(std::string& out, FrameType type,
+                         std::size_t payload_size) {
+  TCSA_REQUIRE(payload_size <= kMaxPayload,
                "append_frame: payload exceeds kMaxPayload");
   wire_put_u32(out, kWireMagic);
   wire_put_u8(out, kWireVersion);
   wire_put_u8(out, static_cast<std::uint8_t>(type));
   wire_put_u16(out, 0);  // flags, reserved
-  wire_put_u32(out, static_cast<std::uint32_t>(payload.size()));
+  wire_put_u32(out, static_cast<std::uint32_t>(payload_size));
+}
+
+void append_frame(std::string& out, FrameType type, std::string_view payload) {
+  append_frame_header(out, type, payload.size());
   out.append(payload);
 }
 

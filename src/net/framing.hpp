@@ -15,36 +15,10 @@
 // oversized length fails the whole connection (framing is unrecoverable —
 // there is no way to resynchronise a byte stream with a corrupt prefix).
 //
-// Payload layouts (all little-endian, built on util/wire.hpp):
-//   kHello / kAnnounce (server -> client): u32 generation, u32 slot_us,
-//       u32 channels, u32 cycle_length, u64 next_slot, then the workload in
-//       the model/serialize binary format to the end of the payload.
-//   kTune (client -> server): u64 channel mask (bit c = channel c;
-//       all-ones = full receiver). Replaces the previous subscription.
-//   kPage (server -> client): u64 slot, u32 generation, u32 channel,
-//       u32 page. Sent once per occupied (channel, slot) cell to every
-//       session whose mask covers the channel; empty cells send nothing.
-//   kSwap (client -> server): u32 channels (0 = keep current), u8 method
-//       (kSwapMethodAuto or a core Method value), then the new workload in
-//       binary format. Asks the server to reschedule and hot-swap.
-//   kSwapReply (server -> client): u8 accepted, u32 generation,
-//       u64 activation_slot, i64 seam_lateness, then an error string (empty
-//       when accepted).
-//   kReq (client -> server, wire v2): u64 trace_id, u32 page. Declares
-//       interest in one page so the server can trace its journey and the
-//       client can account the deadline; delivery still rides the normal
-//       broadcast (the request does not schedule anything extra).
-//   kReqAck (server -> client, wire v2): u64 trace_id, u64 recv_us,
-//       u64 send_us (server trace-clock stamps of request arrival and ack
-//       departure — the t1/t2 of the NTP-style offset exchange),
-//       u64 next_slot (next global slot to air), u32 page,
-//       u32 expected_slots (the page's promised wait t_p under the airing
-//       generation), u32 generation.
-//   kPull (server -> client, wire v3): u64 slot, u32 generation, u32 page,
-//       u32 waiters (the airing's coalescing factor: how many pending
-//       requests this one frame satisfies). An on-demand airing on the pull
-//       channel budget; delivered to every session with a pending kReq for
-//       the page regardless of its channel mask.
+// Each payload is one *Msg struct below. Its tie() lists the fields
+// in wire order (all little-endian, util/wire.hpp); append() and decode()
+// both walk that one list, so the two directions cannot disagree. A
+// trailing std::string_view field takes the rest of the payload.
 //
 // Wire v2 added kReq/kReqAck for request-journey tracing; v3 added kPull
 // for the live hybrid push/pull plane. Older peers are refused at the
@@ -55,6 +29,9 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <tuple>
+
+#include "util/wire.hpp"
 
 namespace tcsa::net {
 
@@ -91,6 +68,137 @@ struct Frame {
 /// Appends one encoded frame (header + payload) to `out`.
 /// Precondition: payload.size() <= kMaxPayload.
 void append_frame(std::string& out, FrameType type, std::string_view payload);
+
+/// Appends a frame header announcing `payload_size` bytes of `type`.
+/// Precondition: payload_size <= kMaxPayload.
+void append_frame_header(std::string& out, FrameType type,
+                         std::size_t payload_size);
+
+// ---------------------------------------------------------------- payloads
+// A decoded message's string_view field aliases the decoded payload.
+
+/// kHello (on connect) and kAnnounce (on each activation).
+struct HelloMsg {
+  static constexpr FrameType kType = FrameType::kHello;
+  std::uint32_t generation = 0;
+  std::uint32_t slot_us = 0;
+  std::uint32_t channels = 0;
+  std::uint32_t cycle_length = 0;
+  std::uint64_t next_slot = 0;  ///< the next global slot to air
+  std::string_view workload;    ///< model/serialize binary format
+  auto tie() {
+    return std::tie(generation, slot_us, channels, cycle_length, next_slot,
+                    workload);
+  }
+};
+
+/// kTune: replaces the session's subscription.
+struct TuneMsg {
+  static constexpr FrameType kType = FrameType::kTune;
+  std::uint64_t mask = 0;  ///< bit c = channel c; kAllChannels = everything
+  auto tie() { return std::tie(mask); }
+};
+
+/// kPage: one occupied (channel, slot) cell; empty cells send nothing.
+struct PageMsg {
+  static constexpr FrameType kType = FrameType::kPage;
+  std::uint64_t slot = 0;
+  std::uint32_t generation = 0;
+  std::uint32_t channel = 0;
+  std::uint32_t page = 0;
+  auto tie() { return std::tie(slot, generation, channel, page); }
+};
+
+/// Frame offset of a kPage's slot word, where the frame cache re-stamps.
+inline constexpr std::size_t kPageSlotOffset = kFrameHeaderSize;
+
+struct SwapMsg {
+  static constexpr FrameType kType = FrameType::kSwap;
+  std::uint32_t channels = 0;              ///< 0 = keep the current count
+  std::uint8_t method = kSwapMethodAuto;   ///< or a core Method value
+  std::string_view workload;               ///< model/serialize binary format
+  auto tie() { return std::tie(channels, method, workload); }
+};
+
+struct SwapReplyMsg {
+  static constexpr FrameType kType = FrameType::kSwapReply;
+  bool accepted = false;
+  std::uint32_t generation = 0;        ///< id the new program will air as
+  std::uint64_t activation_slot = 0;   ///< major-cycle boundary it lands on
+  std::int64_t seam_lateness = 0;      ///< <= 0: all promises preserved
+  std::string_view error;              ///< empty when accepted
+  auto tie() {
+    return std::tie(accepted, generation, activation_slot, seam_lateness,
+                    error);
+  }
+};
+
+/// kReq: a traced page request; with pull channels on, also pull demand.
+struct ReqMsg {
+  static constexpr FrameType kType = FrameType::kReq;
+  std::uint64_t trace_id = 0;
+  std::uint32_t page = 0;
+  auto tie() { return std::tie(trace_id, page); }
+};
+
+/// kReqAck: recv_us/send_us are the server's trace-clock stamps, the
+/// t1/t2 of the NTP-style offset exchange.
+struct ReqAckMsg {
+  static constexpr FrameType kType = FrameType::kReqAck;
+  std::uint64_t trace_id = 0;
+  std::uint64_t recv_us = 0;
+  std::uint64_t send_us = 0;
+  std::uint64_t next_slot = 0;       ///< next global slot to air
+  std::uint32_t page = 0;
+  std::uint32_t expected_slots = 0;  ///< the page's promised wait t_p
+  std::uint32_t generation = 0;      ///< the generation that promised it
+  auto tie() {
+    return std::tie(trace_id, recv_us, send_us, next_slot, page,
+                    expected_slots, generation);
+  }
+};
+
+/// kPull: delivered to every session with a pending kReq for the page,
+/// whatever its channel mask.
+struct PullMsg {
+  static constexpr FrameType kType = FrameType::kPull;
+  std::uint64_t slot = 0;
+  std::uint32_t generation = 0;
+  std::uint32_t page = 0;
+  std::uint32_t waiters = 0;  ///< pending requests this one airing serves
+  auto tie() { return std::tie(slot, generation, page, waiters); }
+};
+
+/// Appends `msg` as one whole frame of `type` (a HelloMsg is also sent as
+/// kAnnounce), reserving the exact frame size first.
+template <class Msg>
+void append(std::string& out, Msg msg, FrameType type = Msg::kType) {
+  const auto fields = msg.tie();
+  const std::size_t size = std::apply(
+      [](const auto&... f) { return (wire_size(f) + ... + 0); }, fields);
+  out.reserve(out.size() + kFrameHeaderSize + size);
+  append_frame_header(out, type, size);
+  std::apply([&](const auto&... f) { (wire_put(out, f), ...); }, fields);
+}
+
+/// append() into a fresh buffer.
+template <class Msg>
+std::string encode(Msg msg, FrameType type = Msg::kType) {
+  std::string out;
+  append(out, msg, type);
+  return out;
+}
+
+/// Decodes one payload. Throws std::invalid_argument when it is truncated
+/// or has bytes left over.
+template <class Msg>
+Msg decode(std::string_view payload) {
+  Msg msg;
+  WireReader in(payload);
+  std::apply([&](auto&... f) { (wire_get(in, f), ...); }, msg.tie());
+  in.expect_done();
+  return msg;
+}
 
 /// Incremental frame decoder over an arbitrary byte stream. feed() bytes as
 /// they arrive, then drain complete frames with next(). A malformed header

@@ -10,7 +10,6 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -25,7 +24,6 @@
 #include "server/server_metrics.hpp"
 #include "util/contracts.hpp"
 #include "util/log.hpp"
-#include "util/wire.hpp"
 
 namespace tcsa {
 namespace {
@@ -180,9 +178,10 @@ AirServer::AirServer(Workload workload, AirServerConfig config)
   common_.slot_us = config_.slot_us;
   common_.hooks.swap = [this](const SessionRef& requester,
                               std::string payload) {
-    route(requester.loop, 0, [this, requester, payload = std::move(payload)] {
-      handle_swap_request(requester, payload);
-    });
+    route(requester.loop, 0,
+          [this, requester, payload = std::move(payload)]() mutable {
+            handle_swap_request(requester, std::move(payload));
+          });
   };
   common_.hooks.request = [this](LoopShard& shard, Session& session,
                                  std::uint64_t trace_id, PageId page) {
@@ -214,29 +213,20 @@ AirServer::AirServer(Workload workload, AirServerConfig config)
                                                   common_));
   }
 
-  // Egress backend resolution: kOn demands the ring (an unavailable
-  // backend is a config error); kAuto quietly keeps the sendmsg path when
-  // the kernel says no.
-  if (config_.uring != UringMode::kOff) {
-    try {
-      if (!net::UringFlusher::supported())
-        throw std::runtime_error("io_uring unavailable (probe failed)");
-      for (auto& shard : shards_)
-        shard->uring = std::make_unique<net::UringFlusher>(kUringEntries);
-      uring_active_ = true;
-      TCSA_LOG(kInfo) << "air server: io_uring egress on (" << loop_count_
-                      << " ring(s) x " << shards_[0]->uring->capacity()
-                      << " entries)";
-    } catch (const std::exception& e) {
-      if (config_.uring == UringMode::kOn)
-        throw std::runtime_error(
-            std::string("AirServer: io_uring egress requested (--uring on) "
-                        "but unusable: ") +
-            e.what());
-      for (auto& shard : shards_) shard->uring.reset();
-      TCSA_LOG(kInfo) << "air server: " << e.what()
-                      << "; using sendmsg flush";
-    }
+  // Egress backend: the batched ring when the kernel offers it, else the
+  // classic per-session sendmsg flush.
+  try {
+    if (!net::UringFlusher::supported())
+      throw std::runtime_error("io_uring unavailable (probe failed)");
+    for (auto& shard : shards_)
+      shard->uring = std::make_unique<net::UringFlusher>(kUringEntries);
+    uring_active_ = true;
+    TCSA_LOG(kInfo) << "air server: io_uring egress on (" << loop_count_
+                    << " ring(s) x " << shards_[0]->uring->capacity()
+                    << " entries)";
+  } catch (const std::exception& e) {
+    for (auto& shard : shards_) shard->uring.reset();
+    TCSA_LOG(kInfo) << "air server: " << e.what() << "; using sendmsg flush";
   }
   uptime_gauge_ = obs::register_gauge(
       "tcsa_uptime_seconds", "Seconds since the server went on air");
@@ -527,10 +517,8 @@ void AirServer::maybe_activate_swap() {
   // old one (and the token reaches it): exactly one notification per
   // session either way.
   std::uint32_t gen_id = 0;
-  std::string announce;
-  net::append_frame(announce, net::FrameType::kAnnounce,
-                    common_.hello_payload(&gen_id));
-  const net::SharedBuf shared = net::SharedBuf::wrap(std::move(announce));
+  const net::SharedBuf shared = net::SharedBuf::wrap(
+      common_.hello_frame(net::FrameType::kAnnounce, &gen_id));
   for (std::size_t i = 0; i < loop_count_; ++i) {
     LoopShard* shard = shards_[i].get();
     route(0, i, [shard, shared, gen_id] { shard->announce(shared, gen_id); });
@@ -662,24 +650,20 @@ void AirServer::on_request(LoopShard& shard, Session& session,
 
   const std::uint64_t next_slot =
       common_.slots_aired.load(std::memory_order_acquire);
-  std::string payload;
-  wire_put_u64(payload, trace_id);
-  wire_put_u64(payload, t_recv);
   const std::uint64_t t_send = obs::trace_now_us();
-  wire_put_u64(payload, t_send);
-  wire_put_u64(payload, next_slot);
-  wire_put_u32(payload, page);
-  wire_put_u32(payload, expected_slots);
-  wire_put_u32(payload, gen_id);
   TCSA_REQ_EVENT(trace_id, obs::ReqStage::kServerSched, t_send, next_slot);
-  shard.send(session, net::FrameType::kReqAck, payload);
+  shard.send(session, net::encode(net::ReqAckMsg{
+                          .trace_id = trace_id, .recv_us = t_recv,
+                          .send_us = t_send, .next_slot = next_slot,
+                          .page = page, .expected_slots = expected_slots,
+                          .generation = gen_id}));
 }
 
 void AirServer::handle_swap_request(SessionRef requester,
-                                    const std::string& payload) {
+                                    std::string payload) {
   const auto reject = [&](const std::string& error) {
     obs::counter_add(server_metrics().swaps_rejected, 1);
-    send_swap_reply(requester, false, 0, 0, 0, error);
+    send_swap_reply(requester, net::SwapReplyMsg{.error = error});
   };
 
   if (swap_inflight_) {
@@ -687,20 +671,16 @@ void AirServer::handle_swap_request(SessionRef requester,
     return;
   }
 
-  SlotCount requested_channels = 0;
-  std::uint8_t method_byte = net::kSwapMethodAuto;
-  std::optional<Workload> workload;
+  net::SwapMsg request;
   try {
-    WireReader reader(payload);
-    requested_channels = static_cast<SlotCount>(reader.read_u32());
-    method_byte = reader.read_u8();
-    workload = workload_from_binary(reader.read_rest());
+    request = net::decode<net::SwapMsg>(payload);
   } catch (const std::invalid_argument& e) {
     reject(std::string("malformed swap request: ") + e.what());
     return;
   }
+  const std::uint8_t method_byte = request.method;
   const SlotCount channels =
-      requested_channels > 0 ? requested_channels : channels_;
+      request.channels > 0 ? SlotCount{request.channels} : channels_;
   if (channels > 64) {
     reject("swap: channel count exceeds the 64-channel mask limit");
     return;
@@ -718,12 +698,16 @@ void AirServer::handle_swap_request(SessionRef requester,
 
   // Snapshot what the worker needs; it must not touch loop-thread state.
   swap_worker_ = std::thread([this, channels, auto_method, method_byte,
-                              w = std::move(*workload), old = *current_] {
+                              payload = std::move(payload), old = *current_] {
     TCSA_TRACE_SPAN("server.reschedule");
     std::shared_ptr<Generation> gen;
     SlotCount seam = 0;
-    std::string error;
+    // Until the workload decodes, a failure is the request's fault.
+    std::string error = "malformed swap request: ";
     try {
+      const Workload w =
+          workload_from_binary(net::decode<net::SwapMsg>(payload).workload);
+      error.clear();
       const ScheduleOutcome outcome =
           auto_method
               ? choose_schedule(w, channels)
@@ -742,7 +726,7 @@ void AirServer::handle_swap_request(SessionRef requester,
             workload_to_binary(w)});
       }
     } catch (const std::exception& e) {
-      error = e.what();
+      error += e.what();
     }
     shards_[0]->loop().post([this, gen = std::move(gen), seam,
                             error = std::move(error)] {
@@ -763,26 +747,21 @@ void AirServer::handle_swap_request(SessionRef requester,
             static_cast<SlotCount>(next_slot_ - current_->start_slot) % cycle;
         activation = into == 0 ? next_slot_ : next_slot_ + (cycle - into);
       }
-      send_swap_reply(requester, error.empty(), pending_ ? pending_->id : 0,
-                      activation, seam, error);
+      send_swap_reply(requester,
+                      net::SwapReplyMsg{error.empty(),
+                                        pending_ ? pending_->id : 0,
+                                        activation, seam, error});
     });
   });
 }
 
-void AirServer::send_swap_reply(const SessionRef& ref, bool accepted,
-                                std::uint32_t generation,
-                                std::uint64_t activation, SlotCount seam,
-                                const std::string& error) {
+void AirServer::send_swap_reply(const SessionRef& ref,
+                                const net::SwapReplyMsg& msg) {
   if (ref.fd < 0) return;
-  std::string reply;
-  wire_put_u8(reply, accepted ? 1 : 0);
-  wire_put_u32(reply, generation);
-  wire_put_u64(reply, activation);
-  wire_put_i64(reply, seam);
-  reply.append(error);
+  std::string reply = net::encode(msg);
   LoopShard* shard = shards_[ref.loop].get();
-  route(0, ref.loop, [shard, ref, reply = std::move(reply)] {
-    shard->send_to(ref, net::FrameType::kSwapReply, reply);
+  route(0, ref.loop, [shard, ref, reply = std::move(reply)]() mutable {
+    shard->send_to(ref, std::move(reply));
   });
 }
 

@@ -59,13 +59,6 @@
 
 namespace tcsa {
 
-/// Slot-fanout flush backend selection.
-enum class UringMode {
-  kAuto,  ///< use io_uring when the startup probe succeeds, else sendmsg
-  kOn,    ///< require io_uring; construction throws when unavailable
-  kOff,   ///< classic per-session sendmsg flush only
-};
-
 struct AirServerConfig {
   std::string bind_address = "127.0.0.1";
   std::uint16_t port = 0;       ///< 0 = kernel-assigned ephemeral port
@@ -77,7 +70,6 @@ struct AirServerConfig {
   std::size_t max_session_buffer = 256 * 1024;  ///< eviction threshold
   int session_send_buffer = 0;  ///< SO_SNDBUF per session; 0 = default
   std::size_t loops = 1;        ///< per-core I/O loops (1 = classic single)
-  UringMode uring = UringMode::kAuto;  ///< slot-fanout flush backend
 
   // --- pull plane (hybrid push/pull) ---
   /// On-demand airings per slot on top of the broadcast program. 0 keeps
@@ -183,7 +175,7 @@ class AirServer {
   std::vector<std::size_t> sessions_per_loop() const;
 
   /// True when slot-fanout flushes ride io_uring (resolved at startup by
-  /// the config mode and the runtime probe).
+  /// the runtime probe; sendmsg otherwise).
   bool uring_active() const noexcept { return uring_active_; }
 
   /// Demand-driven tolerance estimator fed by pull waits, or nullptr with
@@ -216,12 +208,12 @@ class AirServer {
   void on_request(LoopShard& shard, Session& session, std::uint64_t trace_id,
                   PageId page);
   /// Runs on loop 0 only (other loops forward via post()).
-  void handle_swap_request(SessionRef requester, const std::string& payload);
+  /// Loop 0 checks only the cheap header fields; the workload is decoded
+  /// on the swap worker, so no payload can stall the airing loop.
+  void handle_swap_request(SessionRef requester, std::string payload);
   /// Sends a kSwapReply to a session wherever it lives; dropped silently
   /// if the session is gone.
-  void send_swap_reply(const SessionRef& ref, bool accepted,
-                       std::uint32_t generation, std::uint64_t activation,
-                       SlotCount seam, const std::string& error);
+  void send_swap_reply(const SessionRef& ref, const net::SwapReplyMsg& msg);
   /// Registers the /metrics, /metrics.json, /healthz and /slots handlers.
   /// All run on loop 0 next to the airing path, so they may read loop-0
   /// state (clock_, next_slot_) without locks — and must stay snapshot

@@ -2,7 +2,6 @@
 
 #include "net/framing.hpp"
 #include "server/server_metrics.hpp"
-#include "util/wire.hpp"
 
 namespace tcsa {
 
@@ -23,17 +22,13 @@ net::SharedBuf FrameCache::frame(std::uint32_t generation,
   // Either check failing means one fresh encode — correctness never
   // depends on the cache hitting.
   if (floor > aired_slot_[cell] &&
-      cached.patch_u64(net::kFrameHeaderSize, slot)) {
+      cached.patch_u64(net::kPageSlotOffset, slot)) {
     obs::counter_add(server_metrics().frame_cache_hits, 1);
   } else {
-    std::string payload;
-    wire_put_u64(payload, slot);
-    wire_put_u32(payload, generation);
-    wire_put_u32(payload, static_cast<std::uint32_t>(ch));
-    wire_put_u32(payload, program.at(ch, column));
-    std::string bytes;
-    net::append_frame(bytes, net::FrameType::kPage, payload);
-    cached = net::SharedBuf::wrap(std::move(bytes));
+    cached = net::SharedBuf::wrap(net::encode(
+        net::PageMsg{.slot = slot, .generation = generation,
+                     .channel = static_cast<std::uint32_t>(ch),
+                     .page = program.at(ch, column)}));
     obs::counter_add(server_metrics().frames_encoded, 1);
   }
   aired_slot_[cell] = slot;

@@ -21,11 +21,10 @@
 #include "net/framing.hpp"
 #include "net/socket.hpp"
 #include "obs/log_histogram.hpp"
-#include "obs/reqtrace.hpp"
 #include "obs/trace.hpp"
+#include "server/client_journeys.hpp"
 #include "util/contracts.hpp"
 #include "util/log.hpp"
-#include "util/wire.hpp"
 
 namespace tcsa {
 namespace {
@@ -51,28 +50,9 @@ std::uint64_t process_rss_bytes() {
 
 enum Phase : int { kRamp = 0, kMeasure = 1, kDone = 2 };
 
-/// One traced kReq a loadgen session has in flight. Mirrors TuneClient's
-/// OpenReq: the deadline lands with the ack (t0 + expected_slots * slot_us
-/// on this client's trace clock) and the journey completes when the page
-/// next arrives after the ack.
-struct LgOpenReq {
-  std::uint64_t trace_id = 0;
-  std::uint32_t page = 0;
-  std::uint64_t t0_us = 0;
-  std::uint64_t deadline_us = 0;
-  bool acked = false;
-};
-
-/// Open requests one session may hold; beyond this the oldest is dropped
-/// (its ack/page raced the measurement window closing).
-constexpr std::size_t kMaxOpenReqs = 8;
-
-/// One impatient want (patience_slots >= 0): watch the broadcast for the
-/// page, convert to a kReq when the patience runs out.
-struct LgWant {
-  std::uint32_t page = 0;
-  std::uint64_t issue_slot = 0;
-};
+/// Open requests and wants per session: beyond it the oldest request is
+/// dropped (its ack raced the window closing) and new wants are refused.
+constexpr std::size_t kMaxJourneys = 8;
 
 struct ClientSession {
   net::Fd fd;
@@ -82,10 +62,7 @@ struct ClientSession {
   bool greeted = false;    // hello parsed, TUNE sent
   std::string outbox;      // unsent TUNE bytes (kernel buffer was full)
   std::uint64_t pages_seen = 0;      // kPage frames, any window
-  std::uint32_t last_page = 0;       // most recent page on our channel
-  bool has_page = false;
-  std::vector<LgOpenReq> open_reqs;  // traced requests in flight
-  std::vector<LgWant> wants;         // impatient wants still watching
+  ClientJourneys journeys{kMaxJourneys};  // traced requests and wants
 };
 
 struct ThreadResult {
@@ -172,79 +149,26 @@ void client_thread_body(const LoadGenConfig& config, std::size_t first_index,
     return true;
   };
 
-  // Issues one traced kReq for `page`. Queued through the outbox so a full
-  // kernel buffer never blocks the loop.
-  const auto issue_request = [&](ClientSession& session,
-                                 std::uint32_t page) -> bool {
-    const std::uint64_t trace_id = obs::mint_trace_id();
-    const std::uint64_t t0 = obs::trace_now_us();
-    std::string payload;
-    wire_put_u64(payload, trace_id);
-    wire_put_u32(payload, page);
-    std::string bytes;
-    net::append_frame(bytes, net::FrameType::kReq, payload);
-    if (session.open_reqs.size() >= kMaxOpenReqs)
-      session.open_reqs.erase(session.open_reqs.begin());
-    session.open_reqs.push_back(LgOpenReq{trace_id, page, t0, 0, false});
-    ++result.requests_sent;
-    session.outbox += bytes;
-    TCSA_REQ_EVENT(trace_id, obs::ReqStage::kClientSent, t0, page);
-    return flush_outbox(session.fd.get(), session);
-  };
-
-  // Converts wants whose patience ran out into pull requests. The decision
-  // is made against the broadcast slot clock (decision-time accounting,
-  // like sim/hybrid's impatient clients). false = the session died while
-  // flushing (the caller must not touch it again).
-  const auto expire_wants = [&](ClientSession& session,
-                                std::uint64_t slot) -> bool {
-    for (auto it = session.wants.begin(); it != session.wants.end();) {
-      if (slot <= it->issue_slot +
-                      static_cast<std::uint64_t>(config.patience_slots)) {
-        ++it;
-        continue;
-      }
-      const std::uint32_t page = it->page;
-      it = session.wants.erase(it);
-      ++result.wants_pulled;
-      if (!issue_request(session, page)) return false;
-    }
-    return true;
-  };
-
   // Closes every acked open request for `page`, attributing the completion
   // to the broadcast or the pull population by the frame that carried it.
-  const auto complete_reqs = [&](ClientSession& session, std::uint32_t page,
-                                 std::uint64_t slot, bool via_pull) {
-    if (session.open_reqs.empty()) return;
-    const std::uint64_t now = obs::trace_now_us();
-    for (auto it = session.open_reqs.begin();
-         it != session.open_reqs.end();) {
-      if (it->page != page || !it->acked) {
-        ++it;
-        continue;
-      }
-      TCSA_REQ_EVENT(it->trace_id, obs::ReqStage::kClientFirstByte, now,
-                     slot);
-      TCSA_REQ_EVENT(it->trace_id, obs::ReqStage::kClientDecoded, now, page);
-      const double slack = static_cast<double>(it->deadline_us) -
-                           static_cast<double>(now);
-      if (via_pull) {
-        ++result.pull_completions;
-        if (slack < 0.0) ++result.pull_misses;
-        result.pull_delays.record(static_cast<double>(now - it->t0_us));
-        result.pull_slack_min = std::min(result.pull_slack_min, slack);
-      } else {
-        ++result.request_completions;
-        if (slack < 0.0) ++result.request_misses;
-        result.req_delays.record(static_cast<double>(now - it->t0_us));
-        result.req_slacks.record(slack);
-      }
-      TCSA_REQ_EVENT(it->trace_id, obs::ReqStage::kClientDone, now,
-                     static_cast<std::uint64_t>(
-                         static_cast<std::int64_t>(slack)));
-      it = session.open_reqs.erase(it);
-    }
+  const auto complete = [&](ClientSession& session, std::uint32_t page,
+                            std::uint64_t slot, bool via_pull) {
+    session.journeys.complete(
+        page, slot, via_pull, [&](const JourneyCompletion& c) {
+          const auto delay = static_cast<double>(c.delay_us);
+          const auto slack = static_cast<double>(c.slack_us);
+          if (c.via_pull) {
+            ++result.pull_completions;
+            if (slack < 0.0) ++result.pull_misses;
+            result.pull_delays.record(delay);
+            result.pull_slack_min = std::min(result.pull_slack_min, slack);
+          } else {
+            ++result.request_completions;
+            if (slack < 0.0) ++result.request_misses;
+            result.req_delays.record(delay);
+            result.req_slacks.record(slack);
+          }
+        });
   };
 
   const auto handle_frame = [&](ClientSession& session,
@@ -253,33 +177,22 @@ void client_thread_body(const LoadGenConfig& config, std::size_t first_index,
     switch (frame.type) {
       case net::FrameType::kHello:
       case net::FrameType::kAnnounce: {
-        WireReader reader(frame.payload);
-        (void)reader.read_u32();  // generation
-        const std::uint32_t hello_slot_us = reader.read_u32();
-        const std::uint32_t hello_channels = reader.read_u32();
-        if (slot_us == 0) slot_us = hello_slot_us;
-        if (channels == 0) channels = hello_channels;
+        const auto hello = net::decode<net::HelloMsg>(frame.payload);
+        if (slot_us == 0) slot_us = hello.slot_us;
+        if (channels == 0) channels = hello.channels;
         if (!session.greeted && channels > 0) {
           session.greeted = true;
           // Spread subscriptions: session i listens to channel i mod C, so
           // any C consecutive sessions cover the whole program.
-          std::string payload;
-          wire_put_u64(payload, 1ull << (session.index % channels));
-          std::string bytes;
-          net::append_frame(bytes, net::FrameType::kTune, payload);
-          session.outbox += bytes;
+          net::append(session.outbox,
+                      net::TuneMsg{.mask = 1ull << (session.index % channels)});
           return flush_outbox(session.fd.get(), session);
         }
         return true;
       }
       case net::FrameType::kPage: {
-        WireReader reader(frame.payload);
-        const std::uint64_t slot = reader.read_u64();
-        (void)reader.read_u32();  // generation
-        (void)reader.read_u32();  // channel
-        const std::uint32_t page = reader.read_u32();
-        session.last_page = page;
-        session.has_page = true;
+        const auto [slot, generation, channel, page] =
+            net::decode<net::PageMsg>(frame.payload);
         ++session.pages_seen;
         const bool measuring =
             phase.load(std::memory_order_acquire) == kMeasure;
@@ -301,70 +214,49 @@ void client_thread_body(const LoadGenConfig& config, std::size_t first_index,
         }
         // Impatient wants: expire first (decision-time accounting), then
         // credit the broadcast for any want whose page aired in time.
-        if (!session.wants.empty()) {
-          if (!expire_wants(session, slot)) return false;
-          for (auto it = session.wants.begin(); it != session.wants.end();) {
-            if (it->page != page) {
-              ++it;
-              continue;
-            }
-            ++result.wants_broadcast;
-            it = session.wants.erase(it);
-          }
+        const auto now_slot = static_cast<std::int64_t>(slot);
+        if (const std::size_t pulled =
+                session.journeys.expire(now_slot, session.outbox);
+            pulled > 0) {
+          result.wants_pulled += pulled;
+          result.requests_sent += pulled;
+          if (!flush_outbox(session.fd.get(), session)) return false;
         }
-        complete_reqs(session, page, slot, /*via_pull=*/false);
+        session.journeys.serve_wants(page, now_slot, [&](std::int64_t) {
+          ++result.wants_broadcast;
+        });
+        complete(session, page, slot, /*via_pull=*/false);
         // One request per request_every pages, asked for the page we just
         // saw — the next cycle must bring it back within its promise. In
         // impatient mode the request becomes a want that watches the
         // broadcast first and only falls back to the pull channel.
-        if (measuring && config.request_every != 0 && session.has_page &&
+        if (measuring && config.request_every != 0 &&
             session.pages_seen % config.request_every == 0) {
           if (config.patience_slots >= 0) {
-            if (session.wants.size() < kMaxOpenReqs) {
-              session.wants.push_back(LgWant{page, slot});
+            if (session.journeys.want(page, now_slot, config.patience_slots))
               ++result.wants_issued;
-            }
             return true;
           }
-          return issue_request(session, session.last_page);
+          session.journeys.request(session.outbox, page);
+          ++result.requests_sent;
+          return flush_outbox(session.fd.get(), session);
         }
         return true;
       }
       case net::FrameType::kPull: {
-        WireReader reader(frame.payload);
-        const std::uint64_t slot = reader.read_u64();
-        (void)reader.read_u32();  // generation
-        const std::uint32_t page = reader.read_u32();
-        const std::uint32_t waiters = reader.read_u32();
+        const auto msg = net::decode<net::PullMsg>(frame.payload);
         ++result.pull_frames;
-        result.pull_waiters += waiters;
+        result.pull_waiters += msg.waiters;
         // An on-demand airing: it answers requests (the pull-served
         // population) but never counts as a broadcast reception.
-        complete_reqs(session, page, slot, /*via_pull=*/true);
+        complete(session, msg.page, msg.slot, /*via_pull=*/true);
         return true;
       }
-      case net::FrameType::kReqAck: {
-        WireReader reader(frame.payload);
-        const std::uint64_t trace_id = reader.read_u64();
-        (void)reader.read_u64();  // t1 (server recv stamp)
-        (void)reader.read_u64();  // t2 (server send stamp)
-        const std::uint64_t next_slot = reader.read_u64();
-        (void)reader.read_u32();  // page
-        const std::uint32_t expected_slots = reader.read_u32();
-        (void)reader.read_u32();  // generation
-        const std::uint64_t t3 = obs::trace_now_us();
-        for (LgOpenReq& req : session.open_reqs) {
-          if (req.trace_id != trace_id) continue;
-          req.acked = true;
-          req.deadline_us = req.t0_us + std::uint64_t{expected_slots} *
-                                            std::uint64_t{slot_us};
+      case net::FrameType::kReqAck:
+        if (session.journeys.ack(net::decode<net::ReqAckMsg>(frame.payload),
+                                 slot_us, obs::trace_now_us()))
           ++result.request_acks;
-          TCSA_REQ_EVENT(trace_id, obs::ReqStage::kClientAcked, t3,
-                         next_slot);
-          break;
-        }
         return true;
-      }
       default:
         return true;  // swap replies etc. are not ours to judge
     }

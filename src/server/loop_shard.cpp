@@ -12,7 +12,6 @@
 
 #include "server/server_metrics.hpp"
 #include "util/log.hpp"
-#include "util/wire.hpp"
 
 namespace tcsa {
 namespace {
@@ -30,20 +29,20 @@ void ShardCommon::publish(HelloSnapshot snapshot) {
   hello_ = std::move(snapshot);
 }
 
-std::string ShardCommon::hello_payload(std::uint32_t* gen_out) const {
+std::string ShardCommon::hello_frame(net::FrameType type,
+                                     std::uint32_t* gen_out) const {
   // slots_aired advances with the airing loop's next slot (both at the end
   // of a slot), so any loop can stamp the slot.
   const std::uint64_t next_slot = slots_aired.load(std::memory_order_acquire);
   const std::lock_guard<std::mutex> lock(mutex_);
   if (gen_out) *gen_out = hello_.id;
-  std::string payload;
-  wire_put_u32(payload, hello_.id);
-  wire_put_u32(payload, slot_us);
-  wire_put_u32(payload, hello_.channels);
-  wire_put_u32(payload, hello_.cycle);
-  wire_put_u64(payload, next_slot);
-  payload.append(hello_.workload_binary);
-  return payload;
+  return net::encode(net::HelloMsg{.generation = hello_.id,
+                                   .slot_us = slot_us,
+                                   .channels = hello_.channels,
+                                   .cycle_length = hello_.cycle,
+                                   .next_slot = next_slot,
+                                   .workload = hello_.workload_binary},
+                     type);
 }
 
 std::uint32_t ShardCommon::promise(PageId page,
@@ -142,19 +141,15 @@ void LoopShard::announce(const net::SharedBuf& buf, std::uint32_t gen_id) {
   flush(fds);
 }
 
-void LoopShard::send(Session& session, net::FrameType type,
-                     std::string_view payload) {
-  std::string bytes;
-  net::append_frame(bytes, type, payload);
-  enqueue(session, net::SharedBuf::wrap(std::move(bytes)));
+void LoopShard::send(Session& session, std::string frame) {
+  enqueue(session, net::SharedBuf::wrap(std::move(frame)));
   if (write(session)) settle(session);
 }
 
-void LoopShard::send_to(const SessionRef& ref, net::FrameType type,
-                        std::string_view payload) {
+void LoopShard::send_to(const SessionRef& ref, std::string frame) {
   const auto it = sessions_.find(ref.fd);
   if (it != sessions_.end() && it->second.id == ref.id)
-    send(it->second, type, payload);
+    send(it->second, std::move(frame));
 }
 
 void LoopShard::enqueue(Session& session, net::SharedBuf buf) {
@@ -321,8 +316,8 @@ void LoopShard::on_accept() {
     obs::counter_add(server_metrics().sessions_opened, 1);
     obs::gauge_set(server_metrics().sessions_gauge,
                    static_cast<double>(common_.sessions.fetch_add(1) + 1));
-    const std::string hello = common_.hello_payload(&session.hello_generation);
-    send(session, net::FrameType::kHello, hello);
+    send(session, common_.hello_frame(net::FrameType::kHello,
+                                      &session.hello_generation));
   }
 }
 
@@ -373,20 +368,13 @@ void LoopShard::on_event(int fd, std::uint32_t events) {
 void LoopShard::handle_frame(Session& session, int fd,
                              const net::Frame& frame) {
   switch (frame.type) {
-    case net::FrameType::kTune: {
-      WireReader reader(frame.payload);
-      const std::uint64_t mask = reader.read_u64();
-      reader.expect_done();
-      set_mask(session, mask);
+    case net::FrameType::kTune:
+      set_mask(session, net::decode<net::TuneMsg>(frame.payload).mask);
       obs::counter_add(server_metrics().tunes, 1);
       return;
-    }
     case net::FrameType::kReq: {
-      WireReader reader(frame.payload);
-      const std::uint64_t trace_id = reader.read_u64();
-      const PageId page = reader.read_u32();
-      reader.expect_done();
-      common_.hooks.request(*this, session, trace_id, page);
+      const auto req = net::decode<net::ReqMsg>(frame.payload);
+      common_.hooks.request(*this, session, req.trace_id, req.page);
       return;
     }
     case net::FrameType::kSwap:

@@ -24,7 +24,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -125,9 +124,10 @@ struct ShardCommon {
   std::atomic<std::size_t> sessions{0};
 
   void publish(HelloSnapshot snapshot);
-  /// Hello/announce payload; any thread. `gen_out` (optional) receives the
-  /// generation id baked into the bytes.
-  std::string hello_payload(std::uint32_t* gen_out = nullptr) const;
+  /// A kHello or kAnnounce frame (`type`); any thread. `gen_out`
+  /// (optional) receives the generation id baked into the bytes.
+  std::string hello_frame(net::FrameType type,
+                          std::uint32_t* gen_out = nullptr) const;
   /// The generation on air; `*expected_slots` gets `page`'s promised wait
   /// under it (0 for a page outside the workload).
   std::uint32_t promise(PageId page, std::uint32_t* expected_slots) const;
@@ -160,12 +160,11 @@ class LoopShard {
   void deliver(const SlotFrames& frames);
   /// Sends the announce to every session not yet greeted under `gen_id`.
   void announce(const net::SharedBuf& buf, std::uint32_t gen_id);
-  /// Queues one frame and flushes the session, which may close it.
-  void send(Session& session, net::FrameType type, std::string_view payload);
+  /// Queues one encoded frame and flushes the session, which may close it.
+  void send(Session& session, std::string frame);
   /// send() to the session `ref` names; dropped silently when that session
   /// is gone (closed, or its fd reused by someone else).
-  void send_to(const SessionRef& ref, net::FrameType type,
-               std::string_view payload);
+  void send_to(const SessionRef& ref, std::string frame);
 
   /// Batched flush ring (null = per-session sendmsg). Set on the main
   /// thread before the loops start, then touched only by the owning loop.

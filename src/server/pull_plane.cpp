@@ -5,7 +5,6 @@
 #include "net/framing.hpp"
 #include "obs/reqtrace.hpp"
 #include "server/server_metrics.hpp"
-#include "util/wire.hpp"
 
 namespace tcsa {
 
@@ -208,14 +207,11 @@ void PullPlane::schedule(std::uint64_t slot, std::uint32_t generation,
   for (std::size_t i = 0; i < channels_; ++i) {
     std::optional<PullAiring> airing = table_.pick(policy_, slot);
     if (!airing) break;
-    std::string payload;
-    wire_put_u64(payload, slot);
-    wire_put_u32(payload, generation);
-    wire_put_u32(payload, airing->page);
-    wire_put_u32(payload, static_cast<std::uint32_t>(airing->waiters.size()));
-    std::string bytes;
-    net::append_frame(bytes, net::FrameType::kPull, payload);
-    frames.push_back(net::SharedBuf::wrap(std::move(bytes)));
+    frames.push_back(net::SharedBuf::wrap(net::encode(
+        net::PullMsg{.slot = slot, .generation = generation,
+                     .page = airing->page,
+                     .waiters = static_cast<std::uint32_t>(
+                         airing->waiters.size())})));
     pages.push_back(airing->page);
     ++airings_;
     waiters_served_ += airing->waiters.size();

@@ -12,10 +12,8 @@
 
 #include "model/serialize.hpp"
 #include "obs/json.hpp"
-#include "obs/reqtrace.hpp"
 #include "obs/trace.hpp"
 #include "util/stats.hpp"
-#include "util/wire.hpp"
 
 namespace tcsa {
 namespace {
@@ -92,19 +90,11 @@ TuneClient::TuneClient(const Options& options) : options_(options) {
   if (frame.type != net::FrameType::kHello)
     throw std::invalid_argument("tune: expected a HELLO frame first");
   apply_announcement(frame.payload, /*initial=*/true);
-  send_tune(options.channel_mask);
-}
-
-void TuneClient::send_tune(std::uint64_t mask) {
-  std::string payload;
-  wire_put_u64(payload, mask);
-  std::string bytes;
-  net::append_frame(bytes, net::FrameType::kTune, payload);
-  send_all(bytes);
+  send_all(net::encode(net::TuneMsg{options.channel_mask}));
 }
 
 void TuneClient::retune(std::uint64_t mask) {
-  send_tune(mask);
+  send_all(net::encode(net::TuneMsg{mask}));
   ++retunes_;
   // Switching stations forfeits in-flight promises: a gap spanning the
   // retune says nothing about the program's validity.
@@ -150,26 +140,22 @@ bool TuneClient::read_frame(net::Frame& frame) {
 void TuneClient::handle_frame(const net::Frame& frame) {
   switch (frame.type) {
     case net::FrameType::kPage:
-      on_page(frame);
+      on_page(net::decode<net::PageMsg>(frame.payload));
       return;
     case net::FrameType::kAnnounce:
       apply_announcement(frame.payload, /*initial=*/false);
       return;
     case net::FrameType::kReqAck:
-      on_req_ack(frame);
+      on_req_ack(net::decode<net::ReqAckMsg>(frame.payload));
       return;
     case net::FrameType::kPull:
-      on_pull(frame);
+      on_pull(net::decode<net::PullMsg>(frame.payload));
       return;
     case net::FrameType::kSwapReply: {
-      WireReader reader(frame.payload);
-      SwapReply reply;
-      reply.accepted = reader.read_u8() != 0;
-      reply.generation = reader.read_u32();
-      reply.activation_slot = reader.read_u64();
-      reply.seam_lateness = reader.read_i64();
-      reply.error = std::string(reader.read_rest());
-      last_swap_reply_ = std::move(reply);
+      const auto reply = net::decode<net::SwapReplyMsg>(frame.payload);
+      last_swap_reply_ =
+          SwapReply{reply.accepted, reply.generation, reply.activation_slot,
+                    reply.seam_lateness, std::string(reply.error)};
       return;
     }
     default:
@@ -178,15 +164,14 @@ void TuneClient::handle_frame(const net::Frame& frame) {
 }
 
 void TuneClient::apply_announcement(std::string_view payload, bool initial) {
-  WireReader reader(payload);
-  generation_ = reader.read_u32();
-  slot_us_ = reader.read_u32();
-  channels_ = static_cast<SlotCount>(reader.read_u32());
-  cycle_length_ = static_cast<SlotCount>(reader.read_u32());
-  const std::uint64_t next_slot = reader.read_u64();
-  Workload next = workload_from_binary(reader.read_rest());
+  const auto hello = net::decode<net::HelloMsg>(payload);
+  Workload next = workload_from_binary(hello.workload);
+  generation_ = hello.generation;
+  slot_us_ = hello.slot_us;
+  channels_ = static_cast<SlotCount>(hello.channels);
+  cycle_length_ = static_cast<SlotCount>(hello.cycle_length);
   if (initial) {
-    tune_in_slot_ = next_slot;
+    tune_in_slot_ = hello.next_slot;
   } else {
     ++swaps_observed_;
   }
@@ -204,57 +189,40 @@ void TuneClient::note_slot(std::uint64_t slot) {
     ++slots_seen_;
     last_slot_seen_ = static_cast<std::int64_t>(slot);
   }
-  if (open_wants_.empty()) return;
   // Patience expiry runs before page matching: a want whose deadline passed
   // converts to a pull request even if its page happens to air this very
-  // slot — the broadcast/pull decision is made at deadline time, exactly
-  // like sim/hybrid's impatient clients (decision-time accounting).
-  const auto now = static_cast<std::int64_t>(slot);
-  for (auto it = open_wants_.begin(); it != open_wants_.end();) {
-    if (now <= it->issue_slot + it->patience) {
-      ++it;
-      continue;
-    }
-    ++wants_pulled_;
-    send_request(it->page, it->issue_slot);
-    it = open_wants_.erase(it);
-  }
+  // slot (decision-time accounting, see ClientJourneys).
+  std::string bytes;
+  const std::size_t pulled =
+      journeys_.expire(static_cast<std::int64_t>(slot), bytes);
+  if (pulled == 0) return;
+  wants_pulled_ += pulled;
+  reqs_sent_ += pulled;
+  send_all(bytes);
 }
 
-void TuneClient::on_page(const net::Frame& frame) {
-  WireReader reader(frame.payload);
-  const std::uint64_t slot = reader.read_u64();
-  const std::uint32_t generation = reader.read_u32();
-  const std::uint32_t channel = reader.read_u32();
-  const PageId page = reader.read_u32();
-  reader.expect_done();
-
+void TuneClient::on_page(const net::PageMsg& msg) {
   ++frames_;
-  note_slot(slot);
-  if (options_.record_pages)
-    pages_.push_back(ReceivedPage{slot, generation, channel, page});
+  note_slot(msg.slot);
+  if (options_.record_pages) pages_.push_back(msg);
 
   // Wants watching for this page are broadcast-served: it aired within
   // patience (anything expired strictly before this slot already converted
   // in note_slot above).
-  for (auto it = open_wants_.begin(); it != open_wants_.end();) {
-    if (it->page != page) {
-      ++it;
-      continue;
-    }
-    ++wants_broadcast_;
-    want_broadcast_wait_slots_ +=
-        static_cast<double>(static_cast<std::int64_t>(slot) - it->issue_slot);
-    it = open_wants_.erase(it);
-  }
+  journeys_.serve_wants(msg.page, static_cast<std::int64_t>(msg.slot),
+                        [&](std::int64_t waited) {
+                          ++wants_broadcast_;
+                          want_broadcast_wait_slots_ +=
+                              static_cast<double>(waited);
+                        });
 
-  if (static_cast<std::size_t>(page) >= chains_.size()) return;
-  Chain& chain = chains_[page];
-  PageStats& stats = stats_[page];
+  if (static_cast<std::size_t>(msg.page) >= chains_.size()) return;
+  Chain& chain = chains_[msg.page];
+  PageStats& stats = stats_[msg.page];
   ++stats.receptions;
   if (chain.last_slot >= 0) {
     const auto gap = static_cast<SlotCount>(
-        static_cast<std::int64_t>(slot) - chain.last_slot);
+        static_cast<std::int64_t>(msg.slot) - chain.last_slot);
     ++stats.gaps;
     stats.gap_sum += static_cast<double>(gap);
     stats.gap_sq_sum += static_cast<double>(gap) * static_cast<double>(gap);
@@ -266,125 +234,57 @@ void TuneClient::on_page(const net::Frame& frame) {
   } else {
     ++stats.chains;
   }
-  chain.last_slot = static_cast<std::int64_t>(slot);
-  chain.promise = workload_->expected_time_of(page);
+  chain.last_slot = static_cast<std::int64_t>(msg.slot);
+  chain.promise = workload_->expected_time_of(msg.page);
 
-  complete_open_reqs(page, slot, /*via_pull=*/false);
+  complete(msg.page, msg.slot, /*via_pull=*/false);
 }
 
-void TuneClient::on_pull(const net::Frame& frame) {
-  WireReader reader(frame.payload);
-  const std::uint64_t slot = reader.read_u64();
-  reader.read_u32();  // generation, informational
-  const PageId page = reader.read_u32();
-  const std::uint32_t waiters = reader.read_u32();
-  reader.expect_done();
-
+void TuneClient::on_pull(const net::PullMsg& msg) {
   ++frames_;
-  note_slot(slot);
+  note_slot(msg.slot);
   ++pull_frames_;
-  pull_waiters_sum_ += waiters;
+  pull_waiters_sum_ += msg.waiters;
   // A pull airing is an on-demand, out-of-band delivery: it completes the
   // requests that asked for the page but does not extend the page's
   // broadcast reception chain — validity condition (2) is a property of
   // the periodic schedule, not of the pull channel.
-  complete_open_reqs(page, slot, /*via_pull=*/true);
+  complete(msg.page, msg.slot, /*via_pull=*/true);
 }
 
-// Traced request completion: the first arrival of the requested page after
-// its ack closes the journey — whether it rode the broadcast schedule or a
-// pull airing. A copy already in flight when the request went out does not
-// count — service is measured from the request, and the ack always precedes
-// the next airing on this in-order stream.
-void TuneClient::complete_open_reqs(PageId page, std::uint64_t slot,
-                                    bool via_pull) {
-  if (open_reqs_.empty()) return;
-  const std::uint64_t first_byte_us = obs::trace_now_us();
-  for (auto it = open_reqs_.begin(); it != open_reqs_.end();) {
-    if (it->page != page || !it->acked) {
-      ++it;
-      continue;
-    }
-    TCSA_REQ_EVENT(it->trace_id, obs::ReqStage::kClientFirstByte,
-                   first_byte_us, slot);
-    const std::uint64_t decoded_us = obs::trace_now_us();
-    TCSA_REQ_EVENT(it->trace_id, obs::ReqStage::kClientDecoded, decoded_us,
-                   page);
-    const std::int64_t slack = static_cast<std::int64_t>(it->deadline_us) -
-                               static_cast<std::int64_t>(decoded_us);
-    req_delay_us_.push_back(static_cast<double>(decoded_us - it->t0_us));
-    req_slack_us_.push_back(static_cast<double>(slack));
-    if (slack < 0) ++req_misses_;
-    TCSA_REQ_EVENT(it->trace_id, obs::ReqStage::kClientDone, decoded_us,
-                   static_cast<std::uint64_t>(slack));
+void TuneClient::complete(PageId page, std::uint64_t slot, bool via_pull) {
+  journeys_.complete(page, slot, via_pull, [&](const JourneyCompletion& c) {
+    req_delay_us_.push_back(static_cast<double>(c.delay_us));
+    req_slack_us_.push_back(static_cast<double>(c.slack_us));
+    if (c.slack_us < 0) ++req_misses_;
     ++reqs_completed_;
-    if (via_pull && it->want_issue_slot >= 0) {
+    if (c.via_pull && c.want_issue_slot >= 0) {
       ++pulls_completed_;
       want_pull_wait_slots_ += static_cast<double>(
-          static_cast<std::int64_t>(slot) - it->want_issue_slot);
+          static_cast<std::int64_t>(c.slot) - c.want_issue_slot);
     }
-    it = open_reqs_.erase(it);
-  }
+  });
 }
 
-void TuneClient::on_req_ack(const net::Frame& frame) {
-  WireReader reader(frame.payload);
-  const std::uint64_t trace_id = reader.read_u64();
-  const std::uint64_t t1 = reader.read_u64();
-  const std::uint64_t t2 = reader.read_u64();
-  const std::uint64_t next_slot = reader.read_u64();
-  reader.read_u32();  // page (redundant with the open entry)
-  const std::uint32_t expected_slots = reader.read_u32();
-  reader.read_u32();  // generation, informational
-  reader.expect_done();
+void TuneClient::on_req_ack(const net::ReqAckMsg& msg) {
+  // The exchange's four stamps give one NTP sample. An ack for a journey
+  // no longer tracked is harmless: drop it.
   const std::uint64_t t3 = obs::trace_now_us();
-  for (OpenReq& req : open_reqs_) {
-    if (req.trace_id != trace_id) continue;
-    req.acked = true;
-    // The exchange's four stamps give one NTP sample; the promise granted
-    // at request time becomes a concrete wall deadline on our clock.
-    offset_.add_sample(req.t0_us, t1, t2, t3);
-    req.deadline_us =
-        req.t0_us + std::uint64_t{expected_slots} * slot_us_;
+  if (const auto t0 = journeys_.ack(msg, slot_us_, t3)) {
+    offset_.add_sample(*t0, msg.recv_us, msg.send_us, t3);
     ++reqs_acked_;
-    TCSA_REQ_EVENT(trace_id, obs::ReqStage::kClientAcked, t3, next_slot);
-    return;
   }
-  // Ack for a journey we no longer track (client restarted accounting) —
-  // harmless, drop it.
-}
-
-std::uint64_t TuneClient::send_request(PageId page,
-                                       std::int64_t want_issue_slot) {
-  const std::uint64_t trace_id = obs::mint_trace_id();
-  std::string payload;
-  wire_put_u64(payload, trace_id);
-  wire_put_u32(payload, page);
-  std::string bytes;
-  net::append_frame(bytes, net::FrameType::kReq, payload);
-  const std::uint64_t t0 = obs::trace_now_us();
-  open_reqs_.push_back(
-      OpenReq{trace_id, page, t0, 0, false, want_issue_slot});
-  ++reqs_sent_;
-  send_all(bytes);
-  TCSA_REQ_EVENT(trace_id, obs::ReqStage::kClientSent, t0, page);
-  return trace_id;
 }
 
 std::uint64_t TuneClient::request_page(PageId page) {
-  const std::uint64_t trace_id = send_request(page, /*want_issue_slot=*/-1);
+  std::string bytes;
+  const std::uint64_t trace_id = journeys_.request(bytes, page);
+  ++reqs_sent_;
+  send_all(bytes);
   // Pump until the ack lands (request_swap's pattern); pages and announces
   // received meanwhile are processed normally.
   net::Frame frame;
-  while (true) {
-    bool acked = false;
-    for (const OpenReq& req : open_reqs_) {
-      if (req.trace_id == trace_id) {
-        acked = req.acked;
-        break;
-      }
-    }
-    if (acked) break;
+  while (journeys_.awaiting_ack(trace_id)) {
     if (!read_frame(frame))
       throw std::runtime_error("tune: server closed before the request ack");
     handle_frame(frame);
@@ -403,60 +303,30 @@ void TuneClient::want_page(PageId page, std::int64_t patience_slots) {
   const std::int64_t issue =
       last_slot_seen_ >= 0 ? last_slot_seen_
                            : static_cast<std::int64_t>(tune_in_slot_);
-  open_wants_.push_back(
-      Want{page, issue, std::max<std::int64_t>(1, patience)});
+  journeys_.want(page, issue, std::max<std::int64_t>(1, patience));
   ++wants_issued_;
 }
 
-bool TuneClient::run_with_wants(std::uint64_t slots, std::uint64_t count,
-                                std::int64_t patience_slots) {
-  if (count == 0 || slots == 0) return run(slots);
-  const std::uint64_t target = slots_seen_ + slots;
-  const std::uint64_t stride = std::max<std::uint64_t>(1, slots / count);
-  std::uint64_t next_want_at = slots_seen_;
-  std::uint64_t issued = 0;
-  PageId next_page = 0;
-  net::Frame frame;
-  while (slots_seen_ < target) {
-    if (issued < count && slots_seen_ >= next_want_at) {
-      const auto total = static_cast<PageId>(workload_->total_pages());
-      want_page(next_page, patience_slots);
-      next_page = static_cast<PageId>((next_page + 1) % total);
-      ++issued;
-      next_want_at += stride;
-    }
-    if (!read_frame(frame)) return true;
-    handle_frame(frame);
-  }
-  return false;
-}
-
-bool TuneClient::run_with_requests(std::uint64_t slots, std::uint64_t count) {
-  if (count == 0 || slots == 0) return run(slots);
-  const std::uint64_t target = slots_seen_ + slots;
-  const std::uint64_t stride = std::max<std::uint64_t>(1, slots / count);
-  std::uint64_t next_request_at = slots_seen_;
-  std::uint64_t issued = 0;
-  PageId next_page = 0;
-  net::Frame frame;
-  while (slots_seen_ < target) {
-    if (issued < count && slots_seen_ >= next_request_at) {
-      const auto total = static_cast<PageId>(workload_->total_pages());
-      request_page(next_page);
-      next_page = static_cast<PageId>((next_page + 1) % total);
-      ++issued;
-      next_request_at += stride;
-    }
-    if (!read_frame(frame)) return true;
-    handle_frame(frame);
-  }
-  return false;
-}
-
-bool TuneClient::run(std::uint64_t slots) {
+bool TuneClient::run(std::uint64_t slots, std::uint64_t requests,
+                     std::int64_t patience_slots) {
   const std::uint64_t target = slots == 0 ? 0 : slots_seen_ + slots;
+  const std::uint64_t stride =
+      std::max<std::uint64_t>(1, slots / std::max<std::uint64_t>(1, requests));
+  std::uint64_t next_at = slots_seen_;
+  std::uint64_t issued = 0;
+  PageId next_page = 0;
   net::Frame frame;
   while (target == 0 || slots_seen_ < target) {
+    if (target != 0 && issued < requests && slots_seen_ >= next_at) {
+      const auto total = static_cast<PageId>(workload_->total_pages());
+      if (patience_slots >= 0)
+        want_page(next_page, patience_slots);
+      else
+        request_page(next_page);
+      next_page = static_cast<PageId>((next_page + 1) % total);
+      ++issued;
+      next_at += stride;
+    }
     if (!read_frame(frame)) return true;
     handle_frame(frame);
   }
@@ -465,14 +335,11 @@ bool TuneClient::run(std::uint64_t slots) {
 
 SwapReply TuneClient::request_swap(const Workload& next, SlotCount channels,
                                    int method) {
-  std::string payload;
-  wire_put_u32(payload, static_cast<std::uint32_t>(channels));
-  wire_put_u8(payload, method < 0 ? net::kSwapMethodAuto
-                                  : static_cast<std::uint8_t>(method));
-  append_workload_binary(payload, next);
-  std::string bytes;
-  net::append_frame(bytes, net::FrameType::kSwap, payload);
-  send_all(bytes);
+  const std::string workload = workload_to_binary(next);
+  const std::uint8_t method_byte =
+      method < 0 ? net::kSwapMethodAuto : static_cast<std::uint8_t>(method);
+  send_all(net::encode(net::SwapMsg{static_cast<std::uint32_t>(channels),
+                                    method_byte, workload}));
 
   last_swap_reply_.reset();
   net::Frame frame;
@@ -561,7 +428,7 @@ TuneSummary TuneClient::summary() const {
   out.wants.broadcast_served = wants_broadcast_;
   out.wants.pulled = wants_pulled_;
   out.wants.pull_completed = pulls_completed_;
-  out.wants.undecided = open_wants_.size();
+  out.wants.undecided = journeys_.open_wants();
   const std::uint64_t decided = wants_broadcast_ + wants_pulled_;
   out.wants.pull_fraction =
       decided ? static_cast<double>(wants_pulled_) /

@@ -32,16 +32,12 @@
 #include "net/framing.hpp"
 #include "net/socket.hpp"
 #include "obs/clock_sync.hpp"
+#include "server/client_journeys.hpp"
 
 namespace tcsa {
 
 /// One received page frame (recorded only when Options::record_pages).
-struct ReceivedPage {
-  std::uint64_t slot = 0;
-  std::uint32_t generation = 0;
-  std::uint32_t channel = 0;
-  PageId page = 0;
-};
+using ReceivedPage = net::PageMsg;
 
 /// Server's answer to a hot-swap request.
 struct SwapReply {
@@ -145,14 +141,13 @@ class TuneClient {
   void retune(std::uint64_t mask);
 
   /// Receives until `slots` distinct slot indices have been observed
-  /// (0 = until the server closes). Returns true on server EOF.
-  bool run(std::uint64_t slots);
-
-  /// Like run(), additionally issuing `count` traced page requests spread
-  /// evenly across the span (pages round-robin from 0). Each request's
-  /// journey is recorded via obs::req_event and accounted in
-  /// TuneSummary::requests.
-  bool run_with_requests(std::uint64_t slots, std::uint64_t count);
+  /// (0 = until the server closes). Returns true on server EOF. With
+  /// `slots` > 0 it also issues `requests` page asks spread evenly across
+  /// the span (pages round-robin from 0): traced requests (request_page)
+  /// when `patience_slots` < 0, else impatient wants (want_page) with that
+  /// patience. Journeys are accounted in TuneSummary::requests and ::wants.
+  bool run(std::uint64_t slots, std::uint64_t requests = 0,
+           std::int64_t patience_slots = -1);
 
   /// Sends one traced kReq for `page` and pumps frames until its ack
   /// arrives (folding the exchange into the clock-offset estimate).
@@ -165,14 +160,8 @@ class TuneClient {
   /// the server's pull plane schedules it. `patience_slots` 0 uses the
   /// page's own promised wait t_p under the current generation (the
   /// sim/hybrid impatient-client rule). Resolution happens inside the
-  /// normal frame pump (run / run_with_wants).
+  /// normal frame pump (run).
   void want_page(PageId page, std::int64_t patience_slots = 0);
-
-  /// Like run(), additionally issuing `count` impatient wants (pages
-  /// round-robin from 0) spread evenly across the span, each with
-  /// `patience_slots` patience (0 = per-page t_p).
-  bool run_with_wants(std::uint64_t slots, std::uint64_t count,
-                      std::int64_t patience_slots = 0);
 
   /// RTT-symmetric estimate of (server trace clock - client trace clock),
   /// refined by every request ack.
@@ -207,37 +196,15 @@ class TuneClient {
     std::uint64_t misses = 0;
   };
 
-  /// One in-flight traced request. The deadline is granted at the ack
-  /// (the server stamps the page's promised wait t_p into it); a page
-  /// frame arriving before the ack does not complete the journey — the
-  /// request's service starts from the request, and the ack always
-  /// precedes the next airing on an in-order stream.
-  struct OpenReq {
-    std::uint64_t trace_id = 0;
-    PageId page = 0;
-    std::uint64_t t0_us = 0;        ///< client trace clock at send
-    std::uint64_t deadline_us = 0;  ///< t0 + t_p * slot_us, set by the ack
-    bool acked = false;
-    std::int64_t want_issue_slot = -1;  ///< >= 0: born from a timed-out want
-  };
-
-  /// One impatient want still watching the broadcast.
-  struct Want {
-    PageId page = 0;
-    std::int64_t issue_slot = 0;
-    std::int64_t patience = 0;  ///< slots granted before falling back to pull
-  };
-
   bool read_frame(net::Frame& frame);   ///< false on orderly EOF
   void handle_frame(const net::Frame& frame);
   void apply_announcement(std::string_view payload, bool initial);
-  void on_page(const net::Frame& frame);
-  void on_pull(const net::Frame& frame);
-  void on_req_ack(const net::Frame& frame);
+  void on_page(const net::PageMsg& msg);
+  void on_pull(const net::PullMsg& msg);
+  void on_req_ack(const net::ReqAckMsg& msg);
   void note_slot(std::uint64_t slot);   ///< slot bookkeeping + want timeouts
-  void complete_open_reqs(PageId page, std::uint64_t slot, bool via_pull);
-  std::uint64_t send_request(PageId page, std::int64_t want_issue_slot);
-  void send_tune(std::uint64_t mask);
+  /// Completes the journeys `page` closes, into the request/want stats.
+  void complete(PageId page, std::uint64_t slot, bool via_pull);
   void send_all(std::string_view bytes);
 
   Options options_;
@@ -265,8 +232,9 @@ class TuneClient {
 
   std::optional<SwapReply> last_swap_reply_;
 
-  // --- impatient-want state ---
-  std::vector<Want> open_wants_;
+  ClientJourneys journeys_;  // open traced requests and impatient wants
+
+  // --- impatient-want stats ---
   std::uint64_t wants_issued_ = 0;
   std::uint64_t wants_broadcast_ = 0;
   std::uint64_t wants_pulled_ = 0;
@@ -276,8 +244,7 @@ class TuneClient {
   std::uint64_t pull_frames_ = 0;
   std::uint64_t pull_waiters_sum_ = 0;
 
-  // --- traced request state ---
-  std::vector<OpenReq> open_reqs_;
+  // --- traced request stats ---
   obs::ClockOffsetEstimator offset_;
   std::vector<double> req_delay_us_;
   std::vector<double> req_slack_us_;

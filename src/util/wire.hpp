@@ -8,6 +8,7 @@
 // endianness assumptions.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -108,5 +109,30 @@ class WireReader {
   std::string_view data_;
   std::size_t pos_ = 0;
 };
+
+// Overloads by field type, so a message codec can walk a field list
+// generically (net/framing's tie()). A std::string_view field is the
+// payload's tail: written as-is, read as everything left.
+
+inline void wire_put(std::string& s, bool v) { wire_put_u8(s, v ? 1 : 0); }
+inline void wire_put(std::string& s, std::uint8_t v) { wire_put_u8(s, v); }
+inline void wire_put(std::string& s, std::uint32_t v) { wire_put_u32(s, v); }
+inline void wire_put(std::string& s, std::uint64_t v) { wire_put_u64(s, v); }
+inline void wire_put(std::string& s, std::int64_t v) { wire_put_i64(s, v); }
+inline void wire_put(std::string& s, std::string_view v) { s.append(v); }
+
+inline void wire_get(WireReader& r, bool& v) { v = r.read_u8() != 0; }
+inline void wire_get(WireReader& r, std::uint8_t& v) { v = r.read_u8(); }
+inline void wire_get(WireReader& r, std::uint32_t& v) { v = r.read_u32(); }
+inline void wire_get(WireReader& r, std::uint64_t& v) { v = r.read_u64(); }
+inline void wire_get(WireReader& r, std::int64_t& v) { v = r.read_i64(); }
+inline void wire_get(WireReader& r, std::string_view& v) { v = r.read_rest(); }
+
+constexpr std::size_t wire_size(bool) { return 1; }
+constexpr std::size_t wire_size(std::uint8_t) { return 1; }
+constexpr std::size_t wire_size(std::uint32_t) { return 4; }
+constexpr std::size_t wire_size(std::uint64_t) { return 8; }
+constexpr std::size_t wire_size(std::int64_t) { return 8; }
+constexpr std::size_t wire_size(std::string_view v) { return v.size(); }
 
 }  // namespace tcsa

@@ -40,10 +40,12 @@ class CliContract : public ::testing::Test {
   }
 
   /// Runs tcsactl with `args`; captures stderr for the usage assertions.
+  /// stdin is empty, so a command that reads it never waits on the test's.
   int run(std::vector<std::string> args) {
     std::vector<std::string> argv = {TCSACTL_PATH};
     argv.insert(argv.end(), args.begin(), args.end());
     tcsa::SpawnOptions options;
+    options.stdin_path = "/dev/null";
     options.stdout_path = (dir_ / "stdout.txt").string();
     options.stderr_path = (dir_ / "stderr.txt").string();
     return tcsa::run_command(argv, options);
@@ -94,6 +96,10 @@ TEST_F(CliContract, UnknownFlagExitsTwoWithUsageOnStderr) {
 
 TEST_F(CliContract, InvalidFlagValuesExitTwo) {
   EXPECT_EQ(run({"serve", "--port", "70000"}), 2);       // out of range
+  // The flag itself is the reason, not the (empty) workload on stdin.
+  EXPECT_NE(stderr_text().find("--port must be in [0, 65535]"),
+            std::string::npos)
+      << stderr_text();
   EXPECT_EQ(run({"tune", "--port", "1", "--channel", "64"}), 2);
 }
 

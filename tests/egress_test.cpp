@@ -33,14 +33,7 @@ namespace {
 /// patched frame must equal byte for byte.
 std::string page_frame(std::uint64_t slot, std::uint32_t generation,
                        std::uint32_t channel, PageId page) {
-  std::string payload;
-  wire_put_u64(payload, slot);
-  wire_put_u32(payload, generation);
-  wire_put_u32(payload, channel);
-  wire_put_u32(payload, page);
-  std::string frame;
-  net::append_frame(frame, net::FrameType::kPage, payload);
-  return frame;
+  return net::encode(net::PageMsg{slot, generation, channel, page});
 }
 
 // ------------------------------------------------------------- SharedBuf

@@ -20,7 +20,6 @@
 #include "server/air_server.hpp"
 #include "server/loadgen.hpp"
 #include "server/tune_client.hpp"
-#include "util/wire.hpp"
 
 #include "server_harness.hpp"
 
@@ -94,10 +93,7 @@ TEST(MultiLoop, OwningShardEvictsItsSlowClient) {
   ASSERT_EQ(::setsockopt(lazy.get(), SOL_SOCKET, SO_RCVBUF, &small,
                          sizeof(small)),
             0);
-  std::string tune_payload;
-  wire_put_u64(tune_payload, net::kAllChannels);
-  std::string tune_frame;
-  net::append_frame(tune_frame, net::FrameType::kTune, tune_payload);
+  const std::string tune_frame = net::encode(net::TuneMsg{net::kAllChannels});
   ASSERT_EQ(::send(lazy.get(), tune_frame.data(), tune_frame.size(),
                    MSG_NOSIGNAL),
             static_cast<ssize_t>(tune_frame.size()));
@@ -185,8 +181,8 @@ TEST(MultiLoop, UntunedSessionHearsTheAnnounceAtActivation) {
         if (frame.type != net::FrameType::kAnnounce) continue;
         announced = true;
         heard_by_slot = harness.server().slots_aired();
-        WireReader reader(frame.payload);
-        EXPECT_EQ(reader.read_u32(), reply.generation);
+        EXPECT_EQ(net::decode<net::HelloMsg>(frame.payload).generation,
+                  reply.generation);
       }
     }
     ASSERT_TRUE(announced) << "untuned session never received the announce";

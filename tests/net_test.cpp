@@ -1,4 +1,5 @@
-// net_test.cpp — wire codec, frame (de)coder, slot clock, and event loop.
+// net_test.cpp — wire codec, frame (de)coder, payload codec and its
+// mutation fuzz, slot clock, and event loop.
 #include <sys/epoll.h>
 
 #include <atomic>
@@ -10,11 +11,14 @@
 
 #include <gtest/gtest.h>
 
+#include "model/serialize.hpp"
+#include "model/workload.hpp"
 #include "net/event_loop.hpp"
 #include "net/framing.hpp"
 #include "net/loop_group.hpp"
 #include "net/slot_clock.hpp"
 #include "net/socket.hpp"
+#include "util/rng.hpp"
 #include "util/wire.hpp"
 
 using namespace tcsa;
@@ -115,6 +119,235 @@ TEST(Framing, RejectsCorruptHeaders) {
   poisoned([](std::string& s) { s[5] = 100; });           // type above range
   poisoned([](std::string& s) { s[6] = 1; });             // nonzero flags
   poisoned([](std::string& s) { s[11] = 0x7f; });         // length > cap
+}
+
+// ---------------------------------------------------------- payload codec
+
+std::string hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const unsigned char c : bytes) {
+    out += kDigits[c >> 4];
+    out += kDigits[c & 15];
+  }
+  return out;
+}
+
+/// One message through append() -> FrameDecoder -> decode(): the frame
+/// type and every field survive, and a payload cut inside its fixed-size
+/// fields is rejected. Fixed-size payloads (no string tail) also reject one
+/// trailing byte.
+template <class Msg>
+void expect_codec_round_trip(const Msg& msg, bool fixed_size) {
+  SCOPED_TRACE("frame type " + std::to_string(static_cast<int>(Msg::kType)));
+  std::string stream;
+  net::append(stream, msg);
+  net::FrameDecoder decoder;
+  decoder.feed(stream);
+  net::Frame frame;
+  ASSERT_TRUE(decoder.next(frame));
+  EXPECT_EQ(frame.type, Msg::kType);
+  Msg sent = msg;
+  Msg back = net::decode<Msg>(frame.payload);
+  EXPECT_TRUE(back.tie() == sent.tie());
+
+  std::string fixed;  // a default message has an empty string tail
+  net::append(fixed, Msg{});
+  const std::size_t fixed_bytes = fixed.size() - net::kFrameHeaderSize;
+  for (std::size_t cut = 0; cut < fixed_bytes; ++cut) {
+    EXPECT_THROW(net::decode<Msg>(frame.payload.substr(0, cut)),
+                 std::invalid_argument)
+        << "cut at " << cut;
+  }
+  if (fixed_size) {
+    EXPECT_THROW(net::decode<Msg>(std::string(frame.payload) + '\0'),
+                 std::invalid_argument);
+  }
+}
+
+TEST(Codec, EveryMessageRoundTripsAndRejectsBadLengths) {
+  const std::string workload =
+      workload_to_binary(Workload({{2, 3}, {4, 5}}));
+  expect_codec_round_trip(
+      net::HelloMsg{.generation = 7, .slot_us = 500, .channels = 3,
+                    .cycle_length = 8, .next_slot = 1ull << 40,
+                    .workload = workload},
+      false);
+  expect_codec_round_trip(net::TuneMsg{.mask = net::kAllChannels}, true);
+  expect_codec_round_trip(
+      net::PageMsg{.slot = 99, .generation = 2, .channel = 5, .page = 11},
+      true);
+  expect_codec_round_trip(
+      net::SwapMsg{.channels = 4, .method = 2, .workload = workload}, false);
+  expect_codec_round_trip(
+      net::SwapReplyMsg{.accepted = true, .generation = 3,
+                        .activation_slot = 640, .seam_lateness = -2,
+                        .error = "no"},
+      false);
+  expect_codec_round_trip(net::ReqMsg{.trace_id = 1ull << 63, .page = 4},
+                          true);
+  expect_codec_round_trip(
+      net::ReqAckMsg{.trace_id = 5, .recv_us = 10, .send_us = 12,
+                     .next_slot = 30, .page = 4, .expected_slots = 8,
+                     .generation = 1},
+      true);
+  expect_codec_round_trip(
+      net::PullMsg{.slot = 31, .generation = 1, .page = 4, .waiters = 3},
+      true);
+}
+
+TEST(Codec, HelloAlsoTravelsAsAnnounce) {
+  net::HelloMsg hello;
+  hello.generation = 2;
+  std::string stream;
+  net::append(stream, hello, net::FrameType::kAnnounce);
+  net::FrameDecoder decoder;
+  decoder.feed(stream);
+  net::Frame frame;
+  ASSERT_TRUE(decoder.next(frame));
+  EXPECT_EQ(frame.type, net::FrameType::kAnnounce);
+  EXPECT_EQ(net::decode<net::HelloMsg>(frame.payload).generation, 2u);
+}
+
+// Golden bytes captured from the hand-written encoders the codec replaced:
+// the wire must not move.
+TEST(Codec, PageAndReqAckFramesMatchGoldenBytes) {
+  std::string page;
+  net::append(page, net::PageMsg{.slot = 0x0102030405060708ull,
+                                 .generation = 9,
+                                 .channel = 3,
+                                 .page = 0x11223344});
+  EXPECT_EQ(hex(page),
+            "544353410303000014000000"
+            "0807060504030201090000000300000044332211");
+  EXPECT_EQ(page.substr(net::kPageSlotOffset, 8),
+            std::string("\x08\x07\x06\x05\x04\x03\x02\x01", 8));
+
+  std::string ack;
+  net::append(ack, net::ReqAckMsg{.trace_id = 0xabcdef,
+                                  .recv_us = 1000,
+                                  .send_us = 1005,
+                                  .next_slot = 77,
+                                  .page = 42,
+                                  .expected_slots = 8,
+                                  .generation = 2});
+  EXPECT_EQ(hex(ack),
+            "54435341030800002c000000"
+            "efcdab0000000000e803000000000000ed03000000000000"
+            "4d000000000000002a0000000800000002000000");
+}
+
+// --------------------------------------------------------- parser fuzzing
+
+/// Decodes `frame` the way its receiving peer would: the payload by its
+/// type, and a carried workload through workload_from_binary.
+void decode_as_peer(const net::Frame& frame) {
+  switch (frame.type) {
+    case net::FrameType::kHello:
+    case net::FrameType::kAnnounce:
+      workload_from_binary(net::decode<net::HelloMsg>(frame.payload).workload);
+      return;
+    case net::FrameType::kTune:
+      net::decode<net::TuneMsg>(frame.payload);
+      return;
+    case net::FrameType::kPage:
+      net::decode<net::PageMsg>(frame.payload);
+      return;
+    case net::FrameType::kSwap:
+      workload_from_binary(net::decode<net::SwapMsg>(frame.payload).workload);
+      return;
+    case net::FrameType::kSwapReply:
+      net::decode<net::SwapReplyMsg>(frame.payload);
+      return;
+    case net::FrameType::kReq:
+      net::decode<net::ReqMsg>(frame.payload);
+      return;
+    case net::FrameType::kReqAck:
+      net::decode<net::ReqAckMsg>(frame.payload);
+      return;
+    case net::FrameType::kPull:
+      net::decode<net::PullMsg>(frame.payload);
+      return;
+  }
+}
+
+/// One random edit: flip a bit, overwrite, insert or erase a byte, or cut
+/// the tail.
+void mutate(std::string& bytes, Rng& rng) {
+  const auto at = [&](std::size_t size) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(size) - 1));
+  };
+  const auto byte = [&] { return static_cast<char>(rng.uniform_int(0, 255)); };
+  switch (bytes.empty() ? 2 : rng.uniform_int(0, 4)) {
+    case 0:
+      bytes[at(bytes.size())] ^= static_cast<char>(1 << rng.uniform_int(0, 7));
+      return;
+    case 1:
+      bytes[at(bytes.size())] = byte();
+      return;
+    case 2:
+      bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(
+                                       at(bytes.size() + 1)),
+                   byte());
+      return;
+    case 3:
+      bytes.erase(at(bytes.size()), 1);
+      return;
+    default:
+      bytes.resize(at(bytes.size()));
+      return;
+  }
+}
+
+// Seeded mutation fuzz over every peer-facing parser: FrameDecoder, each
+// payload decoder, and the workload decoder behind kHello and kSwap. Every
+// malformed input must fail with std::invalid_argument, the one exception
+// the session loops catch; anything else (or a crash) fails the test.
+TEST(ParserFuzz, MutatedFramesFailOnlyWithInvalidArgument) {
+  const std::string workload =
+      workload_to_binary(Workload({{1, 2}, {2, 3}, {4, 6}}));
+  std::vector<std::string> corpus(8);
+  net::append(corpus[0], net::HelloMsg{1, 1000, 2, 4, 0, workload});
+  net::append(corpus[1], net::TuneMsg{3});
+  net::append(corpus[2], net::PageMsg{5, 1, 1, 2});
+  net::append(corpus[3], net::SwapMsg{2, net::kSwapMethodAuto, workload});
+  net::append(corpus[4], net::SwapReplyMsg{false, 0, 0, 0, "swap rejected"});
+  net::append(corpus[5], net::ReqMsg{9, 1});
+  net::append(corpus[6], net::ReqAckMsg{9, 1, 2, 3, 1, 2, 1});
+  net::append(corpus[7], net::PullMsg{6, 1, 1, 2});
+
+  Rng rng(20260517);
+  std::size_t rejected = 0;
+  constexpr int kCases = 20000;
+  for (int i = 0; i < kCases; ++i) {
+    std::string bytes = corpus[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(corpus.size()) - 1))];
+    const auto edits = rng.uniform_int(1, 4);
+    for (std::int64_t e = 0; e < edits; ++e) mutate(bytes, rng);
+    // Half the cases skip the header and go straight at the payload
+    // decoders, so header checks do not shield them.
+    const bool raw_payload = rng.bernoulli(0.5);
+    try {
+      if (raw_payload) {
+        net::Frame frame;
+        frame.type = static_cast<net::FrameType>(rng.uniform_int(1, 9));
+        frame.payload = std::string_view(bytes).substr(
+            std::min(bytes.size(), net::kFrameHeaderSize));
+        decode_as_peer(frame);
+      } else {
+        net::FrameDecoder decoder;
+        decoder.feed(bytes);
+        net::Frame frame;
+        while (decoder.next(frame)) decode_as_peer(frame);
+      }
+    } catch (const std::invalid_argument&) {
+      ++rejected;
+    }
+  }
+  // The corpus mutates into rejects most of the time; a run that rejects
+  // nothing means the mutations never reached a parser.
+  EXPECT_GT(rejected, kCases / 4u);
 }
 
 // -------------------------------------------------------------- slot clock

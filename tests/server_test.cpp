@@ -142,6 +142,43 @@ TEST(AirServer, LoopbackDeadlinesHoldAcrossChannelSwitchAndHotSwap) {
                                           : after_report.violations.front());
 }
 
+struct RawSwapReply {
+  bool accepted = false;
+  std::string error;
+};
+
+/// Sends `payload` as a kSwap from a fresh connection and waits for the
+/// verdict.
+RawSwapReply raw_swap(ServerHarness& harness, const std::string& payload) {
+  std::string swap_frame;  // raw on purpose: the payload may be malformed
+  net::append_frame(swap_frame, net::FrameType::kSwap, payload);
+  net::Fd conn = net::connect_tcp("127.0.0.1", harness.server().port());
+  EXPECT_EQ(::send(conn.get(), swap_frame.data(), swap_frame.size(),
+                   MSG_NOSIGNAL),
+            static_cast<ssize_t>(swap_frame.size()));
+  net::FrameDecoder decoder;
+  net::Frame frame;
+  for (;;) {
+    pollfd readable{conn.get(), POLLIN, 0};
+    if (::poll(&readable, 1, 5000) != 1) {
+      ADD_FAILURE() << "no swap reply";
+      return {};
+    }
+    char buffer[4096];
+    const ssize_t n = ::recv(conn.get(), buffer, sizeof(buffer), 0);
+    if (n <= 0) {
+      ADD_FAILURE() << "server closed before the swap reply";
+      return {};
+    }
+    decoder.feed(std::string_view(buffer, static_cast<std::size_t>(n)));
+    while (decoder.next(frame)) {
+      if (frame.type != net::FrameType::kSwapReply) continue;
+      const auto reply = net::decode<net::SwapReplyMsg>(frame.payload);
+      return {reply.accepted, std::string(reply.error)};
+    }
+  }
+}
+
 TEST(AirServer, RejectsSwapToAnUnschedulableWorkloadAndStaysOnAir) {
   MetricsDelta metrics;
   AirServerConfig config;
@@ -161,40 +198,38 @@ TEST(AirServer, RejectsSwapToAnUnschedulableWorkloadAndStaysOnAir) {
   // come back as a rejected swap, not unwind the airing loop.
   const std::uint64_t rejected_before =
       metrics.counter("tcsa_server_swap_rejected_total");
-  std::string payload;
-  wire_put_u32(payload, 0);  // keep the current channel count
-  wire_put_u8(payload, net::kSwapMethodAuto);
-  payload += workload_to_binary(paper_workload()).substr(0, 5);  // header
-  wire_put_u32(payload, 2);  // groups {t=1, pages=2}, {t=2, pages=INT64_MAX}
-  wire_put_i64(payload, 1);
-  wire_put_i64(payload, 2);
-  wire_put_i64(payload, 2);
-  wire_put_i64(payload, std::numeric_limits<std::int64_t>::max());
-  std::string swap_frame;
-  net::append_frame(swap_frame, net::FrameType::kSwap, payload);
-  net::Fd hostile = net::connect_tcp("127.0.0.1", harness.server().port());
-  ASSERT_EQ(::send(hostile.get(), swap_frame.data(), swap_frame.size(),
-                   MSG_NOSIGNAL),
-            static_cast<ssize_t>(swap_frame.size()));
-  net::FrameDecoder decoder;
-  net::Frame frame;
-  bool replied = false;
-  while (!replied) {
-    pollfd readable{hostile.get(), POLLIN, 0};
-    ASSERT_EQ(::poll(&readable, 1, 5000), 1) << "no swap reply";
-    char buffer[4096];
-    const ssize_t n = ::recv(hostile.get(), buffer, sizeof(buffer), 0);
-    ASSERT_GT(n, 0) << "server closed before the swap reply";
-    decoder.feed(std::string_view(buffer, static_cast<std::size_t>(n)));
-    while (!replied && decoder.next(frame)) {
-      if (frame.type != net::FrameType::kSwapReply) continue;
-      replied = true;
-      WireReader reader(frame.payload);
-      EXPECT_EQ(reader.read_u8(), 0) << "hostile swap accepted";
-    }
-  }
+  const std::string header = workload_to_binary(paper_workload()).substr(0, 5);
+  std::string overflow;
+  wire_put_u32(overflow, 0);  // keep the current channel count
+  wire_put_u8(overflow, net::kSwapMethodAuto);
+  overflow += header;
+  wire_put_u32(overflow, 2);  // groups {t=1, pages=2}, {t=2, pages=INT64_MAX}
+  wire_put_i64(overflow, 1);
+  wire_put_i64(overflow, 2);
+  wire_put_i64(overflow, 2);
+  wire_put_i64(overflow, std::numeric_limits<std::int64_t>::max());
+  EXPECT_FALSE(raw_swap(harness, overflow).accepted)
+      << "hostile swap accepted";
   EXPECT_EQ(metrics.counter("tcsa_server_swap_rejected_total"),
             rejected_before + 1);
+
+  // 42 bytes asking for 65 channels and the codec's largest workload
+  // (2^26 pages): the channel check must answer before anything decodes
+  // the workload, or the airing loop stalls for the decode (~0.2 s).
+  std::string oversized;
+  wire_put_u32(oversized, 65);
+  wire_put_u8(oversized, net::kSwapMethodAuto);
+  oversized += header;
+  wire_put_u32(oversized, 1);  // one group {t=1, pages=2^26}
+  wire_put_i64(oversized, 1);
+  wire_put_i64(oversized, std::int64_t{1} << 26);
+  const auto sent = std::chrono::steady_clock::now();
+  const RawSwapReply verdict = raw_swap(harness, oversized);
+  const auto waited = std::chrono::steady_clock::now() - sent;
+  EXPECT_FALSE(verdict.accepted);
+  EXPECT_NE(verdict.error.find("64-channel mask limit"), std::string::npos)
+      << verdict.error;
+  EXPECT_LT(waited, std::chrono::milliseconds(50));
 
   // The old program keeps airing, still meeting deadlines.
   client.run(60);
@@ -221,10 +256,7 @@ TEST(AirServer, EvictsASlowClientInsteadOfStallingTheBroadcast) {
   ASSERT_EQ(::setsockopt(lazy.get(), SOL_SOCKET, SO_RCVBUF, &small,
                          sizeof(small)),
             0);
-  std::string tune_payload;
-  wire_put_u64(tune_payload, net::kAllChannels);
-  std::string tune_frame;
-  net::append_frame(tune_frame, net::FrameType::kTune, tune_payload);
+  const std::string tune_frame = net::encode(net::TuneMsg{net::kAllChannels});
   ASSERT_EQ(::send(lazy.get(), tune_frame.data(), tune_frame.size(),
                    MSG_NOSIGNAL),
             static_cast<ssize_t>(tune_frame.size()));

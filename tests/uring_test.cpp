@@ -1,8 +1,7 @@
 // uring_test.cpp — the io_uring batched-egress backend: one-syscall batch
 // submission with byte-exact delivery, inline -EAGAIN completions and
 // resume, SQ-window backpressure when a batch exceeds ring capacity, and
-// the fallback (forced-ENOSYS runtime probe, --uring on refusing to start
-// without the backend).
+// the fallback (a forced-ENOSYS runtime probe puts the server on sendmsg).
 #include <stdlib.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
@@ -216,14 +215,13 @@ TEST(UringFlusher, ForcedEnosysDisablesTheProbeAndConstruction) {
 
 // --------------------------------------------------- server integration
 
-// With the backend forced unavailable, --uring auto serves on the classic
+// With the backend forced unavailable, the server serves on the classic
 // sendmsg path: same wire, same deadlines, uring_active() false.
 TEST(UringServer, AutoModeFallsBackToSendmsgWhenUnavailable) {
   ForcedEnosys forced;
   AirServerConfig config;
   config.slot_us = 1000;
   config.max_slots = 0;
-  config.uring = UringMode::kAuto;
   MetricsDelta metrics;
   ServerHarness harness(paper_workload(), config);
   EXPECT_FALSE(harness.server().uring_active());
@@ -236,27 +234,16 @@ TEST(UringServer, AutoModeFallsBackToSendmsgWhenUnavailable) {
   EXPECT_EQ(metrics.counter("tcsa_server_uring_enter_total"), 0u);
 }
 
-// --uring on is a hard requirement: an unavailable backend fails startup
-// instead of silently degrading.
-TEST(UringServer, ModeOnRefusesToStartWithoutTheBackend) {
-  ForcedEnosys forced;
-  AirServerConfig config;
-  config.slot_us = 1000;
-  config.uring = UringMode::kOn;
-  EXPECT_THROW(AirServer server(paper_workload(), config),
-               std::runtime_error);
-}
-
-// The batched path end to end: a sharded server with --uring on airs a
-// broadcast that reconstructs to a valid program, and the enter/SQE
-// counters show real batching (strictly fewer syscalls than sends).
+// The batched path end to end: where the kernel offers io_uring, a sharded
+// server takes the ring and airs a broadcast that reconstructs to a valid
+// program, and the enter/SQE counters show real batching (strictly fewer
+// syscalls than sends).
 TEST(UringServer, BatchedEgressServesAValidBroadcast) {
   if (!net::UringFlusher::supported()) GTEST_SKIP() << "io_uring unavailable";
   AirServerConfig config;
   config.slot_us = 400;
   config.max_slots = 600;
   config.loops = 2;
-  config.uring = UringMode::kOn;
   MetricsDelta metrics;
   ServerHarness harness(paper_workload(), config);
   ASSERT_TRUE(harness.server().uring_active());
@@ -286,7 +273,7 @@ TEST(UringServer, BatchedEgressServesAValidBroadcast) {
       metrics.counter("tcsa_server_uring_enter_total");
   const std::uint64_t sqes =
       metrics.counter("tcsa_server_uring_sqe_batched_total");
-  EXPECT_GT(enters, 0u) << "kOn server never used the ring";
+  EXPECT_GT(enters, 0u) << "a ring-backed server never used the ring";
   EXPECT_GE(sqes, enters) << "each enter must carry at least one SQE";
 }
 
