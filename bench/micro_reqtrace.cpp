@@ -41,7 +41,7 @@
 
 namespace {
 
-constexpr std::uint32_t kRing = 4096;  // the server default (--flight-events)
+constexpr std::uint32_t kRing = 4096;  // the server's flight-recorder ring
 
 std::string bench_ring_path(const char* tag) {
   return (std::filesystem::temp_directory_path() /

@@ -8,8 +8,9 @@
 //     nanoseconds: at 300us slots even 1us would be 0.3% of the budget.
 //   * BM_TimelineSnapshot — copying a full 4096-cell ring out from a
 //     scraper's thread, the /slots handler's dominant cost.
-//   * BM_WatchdogObserve — one lag sample into the rolling window,
-//     amortizing the percentile close-out across the window length.
+//   * BM_WatchdogObserve — the whole per-slot call the server makes: one
+//     timeline record plus the watchdog's breach check, amortizing the
+//     read-back of each 256-slot window across the window.
 //   * BM_PrometheusExpose — registry scrape + text exposition for a
 //     registry the size the server actually exposes.
 //
@@ -26,7 +27,7 @@
 
 namespace {
 
-constexpr std::size_t kRing = 4096;  // the server default (--timeline-slots)
+constexpr std::size_t kRing = 4096;  // the server's /slots ring
 
 tcsa::obs::SlotRecord make_record(std::uint64_t slot) {
   tcsa::obs::SlotRecord rec;
@@ -72,22 +73,27 @@ void BM_TimelineSnapshot(benchmark::State& state) {
 BENCHMARK(BM_TimelineSnapshot);
 
 void BM_WatchdogObserve(benchmark::State& state) {
-  tcsa::obs::SloWatchdogConfig config;
-  config.window = 256;  // the server default (--slo-window)
-  config.breach_us = 1e9;  // never breaches: measure the healthy path
-  config.on_warn = [](const std::string&) {};
-  tcsa::obs::SloWatchdog dog(config);
-  std::int64_t now = 0;
+  constexpr double kNeverBreaches = 1e9;  // measure the healthy path
+  const auto quiet = [](const std::string&) {};
+  tcsa::obs::SlotTimeline timeline(kRing);
+  tcsa::obs::SloWatchdog dog(kNeverBreaches, quiet);
+  std::uint64_t slot = 0;
   for (auto _ : state) {
-    dog.observe(static_cast<double>(now % 40), now);
-    now += 300;
+    const tcsa::obs::SlotRecord rec = make_record(slot++);
+    timeline.record(rec);
+    dog.observe(timeline, static_cast<double>(rec.lag_us()), rec.actual_us);
   }
-  // Fixed pass for the counter gate: 1024 samples close exactly 4 windows.
-  tcsa::obs::SloWatchdog fixed(config);
-  for (std::int64_t s = 0; s < 1024; ++s) {
-    fixed.observe(static_cast<double>(s % 40), s * 300);
+  // Fixed pass for the counter gate: 1024 slots close exactly 4 windows.
+  tcsa::obs::SlotTimeline fixed_timeline(kRing);
+  tcsa::obs::SloWatchdog fixed(kNeverBreaches, quiet);
+  for (std::uint64_t s = 0; s < 1024; ++s) {
+    const tcsa::obs::SlotRecord rec = make_record(s);
+    fixed_timeline.record(rec);
+    fixed.observe(fixed_timeline, static_cast<double>(rec.lag_us()),
+                  rec.actual_us);
   }
-  state.counters["watchdog_window"] = static_cast<double>(config.window);
+  state.counters["watchdog_window"] =
+      static_cast<double>(tcsa::obs::SloWatchdog::kWindow);
   state.counters["watchdog_windows_closed_total"] =
       static_cast<double>(fixed.windows());
 }

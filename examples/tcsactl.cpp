@@ -22,7 +22,7 @@
 // And the live side (DESIGN.md §7) — put a program on air, listen to it,
 // swap it without taking it off air:
 //
-//   tcsactl serve --workload w.tcsa --slot-us 2000 --port-file port.txt \
+//   tcsactl serve --workload w.tcsa --slot-us 2000 --port-file port.txt
 //                 --admin-port 0 --admin-port-file admin.txt
 //   tcsactl tune  --port $(cat port.txt) --slots 200 --json
 //   tcsactl swap  --port $(cat port.txt) --workload w2.tcsa
@@ -35,6 +35,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <climits>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -114,6 +115,71 @@ std::string default_run_id() {
   return os.str();
 }
 
+// --------------------------------------------------------- artifact sets
+
+/// What one command writes into its --out-dir: <stem>.manifest.json plus
+/// whichever of <stem>.{metrics,trace,points}.json it has. Callers may
+/// omit only fields with a default (-Wmissing-field-initializers).
+struct ArtifactSet {
+  std::string stem;
+  std::string command;     ///< manifest "command"
+  std::string digest;      ///< manifest "config_digest"
+  int shard_index = 0;
+  int shard_count = 1;
+  std::string metrics_json = {};  ///< empty = no metrics file
+  bool trace = false;             ///< stop tracing, write the Chrome trace
+  std::string points_json = {};   ///< empty = no points file
+};
+
+/// Writes `set` into the directory of --out-dir, stamped with --run-id (or
+/// a fresh id), manifest last so a reader never sees it name a missing file.
+void write_artifact_set(const Cli& cli, const ArtifactSet& set) {
+  const std::string dir = cli.get_string("out-dir");
+  std::filesystem::create_directories(dir);
+  std::string run_id = cli.get_string("run-id");
+  if (run_id.empty()) run_id = default_run_id();
+  obs::RunManifest manifest = obs::make_manifest(
+      run_id, set.shard_index, set.shard_count, set.digest, set.command);
+  const auto file = [&set](const char* kind) {
+    return set.stem + "." + kind + ".json";
+  };
+  if (!set.metrics_json.empty()) {
+    manifest.metrics_file = file("metrics");
+    write_text_file(dir + "/" + manifest.metrics_file, set.metrics_json);
+  }
+  if (set.trace) {
+    manifest.trace_file = file("trace");
+    obs::set_tracing_enabled(false);
+    write_trace_file(dir + "/" + manifest.trace_file);
+  }
+  if (!set.points_json.empty()) {
+    manifest.points_file = file("points");
+    write_text_file(dir + "/" + manifest.points_file, set.points_json);
+  }
+  write_text_file(dir + "/" + file("manifest"),
+                  obs::manifest_to_json(manifest));
+}
+
+/// One <stem>.manifest.json found in a run directory.
+struct FoundManifest {
+  std::string stem;
+  obs::RunManifest manifest;
+};
+
+/// Parses every *.manifest.json in `dir`, in directory order.
+std::vector<FoundManifest> read_manifests(const std::string& dir) {
+  constexpr std::string_view kSuffix = ".manifest.json";
+  std::vector<FoundManifest> found;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (!name.ends_with(kSuffix)) continue;
+    found.push_back(
+        {name.substr(0, name.size() - kSuffix.size()),
+         obs::manifest_from_json(slurp_file(entry.path().string()))});
+  }
+  return found;
+}
+
 // ------------------------------------------------- sharded sweep artifacts
 
 /// Everything one run directory holds, loaded and validated: a complete,
@@ -128,15 +194,8 @@ struct RunArtifacts {
 RunArtifacts collect_run(const std::string& dir) {
   namespace fs = std::filesystem;
   RunArtifacts run;
-  for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
-    const std::string name = entry.path().filename().string();
-    constexpr const char* kSuffix = ".manifest.json";
-    if (name.size() < 14 ||
-        name.compare(name.size() - 14, 14, kSuffix) != 0)
-      continue;
-    run.manifests.push_back(
-        obs::manifest_from_json(slurp_file(entry.path().string())));
-  }
+  for (FoundManifest& found : read_manifests(dir))
+    run.manifests.push_back(std::move(found.manifest));
   if (run.manifests.empty())
     throw std::invalid_argument("no *.manifest.json artifacts in " + dir);
   std::sort(run.manifests.begin(), run.manifests.end(),
@@ -281,20 +340,6 @@ int run_sweep_command(const Cli& cli) {
             << " simulated requests\n";
 
   if (!out_dir.empty()) {
-    std::filesystem::create_directories(out_dir);
-    std::string run_id = cli.get_string("run-id");
-    if (run_id.empty()) run_id = default_run_id();
-    const std::string stem = "shard-" + std::to_string(shard.index);
-    obs::RunManifest manifest = obs::make_manifest(
-        run_id, static_cast<int>(shard.index), static_cast<int>(shard.count),
-        sweep_config_digest(w, config), "sweep");
-    manifest.metrics_file = stem + ".metrics.json";
-    manifest.trace_file = stem + ".trace.json";
-    write_text_file(out_dir + "/" + manifest.metrics_file,
-                    report.metrics.to_json());
-    obs::set_tracing_enabled(false);
-    write_trace_file(out_dir + "/" + manifest.trace_file);
-    manifest.points_file = stem + ".points.json";
     std::vector<obs::SweepPointRecord> records;
     records.reserve(report.points.size());
     for (const SweepPoint& p : report.points) {
@@ -309,28 +354,20 @@ int run_sweep_command(const Cli& cli) {
       r.window_overflows = static_cast<std::int64_t>(p.window_overflows);
       records.push_back(std::move(r));
     }
-    write_text_file(out_dir + "/" + manifest.points_file,
-                    obs::points_to_json(records));
-    write_text_file(out_dir + "/" + stem + ".manifest.json",
-                    obs::manifest_to_json(manifest));
+    write_artifact_set(
+        cli, {.stem = "shard-" + std::to_string(shard.index),
+              .command = "sweep",
+              .digest = sweep_config_digest(w, config),
+              .shard_index = static_cast<int>(shard.index),
+              .shard_count = static_cast<int>(shard.count),
+              .metrics_json = report.metrics.to_json(),
+              .trace = true,
+              .points_json = obs::points_to_json(records)});
   }
   return 0;
 }
 
 // ------------------------------------------- serve / tune / swap commands
-
-/// FNV-1a 64 over a canonical description — the serve run's config_digest
-/// (same scheme sweep_config_digest uses).
-std::string fnv_digest(const std::string& canon) {
-  std::uint64_t hash = 1469598103934665603ULL;
-  for (const char c : canon) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;
-  }
-  std::ostringstream os;
-  os << std::hex << hash;
-  return os.str();
-}
 
 /// `tcsactl serve` — put a scheduled program on air over TCP.
 int serve_main(int argc, const char* const* argv) {
@@ -360,9 +397,6 @@ int serve_main(int argc, const char* const* argv) {
                  "(oldest outstanding request first)");
   cli.add_int("max-buffer-kb", 256,
               "evict a session whose write buffer exceeds this");
-  cli.add_int("send-buffer", 0,
-              "SO_SNDBUF per session, bytes (0 = kernel default; tests "
-              "shrink it to provoke eviction)");
   cli.add_string("metrics-out", "",
                  "write a metrics snapshot to FILE when going off air "
                  "(JSON; Prometheus text if FILE ends in .prom)");
@@ -380,16 +414,10 @@ int serve_main(int argc, const char* const* argv) {
               "slot-lag SLO in microseconds: a slot airing later than this "
               "counts as a breach (tcsa_slo_breach_total) and warns; 0 = "
               "track percentiles only");
-  cli.add_int("slo-window", 256,
-              "slots per watchdog percentile window (tcsa_slot_lag_p99_us "
-              "and friends update once per window)");
-  cli.add_int("timeline-slots", 4096,
-              "per-slot airing records retained for /slots");
   cli.add_string("flight-out", "",
                  "crash-safe flight recorder: mmap a ring of the most "
                  "recent request-trace events into FILE (replay with "
                  "'tcsactl trace flight'; survives SIGKILL)");
-  cli.add_int("flight-events", 4096, "flight-recorder ring size in events");
   if (!cli.parse(argc, argv)) return 0;
 
   AirServerConfig config;
@@ -399,10 +427,8 @@ int serve_main(int argc, const char* const* argv) {
     throw std::invalid_argument("serve: --port must be in [0, 65535]");
   config.port = static_cast<std::uint16_t>(port);
   config.channels = cli.get_int("channels");
-  if (const std::string method = cli.get_string("method"); method != "auto") {
-    config.auto_method = false;
+  if (const std::string method = cli.get_string("method"); method != "auto")
     config.method = parse_method(method);
-  }
   if (cli.get_int("slot-us") < 1)
     throw std::invalid_argument("serve: --slot-us must be >= 1");
   config.slot_us = static_cast<std::uint32_t>(cli.get_int("slot-us"));
@@ -418,27 +444,16 @@ int serve_main(int argc, const char* const* argv) {
   if (!parse_pull_policy(cli.get_string("pull-policy"), &config.pull_policy))
     throw std::invalid_argument(
         "serve: --pull-policy must be 'lwf' or 'maxrt'");
+  if (cli.get_int("max-buffer-kb") < 1)
+    throw std::invalid_argument("serve: --max-buffer-kb must be >= 1");
   config.max_session_buffer =
       static_cast<std::size_t>(cli.get_int("max-buffer-kb")) * 1024;
-  config.session_send_buffer = static_cast<int>(cli.get_int("send-buffer"));
   const long long admin_port = cli.get_int("admin-port");
   if (admin_port < -1 || admin_port > 65535)
     throw std::invalid_argument("serve: --admin-port must be in [-1, 65535]");
   config.admin_port = static_cast<int>(admin_port);
-  config.admin_bind = config.bind_address;
   config.slo_breach_us = static_cast<double>(cli.get_int("slo-us"));
-  if (cli.get_int("slo-window") < 1)
-    throw std::invalid_argument("serve: --slo-window must be >= 1");
-  config.slo_window = static_cast<std::size_t>(cli.get_int("slo-window"));
-  if (cli.get_int("timeline-slots") < 1)
-    throw std::invalid_argument("serve: --timeline-slots must be >= 1");
-  config.timeline_capacity =
-      static_cast<std::size_t>(cli.get_int("timeline-slots"));
   config.flight_out = cli.get_string("flight-out");
-  if (cli.get_int("flight-events") < 1)
-    throw std::invalid_argument("serve: --flight-events must be >= 1");
-  config.flight_capacity =
-      static_cast<std::uint32_t>(cli.get_int("flight-events"));
   // An interrupted broadcast should still go off air cleanly (drain, close,
   // write the export files below) instead of losing its telemetry.
   config.install_signal_handlers = true;
@@ -455,10 +470,10 @@ int serve_main(int argc, const char* const* argv) {
   if (config.admin_port >= 0) obs::set_enabled(true);
   if (!trace_out.empty() || !out_dir.empty()) obs::set_tracing_enabled(true);
   const std::string digest =
-      fnv_digest(workload_to_string(workload) +
-                 "|channels=" + std::to_string(config.channels) +
-                 "|method=" + cli.get_string("method") +
-                 "|slot_us=" + std::to_string(config.slot_us));
+      obs::fnv1a_digest(workload_to_string(workload) +
+                        "|channels=" + std::to_string(config.channels) +
+                        "|method=" + cli.get_string("method") +
+                        "|slot_us=" + std::to_string(config.slot_us));
 
   AirServer server(std::move(workload), config);
   if (const std::string port_file = cli.get_string("port-file");
@@ -476,7 +491,7 @@ int serve_main(int argc, const char* const* argv) {
               << (config.pull_channels == 1 ? "" : "s") << " ["
               << pull_policy_name(config.pull_policy) << "]";
   if (server.admin_port() != 0)
-    std::cerr << ", admin http://" << config.admin_bind << ':'
+    std::cerr << ", admin http://" << config.bind_address << ':'
               << server.admin_port();
   if (config.max_slots)
     std::cerr << ", stopping after " << config.max_slots << " slots";
@@ -491,20 +506,12 @@ int serve_main(int argc, const char* const* argv) {
     obs::set_tracing_enabled(false);
     write_trace_file(trace_out);
   }
-  if (!out_dir.empty()) {
-    std::filesystem::create_directories(out_dir);
-    std::string run_id = cli.get_string("run-id");
-    if (run_id.empty()) run_id = default_run_id();
-    obs::RunManifest manifest =
-        obs::make_manifest(run_id, 0, 1, digest, "serve");
-    manifest.metrics_file = "serve.metrics.json";
-    manifest.trace_file = "serve.trace.json";
-    write_metrics_file(out_dir + "/" + manifest.metrics_file);
-    obs::set_tracing_enabled(false);
-    write_trace_file(out_dir + "/" + manifest.trace_file);
-    write_text_file(out_dir + "/serve.manifest.json",
-                    obs::manifest_to_json(manifest));
-  }
+  if (!out_dir.empty())
+    write_artifact_set(cli, {.stem = "serve",
+                             .command = "serve",
+                             .digest = digest,
+                             .metrics_json = obs::snapshot().to_json(),
+                             .trace = true});
   return 0;
 }
 
@@ -517,6 +524,17 @@ std::uint16_t required_port(const Cli& cli, const char* who) {
         ": --port PORT is required (the server prints it, or use its "
         "--port-file)");
   return static_cast<std::uint16_t>(port);
+}
+
+/// A duration flag in milliseconds, which must be >= 1: zero or a negative
+/// value would wrap the deadline it sets, or make poll() wait forever.
+/// Clamped to INT_MAX (24 days), the most poll() takes.
+int positive_ms(const Cli& cli, const char* who, const char* flag) {
+  const long long ms = cli.get_int(flag);
+  if (ms < 1)
+    throw std::invalid_argument(std::string(who) + ": --" + flag +
+                                " must be >= 1");
+  return static_cast<int>(std::min<long long>(ms, INT_MAX));
 }
 
 /// `tcsactl tune` — listen to a broadcast and measure observed access time
@@ -556,7 +574,7 @@ int tune_main(int argc, const char* const* argv) {
     throw std::invalid_argument("tune: --channel must be < 64");
   options.channel_mask =
       channel < 0 ? net::kAllChannels : (1ull << channel);
-  options.io_timeout_ms = static_cast<int>(cli.get_int("timeout-ms"));
+  options.io_timeout_ms = positive_ms(cli, "tune", "timeout-ms");
   const auto requests = static_cast<std::uint64_t>(cli.get_int("requests"));
   const auto slots = static_cast<std::uint64_t>(cli.get_int("slots"));
   if (requests > 0 && slots == 0)
@@ -575,20 +593,14 @@ int tune_main(int argc, const char* const* argv) {
   client.run(slots, requests, patience);
   const TuneSummary summary = client.summary();
   if (!out_dir.empty()) {
-    std::filesystem::create_directories(out_dir);
-    std::string run_id = cli.get_string("run-id");
-    if (run_id.empty()) run_id = default_run_id();
-    const std::string digest =
-        fnv_digest("tune|host=" + options.host +
-                   "|port=" + std::to_string(options.port) +
-                   "|requests=" + std::to_string(requests));
-    obs::RunManifest manifest =
-        obs::make_manifest(run_id, 0, 1, digest, "tune");
-    manifest.trace_file = "tune.trace.json";
-    obs::set_tracing_enabled(false);
-    write_trace_file(out_dir + "/" + manifest.trace_file);
-    write_text_file(out_dir + "/tune.manifest.json",
-                    obs::manifest_to_json(manifest));
+    write_artifact_set(
+        cli, {.stem = "tune",
+              .command = "tune",
+              .digest = obs::fnv1a_digest(
+                  "tune|host=" + options.host +
+                  "|port=" + std::to_string(options.port) +
+                  "|requests=" + std::to_string(requests)),
+              .trace = true});
     write_text_file(out_dir + "/tune.summary.json", summary.to_json() + "\n");
     // Clock-offset sidecar: 'tcsactl trace merge' picks up
     // <stem>.offset.json next to <stem>.manifest.json and corrects this
@@ -663,6 +675,7 @@ int swap_main(int argc, const char* const* argv) {
 
   // Flag problems must surface before the workload read touches stdin.
   const std::uint16_t port = required_port(cli, "swap");
+  const int timeout_ms = positive_ms(cli, "swap", "timeout-ms");
   int method = -1;
   if (const std::string name = cli.get_string("method"); name != "auto")
     method = static_cast<int>(parse_method(name));
@@ -672,7 +685,7 @@ int swap_main(int argc, const char* const* argv) {
   options.host = cli.get_string("host");
   options.port = port;
   options.channel_mask = 0;  // control session: no page traffic
-  options.io_timeout_ms = static_cast<int>(cli.get_int("timeout-ms"));
+  options.io_timeout_ms = timeout_ms;
   TuneClient client(options);
   const SwapReply reply =
       client.request_swap(next, cli.get_int("channels"), method);
@@ -737,9 +750,8 @@ int loadgen_main(int argc, const char* const* argv) {
   if (cli.get_int("threads") < 1)
     throw std::invalid_argument("loadgen: --threads must be >= 1");
   config.threads = static_cast<std::size_t>(cli.get_int("threads"));
-  config.duration_ms = static_cast<std::uint64_t>(cli.get_int("duration-ms"));
-  config.ramp_timeout_ms =
-      static_cast<std::uint64_t>(cli.get_int("ramp-timeout-ms"));
+  config.duration_ms = positive_ms(cli, "loadgen", "duration-ms");
+  config.ramp_timeout_ms = positive_ms(cli, "loadgen", "ramp-timeout-ms");
   if (cli.get_int("connect-batch") < 1)
     throw std::invalid_argument("loadgen: --connect-batch must be >= 1");
   config.connect_batch = static_cast<std::size_t>(cli.get_int("connect-batch"));
@@ -786,22 +798,15 @@ int loadgen_main(int argc, const char* const* argv) {
   if (const std::string json_out = cli.get_string("json-out");
       !json_out.empty())
     write_text_file(json_out, report.to_json());
-  if (const std::string out_dir = cli.get_string("out-dir");
-      !out_dir.empty()) {
-    std::filesystem::create_directories(out_dir);
-    std::string run_id = cli.get_string("run-id");
-    if (run_id.empty()) run_id = default_run_id();
-    const std::string digest = fnv_digest(
-        "loadgen|sessions=" + std::to_string(config.sessions) +
-        "|threads=" + std::to_string(config.threads) +
-        "|duration_ms=" + std::to_string(config.duration_ms));
-    obs::RunManifest manifest =
-        obs::make_manifest(run_id, 0, 1, digest, "loadgen");
-    manifest.metrics_file = "loadgen.metrics.json";
-    write_text_file(out_dir + "/" + manifest.metrics_file, report.to_json());
-    write_text_file(out_dir + "/loadgen.manifest.json",
-                    obs::manifest_to_json(manifest));
-  }
+  if (!cli.get_string("out-dir").empty())
+    write_artifact_set(
+        cli, {.stem = "loadgen",
+              .command = "loadgen",
+              .digest = obs::fnv1a_digest(
+                  "loadgen|sessions=" + std::to_string(config.sessions) +
+                  "|threads=" + std::to_string(config.threads) +
+                  "|duration_ms=" + std::to_string(config.duration_ms)),
+              .metrics_json = report.to_json()});
 
   if (report.sessions_connected == 0) {
     std::cerr << "tcsactl loadgen: no session ever connected\n";
@@ -1046,27 +1051,16 @@ int trace_merge(int argc, const char* const* argv) {
   if (out.empty()) out = dir + "/journey.trace.json";
 
   namespace fs = std::filesystem;
-  struct Entry {
-    obs::RunManifest manifest;
-    std::string stem;  // "<stem>.manifest.json" -> offset is "<stem>.offset.json"
-  };
-  std::vector<Entry> found;
-  for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
-    const std::string name = entry.path().filename().string();
-    constexpr const char* kSuffix = ".manifest.json";
-    if (name.size() < 14 || name.compare(name.size() - 14, 14, kSuffix) != 0)
-      continue;
-    Entry e;
-    e.manifest = obs::manifest_from_json(slurp_file(entry.path().string()));
-    e.stem = name.substr(0, name.size() - 14);
-    if (!e.manifest.trace_file.empty()) found.push_back(std::move(e));
-  }
+  std::vector<FoundManifest> found = read_manifests(dir);
+  std::erase_if(found, [](const FoundManifest& f) {
+    return f.manifest.trace_file.empty();
+  });
   if (found.empty())
     throw std::invalid_argument("no *.manifest.json with a trace in " + dir);
   // The serving process is the reference timeline: its shard lands first
   // and offsets are corrections towards its clock.
   std::stable_sort(found.begin(), found.end(),
-                   [](const Entry& a, const Entry& b) {
+                   [](const FoundManifest& a, const FoundManifest& b) {
                      return (a.manifest.command == "serve") >
                             (b.manifest.command == "serve");
                    });

@@ -103,9 +103,11 @@ void HttpAdmin::on_accept() {
       return;
     }
     if (!fd.valid()) return;
+    if (conns_.size() >= kMaxConnections) evict_oldest();
     const int raw = fd.get();
     auto conn = std::make_unique<Conn>();
     conn->fd = std::move(fd);
+    conn->accepted = accepts_++;
     conns_.emplace(raw, std::move(conn));
     conn_count_.store(conns_.size(), std::memory_order_relaxed);
     loop_.add(raw, EPOLLIN,
@@ -204,6 +206,18 @@ void HttpAdmin::close_conn(int fd) {
   loop_.remove(fd);
   conns_.erase(it);  // Fd destructor closes
   conn_count_.store(conns_.size(), std::memory_order_relaxed);
+}
+
+void HttpAdmin::evict_oldest() {
+  // Unanswered first: an answered connection is only draining its reply.
+  const Conn* victim = nullptr;
+  for (const auto& [fd, conn] : conns_) {
+    if (victim == nullptr ||
+        std::pair(conn->responded, conn->accepted) <
+            std::pair(victim->responded, victim->accepted))
+      victim = conn.get();
+  }
+  if (victim != nullptr) close_conn(victim->fd.get());
 }
 
 // ------------------------------------------------------------- client side

@@ -3,8 +3,9 @@
 // This is not a web server. It is the smallest thing that lets `curl`,
 // Prometheus, and `tcsactl stat` ask a live AirServer for a snapshot:
 // GET-only, HTTP/1.0 semantics (Content-Length + Connection: close, the
-// connection closes after one response), 8 KiB request cap, no keep-alive,
-// no TLS, no chunking. It rides the existing single-threaded machinery —
+// connection closes after one response), 8 KiB request cap, at most
+// kMaxConnections live connections, no keep-alive, no TLS, no chunking.
+// It rides the existing single-threaded machinery —
 // the listener and every admin connection live on one EventLoop (the
 // server registers it on loop 0, next to the airing path, so handlers may
 // read loop-0-owned state like the slot clock and watchdog without locks),
@@ -43,6 +44,12 @@ class HttpAdmin {
   /// and return the response to serialize.
   using Handler = std::function<HttpResponse(std::string_view query)>;
 
+  /// Live connections kept at once. Admin sockets share the process's
+  /// descriptor table with the data plane, so idle ones must not pile up:
+  /// a new connection at the cap closes the oldest one not yet answered
+  /// (failing that, the oldest), and a fresh scrape still gets through.
+  static constexpr std::size_t kMaxConnections = 16;
+
   /// Binds and listens immediately (port 0 = ephemeral, resolvable via
   /// port() right away); registration with the loop waits for start() so
   /// the owner can finish wiring routes and loop-thread state first.
@@ -80,6 +87,7 @@ class HttpAdmin {
     std::string request;  ///< bytes until the blank line
     OutQueue out;
     bool responded = false;
+    std::uint64_t accepted = 0;  ///< accept order, for eviction at the cap
   };
 
   void on_accept();
@@ -87,6 +95,7 @@ class HttpAdmin {
   void respond(Conn& conn, const HttpResponse& response);
   void flush_conn(Conn& conn);
   void close_conn(int fd);
+  void evict_oldest();
 
   EventLoop& loop_;
   Fd listener_;
@@ -95,6 +104,7 @@ class HttpAdmin {
   bool accept_paused_ = false;  ///< listener off the loop until resume
   std::map<std::string, Handler> routes_;
   std::unordered_map<int, std::unique_ptr<Conn>> conns_;
+  std::uint64_t accepts_ = 0;
   std::atomic<std::size_t> conn_count_{0};  ///< == conns_.size()
 };
 

@@ -51,6 +51,18 @@ void append_kv_int(std::string& out, const char* key, std::int64_t value,
 
 // --------------------------------------------------------------- manifest
 
+std::string fnv1a_digest(std::string_view canon) {
+  std::uint64_t hash = 1469598103934665603ULL;  // FNV offset basis
+  for (const char c : canon) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 1099511628211ULL;  // FNV prime
+  }
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "fnv1a-%016llx",
+                static_cast<unsigned long long>(hash));
+  return buf;
+}
+
 const char* build_git_describe() noexcept { return TCSA_GIT_DESCRIBE; }
 
 RunManifest make_manifest(const std::string& run_id, int shard_index,

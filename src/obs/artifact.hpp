@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -62,6 +63,10 @@ struct RunManifest {
 RunManifest make_manifest(const std::string& run_id, int shard_index,
                           int shard_count, const std::string& config_digest,
                           const std::string& command);
+
+/// A manifest's config_digest: FNV-1a 64 over a canonical description of
+/// the run's configuration, as "fnv1a-" plus 16 hex digits.
+std::string fnv1a_digest(std::string_view canon);
 
 /// The compiled-in TCSA_GIT_DESCRIBE string ("unknown" outside a build that
 /// stamped it). The macro is a compile definition on this translation unit

@@ -1,71 +1,65 @@
-// watchdog.hpp — rolling slot-lag SLO watchdog for the airing loop.
+// watchdog.hpp — slot-lag SLO watchdog for the airing loop.
 //
-// The airing tick feeds every slot's lag (actual − scheduled air time) into
-// a fixed window; when the window fills, the watchdog computes p50/p99/p999
-// over it, blends them into decaying gauges (tcsa_slot_lag_p50_us, ..p99..,
-// ..p999..) so a scrape always shows the recent past rather than
-// process-lifetime averages, and starts the next window. Lags above the SLO
-// threshold bump tcsa_slo_breach_total (an *_always counter: breaches must
-// stay countable even with recording disabled) and fire a rate-limited
-// warning.
+// The airing tick records every slot in the obs::SlotTimeline and then
+// calls observe(). The timeline is the one store of per-slot lags: every
+// kWindow recorded slots the watchdog reads the newest kWindow records back
+// out of it and publishes their nearest-rank p50/p99/p999 to gauges
+// (tcsa_slot_lag_p50_us, ..p99.., ..p999..), so a scrape shows the recent
+// past rather than process-lifetime averages. Lags above the SLO threshold
+// bump tcsa_slo_breach_total (an *_always counter: breaches must stay
+// countable even with recording disabled) and fire a warning, at most one
+// per kWarnIntervalUs.
 //
-// Threading: observe() is called only by the airing loop (loop 0). The
-// percentile accessors read plain doubles published through relaxed atomics
-// so the admin endpoint's /healthz handler — same loop — and tests can read
-// them without ceremony.
+// Threading: single-threaded. observe() runs on the airing loop (loop 0),
+// and so does every reader (the admin endpoint's /healthz handler).
 #pragma once
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <vector>
 
 namespace tcsa::obs {
 
-struct SloWatchdogConfig {
-  std::size_t window = 256;  ///< samples per percentile window (>= 1)
-  double breach_us = 0.0;    ///< SLO threshold; <= 0 disables breach checks
-  double decay = 0.5;        ///< weight of the freshest window in the gauges
-  std::int64_t warn_interval_us = 1'000'000;  ///< min spacing of warnings
-  /// Warning sink; defaults to stderr. The obs library cannot use TCSA_LOG
-  /// (util links obs, not the reverse), so the server injects its logger.
-  std::function<void(const std::string&)> on_warn;
-};
+class SlotTimeline;
 
 class SloWatchdog {
  public:
-  explicit SloWatchdog(SloWatchdogConfig config);
+  static constexpr std::size_t kWindow = 256;  ///< slots per percentile window
+  static constexpr std::int64_t kWarnIntervalUs = 1'000'000;
 
-  /// Feed one slot's airing lag. Single-threaded (the airing loop);
-  /// `now_us` rate-limits warnings (pass the slot clock's now).
-  void observe(double lag_us, std::int64_t now_us);
+  /// `breach_us` is the SLO threshold (<= 0 disables breach checks).
+  /// `on_warn` is the warning sink, stderr when empty; the obs library
+  /// cannot use TCSA_LOG (util links obs, not the reverse), so the server
+  /// injects its logger.
+  explicit SloWatchdog(double breach_us = 0.0,
+                       std::function<void(const std::string&)> on_warn = {});
 
-  // Decayed window percentiles (microseconds); 0 until a window completes.
-  double p50_us() const noexcept { return load(p50_); }
-  double p99_us() const noexcept { return load(p99_); }
-  double p999_us() const noexcept { return load(p999_); }
+  /// Checks one slot's airing lag against the SLO; call it right after
+  /// that slot's timeline.record(). `now_us` rate-limits warnings (pass the
+  /// slot clock's now). When the timeline's record count reaches a multiple
+  /// of kWindow, publishes the percentiles of its newest kWindow records.
+  void observe(const SlotTimeline& timeline, double lag_us,
+               std::int64_t now_us);
 
-  std::uint64_t breaches() const noexcept {
-    return breaches_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t windows() const noexcept {
-    return windows_.load(std::memory_order_relaxed);
-  }
+  // Percentiles (microseconds) of the last closed window; 0 before one.
+  double p50_us() const noexcept { return p50_; }
+  double p99_us() const noexcept { return p99_; }
+  double p999_us() const noexcept { return p999_; }
+
+  std::uint64_t breaches() const noexcept { return breaches_; }
+  std::uint64_t windows() const noexcept { return windows_; }
 
  private:
-  static double load(const std::atomic<double>& cell) noexcept {
-    return cell.load(std::memory_order_relaxed);
-  }
-  void close_window();
+  void close_window(const SlotTimeline& timeline);
 
-  SloWatchdogConfig config_;
-  std::vector<double> window_;  ///< scratch; reused across windows
-  std::atomic<double> p50_{0.0};
-  std::atomic<double> p99_{0.0};
-  std::atomic<double> p999_{0.0};
-  std::atomic<std::uint64_t> breaches_{0};
-  std::atomic<std::uint64_t> windows_{0};
+  double breach_us_;
+  std::function<void(const std::string&)> on_warn_;
+  double p50_ = 0.0;
+  double p99_ = 0.0;
+  double p999_ = 0.0;
+  std::uint64_t breaches_ = 0;
+  std::uint64_t windows_ = 0;
   std::int64_t last_warn_us_ = 0;
   bool warned_ever_ = false;
   std::uint32_t gauge_p50_ = 0;  ///< registry ids

@@ -121,24 +121,21 @@ extern "C" void tcsa_on_signal(int) {
 /// SQE array stays a page-scale mapping per loop.
 constexpr unsigned kUringEntries = 256;
 
-obs::SloWatchdogConfig watchdog_config(const AirServerConfig& config) {
-  obs::SloWatchdogConfig wd;
-  wd.window = std::max<std::size_t>(config.slo_window, 1);
-  wd.breach_us = config.slo_breach_us;
-  wd.on_warn = [](const std::string& msg) {
-    TCSA_LOG(kWarn) << "air server: " << msg;
-  };
-  return wd;
-}
+/// Slots the /slots ring keeps; the watchdog's window is the newest 256.
+constexpr std::size_t kTimelineSlots = 4096;
+/// Events in the flight-recorder ring.
+constexpr std::uint32_t kFlightEvents = 4096;
 
 }  // namespace
 
 AirServer::AirServer(Workload workload, AirServerConfig config)
     : config_(std::move(config)),
-      timeline_(std::max<std::size_t>(config_.timeline_capacity, 1)),
-      watchdog_(watchdog_config(config_)),
-      pull_(config_.pull_channels, config_.pull_policy,
-            workload.group_count()) {
+      timeline_(kTimelineSlots),
+      watchdog_(config_.slo_breach_us,
+                [](const std::string& msg) {
+                  TCSA_LOG(kWarn) << "air server: " << msg;
+                }),
+      pull_(config_.pull_channels, config_.pull_policy) {
   channels_ = config_.channels > 0 ? config_.channels
                                    : min_channels(workload);
   TCSA_REQUIRE(channels_ >= 1 && channels_ <= 64,
@@ -152,8 +149,8 @@ AirServer::AirServer(Workload workload, AirServerConfig config)
                "AirServer: pull_channels must be in [0, 16]");
 
   const ScheduleOutcome outcome =
-      config_.auto_method ? choose_schedule(workload, channels_)
-                          : make_schedule(config_.method, workload, channels_);
+      config_.method ? make_schedule(*config_.method, workload, channels_)
+                     : choose_schedule(workload, channels_);
   const ValidityReport report = validate_program(outcome.program, workload);
   if (!report.valid) {
     TCSA_LOG(kWarn) << "air server: initial program is invalid (worst "
@@ -240,7 +237,7 @@ AirServer::AirServer(Workload workload, AirServerConfig config)
 
   if (config_.admin_port >= 0) {
     admin_ = std::make_unique<net::HttpAdmin>(
-        group_->loop(0), config_.admin_bind,
+        group_->loop(0), config_.bind_address,
         static_cast<std::uint16_t>(config_.admin_port));
     setup_admin_routes();
   }
@@ -274,12 +271,11 @@ std::vector<std::size_t> AirServer::sessions_per_loop() const {
 void AirServer::run() {
   if (!config_.flight_out.empty()) {
     obs::FlightRecorder& flight = obs::FlightRecorder::instance();
-    if (flight.open(config_.flight_out,
-                    std::max<std::uint32_t>(config_.flight_capacity, 1))) {
+    if (flight.open(config_.flight_out, kFlightEvents)) {
       obs::flight_install_signal_handlers();
       TCSA_LOG(kInfo) << "air server: flight recorder on ("
-                      << config_.flight_out << ", "
-                      << config_.flight_capacity << " events)";
+                      << config_.flight_out << ", " << kFlightEvents
+                      << " events)";
     } else {
       TCSA_LOG(kWarn) << "air server: " << flight.error();
     }
@@ -440,7 +436,6 @@ std::string AirServer::healthz_json() const {
 void AirServer::note_slot_aired(std::uint64_t lag_us,
                                 std::uint64_t aired_mask) {
   const std::int64_t now_us = static_cast<std::int64_t>(clock_->now_us());
-  watchdog_.observe(static_cast<double>(lag_us), now_us);
   // *_always: a long-lived server's scrape must show uptime even while
   // hot-path recording is disabled.
   obs::gauge_set_always(
@@ -459,6 +454,7 @@ void AirServer::note_slot_aired(std::uint64_t lag_us,
   rec.aired_mask = aired_mask;
   timeline_.record(rec);
   last_timeline_bytes_ = flushed;
+  watchdog_.observe(timeline_, static_cast<double>(lag_us), now_us);
 }
 
 void AirServer::stop() {
@@ -582,8 +578,7 @@ void AirServer::air_slot() {
   span.set_arg("channels", aired_mask);
   // On-demand airings ride the same token, picked before the fan-out so a
   // pull frame reaches its waiters in the same flush as the broadcast.
-  pull_.schedule(next_slot_, gen.id, gen.workload, frames->pull_frames,
-                 frames->pull_pages);
+  pull_.schedule(next_slot_, gen.id, frames->pull_frames, frames->pull_pages);
 
   // Workers are posted first, in loop order; shard 0 delivers last,
   // inline, and every airing-loop reference is gone before the slot ends,

@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -52,7 +53,6 @@
 #include "obs/metrics.hpp"
 #include "obs/timeline.hpp"
 #include "obs/watchdog.hpp"
-#include "online/estimator.hpp"
 #include "server/frame_cache.hpp"
 #include "server/loop_shard.hpp"
 #include "server/pull_plane.hpp"
@@ -63,8 +63,8 @@ struct AirServerConfig {
   std::string bind_address = "127.0.0.1";
   std::uint16_t port = 0;       ///< 0 = kernel-assigned ephemeral port
   SlotCount channels = 0;       ///< 0 = Theorem 3.1 minimum for the workload
-  bool auto_method = true;      ///< SUSC/PAMAD via choose_schedule
-  Method method = Method::kPamad;  ///< used only when !auto_method
+  /// Scheduling method; unset = SUSC/PAMAD via choose_schedule.
+  std::optional<Method> method;
   std::uint32_t slot_us = 1000;    ///< real-time length of one slot
   std::uint64_t max_slots = 0;     ///< stop after airing this many (0 = run)
   std::size_t max_session_buffer = 256 * 1024;  ///< eviction threshold
@@ -81,11 +81,9 @@ struct AirServerConfig {
   PullPolicy pull_policy = PullPolicy::kLongestWaitFirst;
 
   // --- telemetry plane ---
-  int admin_port = -1;          ///< HTTP admin port; 0 = ephemeral, -1 = off
-  std::string admin_bind = "127.0.0.1";
-  std::size_t timeline_capacity = 4096;  ///< slots retained for /slots
+  /// HTTP admin port on bind_address; 0 = ephemeral, -1 = off.
+  int admin_port = -1;
   double slo_breach_us = 0.0;   ///< slot-lag SLO (us); <= 0 = no breach check
-  std::size_t slo_window = 256; ///< watchdog percentile window (slots)
   /// Install SIGINT/SIGTERM handlers for the lifetime of run() (self-pipe
   /// into loop 0) so an interrupted server still goes off air cleanly.
   /// Process-global — one signal-handling AirServer per process.
@@ -97,7 +95,6 @@ struct AirServerConfig {
   /// and every request-journey event lands in the file as it happens — a
   /// SIGKILL'd server still leaves its black box behind.
   std::string flight_out;
-  std::uint32_t flight_capacity = 4096;  ///< ring size in events
 };
 
 /// Outcome of seam planning for a major-cycle-boundary swap: air the new
@@ -164,12 +161,6 @@ class AirServer {
   std::uint64_t sessions_evicted() const noexcept {
     return common_.evicted.load(std::memory_order_relaxed);
   }
-  /// Slots whose airing lag exceeded the configured SLO.
-  std::uint64_t slo_breaches() const noexcept {
-    return watchdog_.breaches();
-  }
-  /// Per-slot airing records (any thread; see obs::SlotTimeline).
-  const obs::SlotTimeline& timeline() const noexcept { return timeline_; }
   std::size_t loops() const noexcept { return loop_count_; }
   /// Live session count per loop shard (index = loop).
   std::vector<std::size_t> sessions_per_loop() const;
@@ -177,13 +168,6 @@ class AirServer {
   /// True when slot-fanout flushes ride io_uring (resolved at startup by
   /// the runtime probe; sendmsg otherwise).
   bool uring_active() const noexcept { return uring_active_; }
-
-  /// Demand-driven tolerance estimator fed by pull waits, or nullptr with
-  /// the pull plane off. Loop-0 state: read only after run() returns (or
-  /// from loop-0 callbacks).
-  const ToleranceEstimator* pull_estimator() const noexcept {
-    return pull_.estimator();
-  }
 
  private:
   /// One program generation: what is on air between two swaps.
@@ -220,7 +204,8 @@ class AirServer {
   /// cheap, since they share the thread with the slot timer.
   void setup_admin_routes();
   std::string healthz_json() const;
-  /// Feeds the watchdog and appends this slot's record to the timeline.
+  /// Appends this slot's record to the timeline, then lets the watchdog
+  /// check it.
   void note_slot_aired(std::uint64_t lag_us, std::uint64_t aired_mask);
   void install_signal_pipe();
   void remove_signal_pipe();
@@ -239,8 +224,8 @@ class AirServer {
 
   // --- telemetry plane ---
   std::unique_ptr<net::HttpAdmin> admin_;  // null when admin_port < 0
-  obs::SlotTimeline timeline_;
-  obs::SloWatchdog watchdog_;              // observed by loop 0 only
+  obs::SlotTimeline timeline_;             // the /slots ring
+  obs::SloWatchdog watchdog_;              // reads timeline_; loop 0 only
   std::uint64_t last_timeline_bytes_ = 0;  // loop-0-only delta base
   net::Fd signal_rd_;                      // self-pipe read end (loop 0)
   net::Fd signal_wr_;

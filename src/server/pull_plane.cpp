@@ -163,12 +163,8 @@ void PendingRequests::retire(std::size_t queued_bytes) {
   });
 }
 
-PullPlane::PullPlane(std::size_t channels, PullPolicy policy,
-                     GroupId classes)
-    : channels_(channels), policy_(policy) {
-  if (channels_ > 0)
-    estimator_ = std::make_unique<ToleranceEstimator>(classes);
-}
+PullPlane::PullPlane(std::size_t channels, PullPolicy policy)
+    : channels_(channels), policy_(policy) {}
 
 void PullPlane::add_demand(std::uint64_t session_id, std::uint64_t trace_id,
                            PageId page, std::uint64_t slot,
@@ -199,7 +195,6 @@ std::size_t PullPlane::drop_pages_at_or_above(PageId page_limit) {
 }
 
 void PullPlane::schedule(std::uint64_t slot, std::uint32_t generation,
-                         const Workload& workload,
                          std::vector<net::SharedBuf>& frames,
                          std::vector<PageId>& pages) {
   if (channels_ == 0) return;
@@ -219,20 +214,9 @@ void PullPlane::schedule(std::uint64_t slot, std::uint32_t generation,
     obs::counter_add(server_metrics().pull_airings, 1);
     obs::counter_add(server_metrics().pull_waiters_served,
                      airing->waiters.size());
-    // Observed pull waits feed popularity re-estimation: each waiter's
-    // wait is a genuine demand-pressure sample for the page's deadline
-    // class (clamped — a swap may have changed the class count since the
-    // estimator was sized).
-    const GroupId cls =
-        std::min<GroupId>(workload.group_of(airing->page),
-                          static_cast<GroupId>(estimator_->classes() - 1));
-    for (const PullWaiter& waiter : airing->waiters) {
+    for (const PullWaiter& waiter : airing->waiters)
       TCSA_REQ_EVENT(waiter.trace_id, obs::ReqStage::kServerPullAired,
                      now_us, airing->waiters.size());
-      const std::uint64_t waited = slot - waiter.arrival_slot;
-      estimator_->add_sample(
-          cls, std::max<SlotCount>(1, static_cast<SlotCount>(waited)));
-    }
   }
   obs::gauge_set(server_metrics().pull_pending_pages_gauge,
                  static_cast<double>(table_.pending_pages()));

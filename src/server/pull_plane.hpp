@@ -9,7 +9,7 @@
 //    into the two service-delay populations once their slot flushes;
 //  - on loop 0 (PullPlane): a per-page pending-request table (the "demand
 //    table"), the online policy that picks which pages the pull channels
-//    air next, their kPull frames, and the tolerance-estimator feed.
+//    air next, and their kPull frames.
 //
 // Two policies from the online-scheduling literature (PAPERS.md):
 //  - Longest-Wait-First (Edmonds et al., arXiv:0906.2395): air the page with
@@ -33,15 +33,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "model/types.hpp"
-#include "model/workload.hpp"
 #include "net/shared_buf.hpp"
-#include "online/estimator.hpp"
 
 namespace tcsa {
 
@@ -183,12 +180,11 @@ class PendingRequests {
 };
 
 /// The loop-0 half of the request plane: demand table, per-slot picks and
-/// their kPull frames, and the pull-wait feed into a tolerance estimator
-/// (one class per workload group). With zero channels the plane is off:
-/// no estimator, and schedule() airs nothing.
+/// their kPull frames. With zero channels the plane is off: schedule()
+/// airs nothing.
 class PullPlane {
  public:
-  PullPlane(std::size_t channels, PullPolicy policy, GroupId classes);
+  PullPlane(std::size_t channels, PullPolicy policy);
 
   std::size_t channels() const noexcept { return channels_; }
 
@@ -207,17 +203,12 @@ class PullPlane {
 
   /// Pops up to channels() pages for `slot` by the policy and appends one
   /// kPull frame per page (stamped with `generation`) to `frames`, its page
-  /// to `pages`. Feeds the estimator with each waiter's wait in slots and
-  /// emits the per-waiter kServerPullAired journey events.
+  /// to `pages`, and emits the per-waiter kServerPullAired journey events.
   void schedule(std::uint64_t slot, std::uint32_t generation,
-                const Workload& workload, std::vector<net::SharedBuf>& frames,
+                std::vector<net::SharedBuf>& frames,
                 std::vector<PageId>& pages);
 
   const PullDemandTable& table() const noexcept { return table_; }
-  /// Null with the plane off.
-  const ToleranceEstimator* estimator() const noexcept {
-    return estimator_.get();
-  }
   std::uint64_t airings() const noexcept { return airings_; }
   std::uint64_t waiters_served() const noexcept { return waiters_served_; }
 
@@ -225,7 +216,6 @@ class PullPlane {
   std::size_t channels_;
   PullPolicy policy_;
   PullDemandTable table_;
-  std::unique_ptr<ToleranceEstimator> estimator_;
   std::uint64_t airings_ = 0;         // kPull airings so far (/healthz)
   std::uint64_t waiters_served_ = 0;  // waiters those airings satisfied
 };

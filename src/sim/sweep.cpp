@@ -1,11 +1,11 @@
 #include "sim/sweep.hpp"
 
-#include <cstdio>
 #include <sstream>
 #include <utility>
 
 #include "core/channel_bound.hpp"
 #include "model/serialize.hpp"
+#include "obs/artifact.hpp"
 #include "obs/trace.hpp"
 #include "util/contracts.hpp"
 #include "util/parallel.hpp"
@@ -140,16 +140,7 @@ std::string sweep_config_digest(const Workload& workload,
         << "|rate=" << config.sim.requests.poisson_rate << "|methods=";
   for (const Method method : config.methods)
     canon << method_name(method) << ',';
-
-  std::uint64_t hash = 1469598103934665603ULL;  // FNV offset basis
-  for (const char c : canon.str()) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;  // FNV prime
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "fnv1a-%016llx",
-                static_cast<unsigned long long>(hash));
-  return buf;
+  return obs::fnv1a_digest(canon.str());
 }
 
 }  // namespace tcsa

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -101,6 +102,23 @@ TEST_F(CliContract, InvalidFlagValuesExitTwo) {
             std::string::npos)
       << stderr_text();
   EXPECT_EQ(run({"tune", "--port", "1", "--channel", "64"}), 2);
+
+  // Sizes and durations below 1 would wrap a buffer cap or a deadline (or
+  // make poll() wait forever), so each is refused by name. Port 1 has no
+  // listener: reaching the network would exit 1, not 2.
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases =
+      {{{"serve", "--max-buffer-kb", "-1"}, "--max-buffer-kb"},
+       {{"serve", "--max-buffer-kb", "0"}, "--max-buffer-kb"},
+       {{"tune", "--port", "1", "--timeout-ms", "-1"}, "--timeout-ms"},
+       {{"swap", "--port", "1", "--timeout-ms", "0"}, "--timeout-ms"},
+       {{"loadgen", "--port", "1", "--duration-ms", "-1"}, "--duration-ms"},
+       {{"loadgen", "--port", "1", "--ramp-timeout-ms", "-1"},
+        "--ramp-timeout-ms"}};
+  for (const auto& [args, flag] : cases) {
+    EXPECT_EQ(run(args), 2) << flag;
+    EXPECT_NE(stderr_text().find(flag + " must be >= 1"), std::string::npos)
+        << stderr_text();
+  }
 }
 
 TEST_F(CliContract, OperationalFailureExitsOne) {

@@ -36,7 +36,7 @@ namespace {
 
 TEST(PullParity, LivePlaneMatchesHybridSimOnTightenedDeadlines) {
   // Same program on both sides: SUSC is deterministic, so building it here
-  // and letting the server build it again (auto_method off) agree exactly.
+  // and letting the server build it again (method pinned) agree exactly.
   const Workload base = make_workload({4, 8, 16}, {3, 5, 3});   // 11 pages
   const Workload tight = make_workload({2, 4, 8}, {3, 5, 3});   // halved t
   constexpr SlotCount kChannels = 2;
@@ -58,7 +58,6 @@ TEST(PullParity, LivePlaneMatchesHybridSimOnTightenedDeadlines) {
   config.slot_us = 300;
   config.max_slots = 4000;
   config.channels = kChannels;
-  config.auto_method = false;
   config.method = Method::kSusc;
   config.pull_channels = 1;
   MetricsDelta metrics;

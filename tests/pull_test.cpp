@@ -3,8 +3,8 @@
 // units (LWF vs max-response-time, coalescing, dedup, maintenance) and the
 // loopback edge cases around a live AirServer with --pull-channels: one
 // airing satisfying duplicate requests, a requester that disconnects
-// before its airing, a request for a page outside the program, demand
-// pruned by a shrinking hot swap, and the tolerance-estimator feed.
+// before its airing, a request for a page outside the program, and demand
+// pruned by a shrinking hot swap.
 #include <chrono>
 #include <thread>
 
@@ -15,7 +15,6 @@
 #include "net/http_admin.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "online/estimator.hpp"
 #include "server/air_server.hpp"
 #include "server/pull_plane.hpp"
 #include "server/tune_client.hpp"
@@ -342,37 +341,6 @@ TEST(PullPlane, ShrinkingSwapPrunesStrandedDemand) {
             9u - airings);
 }
 
-// The demand table is a live sample of client tolerances: every pull
-// airing feeds (airing slot - arrival slot) into the per-class estimator.
-TEST(PullPlane, AiringsFeedTheToleranceEstimator) {
-  AirServerConfig config;
-  config.slot_us = 1000;
-  config.max_slots = 80;
-  config.pull_channels = 1;
-  // The estimator lives on loop 0 and is only safe to read once run()
-  // returned, so manage the thread directly instead of via ServerHarness.
-  AirServer server(paper_workload(), config);
-  std::thread runner([&] { server.run(); });
-  {
-    TuneClient::Options options;
-    options.port = server.port();
-    options.channel_mask = 0;
-    TuneClient client(options);
-    client.request_page(0);  // group 0
-    client.request_page(5);  // group 1
-    EXPECT_TRUE(client.run(0));
-    EXPECT_EQ(client.summary().requests.completed, 2u);
-  }
-  runner.join();
-
-  const ToleranceEstimator* estimator = server.pull_estimator();
-  ASSERT_NE(estimator, nullptr);
-  EXPECT_GE(estimator->sample_count(0), 1u);
-  EXPECT_GE(estimator->sample_count(1), 1u);
-  EXPECT_GE(estimator->estimate(0, 0.1, 0), 1u)
-      << "pull tolerances are clamped to >= 1 slot";
-}
-
 // /healthz reports the pull counts from loop-0 state, so they hold with
 // recording off; with recording on they agree with the registry counters.
 TEST(PullPlane, HealthzReportsPullCountsWithRecordingOffAndOn) {
@@ -389,13 +357,12 @@ TEST(PullPlane, HealthzReportsPullCountsWithRecordingOffAndOn) {
             metrics.counter("tcsa_server_pull_waiters_served_total"));
 }
 
-TEST(PullPlane, DisabledByDefaultHasNoEstimator) {
+TEST(PullPlane, DisabledByDefaultAirsNothing) {
   AirServerConfig config;
   config.slot_us = 500;
   config.max_slots = 10;
   MetricsDelta metrics;
   ServerHarness harness(paper_workload(), config);
-  EXPECT_EQ(harness.server().pull_estimator(), nullptr);
   EXPECT_EQ(metrics.counter("tcsa_server_pull_airings_total"), 0u);
 }
 

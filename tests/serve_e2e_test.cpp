@@ -301,8 +301,7 @@ TEST_F(ServeE2E, AdminPlaneAnswersUnderLoadWithoutBreachingSlo) {
   Subprocess serve = spawn_serve(
       {"--loops", "4", "--slots", "100000", "--slot-us", slot_us,
        "--admin-port", "0", "--admin-port-file", path("admin.txt"),
-       "--slo-us", std::to_string(slo_us), "--slo-window", "64",
-       "--timeline-slots", "512"});
+       "--slo-us", std::to_string(slo_us)});
   const int admin_port = wait_for_port(path("admin.txt"));
   ASSERT_GT(admin_port, 0) << slurp(path("serve.stderr.txt"));
 
@@ -317,7 +316,7 @@ TEST_F(ServeE2E, AdminPlaneAnswersUnderLoadWithoutBreachingSlo) {
        path("loadgen.json")},
       load_options);
 
-  // /healthz: liveness + the watchdog's decayed percentiles. Poll until
+  // /healthz: liveness + the watchdog's windowed percentiles. Poll until
   // the loadgen's sessions are visible so the scrape is genuinely under
   // load (connect ramp-up takes a while on small machines).
   obs::JsonValue health_doc;
@@ -374,7 +373,7 @@ TEST_F(ServeE2E, AdminPlaneAnswersUnderLoadWithoutBreachingSlo) {
                     "/slots?max=64", scrape_timeout_ms);
   ASSERT_EQ(slots.status, 200);
   const obs::JsonValue slots_doc = obs::json_parse(slots.body);
-  EXPECT_EQ(slots_doc.at("capacity").number, 512.0);
+  EXPECT_EQ(slots_doc.at("capacity").number, 4096.0);
   const obs::JsonValue& records = slots_doc.at("slots").expect_array("slots");
   ASSERT_FALSE(records.array.empty());
   EXPECT_LE(records.array.size(), 64u);

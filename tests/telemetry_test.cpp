@@ -1,10 +1,11 @@
 // telemetry_test.cpp — unit tests for the live telemetry plane: the
-// SlotTimeline seqlock ring, the SloWatchdog percentile window, and the
+// SlotTimeline seqlock ring, the SloWatchdog reading it back, and the
 // HttpAdmin GET responder (served from an EventLoop polled on a thread,
 // scraped with the blocking http_get client — the same pairing AirServer
 // and tcsactl use in production).
 
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <sys/socket.h>
 
 #include <atomic>
@@ -139,12 +140,26 @@ TEST(SlotTimeline, JsonDumpHonoursMax) {
 
 // ------------------------------------------------------------- watchdog
 
+/// Airs one slot the way AirServer does: record it in the timeline, then
+/// let the watchdog check it.
+void air(obs::SlotTimeline& timeline, obs::SloWatchdog& dog,
+         std::int64_t lag_us, std::int64_t now_us) {
+  obs::SlotRecord rec;
+  rec.slot = timeline.recorded();
+  rec.scheduled_us = now_us - lag_us;
+  rec.actual_us = now_us;
+  timeline.record(rec);
+  dog.observe(timeline, static_cast<double>(lag_us), now_us);
+}
+
+constexpr std::int64_t kWindow = obs::SloWatchdog::kWindow;
+
 TEST(SloWatchdog, ConstantLagCollapsesAllPercentiles) {
-  obs::SloWatchdogConfig config;
-  config.window = 16;
-  obs::SloWatchdog dog(config);
+  obs::SlotTimeline timeline(4096);
+  obs::SloWatchdog dog;
+  for (std::int64_t i = 0; i + 1 < kWindow; ++i) air(timeline, dog, 250, i);
   EXPECT_EQ(dog.p99_us(), 0.0);  // nothing published before a full window
-  for (int i = 0; i < 16; ++i) dog.observe(250.0, i);
+  air(timeline, dog, 250, kWindow);
   EXPECT_EQ(dog.windows(), 1u);
   EXPECT_DOUBLE_EQ(dog.p50_us(), 250.0);
   EXPECT_DOUBLE_EQ(dog.p99_us(), 250.0);
@@ -152,61 +167,56 @@ TEST(SloWatchdog, ConstantLagCollapsesAllPercentiles) {
 }
 
 TEST(SloWatchdog, RampSeparatesTheTailFromTheMedian) {
-  obs::SloWatchdogConfig config;
-  config.window = 100;
-  obs::SloWatchdog dog(config);
-  for (int i = 1; i <= 100; ++i) dog.observe(static_cast<double>(i), i);
+  obs::SlotTimeline timeline(4096);
+  obs::SloWatchdog dog;
+  for (std::int64_t i = 1; i <= kWindow; ++i) air(timeline, dog, i, i);
   EXPECT_EQ(dog.windows(), 1u);
-  // Nearest-rank over 1..100: the median sits mid-ramp, the tail at the top.
-  EXPECT_GE(dog.p50_us(), 45.0);
-  EXPECT_LE(dog.p50_us(), 55.0);
-  EXPECT_GE(dog.p99_us(), 99.0);
+  // Nearest-rank over 1..256: the median sits mid-ramp, the tail at the top.
+  EXPECT_GE(dog.p50_us(), 120.0);
+  EXPECT_LE(dog.p50_us(), 136.0);
+  EXPECT_GE(dog.p99_us(), 250.0);
   EXPECT_GE(dog.p999_us(), dog.p99_us());
   EXPECT_GT(dog.p99_us(), dog.p50_us());
 }
 
-TEST(SloWatchdog, GaugesDecayTowardTheFreshWindow) {
-  obs::SloWatchdogConfig config;
-  config.window = 4;
-  config.decay = 0.5;
-  obs::SloWatchdog dog(config);
-  // First window publishes undamped (there is no past to decay toward).
-  for (int i = 0; i < 4; ++i) dog.observe(100.0, i);
-  EXPECT_DOUBLE_EQ(dog.p50_us(), 100.0);
-  // Second window blends 0.5 * fresh + 0.5 * old.
-  for (int i = 0; i < 4; ++i) dog.observe(200.0, 10 + i);
+TEST(SloWatchdog, PercentilesAreTheNearestRankOfTheNewestWindowOnly) {
+  // The timeline is the only store of lags: a window of huge lags that
+  // has scrolled out must not leak into the next window's percentiles.
+  obs::SlotTimeline timeline(4096);
+  obs::SloWatchdog dog;
+  for (std::int64_t i = 0; i < kWindow; ++i) air(timeline, dog, 1'000'000, i);
+  EXPECT_DOUBLE_EQ(dog.p50_us(), 1e6);
+  for (std::int64_t i = 1; i <= kWindow; ++i)
+    air(timeline, dog, i, kWindow + i);
   EXPECT_EQ(dog.windows(), 2u);
-  EXPECT_DOUBLE_EQ(dog.p50_us(), 150.0);
+  // Ranks ceil(q * 256): 128, 254 (253.44 rounded up) and 256.
+  EXPECT_DOUBLE_EQ(dog.p50_us(), 128.0);
+  EXPECT_DOUBLE_EQ(dog.p99_us(), 254.0);
+  EXPECT_DOUBLE_EQ(dog.p999_us(), 256.0);
 }
 
 TEST(SloWatchdog, BreachesCountAndWarningsAreRateLimited) {
-  obs::SloWatchdogConfig config;
-  config.window = 1024;  // keep the window open; breaches are per-sample
-  config.breach_us = 500.0;
-  config.warn_interval_us = 1'000'000;
   std::vector<std::string> warnings;
-  config.on_warn = [&](const std::string& message) {
+  obs::SlotTimeline timeline(4096);
+  obs::SloWatchdog dog(500.0, [&](const std::string& message) {
     warnings.push_back(message);
-  };
-  obs::SloWatchdog dog(config);
+  });
 
-  dog.observe(100.0, 0);           // under the SLO: no breach
-  dog.observe(900.0, 10);          // breach #1 — warns (first is free)
-  dog.observe(901.0, 20);          // breach #2 — inside the warn interval
-  dog.observe(902.0, 2'000'000);   // breach #3 — interval elapsed, warns
+  air(timeline, dog, 100, 0);           // under the SLO: no breach
+  air(timeline, dog, 900, 10);          // breach #1 — warns (first is free)
+  air(timeline, dog, 901, 20);          // breach #2 — inside the warn interval
+  air(timeline, dog, 902, 2'000'000);   // breach #3 — interval elapsed, warns
   EXPECT_EQ(dog.breaches(), 3u);
   ASSERT_EQ(warnings.size(), 2u);
   EXPECT_NE(warnings[0].find("900"), std::string::npos);
 }
 
 TEST(SloWatchdog, ZeroThresholdDisablesBreachChecks) {
-  obs::SloWatchdogConfig config;
-  config.window = 8;
-  config.breach_us = 0.0;
   bool warned = false;
-  config.on_warn = [&](const std::string&) { warned = true; };
-  obs::SloWatchdog dog(config);
-  for (int i = 0; i < 8; ++i) dog.observe(1e9, i);
+  obs::SlotTimeline timeline(4096);
+  obs::SloWatchdog dog(0.0, [&](const std::string&) { warned = true; });
+  for (std::int64_t i = 0; i < kWindow; ++i)
+    air(timeline, dog, 1'000'000'000, i);
   EXPECT_EQ(dog.breaches(), 0u);
   EXPECT_FALSE(warned);
 }
@@ -216,16 +226,14 @@ TEST(SloWatchdog, PublishesGaugesAndBreachCounterEvenWhenDisabled) {
   // on a scrape even when per-request recording is gated off.
   const bool was_enabled = obs::enabled();
   obs::set_enabled(false);
-  obs::SloWatchdogConfig config;
-  config.window = 4;
-  config.breach_us = 10.0;
-  config.on_warn = [](const std::string&) {};
-  obs::SloWatchdog dog(config);
-  for (int i = 0; i < 4; ++i) dog.observe(40.0, i);
+  obs::SlotTimeline timeline(4096);
+  obs::SloWatchdog dog(10.0, [](const std::string&) {});
+  for (std::int64_t i = 0; i < kWindow; ++i) air(timeline, dog, 40, i);
   obs::set_enabled(was_enabled);
 
   const obs::MetricsSnapshot snap = obs::snapshot();
-  EXPECT_GE(snap.counter_value("tcsa_slo_breach_total"), 4u);
+  EXPECT_GE(snap.counter_value("tcsa_slo_breach_total"),
+            static_cast<std::uint64_t>(kWindow));
   EXPECT_DOUBLE_EQ(snap.gauge_value("tcsa_slot_lag_p99_us"), 40.0);
 }
 
@@ -353,6 +361,26 @@ TEST_F(HttpAdminTest, ServesManySequentialScrapesWithoutLeakingConns) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_EQ(admin_->connections(), 0u);
+}
+
+TEST_F(HttpAdminTest, IdleConnectionsAreCappedAndAFreshScrapeStillAnswers) {
+  start_admin();
+  constexpr std::size_t kCap = net::HttpAdmin::kMaxConnections;
+  std::vector<net::Fd> idle;
+  for (std::size_t i = 0; i < kCap + 8; ++i)
+    idle.push_back(net::connect_tcp("127.0.0.1", admin_->port()));
+  // Past the cap, each accept closes the oldest unanswered connection, so
+  // the eighth-oldest idle socket sees EOF once all of them are accepted.
+  pollfd pfd = {idle[7].get(), POLLIN, 0};
+  ASSERT_EQ(::poll(&pfd, 1, 5000), 1) << "oldest idle sockets never closed";
+  char byte = 0;
+  EXPECT_EQ(::recv(idle[7].get(), &byte, 1, 0), 0);
+  EXPECT_LE(admin_->connections(), kCap);
+
+  const net::HttpResponse pong =
+      net::http_get("127.0.0.1", admin_->port(), "/ping");
+  EXPECT_EQ(pong.status, 200);
+  EXPECT_LE(admin_->connections(), kCap);
 }
 
 }  // namespace

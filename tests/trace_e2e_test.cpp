@@ -234,8 +234,7 @@ TEST_F(TraceE2E, MergedJourneysCarryEverySpanInCausalOrder) {
 
 TEST_F(TraceE2E, SigkilledServerLeavesAReplayableFlightRing) {
   const std::string flight = path("flight.bin");
-  Subprocess serve =
-      spawn_serve({"--flight-out", flight, "--flight-events", "4096"});
+  Subprocess serve = spawn_serve({"--flight-out", flight});
 
   // Generate journeys so the ring holds server-side events, then kill the
   // server dead — no signal handler, no destructor, no seal.
