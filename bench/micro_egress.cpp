@@ -3,25 +3,20 @@
 // the PR 4 copy-per-session baseline, over AF_UNIX socketpairs.
 //
 // Three families, each with K subscribed sessions and C = 4 channels:
-//   * BM_FanoutSharedBuf — encode each channel frame once per slot into a
-//     SharedBuf, refcount it into every session's OutQueue, sendmsg-flush.
-//   * BM_FanoutPatched — the server's per-cycle cache discipline: keep one
-//     SharedBuf per channel and re-stamp only the 8-byte slot word each
-//     slot (full encode only when a queue still shares the buffer).
+//   * BM_FanoutSharedBuf — encode each channel frame once per slot into its
+//     own SharedBuf, refcount all C into every session's OutQueue,
+//     sendmsg-flush.
+//   * BM_FanoutSlotBuf — the server's airing discipline: encode the slot's
+//     C frames back to back into one SharedBuf and queue it as one chunk
+//     per full-mask session.
 //   * BM_FanoutCopy — the PR 4 baseline: append every frame's bytes into
 //     each session's own std::string and send() it per session.
 // Plus BM_BacklogFlush{Vectored,PerChunk}: one backlogged session with a
 // deep chunk queue, drained by bounded-iovec sendmsg versus one send per
-// chunk — the syscalls-per-flush claim.
-//
-// PR 10 adds two more families:
-//   * BM_FrameCacheCycle — the epoch-stamped cycle cache: one cell per
-//     (channel, column) revived across cycles by patching the slot word,
-//     with a hot swap at halfway through the counter pass. Steady-state
-//     cycles encode O(swap) frames (encoded_total = 2 generations x cells).
-//   * BM_FanoutUring — the io_uring batched flush: one sendmsg SQE per
-//     dirty session, one io_uring_enter per ring-capacity window, versus
-//     one sendmsg syscall per session on the classic path.
+// chunk — the syscalls-per-flush claim — and BM_FanoutUring, the io_uring
+// batched flush: one sendmsg SQE per dirty session, one io_uring_enter per
+// ring-capacity window, versus one sendmsg syscall per session on the
+// classic path.
 //
 // Timing loops measure the hot path; the *_total counters come from one
 // fixed-size pass (kCounterSlots slots) after timing, so BENCH_micro.json
@@ -47,20 +42,13 @@
 namespace {
 
 constexpr std::size_t kChannels = 4;
-constexpr std::size_t kCycle = 8;           // columns in the cached cycle grid
 constexpr std::size_t kCounterSlots = 256;  // fixed pass for exact counters
 constexpr std::size_t kBacklogChunks = 1024;
 constexpr unsigned kBenchRingEntries = 16;  // small ring: windows show up
 
-std::string encode_page_frame_gen(std::uint64_t slot, std::uint32_t channel,
-                                  std::uint32_t generation) {
-  // The page id is irrelevant to egress: reuse the channel.
-  return tcsa::net::encode(
-      tcsa::net::PageMsg{slot, generation, channel, channel});
-}
-
 std::string encode_page_frame(std::uint64_t slot, std::uint32_t channel) {
-  return encode_page_frame_gen(slot, channel, 1);
+  // The page id is irrelevant to egress: reuse the channel.
+  return tcsa::net::encode(tcsa::net::PageMsg{slot, 1, channel, channel});
 }
 
 /// K sessions, each an AF_UNIX socketpair with a send buffer deep enough
@@ -125,22 +113,16 @@ SlotCost slot_shared(Rig& rig, std::uint64_t slot) {
   return cost;
 }
 
-SlotCost slot_patched(Rig& rig, std::vector<tcsa::net::SharedBuf>& cache,
-                      std::uint64_t slot) {
+SlotCost slot_slotbuf(Rig& rig, std::uint64_t slot) {
   SlotCost cost;
-  for (std::size_t ch = 0; ch < kChannels; ++ch) {
-    if (cache[ch].patch_u64(tcsa::net::kFrameHeaderSize, slot)) {
-      cost.bytes_copied += 8;  // only the slot word moves
-    } else {
-      std::string bytes =
-          encode_page_frame(slot, static_cast<std::uint32_t>(ch));
-      cost.bytes_copied += bytes.size();
-      cache[ch] = tcsa::net::SharedBuf::wrap(std::move(bytes));
-    }
-  }
-  for (std::size_t i = 0; i < rig.sessions(); ++i)
-    for (std::size_t ch = 0; ch < kChannels; ++ch)
-      rig.queue(i).push(cache[ch]);
+  std::string bytes;
+  bytes.reserve(kChannels * tcsa::net::kPageFrameSize);
+  for (std::uint32_t ch = 0; ch < kChannels; ++ch)
+    tcsa::net::append(bytes, tcsa::net::PageMsg{slot, 1, ch, ch});
+  cost.bytes_copied += bytes.size();
+  const tcsa::net::SharedBuf frames =
+      tcsa::net::SharedBuf::wrap(std::move(bytes));
+  for (std::size_t i = 0; i < rig.sessions(); ++i) rig.queue(i).push(frames);
   for (std::size_t i = 0; i < rig.sessions(); ++i)
     cost.syscalls +=
         tcsa::net::flush_queue(rig.writer(i), rig.queue(i)).syscalls;
@@ -204,22 +186,16 @@ void BM_FanoutSharedBuf(benchmark::State& state) {
 }
 BENCHMARK(BM_FanoutSharedBuf)->Arg(8)->Arg(64);
 
-void BM_FanoutPatched(benchmark::State& state) {
+void BM_FanoutSlotBuf(benchmark::State& state) {
   Rig rig(static_cast<std::size_t>(state.range(0)));
-  std::vector<tcsa::net::SharedBuf> cache(kChannels);
   std::uint64_t slot = 0;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(slot_patched(rig, cache, slot++));
+  for (auto _ : state) benchmark::DoNotOptimize(slot_slotbuf(rig, slot++));
   state.SetItemsProcessed(static_cast<std::int64_t>(
       state.iterations() * kChannels * rig.sessions()));
-  // Fresh cache for the counter pass so the first-slot full encode is
-  // part of the count, exactly as a generation start is on the server.
-  std::vector<tcsa::net::SharedBuf> counter_cache(kChannels);
-  attach_egress_counters(state, rig, [&](std::size_t s) {
-    return slot_patched(rig, counter_cache, s);
-  });
+  attach_egress_counters(state, rig,
+                         [&](std::size_t s) { return slot_slotbuf(rig, s); });
 }
-BENCHMARK(BM_FanoutPatched)->Arg(8)->Arg(64);
+BENCHMARK(BM_FanoutSlotBuf)->Arg(8)->Arg(64);
 
 void BM_FanoutCopy(benchmark::State& state) {
   Rig rig(static_cast<std::size_t>(state.range(0)));
@@ -231,68 +207,6 @@ void BM_FanoutCopy(benchmark::State& state) {
                          [&](std::size_t s) { return slot_copy(rig, s); });
 }
 BENCHMARK(BM_FanoutCopy)->Arg(8)->Arg(64);
-
-// ------------------------------------------- epoch frame cache over cycles
-
-/// One slot of the server's epoch-stamped frame cache (PR 10): a cell per
-/// (channel, column) revives across cycles by re-stamping the slot word;
-/// a miss (cold cell, or a queue still sharing the buffer) re-encodes.
-struct CacheStats {
-  std::size_t encoded = 0;
-  std::size_t hits = 0;
-};
-
-void slot_cycle_cached(Rig& rig, std::vector<tcsa::net::SharedBuf>& cells,
-                       std::uint64_t slot, std::uint32_t generation,
-                       CacheStats& stats) {
-  const std::size_t column = slot % kCycle;
-  for (std::size_t ch = 0; ch < kChannels; ++ch) {
-    tcsa::net::SharedBuf& cell = cells[ch * kCycle + column];
-    if (cell && cell.patch_u64(tcsa::net::kFrameHeaderSize, slot)) {
-      ++stats.hits;
-    } else {
-      cell = tcsa::net::SharedBuf::wrap(encode_page_frame_gen(
-          slot, static_cast<std::uint32_t>(ch), generation));
-      ++stats.encoded;
-    }
-    for (std::size_t i = 0; i < rig.sessions(); ++i) rig.queue(i).push(cell);
-  }
-  for (std::size_t i = 0; i < rig.sessions(); ++i)
-    tcsa::net::flush_queue(rig.writer(i), rig.queue(i));
-  rig.drain_all();
-}
-
-/// Steady-state cycles encode O(swap) frames: over the counter pass the
-/// cache is seeded once, invalidated once by a hot swap at halfway, and
-/// every other airing is a patch hit — encoded_total is exactly
-/// 2 generations x channels x cycle, machine-independent.
-void BM_FrameCacheCycle(benchmark::State& state) {
-  Rig rig(static_cast<std::size_t>(state.range(0)));
-  std::vector<tcsa::net::SharedBuf> cells(kChannels * kCycle);
-  CacheStats warm;
-  std::uint64_t slot = 0;
-  for (auto _ : state) slot_cycle_cached(rig, cells, slot++, 1, warm);
-  state.SetItemsProcessed(static_cast<std::int64_t>(
-      state.iterations() * kChannels * rig.sessions()));
-
-  // Fixed pass with a fresh cache and a generation swap at halfway, as a
-  // live hot swap invalidates the server's cache wholesale.
-  std::vector<tcsa::net::SharedBuf> counter_cells(kChannels * kCycle);
-  CacheStats total;
-  for (std::size_t s = 0; s < kCounterSlots; ++s) {
-    if (s == kCounterSlots / 2)
-      counter_cells.assign(kChannels * kCycle, tcsa::net::SharedBuf());
-    const std::uint32_t generation = s < kCounterSlots / 2 ? 1 : 2;
-    slot_cycle_cached(rig, counter_cells, s, generation, total);
-  }
-  state.counters["egress_frames_encoded_total"] =
-      benchmark::Counter(static_cast<double>(total.encoded));
-  state.counters["egress_frame_cache_hits_total"] =
-      benchmark::Counter(static_cast<double>(total.hits));
-  state.counters["frames_encoded_per_cycle"] = benchmark::Counter(
-      static_cast<double>(total.encoded) / (kCounterSlots / kCycle));
-}
-BENCHMARK(BM_FrameCacheCycle)->Arg(8)->Arg(64);
 
 // ----------------------------------------------- io_uring batched fan-out
 

@@ -34,10 +34,9 @@ struct CampaignOutcome {
   tcsa::LoadGenReport report;
   double slot_lag_mean_us = 0.0;
   std::uint64_t slots_over_100ms = 0;  // lag buckets above 100 ms's
-  // Egress-path composition (PR 10): how many page frames were re-encoded
-  // versus revived from the epoch cache, and how the flush syscalls split.
+  // Egress-path composition: how many frames were encoded, and how the
+  // flush syscalls split.
   std::uint64_t frames_encoded = 0;
-  std::uint64_t frame_cache_hits = 0;
   std::uint64_t uring_enters = 0;
   std::uint64_t uring_sqes = 0;
 };
@@ -78,8 +77,6 @@ CampaignOutcome run_campaign(std::size_t loops, std::size_t sessions,
   }
   outcome.frames_encoded =
       delta.counter_value("tcsa_server_frames_encoded_total");
-  outcome.frame_cache_hits =
-      delta.counter_value("tcsa_server_frame_cache_hits_total");
   outcome.uring_enters = delta.counter_value("tcsa_server_uring_enter_total");
   outcome.uring_sqes =
       delta.counter_value("tcsa_server_uring_sqe_batched_total");
@@ -112,8 +109,6 @@ void attach_timing_counters(benchmark::State& state,
   // rides as informational (non-gated) counters.
   state.counters["server_frames_encoded"] =
       benchmark::Counter(static_cast<double>(outcome.frames_encoded));
-  state.counters["server_frame_cache_hits"] =
-      benchmark::Counter(static_cast<double>(outcome.frame_cache_hits));
   state.counters["server_uring_enters"] =
       benchmark::Counter(static_cast<double>(outcome.uring_enters));
   state.counters["server_uring_sqes"] =

@@ -109,7 +109,9 @@ struct PageMsg {
   auto tie() { return std::tie(slot, generation, channel, page); }
 };
 
-/// Frame offset of a kPage's slot word, where the frame cache re-stamps.
+/// Bytes of every kPage frame (its fields are all fixed-width).
+inline constexpr std::size_t kPageFrameSize = kFrameHeaderSize + 20;
+/// Frame offset of a kPage's slot word.
 inline constexpr std::size_t kPageSlotOffset = kFrameHeaderSize;
 
 struct SwapMsg {

@@ -2,23 +2,18 @@
 //
 // The broadcast model's whole economy is that one transmission serves every
 // listener; the server's egress path must keep that shape in memory too.
-// A SharedBuf wraps one encoded frame (or any byte run) behind a shared
-// refcount so N subscribed sessions queue the *same* bytes — enqueueing is
-// a pointer copy, and the buffer lives exactly as long as the slowest
-// session still draining it (including across a hot program swap, where
-// the server's frame cache has already moved on to the next generation).
+// A SharedBuf wraps one run of encoded bytes behind a shared refcount so N
+// subscribed sessions queue the *same* bytes — enqueueing is a pointer
+// copy, and the buffer lives exactly as long as the slowest session still
+// draining it (including across a hot program swap). The airing plane
+// encodes each slot's page frames into one such buffer, which a session
+// subscribed to every aired channel queues whole (server/loop_shard.hpp).
 //
-// The bytes are immutable while shared. The one escape hatch is
-// patch_u64(), which rewrites a word in place ONLY when the caller holds
-// the sole reference — the periodic-program frame cache uses it to stamp
-// the slot number into last cycle's otherwise-identical frame instead of
-// re-encoding it (see server/frame_cache.hpp). A buffer some session still
-// has queued refuses the patch and the caller re-encodes, so queued bytes
-// can never change underneath a socket.
+// The bytes never change once wrapped: nothing writes through a SharedBuf,
+// so any thread may read a buffer another loop still has queued.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -49,13 +44,8 @@ class SharedBuf {
   /// Number of handles sharing the bytes (0 for a null handle).
   long use_count() const noexcept { return bytes_.use_count(); }
 
-  /// True when this is the only handle — the precondition for patching.
+  /// True when this is the only handle.
   bool unique() const noexcept { return bytes_.use_count() == 1; }
-
-  /// Rewrites 8 bytes at `offset` as little-endian `value`, but only when
-  /// this handle is the sole owner; returns false (bytes untouched) when
-  /// the buffer is shared or null. Precondition: offset + 8 <= size().
-  bool patch_u64(std::size_t offset, std::uint64_t value);
 
  private:
   std::shared_ptr<std::string> bytes_;

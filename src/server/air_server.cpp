@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <csignal>
 #include <cerrno>
 #include <cmath>
@@ -547,58 +548,50 @@ void AirServer::air_slot() {
   std::uint64_t audience = 0;
   for (const auto& shard : shards_)
     audience |= shard->audience.load(std::memory_order_acquire);
-  const SlotCount channel_count = gen.program.channels();
-  // One acquire sweep per slot: the frame cache's patch floor, below which
-  // every worker loop has delivered — and dropped its token references
-  // for — every slot. Unbounded with no workers: the airing loop then owns
-  // every reference itself, and the cache's refcount check alone decides.
-  std::uint64_t floor = std::numeric_limits<std::uint64_t>::max();
-  for (std::size_t i = 1; i < loop_count_; ++i)
-    floor = std::min(
-        floor, shards_[i]->delivered_through.load(std::memory_order_acquire));
-
-  // Build the slot's frame set out of the cache (a steady-state cycle is
-  // all slot-word patches, zero encodes) as one refcounted token. Per-slot
-  // cost: O(channels) patches here, O(sessions/K) queue appends per loop.
+  const auto channels = static_cast<std::size_t>(gen.program.channels());
+  // Encode the slot's page frames back to back, in ascending channel
+  // order, into one buffer shipped as a refcounted token. Per-slot cost:
+  // O(channels) encodes here, O(sessions/K) queue appends per loop.
   auto frames = std::make_shared<SlotFrames>();
   frames->slot = next_slot_;
-  frames->by_channel.resize(channel_count);
-  frames->page_by_channel.assign(static_cast<std::size_t>(channel_count),
-                                 kNoPage);
-  for (SlotCount ch = 0; ch < channel_count; ++ch) {
-    if (((audience >> ch) & 1) == 0) continue;
-    const PageId page = gen.program.at(ch, column);
-    if (page == kNoPage) continue;
-    frames->page_by_channel[static_cast<std::size_t>(ch)] = page;
-    frames->by_channel[ch] =
-        frame_cache_.frame(gen.id, gen.program, ch, column, next_slot_, floor);
-    frames->aired_mask |= 1ull << ch;
+  frames->page_by_channel.assign(channels, kNoPage);
+  frames->frame_offset.assign(channels + 1, 0);
+  std::string bytes;
+  bytes.reserve(std::min<std::size_t>(std::popcount(audience), channels) *
+                net::kPageFrameSize);
+  for (std::size_t ch = 0; ch < channels; ++ch) {
+    const PageId page =
+        ((audience >> ch) & 1) != 0
+            ? gen.program.at(static_cast<SlotCount>(ch), column)
+            : kNoPage;
+    if (page != kNoPage) {
+      frames->page_by_channel[ch] = page;
+      net::append(bytes, net::PageMsg{.slot = next_slot_,
+                                      .generation = gen.id,
+                                      .channel = static_cast<std::uint32_t>(ch),
+                                      .page = page});
+      frames->aired_mask |= 1ull << ch;
+    }
+    frames->frame_offset[ch + 1] = static_cast<std::uint32_t>(bytes.size());
   }
   const std::uint64_t aired_mask = frames->aired_mask;
+  if (aired_mask != 0) {
+    obs::counter_add(server_metrics().frames_encoded,
+                     static_cast<std::uint64_t>(std::popcount(aired_mask)));
+    frames->bytes = net::SharedBuf::wrap(std::move(bytes));
+  }
   span.set_arg("channels", aired_mask);
   // On-demand airings ride the same token, picked before the fan-out so a
   // pull frame reaches its waiters in the same flush as the broadcast.
   pull_.schedule(next_slot_, gen.id, frames->pull_frames, frames->pull_pages);
 
-  // Workers are posted first, in loop order; shard 0 delivers last,
-  // inline, and every airing-loop reference is gone before the slot ends,
-  // so the next cycle's sole-owner checks see only session queues.
-  std::shared_ptr<const SlotFrames> token = std::move(frames);
+  // Workers are posted first, in loop order; shard 0 delivers last, inline.
+  const std::shared_ptr<const SlotFrames> token = std::move(frames);
   for (std::size_t k = 1; k <= loop_count_; ++k) {
     const std::size_t i = k % loop_count_;  // 1, 2, ..., K-1, then 0
     LoopShard* shard = shards_[i].get();
-    route(0, i, [shard, token]() mutable {
-      const std::uint64_t slot = token->slot;
-      shard->deliver(*token);
-      // Drop the token reference BEFORE publishing the epoch:
-      // drain_posted() destroys this closure only after the whole posted
-      // batch runs, so the implicit release at destruction would lag the
-      // floor and turn every patch check into a miss.
-      token.reset();
-      shard->delivered_through.store(slot + 1, std::memory_order_release);
-    });
+    route(0, i, [shard, token] { shard->deliver(*token); });
   }
-  token.reset();
 
   // Worker depths are one token behind — a gauge reads "after the last
   // flush each loop completed", which is the honest aggregate anyway.

@@ -2,10 +2,8 @@
 //
 // AirServer walks a BroadcastProgram cycle slot-by-slot on a drift-free
 // slot clock and multicasts each slot's per-channel page frames to every
-// subscribed TCP session (net/framing wire format). It is built from three
+// subscribed TCP session (net/framing wire format). It is built from two
 // parts, each hiding one decision the server itself no longer knows:
-//  - FrameCache (frame_cache.hpp), the airing plane's cache: which kPage
-//    bytes may be slot-patched in place and which must be re-encoded;
 //  - LoopShard (loop_shard.hpp), one per-core epoll loop's sessions:
 //    accept, decode, fan-out, the io_uring-or-sendmsg flush, eviction;
 //  - the request plane (pull_plane.hpp): per-session pending kReq
@@ -14,11 +12,11 @@
 // What stays here is the lifecycle, the slot tick, generation activation,
 // the hot-swap worker, routing between loops, and the admin plane. Loop 0
 // is the airing plane and the single writer for program state. Every slot,
-// whatever the loop count, it builds the slot's frame set once as a
-// refcounted token, delivers it to its own sessions inline and post()s it
-// to the other loops, which fan the shared buffers into their sessions —
-// per-slot server cost is O(subscribed channels) in encodes and
-// O(sessions/loops) queue appends per loop, independent of
+// whatever the loop count, it encodes the slot's page frames once into one
+// buffer, ships it as a refcounted token, delivers it to its own sessions
+// inline and post()s it to the other loops, which fan the shared buffer
+// into their sessions — per-slot server cost is O(subscribed channels) in
+// encodes and O(sessions/loops) queue appends per loop, independent of
 // audience-times-bytes. SO_REUSEPORT clones the listener so the kernel
 // spreads accepted connections across loops. Hot swap requests from
 // sessions on other loops are forwarded to loop 0 the same way, and the
@@ -53,7 +51,6 @@
 #include "obs/metrics.hpp"
 #include "obs/timeline.hpp"
 #include "obs/watchdog.hpp"
-#include "server/frame_cache.hpp"
 #include "server/loop_shard.hpp"
 #include "server/pull_plane.hpp"
 
@@ -235,7 +232,6 @@ class AirServer {
   std::unique_ptr<Generation> pending_;   // activates at the next boundary
   std::uint64_t next_slot_ = 0;           // next global slot to air
   bool running_ = false;
-  FrameCache frame_cache_;
   PullPlane pull_;
 
   // Hot-swap worker: one reschedule in flight at a time.

@@ -99,12 +99,27 @@ void LoopShard::deliver(const SlotFrames& frames) {
     accept_paused_ = false;
     listen();
   }
-  std::vector<int> fds;
-  fds.reserve(sessions_.size());
+  dirty_.clear();
+  std::uint64_t copied = 0;  // channels with a copy in channel_frames_
   for (auto& [fd, session] : sessions_) {
     const std::uint64_t hit = session.mask & frames.aired_mask;
-    for (std::uint64_t bits = hit; bits != 0; bits &= bits - 1)
-      enqueue(session, frames.by_channel[std::countr_zero(bits)]);
+    if (hit == frames.aired_mask) {
+      // Every aired channel: the whole slot buffer as one chunk, the same
+      // bytes in the same channel order as frame-by-frame queueing.
+      if (hit != 0)
+        enqueue(session, frames.bytes,
+                static_cast<std::size_t>(std::popcount(hit)));
+    } else {
+      for (std::uint64_t bits = hit; bits != 0; bits &= bits - 1) {
+        const int ch = std::countr_zero(bits);
+        net::SharedBuf& copy = channel_frames_[ch];
+        if (((copied >> ch) & 1) == 0) {
+          copy = net::SharedBuf::wrap(std::string(frames.frame(ch)));
+          copied |= 1ull << ch;
+        }
+        enqueue(session, copy);
+      }
+    }
     bool dirty = hit != 0;
     if (!session.pending.empty()) {
       session.pending.match_broadcast(frames.slot, session.mask,
@@ -118,9 +133,9 @@ void LoopShard::deliver(const SlotFrames& frames) {
         dirty = true;
       }
     }
-    if (dirty) fds.push_back(fd);
+    if (dirty) dirty_.push_back(fd);
   }
-  flush(fds);
+  flush(dirty_);
   std::size_t queued = 0;
   for (const auto& [fd, session] : sessions_) queued += session.out.bytes();
   queued_bytes.store(queued, std::memory_order_release);
@@ -152,8 +167,9 @@ void LoopShard::send_to(const SessionRef& ref, std::string frame) {
     send(it->second, std::move(frame));
 }
 
-void LoopShard::enqueue(Session& session, net::SharedBuf buf) {
-  obs::counter_add(server_metrics().frames_sent, 1);
+void LoopShard::enqueue(Session& session, net::SharedBuf buf,
+                        std::size_t frames) {
+  obs::counter_add(server_metrics().frames_sent, frames);
   obs::counter_add(server_metrics().bytes_queued, buf.size());
   session.out.push(std::move(buf));
 }
@@ -171,51 +187,45 @@ void LoopShard::flush(const std::vector<int>& fds) {
   }
 }
 
-void LoopShard::write_uring(std::vector<int> round) {
+void LoopShard::write_uring(const std::vector<int>& fds) {
   net::UringFlusher& ring = *uring;
   const std::size_t cap = ring.capacity();
-  // Per-batch arenas: the msghdr/iovec arrays must outlive the enter that
-  // submits them — with MSG_DONTWAIT every completion is harvested before
-  // the window below finishes, so stack scope is exactly right.
-  std::vector<struct iovec> iov;
-  std::vector<struct msghdr> msgs;
-  std::vector<int> window_fds;
-  std::vector<net::UringFlusher::Completion> cqes;
-  std::vector<int> next_round;
-
-  while (!round.empty()) {
-    next_round.clear();
-    for (std::size_t base = 0; base < round.size(); base += cap) {
-      const std::size_t n = std::min(cap, round.size() - base);
-      iov.resize(n * kUringIovPerTarget);
-      msgs.assign(n, msghdr{});
-      window_fds.clear();
+  // With MSG_DONTWAIT every completion is harvested before its window
+  // below finishes, so the member arenas are free again by the next one.
+  round_.assign(fds.begin(), fds.end());
+  while (!round_.empty()) {
+    next_round_.clear();
+    for (std::size_t base = 0; base < round_.size(); base += cap) {
+      const std::size_t n = std::min(cap, round_.size() - base);
+      iov_.resize(n * kUringIovPerTarget);
+      msgs_.assign(n, msghdr{});
+      window_fds_.clear();
       for (std::size_t i = 0; i < n; ++i) {
-        const int fd = round[base + i];
+        const int fd = round_[base + i];
         const auto it = sessions_.find(fd);
         if (it == sessions_.end() || it->second.out.empty()) continue;
-        const std::size_t k = window_fds.size();
-        struct iovec* vecs = &iov[k * kUringIovPerTarget];
-        struct msghdr& msg = msgs[k];
+        const std::size_t k = window_fds_.size();
+        struct iovec* vecs = &iov_[k * kUringIovPerTarget];
+        struct msghdr& msg = msgs_[k];
         msg.msg_iov = vecs;
         msg.msg_iovlen = it->second.out.gather(vecs, kUringIovPerTarget);
         if (!ring.push_sendmsg(fd, &msg, k)) break;  // cannot happen: n<=cap
-        window_fds.push_back(fd);
+        window_fds_.push_back(fd);
       }
-      if (window_fds.empty()) continue;
+      if (window_fds_.empty()) continue;
       std::size_t enters = ring.submit_and_wait(
-          static_cast<unsigned>(window_fds.size()));
-      cqes.clear();
-      ring.harvest(cqes);
+          static_cast<unsigned>(window_fds_.size()));
+      cqes_.clear();
+      ring.harvest(cqes_);
       // Defensive tail: an op the kernel decided to finish asynchronously
-      // (should not happen under MSG_DONTWAIT) is waited out here, so the
-      // arenas above never outlive their references and no completion is
-      // ever left in the ring after the batch.
+      // (should not happen under MSG_DONTWAIT) is waited out here, so no
+      // op still points into the arenas when the next window reuses them,
+      // and no completion is ever left in the ring after the batch.
       while (ring.inflight() > 0) {
         enters += ring.submit_and_wait(ring.inflight());
-        ring.harvest(cqes);
+        ring.harvest(cqes_);
       }
-      const std::size_t sqes = window_fds.size();
+      const std::size_t sqes = window_fds_.size();
       obs::counter_add(server_metrics().uring_enters, enters);
       obs::counter_add(server_metrics().uring_sqes, sqes);
       if (sqes > enters)
@@ -223,8 +233,8 @@ void LoopShard::write_uring(std::vector<int> round) {
       // CQE processing mirrors flush_queue's ledger: positive results
       // consume queue bytes, -EAGAIN parks the session for its own
       // EPOLLOUT wakeup, anything else is fatal.
-      for (const net::UringFlusher::Completion& cqe : cqes) {
-        const int fd = window_fds[static_cast<std::size_t>(cqe.user_data)];
+      for (const net::UringFlusher::Completion& cqe : cqes_) {
+        const int fd = window_fds_[static_cast<std::size_t>(cqe.user_data)];
         const auto it = sessions_.find(fd);
         if (it == sessions_.end()) continue;
         Session& session = it->second;
@@ -234,19 +244,19 @@ void LoopShard::write_uring(std::vector<int> round) {
           common_.bytes_flushed.fetch_add(retired, std::memory_order_relaxed);
           obs::counter_add(server_metrics().bytes_sent, sent);
           obs::counter_add(server_metrics().bytes_flushed, retired);
-          if (!session.out.empty()) next_round.push_back(fd);
+          if (!session.out.empty()) next_round_.push_back(fd);
         } else if (cqe.res == -EAGAIN || cqe.res == -EWOULDBLOCK ||
                    cqe.res == 0) {
           obs::counter_add(server_metrics().flush_eagain, 1);
         } else if (cqe.res == -EINTR) {
-          next_round.push_back(fd);
+          next_round_.push_back(fd);
         } else {
           errno = -cqe.res;
           close(fd, "send error");
         }
       }
     }
-    std::swap(round, next_round);
+    std::swap(round_, next_round_);
   }
 }
 

@@ -2,9 +2,10 @@
 //
 // Every session is pinned to the loop that accepted it, so its decoder,
 // egress queue and epoll registration need no locks. A LoopShard accepts,
-// reads and decodes; fans each aired slot's shared frame buffers into its
-// subscribers' egress queues (a pointer copy per session, never a byte
-// copy); and flushes through one entry point that picks the batched
+// reads and decodes; fans each aired slot's shared frame buffer into its
+// subscribers' egress queues (one pointer copy per session that takes every
+// aired channel; a session tuned to fewer shares this loop's one copy of
+// each channel frame it takes); and flushes through one entry point that picks the batched
 // io_uring backend or per-session sendmsg. Both backends end in the same
 // post-flush step: a session over the queued-bytes cap is evicted — one
 // slow client must never stall the broadcast — and every other session has
@@ -24,6 +25,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -67,20 +69,30 @@ struct SessionRef {
   std::uint64_t id = 0;
 };
 
-/// One aired slot, shipped to every loop as a refcounted token: the frame
-/// (if any) per channel, the mask of channels that aired, and the page each
-/// aired channel carried (so shards resolve their own sessions' pending
-/// requests without touching program state).
+/// One aired slot, shipped to every loop as a refcounted token: every aired
+/// channel's kPage frame, back to back in ascending channel order in one
+/// buffer, the mask of channels that aired, and the page each aired channel
+/// carried (so shards resolve their own sessions' pending requests without
+/// touching program state).
 struct SlotFrames {
   std::uint64_t slot = 0;
   std::uint64_t aired_mask = 0;
-  std::vector<net::SharedBuf> by_channel;
+  net::SharedBuf bytes;  // null when nothing aired
+  /// Channel ch's frame is bytes[frame_offset[ch], frame_offset[ch + 1]),
+  /// empty unless ch aired; channels + 1 entries.
+  std::vector<std::uint32_t> frame_offset;
   std::vector<PageId> page_by_channel;
   // On-demand airings riding the same token (usually empty): shards
   // deliver pull_frames[i] to every local session with a pending kReq
   // for pull_pages[i], independent of the session's channel mask.
   std::vector<net::SharedBuf> pull_frames;
   std::vector<PageId> pull_pages;
+
+  /// Channel ch's frame; a view into `bytes`, so it lives with the token.
+  std::string_view frame(std::size_t ch) const {
+    return bytes.view().substr(frame_offset[ch],
+                               frame_offset[ch + 1] - frame_offset[ch]);
+  }
 };
 
 /// Hello/announce ingredients, republished at each generation activation
@@ -174,21 +186,18 @@ class LoopShard {
   std::atomic<std::uint64_t> audience{0};    // union of session masks
   std::atomic<std::size_t> session_count{0};
   std::atomic<std::size_t> queued_bytes{0};  // after the last slot flush
-  /// Worker shards' epoch mark for the frame cache: slots below it were
-  /// delivered AND their token references released (stored with release
-  /// after the drop; the airing loop acquire-reads the minimum).
-  std::atomic<std::uint64_t> delivered_through{0};
 
  private:
   void on_accept();
   void on_event(int fd, std::uint32_t events);
   void handle_frame(Session& session, int fd, const net::Frame& frame);
-  void enqueue(Session& session, net::SharedBuf buf);
+  /// Queues `buf`, which holds `frames` whole frames.
+  void enqueue(Session& session, net::SharedBuf buf, std::size_t frames = 1);
   /// The fan-out flush entry point: batches `fds` (each at most once)
   /// through the ring when there is one, else sendmsg per session; then
   /// settles each survivor and retires its flushed requests.
   void flush(const std::vector<int>& fds);
-  void write_uring(std::vector<int> fds);
+  void write_uring(const std::vector<int>& fds);
   /// sendmsg drain of one session; false when a send error closed it.
   bool write(Session& session);
   /// The post-flush step of both backends: evicts an over-cap session
@@ -208,6 +217,22 @@ class LoopShard {
   std::array<std::uint32_t, 64> channel_subs_{};
   bool running_ = false;        // worker poll-loop flag
   bool accept_paused_ = false;  // listener out of epoll until next slot
+
+  // Per-slot scratch, reused so a steady-state slot allocates nothing
+  // beyond the channel copies below.
+  /// This slot's copy of channel ch's frame, made the first time one of
+  /// this loop's partial-mask sessions takes ch and shared by all of them,
+  /// so their queues never pin the whole slot buffer.
+  std::array<net::SharedBuf, 64> channel_frames_;
+  std::vector<int> dirty_;  // sessions deliver() queued to
+  // write_uring's flush rounds and per-window arenas; the msghdr/iovec
+  // arrays must outlive the enter that submits them.
+  std::vector<int> round_;
+  std::vector<int> next_round_;
+  std::vector<int> window_fds_;
+  std::vector<struct iovec> iov_;
+  std::vector<struct msghdr> msgs_;
+  std::vector<net::UringFlusher::Completion> cqes_;
 };
 
 }  // namespace tcsa

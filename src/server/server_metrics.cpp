@@ -12,11 +12,7 @@ const ServerMetrics& server_metrics() {
                             "Page/control frames queued to sessions"),
       obs::register_counter("tcsa_server_frames_encoded_total",
                             "Frame bodies encoded (shared by reference "
-                            "across subscribers; cache slot-patches do "
-                            "not count)"),
-      obs::register_counter("tcsa_server_frame_cache_hits_total",
-                            "Page frames aired by patching the cached "
-                            "buffer's slot word instead of re-encoding"),
+                            "across subscribers)"),
       obs::register_counter("tcsa_server_bytes_queued_total",
                             "Wire bytes queued to session egress queues"),
       obs::register_counter("tcsa_server_bytes_sent_total",

@@ -15,7 +15,6 @@ struct ServerMetrics {
   obs::MetricId sessions_closed;
   obs::MetricId frames_sent;
   obs::MetricId frames_encoded;
-  obs::MetricId frame_cache_hits;
   obs::MetricId bytes_queued;
   obs::MetricId bytes_sent;
   obs::MetricId bytes_flushed;

@@ -1,7 +1,7 @@
-// egress_test.cpp — the zero-copy egress primitives: SharedBuf refcounts
-// and unique-owner patching, the airing plane's FrameCache patch rule,
+// egress_test.cpp — the zero-copy egress primitives: SharedBuf refcounts,
 // OutQueue chunk accounting and O(1) retirement, vectored flush over a
 // backpressured socketpair (partial-send resume and byte-exact ordering),
+// what a delivery shard queues for a full-mask and a one-channel session,
 // and the queued-bytes eviction boundary.
 #include <sys/socket.h>
 #include <sys/uio.h>
@@ -9,28 +9,24 @@
 
 #include <cerrno>
 #include <cstring>
-#include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "net/event_loop.hpp"
 #include "net/framing.hpp"
 #include "net/out_queue.hpp"
 #include "net/shared_buf.hpp"
 #include "net/socket.hpp"
-#include "server/air_server.hpp"
-#include "server/frame_cache.hpp"
-#include "util/wire.hpp"
-
-#include "server_harness.hpp"
+#include "server/loop_shard.hpp"
 
 using namespace tcsa;
 
 namespace {
 
-/// A kPage frame encoded from scratch, the reference every cached or
-/// patched frame must equal byte for byte.
+/// A kPage frame encoded from scratch.
 std::string page_frame(std::uint64_t slot, std::uint32_t generation,
                        std::uint32_t channel, PageId page) {
   return net::encode(net::PageMsg{slot, generation, channel, page});
@@ -50,114 +46,6 @@ TEST(SharedBuf, SharesBytesByReferenceAcrossCopies) {
   net::SharedBuf null_buf;
   EXPECT_FALSE(static_cast<bool>(null_buf));
   EXPECT_EQ(null_buf.size(), 0u);
-  EXPECT_FALSE(null_buf.patch_u64(0, 1));
-}
-
-TEST(SharedBuf, PatchRewritesTheWordOnlyForTheSoleOwner) {
-  std::string bytes;
-  wire_put_u64(bytes, 7);
-  wire_put_u32(bytes, 0xdead);
-  net::SharedBuf buf = net::SharedBuf::wrap(bytes);
-
-  ASSERT_TRUE(buf.patch_u64(0, 42));
-  WireReader patched(buf.view());
-  EXPECT_EQ(patched.read_u64(), 42u);
-  EXPECT_EQ(patched.read_u32(), 0xdeadu) << "bytes past the word intact";
-
-  // A second handle (a session still queuing the buffer) blocks the patch
-  // and leaves every byte untouched.
-  net::SharedBuf queued = buf;
-  EXPECT_FALSE(buf.patch_u64(0, 99));
-  WireReader unchanged(queued.view());
-  EXPECT_EQ(unchanged.read_u64(), 42u);
-
-  queued = net::SharedBuf();  // queue drained: sole owner again
-  EXPECT_TRUE(buf.patch_u64(0, 99));
-}
-
-// The frame-cache contract: reviving a cached kPage frame by patching its
-// slot word produces the same bytes a fresh encode would — to the byte.
-TEST(SharedBuf, PatchedPageFrameIsByteIdenticalToAFreshEncode) {
-  net::SharedBuf cached = net::SharedBuf::wrap(page_frame(100, 7, 2, 41));
-  ASSERT_TRUE(cached.patch_u64(net::kFrameHeaderSize, 4242));
-  EXPECT_EQ(cached.view(), page_frame(4242, 7, 2, 41));
-}
-
-// ------------------------------------------------------------ FrameCache
-
-constexpr std::uint64_t kNoFloor = std::numeric_limits<std::uint64_t>::max();
-constexpr const char* kHits = "tcsa_server_frame_cache_hits_total";
-constexpr const char* kEncoded = "tcsa_server_frames_encoded_total";
-
-/// Two channels, a cycle of four: page 7 at (0, 1), page 9 at (1, 3).
-BroadcastProgram two_page_program() {
-  BroadcastProgram program(2, 4);
-  program.place(0, 1, 7);
-  program.place(1, 3, 9);
-  return program;
-}
-
-// A cell is patched in place only once the floor has passed its last
-// airing and the cache holds the only reference; the patched bytes are
-// exactly a fresh encode's.
-TEST(FrameCache, PatchesPastTheFloorAsSoleOwnerToFreshEncodeBytes) {
-  MetricsDelta metrics;
-  const BroadcastProgram program = two_page_program();
-  FrameCache cache;
-  const char* cell = cache.frame(1, program, 0, 1, 10, kNoFloor).data();
-  EXPECT_EQ(metrics.counter(kEncoded), 1u);
-
-  const net::SharedBuf patched = cache.frame(1, program, 0, 1, 14, 11);
-  EXPECT_EQ(metrics.counter(kHits), 1u);
-  EXPECT_EQ(metrics.counter(kEncoded), 1u);
-  EXPECT_EQ(patched.data(), cell) << "a patch rewrites the cached buffer";
-  EXPECT_EQ(patched.view(), page_frame(14, 1, 0, 7));
-  FrameCache fresh;
-  EXPECT_EQ(patched.view(), fresh.frame(1, program, 0, 1, 14, kNoFloor).view());
-}
-
-// A reference still held elsewhere (a session queue) or a floor that has
-// not passed the cell's last airing (a worker loop may still hold the slot
-// token) each force a fresh encode — and the held bytes never change.
-TEST(FrameCache, AHeldReferenceOrAnUnpassedFloorForcesAFreshEncode) {
-  MetricsDelta metrics;
-  const BroadcastProgram program = two_page_program();
-  FrameCache cache;
-  net::SharedBuf held = cache.frame(1, program, 1, 3, 10, kNoFloor);
-  net::SharedBuf next = cache.frame(1, program, 1, 3, 14, kNoFloor);
-  EXPECT_NE(next.data(), held.data());
-  EXPECT_EQ(held.view(), page_frame(10, 1, 1, 9)) << "queued bytes changed";
-  EXPECT_EQ(next.view(), page_frame(14, 1, 1, 9));
-  EXPECT_EQ(metrics.counter(kEncoded), 2u);
-
-  const char* cell = next.data();
-  held = net::SharedBuf();
-  next = net::SharedBuf();
-  // Sole owner again, but the floor equals the last airing: not yet safe.
-  const net::SharedBuf again = cache.frame(1, program, 1, 3, 18, 14);
-  EXPECT_NE(again.data(), cell);
-  EXPECT_EQ(again.view(), page_frame(18, 1, 1, 9));
-  EXPECT_EQ(metrics.counter(kEncoded), 3u);
-  EXPECT_EQ(metrics.counter(kHits), 0u);
-}
-
-// A new generation resets every cell — even one the floor and refcount
-// would let it patch — and adopts the new program's shape.
-TEST(FrameCache, ANewGenerationNeverReturnsTheOldGenerationsBytes) {
-  MetricsDelta metrics;
-  const BroadcastProgram program = two_page_program();
-  FrameCache cache;
-  cache.frame(1, program, 0, 1, 10, kNoFloor);
-
-  BroadcastProgram wider(3, 4);
-  wider.place(0, 1, 7);
-  wider.place(2, 3, 11);
-  EXPECT_EQ(cache.frame(2, wider, 0, 1, 14, kNoFloor).view(),
-            page_frame(14, 2, 0, 7));
-  EXPECT_EQ(cache.frame(2, wider, 2, 3, 16, kNoFloor).view(),
-            page_frame(16, 2, 2, 11));
-  EXPECT_EQ(metrics.counter(kHits), 0u);
-  EXPECT_EQ(metrics.counter(kEncoded), 3u);
 }
 
 // -------------------------------------------------------------- OutQueue
@@ -347,6 +235,139 @@ TEST(FlushQueue, ReportsAFatalErrorAndLeavesTheQueueIntact) {
   EXPECT_EQ(result.syscalls, 1u) << "a fatal call is productive-path, not a probe";
   EXPECT_EQ(result.eagain_calls, 0u);
   EXPECT_EQ(queue.bytes(), 6u) << "fatal error must not drop queued bytes";
+}
+
+// ---------------------------------------------- slot delivery per mask
+
+constexpr std::size_t kRigChannels = 4;
+
+/// One aired slot as the airing plane ships it: all four channels' kPage
+/// frames back to back, in channel order, in one buffer.
+SlotFrames four_channel_slot(std::uint64_t slot) {
+  SlotFrames frames;
+  frames.slot = slot;
+  frames.frame_offset.push_back(0);
+  std::string bytes;
+  for (std::uint32_t ch = 0; ch < kRigChannels; ++ch) {
+    bytes += page_frame(slot, 1, ch, 10 + ch);
+    frames.frame_offset.push_back(static_cast<std::uint32_t>(bytes.size()));
+    frames.page_by_channel.push_back(10 + ch);
+    frames.aired_mask |= 1ull << ch;
+  }
+  frames.bytes = net::SharedBuf::wrap(std::move(bytes));
+  return frames;
+}
+
+/// One delivery shard on its own loop, driven slot by slot from the test
+/// thread, with one client tuned to `mask` that reads nothing until
+/// drain(): once its socket fills, every slot's chunks stay queued.
+class ShardRig {
+ public:
+  explicit ShardRig(std::uint64_t mask) {
+    common_.max_session_buffer = 1 << 20;
+    common_.session_send_buffer = 4096;
+    common_.hooks.closed = [](std::size_t, std::uint64_t) {};
+    net::Fd listener = net::listen_tcp("127.0.0.1", 0);
+    const std::uint16_t port = net::local_port(listener.get());
+    shard_ = std::make_unique<LoopShard>(0, loop_, std::move(listener),
+                                         common_);
+    shard_->listen();
+    client_ = net::connect_tcp("127.0.0.1", port);
+    const int small = 4096;
+    EXPECT_EQ(::setsockopt(client_.get(), SOL_SOCKET, SO_RCVBUF, &small,
+                           sizeof(small)),
+              0);
+    poll_until([&] { return shard_->session_count.load() == 1; });
+    const std::string tune = net::encode(net::TuneMsg{mask});
+    EXPECT_EQ(::send(client_.get(), tune.data(), tune.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(tune.size()));
+    poll_until([&] { return shard_->audience.load() == mask; });
+  }
+
+  LoopShard& shard() { return *shard_; }
+
+  /// Delivers slots until the session's socket is full and its queue has
+  /// stayed backed up for a while; returns the next slot to deliver.
+  std::uint64_t fill() {
+    std::uint64_t slot = 0;
+    while (shard_->queued_bytes.load() == 0 && slot < 100'000)
+      shard_->deliver(four_channel_slot(slot++));
+    EXPECT_GT(shard_->queued_bytes.load(), 0u) << "socket never filled";
+    for (const std::uint64_t end = slot + 64; slot < end;)
+      shard_->deliver(four_channel_slot(slot++));
+    return slot;
+  }
+
+  /// Everything the client receives after its hello, read until it holds
+  /// `expected` bytes (the shard flushes the rest on EPOLLOUT).
+  std::string drain(std::size_t expected) {
+    const std::size_t hello =
+        common_.hello_frame(net::FrameType::kHello).size();
+    net::set_nonblocking(client_.get(), true);
+    std::string stream;
+    std::vector<char> buffer(1 << 16);
+    for (int spins = 0; stream.size() < hello + expected && spins < 20'000;
+         ++spins) {
+      const ssize_t n = ::recv(client_.get(), buffer.data(), buffer.size(), 0);
+      if (n > 0) stream.append(buffer.data(), static_cast<std::size_t>(n));
+      loop_.poll(1000);
+    }
+    EXPECT_EQ(stream.size(), hello + expected);
+    return stream.size() >= hello ? stream.substr(hello) : std::string();
+  }
+
+ private:
+  template <class Done>
+  void poll_until(Done done) {
+    for (int spins = 0; !done() && spins < 5000; ++spins) loop_.poll(1000);
+    EXPECT_TRUE(done());
+  }
+
+  net::EventLoop loop_;
+  ShardCommon common_;
+  std::unique_ptr<LoopShard> shard_;
+  net::Fd client_;
+};
+
+// A session tuned to every aired channel queues the slot's one buffer as
+// one chunk: its queue shares the airing plane's bytes, and its stream is
+// the slot buffers back to back.
+TEST(SlotDelivery, AFullMaskSessionQueuesTheWholeSlotBufferAsOneChunk) {
+  ShardRig rig(net::kAllChannels);
+  std::uint64_t slot = rig.fill();
+  const SlotFrames held = four_channel_slot(slot++);
+  rig.shard().deliver(held);
+  EXPECT_EQ(held.bytes.use_count(), 2) << "the queue must share the slot buffer";
+
+  std::string expected;
+  for (std::uint64_t s = 0; s < slot; ++s)
+    expected += four_channel_slot(s).bytes.view();
+  EXPECT_EQ(rig.drain(expected.size()), expected);
+}
+
+// A one-channel session never pins the slot buffer: its queue holds this
+// loop's copy of its channel's frame, and its stream is exactly that
+// channel's frames — no other channel's bytes.
+TEST(SlotDelivery, AOneChannelSessionQueuesOnlyItsChannelsBytes) {
+  constexpr std::size_t kChannel = 2;
+  ShardRig rig(1ull << kChannel);
+  std::uint64_t slot = rig.fill();
+  std::vector<SlotFrames> held;
+  for (int i = 0; i < 8; ++i) {
+    held.push_back(four_channel_slot(slot++));
+    rig.shard().deliver(held.back());
+  }
+  for (const SlotFrames& frames : held)
+    EXPECT_EQ(frames.bytes.use_count(), 1)
+        << "a one-channel queue pinned the whole slot buffer";
+
+  std::string expected;
+  for (std::uint64_t s = 0; s < slot; ++s) {
+    const SlotFrames frames = four_channel_slot(s);
+    ASSERT_EQ(frames.frame(kChannel).size(), net::kPageFrameSize);
+    expected += frames.frame(kChannel);
+  }
+  EXPECT_EQ(rig.drain(expected.size()), expected);
 }
 
 // ------------------------------------------------------ eviction boundary

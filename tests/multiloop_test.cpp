@@ -1,12 +1,17 @@
 // multiloop_test.cpp — invariants of the sharded (loops > 1) air server:
 // session conservation across loop shards under churn, per-loop slow-client
 // eviction, announce exactly-once per session regardless of owning loop,
-// broadcast validity at four loops, and an in-process loadgen smoke run.
+// broadcast validity at four loops, one encode per aired channel per slot,
+// identical bytes for full-mask and one-channel sessions, no stale frame
+// across a hot swap, and an in-process loadgen smoke run.
 #include <sys/socket.h>
 #include <sys/time.h>
 
+#include <bit>
 #include <chrono>
+#include <map>
 #include <numeric>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,6 +22,8 @@
 #include "model/validate.hpp"
 #include "model/workload.hpp"
 #include "net/framing.hpp"
+#include "obs/json.hpp"
+#include "obs/trace.hpp"
 #include "server/air_server.hpp"
 #include "server/loadgen.hpp"
 #include "server/tune_client.hpp"
@@ -29,8 +36,6 @@ namespace {
 
 Workload paper_workload() { return make_workload({2, 4, 8}, {3, 5, 3}); }
 Workload grown_workload() { return make_workload({2, 4, 8}, {3, 5, 4}); }
-
-constexpr const char* kCacheHits = "tcsa_server_frame_cache_hits_total";
 
 std::size_t live_sessions(const AirServer& server) {
   const std::vector<std::size_t> per_loop = server.sessions_per_loop();
@@ -220,57 +225,114 @@ TEST(MultiLoop, FourLoopBroadcastReconstructsToAValidProgram) {
   EXPECT_EQ(recorder.summary().deadline_misses, 0u);
 }
 
-// The epoch-stamped frame cache works at every loop count: after the first
-// cycle seeds it, steady-state cycles serve page frames by patching the
-// cached buffer's slot word instead of re-encoding, and the wire output
-// stays correct (the recorder reconstructs a valid program elsewhere in
-// this suite from the same path). One loop airs through the same token
-// path as four, so both meet the same bound.
-class FrameCacheRevival : public ::testing::TestWithParam<std::size_t> {};
+// Each aired slot encodes each aired channel's frame exactly once, however
+// many sessions take it and whichever loops they sit on: the encode count
+// is the sum of popcount(aired_mask) over the aired slots (read back from
+// the server.slot trace spans), plus one kPull encode per pull airing.
+class SlotEncode : public ::testing::TestWithParam<std::size_t> {};
 
-TEST_P(FrameCacheRevival, SteadyStateCyclesPatchInsteadOfEncoding) {
+TEST_P(SlotEncode, OneEncodePerAiredChannelPerSlotWhateverTheAudience) {
   AirServerConfig config;
   config.slot_us = 400;
   config.max_slots = 600;
   config.loops = GetParam();
+  config.pull_channels = 1;
   MetricsDelta metrics;
-  ServerHarness harness(paper_workload(), config);
+  obs::clear_trace();
+  obs::set_tracing_enabled(true);
+  {
+    ServerHarness harness(paper_workload(), config);
+    TuneClient full_a(harness.client_options(net::kAllChannels));
+    TuneClient full_b(harness.client_options(net::kAllChannels));
+    TuneClient one(harness.client_options(1ull << 1));
+    TuneClient puller(harness.client_options(0));  // served by kPull only
+    puller.request_page(4);
+    puller.request_page(9);
+    std::thread ta([&] { full_a.run(0); });
+    std::thread tb([&] { full_b.run(0); });
+    std::thread tc([&] { one.run(0); });
+    puller.run(0);
+    ta.join();
+    tb.join();
+    tc.join();
+  }
+  obs::set_tracing_enabled(false);
+  ASSERT_EQ(obs::trace_spans_dropped(), 0u);
 
-  TuneClient::Options options = harness.client_options(net::kAllChannels);
-  TuneClient recorder(options);
-  recorder.run(0);
-  EXPECT_EQ(recorder.summary().deadline_misses, 0u);
-
-  // 600 slots over a cycle of 8 is 75 cycles of the same occupied cells.
-  // The cache holds one frame per (channel, column) cell; everything past
-  // warm-up should be a patch hit. The bound is generous (25%) because a
-  // cell re-encodes whenever the worker-epoch floor has not yet passed its
-  // previous airing.
+  std::ostringstream trace;
+  obs::write_chrome_trace(trace);
+  const obs::JsonValue doc = obs::json_parse(trace.str());
+  std::uint64_t slots = 0;
+  std::uint64_t aired_frames = 0;
+  for (const obs::JsonValue& event :
+       doc.at("traceEvents").expect_array("traceEvents").array) {
+    if (event.at("name").expect_string("name") != "server.slot") continue;
+    ++slots;
+    aired_frames += static_cast<std::uint64_t>(std::popcount(
+        event.at("args").at("channels").expect_uint("channels")));
+  }
+  EXPECT_EQ(slots, 600u);
+  ASSERT_GT(aired_frames, 0u);
+  const std::uint64_t pull_airings =
+      metrics.counter("tcsa_server_pull_airings_total");
+  EXPECT_EQ(pull_airings, 2u);
   const std::uint64_t encoded =
       metrics.counter("tcsa_server_frames_encoded_total");
-  const std::uint64_t hits = metrics.counter(kCacheHits);
-  EXPECT_GT(hits, 0u) << "cache never revived a frame at loops="
-                      << GetParam();
-  EXPECT_GE(hits + encoded, 1500u) << "server did not air the expected span";
-  EXPECT_LE(encoded, (hits + encoded) / 4)
-      << "steady-state cycles must patch, not re-encode";
+  EXPECT_EQ(encoded, aired_frames + pull_airings);
+  EXPECT_GT(metrics.counter("tcsa_server_frames_sent_total"), encoded)
+      << "sessions must share encodes, not add them";
 }
 
-INSTANTIATE_TEST_SUITE_P(Loops, FrameCacheRevival,
+INSTANTIATE_TEST_SUITE_P(Loops, SlotEncode,
                          ::testing::Values(std::size_t{1}, std::size_t{4}),
                          [](const ::testing::TestParamInfo<std::size_t>& info) {
                            return "loops" + std::to_string(info.param);
                          });
 
-// A hot swap invalidates the cache wholesale: no frame aired at or past the
+// A full-mask session queues the slot buffer whole; a one-channel session
+// queues its loop's copy of one frame. Wherever the kernel puts them, both
+// receive the same bytes for their common channel (a received page is a
+// decoded kPage of fixed-width fields, so equal fields are equal bytes).
+TEST(MultiLoop, FullMaskAndOneChannelSessionsReceiveIdenticalCommonBytes) {
+  AirServerConfig config;
+  config.slot_us = 400;
+  config.max_slots = 600;
+  config.loops = 4;
+  ServerHarness harness(paper_workload(), config);
+
+  constexpr std::uint32_t kChannel = 1;
+  TuneClient::Options full_options = harness.client_options(net::kAllChannels);
+  full_options.record_pages = true;
+  TuneClient::Options one_options = harness.client_options(1ull << kChannel);
+  one_options.record_pages = true;
+  TuneClient full(full_options);
+  TuneClient one(one_options);
+  std::thread runner([&full] { full.run(0); });
+  one.run(0);
+  runner.join();
+
+  std::map<std::uint64_t, std::string> full_bytes;  // slot -> frame
+  for (const ReceivedPage& page : full.pages())
+    if (page.channel == kChannel) full_bytes[page.slot] = net::encode(page);
+  std::size_t common = 0;
+  for (const ReceivedPage& page : one.pages()) {
+    EXPECT_EQ(page.channel, kChannel) << "another channel's frame leaked";
+    const auto it = full_bytes.find(page.slot);
+    if (it == full_bytes.end()) continue;
+    EXPECT_EQ(net::encode(page), it->second) << "slot " << page.slot;
+    ++common;
+  }
+  EXPECT_GE(common, 100u) << "the sessions overlapped too little to compare";
+}
+
+// A hot swap never airs a stale frame: no frame aired at or past the
 // activation slot carries the old generation, none before it carries the
-// new one, and the cache keeps reviving frames after the swap.
-TEST(MultiLoop, HotSwapInvalidatesTheFrameCacheWithoutStaleFrames) {
+// new one, and the new generation's frames reconstruct a valid program.
+TEST(MultiLoop, HotSwapNeverAirsAStaleGenerationFrame) {
   AirServerConfig config;
   config.slot_us = 400;
   config.max_slots = 2000;
   config.loops = 4;
-  MetricsDelta metrics;
   ServerHarness harness(paper_workload(), config);
 
   TuneClient::Options options = harness.client_options(net::kAllChannels);
@@ -278,25 +340,22 @@ TEST(MultiLoop, HotSwapInvalidatesTheFrameCacheWithoutStaleFrames) {
   TuneClient recorder(options);
   std::thread runner([&recorder] { recorder.run(0); });
 
-  // Let the generation-1 cache warm (a few full cycles) so the swap has
-  // revived frames to invalidate.
+  // Let generation 1 air a few full cycles before the swap.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (metrics.counter(kCacheHits) == 0 &&
+  while (harness.server().slots_aired() < 64 &&
          std::chrono::steady_clock::now() < deadline)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  ASSERT_GT(metrics.counter(kCacheHits), 0u);
+  ASSERT_GE(harness.server().slots_aired(), 64u);
 
   TuneClient swapper(harness.client_options(0));
   const SwapReply reply = swapper.request_swap(grown_workload());
   ASSERT_TRUE(reply.accepted) << reply.error;
   ASSERT_EQ(reply.generation, 2u);
-  const std::uint64_t hits_at_swap = metrics.counter(kCacheHits);
   runner.join();
 
   // Stale-frame check: the generation stamp inside every received frame
-  // flips exactly at the activation boundary. A cached generation-1 frame
-  // leaking past the swap would fail here.
+  // flips exactly at the activation boundary.
   ASSERT_FALSE(recorder.pages().empty());
   for (const ReceivedPage& page : recorder.pages()) {
     if (page.slot >= reply.activation_slot)
@@ -308,13 +367,8 @@ TEST(MultiLoop, HotSwapInvalidatesTheFrameCacheWithoutStaleFrames) {
           << page.slot;
   }
 
-  // The rest of the run is almost all generation 2 (activation is at most
-  // one cycle past the reply), so the rebuilt cache must keep hitting.
-  EXPECT_GT(metrics.counter(kCacheHits), hits_at_swap)
-      << "generation 2 never revived a frame";
-
-  // Byte-level correctness of the revived generation-2 frames: a steady
-  // state cycle reconstructs to a program the model checker accepts for
+  // Byte-level correctness of the generation-2 frames: a steady-state
+  // cycle reconstructs to a program the model checker accepts for
   // the new workload.
   const SlotCount cycle = recorder.cycle_length();
   const std::uint64_t first = reply.activation_slot + cycle;  // warm cycle
