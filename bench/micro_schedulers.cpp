@@ -3,11 +3,15 @@
 // Measures how long each algorithm takes to build a schedule as the
 // workload scales: the paper notes OPT's "unacceptably high" search cost;
 // these numbers quantify the gap between OPT, the PAMAD heuristic (a few
-// microseconds of frequency search) and plain SUSC packing, and how SUSC and
-// swap-seam planning scale to catalog size against their reference scans.
+// microseconds of frequency search) and plain SUSC packing, how SUSC and
+// swap-seam planning scale to catalog size against their reference scans,
+// and what the swap worker's whole path costs at catalog scale.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <new>
 
 #include "bench_obs.hpp"
 #include "core/channel_bound.hpp"
@@ -20,10 +24,32 @@
 #include "core/susc.hpp"
 #include "model/appearance_index.hpp"
 #include "model/validate.hpp"
+#include "online/adaptive.hpp"
 #include "server/air_server.hpp"
 #include "workload/distributions.hpp"
 
 #include "oracles.hpp"
+
+namespace {
+
+// Bytes requested from operator new while counting is on: BM_SwapPath's
+// exact state-size counters come from one untimed counted run.
+std::atomic<bool> g_count_allocations{false};
+std::atomic<std::size_t> g_allocated_bytes{0};
+
+}  // namespace
+
+// Out of line, so no caller sees free() meet a pointer from `new`.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  if (g_count_allocations.load(std::memory_order_relaxed))
+    g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -121,6 +147,52 @@ void BM_CatalogScale(benchmark::State& state) {
 BENCHMARK(BM_CatalogScale)
     ->ArgsProduct({{0, 1, 2}, {10000, 100000, 1000000}})
     ->Args({3, 10000})->Args({3, 100000})
+    ->Unit(benchmark::kMillisecond);
+
+/// Bytes `fn` allocates (freed or not), counted in one untimed run.
+template <class Fn>
+double allocated_bytes(Fn&& fn) {
+  g_allocated_bytes.store(0, std::memory_order_relaxed);
+  g_count_allocations.store(true, std::memory_order_relaxed);
+  fn();
+  g_count_allocations.store(false, std::memory_order_relaxed);
+  return static_cast<double>(g_allocated_bytes.load(std::memory_order_relaxed));
+}
+
+void BM_SwapPath(benchmark::State& state) {
+  // The swap worker's path at catalog scale: schedule the next catalog,
+  // validate it, plan the seam from the one on air (same page count, uniform
+  // to normal group sizes, SUSC on the larger Theorem 3.1 bound). Counters:
+  // grid cells the validation and seam sweeps read (each reads its programs
+  // once), and the bytes each of them allocates for per-page and per-column
+  // state.
+  const SlotCount n = state.range(0);
+  const Workload from = bench_workload(n);
+  const Workload to = make_paper_workload(GroupSizeShape::kNormal, 8, n, 4, 2);
+  const SlotCount channels = std::max(min_channels(from), min_channels(to));
+  const BroadcastProgram on_air = choose_schedule(from, channels).program;
+  const SlotCount offset = on_air.cycle_length() / 3;
+  const auto swap_path = [&] {
+    const ScheduleOutcome next = choose_schedule(to, channels);
+    const ValidityReport report = validate_program(next.program, to);
+    const SwapPlan plan =
+        plan_swap_seam(from, on_air, offset, to, next.program);
+    return report.worst_lateness + plan.seam_lateness;
+  };
+  for (auto _ : state) benchmark::DoNotOptimize(swap_path());
+
+  const BroadcastProgram next = choose_schedule(to, channels).program;
+  state.counters["cells_read"] = benchmark::Counter(static_cast<double>(
+      next.capacity() + on_air.capacity() + next.capacity()));
+  state.counters["validate_state_bytes"] = benchmark::Counter(allocated_bytes(
+      [&] { benchmark::DoNotOptimize(validate_program(next, to).valid); }));
+  state.counters["seam_state_bytes"] = benchmark::Counter(allocated_bytes([&] {
+    benchmark::DoNotOptimize(
+        plan_swap_seam(from, on_air, offset, to, next).offset);
+  }));
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_SwapPath)->Arg(10000)->Arg(100000)->Arg(1000000)
     ->Unit(benchmark::kMillisecond);
 
 void BM_PamadFrequencySearch(benchmark::State& state) {

@@ -29,16 +29,12 @@ AppearanceIndex::AppearanceIndex(const BroadcastProgram& program,
   flat_.assign(offset_.back(), 0);
 
   std::vector<std::size_t> cursor(offset_.begin(), offset_.end() - 1);
-  // Iterate slots in time order so per-page lists come out nearly sorted;
-  // a page can appear on several channels in the same column, which still
-  // yields equal (already ordered) times.
-  for (SlotCount s = 0; s < cycle_length_; ++s) {
-    for (SlotCount ch = 0; ch < program.channels(); ++ch) {
-      const PageId p = program.at(ch, s);
-      if (p == kNoPage) continue;
-      flat_[cursor[p]++] = s + 1;  // completion time of slot s
-    }
-  }
+  // Fill in time order so per-page lists come out sorted; a page can
+  // appear on several channels in the same column, which yields equal
+  // (still ordered) times.
+  program.for_each_in_time_order([&](SlotCount slot, PageId p) {
+    flat_[cursor[p]++] = slot + 1;  // completion time of `slot`
+  });
 }
 
 std::span<const SlotCount> AppearanceIndex::appearances(PageId page) const {

@@ -3,9 +3,11 @@
 // B is an N x T grid of page ids: row = channel, column = time slot. The
 // program repeats forever with period T (the major cycle): slot s of cycle k
 // carries the same page as slot s of cycle 0. Schedulers fill the grid; the
-// simulator and validators read it through AppearanceIndex.
+// simulator reads it through AppearanceIndex, and the validator and the
+// swap-seam planner in one time-ordered sweep (for_each_in_time_order).
 #pragma once
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -50,6 +52,14 @@ class BroadcastProgram {
   /// Count of occupied slots in one column (time slot across all channels).
   SlotCount column_load(SlotCount slot) const;
 
+  /// Visits every occupied cell in time order — columns ascending, channels
+  /// ascending within a column — as visit(slot, page). The grid is
+  /// row-major, so the sweep copies one cache line of every row at a time
+  /// into a column-major tile (channels x 16 page ids) and visits the tile:
+  /// each grid line is read once instead of once per column.
+  template <class Visit>
+  void for_each_in_time_order(Visit&& visit) const;
+
   /// ASCII rendering (channels as rows), e.g. for the Fig. 2 example:
   /// "ch0 |  1  2  3  1 ...". Empty slots print as '.'.
   std::string render() const;
@@ -71,5 +81,28 @@ class BroadcastProgram {
   SlotCount occupied_ = 0;
   std::vector<PageId> grid_;  // row-major: channel * T + slot
 };
+
+template <class Visit>
+void BroadcastProgram::for_each_in_time_order(Visit&& visit) const {
+  constexpr SlotCount kTile = 64 / sizeof(PageId);
+  const auto rows = static_cast<std::size_t>(channels_);
+  std::vector<PageId> tile(rows * static_cast<std::size_t>(kTile));
+  for (SlotCount first = 0; first < cycle_length_; first += kTile) {
+    const auto width =
+        static_cast<std::size_t>(std::min(kTile, cycle_length_ - first));
+    for (std::size_t ch = 0; ch < rows; ++ch) {
+      const PageId* line = grid_.data() +
+                           ch * static_cast<std::size_t>(cycle_length_) +
+                           static_cast<std::size_t>(first);
+      for (std::size_t j = 0; j < width; ++j) tile[j * rows + ch] = line[j];
+    }
+    for (std::size_t j = 0; j < width; ++j) {
+      const PageId* column = tile.data() + j * rows;
+      const SlotCount slot = first + static_cast<SlotCount>(j);
+      for (std::size_t ch = 0; ch < rows; ++ch)
+        if (column[ch] != kNoPage) visit(slot, column[ch]);
+    }
+  }
+}
 
 }  // namespace tcsa

@@ -1,22 +1,68 @@
 #include "model/validate.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <utility>
 
 #include "util/contracts.hpp"
 
 namespace tcsa {
+namespace {
+
+/// One page's completions so far in the time-ordered sweep, each a
+/// completion time in (0, T]; last == 0 means the page has not aired yet.
+struct PageSweep {
+  std::uint32_t first = 0;
+  std::uint32_t last = 0;
+  std::uint32_t widest = 0;  ///< widest gap between consecutive completions
+};
+
+}  // namespace
 
 ValidityReport validate_program(const BroadcastProgram& program,
                                 const Workload& workload) {
   ValidityReport report;
-  const AppearanceIndex index(program, workload.total_pages());
+  const SlotCount cycle = program.cycle_length();
+  TCSA_REQUIRE(cycle < std::numeric_limits<std::uint32_t>::max(),
+               "validate_program: cycle too long for 32-bit completion times");
+  const SlotCount page_count = workload.total_pages();
 
-  for (PageId page = 0; page < workload.total_pages(); ++page) {
+  // One sweep in time order: a page's gaps are the differences of its
+  // consecutive completions, so first, last and widest gap are all the
+  // state condition (1) and (2) need. O(cells) time, 12 bytes per page.
+  std::vector<PageSweep> sweep(static_cast<std::size_t>(page_count));
+  // Duplicate columns are rare waste; the sweep finds them in column order.
+  std::vector<std::pair<PageId, std::uint32_t>> duplicates;
+  program.for_each_in_time_order([&](SlotCount slot, PageId page) {
+    TCSA_REQUIRE(static_cast<SlotCount>(page) < page_count,
+                 "validate_program: program references unknown page");
+    PageSweep& seen = sweep[page];
+    const auto done = static_cast<std::uint32_t>(slot + 1);
+    if (seen.last == 0) {
+      seen.first = done;
+    } else {
+      if (done == seen.last) duplicates.emplace_back(page, done - 1);
+      seen.widest = std::max(seen.widest, done - seen.last);
+    }
+    seen.last = done;
+  });
+
+  // Waste diagnostic: duplicate appearance in the same column, by page.
+  std::stable_sort(duplicates.begin(), duplicates.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (const auto& [page, column] : duplicates) {
+    std::ostringstream os;
+    os << "page " << page << " appears twice in column " << column;
+    report.warnings.push_back(os.str());
+  }
+
+  for (PageId page = 0; page < page_count; ++page) {
     const SlotCount t = workload.expected_time_of(page);
-    const auto times = index.appearances(page);
+    const PageSweep& seen = sweep[page];
 
-    if (times.empty()) {
+    if (seen.last == 0) {
       report.valid = false;
       std::ostringstream os;
       os << "page " << page << " never appears in the program";
@@ -24,27 +70,18 @@ ValidityReport validate_program(const BroadcastProgram& program,
       continue;
     }
 
-    // Waste diagnostic: duplicate appearance in the same column.
-    for (std::size_t i = 1; i < times.size(); ++i) {
-      if (times[i] == times[i - 1]) {
-        std::ostringstream os;
-        os << "page " << page << " appears twice in column "
-           << (times[i] - 1);
-        report.warnings.push_back(os.str());
-      }
-    }
-
     // Condition (1): first completion within t slots of the cycle start.
-    if (times.front() > t) {
+    if (seen.first > t) {
       report.valid = false;
       std::ostringstream os;
-      os << "page " << page << " first completes at " << times.front()
+      os << "page " << page << " first completes at " << seen.first
          << " > expected time " << t;
       report.violations.push_back(os.str());
     }
 
     // Condition (2): all gaps, including wrap-around, within t.
-    const SlotCount gap = index.max_gap(page);
+    const SlotCount gap =
+        std::max<SlotCount>(seen.widest, seen.first + cycle - seen.last);
     report.worst_wait = std::max(report.worst_wait, gap);
     report.worst_lateness = std::max(report.worst_lateness, gap - t);
     if (gap > t) {

@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "model/appearance_index.hpp"
 #include "model/program.hpp"
 #include "model/workload.hpp"
 
@@ -36,7 +35,10 @@ struct ValidityReport {
 };
 
 /// Validates `program` against `workload`. Every page of the workload must
-/// appear at least once; missing pages are violations.
+/// appear at least once; missing pages are violations. One time-ordered
+/// sweep of the grid with 32-bit per-page state: O(cells) time and
+/// O(pages + channels) memory, no AppearanceIndex. Throws
+/// std::invalid_argument when the program names a page >= n.
 ValidityReport validate_program(const BroadcastProgram& program,
                                 const Workload& workload);
 

@@ -8,14 +8,12 @@
 #include <bit>
 #include <csignal>
 #include <cerrno>
-#include <cmath>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <utility>
 
 #include "core/channel_bound.hpp"
-#include "model/appearance_index.hpp"
 #include "obs/artifact.hpp"
 #include "model/serialize.hpp"
 #include "model/validate.hpp"
@@ -33,13 +31,15 @@ void note_generation(std::uint32_t id) {
   obs::gauge_set(server_metrics().generation_gauge, static_cast<double>(id));
 }
 
-/// Next completion of `page` strictly after cycle position `from`, as a
-/// wait in slots (integral: appearances live on integer completion times).
-SlotCount integral_wait_after(const AppearanceIndex& index, PageId page,
-                              SlotCount from) {
-  return static_cast<SlotCount>(
-      std::llround(index.wait_after(page, static_cast<double>(from))));
-}
+/// One common page's seam state: the promise the old program left it, and
+/// its completions so far in the time-ordered sweep of the new program, each
+/// in (0, T_new]. promised == 0: not a common page on air in the old
+/// program; last == 0: not yet seen in the new one.
+struct SeamPage {
+  std::uint32_t promised = 0;
+  std::uint32_t first = 0;
+  std::uint32_t last = 0;
+};
 
 }  // namespace
 
@@ -48,22 +48,34 @@ SwapPlan plan_swap_seam(const Workload& current_workload,
                         SlotCount current_offset,
                         const Workload& next_workload,
                         const BroadcastProgram& next_program) {
-  const AppearanceIndex old_index(current_program,
-                                  current_workload.total_pages());
-  const AppearanceIndex new_index(next_program, next_workload.total_pages());
-  const PageId common = static_cast<PageId>(
-      std::min(current_workload.total_pages(), next_workload.total_pages()));
+  const SlotCount old_cycle = current_program.cycle_length();
+  const SlotCount cycle = next_program.cycle_length();
+  TCSA_REQUIRE(std::max(old_cycle, cycle) <
+                   std::numeric_limits<std::uint32_t>::max(),
+               "plan_swap_seam: cycle too long for 32-bit completion times");
+  const SlotCount old_pages = current_workload.total_pages();
+  const SlotCount new_pages = next_workload.total_pages();
+  const SlotCount common = std::min(old_pages, new_pages);
+  std::vector<SeamPage> seam(static_cast<std::size_t>(common));
 
   // Outstanding promise per common page: the wait the continued old cycle
-  // would have delivered from the boundary.
-  std::vector<PageId> pages;
-  std::vector<SlotCount> promised;
-  for (PageId p = 0; p < common; ++p) {
-    if (old_index.count(p) == 0 || new_index.count(p) == 0) continue;
-    pages.push_back(p);
-    promised.push_back(integral_wait_after(old_index, p, current_offset));
+  // would have delivered from the boundary. Slot s airs ((s - phase) mod
+  // T_old) + 1 slots after it, so the promise is the minimum of that over
+  // the page's slots — one pass in any order.
+  const SlotCount phase = (current_offset % old_cycle + old_cycle) % old_cycle;
+  for (SlotCount ch = 0; ch < current_program.channels(); ++ch) {
+    for (SlotCount s = 0; s < old_cycle; ++s) {
+      const PageId p = current_program.at(ch, s);
+      if (p == kNoPage) continue;
+      TCSA_REQUIRE(static_cast<SlotCount>(p) < old_pages,
+                   "plan_swap_seam: program references unknown page");
+      if (static_cast<SlotCount>(p) >= common) continue;
+      const auto wait =
+          static_cast<std::uint32_t>((s - phase + old_cycle) % old_cycle + 1);
+      std::uint32_t& promised = seam[p].promised;
+      if (promised == 0 || wait < promised) promised = wait;
+    }
   }
-  if (pages.empty()) return SwapPlan{0, 0};
 
   // At rotation r, page p next completes at its first appearance a_k with
   // a_{k-1} <= r < a_k (past the last one it wraps to a_0 + T), so the
@@ -72,9 +84,10 @@ SwapPlan plan_swap_seam(const Workload& current_workload,
   // constant, and that value rises from one interval to the next. So the
   // open interval of a page is the largest-valued one it has started, and
   // max_p is the largest value of any interval started at or before r:
-  // record the largest value starting at each column, then sweep r upward
-  // with a running maximum. O(cells + T) time, O(T) memory.
-  const SlotCount cycle = next_program.cycle_length();
+  // record the largest value starting at each column — a time-ordered
+  // sweep opens each page's interval at its previous completion — then
+  // sweep r upward with a running maximum. O(cells + T) time, 12 bytes per
+  // common page plus O(T).
   // opens[c]: the largest value of an interval that starts at column c.
   std::vector<SlotCount> opens(static_cast<std::size_t>(cycle),
                                std::numeric_limits<SlotCount>::min());
@@ -82,15 +95,27 @@ SwapPlan plan_swap_seam(const Workload& current_workload,
     SlotCount& top = opens[static_cast<std::size_t>(column)];
     top = std::max(top, value);
   };
-  for (std::size_t i = 0; i < pages.size(); ++i) {
-    const auto times = new_index.appearances(pages[i]);
-    SlotCount start = 0;
-    for (const SlotCount a : times) {
-      if (start < a) open_at(start, a - promised[i]);
-      start = a;
-    }
-    if (start < cycle) open_at(start, times.front() + cycle - promised[i]);
+  next_program.for_each_in_time_order([&](SlotCount slot, PageId p) {
+    TCSA_REQUIRE(static_cast<SlotCount>(p) < new_pages,
+                 "plan_swap_seam: program references unknown page");
+    if (static_cast<SlotCount>(p) >= common) return;
+    SeamPage& page = seam[p];
+    if (page.promised == 0) return;
+    const auto done = static_cast<std::uint32_t>(slot + 1);
+    if (page.last == 0) page.first = done;
+    if (page.last < done)
+      open_at(page.last, SlotCount{done} - SlotCount{page.promised});
+    page.last = done;
+  });
+  bool any = false;
+  for (const SeamPage& page : seam) {
+    if (page.last == 0) continue;  // not common to both programs
+    any = true;
+    if (page.last < cycle)
+      open_at(page.last, SlotCount{page.first} + cycle -
+                             SlotCount{page.promised});
   }
+  if (!any) return SwapPlan{0, 0};
 
   SwapPlan best{0, std::numeric_limits<SlotCount>::max()};
   SlotCount worst = std::numeric_limits<SlotCount>::min();
@@ -149,7 +174,7 @@ AirServer::AirServer(Workload workload, AirServerConfig config)
   TCSA_REQUIRE(config_.pull_channels <= 16,
                "AirServer: pull_channels must be in [0, 16]");
 
-  const ScheduleOutcome outcome =
+  ScheduleOutcome outcome =
       config_.method ? make_schedule(*config_.method, workload, channels_)
                      : choose_schedule(workload, channels_);
   const ValidityReport report = validate_program(outcome.program, workload);
@@ -160,9 +185,10 @@ AirServer::AirServer(Workload workload, AirServerConfig config)
                     << " slots); clients will observe deadline misses";
   }
 
-  current_ = std::make_unique<Generation>(Generation{
-      1, std::move(workload), outcome.program, 0, 0, std::string()});
-  current_->workload_binary = workload_to_binary(current_->workload);
+  std::string binary = workload_to_binary(workload);
+  current_ = std::make_shared<const Generation>(
+      Generation{1, std::move(workload), std::move(outcome.program), 0, 0,
+                 std::move(binary)});
   generation_id_.store(1, std::memory_order_relaxed);
   note_generation(1);
   // Touch the lazily-constructed request-delay percentiles NOW, while the
@@ -191,7 +217,7 @@ AirServer::AirServer(Workload workload, AirServerConfig config)
     if (pull_.channels() > 0)
       route(loop, 0, [this, id] { pull_.drop_session(id); });
   };
-  publish_hello(*current_);
+  publish_hello(current_);
 
   // Shard 0 resolves the (possibly ephemeral) port; with several loops it
   // does so inside a reuseport group that shards 1..K-1 join at the
@@ -248,16 +274,14 @@ AirServer::~AirServer() {
   if (swap_worker_.joinable()) swap_worker_.join();
 }
 
-void AirServer::publish_hello(const Generation& gen) {
+void AirServer::publish_hello(const std::shared_ptr<const Generation>& gen) {
   HelloSnapshot hello;
-  hello.id = gen.id;
-  hello.channels = static_cast<std::uint32_t>(gen.program.channels());
-  hello.cycle = static_cast<std::uint32_t>(gen.program.cycle_length());
-  hello.workload_binary = gen.workload_binary;
-  hello.expected_times.reserve(
-      static_cast<std::size_t>(gen.workload.total_pages()));
-  for (PageId p = 0; p < gen.workload.total_pages(); ++p)
-    hello.expected_times.push_back(gen.workload.expected_time_of(p));
+  hello.id = gen->id;
+  hello.channels = static_cast<std::uint32_t>(gen->program.channels());
+  hello.cycle = static_cast<std::uint32_t>(gen->program.cycle_length());
+  hello.workload_binary = gen->workload_binary;
+  // Aliasing: the snapshot keeps the generation alive, not a copy.
+  hello.workload = std::shared_ptr<const Workload>(gen, &gen->workload);
   common_.publish(std::move(hello));
 }
 
@@ -502,7 +526,7 @@ void AirServer::maybe_activate_swap() {
                     << " pending pull waiter(s) for pages beyond the new "
                        "workload";
   }
-  publish_hello(*current_);
+  publish_hello(current_);
   obs::counter_add(server_metrics().swaps, 1);
   TCSA_LOG(kInfo) << "air server: generation " << current_->id
                   << " on air at slot " << next_slot_ << " (offset "
@@ -684,34 +708,45 @@ void AirServer::handle_swap_request(SessionRef requester,
   swap_inflight_ = true;
   swap_requester_ = requester;
 
-  // Snapshot what the worker needs; it must not touch loop-thread state.
+  // The worker shares the on-air generation (immutable once on air) and
+  // must not touch any other loop-thread state.
   swap_worker_ = std::thread([this, channels, auto_method, method_byte,
-                              payload = std::move(payload), old = *current_] {
+                              payload = std::move(payload), old = current_] {
     TCSA_TRACE_SPAN("server.reschedule");
     std::shared_ptr<Generation> gen;
     SlotCount seam = 0;
     // Until the workload decodes, a failure is the request's fault.
     std::string error = "malformed swap request: ";
     try {
-      const Workload w =
+      Workload w =
           workload_from_binary(net::decode<net::SwapMsg>(payload).workload);
       error.clear();
-      const ScheduleOutcome outcome =
-          auto_method
-              ? choose_schedule(w, channels)
-              : make_schedule(static_cast<Method>(method_byte), w, channels);
-      const ValidityReport report = validate_program(outcome.program, w);
+      // One child span per stage, so a traced slow swap names its stage.
+      ScheduleOutcome outcome = [&] {
+        TCSA_TRACE_SPAN("server.swap.schedule");
+        return auto_method ? choose_schedule(w, channels)
+                           : make_schedule(static_cast<Method>(method_byte), w,
+                                           channels);
+      }();
+      const ValidityReport report = [&] {
+        TCSA_TRACE_SPAN("server.swap.validate");
+        return validate_program(outcome.program, w);
+      }();
       if (!report.valid) {
         error = "rescheduled program is invalid (worst lateness " +
                 std::to_string(report.worst_lateness) + " slots): " +
                 report.violations.front();
       } else {
-        const SwapPlan plan = plan_swap_seam(old.workload, old.program,
-                                             old.offset, w, outcome.program);
+        const SwapPlan plan = [&] {
+          TCSA_TRACE_SPAN("server.swap.seam");
+          return plan_swap_seam(old->workload, old->program, old->offset, w,
+                                outcome.program);
+        }();
         seam = plan.seam_lateness;
-        gen = std::make_shared<Generation>(Generation{
-            old.id + 1, w, outcome.program, plan.offset, 0,
-            workload_to_binary(w)});
+        std::string binary = workload_to_binary(w);
+        gen = std::make_shared<Generation>(
+            Generation{old->id + 1, std::move(w), std::move(outcome.program),
+                       plan.offset, 0, std::move(binary)});
       }
     } catch (const std::exception& e) {
       error += e.what();
@@ -721,9 +756,7 @@ void AirServer::handle_swap_request(SessionRef requester,
       swap_inflight_ = false;
       const SessionRef requester = swap_requester_;
       swap_requester_ = SessionRef{};
-      if (gen) {
-        pending_ = std::make_unique<Generation>(std::move(*gen));
-      }
+      if (gen) pending_ = std::move(gen);
       if (!error.empty())
         obs::counter_add(server_metrics().swaps_rejected, 1);
       // Activation lands on the next major-cycle boundary of the current

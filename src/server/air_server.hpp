@@ -111,7 +111,11 @@ struct SwapPlan {
 /// old program airs under. Rotation preserves validity condition (2) — the
 /// appearance gaps of a cyclic program are rotation-invariant. Returns the
 /// first seam-clean rotation, or failing that the first that minimizes the
-/// lateness. One sweep over the rotations: O(cells + T).
+/// lateness. One pass over the old program, one time-ordered sweep of the
+/// new one and one sweep over the rotations: O(cells + T) time, 12 bytes
+/// per common page plus O(T_new + channels), no AppearanceIndex. Throws
+/// std::invalid_argument when either program names a page outside its
+/// workload.
 SwapPlan plan_swap_seam(const Workload& current_workload,
                         const BroadcastProgram& current_program,
                         SlotCount current_offset,
@@ -206,7 +210,7 @@ class AirServer {
   void note_slot_aired(std::uint64_t lag_us, std::uint64_t aired_mask);
   void install_signal_pipe();
   void remove_signal_pipe();
-  void publish_hello(const Generation& gen);
+  void publish_hello(const std::shared_ptr<const Generation>& gen);
 
   AirServerConfig config_;
   SlotCount channels_ = 0;
@@ -228,8 +232,9 @@ class AirServer {
   net::Fd signal_wr_;
 
   // --- loop-0-only program state (single writer) ---
-  std::unique_ptr<Generation> current_;
-  std::unique_ptr<Generation> pending_;   // activates at the next boundary
+  // On air; shared read-only with the swap worker and the hello snapshot.
+  std::shared_ptr<const Generation> current_;
+  std::shared_ptr<Generation> pending_;   // activates at the next boundary
   std::uint64_t next_slot_ = 0;           // next global slot to air
   bool running_ = false;
   PullPlane pull_;

@@ -48,10 +48,10 @@ std::string ShardCommon::hello_frame(net::FrameType type,
 std::uint32_t ShardCommon::promise(PageId page,
                                    std::uint32_t* expected_slots) const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  const auto index = static_cast<std::size_t>(page);
+  const Workload* workload = hello_.workload.get();
   *expected_slots =
-      index < hello_.expected_times.size()
-          ? static_cast<std::uint32_t>(hello_.expected_times[index])
+      workload && static_cast<SlotCount>(page) < workload->total_pages()
+          ? static_cast<std::uint32_t>(workload->expected_time_of(page))
           : 0;
   return hello_.id;
 }

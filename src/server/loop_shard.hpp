@@ -29,6 +29,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "model/workload.hpp"
 #include "net/event_loop.hpp"
 #include "net/framing.hpp"
 #include "net/out_queue.hpp"
@@ -96,14 +97,15 @@ struct SlotFrames {
 };
 
 /// Hello/announce ingredients, republished at each generation activation
-/// (the slot number is read live). `expected_times` holds each page's
-/// promised wait t_p, so any loop can stamp a request ack.
+/// (the slot number is read live). `workload` is the on-air generation's
+/// own immutable workload, shared, so any loop can stamp a request ack
+/// with the page's promised wait t_p.
 struct HelloSnapshot {
   std::uint32_t id = 0;
   std::uint32_t channels = 0;
   std::uint32_t cycle = 0;
   std::string workload_binary;
-  std::vector<SlotCount> expected_times;
+  std::shared_ptr<const Workload> workload;
 };
 
 class LoopShard;

@@ -1,13 +1,20 @@
 // Tests for src/model: Workload invariants, BroadcastProgram grid,
-// AppearanceIndex queries, and the validity checker.
+// AppearanceIndex queries, and the validity checker (against the
+// index-based oracle).
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
+#include "core/api.hpp"
+#include "core/channel_bound.hpp"
 #include "model/appearance_index.hpp"
 #include "model/program.hpp"
 #include "model/validate.hpp"
 #include "model/workload.hpp"
+#include "util/rng.hpp"
+
+#include "oracles.hpp"
 
 namespace tcsa {
 namespace {
@@ -316,6 +323,109 @@ TEST(Validate, IsValidProgramConvenience) {
   BroadcastProgram p(1, 1);
   p.place(0, 0, 0);
   EXPECT_TRUE(is_valid_program(p, w));
+}
+
+// ------------------------------------------------------ validate vs oracle
+
+TEST(ForEachInTimeOrder, VisitsOccupiedCellsColumnByColumn) {
+  // 20 columns: one full 16-column tile and a partial one.
+  BroadcastProgram p(3, 20);
+  std::vector<std::pair<SlotCount, PageId>> expected;
+  for (SlotCount s = 0; s < 20; ++s)
+    for (SlotCount ch = 0; ch < 3; ++ch)
+      if ((s + ch) % 4 != 0) {
+        const auto page = static_cast<PageId>(ch * 100 + s);
+        p.place(ch, s, page);
+        expected.emplace_back(s, page);
+      }
+  std::vector<std::pair<SlotCount, PageId>> seen;
+  p.for_each_in_time_order(
+      [&](SlotCount slot, PageId page) { seen.emplace_back(slot, page); });
+  EXPECT_EQ(seen, expected);
+}
+
+void expect_same_report(const ValidityReport& fast, const ValidityReport& ref,
+                        int draw) {
+  EXPECT_EQ(fast.valid, ref.valid) << "draw " << draw;
+  EXPECT_EQ(fast.violations, ref.violations) << "draw " << draw;
+  EXPECT_EQ(fast.warnings, ref.warnings) << "draw " << draw;
+  EXPECT_EQ(fast.worst_wait, ref.worst_wait) << "draw " << draw;
+  EXPECT_EQ(fast.worst_lateness, ref.worst_lateness) << "draw " << draw;
+}
+
+// The sweep must report exactly what the index-based validator reports.
+// Grids are seeded random: scheduled programs with cells cleared and pages
+// copied into other channels of the same column, and raw random fills with
+// empty cells, on random ladders — so missing pages, late first
+// completions, wide gaps and duplicate columns all occur.
+TEST(ValidateOracle, MatchesIndexValidatorOnRandomGrids) {
+  Rng rng(2205);
+  int empty_cells = 0, duplicates = 0, missing = 0, late_first = 0,
+      wide_gap = 0, valid = 0;
+  for (int draw = 0; draw < 400; ++draw) {
+    std::vector<SlotCount> times{rng.uniform_int(1, 4)};
+    std::vector<SlotCount> pages{rng.uniform_int(1, 10)};
+    for (std::int64_t g = rng.uniform_int(0, 3); g > 0; --g) {
+      times.push_back(times.back() * rng.uniform_int(2, 3));
+      pages.push_back(rng.uniform_int(1, 20));
+    }
+    const Workload w = make_workload(times, pages);
+    const auto n = static_cast<PageId>(w.total_pages());
+    BroadcastProgram p(1, 1);
+    if (draw % 2 == 0) {
+      p = make_schedule(Method::kSusc, w,
+                        min_channels(w) + rng.uniform_int(0, 2))
+              .program;
+      for (std::int64_t k = rng.uniform_int(0, 4); k > 0; --k) {
+        const SlotCount ch = rng.uniform_int(0, p.channels() - 1);
+        const SlotCount s = rng.uniform_int(0, p.cycle_length() - 1);
+        if (!p.empty_at(ch, s)) p.clear(ch, s);
+      }
+      for (std::int64_t k = rng.uniform_int(0, 3); k > 0; --k) {
+        const SlotCount s = rng.uniform_int(0, p.cycle_length() - 1);
+        const SlotCount from = rng.uniform_int(0, p.channels() - 1);
+        const SlotCount to = rng.uniform_int(0, p.channels() - 1);
+        if (!p.empty_at(from, s) && p.empty_at(to, s))
+          p.place(to, s, p.at(from, s));
+      }
+    } else {
+      p = BroadcastProgram(rng.uniform_int(1, 5),
+                           rng.uniform_int(1, 2 * w.max_expected_time()));
+      const double fill = rng.uniform_real(0.2, 1.0);
+      for (SlotCount ch = 0; ch < p.channels(); ++ch)
+        for (SlotCount s = 0; s < p.cycle_length(); ++s)
+          if (rng.bernoulli(fill))
+            p.place(ch, s, static_cast<PageId>(rng.uniform_int(0, n - 1)));
+    }
+    const ValidityReport fast = validate_program(p, w);
+    const ValidityReport ref = validate_program_reference(p, w);
+    expect_same_report(fast, ref, draw);
+
+    empty_cells += p.occupied() < p.capacity();
+    duplicates += !ref.warnings.empty();
+    valid += ref.valid;
+    for (const std::string& v : ref.violations) {
+      missing += v.find("never appears") != std::string::npos;
+      late_first += v.find("first completes") != std::string::npos;
+      wide_gap += v.find("appearance gap") != std::string::npos;
+    }
+  }
+  // Every branch of the report was exercised.
+  EXPECT_GT(empty_cells, 0);
+  EXPECT_GT(duplicates, 0);
+  EXPECT_GT(missing, 0);
+  EXPECT_GT(late_first, 0);
+  EXPECT_GT(wide_gap, 0);
+  EXPECT_GT(valid, 0);
+}
+
+TEST(ValidateOracle, UnknownPageThrowsLikeTheIndexValidator) {
+  const Workload w = make_workload({2}, {2});
+  BroadcastProgram p(1, 2);
+  p.place(0, 0, 0);
+  p.place(0, 1, 2);  // page 2 >= n
+  EXPECT_THROW(validate_program(p, w), std::invalid_argument);
+  EXPECT_THROW(validate_program_reference(p, w), std::invalid_argument);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <limits>
 #include <numeric>
 #include <optional>
+#include <sstream>
 
 #include "core/channel_bound.hpp"
 #include "core/delay_model.hpp"
@@ -96,6 +97,57 @@ BroadcastProgram schedule_susc_reference(const Workload& workload,
     }
   }
   return program;
+}
+
+ValidityReport validate_program_reference(const BroadcastProgram& program,
+                                          const Workload& workload) {
+  ValidityReport report;
+  const AppearanceIndex index(program, workload.total_pages());
+
+  for (PageId page = 0; page < workload.total_pages(); ++page) {
+    const SlotCount t = workload.expected_time_of(page);
+    const auto times = index.appearances(page);
+
+    if (times.empty()) {
+      report.valid = false;
+      std::ostringstream os;
+      os << "page " << page << " never appears in the program";
+      report.violations.push_back(os.str());
+      continue;
+    }
+
+    // Waste diagnostic: duplicate appearance in the same column.
+    for (std::size_t i = 1; i < times.size(); ++i) {
+      if (times[i] == times[i - 1]) {
+        std::ostringstream os;
+        os << "page " << page << " appears twice in column "
+           << (times[i] - 1);
+        report.warnings.push_back(os.str());
+      }
+    }
+
+    // Condition (1): first completion within t slots of the cycle start.
+    if (times.front() > t) {
+      report.valid = false;
+      std::ostringstream os;
+      os << "page " << page << " first completes at " << times.front()
+         << " > expected time " << t;
+      report.violations.push_back(os.str());
+    }
+
+    // Condition (2): all gaps, including wrap-around, within t.
+    const SlotCount gap = index.max_gap(page);
+    report.worst_wait = std::max(report.worst_wait, gap);
+    report.worst_lateness = std::max(report.worst_lateness, gap - t);
+    if (gap > t) {
+      report.valid = false;
+      std::ostringstream os;
+      os << "page " << page << " has an appearance gap of " << gap
+         << " > expected time " << t;
+      report.violations.push_back(os.str());
+    }
+  }
+  return report;
 }
 
 SwapPlan plan_swap_seam_reference(const Workload& current_workload,

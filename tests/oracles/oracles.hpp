@@ -1,7 +1,7 @@
 // oracles.hpp — the naive reference implementations the optimised
-// SUSC, seam-planning, placement and simulator paths are checked against,
-// bit for bit. Test and
-// benchmark code only: none of this ships in the library.
+// SUSC, validation, seam-planning, placement and simulator paths are checked
+// against, bit for bit. Test and benchmark code only: none of this ships in
+// the library.
 #pragma once
 
 #include <span>
@@ -9,6 +9,7 @@
 
 #include "core/placement.hpp"
 #include "model/appearance_index.hpp"
+#include "model/validate.hpp"
 #include "server/air_server.hpp"
 #include "sim/broadcast_sim.hpp"
 
@@ -19,6 +20,12 @@ namespace tcsa {
 /// program. O(n * N * t) worst case.
 BroadcastProgram schedule_susc_reference(const Workload& workload,
                                          SlotCount channels);
+
+/// The index-based validator: one AppearanceIndex over the program, then
+/// each page's sorted completion times in turn. validate_program must
+/// return an equal report, field for field (text and order included).
+ValidityReport validate_program_reference(const BroadcastProgram& program,
+                                          const Workload& workload);
 
 /// The rotation scan: every rotation r of the next program in turn, one
 /// AppearanceIndex::wait_after binary search per common page. plan_swap_seam

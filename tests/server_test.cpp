@@ -13,6 +13,8 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -24,7 +26,9 @@
 #include "model/validate.hpp"
 #include "model/workload.hpp"
 #include "net/framing.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "server/air_server.hpp"
 #include "server/tune_client.hpp"
 #include "util/rng.hpp"
@@ -359,6 +363,53 @@ TEST(AirServer, OutOfDescriptorsBacksOffAcceptAndStaysOnAir) {
             "HTTP/1.0 200");
 }
 
+// A traced swap names the stage a slow swap spent its time in: the
+// worker's server.reschedule span holds one child span per stage, in
+// order, on the worker's thread.
+TEST(AirServer, TracedSwapSpansEachWorkerStage) {
+  obs::clear_trace();
+  obs::set_tracing_enabled(true);
+  {
+    AirServerConfig config;
+    config.slot_us = 300;
+    config.max_slots = 400;
+    ServerHarness harness(paper_workload(), config);
+    TuneClient client(harness.client_options(net::kAllChannels));
+    EXPECT_TRUE(client.request_swap(grown_workload()).accepted);
+  }
+  obs::set_tracing_enabled(false);
+  ASSERT_EQ(obs::trace_spans_dropped(), 0u);
+
+  struct Span {
+    std::uint64_t start = 0, end = 0, tid = 0;
+  };
+  std::map<std::string, std::vector<Span>> spans;
+  std::ostringstream trace;
+  obs::write_chrome_trace(trace);
+  const obs::JsonValue doc = obs::json_parse(trace.str());
+  for (const obs::JsonValue& event :
+       doc.at("traceEvents").expect_array("traceEvents").array) {
+    const std::string& name = event.at("name").expect_string("name");
+    if (name != "server.reschedule" && name.rfind("server.swap.", 0) != 0)
+      continue;
+    const std::uint64_t start = event.at("ts").expect_uint("ts");
+    spans[name].push_back(Span{start, start + event.at("dur").expect_uint("dur"),
+                               event.at("tid").expect_uint("tid")});
+  }
+  ASSERT_EQ(spans["server.reschedule"].size(), 1u);
+  const Span parent = spans["server.reschedule"].front();
+  std::uint64_t previous_end = parent.start;
+  for (const char* stage :
+       {"server.swap.schedule", "server.swap.validate", "server.swap.seam"}) {
+    ASSERT_EQ(spans[stage].size(), 1u) << stage;
+    const Span& child = spans[stage].front();
+    EXPECT_EQ(child.tid, parent.tid) << stage;
+    EXPECT_GE(child.start, previous_end) << stage;
+    EXPECT_LE(child.end, parent.end) << stage;
+    previous_end = child.end;
+  }
+}
+
 TEST(PlanSwapSeam, IdenticalProgramsAreSeamFreeAtTheMatchingRotation) {
   const Workload w = paper_workload();
   const BroadcastProgram program = make_schedule(Method::kSusc, w, 4).program;
@@ -460,6 +511,71 @@ TEST(PlanSwapSeamOracle, MatchesRotationScan) {
     EXPECT_EQ(fast.offset, ref.offset) << "offset " << offset;
     EXPECT_EQ(fast.seam_lateness, ref.seam_lateness) << "offset " << offset;
   }
+}
+
+// The same agreement on raw random grids, which no scheduler would emit:
+// pages on several channels (some in one column), empty cells, pages
+// missing from either program, old and new catalogs of different sizes in
+// both directions, and boundary offsets past the old cycle.
+TEST(PlanSwapSeamOracle, MatchesRotationScanOnRandomGrids) {
+  Rng rng(2206);
+  const auto random_workload = [&] {
+    std::vector<SlotCount> times{rng.uniform_int(1, 4)};
+    std::vector<SlotCount> pages{rng.uniform_int(1, 10)};
+    for (std::int64_t g = rng.uniform_int(0, 2); g > 0; --g) {
+      times.push_back(times.back() * 2);
+      pages.push_back(rng.uniform_int(1, 15));
+    }
+    return make_workload(times, pages);
+  };
+  const auto random_program = [&](const Workload& w) {
+    BroadcastProgram p(rng.uniform_int(1, 4),
+                       rng.uniform_int(1, 2 * w.max_expected_time()));
+    const double fill = rng.uniform_real(0.3, 1.0);
+    for (SlotCount ch = 0; ch < p.channels(); ++ch)
+      for (SlotCount s = 0; s < p.cycle_length(); ++s)
+        if (rng.bernoulli(fill))
+          p.place(ch, s, static_cast<PageId>(
+                             rng.uniform_int(0, w.total_pages() - 1)));
+    return p;
+  };
+  int grows = 0, shrinks = 0, past_cycle = 0, clean = 0, unclean = 0;
+  for (int draw = 0; draw < 400; ++draw) {
+    const Workload w1 = random_workload();
+    const Workload w2 = random_workload();
+    const BroadcastProgram p1 = random_program(w1);
+    const BroadcastProgram p2 = random_program(w2);
+    const SlotCount offset = rng.uniform_int(0, 3 * p1.cycle_length());
+    const SwapPlan fast = plan_swap_seam(w1, p1, offset, w2, p2);
+    const SwapPlan ref = plan_swap_seam_reference(w1, p1, offset, w2, p2);
+    EXPECT_EQ(fast.offset, ref.offset) << "draw " << draw;
+    EXPECT_EQ(fast.seam_lateness, ref.seam_lateness) << "draw " << draw;
+    grows += w2.total_pages() > w1.total_pages();
+    shrinks += w2.total_pages() < w1.total_pages();
+    past_cycle += offset >= p1.cycle_length();
+    (ref.seam_lateness <= 0 ? clean : unclean) += 1;
+  }
+  EXPECT_GT(grows, 0);
+  EXPECT_GT(shrinks, 0);
+  EXPECT_GT(past_cycle, 0);
+  EXPECT_GT(clean, 0);
+  EXPECT_GT(unclean, 0);
+}
+
+TEST(PlanSwapSeamOracle, UnknownPageThrowsLikeTheRotationScan) {
+  const Workload w = make_workload({2}, {2});
+  BroadcastProgram good(1, 2);
+  good.place(0, 0, 0);
+  good.place(0, 1, 1);
+  BroadcastProgram bad(1, 2);
+  bad.place(0, 0, 0);
+  bad.place(0, 1, 2);  // page 2 >= n
+  EXPECT_THROW(plan_swap_seam(w, bad, 0, w, good), std::invalid_argument);
+  EXPECT_THROW(plan_swap_seam_reference(w, bad, 0, w, good),
+               std::invalid_argument);
+  EXPECT_THROW(plan_swap_seam(w, good, 0, w, bad), std::invalid_argument);
+  EXPECT_THROW(plan_swap_seam_reference(w, good, 0, w, bad),
+               std::invalid_argument);
 }
 
 TEST(AirServer, ExportsServerMetrics) {
