@@ -3,8 +3,11 @@
 // and observability overhead.
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <cmath>
 #include <sstream>
 
+#include "alloc_count.hpp"
 #include "core/edf.hpp"
 #include "core/pamad.hpp"
 #include "core/theory.hpp"
@@ -14,6 +17,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/lossy.hpp"
+#include "util/rng.hpp"
 #include "workload/distributions.hpp"
 
 namespace {
@@ -125,12 +129,52 @@ void BM_ObsTraceSpan(benchmark::State& state) {
 }
 BENCHMARK(BM_ObsTraceSpan)->Arg(0)->Arg(1);
 
+/// Zeroes the registry, then records a seeded stream into three histograms
+/// shaped like the server's slot lag, request delay and pull delay (us).
+/// Every other registered histogram stays empty.
+void seed_registry_histograms() {
+  struct Shape {
+    const char* name;
+    double median_us;
+    double sigma;
+  };
+  static constexpr std::array<Shape, 3> kShapes{
+      {{"tcsa_bench_scrape_lag_us", 200.0, 1.0},
+       {"tcsa_bench_scrape_req_delay_us", 30000.0, 0.3},
+       {"tcsa_bench_scrape_pull_delay_us", 5000.0, 1.5}}};
+  tcsa::obs::reset_metrics();
+  const bool was_enabled = tcsa::obs::enabled();
+  tcsa::obs::set_enabled(true);
+  tcsa::Rng rng(0x5C4A9E);
+  for (const Shape& shape : kShapes) {
+    const tcsa::obs::MetricId id = tcsa::obs::register_histogram(
+        shape.name, "Synthetic histogram for the scrape benches");
+    for (int i = 0; i < 10000; ++i)
+      tcsa::obs::histogram_observe(
+          id, std::exp(rng.normal(std::log(shape.median_us), shape.sigma)));
+  }
+  tcsa::obs::set_enabled(was_enabled);
+}
+
 void BM_ObsSnapshot(benchmark::State& state) {
-  // Scrape cost with the full registry populated (all suites registered).
+  // Scrape cost with every suite's metrics registered and a fixed seeded
+  // state; the import and merge benches below read the same state.
+  seed_registry_histograms();
   for (auto _ : state) {
     const tcsa::obs::MetricsSnapshot snap = tcsa::obs::snapshot();
     benchmark::DoNotOptimize(snap.counters.size());
   }
+  // Counter gate: heap bytes one scrape allocates (after one warm-up that
+  // sizes the registry's reused read buffer), and what it holds.
+  const tcsa::obs::MetricsSnapshot snap = tcsa::obs::snapshot();
+  std::size_t buckets = 0;
+  for (const tcsa::obs::HistogramSnapshot& h : snap.histograms)
+    buckets += h.values.buckets().size();
+  state.counters["snapshot_alloc_bytes_total"] = tcsa_bench::allocated_bytes(
+      [] { benchmark::DoNotOptimize(tcsa::obs::snapshot().counters.size()); });
+  state.counters["snapshot_histograms_total"] =
+      static_cast<double>(snap.histograms.size());
+  state.counters["snapshot_buckets_total"] = static_cast<double>(buckets);
 }
 BENCHMARK(BM_ObsSnapshot);
 

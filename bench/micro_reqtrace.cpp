@@ -17,8 +17,10 @@
 //   * BM_ReqPercentilesPublish/N — the server's request-delay tails: N
 //     lognormal service times recorded into the registry histogram, the
 //     gauges republished every 64 samples. A publish merges the registry
-//     shards' written blocks into one fixed histogram, so publish_ns
-//     (reported, not gated) must stay flat from 10^3 to 10^6.
+//     shards' written blocks into one histogram of the written buckets, so
+//     publish_ns (reported, not gated) must stay flat from 10^3 to 10^6,
+//     and reqpct_publish_alloc_bytes_total is 16 B per written bucket
+//     (reqpct_buckets_total).
 //
 // The *_total counters come from fixed passes (constant event counts), so
 // BENCH_micro.json stays machine-independent for the CI counter gate.
@@ -33,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "alloc_count.hpp"
 #include "obs/clock_sync.hpp"
 #include "obs/reqtrace.hpp"
 #include "obs/trace.hpp"
@@ -217,6 +220,18 @@ void BM_ReqPercentilesPublish(benchmark::State& state) {
     retained = sizeof(pct);  // the samples live in the registry's shards
     benchmark::DoNotOptimize(p99);
   }
+  // Fixed pass: the n samples alone, then the heap bytes of one publish
+  // after a warm-up one (which sizes the registry's reused read buffer).
+  tcsa::obs::reset_metrics();
+  for (const double x : samples) pct.record(x);
+  pct.publish();
+  state.counters["reqpct_publish_alloc_bytes_total"] =
+      tcsa_bench::allocated_bytes([&] { pct.publish(); });
+  state.counters["reqpct_buckets_total"] = static_cast<double>(
+      tcsa::obs::snapshot()
+          .histogram("bench_reqpct_delay_us")
+          ->values.buckets()
+          .size());
   tcsa::obs::set_enabled(was_enabled);
   state.counters["publish_ns"] =
       static_cast<double>(publish_time.count()) /

@@ -9,10 +9,8 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <new>
 
+#include "alloc_count.hpp"
 #include "bench_obs.hpp"
 #include "core/channel_bound.hpp"
 #include "core/delay_model.hpp"
@@ -29,27 +27,6 @@
 #include "workload/distributions.hpp"
 
 #include "oracles.hpp"
-
-namespace {
-
-// Bytes requested from operator new while counting is on: BM_SwapPath's
-// exact state-size counters come from one untimed counted run.
-std::atomic<bool> g_count_allocations{false};
-std::atomic<std::size_t> g_allocated_bytes{0};
-
-}  // namespace
-
-// Out of line, so no caller sees free() meet a pointer from `new`.
-[[gnu::noinline]] void* operator new(std::size_t size) {
-  if (g_count_allocations.load(std::memory_order_relaxed))
-    g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
 
 namespace {
 
@@ -149,16 +126,6 @@ BENCHMARK(BM_CatalogScale)
     ->Args({3, 10000})->Args({3, 100000})
     ->Unit(benchmark::kMillisecond);
 
-/// Bytes `fn` allocates (freed or not), counted in one untimed run.
-template <class Fn>
-double allocated_bytes(Fn&& fn) {
-  g_allocated_bytes.store(0, std::memory_order_relaxed);
-  g_count_allocations.store(true, std::memory_order_relaxed);
-  fn();
-  g_count_allocations.store(false, std::memory_order_relaxed);
-  return static_cast<double>(g_allocated_bytes.load(std::memory_order_relaxed));
-}
-
 void BM_SwapPath(benchmark::State& state) {
   // The swap worker's path at catalog scale: schedule the next catalog,
   // validate it, plan the seam from the one on air (same page count, uniform
@@ -184,6 +151,7 @@ void BM_SwapPath(benchmark::State& state) {
   const BroadcastProgram next = choose_schedule(to, channels).program;
   state.counters["cells_read"] = benchmark::Counter(static_cast<double>(
       next.capacity() + on_air.capacity() + next.capacity()));
+  using tcsa_bench::allocated_bytes;
   state.counters["validate_state_bytes"] = benchmark::Counter(allocated_bytes(
       [&] { benchmark::DoNotOptimize(validate_program(next, to).valid); }));
   state.counters["seam_state_bytes"] = benchmark::Counter(allocated_bytes([&] {

@@ -50,6 +50,28 @@ constexpr std::size_t kResponseChunk = 16 * 1024;
 
 }  // namespace
 
+HttpResponse answer_http_request(std::string_view request,
+                                 const HttpRoutes& routes) {
+  const std::string_view line = request.substr(0, request.find("\r\n"));
+  if (line.substr(0, 4) != "GET ")
+    return {405, "text/plain; charset=utf-8", "GET only\n"};
+  std::string_view target = line.substr(4);
+  const std::size_t space = target.find(' ');
+  if (space == std::string_view::npos)
+    return {400, "text/plain; charset=utf-8", "malformed request line\n"};
+  target = target.substr(0, space);
+  std::string_view query;
+  if (const std::size_t qmark = target.find('?');
+      qmark != std::string_view::npos) {
+    query = target.substr(qmark + 1);
+    target = target.substr(0, qmark);
+  }
+  const auto route = routes.find(target);
+  if (route == routes.end())
+    return {404, "text/plain; charset=utf-8", "unknown path\n"};
+  return route->second(query);
+}
+
 HttpAdmin::HttpAdmin(EventLoop& loop, const std::string& address,
                      std::uint16_t port)
     : loop_(loop), listener_(listen_tcp(address, port)) {
@@ -58,7 +80,7 @@ HttpAdmin::HttpAdmin(EventLoop& loop, const std::string& address,
 
 HttpAdmin::~HttpAdmin() { shutdown(); }
 
-void HttpAdmin::route(const std::string& path, Handler handler) {
+void HttpAdmin::route(const std::string& path, HttpHandler handler) {
   TCSA_REQUIRE(!started_, "http admin: route() after start()");
   routes_[path] = std::move(handler);
 }
@@ -148,32 +170,7 @@ void HttpAdmin::on_conn_event(int fd, std::uint32_t events) {
     // no body, so nothing after it matters.
     if (!conn.responded &&
         conn.request.find("\r\n\r\n") != std::string::npos) {
-      const std::string_view request(conn.request);
-      const std::size_t line_end = request.find("\r\n");
-      const std::string_view line = request.substr(0, line_end);
-      if (line.substr(0, 4) != "GET ") {
-        respond(conn, {405, "text/plain; charset=utf-8", "GET only\n"});
-      } else {
-        std::string_view target = line.substr(4);
-        const std::size_t space = target.find(' ');
-        if (space == std::string_view::npos) {
-          respond(conn, {400, "text/plain; charset=utf-8", "malformed request line\n"});
-        } else {
-          target = target.substr(0, space);
-          std::string_view query;
-          const std::size_t qmark = target.find('?');
-          if (qmark != std::string_view::npos) {
-            query = target.substr(qmark + 1);
-            target = target.substr(0, qmark);
-          }
-          const auto route = routes_.find(std::string(target));
-          if (route == routes_.end()) {
-            respond(conn, {404, "text/plain; charset=utf-8", "unknown path\n"});
-          } else {
-            respond(conn, route->second(query));
-          }
-        }
-      }
+      respond(conn, answer_http_request(conn.request, routes_));
     }
   }
   if (conn.responded) flush_conn(conn);

@@ -38,12 +38,21 @@ struct HttpResponse {
   std::string body;
 };
 
+/// Handlers get the raw query string (text after '?', possibly empty) and
+/// return the response to serialize.
+using HttpHandler = std::function<HttpResponse(std::string_view query)>;
+/// Exact path -> handler; transparent, so a path view looks up unconverted.
+using HttpRoutes = std::map<std::string, HttpHandler, std::less<>>;
+
+/// The admin plane's answer to one complete request (request line and
+/// headers through the blank line): 405 unless the method is GET, 400 when
+/// no space ends the target, 404 when no route matches the path (the
+/// target before any '?'), else the route's handler called with the query.
+HttpResponse answer_http_request(std::string_view request,
+                                 const HttpRoutes& routes);
+
 class HttpAdmin {
  public:
-  /// Handlers get the raw query string (text after '?', possibly empty)
-  /// and return the response to serialize.
-  using Handler = std::function<HttpResponse(std::string_view query)>;
-
   /// Live connections kept at once. Admin sockets share the process's
   /// descriptor table with the data plane, so idle ones must not pile up:
   /// a new connection at the cap closes the oldest one not yet answered
@@ -62,7 +71,7 @@ class HttpAdmin {
 
   /// Registers a handler for an exact path (e.g. "/metrics"). Unknown
   /// paths get 404. Call before start().
-  void route(const std::string& path, Handler handler);
+  void route(const std::string& path, HttpHandler handler);
 
   /// Registers the listener with the loop. Loop-thread (or pre-loop) only.
   void start();
@@ -102,7 +111,7 @@ class HttpAdmin {
   std::uint16_t port_ = 0;
   bool started_ = false;
   bool accept_paused_ = false;  ///< listener off the loop until resume
-  std::map<std::string, Handler> routes_;
+  HttpRoutes routes_;
   std::unordered_map<int, std::unique_ptr<Conn>> conns_;
   std::uint64_t accepts_ = 0;
   std::atomic<std::size_t> conn_count_{0};  ///< == conns_.size()

@@ -484,7 +484,7 @@ std::string MetricsSnapshot::to_prometheus() const {
   for (const HistogramSnapshot& h : histograms) {
     header(h.name, h.help, "histogram");
     const std::uint64_t total = h.values.count();
-    const std::vector<LogHistogram::Bucket> buckets = h.values.buckets();
+    const std::vector<LogHistogram::Bucket>& buckets = h.values.buckets();
     auto next = buckets.begin();
     std::uint64_t cumulative = 0;  // Prometheus buckets are cumulative
     // Octave edges ascending, -2^47 .. -2, -1, then 0, 1, 3, 7 .. 2^48 - 1:

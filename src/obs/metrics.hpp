@@ -12,14 +12,17 @@
 //
 // A histogram shard counts samples at LogHistogram::bucket_index() cells
 // (an anonymous mapping: untouched pages stay non-resident) beside its sum
-// and exact min/max, and a scrape merges the shards into one LogHistogram,
-// so every reported quantile is LogHistogram::quantile().
+// and exact min/max, and a scrape merges the shards' non-empty buckets into
+// one LogHistogram, so every reported quantile is LogHistogram::quantile().
 //
 // Cost model (the scheduling kernels must not regress): instrumentation is
 // always compiled in and switched at runtime, cheap enough to leave on.
 //  * runtime-disabled (the default): one relaxed atomic bool load and a
 //    predicted-not-taken branch per site;
-//  * enabled: thread-local shard lookup + relaxed load-then-store.
+//  * enabled: thread-local shard lookup + relaxed load-then-store;
+//  * scrape: each shard's written 64-bucket blocks are read, and a snapshot
+//    histogram allocates 16 B per written bucket (none when empty), so a
+//    scrape, merge, minus or import costs the buckets written.
 //
 // Registration is idempotent by name and typically hangs off a function-local
 // static at the instrumentation site, so it runs once per process.

@@ -505,11 +505,15 @@ void AirServer::on_timer() {
   if (running_) timer_.arm_after_us(clock_->until_due_us(next_slot_));
 }
 
-void AirServer::maybe_activate_swap() {
-  if (!pending_) return;
+std::uint64_t AirServer::next_cycle_boundary() const {
   const SlotCount cycle = current_->program.cycle_length();
-  if (static_cast<SlotCount>(next_slot_ - current_->start_slot) % cycle != 0)
-    return;
+  const SlotCount into =
+      static_cast<SlotCount>(next_slot_ - current_->start_slot) % cycle;
+  return into == 0 ? next_slot_ : next_slot_ + (cycle - into);
+}
+
+void AirServer::maybe_activate_swap() {
+  if (!pending_ || next_cycle_boundary() != next_slot_) return;
   TCSA_TRACE_SPAN("server.swap.apply");
   pending_->start_slot = next_slot_;
   current_ = std::move(pending_);
@@ -682,6 +686,12 @@ void AirServer::handle_swap_request(SessionRef requester,
     reject("a swap is already in flight");
     return;
   }
+  if (pending_) {
+    reject("a swap is already pending: generation " +
+           std::to_string(pending_->id) + " activates at slot " +
+           std::to_string(next_cycle_boundary()));
+    return;
+  }
 
   net::SwapMsg request;
   try {
@@ -759,19 +769,11 @@ void AirServer::handle_swap_request(SessionRef requester,
       if (gen) pending_ = std::move(gen);
       if (!error.empty())
         obs::counter_add(server_metrics().swaps_rejected, 1);
-      // Activation lands on the next major-cycle boundary of the current
-      // generation — exact, because slots advance deterministically.
-      std::uint64_t activation = 0;
-      if (pending_) {
-        const SlotCount cycle = current_->program.cycle_length();
-        const SlotCount into =
-            static_cast<SlotCount>(next_slot_ - current_->start_slot) % cycle;
-        activation = into == 0 ? next_slot_ : next_slot_ + (cycle - into);
-      }
-      send_swap_reply(requester,
-                      net::SwapReplyMsg{error.empty(),
-                                        pending_ ? pending_->id : 0,
-                                        activation, seam, error});
+      send_swap_reply(
+          requester,
+          net::SwapReplyMsg{error.empty(), pending_ ? pending_->id : 0,
+                            pending_ ? next_cycle_boundary() : 0, seam,
+                            error});
     });
   });
 }

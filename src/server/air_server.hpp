@@ -184,6 +184,9 @@ class AirServer {
   void on_timer();
   void air_slot();
   void maybe_activate_swap();
+  /// The next major-cycle boundary of the generation on air, where a
+  /// pending swap activates (exact: slots advance deterministically).
+  std::uint64_t next_cycle_boundary() const;
   /// Runs `fn` on loop `to`, called from loop `from`'s thread: inline when
   /// they are the same loop, else through the target loop's post().
   void route(std::size_t from, std::size_t to, std::function<void()> fn);
@@ -194,7 +197,10 @@ class AirServer {
                   PageId page);
   /// Runs on loop 0 only (other loops forward via post()).
   /// Loop 0 checks only the cheap header fields; the workload is decoded
-  /// on the swap worker, so no payload can stall the airing loop.
+  /// on the swap worker, so no payload can stall the airing loop. One swap
+  /// at a time: a request while another is scheduling or waits for its
+  /// boundary is rejected, since it would be planned against the program
+  /// that is about to leave the air.
   void handle_swap_request(SessionRef requester, std::string payload);
   /// Sends a kSwapReply to a session wherever it lives; dropped silently
   /// if the session is gone.

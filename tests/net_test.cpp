@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -15,6 +16,7 @@
 #include "model/workload.hpp"
 #include "net/event_loop.hpp"
 #include "net/framing.hpp"
+#include "net/http_admin.hpp"
 #include "net/loop_group.hpp"
 #include "net/slot_clock.hpp"
 #include "net/socket.hpp"
@@ -348,6 +350,48 @@ TEST(ParserFuzz, MutatedFramesFailOnlyWithInvalidArgument) {
   // The corpus mutates into rejects most of the time; a run that rejects
   // nothing means the mutations never reached a parser.
   EXPECT_GT(rejected, kCases / 4u);
+}
+
+TEST(ParserFuzz, MutatedAdminRequestsGetOnlyTheFourStatuses) {
+  // The scrape path's first step: method, target and query of whatever a
+  // peer sent before its blank line. A handler echoes its query so every
+  // byte the parser hands it is touched.
+  net::HttpRoutes routes;
+  for (const char* path : {"/metrics", "/metrics.json", "/healthz", "/slots"})
+    routes.emplace(path, [](std::string_view query) {
+      return net::HttpResponse{200, "text/plain", std::string(query)};
+    });
+  const std::vector<std::string> corpus{
+      "GET /metrics HTTP/1.0\r\n\r\n",
+      "GET /slots?n=64&from=7 HTTP/1.1\r\nHost: localhost\r\n\r\n",
+      "GET /metrics.json HTTP/1.0\r\nAccept: */*\r\n\r\n",
+      "POST /healthz HTTP/1.0\r\nContent-Length: 0\r\n\r\n",
+      "GET /nope?x HTTP/1.0\r\n\r\n",
+  };
+  EXPECT_EQ(net::answer_http_request(corpus[0], routes).status, 200);
+  EXPECT_EQ(net::answer_http_request(corpus[1], routes).body, "n=64&from=7");
+  EXPECT_EQ(net::answer_http_request(corpus[3], routes).status, 405);
+  EXPECT_EQ(net::answer_http_request(corpus[4], routes).status, 404);
+  EXPECT_EQ(net::answer_http_request("GET /metrics\r\n\r\n", routes).status,
+            400);
+
+  Rng rng(20261019);
+  std::map<int, int> statuses;
+  constexpr int kCases = 20000;
+  for (int i = 0; i < kCases; ++i) {
+    std::string bytes = corpus[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(corpus.size()) - 1))];
+    const auto edits = rng.uniform_int(1, 4);
+    for (std::int64_t e = 0; e < edits; ++e) mutate(bytes, rng);
+    const int status = net::answer_http_request(bytes, routes).status;
+    ASSERT_TRUE(status == 200 || status == 400 || status == 404 ||
+                status == 405)
+        << status << " for " << bytes;
+    ++statuses[status];
+  }
+  // Each outcome is reached: the mutations exercise every branch.
+  for (const int status : {200, 400, 404, 405})
+    EXPECT_GT(statuses[status], kCases / 100) << status;
 }
 
 // -------------------------------------------------------------- slot clock

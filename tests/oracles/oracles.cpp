@@ -264,4 +264,107 @@ SimResult simulate_requests_reference(const AppearanceIndex& index,
   return result;
 }
 
+// ------------------------------------------------ LogHistogramReference
+
+namespace {
+
+constexpr std::size_t kHistBuckets = obs::LogHistogram::kBuckets;
+constexpr std::size_t kHistSide = obs::LogHistogram::kSideBuckets;
+
+/// Width of layout bucket b: 1 below magnitude 128, then 2^(octave - 6).
+double bucket_width(std::size_t b) {
+  const std::size_t s = b >= kHistSide ? b - kHistSide : kHistSide - 1 - b;
+  if (s < 128) return 1.0;
+  return static_cast<double>(std::uint64_t{1} << (s / 64 - 1));
+}
+
+}  // namespace
+
+LogHistogramReference::LogHistogramReference() : counts_(kHistBuckets, 0) {}
+
+void LogHistogramReference::record(double value) {
+  if (std::isnan(value)) return;
+  ++counts_[obs::LogHistogram::bucket_index(value)];
+  if (count_ == 0 || value < min_) min_ = value;
+  if (count_ == 0 || value > max_) max_ = value;
+  ++count_;
+}
+
+void LogHistogramReference::merge(const LogHistogramReference& other) {
+  if (other.count_ == 0) return;
+  for (std::size_t b = 0; b < kHistBuckets; ++b) counts_[b] += other.counts_[b];
+  min_ = count_ ? std::min(min_, other.min_) : other.min_;
+  max_ = count_ ? std::max(max_, other.max_) : other.max_;
+  count_ += other.count_;
+}
+
+void LogHistogramReference::merge_buckets(std::span<const Bucket> buckets,
+                                          double min, double max) {
+  std::uint64_t added = 0;
+  for (const Bucket& bucket : buckets) {
+    counts_[bucket.index] += bucket.count;
+    added += bucket.count;
+  }
+  if (added == 0) return;
+  min_ = count_ ? std::min(min_, min) : min;
+  max_ = count_ ? std::max(max_, max) : max;
+  count_ += added;
+}
+
+void LogHistogramReference::subtract(const LogHistogramReference& base) {
+  if (base.count_ == 0) return;
+  for (std::size_t b = 0; b < kHistBuckets; ++b) counts_[b] -= base.counts_[b];
+  count_ -= base.count_;
+  if (count_ == 0) {
+    min_ = max_ = 0.0;
+    return;
+  }
+  std::size_t low = 0;
+  while (counts_[low] == 0) ++low;
+  std::size_t high = kHistBuckets - 1;
+  while (counts_[high] == 0) --high;
+  if (low > 0)
+    min_ = std::max(min_, obs::LogHistogram::bucket_value(low) -
+                              bucket_width(low) / 2.0);
+  if (high + 1 < kHistBuckets)
+    max_ = std::min(max_, obs::LogHistogram::bucket_value(high) +
+                              bucket_width(high) / 2.0);
+}
+
+std::vector<LogHistogramReference::Bucket> LogHistogramReference::buckets()
+    const {
+  std::vector<Bucket> out;
+  for (std::size_t b = 0; b < kHistBuckets; ++b)
+    if (counts_[b] != 0) out.push_back({b, counts_[b]});
+  return out;
+}
+
+double LogHistogramReference::quantile(double q) const {
+  double out = 0.0;
+  quantiles({&q, 1}, {&out, 1});
+  return out;
+}
+
+void LogHistogramReference::quantiles(std::span<const double> qs,
+                                      std::span<double> out) const {
+  std::size_t next = 0;
+  if (count_ == 0) {
+    for (; next < qs.size(); ++next) out[next] = 0.0;
+    return;
+  }
+  std::uint64_t seen = 0;
+  for (std::size_t b = obs::LogHistogram::bucket_index(min_);
+       b < kHistBuckets && next < qs.size(); ++b) {
+    seen += counts_[b];
+    for (; next < qs.size(); ++next) {
+      const std::uint64_t rank = nearest_rank_position(qs[next], count_);
+      if (seen < rank) break;
+      const double mid = obs::LogHistogram::bucket_value(b);
+      out[next] = rank == 1        ? min_
+                  : rank == count_ ? max_
+                                   : std::clamp(mid, min_, max_);
+    }
+  }
+}
+
 }  // namespace tcsa

@@ -1,15 +1,17 @@
 // oracles.hpp — the naive reference implementations the optimised
-// SUSC, validation, seam-planning, placement and simulator paths are checked
-// against, bit for bit. Test and benchmark code only: none of this ships in
-// the library.
+// SUSC, validation, seam-planning, placement, simulator and histogram paths
+// are checked against, bit for bit. Test and benchmark code only: none of
+// this ships in the library.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "core/placement.hpp"
 #include "model/appearance_index.hpp"
 #include "model/validate.hpp"
+#include "obs/log_histogram.hpp"
 #include "server/air_server.hpp"
 #include "sim/broadcast_sim.hpp"
 
@@ -49,5 +51,36 @@ PlacementResult place_even_spread_reference(const Workload& workload,
 SimResult simulate_requests_reference(const AppearanceIndex& index,
                                       const Workload& workload,
                                       const std::vector<Request>& requests);
+
+/// The dense LogHistogram: one counter per layout bucket (kBuckets, 43 KiB)
+/// whatever the sample count, same bucket layout and nearest-rank rule.
+/// obs::LogHistogram, which stores only its non-empty buckets, must agree
+/// with it on count, extremes, buckets() and every quantile.
+class LogHistogramReference {
+ public:
+  using Bucket = obs::LogHistogram::Bucket;
+
+  LogHistogramReference();
+
+  void record(double value);
+  void merge(const LogHistogramReference& other);
+  void merge_buckets(std::span<const Bucket> buckets, double min, double max);
+  void subtract(const LogHistogramReference& base);
+
+  std::vector<Bucket> buckets() const;
+  std::uint64_t count() const { return count_; }
+  double min() const { return count_ ? min_ : 0.0; }
+  double max() const { return count_ ? max_ : 0.0; }
+  double quantile(double q) const;
+  void quantiles(std::span<const double> qs, std::span<double> out) const;
+
+  bool operator==(const LogHistogramReference&) const = default;
+
+ private:
+  std::vector<std::uint64_t> counts_;  ///< kBuckets, ascending by value
+  std::uint64_t count_ = 0;
+  double min_ = 0.0;
+  double max_ = 0.0;
+};
 
 }  // namespace tcsa

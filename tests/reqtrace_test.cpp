@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <string>
 #include <thread>
@@ -24,6 +25,7 @@
 #include "obs/log_histogram.hpp"
 #include "obs/metrics.hpp"
 #include "obs/reqtrace.hpp"
+#include "oracles.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -489,19 +491,155 @@ TEST(LogHistogram, EmptyReadsZero) {
   EXPECT_EQ(hist.max(), 0.0);
 }
 
-TEST(LogHistogram, StorageIsFixedAndHugeValuesSaturate) {
+TEST(LogHistogram, StorageHoldsWrittenBucketsAndHugeValuesSaturate) {
   LogHistogram hist;
-  const std::size_t bytes = hist.storage_bytes();
-  EXPECT_LE(bytes, std::size_t{64} * 1024);
+  EXPECT_EQ(hist.storage_bytes(), 0u) << "empty holds no bucket storage";
+  EXPECT_TRUE(hist.buckets().empty());
   hist.record(std::nan(""));  // ignored
+  EXPECT_EQ(hist.storage_bytes(), 0u);
   hist.record(1e300);
   hist.record(-1e300);
   for (int i = 0; i < 100000; ++i) hist.record(static_cast<double>(i));
   EXPECT_EQ(hist.count(), 100002u);
-  EXPECT_EQ(hist.storage_bytes(), bytes);
+  // 16 B per written bucket, at most twice that while the vector grows.
+  EXPECT_EQ(sizeof(LogHistogram::Bucket), 16u);
+  EXPECT_LE(hist.storage_bytes(),
+            2 * sizeof(LogHistogram::Bucket) * hist.buckets().size());
+  EXPECT_LT(hist.buckets().size(), LogHistogram::kBuckets);
+  // ±1e300 saturate into the outermost buckets.
+  EXPECT_EQ(hist.buckets().front().index, 0u);
+  EXPECT_EQ(hist.buckets().back().index, LogHistogram::kBuckets - 1);
   EXPECT_EQ(hist.min(), -1e300);
   EXPECT_EQ(hist.max(), 1e300);
   EXPECT_NEAR(hist.quantile(0.5), 50000.0, 500.0);
+}
+
+/// A seeded stream of one of four shapes: one constant, signed magnitudes
+/// across every octave, small integers mixed with the extreme values (0,
+/// -0, NaN, ±inf, ≥ 2^48), or heavy-tailed latencies.
+std::vector<double> property_stream(tcsa::Rng& rng, std::size_t n) {
+  std::vector<double> out;
+  const std::int64_t shape = rng.uniform_int(0, 3);
+  const double constant = std::ldexp(rng.uniform01(), 20) - 5e5;
+  for (std::size_t i = 0; i < n; ++i) {
+    double x = 0.0;
+    switch (shape) {
+      case 0:  // one constant
+        x = constant;
+        break;
+      case 1:  // magnitudes across every octave, both signs
+        x = std::ldexp(rng.uniform01(),
+                       static_cast<int>(rng.uniform_int(0, 52)));
+        if (rng.bernoulli(0.4)) x = -x;
+        break;
+      case 2: {  // extremes among small integers
+        static constexpr std::array<double, 8> kOdd{
+            0.0, -0.0, std::numeric_limits<double>::quiet_NaN(),
+            std::numeric_limits<double>::infinity(),
+            -std::numeric_limits<double>::infinity(), 281474976710656.0,
+            -1e18, 0.5};
+        x = rng.bernoulli(0.3)
+                ? kOdd[static_cast<std::size_t>(rng.uniform_int(0, 7))]
+                : static_cast<double>(rng.uniform_int(0, 300)) - 150.0;
+        break;
+      }
+      default:  // heavy-tailed latencies with a negative share
+        x = std::exp(rng.normal(std::log(2000.0), 1.5));
+        if (rng.bernoulli(0.1)) x = -x;
+    }
+    out.push_back(x);
+  }
+  return out;
+}
+
+/// Every observable of the sparse histogram equals the dense reference's.
+void expect_same(const LogHistogram& sparse,
+                 const tcsa::LogHistogramReference& dense,
+                 const std::string& what) {
+  ASSERT_EQ(sparse.count(), dense.count()) << what;
+  EXPECT_EQ(sparse.min(), dense.min()) << what;
+  EXPECT_EQ(sparse.max(), dense.max()) << what;
+  EXPECT_EQ(sparse.buckets(), dense.buckets()) << what;
+  static constexpr std::array<double, 9> kQs{0.0,  0.001, 0.25,   0.5,  0.9,
+                                             0.99, 0.999, 0.9999, 1.0};
+  std::array<double, kQs.size()> got{};
+  std::array<double, kQs.size()> want{};
+  sparse.quantiles(kQs, got);
+  dense.quantiles(kQs, want);
+  for (std::size_t i = 0; i < kQs.size(); ++i) {
+    EXPECT_EQ(got[i], want[i]) << what << " q=" << kQs[i];
+    EXPECT_EQ(sparse.quantile(kQs[i]), dense.quantile(kQs[i])) << what;
+  }
+}
+
+TEST(LogHistogram, MatchesTheDenseReferenceOnRandomStreams) {
+  tcsa::Rng rng(0x4157);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::string what = "trial " + std::to_string(trial);
+    // Two histograms fed overlapping or disjoint streams, each checked after
+    // every record for the first few samples, then as wholes.
+    const auto size = [&] {
+      return static_cast<std::size_t>(rng.uniform_int(0, 600));
+    };
+    const std::vector<double> a = property_stream(rng, size());
+    std::vector<double> b = property_stream(rng, size());
+    if (trial % 3 == 0)  // disjoint: b moved above a's finite values
+      for (double& x : b) x = std::abs(x) + 1e15;
+    LogHistogram sa, sb;
+    tcsa::LogHistogramReference da, db;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      sa.record(a[i]);
+      da.record(a[i]);
+      if (i < 8) expect_same(sa, da, what + " a prefix");
+    }
+    for (const double x : b) {
+      sb.record(x);
+      db.record(x);
+    }
+    expect_same(sa, da, what + " a");
+    expect_same(sb, db, what + " b");
+
+    // merge, and equality against one histogram fed both streams.
+    LogHistogram base = sa;
+    tcsa::LogHistogramReference dense_base = da;
+    sa.merge(sb);
+    da.merge(db);
+    expect_same(sa, da, what + " a+b");
+    LogHistogram whole;
+    for (const double x : a) whole.record(x);
+    for (const double x : b) whole.record(x);
+    EXPECT_TRUE(whole == sa) << what;
+    LogHistogram twice = sa;
+    tcsa::LogHistogramReference dense_twice = da;
+    twice.merge(twice);
+    dense_twice.merge(dense_twice);
+    expect_same(twice, dense_twice, what + " self-merge");
+
+    // merge_buckets of a bucket list, as the registry and importer feed it.
+    LogHistogram via_buckets = base;
+    tcsa::LogHistogramReference dense_via = dense_base;
+    via_buckets.merge_buckets(sb.buckets(), sb.min(), sb.max());
+    dense_via.merge_buckets(sb.buckets(), sb.min(), sb.max());
+    expect_same(via_buckets, dense_via, what + " merge_buckets");
+    EXPECT_TRUE(via_buckets == sa) << what;
+
+    // subtract of an earlier state: the delta, then the delta merged back.
+    LogHistogram delta = sa;
+    tcsa::LogHistogramReference dense_delta = da;
+    delta.subtract(base);
+    dense_delta.subtract(dense_base);
+    expect_same(delta, dense_delta, what + " a+b - a");
+    delta.merge(base);
+    dense_delta.merge(dense_base);
+    expect_same(delta, dense_delta, what + " (a+b - a) + a");
+    LogHistogram none = sa;
+    none.subtract(sa);
+    EXPECT_TRUE(none == LogHistogram()) << what << " x - x is empty";
+
+    // operator== agrees with the reference's.
+    EXPECT_EQ(sa == sb, da == db) << what;
+    EXPECT_EQ(base == sa, dense_base == da) << what;
+  }
 }
 
 }  // namespace

@@ -243,6 +243,42 @@ TEST(AirServer, RejectsSwapToAnUnschedulableWorkloadAndStaysOnAir) {
   EXPECT_EQ(summary.deadline_misses, 0u);
 }
 
+// A swap waiting for its cycle boundary owns the next generation: a second
+// kSwap would be planned against the program about to leave the air and
+// would replace the pending one under the same id, so the first requester's
+// generation would never air. One 1000-slot cycle puts the boundary far
+// beyond both round trips.
+TEST(AirServer, RejectsASwapWhileAnotherWaitsForItsBoundary) {
+  AirServerConfig config;
+  config.slot_us = 500;
+  config.max_slots = 1200;
+  ServerHarness harness(make_workload({4, 1000}, {2, 10}), config);
+  TuneClient client(harness.client_options(net::kAllChannels));
+
+  const SwapReply first =
+      client.request_swap(make_workload({4, 1000}, {2, 11}));
+  ASSERT_TRUE(first.accepted) << first.error;
+  EXPECT_EQ(first.generation, 2u);
+  EXPECT_EQ(first.activation_slot, 1000u);
+
+  const SwapReply second =
+      client.request_swap(make_workload({8, 1000}, {2, 10}));
+  EXPECT_FALSE(second.accepted);
+  EXPECT_EQ(second.generation, 0u);
+  EXPECT_NE(second.error.find("generation 2 activates at slot 1000"),
+            std::string::npos)
+      << second.error;
+
+  client.run(0);  // to EOF, past the boundary
+  const TuneSummary summary = client.summary();
+  EXPECT_EQ(summary.generation, first.generation);
+  ASSERT_EQ(summary.groups.size(), 2u);
+  EXPECT_EQ(summary.groups[0].expected_time, 4)
+      << "the first request's workload is the one that aired";
+  EXPECT_EQ(summary.swaps_observed, 1u);
+  EXPECT_EQ(summary.deadline_misses, 0u);
+}
+
 TEST(AirServer, EvictsASlowClientInsteadOfStallingTheBroadcast) {
   AirServerConfig config;
   // Roomy slots: under TSAN an instrumented healthy client must still
