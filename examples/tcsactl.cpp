@@ -469,11 +469,15 @@ int serve_main(int argc, const char* const* argv) {
   // server that never wrote an export file must still see real counters.
   if (config.admin_port >= 0) obs::set_enabled(true);
   if (!trace_out.empty() || !out_dir.empty()) obs::set_tracing_enabled(true);
+  // Only --out-dir's manifest reads the digest; the server takes the
+  // workload, so it is hashed here, and only when it will be read.
   const std::string digest =
-      obs::fnv1a_digest(workload_to_string(workload) +
-                        "|channels=" + std::to_string(config.channels) +
-                        "|method=" + cli.get_string("method") +
-                        "|slot_us=" + std::to_string(config.slot_us));
+      out_dir.empty()
+          ? std::string()
+          : obs::fnv1a_digest(workload_to_string(workload) +
+                              "|channels=" + std::to_string(config.channels) +
+                              "|method=" + cli.get_string("method") +
+                              "|slot_us=" + std::to_string(config.slot_us));
 
   AirServer server(std::move(workload), config);
   if (const std::string port_file = cli.get_string("port-file");

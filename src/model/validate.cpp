@@ -22,8 +22,18 @@ struct PageSweep {
 }  // namespace
 
 ValidityReport validate_program(const BroadcastProgram& program,
-                                const Workload& workload) {
+                                const Workload& workload,
+                                std::size_t max_messages) {
   ValidityReport report;
+  // Formats a message only while its list has room: a caller that reads
+  // the verdict alone skips building one string per failing page.
+  const auto note = [max_messages](std::vector<std::string>& list,
+                                   const auto& format) {
+    if (list.size() >= max_messages) return;
+    std::ostringstream os;
+    format(os);
+    list.push_back(os.str());
+  };
   const SlotCount cycle = program.cycle_length();
   TCSA_REQUIRE(cycle < std::numeric_limits<std::uint32_t>::max(),
                "validate_program: cycle too long for 32-bit completion times");
@@ -53,9 +63,9 @@ ValidityReport validate_program(const BroadcastProgram& program,
   std::stable_sort(duplicates.begin(), duplicates.end(),
                    [](const auto& a, const auto& b) { return a.first < b.first; });
   for (const auto& [page, column] : duplicates) {
-    std::ostringstream os;
-    os << "page " << page << " appears twice in column " << column;
-    report.warnings.push_back(os.str());
+    note(report.warnings, [&](std::ostream& os) {
+      os << "page " << page << " appears twice in column " << column;
+    });
   }
 
   for (PageId page = 0; page < page_count; ++page) {
@@ -64,19 +74,19 @@ ValidityReport validate_program(const BroadcastProgram& program,
 
     if (seen.last == 0) {
       report.valid = false;
-      std::ostringstream os;
-      os << "page " << page << " never appears in the program";
-      report.violations.push_back(os.str());
+      note(report.violations, [&](std::ostream& os) {
+        os << "page " << page << " never appears in the program";
+      });
       continue;
     }
 
     // Condition (1): first completion within t slots of the cycle start.
     if (seen.first > t) {
       report.valid = false;
-      std::ostringstream os;
-      os << "page " << page << " first completes at " << seen.first
-         << " > expected time " << t;
-      report.violations.push_back(os.str());
+      note(report.violations, [&](std::ostream& os) {
+        os << "page " << page << " first completes at " << seen.first
+           << " > expected time " << t;
+      });
     }
 
     // Condition (2): all gaps, including wrap-around, within t.
@@ -86,10 +96,10 @@ ValidityReport validate_program(const BroadcastProgram& program,
     report.worst_lateness = std::max(report.worst_lateness, gap - t);
     if (gap > t) {
       report.valid = false;
-      std::ostringstream os;
-      os << "page " << page << " has an appearance gap of " << gap
-         << " > expected time " << t;
-      report.violations.push_back(os.str());
+      note(report.violations, [&](std::ostream& os) {
+        os << "page " << page << " has an appearance gap of " << gap
+           << " > expected time " << t;
+      });
     }
   }
   return report;
@@ -97,7 +107,7 @@ ValidityReport validate_program(const BroadcastProgram& program,
 
 bool is_valid_program(const BroadcastProgram& program,
                       const Workload& workload) {
-  return validate_program(program, workload).valid;
+  return validate_program(program, workload, 0).valid;
 }
 
 }  // namespace tcsa

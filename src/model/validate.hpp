@@ -14,6 +14,8 @@
 // same column).
 #pragma once
 
+#include <cstddef>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -39,8 +41,15 @@ struct ValidityReport {
 /// sweep of the grid with 32-bit per-page state: O(cells) time and
 /// O(pages + channels) memory, no AppearanceIndex. Throws
 /// std::invalid_argument when the program names a page >= n.
-ValidityReport validate_program(const BroadcastProgram& program,
-                                const Workload& workload);
+///
+/// `max_messages` caps each of `violations` and `warnings`; the verdict
+/// and the worst wait/lateness do not depend on it, and the messages kept
+/// are the first ones of the full report. A caller that reads only the
+/// verdict and the first violation (the server's start-up and swap
+/// worker) passes 1 and skips formatting one string per failing page.
+ValidityReport validate_program(
+    const BroadcastProgram& program, const Workload& workload,
+    std::size_t max_messages = std::numeric_limits<std::size_t>::max());
 
 /// Convenience: true iff validate_program(...).valid.
 bool is_valid_program(const BroadcastProgram& program,

@@ -54,26 +54,34 @@ class SlotTimeline {
   /// {"capacity": N, "recorded": M, "slots": [...]} for the /slots route.
   std::string to_json(std::size_t max_records = 0) const;
 
-  std::size_t capacity() const noexcept { return cells_.size(); }
+  std::size_t capacity() const noexcept { return capacity_; }
   /// Total records ever written (not clamped to capacity).
   std::uint64_t recorded() const noexcept {
     return head_.load(std::memory_order_acquire);
   }
 
  private:
-  // 8 payload words per cell, mirroring SlotRecord's fields.
+  // One cell per slot: a seq word (odd while the writer is inside) and 8
+  // payload words mirroring SlotRecord's fields.
   static constexpr std::size_t kWords = 8;
-  struct Cell {
-    Cell() noexcept {
-      seq.store(0, std::memory_order_relaxed);
-      for (auto& w : words) w.store(0, std::memory_order_relaxed);
-    }
-    std::atomic<std::uint64_t> seq;  ///< odd while the writer is inside
-    std::atomic<std::uint64_t> words[kWords];
+  static constexpr std::size_t kCellWords = 1 + kWords;
+  struct Free {
+    void operator()(std::uint64_t* words) const noexcept;
   };
 
-  std::vector<Cell> cells_;             ///< size == capacity, fixed
-  std::atomic<std::uint64_t> head_{0};  ///< next record ordinal
+  /// Word `i` of cell `cell` (0 = seq, 1 + k = payload word k), accessed
+  /// atomically. The storage is plain calloc'd words: a cell only has to
+  /// start with an even seq, which zero is, and readers never look past
+  /// head_, so no cell is written before its first slot — the ring's pages
+  /// fault in as the airing loop reaches them instead of all at start-up.
+  std::atomic_ref<std::uint64_t> word(std::size_t cell,
+                                      std::size_t i) const noexcept {
+    return std::atomic_ref<std::uint64_t>(words_[cell * kCellWords + i]);
+  }
+
+  std::size_t capacity_;                          ///< cells, fixed, >= 1
+  std::unique_ptr<std::uint64_t[], Free> words_;  ///< capacity_ cells
+  std::atomic<std::uint64_t> head_{0};            ///< next record ordinal
 };
 
 }  // namespace tcsa::obs

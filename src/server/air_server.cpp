@@ -162,6 +162,9 @@ AirServer::AirServer(Workload workload, AirServerConfig config)
                   TCSA_LOG(kWarn) << "air server: " << msg;
                 }),
       pull_(config_.pull_channels, config_.pull_policy) {
+  // Start-up is the one wait every client spends on the server itself, so
+  // a traced start names its stages the way a traced swap does.
+  TCSA_TRACE_SPAN("server.start");
   channels_ = config_.channels > 0 ? config_.channels
                                    : min_channels(workload);
   TCSA_REQUIRE(channels_ >= 1 && channels_ <= 64,
@@ -174,10 +177,16 @@ AirServer::AirServer(Workload workload, AirServerConfig config)
   TCSA_REQUIRE(config_.pull_channels <= 16,
                "AirServer: pull_channels must be in [0, 16]");
 
-  ScheduleOutcome outcome =
-      config_.method ? make_schedule(*config_.method, workload, channels_)
-                     : choose_schedule(workload, channels_);
-  const ValidityReport report = validate_program(outcome.program, workload);
+  ScheduleOutcome outcome = [&] {
+    TCSA_TRACE_SPAN("server.start.schedule");
+    return config_.method
+               ? make_schedule(*config_.method, workload, channels_)
+               : choose_schedule(workload, channels_);
+  }();
+  const ValidityReport report = [&] {
+    TCSA_TRACE_SPAN("server.start.validate");
+    return validate_program(outcome.program, workload, 1);
+  }();
   if (!report.valid) {
     TCSA_LOG(kWarn) << "air server: initial program is invalid (worst "
                        "lateness "
@@ -223,34 +232,41 @@ AirServer::AirServer(Workload workload, AirServerConfig config)
   // does so inside a reuseport group that shards 1..K-1 join at the
   // concrete port (binding every shard at port 0 would scatter them across
   // K different ports).
-  group_ = std::make_unique<net::LoopGroup>(loop_count_);
-  shards_.reserve(loop_count_);
-  for (std::size_t i = 0; i < loop_count_; ++i) {
-    net::Fd listener =
-        loop_count_ == 1
-            ? net::listen_tcp(config_.bind_address, config_.port)
-            : net::listen_reuseport(config_.bind_address,
-                                    i == 0 ? config_.port : port_);
-    if (i == 0) port_ = net::local_port(listener.get());
-    shards_.push_back(std::make_unique<LoopShard>(i, group_->loop(i),
-                                                  std::move(listener),
-                                                  common_));
+  {
+    TCSA_TRACE_SPAN("server.start.listen");
+    group_ = std::make_unique<net::LoopGroup>(loop_count_);
+    shards_.reserve(loop_count_);
+    for (std::size_t i = 0; i < loop_count_; ++i) {
+      net::Fd listener =
+          loop_count_ == 1
+              ? net::listen_tcp(config_.bind_address, config_.port)
+              : net::listen_reuseport(config_.bind_address,
+                                      i == 0 ? config_.port : port_);
+      if (i == 0) port_ = net::local_port(listener.get());
+      shards_.push_back(std::make_unique<LoopShard>(i, group_->loop(i),
+                                                    std::move(listener),
+                                                    common_));
+    }
   }
 
   // Egress backend: the batched ring when the kernel offers it, else the
   // classic per-session sendmsg flush.
-  try {
-    if (!net::UringFlusher::supported())
-      throw std::runtime_error("io_uring unavailable (probe failed)");
-    for (auto& shard : shards_)
-      shard->uring = std::make_unique<net::UringFlusher>(kUringEntries);
-    uring_active_ = true;
-    TCSA_LOG(kInfo) << "air server: io_uring egress on (" << loop_count_
-                    << " ring(s) x " << shards_[0]->uring->capacity()
-                    << " entries)";
-  } catch (const std::exception& e) {
-    for (auto& shard : shards_) shard->uring.reset();
-    TCSA_LOG(kInfo) << "air server: " << e.what() << "; using sendmsg flush";
+  {
+    TCSA_TRACE_SPAN("server.start.egress");
+    try {
+      if (!net::UringFlusher::supported())
+        throw std::runtime_error("io_uring unavailable (probe failed)");
+      for (auto& shard : shards_)
+        shard->uring = std::make_unique<net::UringFlusher>(kUringEntries);
+      uring_active_ = true;
+      TCSA_LOG(kInfo) << "air server: io_uring egress on (" << loop_count_
+                      << " ring(s) x " << shards_[0]->uring->capacity()
+                      << " entries)";
+    } catch (const std::exception& e) {
+      for (auto& shard : shards_) shard->uring.reset();
+      TCSA_LOG(kInfo) << "air server: " << e.what()
+                      << "; using sendmsg flush";
+    }
   }
   uptime_gauge_ = obs::register_gauge(
       "tcsa_uptime_seconds", "Seconds since the server went on air");
@@ -740,7 +756,7 @@ void AirServer::handle_swap_request(SessionRef requester,
       }();
       const ValidityReport report = [&] {
         TCSA_TRACE_SPAN("server.swap.validate");
-        return validate_program(outcome.program, w);
+        return validate_program(outcome.program, w, 1);
       }();
       if (!report.valid) {
         error = "rescheduled program is invalid (worst lateness " +

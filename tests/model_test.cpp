@@ -3,7 +3,9 @@
 // index-based oracle).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/api.hpp"
@@ -316,6 +318,36 @@ TEST(Validate, DuplicateColumnIsWarningNotViolation) {
   const ValidityReport r = validate_program(p, w);
   EXPECT_TRUE(r.valid);
   EXPECT_FALSE(r.warnings.empty());
+}
+
+TEST(Validate, MessageCapKeepsTheVerdictAndTheFirstMessages) {
+  // Four pages of t = 2 on one 4-slot channel: page 3 never airs, page 2
+  // airs once (late first completion and a wide gap), and page 0 airs
+  // twice in column 0 of a second channel (a duplicate warning).
+  const Workload w = make_workload({2}, {4});
+  BroadcastProgram p(2, 4);
+  p.place(0, 0, 0);
+  p.place(1, 0, 0);
+  p.place(0, 1, 1);
+  p.place(0, 2, 0);
+  p.place(0, 3, 1);
+  p.place(1, 2, 2);
+  const ValidityReport full = validate_program(p, w);
+  ASSERT_GE(full.violations.size(), 3u);
+  ASSERT_FALSE(full.warnings.empty());
+  for (const std::size_t cap : {0u, 1u, 2u}) {
+    const ValidityReport capped = validate_program(p, w, cap);
+    EXPECT_EQ(capped.valid, full.valid) << cap;
+    EXPECT_EQ(capped.worst_wait, full.worst_wait) << cap;
+    EXPECT_EQ(capped.worst_lateness, full.worst_lateness) << cap;
+    EXPECT_EQ(capped.violations,
+              std::vector<std::string>(full.violations.begin(),
+                                       full.violations.begin() + cap))
+        << cap;
+    EXPECT_EQ(capped.warnings.size(), std::min(cap, full.warnings.size()))
+        << cap;
+  }
+  EXPECT_FALSE(is_valid_program(p, w));
 }
 
 TEST(Validate, IsValidProgramConvenience) {

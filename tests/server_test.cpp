@@ -11,6 +11,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
 #include <map>
 #include <sstream>
@@ -399,6 +400,38 @@ TEST(AirServer, OutOfDescriptorsBacksOffAcceptAndStaysOnAir) {
             "HTTP/1.0 200");
 }
 
+/// Checks the recorded trace: `parent` was recorded once, and each of
+/// `stages` once, on the parent's thread, inside it and in this order.
+void expect_stage_spans(const std::string& parent,
+                        std::initializer_list<const char*> stages) {
+  ASSERT_EQ(obs::trace_spans_dropped(), 0u);
+  struct Span {
+    std::uint64_t start = 0, end = 0, tid = 0;
+  };
+  std::map<std::string, std::vector<Span>> spans;
+  std::ostringstream trace;
+  obs::write_chrome_trace(trace);
+  const obs::JsonValue doc = obs::json_parse(trace.str());
+  for (const obs::JsonValue& event :
+       doc.at("traceEvents").expect_array("traceEvents").array) {
+    const std::string& name = event.at("name").expect_string("name");
+    const std::uint64_t start = event.at("ts").expect_uint("ts");
+    spans[name].push_back(Span{start, start + event.at("dur").expect_uint("dur"),
+                               event.at("tid").expect_uint("tid")});
+  }
+  ASSERT_EQ(spans[parent].size(), 1u);
+  const Span outer = spans[parent].front();
+  std::uint64_t previous_end = outer.start;
+  for (const char* stage : stages) {
+    ASSERT_EQ(spans[stage].size(), 1u) << stage;
+    const Span& child = spans[stage].front();
+    EXPECT_EQ(child.tid, outer.tid) << stage;
+    EXPECT_GE(child.start, previous_end) << stage;
+    EXPECT_LE(child.end, outer.end) << stage;
+    previous_end = child.end;
+  }
+}
+
 // A traced swap names the stage a slow swap spent its time in: the
 // worker's server.reschedule span holds one child span per stage, in
 // order, on the worker's thread.
@@ -414,36 +447,26 @@ TEST(AirServer, TracedSwapSpansEachWorkerStage) {
     EXPECT_TRUE(client.request_swap(grown_workload()).accepted);
   }
   obs::set_tracing_enabled(false);
-  ASSERT_EQ(obs::trace_spans_dropped(), 0u);
+  expect_stage_spans("server.reschedule",
+                     {"server.swap.schedule", "server.swap.validate",
+                      "server.swap.seam"});
+}
 
-  struct Span {
-    std::uint64_t start = 0, end = 0, tid = 0;
-  };
-  std::map<std::string, std::vector<Span>> spans;
-  std::ostringstream trace;
-  obs::write_chrome_trace(trace);
-  const obs::JsonValue doc = obs::json_parse(trace.str());
-  for (const obs::JsonValue& event :
-       doc.at("traceEvents").expect_array("traceEvents").array) {
-    const std::string& name = event.at("name").expect_string("name");
-    if (name != "server.reschedule" && name.rfind("server.swap.", 0) != 0)
-      continue;
-    const std::uint64_t start = event.at("ts").expect_uint("ts");
-    spans[name].push_back(Span{start, start + event.at("dur").expect_uint("dur"),
-                               event.at("tid").expect_uint("tid")});
+// Likewise a traced start: the constructor's server.start span holds one
+// child span per start-up stage.
+TEST(AirServer, TracedStartSpansEachStage) {
+  obs::clear_trace();
+  obs::set_tracing_enabled(true);
+  {
+    AirServerConfig config;
+    config.slot_us = 300;
+    config.max_slots = 20;
+    ServerHarness harness(paper_workload(), config);
   }
-  ASSERT_EQ(spans["server.reschedule"].size(), 1u);
-  const Span parent = spans["server.reschedule"].front();
-  std::uint64_t previous_end = parent.start;
-  for (const char* stage :
-       {"server.swap.schedule", "server.swap.validate", "server.swap.seam"}) {
-    ASSERT_EQ(spans[stage].size(), 1u) << stage;
-    const Span& child = spans[stage].front();
-    EXPECT_EQ(child.tid, parent.tid) << stage;
-    EXPECT_GE(child.start, previous_end) << stage;
-    EXPECT_LE(child.end, parent.end) << stage;
-    previous_end = child.end;
-  }
+  obs::set_tracing_enabled(false);
+  expect_stage_spans("server.start",
+                     {"server.start.schedule", "server.start.validate",
+                      "server.start.listen", "server.start.egress"});
 }
 
 TEST(PlanSwapSeam, IdenticalProgramsAreSeamFreeAtTheMatchingRotation) {
