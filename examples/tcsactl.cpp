@@ -40,6 +40,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 
 #include "core/api.hpp"
 #include "core/channel_bound.hpp"
@@ -75,21 +76,34 @@ Workload workload_from(const std::string& path) {
   return load_workload(file);
 }
 
+/// Opens `path`, lets `fill` write it and closes it. A path that cannot be
+/// opened is a usage error; bytes that do not all land (a full disk,
+/// /dev/full) are an operational one, so a script waiting on the file sees
+/// the command fail instead of an empty or truncated file.
+template <typename Fill>
+void write_file(const std::string& path, const std::string& what,
+                Fill&& fill) {
+  std::ofstream out(path);
+  if (!out) throw std::invalid_argument("cannot write " + what + ": " + path);
+  fill(out);
+  out.close();
+  if (!out) throw std::runtime_error("failed writing " + what + ": " + path);
+}
+
 /// Writes the scraped registry to `path`: Prometheus text exposition when
 /// the filename ends in .prom, JSON otherwise.
 void write_metrics_file(const std::string& path) {
-  std::ofstream out(path);
-  if (!out) throw std::invalid_argument("cannot write metrics file: " + path);
   const obs::MetricsSnapshot snap = obs::snapshot();
   const bool prometheus =
       path.size() >= 5 && path.compare(path.size() - 5, 5, ".prom") == 0;
-  out << (prometheus ? snap.to_prometheus() : snap.to_json());
+  write_file(path, "metrics file", [&](std::ostream& out) {
+    out << (prometheus ? snap.to_prometheus() : snap.to_json());
+  });
 }
 
 void write_trace_file(const std::string& path) {
-  std::ofstream out(path);
-  if (!out) throw std::invalid_argument("cannot write trace file: " + path);
-  obs::write_chrome_trace(out);
+  write_file(path, "trace file",
+             [](std::ostream& out) { obs::write_chrome_trace(out); });
 }
 
 std::string slurp_file(const std::string& path) {
@@ -101,9 +115,7 @@ std::string slurp_file(const std::string& path) {
 }
 
 void write_text_file(const std::string& path, const std::string& text) {
-  std::ofstream out(path);
-  if (!out) throw std::invalid_argument("cannot write file: " + path);
-  out << text;
+  write_file(path, "file", [&](std::ostream& out) { out << text; });
 }
 
 /// Unique-enough id shared by every shard of one run: the parent mints it

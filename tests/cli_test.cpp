@@ -128,4 +128,27 @@ TEST_F(CliContract, OperationalFailureExitsOne) {
   EXPECT_EQ(stderr_text().find("usage:"), std::string::npos);
 }
 
+TEST_F(CliContract, OutputFileThatCannotBeWrittenExitsOne) {
+  // /dev/full opens fine and fails every write: the command must notice at
+  // close and fail naming the file, not exit 0 with the output lost.
+  EXPECT_EQ(run({"--cmd", "demo", "--metrics-out", "/dev/full"}), 1);
+  EXPECT_NE(stderr_text().find("/dev/full"), std::string::npos)
+      << stderr_text();
+  EXPECT_EQ(stderr_text().find("usage:"), std::string::npos);
+}
+
+TEST_F(CliContract, ServeFailsBeforeAiringWhenItsPortFileIsLost) {
+  // A script polling the port file would never see the port: serve exits 1
+  // before going on air instead of airing to nobody.
+  ASSERT_EQ(run({"--cmd", "demo"}), 0);
+  const std::string workload = (dir_ / "workload.tcsa").string();
+  std::filesystem::copy_file(dir_ / "stdout.txt", workload);
+  EXPECT_EQ(run({"serve", "--workload", workload, "--port", "0",
+                 "--port-file", "/dev/full", "--slots", "5"}),
+            1);
+  const std::string err = stderr_text();
+  EXPECT_NE(err.find("/dev/full"), std::string::npos) << err;
+  EXPECT_EQ(err.find("on air"), std::string::npos) << err;
+}
+
 }  // namespace
