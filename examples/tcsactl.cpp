@@ -32,14 +32,16 @@
 // Exit codes: 0 success, 1 operational failure (connection refused, invalid
 // program, metric drift), 2 usage error (unknown subcommand/flag, missing
 // required flag) with a usage hint on stderr.
+#include <dirent.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <climits>
-#include <filesystem>
-#include <fstream>
-#include <iostream>
-#include <sstream>
+#include <cstdio>
+#include <cstring>
+#include <memory>
 #include <stdexcept>
 
 #include "core/api.hpp"
@@ -63,31 +65,49 @@
 #include "util/cli.hpp"
 #include "util/subprocess.hpp"
 #include "util/table.hpp"
+#include "util/text.hpp"
 #include "workload/trace.hpp"
 
 using namespace tcsa;
 
 namespace {
 
-Workload workload_from(const std::string& path) {
-  if (path.empty()) return load_workload(std::cin);
-  std::ifstream file(path);
-  if (!file) throw std::invalid_argument("cannot open workload file: " + path);
-  return load_workload(file);
+/// Everything left in `file`, read to its end.
+std::string read_all(std::FILE* file) {
+  std::string text;
+  char buf[1 << 16];
+  for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, file)) > 0;)
+    text.append(buf, n);
+  return text;
 }
 
-/// Opens `path`, lets `fill` write it and closes it. A path that cannot be
-/// opened is a usage error; bytes that do not all land (a full disk,
-/// /dev/full) are an operational one, so a script waiting on the file sees
-/// the command fail instead of an empty or truncated file.
-template <typename Fill>
+/// The whole of `path`; one that cannot be opened is a usage error.
+std::string slurp_file(const std::string& path,
+                       const std::string& what = "file") {
+  const std::unique_ptr<std::FILE, int (*)(std::FILE*)> file(
+      std::fopen(path.c_str(), "r"), &std::fclose);
+  if (!file) throw std::invalid_argument("cannot open " + what + ": " + path);
+  return read_all(file.get());
+}
+
+Workload workload_from(const std::string& path) {
+  return workload_from_string(path.empty() ? read_all(stdin)
+                                           : slurp_file(path, "workload file"));
+}
+
+/// Writes `text` to `path`. A path that cannot be opened is a usage error;
+/// bytes that do not all land (a full disk, /dev/full) are an operational
+/// one, so a script waiting on the file sees the command fail instead of an
+/// empty or truncated file.
 void write_file(const std::string& path, const std::string& what,
-                Fill&& fill) {
-  std::ofstream out(path);
-  if (!out) throw std::invalid_argument("cannot write " + what + ": " + path);
-  fill(out);
-  out.close();
-  if (!out) throw std::runtime_error("failed writing " + what + ": " + path);
+                std::string_view text) {
+  std::FILE* file = std::fopen(path.c_str(), "w");
+  if (!file) throw std::invalid_argument("cannot write " + what + ": " + path);
+  const bool written =
+      std::fwrite(text.data(), 1, text.size(), file) == text.size();
+  // fclose flushes what is still buffered: only its result says it landed.
+  if (std::fclose(file) != 0 || !written)
+    throw std::runtime_error("failed writing " + what + ": " + path);
 }
 
 /// Writes the scraped registry to `path`: Prometheus text exposition when
@@ -96,35 +116,72 @@ void write_metrics_file(const std::string& path) {
   const obs::MetricsSnapshot snap = obs::snapshot();
   const bool prometheus =
       path.size() >= 5 && path.compare(path.size() - 5, 5, ".prom") == 0;
-  write_file(path, "metrics file", [&](std::ostream& out) {
-    out << (prometheus ? snap.to_prometheus() : snap.to_json());
-  });
+  write_file(path, "metrics file",
+             prometheus ? snap.to_prometheus() : snap.to_json());
 }
 
 void write_trace_file(const std::string& path) {
-  write_file(path, "trace file",
-             [](std::ostream& out) { obs::write_chrome_trace(out); });
-}
-
-std::string slurp_file(const std::string& path) {
-  std::ifstream file(path);
-  if (!file) throw std::invalid_argument("cannot open file: " + path);
-  std::ostringstream os;
-  os << file.rdbuf();
-  return os.str();
+  std::string trace;
+  obs::write_chrome_trace(trace);
+  write_file(path, "trace file", trace);
 }
 
 void write_text_file(const std::string& path, const std::string& text) {
-  write_file(path, "file", [&](std::ostream& out) { out << text; });
+  write_file(path, "file", text);
+}
+
+// The few path operations tcsactl needs, on POSIX calls: std::filesystem
+// links iostreams and std::locale (DESIGN.md §5). Failures read as
+// std::filesystem::filesystem_error's did.
+
+[[noreturn]] void throw_fs_error(const char* what, const std::string& path,
+                                 int error) {
+  throw std::runtime_error(std::string("filesystem error: ") + what + ": " +
+                           std::strerror(error) + " [" + path + "]");
+}
+
+/// `dir` / `name`, as std::filesystem::path's operator/ joins them.
+std::string path_join(const std::string& dir, const std::string& name) {
+  if (dir.empty() || name.starts_with('/')) return name;
+  return dir.ends_with('/') ? dir + name : dir + '/' + name;
+}
+
+bool path_exists(const std::string& path) {
+  struct stat st {};
+  return ::stat(path.c_str(), &st) == 0;
+}
+
+/// Creates `dir` and its missing parents (mkdir -p).
+void create_directories(const std::string& dir) {
+  for (std::size_t end = dir.find('/', 1);; end = dir.find('/', end + 1)) {
+    const std::string prefix = dir.substr(0, end);
+    if (::mkdir(prefix.c_str(), 0777) != 0 && errno != EEXIST)
+      throw_fs_error("cannot create directories", dir, errno);
+    if (end == std::string::npos) break;
+  }
+  struct stat st {};
+  if (::stat(dir.c_str(), &st) != 0 || !S_ISDIR(st.st_mode))
+    throw_fs_error("cannot create directories", dir, ENOTDIR);
+}
+
+/// The names in `dir`, in directory order, without "." and "..".
+std::vector<std::string> list_directory(const std::string& dir) {
+  const std::unique_ptr<DIR, int (*)(DIR*)> handle(::opendir(dir.c_str()),
+                                                   &::closedir);
+  if (!handle)
+    throw_fs_error("directory iterator cannot open directory", dir, errno);
+  std::vector<std::string> names;
+  while (const dirent* entry = ::readdir(handle.get())) {
+    const std::string_view name = entry->d_name;
+    if (name != "." && name != "..") names.emplace_back(name);
+  }
+  return names;
 }
 
 /// Unique-enough id shared by every shard of one run: the parent mints it
 /// and passes it down via --run-id.
 std::string default_run_id() {
-  std::ostringstream os;
-  os << "run-" << std::hex << obs::trace_epoch_wall_us() << '-' << std::dec
-     << ::getpid();
-  return os.str();
+  return str_cat("run-", hex(obs::trace_epoch_wall_us()), '-', ::getpid());
 }
 
 // --------------------------------------------------------- artifact sets
@@ -147,7 +204,7 @@ struct ArtifactSet {
 /// a fresh id), manifest last so a reader never sees it name a missing file.
 void write_artifact_set(const Cli& cli, const ArtifactSet& set) {
   const std::string dir = cli.get_string("out-dir");
-  std::filesystem::create_directories(dir);
+  create_directories(dir);
   std::string run_id = cli.get_string("run-id");
   if (run_id.empty()) run_id = default_run_id();
   obs::RunManifest manifest = obs::make_manifest(
@@ -182,12 +239,11 @@ struct FoundManifest {
 std::vector<FoundManifest> read_manifests(const std::string& dir) {
   constexpr std::string_view kSuffix = ".manifest.json";
   std::vector<FoundManifest> found;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    const std::string name = entry.path().filename().string();
+  for (const std::string& name : list_directory(dir)) {
     if (!name.ends_with(kSuffix)) continue;
     found.push_back(
         {name.substr(0, name.size() - kSuffix.size()),
-         obs::manifest_from_json(slurp_file(entry.path().string()))});
+         obs::manifest_from_json(slurp_file(path_join(dir, name)))});
   }
   return found;
 }
@@ -204,7 +260,6 @@ struct RunArtifacts {
 };
 
 RunArtifacts collect_run(const std::string& dir) {
-  namespace fs = std::filesystem;
   RunArtifacts run;
   for (FoundManifest& found : read_manifests(dir))
     run.manifests.push_back(std::move(found.manifest));
@@ -231,13 +286,13 @@ RunArtifacts collect_run(const std::string& dir) {
                                   std::to_string(i) + " in " + dir);
     if (!m.metrics_file.empty())
       run.metrics.merge(obs::snapshot_from_json(
-          slurp_file((fs::path(dir) / m.metrics_file).string())));
+          slurp_file(path_join(dir, m.metrics_file))));
     if (!m.trace_file.empty())
       run.traces.push_back(
-          {m, slurp_file((fs::path(dir) / m.trace_file).string())});
+          {m, slurp_file(path_join(dir, m.trace_file))});
     if (!m.points_file.empty()) {
       const auto shard_points = obs::points_from_json(
-          slurp_file((fs::path(dir) / m.points_file).string()));
+          slurp_file(path_join(dir, m.points_file)));
       run.points.insert(run.points.end(), shard_points.begin(),
                         shard_points.end());
     }
@@ -265,7 +320,7 @@ int run_sharded_parent(const Cli& cli, long long shards, long long jobs) {
   if (out_dir.empty())
     throw std::invalid_argument("--jobs needs --out-dir DIR to collect "
                                 "shard artifacts");
-  std::filesystem::create_directories(out_dir);
+  create_directories(out_dir);
   std::string run_id = cli.get_string("run-id");
   if (run_id.empty()) run_id = default_run_id();
 
@@ -301,9 +356,9 @@ int run_sharded_parent(const Cli& cli, long long shards, long long jobs) {
 
   // Collect: a parse-validated, complete artifact set or an error.
   const RunArtifacts run = collect_run(out_dir);
-  std::cerr << "collected " << run.manifests.size() << " shard artifact sets"
-            << " for run " << run_id << " in " << out_dir << "; merge with:\n"
-            << "  tcsactl obs merge --dir " << out_dir << '\n';
+  print(stderr, "collected ", run.manifests.size(), " shard artifact sets",
+        " for run ", run_id, " in ", out_dir, "; merge with:\n",
+        "  tcsactl obs merge --dir ", out_dir, '\n');
   return 0;
 }
 
@@ -337,19 +392,19 @@ int run_sweep_command(const Cli& cli) {
   if (!out_dir.empty()) obs::set_tracing_enabled(true);
   const SweepReport report = run_sweep_shard(w, config, shard);
 
-  std::cout << "channels method    AvgD      predicted  miss%     p95\n";
+  std::string table = "channels method    AvgD      predicted  miss%     p95\n";
   for (const SweepPoint& p : report.points) {
-    std::cout << p.channels << '\t' << method_name(p.method) << '\t'
-              << p.avg_delay << '\t' << p.predicted_delay << '\t'
-              << 100.0 * p.miss_rate << '\t' << p.p95_delay << '\n';
+    str_append(table, p.channels, '\t', method_name(p.method), '\t',
+               p.avg_delay, '\t', p.predicted_delay, '\t',
+               100.0 * p.miss_rate, '\t', p.p95_delay, '\n');
   }
-  std::cerr << "sweep observed "
-            << report.metrics.counter_value("tcsa_sweep_points_total")
-            << " points, "
-            << report.metrics.counter_value("tcsa_opt_nodes_total")
-            << " OPT search nodes, "
-            << report.metrics.counter_value("tcsa_sim_requests_total")
-            << " simulated requests\n";
+  print(stdout, table);
+  print(stderr, "sweep observed ",
+        report.metrics.counter_value("tcsa_sweep_points_total"), " points, ",
+        report.metrics.counter_value("tcsa_opt_nodes_total"),
+        " OPT search nodes, ",
+        report.metrics.counter_value("tcsa_sim_requests_total"),
+        " simulated requests\n");
 
   if (!out_dir.empty()) {
     std::vector<obs::SweepPointRecord> records;
@@ -498,24 +553,25 @@ int serve_main(int argc, const char* const* argv) {
   if (const std::string admin_file = cli.get_string("admin-port-file");
       !admin_file.empty() && server.admin_port() != 0)
     write_text_file(admin_file, std::to_string(server.admin_port()) + "\n");
-  std::cerr << "tcsactl serve: on air at " << config.bind_address << ':'
-            << server.port() << " (" << server.channels()
-            << " channels, slot " << config.slot_us << "us, "
-            << server.loops() << " loop" << (server.loops() == 1 ? "" : "s");
+  std::string on_air = str_cat(
+      "tcsactl serve: on air at ", config.bind_address, ':', server.port(),
+      " (", server.channels(), " channels, slot ", config.slot_us, "us, ",
+      server.loops(), " loop", server.loops() == 1 ? "" : "s");
   if (config.pull_channels > 0)
-    std::cerr << ", " << config.pull_channels << " pull channel"
-              << (config.pull_channels == 1 ? "" : "s") << " ["
-              << pull_policy_name(config.pull_policy) << "]";
+    str_append(on_air, ", ", config.pull_channels, " pull channel",
+               config.pull_channels == 1 ? "" : "s", " [",
+               pull_policy_name(config.pull_policy), "]");
   if (server.admin_port() != 0)
-    std::cerr << ", admin http://" << config.bind_address << ':'
-              << server.admin_port();
+    str_append(on_air, ", admin http://", config.bind_address, ':',
+               server.admin_port());
   if (config.max_slots)
-    std::cerr << ", stopping after " << config.max_slots << " slots";
-  std::cerr << ")\n";
+    str_append(on_air, ", stopping after ", config.max_slots, " slots");
+  on_air += ")\n";
+  print(stderr, on_air);
   server.run();
-  std::cerr << "tcsactl serve: off air after " << server.slots_aired()
-            << " slots (generation " << server.generation() << ", "
-            << server.sessions_evicted() << " evictions)\n";
+  print(stderr, "tcsactl serve: off air after ", server.slots_aired(),
+        " slots (generation ", server.generation(), ", ",
+        server.sessions_evicted(), " evictions)\n");
 
   if (!metrics_out.empty()) write_metrics_file(metrics_out);
   if (!trace_out.empty()) {
@@ -602,10 +658,10 @@ int tune_main(int argc, const char* const* argv) {
   if (!out_dir.empty()) obs::set_tracing_enabled(true);
 
   TuneClient client(options);
-  std::cerr << "tcsactl tune: generation " << client.generation() << ", "
-            << client.channels() << " channels, cycle "
-            << client.cycle_length() << ", slot " << client.slot_us()
-            << "us, tuned in at slot " << client.tune_in_slot() << '\n';
+  print(stderr, "tcsactl tune: generation ", client.generation(), ", ",
+        client.channels(), " channels, cycle ", client.cycle_length(),
+        ", slot ", client.slot_us(), "us, tuned in at slot ",
+        client.tune_in_slot(), '\n');
   client.run(slots, requests, patience);
   const TuneSummary summary = client.summary();
   if (!out_dir.empty()) {
@@ -630,47 +686,43 @@ int tune_main(int argc, const char* const* argv) {
             ", \"samples\": " + std::to_string(r.clock_samples) + "}\n");
   }
   if (cli.get_flag("json")) {
-    std::cout << summary.to_json() << '\n';
+    print(stdout, summary.to_json(), '\n');
   } else {
-    std::cout << "slots observed: " << summary.slots_seen
-              << "\nframes: " << summary.frames << " (" << summary.bytes
-              << " bytes)\ngeneration: " << summary.generation
-              << "\nswaps observed: " << summary.swaps_observed
-              << "\ndeadline misses: " << summary.deadline_misses
-              << "\nmean access time: " << summary.mean_access_time
-              << " slots\n";
+    std::string text = str_cat(
+        "slots observed: ", summary.slots_seen, "\nframes: ", summary.frames,
+        " (", summary.bytes, " bytes)\ngeneration: ", summary.generation,
+        "\nswaps observed: ", summary.swaps_observed,
+        "\ndeadline misses: ", summary.deadline_misses,
+        "\nmean access time: ", summary.mean_access_time, " slots\n");
     if (summary.requests.sent > 0) {
       const TuneRequestStats& r = summary.requests;
-      std::cout << "requests: " << r.sent << " sent, " << r.completed
-                << " completed, " << r.misses << " missed deadline\n"
-                << "request delay p50/p99/max: " << r.delay_p50_us << '/'
-                << r.delay_p99_us << '/' << r.delay_max_us
-                << " us; slack p50/min: " << r.slack_p50_us << '/'
-                << r.slack_min_us << " us\n"
-                << "clock offset: " << r.clock_offset_us << " us (rtt "
-                << r.clock_rtt_us << " us over " << r.clock_samples
-                << " samples)\n";
+      str_append(text, "requests: ", r.sent, " sent, ", r.completed,
+                 " completed, ", r.misses, " missed deadline\n",
+                 "request delay p50/p99/max: ", r.delay_p50_us, '/',
+                 r.delay_p99_us, '/', r.delay_max_us, " us; slack p50/min: ",
+                 r.slack_p50_us, '/', r.slack_min_us, " us\n",
+                 "clock offset: ", r.clock_offset_us, " us (rtt ",
+                 r.clock_rtt_us, " us over ", r.clock_samples, " samples)\n");
     }
     if (summary.wants.issued > 0) {
       const TuneWantStats& w = summary.wants;
-      std::cout << "wants: " << w.issued << " issued, "
-                << w.broadcast_served << " broadcast-served, " << w.pulled
-                << " pulled (fraction " << w.pull_fraction << "), "
-                << w.pull_completed << " pull-completed\n"
-                << "want waits (slots): broadcast mean "
-                << w.mean_broadcast_wait_slots << ", pull mean "
-                << w.mean_pull_wait_slots << "; coalescing mean "
-                << w.mean_coalesced_waiters << " over " << w.pull_frames
-                << " kPull frames\n";
+      str_append(text, "wants: ", w.issued, " issued, ", w.broadcast_served,
+                 " broadcast-served, ", w.pulled, " pulled (fraction ",
+                 w.pull_fraction, "), ", w.pull_completed,
+                 " pull-completed\n", "want waits (slots): broadcast mean ",
+                 w.mean_broadcast_wait_slots, ", pull mean ",
+                 w.mean_pull_wait_slots, "; coalescing mean ",
+                 w.mean_coalesced_waiters, " over ", w.pull_frames,
+                 " kPull frames\n");
     }
     for (std::size_t g = 0; g < summary.groups.size(); ++g) {
       const TuneGroupStats& s = summary.groups[g];
-      std::cout << "group " << g + 1 << ": t=" << s.expected_time
-                << " receptions=" << s.receptions << " max_gap=" << s.max_gap
-                << " mean_gap=" << s.mean_gap
-                << " access_time=" << s.access_time
-                << " misses=" << s.misses << '\n';
+      str_append(text, "group ", g + 1, ": t=", s.expected_time,
+                 " receptions=", s.receptions, " max_gap=", s.max_gap,
+                 " mean_gap=", s.mean_gap, " access_time=", s.access_time,
+                 " misses=", s.misses, '\n');
     }
+    print(stdout, text);
   }
   return 0;
 }
@@ -706,16 +758,16 @@ int swap_main(int argc, const char* const* argv) {
   const SwapReply reply =
       client.request_swap(next, cli.get_int("channels"), method);
   if (!reply.accepted) {
-    std::cerr << "tcsactl swap: rejected: " << reply.error << '\n';
+    print(stderr, "tcsactl swap: rejected: ", reply.error, '\n');
     return 1;
   }
-  std::cout << "swap accepted: generation " << reply.generation
-            << " activates at slot " << reply.activation_slot
-            << " (seam lateness " << reply.seam_lateness << " slots"
-            << (reply.seam_lateness <= 0 ? "; all outstanding deadline "
-                                           "promises preserved"
-                                         : "")
-            << ")\n";
+  print(stdout, "swap accepted: generation ", reply.generation,
+        " activates at slot ", reply.activation_slot, " (seam lateness ",
+        reply.seam_lateness, " slots",
+        reply.seam_lateness <= 0
+            ? "; all outstanding deadline promises preserved"
+            : "",
+        ")\n");
   return 0;
 }
 
@@ -783,33 +835,30 @@ int loadgen_main(int argc, const char* const* argv) {
   config.pull_slo_p99_us = cli.get_double("pull-slo-p99-us");
 
   const LoadGenReport report = run_loadgen(config);
-  std::cerr << "tcsactl loadgen: " << report.sessions_connected << '/'
-            << report.sessions_requested << " sessions, " << report.pages
-            << " pages in the window, jitter p50/p99/p999/max "
-            << report.jitter_p50_us << '/' << report.jitter_p99_us << '/'
-            << report.jitter_p999_us << '/' << report.jitter_max_us
-            << " us, " << report.early_closes << " early closes, ~"
-            << static_cast<std::uint64_t>(report.rss_per_session_bytes)
-            << " RSS bytes/session\n";
+  print(stderr, "tcsactl loadgen: ", report.sessions_connected, '/',
+        report.sessions_requested, " sessions, ", report.pages,
+        " pages in the window, jitter p50/p99/p999/max ",
+        report.jitter_p50_us, '/', report.jitter_p99_us, '/',
+        report.jitter_p999_us, '/', report.jitter_max_us, " us, ",
+        report.early_closes, " early closes, ~",
+        static_cast<std::uint64_t>(report.rss_per_session_bytes),
+        " RSS bytes/session\n");
   if (report.requests_sent > 0)
-    std::cerr << "tcsactl loadgen: " << report.requests_sent
-              << " traced requests, " << report.request_completions
-              << " completed, miss rate " << report.request_miss_rate
-              << ", delay p50/p99 " << report.request_delay_p50_us << '/'
-              << report.request_delay_p99_us << " us, slack p50/min "
-              << report.request_slack_p50_us << '/'
-              << report.request_slack_min_us << " us\n";
+    print(stderr, "tcsactl loadgen: ", report.requests_sent,
+          " traced requests, ", report.request_completions,
+          " completed, miss rate ", report.request_miss_rate,
+          ", delay p50/p99 ", report.request_delay_p50_us, '/',
+          report.request_delay_p99_us, " us, slack p50/min ",
+          report.request_slack_p50_us, '/', report.request_slack_min_us,
+          " us\n");
   if (report.wants_issued > 0)
-    std::cerr << "tcsactl loadgen: " << report.wants_issued << " wants, "
-              << report.wants_broadcast << " broadcast-served, "
-              << report.wants_pulled << " pulled; " << report.pull_frames
-              << " kPull frames (coalescing mean "
-              << report.mean_coalesced_waiters << "), "
-              << report.pull_completions
-              << " pull completions, pull miss rate "
-              << report.pull_miss_rate << ", pull delay p50/p99 "
-              << report.pull_delay_p50_us << '/' << report.pull_delay_p99_us
-              << " us\n";
+    print(stderr, "tcsactl loadgen: ", report.wants_issued, " wants, ",
+          report.wants_broadcast, " broadcast-served, ", report.wants_pulled,
+          " pulled; ", report.pull_frames, " kPull frames (coalescing mean ",
+          report.mean_coalesced_waiters, "), ", report.pull_completions,
+          " pull completions, pull miss rate ", report.pull_miss_rate,
+          ", pull delay p50/p99 ", report.pull_delay_p50_us, '/',
+          report.pull_delay_p99_us, " us\n");
 
   if (const std::string json_out = cli.get_string("json-out");
       !json_out.empty())
@@ -825,18 +874,18 @@ int loadgen_main(int argc, const char* const* argv) {
               .metrics_json = report.to_json()});
 
   if (report.sessions_connected == 0) {
-    std::cerr << "tcsactl loadgen: no session ever connected\n";
+    print(stderr, "tcsactl loadgen: no session ever connected\n");
     return 1;
   }
   if (report.slo_violations > 0) {
-    std::cerr << "tcsactl loadgen: p99 jitter " << report.jitter_p99_us
-              << " us exceeds the " << config.slo_p99_us << " us SLO\n";
+    print(stderr, "tcsactl loadgen: p99 jitter ", report.jitter_p99_us,
+          " us exceeds the ", config.slo_p99_us, " us SLO\n");
     return 1;
   }
   if (report.pull_slo_violations > 0) {
-    std::cerr << "tcsactl loadgen: p99 pull delay "
-              << report.pull_delay_p99_us << " us exceeds the "
-              << config.pull_slo_p99_us << " us SLO\n";
+    print(stderr, "tcsactl loadgen: p99 pull delay ",
+          report.pull_delay_p99_us, " us exceeds the ",
+          config.pull_slo_p99_us, " us SLO\n");
     return 1;
   }
   return 0;
@@ -846,22 +895,20 @@ int dispatch(const Cli& cli) {
   const std::string cmd = cli.get_string("cmd");
 
   if (cmd == "demo") {
-    std::cout << workload_to_string(make_workload({2, 4, 8}, {3, 5, 3}));
+    print(stdout, workload_to_string(make_workload({2, 4, 8}, {3, 5, 3})));
     return 0;
   }
 
   if (cmd == "bound") {
     const Workload w = workload_from(cli.get_string("workload"));
     const BandwidthDemand demand = bandwidth_demand(w);
-    std::cout << "workload: " << w.describe() << '\n'
-              << "bandwidth demand: " << demand.numerator << '/'
-              << demand.denominator << " = " << demand.as_double()
-              << " channels\n"
-              << "minimum channels (Theorem 3.1): " << min_channels(w)
-              << '\n';
+    print(stdout, "workload: ", w.describe(), '\n', "bandwidth demand: ",
+          demand.numerator, '/', demand.denominator, " = ",
+          demand.as_double(), " channels\n",
+          "minimum channels (Theorem 3.1): ", min_channels(w), '\n');
     if (const double budget = cli.get_double("budget"); budget > 0.0) {
-      std::cout << "channels for AvgD <= " << budget << " (continuous bound): "
-                << channels_for_delay_budget(w, budget) << '\n';
+      print(stdout, "channels for AvgD <= ", budget, " (continuous bound): ",
+            channels_for_delay_budget(w, budget), '\n');
     }
     return 0;
   }
@@ -872,48 +919,49 @@ int dispatch(const Cli& cli) {
     if (channels == 0) channels = min_channels(w);
     const ScheduleOutcome outcome =
         make_schedule(parse_method(cli.get_string("method")), w, channels);
-    save_program(std::cout, outcome.program);
-    std::cerr << "scheduled " << method_name(outcome.method) << " on "
-              << channels << " channels, cycle " << outcome.t_major
-              << ", predicted AvgD " << outcome.predicted_delay << '\n';
+    print(stdout, program_to_string(outcome.program));
+    print(stderr, "scheduled ", method_name(outcome.method), " on ", channels,
+          " channels, cycle ", outcome.t_major, ", predicted AvgD ",
+          outcome.predicted_delay, '\n');
     return 0;
   }
 
   if (cmd == "validate") {
     const Workload w = workload_from(cli.get_string("workload"));
-    const BroadcastProgram program = load_program(std::cin);
+    const BroadcastProgram program = program_from_string(read_all(stdin));
     const ValidityReport report = validate_program(program, w);
-    std::cout << (report.valid ? "VALID" : "INVALID")
-              << "  worst wait: " << report.worst_wait
-              << "  worst lateness: " << report.worst_lateness << '\n';
+    std::string text =
+        str_cat(report.valid ? "VALID" : "INVALID", "  worst wait: ",
+                report.worst_wait, "  worst lateness: ", report.worst_lateness,
+                '\n');
     for (const std::string& violation : report.violations)
-      std::cout << "violation: " << violation << '\n';
+      str_append(text, "violation: ", violation, '\n');
     for (const std::string& warning : report.warnings)
-      std::cout << "warning: " << warning << '\n';
+      str_append(text, "warning: ", warning, '\n');
+    print(stdout, text);
     return report.valid ? 0 : 1;
   }
 
   if (cmd == "inspect") {
     const Workload w = workload_from(cli.get_string("workload"));
-    const BroadcastProgram program = load_program(std::cin);
-    std::cout << report_to_string(inspect_program(program, w))
-              << "occupancy: " << occupancy_strip(program) << '\n';
+    const BroadcastProgram program = program_from_string(read_all(stdin));
+    print(stdout, report_to_string(inspect_program(program, w)),
+          "occupancy: ", occupancy_strip(program), '\n');
     return 0;
   }
 
   if (cmd == "plan") {
     // stdin: raw trace lines "<name> <expected-time>"; stdout: the ladder
     // workload ready for --cmd schedule.
-    const std::vector<TraceEntry> entries = parse_trace(std::cin);
+    const std::vector<TraceEntry> entries = parse_trace(read_all(stdin));
     const TracePlan plan = plan_from_trace(entries);
-    save_workload(std::cout, plan.rearranged.workload);
-    std::cerr << "planned " << entries.size() << " pages onto ladder c="
-              << plan.ladder_ratio << " ("
-              << plan.rearranged.workload.describe()
-              << "), mean tightening "
-              << 100.0 * (1.0 - plan.rearranged.mean_tightening_ratio)
-              << "%; minimum channels "
-              << min_channels(plan.rearranged.workload) << '\n';
+    print(stdout, workload_to_string(plan.rearranged.workload));
+    print(stderr, "planned ", entries.size(), " pages onto ladder c=",
+          plan.ladder_ratio, " (", plan.rearranged.workload.describe(),
+          "), mean tightening ",
+          100.0 * (1.0 - plan.rearranged.mean_tightening_ratio),
+          "%; minimum channels ", min_channels(plan.rearranged.workload),
+          '\n');
     return 0;
   }
 
@@ -921,15 +969,14 @@ int dispatch(const Cli& cli) {
 
   if (cmd == "simulate") {
     const Workload w = workload_from(cli.get_string("workload"));
-    const BroadcastProgram program = load_program(std::cin);
+    const BroadcastProgram program = program_from_string(read_all(stdin));
     SimConfig config;
     config.requests.count = cli.get_int("requests");
     config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
     const SimResult r = simulate_requests(program, w, config);
-    std::cout << "requests: " << r.requests << "\navg wait: " << r.avg_wait
-              << "\nAvgD: " << r.avg_delay << "\nmiss rate: " << r.miss_rate
-              << "\np95 delay: " << r.p95_delay
-              << "\nmax delay: " << r.max_delay << '\n';
+    print(stdout, "requests: ", r.requests, "\navg wait: ", r.avg_wait,
+          "\nAvgD: ", r.avg_delay, "\nmiss rate: ", r.miss_rate,
+          "\np95 delay: ", r.p95_delay, "\nmax delay: ", r.max_delay, '\n');
     return 0;
   }
 
@@ -958,15 +1005,15 @@ int obs_merge(int argc, const char* const* argv) {
                     obs::merge_chrome_traces(run.traces));
   if (!run.points.empty())
     write_text_file(prefix + ".points.json", obs::points_to_json(run.points));
-  std::cerr << "merged " << run.manifests.size() << " shards (run "
-            << run.manifests.front().run_id << ", config "
-            << run.manifests.front().config_digest << ") -> " << prefix
-            << ".{metrics,trace,points}.json\n";
+  print(stderr, "merged ", run.manifests.size(), " shards (run ",
+        run.manifests.front().run_id, ", config ",
+        run.manifests.front().config_digest, ") -> ", prefix,
+        ".{metrics,trace,points}.json\n");
   if (run.metrics.counter_value("tcsa_trace_spans_dropped_total") > 0)
-    std::cerr << "warning: "
-              << run.metrics.counter_value("tcsa_trace_spans_dropped_total")
-              << " spans were dropped by ring overflow; the merged trace "
-                 "is incomplete\n";
+    print(stderr, "warning: ",
+          run.metrics.counter_value("tcsa_trace_spans_dropped_total"),
+          " spans were dropped by ring overflow; the merged trace "
+          "is incomplete\n");
   return 0;
 }
 
@@ -993,14 +1040,14 @@ int obs_diff(int argc, const char* const* argv) {
       obs::diff_snapshots(obs::counters_from_json_document(slurp_file(base)),
                           obs::counters_from_json_document(slurp_file(current)),
                           options);
-  std::cout << result.to_markdown(cli.get_flag("verbose"));
+  print(stdout, result.to_markdown(cli.get_flag("verbose")));
   if (!result.clean()) {
-    std::cerr << "obs diff: " << result.regressions
-              << " metric(s) regressed beyond tolerance\n";
+    print(stderr, "obs diff: ", result.regressions,
+          " metric(s) regressed beyond tolerance\n");
     return 1;
   }
-  std::cerr << "obs diff: clean (" << result.entries.size()
-            << " metrics compared)\n";
+  print(stderr, "obs diff: clean (", result.entries.size(),
+        " metrics compared)\n");
   return 0;
 }
 
@@ -1015,7 +1062,7 @@ int obs_report(int argc, const char* const* argv) {
   const std::string dir = cli.get_string("dir");
   if (!dir.empty()) {
     const RunArtifacts run = collect_run(dir);
-    std::cout << obs::report_markdown(run.metrics, run.manifests, run.points);
+    print(stdout, obs::report_markdown(run.metrics, run.manifests, run.points));
     return 0;
   }
   const std::string metrics_path = cli.get_string("metrics");
@@ -1024,8 +1071,9 @@ int obs_report(int argc, const char* const* argv) {
   std::vector<obs::SweepPointRecord> points;
   if (const std::string p = cli.get_string("points"); !p.empty())
     points = obs::points_from_json(slurp_file(p));
-  std::cout << obs::report_markdown(
-      obs::snapshot_from_json(slurp_file(metrics_path)), {}, points);
+  print(stdout, obs::report_markdown(
+                    obs::snapshot_from_json(slurp_file(metrics_path)), {},
+                    points));
   return 0;
 }
 
@@ -1066,7 +1114,6 @@ int trace_merge(int argc, const char* const* argv) {
   std::string out = cli.get_string("out");
   if (out.empty()) out = dir + "/journey.trace.json";
 
-  namespace fs = std::filesystem;
   std::vector<FoundManifest> found = read_manifests(dir);
   std::erase_if(found, [](const FoundManifest& f) {
     return f.manifest.trace_file.empty();
@@ -1091,15 +1138,16 @@ int trace_merge(int argc, const char* const* argv) {
     shard.manifest.config_digest = "journey";
     shard.manifest.shard_index = static_cast<int>(i);
     shard.manifest.shard_count = static_cast<int>(found.size());
-    shard.trace_json = slurp_file(
-        (fs::path(dir) / found[i].manifest.trace_file).string());
-    const fs::path sidecar = fs::path(dir) / (found[i].stem + ".offset.json");
-    if (i > 0 && fs::exists(sidecar)) {
-      const obs::JsonValue doc = obs::json_parse(slurp_file(sidecar.string()))
+    shard.trace_json =
+        slurp_file(path_join(dir, found[i].manifest.trace_file));
+    const std::string sidecar =
+        path_join(dir, found[i].stem + ".offset.json");
+    if (i > 0 && path_exists(sidecar)) {
+      const obs::JsonValue doc = obs::json_parse(slurp_file(sidecar))
                                      .expect_object("offset sidecar");
       if (doc.at("schema").expect_string("schema") != "tcsa-clock-offset/v1")
         throw std::invalid_argument("unknown offset sidecar schema in " +
-                                    sidecar.string());
+                                    sidecar);
       if (doc.at("samples").expect_uint("samples") > 0) {
         // The estimator measured (reference trace clock - our trace clock).
         // The merge already shifts by the wall-epoch difference, so the
@@ -1116,8 +1164,8 @@ int trace_merge(int argc, const char* const* argv) {
     shards.push_back(std::move(shard));
   }
   write_text_file(out, obs::merge_chrome_traces(shards));
-  std::cerr << "trace merge: fused " << shards.size() << " timelines ("
-            << corrected << " clock-corrected) -> " << out << '\n';
+  print(stderr, "trace merge: fused ", shards.size(), " timelines (",
+        corrected, " clock-corrected) -> ", out, '\n');
   return 0;
 }
 
@@ -1147,24 +1195,21 @@ int trace_flight(int argc, const char* const* argv) {
              ", \"arg\": " + std::to_string(e.arg) + "}";
     }
     doc += "]\n";
-    std::cout << doc;
+    print(stdout, doc);
   } else {
     Table table({"ordinal", "stage", "trace id", "t (us)", "arg"});
     for (const obs::FlightEvent& e : events) {
-      std::ostringstream id;
-      id << std::hex << e.trace_id;
       table.begin_row()
           .add(e.ordinal)
           .add(obs::req_stage_name(static_cast<obs::ReqStage>(e.stage)))
-          .add(id.str())
+          .add(str_cat(hex(e.trace_id)))
           .add(e.t_us)
           .add(e.arg);
     }
-    std::cout << table;
-    std::cout << events.size() << " events, "
-              << (sealed ? "sealed cleanly" : "NOT sealed (hard kill or "
-                                              "still running)")
-              << '\n';
+    print(stdout, table.to_string(), events.size(), " events, ",
+          sealed ? "sealed cleanly"
+                 : "NOT sealed (hard kill or still running)",
+          '\n');
   }
   return 0;
 }
@@ -1190,18 +1235,18 @@ int stat_once(const std::string& host, std::uint16_t port, bool as_json) {
     // gating works on a live scrape.
     const net::HttpResponse metrics = net::http_get(host, port, "/metrics.json");
     if (metrics.status != 200) {
-      std::cerr << "tcsactl stat: /metrics.json answered " << metrics.status
-                << ": " << metrics.body;
+      print(stderr, "tcsactl stat: /metrics.json answered ", metrics.status,
+            ": ", metrics.body);
       return 1;
     }
-    std::cout << metrics.body;
+    print(stdout, metrics.body);
     return 0;
   }
 
   const net::HttpResponse health = net::http_get(host, port, "/healthz");
   if (health.status != 200) {
-    std::cerr << "tcsactl stat: /healthz answered " << health.status << ": "
-              << health.body;
+    print(stderr, "tcsactl stat: /healthz answered ", health.status, ": ",
+          health.body);
     return 1;
   }
   const obs::JsonValue h = obs::json_parse(health.body);
@@ -1214,9 +1259,9 @@ int stat_once(const std::string& host, std::uint16_t port, bool as_json) {
     return v != nullptr ? v->expect_uint(key) : 0;
   };
 
-  std::cout << "tcsactl stat " << host << ':' << port << " — "
-            << h.at("status").expect_string("status") << ", up "
-            << static_cast<std::uint64_t>(num("uptime_seconds")) << "s\n\n";
+  print(stdout, "tcsactl stat ", host, ':', port, " — ",
+        h.at("status").expect_string("status"), ", up ",
+        static_cast<std::uint64_t>(num("uptime_seconds")), "s\n\n");
   Table table({"metric", "value"});
   table.begin_row().add("slots aired").add(uint("slots_aired"));
   table.begin_row().add("generation").add(uint("generation"));
@@ -1254,7 +1299,7 @@ int stat_once(const std::string& host, std::uint16_t port, bool as_json) {
                          : 0.0,
              2);
   }
-  std::cout << table;
+  print(stdout, table.to_string());
 
   // The registry scrape is optional garnish: fold in the egress counters
   // when the scrape succeeds.
@@ -1270,15 +1315,16 @@ int stat_once(const std::string& host, std::uint16_t port, bool as_json) {
           "tcsa_server_pull_waiters_served_total",
           "tcsa_server_reqs_pull_served_total"})
       egress.begin_row().add(name).add(snap.counter_value(name));
-    std::cout << '\n' << egress;
-    std::cout << "\nbuild: " << snap.gauge_value("tcsa_uptime_seconds")
-              << "s uptime";
+    std::string text = str_cat('\n', egress.to_string(), "\nbuild: ",
+                               snap.gauge_value("tcsa_uptime_seconds"),
+                               "s uptime");
     if (const obs::GaugeSnapshot* info = snap.gauge("tcsa_build_info"))
-      std::cout << " (" << info->labels << ")";
-    std::cout << '\n';
+      str_append(text, " (", info->labels, ")");
+    text += '\n';
+    print(stdout, text);
   } else {
-    std::cout << "\n(no registry metrics: " << metrics.status
-              << " from /metrics.json)\n";
+    print(stdout, "\n(no registry metrics: ", metrics.status,
+          " from /metrics.json)\n");
   }
   return 0;
 }
@@ -1321,11 +1367,11 @@ int stat_main(int argc, const char* const* argv) {
   const bool as_json = cli.get_flag("json");
   for (;;) {
     if (watch_s > 0 && !as_json)
-      std::cout << "\x1b[2J\x1b[H";  // clear + home, top-style refresh
+      print(stdout, "\x1b[2J\x1b[H");  // clear + home, top-style refresh
     const int rc =
         stat_once(host, static_cast<std::uint16_t>(port), as_json);
     if (watch_s <= 0) return rc;
-    std::cout.flush();
+    std::fflush(stdout);
     ::sleep(static_cast<unsigned>(watch_s));
   }
 }
@@ -1402,19 +1448,26 @@ int run(int argc, const char* const* argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  int rc = 0;
   try {
-    return run(argc, argv);
+    rc = run(argc, argv);
   } catch (const std::invalid_argument& e) {
     // Usage errors: the caller asked for something this tool does not
     // offer. Point at --help so the usage text is one step away.
-    std::cerr << "tcsactl: " << e.what() << '\n'
-              << "usage: run 'tcsactl --help' or 'tcsactl <subcommand> "
-                 "--help'\n";
-    return 2;
+    print(stderr, "tcsactl: ", e.what(), '\n',
+          "usage: run 'tcsactl --help' or 'tcsactl <subcommand> --help'\n");
+    rc = 2;
   } catch (const std::exception& e) {
     // Operational failures: the request was well-formed but the world did
     // not cooperate (connection refused, unreadable file, invalid program).
-    std::cerr << "tcsactl: " << e.what() << '\n';
+    print(stderr, "tcsactl: ", e.what(), '\n');
+    rc = 1;
+  }
+  // Standard output is buffered: a full disk or a closed pipe surfaces only
+  // here, and a workload lost on its way out is an operational failure.
+  if (std::fflush(stdout) != 0 || std::ferror(stdout)) {
+    print(stderr, "tcsactl: failed writing standard output\n");
     return 1;
   }
+  return rc;
 }

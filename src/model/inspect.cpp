@@ -1,11 +1,10 @@
 #include "model/inspect.hpp"
 
 #include <algorithm>
-#include <iomanip>
-#include <sstream>
 
 #include "model/appearance_index.hpp"
 #include "util/contracts.hpp"
+#include "util/text.hpp"
 
 namespace tcsa {
 
@@ -59,24 +58,21 @@ ProgramReport inspect_program(const BroadcastProgram& program,
 }
 
 std::string report_to_string(const ProgramReport& report) {
-  std::ostringstream os;
-  os << std::fixed << std::setprecision(2);
-  os << "program: " << report.channels << " channels x "
-     << report.cycle_length << " slots, " << report.occupied << '/'
-     << report.channels * report.cycle_length << " occupied ("
-     << 100.0 * report.fill_ratio << "%)\n";
+  std::string text = str_cat(
+      "program: ", report.channels, " channels x ", report.cycle_length,
+      " slots, ", report.occupied, '/', report.channels * report.cycle_length,
+      " occupied (", fixed(100.0 * report.fill_ratio, 2), "%)\n");
   if (report.pages_missing > 0)
-    os << "WARNING: " << report.pages_missing
-       << " pages never appear in the program\n";
-  os << "group  t_i  copies  ideal-gap  mean-gap  worst-gap  slot-share\n";
+    str_append(text, "WARNING: ", report.pages_missing,
+               " pages never appear in the program\n");
+  text += "group  t_i  copies  ideal-gap  mean-gap  worst-gap  slot-share\n";
   for (const GroupSpacingStats& g : report.groups) {
-    os << std::setw(5) << g.group + 1 << "  " << std::setw(3)
-       << g.expected_time << "  " << std::setw(6) << g.copies_per_page
-       << "  " << std::setw(9) << g.ideal_spacing << "  " << std::setw(8)
-       << g.mean_gap << "  " << std::setw(9) << g.worst_gap << "  "
-       << std::setw(9) << 100.0 * g.share_of_slots << "%\n";
+    str_append(text, pad(5, g.group + 1), "  ", pad(3, g.expected_time), "  ",
+               pad(6, g.copies_per_page), "  ", pad(9, fixed(g.ideal_spacing, 2)),
+               "  ", pad(8, fixed(g.mean_gap, 2)), "  ", pad(9, g.worst_gap),
+               "  ", pad(9, fixed(100.0 * g.share_of_slots, 2)), "%\n");
   }
-  return os.str();
+  return text;
 }
 
 std::string occupancy_strip(const BroadcastProgram& program,

@@ -1,9 +1,9 @@
 #include "model/program.hpp"
 
-#include <iomanip>
-#include <sstream>
+#include <algorithm>
 
 #include "util/contracts.hpp"
+#include "util/text.hpp"
 
 namespace tcsa {
 
@@ -43,21 +43,21 @@ std::string BroadcastProgram::render() const {
   for (PageId p : grid_)
     if (p != kNoPage) width = std::max(width, std::to_string(p).size());
 
-  std::ostringstream os;
+  std::string text;
   for (SlotCount ch = 0; ch < channels_; ++ch) {
-    os << "ch" << ch << " |";
+    str_append(text, "ch", ch, " |");
     for (SlotCount s = 0; s < cycle_length_; ++s) {
       const PageId p = at(ch, s);
-      os << ' ' << std::setw(static_cast<int>(width));
+      text += ' ';
       if (p == kNoPage) {
-        os << '.';
+        str_append(text, pad(width, '.'));
       } else {
-        os << p;
+        str_append(text, pad(width, p));
       }
     }
-    os << '\n';
+    text += '\n';
   }
-  return os.str();
+  return text;
 }
 
 }  // namespace tcsa

@@ -1,13 +1,11 @@
 #include "model/serialize.hpp"
 
 #include <cstdint>
-#include <istream>
-#include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "util/text.hpp"
 #include "util/wire.hpp"
 
 namespace tcsa {
@@ -18,157 +16,142 @@ namespace {
                               std::to_string(line) + "): " + what);
 }
 
-/// Reads one non-empty, non-comment line; returns false at EOF.
-bool next_line(std::istream& is, std::string& line, std::size_t& line_no) {
-  while (std::getline(is, line)) {
-    ++line_no;
-    const auto first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos) continue;   // blank
-    if (line[first] == '#') continue;           // comment
-    return true;
-  }
-  return false;
-}
+/// Walks a document's non-empty, non-comment lines as token lists.
+class LineReader {
+ public:
+  explicit LineReader(std::string_view text) : rest_(text) {}
 
-std::vector<std::string> tokens_of(const std::string& line) {
-  std::istringstream is(line);
-  std::vector<std::string> tokens;
-  std::string token;
-  while (is >> token) tokens.push_back(token);
-  return tokens;
-}
-
-SlotCount parse_count(const std::string& token, std::size_t line_no) {
-  try {
-    std::size_t used = 0;
-    const long long value = std::stoll(token, &used);
-    if (used != token.size()) parse_error("trailing junk in number: " + token, line_no);
-    return value;
-  } catch (const std::invalid_argument&) {
-    parse_error("expected a number, got: " + token, line_no);
-  } catch (const std::out_of_range&) {
-    parse_error("number out of range: " + token, line_no);
+  /// Reads the next such line into `tokens`; returns false at the end.
+  bool next(std::vector<std::string_view>& tokens) {
+    std::string_view line;
+    while (next_line(rest_, line)) {
+      ++line_no_;
+      const auto first = line.find_first_not_of(" \t\r");
+      if (first == std::string_view::npos) continue;  // blank
+      if (line[first] == '#') continue;               // comment
+      tokens.clear();
+      for (std::string_view token = next_token(line); !token.empty();
+           token = next_token(line))
+        tokens.push_back(token);
+      return true;
+    }
+    return false;
   }
+
+  std::size_t line_no() const { return line_no_; }
+
+ private:
+  std::string_view rest_;
+  std::size_t line_no_ = 0;
+};
+
+using Tokens = std::vector<std::string_view>;
+
+SlotCount parse_count(std::string_view token, std::size_t line_no) {
+  SlotCount value = 0;
+  const auto [end, ec] = parse_int_prefix(token, value);
+  if (ec == std::errc::result_out_of_range)
+    parse_error("number out of range: " + std::string(token), line_no);
+  if (ec != std::errc() || end != token.data() + token.size())
+    parse_error("expected a number, got: " + std::string(token), line_no);
+  return value;
 }
 
 }  // namespace
 
-void save_workload(std::ostream& os, const Workload& workload) {
-  os << "tcsa-workload v1\n";
-  os << "groups " << workload.group_count() << '\n';
+std::string workload_to_string(const Workload& workload) {
+  std::string text =
+      str_cat("tcsa-workload v1\ngroups ", workload.group_count(), '\n');
   for (GroupId g = 0; g < workload.group_count(); ++g) {
-    os << "group " << workload.expected_time(g) << ' '
-       << workload.pages_in_group(g) << '\n';
+    str_append(text, "group ", workload.expected_time(g), ' ',
+               workload.pages_in_group(g), '\n');
   }
+  return text;
 }
 
-Workload load_workload(std::istream& is) {
-  std::string line;
-  std::size_t line_no = 0;
-  if (!next_line(is, line, line_no) || tokens_of(line) !=
-      std::vector<std::string>{"tcsa-workload", "v1"}) {
-    parse_error("expected header 'tcsa-workload v1'", line_no);
-  }
-  if (!next_line(is, line, line_no)) parse_error("missing 'groups' line", line_no);
-  const auto header = tokens_of(line);
-  if (header.size() != 2 || header[0] != "groups")
-    parse_error("expected 'groups <h>'", line_no);
-  const SlotCount h = parse_count(header[1], line_no);
-  if (h < 1) parse_error("group count must be >= 1", line_no);
+Workload workload_from_string(std::string_view text) {
+  LineReader reader(text);
+  Tokens tokens;
+  if (!reader.next(tokens) || tokens != Tokens{"tcsa-workload", "v1"})
+    parse_error("expected header 'tcsa-workload v1'", reader.line_no());
+  if (!reader.next(tokens))
+    parse_error("missing 'groups' line", reader.line_no());
+  if (tokens.size() != 2 || tokens[0] != "groups")
+    parse_error("expected 'groups <h>'", reader.line_no());
+  const SlotCount h = parse_count(tokens[1], reader.line_no());
+  if (h < 1) parse_error("group count must be >= 1", reader.line_no());
 
   std::vector<GroupSpec> groups;
   groups.reserve(static_cast<std::size_t>(h));
   for (SlotCount g = 0; g < h; ++g) {
-    if (!next_line(is, line, line_no)) parse_error("missing group line", line_no);
-    const auto fields = tokens_of(line);
-    if (fields.size() != 3 || fields[0] != "group")
-      parse_error("expected 'group <expected_time> <pages>'", line_no);
-    groups.push_back(GroupSpec{parse_count(fields[1], line_no),
-                               parse_count(fields[2], line_no)});
+    if (!reader.next(tokens))
+      parse_error("missing group line", reader.line_no());
+    if (tokens.size() != 3 || tokens[0] != "group")
+      parse_error("expected 'group <expected_time> <pages>'", reader.line_no());
+    groups.push_back(GroupSpec{parse_count(tokens[1], reader.line_no()),
+                               parse_count(tokens[2], reader.line_no())});
   }
   try {
     return Workload(std::move(groups));
   } catch (const std::invalid_argument& e) {
-    parse_error(std::string("invalid workload: ") + e.what(), line_no);
+    parse_error(std::string("invalid workload: ") + e.what(),
+                reader.line_no());
   }
 }
 
-void save_program(std::ostream& os, const BroadcastProgram& program) {
-  os << "tcsa-program v1\n";
-  os << "shape " << program.channels() << ' ' << program.cycle_length()
-     << '\n';
+std::string program_to_string(const BroadcastProgram& program) {
+  std::string text = str_cat("tcsa-program v1\nshape ", program.channels(),
+                             ' ', program.cycle_length(), '\n');
   for (SlotCount ch = 0; ch < program.channels(); ++ch) {
-    os << "row " << ch;
+    str_append(text, "row ", ch);
     for (SlotCount s = 0; s < program.cycle_length(); ++s) {
       const PageId p = program.at(ch, s);
-      os << ' ';
+      text += ' ';
       if (p == kNoPage) {
-        os << '.';
+        text += '.';
       } else {
-        os << p;
+        str_append(text, p);
       }
     }
-    os << '\n';
+    text += '\n';
   }
+  return text;
 }
 
-BroadcastProgram load_program(std::istream& is) {
-  std::string line;
-  std::size_t line_no = 0;
-  if (!next_line(is, line, line_no) || tokens_of(line) !=
-      std::vector<std::string>{"tcsa-program", "v1"}) {
-    parse_error("expected header 'tcsa-program v1'", line_no);
-  }
-  if (!next_line(is, line, line_no)) parse_error("missing 'shape' line", line_no);
-  const auto shape = tokens_of(line);
-  if (shape.size() != 3 || shape[0] != "shape")
-    parse_error("expected 'shape <channels> <cycle_length>'", line_no);
-  const SlotCount channels = parse_count(shape[1], line_no);
-  const SlotCount cycle = parse_count(shape[2], line_no);
-  if (channels < 1 || cycle < 1) parse_error("degenerate shape", line_no);
+BroadcastProgram program_from_string(std::string_view text) {
+  LineReader reader(text);
+  Tokens tokens;
+  if (!reader.next(tokens) || tokens != Tokens{"tcsa-program", "v1"})
+    parse_error("expected header 'tcsa-program v1'", reader.line_no());
+  if (!reader.next(tokens))
+    parse_error("missing 'shape' line", reader.line_no());
+  if (tokens.size() != 3 || tokens[0] != "shape")
+    parse_error("expected 'shape <channels> <cycle_length>'", reader.line_no());
+  const SlotCount channels = parse_count(tokens[1], reader.line_no());
+  const SlotCount cycle = parse_count(tokens[2], reader.line_no());
+  if (channels < 1 || cycle < 1)
+    parse_error("degenerate shape", reader.line_no());
 
   BroadcastProgram program(channels, cycle);
   for (SlotCount ch = 0; ch < channels; ++ch) {
-    if (!next_line(is, line, line_no)) parse_error("missing row line", line_no);
-    const auto fields = tokens_of(line);
-    if (fields.size() != static_cast<std::size_t>(cycle) + 2 ||
-        fields[0] != "row") {
+    if (!reader.next(tokens)) parse_error("missing row line", reader.line_no());
+    const std::size_t line_no = reader.line_no();
+    if (tokens.size() != static_cast<std::size_t>(cycle) + 2 ||
+        tokens[0] != "row") {
       parse_error("expected 'row <channel> <cycle> cells'", line_no);
     }
-    if (parse_count(fields[1], line_no) != ch)
+    if (parse_count(tokens[1], line_no) != ch)
       parse_error("rows out of order", line_no);
     for (SlotCount s = 0; s < cycle; ++s) {
-      const std::string& cell = fields[static_cast<std::size_t>(s) + 2];
+      const std::string_view cell = tokens[static_cast<std::size_t>(s) + 2];
       if (cell == ".") continue;
       const SlotCount value = parse_count(cell, line_no);
       if (value < 0 || value >= static_cast<SlotCount>(kNoPage))
-        parse_error("page id out of range: " + cell, line_no);
+        parse_error("page id out of range: " + std::string(cell), line_no);
       program.place(ch, s, static_cast<PageId>(value));
     }
   }
   return program;
-}
-
-std::string workload_to_string(const Workload& workload) {
-  std::ostringstream os;
-  save_workload(os, workload);
-  return os.str();
-}
-
-Workload workload_from_string(const std::string& text) {
-  std::istringstream is(text);
-  return load_workload(is);
-}
-
-std::string program_to_string(const BroadcastProgram& program) {
-  std::ostringstream os;
-  save_program(os, program);
-  return os.str();
-}
-
-BroadcastProgram program_from_string(const std::string& text) {
-  std::istringstream is(text);
-  return load_program(is);
 }
 
 // ------------------------------------------------------- binary encodings

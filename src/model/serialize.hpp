@@ -33,7 +33,6 @@
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
 #include <string>
 #include <string_view>
 
@@ -42,25 +41,19 @@
 
 namespace tcsa {
 
-/// Writes `workload` in the tcsa-workload v1 format.
-void save_workload(std::ostream& os, const Workload& workload);
+/// Renders `workload` as a tcsa-workload v1 document.
+std::string workload_to_string(const Workload& workload);
 
 /// Parses a tcsa-workload v1 document. Throws std::invalid_argument on any
 /// syntax or invariant violation (with a line-oriented message).
-Workload load_workload(std::istream& is);
+Workload workload_from_string(std::string_view text);
 
-/// Writes `program` in the tcsa-program v1 format.
-void save_program(std::ostream& os, const BroadcastProgram& program);
+/// Renders `program` as a tcsa-program v1 document.
+std::string program_to_string(const BroadcastProgram& program);
 
 /// Parses a tcsa-program v1 document. Throws std::invalid_argument on any
 /// syntax violation.
-BroadcastProgram load_program(std::istream& is);
-
-/// Convenience string round-trips.
-std::string workload_to_string(const Workload& workload);
-Workload workload_from_string(const std::string& text);
-std::string program_to_string(const BroadcastProgram& program);
-BroadcastProgram program_from_string(const std::string& text);
+BroadcastProgram program_from_string(std::string_view text);
 
 /// Appends the binary encoding of `workload` to `out`.
 void append_workload_binary(std::string& out, const Workload& workload);

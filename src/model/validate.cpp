@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <sstream>
 #include <utility>
 
 #include "util/contracts.hpp"
+#include "util/text.hpp"
 
 namespace tcsa {
 namespace {
@@ -28,11 +28,9 @@ ValidityReport validate_program(const BroadcastProgram& program,
   // Formats a message only while its list has room: a caller that reads
   // the verdict alone skips building one string per failing page.
   const auto note = [max_messages](std::vector<std::string>& list,
-                                   const auto& format) {
+                                   const auto&... parts) {
     if (list.size() >= max_messages) return;
-    std::ostringstream os;
-    format(os);
-    list.push_back(os.str());
+    list.push_back(str_cat(parts...));
   };
   const SlotCount cycle = program.cycle_length();
   TCSA_REQUIRE(cycle < std::numeric_limits<std::uint32_t>::max(),
@@ -63,9 +61,7 @@ ValidityReport validate_program(const BroadcastProgram& program,
   std::stable_sort(duplicates.begin(), duplicates.end(),
                    [](const auto& a, const auto& b) { return a.first < b.first; });
   for (const auto& [page, column] : duplicates) {
-    note(report.warnings, [&](std::ostream& os) {
-      os << "page " << page << " appears twice in column " << column;
-    });
+    note(report.warnings, "page ", page, " appears twice in column ", column);
   }
 
   for (PageId page = 0; page < page_count; ++page) {
@@ -74,19 +70,15 @@ ValidityReport validate_program(const BroadcastProgram& program,
 
     if (seen.last == 0) {
       report.valid = false;
-      note(report.violations, [&](std::ostream& os) {
-        os << "page " << page << " never appears in the program";
-      });
+      note(report.violations, "page ", page, " never appears in the program");
       continue;
     }
 
     // Condition (1): first completion within t slots of the cycle start.
     if (seen.first > t) {
       report.valid = false;
-      note(report.violations, [&](std::ostream& os) {
-        os << "page " << page << " first completes at " << seen.first
-           << " > expected time " << t;
-      });
+      note(report.violations, "page ", page, " first completes at ",
+           seen.first, " > expected time ", t);
     }
 
     // Condition (2): all gaps, including wrap-around, within t.
@@ -96,10 +88,8 @@ ValidityReport validate_program(const BroadcastProgram& program,
     report.worst_lateness = std::max(report.worst_lateness, gap - t);
     if (gap > t) {
       report.valid = false;
-      note(report.violations, [&](std::ostream& os) {
-        os << "page " << page << " has an appearance gap of " << gap
-           << " > expected time " << t;
-      });
+      note(report.violations, "page ", page, " has an appearance gap of ", gap,
+           " > expected time ", t);
     }
   }
   return report;

@@ -1,9 +1,9 @@
 #include "model/workload.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "util/contracts.hpp"
+#include "util/text.hpp"
 
 namespace tcsa {
 
@@ -74,19 +74,18 @@ bool Workload::uniform_ratio(SlotCount& ratio) const noexcept {
 }
 
 std::string Workload::describe() const {
-  std::ostringstream os;
-  os << "h=" << groups_.size() << " n=" << total_pages_ << " t=[";
+  std::string text = str_cat("h=", groups_.size(), " n=", total_pages_, " t=[");
   for (std::size_t i = 0; i < groups_.size(); ++i) {
-    if (i) os << ',';
-    os << groups_[i].expected_time;
+    if (i) text += ',';
+    str_append(text, groups_[i].expected_time);
   }
-  os << "] P=[";
+  text += "] P=[";
   for (std::size_t i = 0; i < groups_.size(); ++i) {
-    if (i) os << ',';
-    os << groups_[i].pages;
+    if (i) text += ',';
+    str_append(text, groups_[i].pages);
   }
-  os << ']';
-  return os.str();
+  text += ']';
+  return text;
 }
 
 Workload make_workload(const std::vector<SlotCount>& times,

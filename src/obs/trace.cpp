@@ -5,7 +5,6 @@
 #include <chrono>
 #include <memory>
 #include <mutex>
-#include <ostream>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -210,22 +209,31 @@ void record_span(const char* name, std::uint64_t start_us,
   ring.push(event);
 }
 
-void write_chrome_trace(std::ostream& out) {
+void write_chrome_trace(std::string& out) {
   const std::vector<Event> events = TraceBuffer::instance().collect();
-  out << "{\"traceEvents\": [";
+  out += "{\"traceEvents\": [";
   bool first = true;
   for (const Event& event : events) {
-    out << (first ? "\n" : ",\n");
+    out += first ? "\n" : ",\n";
     first = false;
-    out << "  {\"name\": \"" << event.name
-        << "\", \"ph\": \"X\", \"cat\": \"tcsa\", \"pid\": 1, \"tid\": "
-        << event.tid << ", \"ts\": " << event.start_us
-        << ", \"dur\": " << event.duration_us;
-    if (event.arg_name != nullptr)
-      out << ", \"args\": {\"" << event.arg_name << "\": " << event.arg << '}';
-    out << '}';
+    out += "  {\"name\": \"";
+    out += event.name;
+    out += "\", \"ph\": \"X\", \"cat\": \"tcsa\", \"pid\": 1, \"tid\": ";
+    out += std::to_string(event.tid);
+    out += ", \"ts\": ";
+    out += std::to_string(event.start_us);
+    out += ", \"dur\": ";
+    out += std::to_string(event.duration_us);
+    if (event.arg_name != nullptr) {
+      out += ", \"args\": {\"";
+      out += event.arg_name;
+      out += "\": ";
+      out += std::to_string(event.arg);
+      out += '}';
+    }
+    out += '}';
   }
-  out << "\n], \"displayTimeUnit\": \"ms\"}\n";
+  out += "\n], \"displayTimeUnit\": \"ms\"}\n";
 }
 
 void clear_trace() {

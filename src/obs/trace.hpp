@@ -15,7 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
+#include <string>
 
 namespace tcsa::obs {
 
@@ -50,9 +50,10 @@ void record_span(const char* name, std::uint64_t start_us,
                  std::uint64_t duration_us, const char* arg_name = nullptr,
                  std::uint64_t arg_value = 0) noexcept;
 
-/// Writes all buffered events, across threads, in ascending start order, as
-/// a Chrome trace_event JSON document. Does not clear the buffers.
-void write_chrome_trace(std::ostream& out);
+/// Appends all buffered events, across threads, in ascending start order,
+/// to `out` as a Chrome trace_event JSON document. Does not clear the
+/// buffers.
+void write_chrome_trace(std::string& out);
 
 /// Drops every buffered event (tests; between runs).
 void clear_trace();

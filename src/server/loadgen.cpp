@@ -1,5 +1,6 @@
 #include "server/loadgen.hpp"
 
+#include <fcntl.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <time.h>
@@ -9,7 +10,6 @@
 #include <atomic>
 #include <cerrno>
 #include <cmath>
-#include <cstdio>
 #include <functional>
 #include <limits>
 #include <stdexcept>
@@ -25,6 +25,7 @@
 #include "server/client_journeys.hpp"
 #include "util/contracts.hpp"
 #include "util/log.hpp"
+#include "util/text.hpp"
 
 namespace tcsa {
 namespace {
@@ -36,17 +37,6 @@ std::uint64_t mono_us() {
          static_cast<std::uint64_t>(ts.tv_nsec) / 1000ull;
 }
 
-std::uint64_t process_rss_bytes() {
-  // /proc/self/statm: "size resident shared ..." in pages.
-  std::FILE* file = std::fopen("/proc/self/statm", "r");
-  if (!file) return 0;
-  long long size = 0, resident = 0;
-  const int fields = std::fscanf(file, "%lld %lld", &size, &resident);
-  std::fclose(file);
-  if (fields != 2 || resident < 0) return 0;
-  return static_cast<std::uint64_t>(resident) *
-         static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
-}
 
 enum Phase : int { kRamp = 0, kMeasure = 1, kDone = 2 };
 
@@ -466,6 +456,24 @@ obs::MetricsSnapshot LoadGenReport::to_snapshot() const {
 }
 
 std::string LoadGenReport::to_json() const { return to_snapshot().to_json(); }
+
+std::uint64_t process_rss_bytes() {
+  // /proc/self/statm: "size resident shared ..." in pages.
+  char buf[128];
+  const int fd = ::open("/proc/self/statm", O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return 0;
+  const ssize_t n = ::read(fd, buf, sizeof buf);
+  ::close(fd);
+  if (n <= 0) return 0;
+  std::string_view fields(buf, static_cast<std::size_t>(n));
+  next_token(fields);  // size
+  const std::string_view resident_text = next_token(fields);
+  std::uint64_t resident = 0;
+  const auto [end, ec] = parse_int_prefix(resident_text, resident);
+  if (ec != std::errc() || end != resident_text.data() + resident_text.size())
+    return 0;
+  return resident * static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+}
 
 LoadGenReport run_loadgen(const LoadGenConfig& config) {
   TCSA_REQUIRE(config.port != 0, "loadgen: --port is required");

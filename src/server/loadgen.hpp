@@ -112,4 +112,8 @@ struct LoadGenReport {
 /// Runs one load-generation campaign: ramp, measure, tear down.
 LoadGenReport run_loadgen(const LoadGenConfig& config);
 
+/// Resident set size of this process in bytes, from /proc/self/statm (0 if
+/// it cannot be read). run_loadgen's rss_per_session_bytes differences it.
+std::uint64_t process_rss_bytes();
+
 }  // namespace tcsa

@@ -1,6 +1,5 @@
 #include "sim/sweep.hpp"
 
-#include <sstream>
 #include <utility>
 
 #include "core/channel_bound.hpp"
@@ -9,6 +8,7 @@
 #include "obs/trace.hpp"
 #include "util/contracts.hpp"
 #include "util/parallel.hpp"
+#include "util/text.hpp"
 
 namespace tcsa {
 namespace {
@@ -129,18 +129,17 @@ std::string sweep_config_digest(const Workload& workload,
                                 const SweepConfig& config) {
   // Canonical serialization of everything that shapes the grid or the
   // per-point streams; hashed with FNV-1a 64 (stable across platforms).
-  std::ostringstream canon;
-  save_workload(canon, workload);
-  canon << "|min=" << config.min_channels << "|max=" << config.max_channels
-        << "|step=" << config.step << "|seed=" << config.sim.seed
-        << "|req=" << config.sim.requests.count
-        << "|pop=" << static_cast<int>(config.sim.requests.popularity)
-        << "|theta=" << config.sim.requests.zipf_theta
-        << "|arr=" << static_cast<int>(config.sim.requests.arrivals)
-        << "|rate=" << config.sim.requests.poisson_rate << "|methods=";
+  std::string canon = workload_to_string(workload);
+  str_append(canon, "|min=", config.min_channels,
+             "|max=", config.max_channels, "|step=", config.step,
+             "|seed=", config.sim.seed, "|req=", config.sim.requests.count,
+             "|pop=", static_cast<int>(config.sim.requests.popularity),
+             "|theta=", config.sim.requests.zipf_theta,
+             "|arr=", static_cast<int>(config.sim.requests.arrivals),
+             "|rate=", config.sim.requests.poisson_rate, "|methods=");
   for (const Method method : config.methods)
-    canon << method_name(method) << ',';
-  return obs::fnv1a_digest(canon.str());
+    str_append(canon, method_name(method), ',');
+  return obs::fnv1a_digest(canon);
 }
 
 }  // namespace tcsa

@@ -1,11 +1,10 @@
 #include "util/cli.hpp"
 
 #include <cstdlib>
-#include <iostream>
-#include <sstream>
 #include <stdexcept>
 
 #include "util/contracts.hpp"
+#include "util/text.hpp"
 
 namespace tcsa {
 
@@ -19,9 +18,7 @@ void Cli::add_int(const std::string& name, std::int64_t fallback,
 
 void Cli::add_double(const std::string& name, double fallback,
                      const std::string& help) {
-  std::ostringstream os;
-  os << fallback;
-  options_[name] = Option{Kind::kDouble, os.str(), help};
+  options_[name] = Option{Kind::kDouble, str_cat(fallback), help};
 }
 
 void Cli::add_string(const std::string& name, const std::string& fallback,
@@ -51,7 +48,7 @@ bool Cli::parse(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
-      std::cout << help();
+      print(stdout, help());
       return false;
     }
     if (arg.rfind("--", 0) != 0)
@@ -109,14 +106,13 @@ bool Cli::get_flag(const std::string& name) const {
 }
 
 std::string Cli::help() const {
-  std::ostringstream os;
-  os << program_ << " — " << summary_ << "\n\noptions:\n";
+  std::string text = program_ + " — " + summary_ + "\n\noptions:\n";
   for (const auto& [name, opt] : options_) {
-    os << "  --" << name;
-    if (opt.kind != Kind::kFlag) os << " <" << opt.value << ">";
-    os << "\n      " << opt.help << '\n';
+    text += "  --" + name;
+    if (opt.kind != Kind::kFlag) text += " <" + opt.value + ">";
+    text += "\n      " + opt.help + '\n';
   }
-  return os.str();
+  return text;
 }
 
 }  // namespace tcsa

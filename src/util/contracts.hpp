@@ -8,7 +8,6 @@
 // broadcast program is far worse than the check.
 #pragma once
 
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -17,12 +16,11 @@ namespace tcsa::detail {
 [[noreturn]] inline void contract_failure(const char* kind, const char* expr,
                                           const char* file, int line,
                                           const std::string& message) {
-  std::ostringstream os;
-  os << kind << " failed: (" << expr << ") at " << file << ':' << line;
-  if (!message.empty()) os << " — " << message;
-  if (std::string(kind) == "precondition")
-    throw std::invalid_argument(os.str());
-  throw std::logic_error(os.str());
+  std::string text = std::string(kind) + " failed: (" + expr + ") at " + file +
+                     ':' + std::to_string(line);
+  if (!message.empty()) text += " — " + message;
+  if (std::string(kind) == "precondition") throw std::invalid_argument(text);
+  throw std::logic_error(text);
 }
 
 }  // namespace tcsa::detail

@@ -1,14 +1,16 @@
 #include "util/log.hpp"
 
+#include <unistd.h>
+
 #include <atomic>
-#include <iostream>
+#include <cerrno>
 #include <mutex>
 
 namespace tcsa {
 namespace {
 
 std::atomic<LogLevel> g_level{LogLevel::kWarn};
-std::atomic<std::ostream*> g_sink{nullptr};
+std::atomic<LogSink> g_sink{nullptr};
 std::mutex g_emit_mutex;
 
 const char* level_name(LogLevel level) {
@@ -22,21 +24,29 @@ const char* level_name(LogLevel level) {
   return "?";
 }
 
+void write_stderr(std::string_view line) {
+  while (!line.empty()) {
+    const ssize_t n = ::write(STDERR_FILENO, line.data(), line.size());
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return;  // nowhere left to report a failing stderr
+    line.remove_prefix(static_cast<std::size_t>(n));
+  }
+}
+
 }  // namespace
 
 void set_log_level(LogLevel level) noexcept { g_level.store(level); }
 
 LogLevel log_level() noexcept { return g_level.load(); }
 
-void set_log_sink(std::ostream* sink) noexcept { g_sink.store(sink); }
+void set_log_sink(LogSink sink) noexcept { g_sink.store(sink); }
 
 namespace detail {
 
 void emit(LogLevel level, const std::string& message) {
   if (level < g_level.load()) return;
   // Assemble the whole line before touching the sink: one write() under the
-  // lock means a line can never interleave piecewise, even on unit-buffered
-  // sinks like std::cerr where every operator<< flushes on its own.
+  // lock means a line can never interleave piecewise with another thread's.
   std::string line;
   line.reserve(message.size() + 16);
   line += "[tcsa ";
@@ -44,11 +54,10 @@ void emit(LogLevel level, const std::string& message) {
   line += "] ";
   line += message;
   line += '\n';
-  std::ostream* sink = g_sink.load();
-  if (sink == nullptr) sink = &std::cerr;
+  LogSink sink = g_sink.load();
+  if (sink == nullptr) sink = write_stderr;
   const std::lock_guard<std::mutex> lock(g_emit_mutex);
-  sink->write(line.data(), static_cast<std::streamsize>(line.size()));
-  sink->flush();
+  sink(line);
 }
 
 }  // namespace detail

@@ -5,8 +5,10 @@
 // sink and level are process-global and test-overridable.
 #pragma once
 
-#include <sstream>
 #include <string>
+#include <string_view>
+
+#include "util/text.hpp"
 
 namespace tcsa {
 
@@ -17,8 +19,12 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 void set_log_level(LogLevel level) noexcept;
 LogLevel log_level() noexcept;
 
-/// Redirects log output (default: std::cerr). Pass nullptr to restore.
-void set_log_sink(std::ostream* sink) noexcept;
+/// Receives each whole line, newline included, under the emit lock.
+using LogSink = void (*)(std::string_view line);
+
+/// Redirects log output (default: one write(2) per line to stderr). Pass
+/// nullptr to restore.
+void set_log_sink(LogSink sink) noexcept;
 
 namespace detail {
 void emit(LogLevel level, const std::string& message);
@@ -32,23 +38,24 @@ void emit(LogLevel level, const std::string& message);
   ::tcsa::detail::LogLine(::tcsa::LogLevel::level_name)
 
 namespace detail {
-/// Accumulates one log line and emits it on destruction.
+/// Accumulates one log line and emits it on destruction. Values format as
+/// str_append (util/text.hpp) does, which is how std::ostream prints them.
 class LogLine {
  public:
   explicit LogLine(LogLevel level) : level_(level) {}
   LogLine(const LogLine&) = delete;
   LogLine& operator=(const LogLine&) = delete;
-  ~LogLine() { emit(level_, os_.str()); }
+  ~LogLine() { emit(level_, text_); }
 
   template <typename T>
   LogLine& operator<<(const T& value) {
-    os_ << value;
+    str_append(text_, value);
     return *this;
   }
 
  private:
   LogLevel level_;
-  std::ostringstream os_;
+  std::string text_;
 };
 }  // namespace detail
 

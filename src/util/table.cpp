@@ -1,11 +1,9 @@
 #include "util/table.hpp"
 
 #include <algorithm>
-#include <iomanip>
-#include <ostream>
-#include <sstream>
 
 #include "util/contracts.hpp"
+#include "util/text.hpp"
 
 namespace tcsa {
 
@@ -40,9 +38,7 @@ Table& Table::add(std::int64_t value) { return add(std::to_string(value)); }
 Table& Table::add(std::uint64_t value) { return add(std::to_string(value)); }
 
 Table& Table::add(double value, int precision) {
-  std::ostringstream os;
-  os << std::fixed << std::setprecision(precision) << value;
-  return add(os.str());
+  return add(str_cat(fixed(value, precision)));
 }
 
 const std::string& Table::cell(std::size_t row, std::size_t col) const {
@@ -59,21 +55,23 @@ std::string Table::to_string() const {
     for (std::size_t c = 0; c < row.size(); ++c)
       width[c] = std::max(width[c], row[c].size());
 
-  std::ostringstream os;
+  std::string out;
   auto emit_row = [&](const std::vector<std::string>& row) {
     for (std::size_t c = 0; c < headers_.size(); ++c) {
-      if (c) os << "  ";
-      const std::string& v = c < row.size() ? row[c] : std::string{};
-      os << std::setw(static_cast<int>(width[c])) << v;
+      if (c) out += "  ";
+      const std::string_view v =
+          c < row.size() ? std::string_view(row[c]) : std::string_view();
+      str_append(out, pad(width[c], v));
     }
-    os << '\n';
+    out += '\n';
   };
   emit_row(headers_);
   std::size_t rule = 0;
   for (std::size_t c = 0; c < width.size(); ++c) rule += width[c] + (c ? 2 : 0);
-  os << std::string(rule, '-') << '\n';
+  out.append(rule, '-');
+  out += '\n';
   for (const auto& row : cells_) emit_row(row);
-  return os.str();
+  return out;
 }
 
 namespace {
@@ -90,39 +88,34 @@ std::string csv_escape(const std::string& s) {
 }  // namespace
 
 std::string Table::to_csv() const {
-  std::ostringstream os;
+  std::string out;
   for (std::size_t c = 0; c < headers_.size(); ++c) {
-    if (c) os << ',';
-    os << csv_escape(headers_[c]);
+    if (c) out += ',';
+    out += csv_escape(headers_[c]);
   }
-  os << '\n';
+  out += '\n';
   for (const auto& row : cells_) {
     for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c) os << ',';
-      os << csv_escape(row[c]);
+      if (c) out += ',';
+      out += csv_escape(row[c]);
     }
-    os << '\n';
+    out += '\n';
   }
-  return os.str();
+  return out;
 }
 
 std::string Table::to_markdown() const {
-  std::ostringstream os;
-  os << '|';
-  for (const auto& header : headers_) os << ' ' << header << " |";
-  os << "\n|";
-  for (std::size_t c = 0; c < headers_.size(); ++c) os << "---|";
-  os << '\n';
+  std::string out = "|";
+  for (const auto& header : headers_) out += ' ' + header + " |";
+  out += "\n|";
+  for (std::size_t c = 0; c < headers_.size(); ++c) out += "---|";
+  out += '\n';
   for (const auto& row : cells_) {
-    os << '|';
-    for (const auto& v : row) os << ' ' << v << " |";
-    os << '\n';
+    out += '|';
+    for (const auto& v : row) out += ' ' + v + " |";
+    out += '\n';
   }
-  return os.str();
-}
-
-std::ostream& operator<<(std::ostream& os, const Table& t) {
-  return os << t.to_string();
+  return out;
 }
 
 }  // namespace tcsa

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -36,9 +35,6 @@ class Table {
   std::string to_csv() const;
   /// GitHub-flavoured markdown.
   std::string to_markdown() const;
-
-  /// Renders to_string() to the stream.
-  friend std::ostream& operator<<(std::ostream& os, const Table& t);
 
  private:
   void check_row_open() const;

@@ -1,37 +1,41 @@
 #include "workload/trace.hpp"
 
-#include <istream>
-#include <sstream>
 #include <stdexcept>
 
 #include "util/contracts.hpp"
+#include "util/text.hpp"
 
 namespace tcsa {
 
-std::vector<TraceEntry> parse_trace(std::istream& is) {
+std::vector<TraceEntry> parse_trace(std::string_view text) {
   std::vector<TraceEntry> entries;
-  std::string line;
+  std::string_view raw;
   std::size_t line_no = 0;
-  while (std::getline(is, line)) {
+  std::string line;
+  while (next_line(text, raw)) {
     ++line_no;
     // Normalise separators, strip comments.
-    if (const auto hash = line.find('#'); hash != std::string::npos)
-      line.erase(hash);
+    line.assign(raw.substr(0, raw.find('#')));
     for (char& ch : line)
       if (ch == ',' || ch == '\t') ch = ' ';
-    std::istringstream fields(line);
+    std::string_view fields = line;
     TraceEntry entry;
-    if (!(fields >> entry.name)) continue;  // blank line
-    if (!(fields >> entry.expected_time)) {
+    entry.name = next_token(fields);
+    if (entry.name.empty()) continue;  // blank line
+    // Read like `std::istream >> SlotCount`: leading whitespace, then a
+    // signed number; whatever follows it on the line is a trailing field.
+    while (!fields.empty() && is_c_space(fields.front())) fields.remove_prefix(1);
+    const auto [end, ec] = parse_int_prefix(fields, entry.expected_time);
+    if (ec != std::errc()) {
       throw std::invalid_argument(
           "trace parse error (line " + std::to_string(line_no) +
           "): expected '<name> <expected-time>'");
     }
-    std::string extra;
-    if (fields >> extra) {
+    fields.remove_prefix(static_cast<std::size_t>(end - fields.data()));
+    if (const std::string_view extra = next_token(fields); !extra.empty()) {
       throw std::invalid_argument("trace parse error (line " +
                                   std::to_string(line_no) +
-                                  "): trailing fields: " + extra);
+                                  "): trailing fields: " + std::string(extra));
     }
     if (entry.expected_time < 1) {
       throw std::invalid_argument("trace parse error (line " +

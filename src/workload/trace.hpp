@@ -10,8 +10,8 @@
 //   <page-name> <expected-time-slots>
 #pragma once
 
-#include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "model/workload.hpp"
@@ -27,7 +27,7 @@ struct TraceEntry {
 
 /// Parses the trace format; throws std::invalid_argument with a line
 /// number on malformed input. Order is preserved.
-std::vector<TraceEntry> parse_trace(std::istream& is);
+std::vector<TraceEntry> parse_trace(std::string_view text);
 
 /// Planning outcome: the ladder workload plus the name mapping.
 struct TracePlan {

@@ -41,18 +41,31 @@ class CliContract : public ::testing::Test {
   }
 
   /// Runs tcsactl with `args`; captures stderr for the usage assertions.
-  /// stdin is empty, so a command that reads it never waits on the test's.
-  int run(std::vector<std::string> args) {
+  /// stdin is empty unless `stdin_path` names a file, so a command that
+  /// reads it never waits on the test's. stdout goes to `stdout_path`
+  /// (default: a file in the test's directory).
+  int run(std::vector<std::string> args,
+          const std::string& stdin_path = "/dev/null",
+          std::string stdout_path = {}) {
     std::vector<std::string> argv = {TCSACTL_PATH};
     argv.insert(argv.end(), args.begin(), args.end());
     tcsa::SpawnOptions options;
-    options.stdin_path = "/dev/null";
-    options.stdout_path = (dir_ / "stdout.txt").string();
+    options.stdin_path = stdin_path;
+    options.stdout_path =
+        stdout_path.empty() ? (dir_ / "stdout.txt").string() : stdout_path;
     options.stderr_path = (dir_ / "stderr.txt").string();
     return tcsa::run_command(argv, options);
   }
 
+  std::string stdout_text() { return slurp((dir_ / "stdout.txt").string()); }
   std::string stderr_text() { return slurp((dir_ / "stderr.txt").string()); }
+
+  /// Writes `text` to a file in the test's directory; returns its path.
+  std::string write(const std::string& name, const std::string& text) {
+    const std::string path = (dir_ / name).string();
+    std::ofstream(path) << text;
+    return path;
+  }
 
   std::filesystem::path dir_;
 };
@@ -137,6 +150,16 @@ TEST_F(CliContract, OutputFileThatCannotBeWrittenExitsOne) {
   EXPECT_EQ(stderr_text().find("usage:"), std::string::npos);
 }
 
+TEST_F(CliContract, StandardOutputThatCannotBeWrittenExitsOne) {
+  // stdout is buffered, so /dev/full fails only at the final flush: the
+  // workload is lost, and the exit code must say so.
+  EXPECT_EQ(run({"--cmd", "demo"}, "/dev/null", "/dev/full"), 1);
+  EXPECT_NE(stderr_text().find("tcsactl: failed writing standard output"),
+            std::string::npos)
+      << stderr_text();
+  EXPECT_EQ(stderr_text().find("usage:"), std::string::npos);
+}
+
 TEST_F(CliContract, ServeFailsBeforeAiringWhenItsPortFileIsLost) {
   // A script polling the port file would never see the port: serve exits 1
   // before going on air instead of airing to nobody.
@@ -149,6 +172,103 @@ TEST_F(CliContract, ServeFailsBeforeAiringWhenItsPortFileIsLost) {
   const std::string err = stderr_text();
   EXPECT_NE(err.find("/dev/full"), std::string::npos) << err;
   EXPECT_EQ(err.find("on air"), std::string::npos) << err;
+}
+
+// ------------------------------------------------------ golden output
+//
+// The stdout of the offline commands on the demo workload, byte for byte as
+// tcsactl printed it when it still formatted through iostreams: the switch
+// to util/text.hpp must not move a byte of the tcsa v1 formats or reports.
+
+constexpr const char* kDemoWorkload =
+    "tcsa-workload v1\n"
+    "groups 3\n"
+    "group 2 3\n"
+    "group 4 5\n"
+    "group 8 3\n";
+
+// --cmd schedule (PAMAD on the Theorem 3.1 minimum, 4 channels).
+constexpr const char* kDemoProgram =
+    "tcsa-program v1\n"
+    "shape 4 7\n"
+    "row 0 0 4 0 9 0 4 0\n"
+    "row 1 1 5 1 10 1 5 1\n"
+    "row 2 2 6 2 . 2 6 2\n"
+    "row 3 3 7 8 . 3 7 .\n";
+
+// --cmd schedule --channels 2: below the bound, so validation fails.
+constexpr const char* kTwoChannelProgram =
+    "tcsa-program v1\n"
+    "shape 2 10\n"
+    "row 0 0 2 4 6 8 0 2 4 6 10\n"
+    "row 1 1 3 5 7 9 1 3 5 7 .\n";
+
+TEST_F(CliContract, DemoPrintsTheGoldenWorkload) {
+  ASSERT_EQ(run({"--cmd", "demo"}), 0);
+  EXPECT_EQ(stdout_text(), kDemoWorkload);
+}
+
+TEST_F(CliContract, ScheduleAndItsStderrAreGolden) {
+  const std::string workload = write("w.tcsa", kDemoWorkload);
+  ASSERT_EQ(run({"--cmd", "schedule"}, workload), 0);
+  EXPECT_EQ(stdout_text(), kDemoProgram);
+  EXPECT_EQ(stderr_text(),
+            "scheduled pamad on 4 channels, cycle 7, predicted AvgD 0\n");
+  ASSERT_EQ(run({"--cmd", "schedule", "--channels", "2"}, workload), 0);
+  EXPECT_EQ(stdout_text(), kTwoChannelProgram);
+  EXPECT_EQ(stderr_text(),
+            "scheduled pamad on 2 channels, cycle 10, predicted AvgD "
+            "0.345455\n");
+}
+
+TEST_F(CliContract, ValidateIsGolden) {
+  const std::string workload = write("w.tcsa", kDemoWorkload);
+  ASSERT_EQ(run({"--cmd", "validate", "--workload", workload},
+                write("p.tcsa", kDemoProgram)),
+            0);
+  EXPECT_EQ(stdout_text(), "VALID  worst wait: 7  worst lateness: 0\n");
+  ASSERT_EQ(run({"--cmd", "validate", "--workload", workload},
+                write("p2.tcsa", kTwoChannelProgram)),
+            1);
+  EXPECT_EQ(stdout_text(),
+            "INVALID  worst wait: 10  worst lateness: 3\n"
+            "violation: page 0 has an appearance gap of 5 > expected time 2\n"
+            "violation: page 1 has an appearance gap of 5 > expected time 2\n"
+            "violation: page 2 has an appearance gap of 5 > expected time 2\n"
+            "violation: page 3 has an appearance gap of 5 > expected time 4\n"
+            "violation: page 4 has an appearance gap of 5 > expected time 4\n"
+            "violation: page 5 has an appearance gap of 5 > expected time 4\n"
+            "violation: page 6 has an appearance gap of 5 > expected time 4\n"
+            "violation: page 7 has an appearance gap of 5 > expected time 4\n"
+            "violation: page 8 has an appearance gap of 10 > expected time 8\n"
+            "violation: page 9 has an appearance gap of 10 > expected time 8\n"
+            "violation: page 10 first completes at 10 > expected time 8\n"
+            "violation: page 10 has an appearance gap of 10 > expected time "
+            "8\n");
+}
+
+TEST_F(CliContract, InspectIsGolden) {
+  const std::string workload = write("w.tcsa", kDemoWorkload);
+  ASSERT_EQ(run({"--cmd", "inspect", "--workload", workload},
+                write("p.tcsa", kDemoProgram)),
+            0);
+  EXPECT_EQ(stdout_text(),
+            "program: 4 channels x 7 slots, 25/28 occupied (89.29%)\n"
+            "group  t_i  copies  ideal-gap  mean-gap  worst-gap  slot-share\n"
+            "    1    2       4       1.75      1.75          2      48.00%\n"
+            "    2    4       2       3.50      3.50          4      40.00%\n"
+            "    3    8       1       7.00      7.00          7      12.00%\n"
+            "occupancy: 9994996\n");
+  ASSERT_EQ(run({"--cmd", "inspect", "--workload", workload},
+                write("p2.tcsa", kTwoChannelProgram)),
+            0);
+  EXPECT_EQ(stdout_text(),
+            "program: 2 channels x 10 slots, 19/20 occupied (95.00%)\n"
+            "group  t_i  copies  ideal-gap  mean-gap  worst-gap  slot-share\n"
+            "    1    2       2       5.00      5.00          5      31.58%\n"
+            "    2    4       2       5.00      5.00          5      52.63%\n"
+            "    3    8       1      10.00     10.00         10      15.79%\n"
+            "occupancy: 9999999994\n");
 }
 
 }  // namespace

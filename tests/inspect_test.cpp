@@ -2,7 +2,6 @@
 // (workload/trace).
 #include <gtest/gtest.h>
 
-#include <sstream>
 
 #include "core/channel_bound.hpp"
 #include "core/pamad.hpp"
@@ -83,13 +82,12 @@ TEST(Inspect, StripWidthCappedAtCycle) {
 // -------------------------------------------------------------------- trace
 
 TEST(Trace, ParsesFormatsAndComments) {
-  std::istringstream is(
+  const auto entries = parse_trace(
       "# route pages\n"
       "bridge_a 5\n"
       "tunnel,12\n"
       "\n"
       "ring_road\t40   # arterial\n");
-  const auto entries = parse_trace(is);
   ASSERT_EQ(entries.size(), 3u);
   EXPECT_EQ(entries[0].name, "bridge_a");
   EXPECT_EQ(entries[0].expected_time, 5);
@@ -100,12 +98,9 @@ TEST(Trace, ParsesFormatsAndComments) {
 }
 
 TEST(Trace, RejectsMalformedLines) {
-  std::istringstream missing("pagename\n");
-  EXPECT_THROW(parse_trace(missing), std::invalid_argument);
-  std::istringstream trailing("page 5 extra\n");
-  EXPECT_THROW(parse_trace(trailing), std::invalid_argument);
-  std::istringstream nonpositive("page 0\n");
-  EXPECT_THROW(parse_trace(nonpositive), std::invalid_argument);
+  EXPECT_THROW(parse_trace("pagename\n"), std::invalid_argument);
+  EXPECT_THROW(parse_trace("page 5 extra\n"), std::invalid_argument);
+  EXPECT_THROW(parse_trace("page 0\n"), std::invalid_argument);
 }
 
 TEST(Trace, PlanBuildsSchedulableWorkload) {

@@ -3,15 +3,17 @@
 // eviction, announce exactly-once per session regardless of owning loop,
 // broadcast validity at four loops, one encode per aired channel per slot,
 // identical bytes for full-mask and one-channel sessions, no stale frame
-// across a hot swap, and an in-process loadgen smoke run.
+// across a hot swap, an in-process loadgen smoke run, and its RSS probe.
 #include <sys/socket.h>
 #include <sys/time.h>
 
+#include <unistd.h>
+
 #include <bit>
 #include <chrono>
+#include <fstream>
 #include <map>
 #include <numeric>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -259,9 +261,9 @@ TEST_P(SlotEncode, OneEncodePerAiredChannelPerSlotWhateverTheAudience) {
   obs::set_tracing_enabled(false);
   ASSERT_EQ(obs::trace_spans_dropped(), 0u);
 
-  std::ostringstream trace;
+  std::string trace;
   obs::write_chrome_trace(trace);
-  const obs::JsonValue doc = obs::json_parse(trace.str());
+  const obs::JsonValue doc = obs::json_parse(trace);
   std::uint64_t slots = 0;
   std::uint64_t aired_frames = 0;
   for (const obs::JsonValue& event :
@@ -410,6 +412,32 @@ TEST(MultiLoop, LoadgenDrivesAndMeasuresAShardedServer) {
   const obs::MetricsSnapshot snap = report.to_snapshot();
   EXPECT_EQ(snap.counter_value("tcsa_loadgen_sessions_total"), 200u);
   EXPECT_EQ(snap.counter_value("tcsa_loadgen_early_closes_total"), 0u);
+}
+
+/// VmRSS from /proc/self/status, in bytes.
+std::uint64_t status_vm_rss_bytes() {
+  std::ifstream status("/proc/self/status");
+  for (std::string key; status >> key;) {
+    std::uint64_t kib = 0;
+    if (key == "VmRSS:" && status >> kib) return kib * 1024;
+    status.ignore(1 << 12, '\n');
+  }
+  ADD_FAILURE() << "no VmRSS line in /proc/self/status";
+  return 0;
+}
+
+// The loadgen's per-session RSS estimate differences process_rss_bytes():
+// it must read the same resident figure the kernel reports as VmRSS (both
+// count resident pages), within the few pages the reads themselves touch.
+TEST(MultiLoop, LoadgenRssProbeMatchesVmRss) {
+  const auto page = static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+  const std::uint64_t before = status_vm_rss_bytes();
+  const std::uint64_t probe = process_rss_bytes();
+  const std::uint64_t after = status_vm_rss_bytes();
+  EXPECT_GT(probe, 0u);
+  EXPECT_EQ(probe % page, 0u);
+  EXPECT_GE(probe + 8 * page, std::min(before, after));
+  EXPECT_LE(probe, std::max(before, after) + 8 * page);
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -328,9 +327,8 @@ TEST_F(ObsTest, ChromeTraceJsonHasEventFields) {
   obs::set_tracing_enabled(true);
   obs::record_span("test.span", 10, 5, "pages", 17);
   obs::set_tracing_enabled(false);
-  std::ostringstream out;
-  obs::write_chrome_trace(out);
-  const std::string json = out.str();
+  std::string json;
+  obs::write_chrome_trace(json);
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"name\": \"test.span\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
@@ -408,9 +406,8 @@ TEST_F(ObsTest, ParallelSearchTracesSubtreeSpans) {
   const OptResult r = opt_frequencies(w, 3, 2);
   ASSERT_FALSE(r.S.empty());
   obs::set_tracing_enabled(false);
-  std::ostringstream out;
-  obs::write_chrome_trace(out);
-  const std::string json = out.str();
+  std::string json;
+  obs::write_chrome_trace(json);
   EXPECT_NE(json.find("opt.ladder_search"), std::string::npos);
   EXPECT_NE(json.find("opt.subtree"), std::string::npos);
   obs::clear_trace();
@@ -437,7 +434,7 @@ TEST_F(ObsTest, RingOverflowCountsDroppedSpans) {
             obs::trace_spans_dropped());
 
   // The retained window still holds exactly `capacity` newest spans.
-  std::ostringstream out;
+  std::string out;
   obs::write_chrome_trace(out);
   obs::clear_trace();
   EXPECT_EQ(obs::trace_spans_dropped(), 0u);  // reset with the buffer

@@ -48,11 +48,11 @@ class ServeE2E : public ::testing::Test {
     std::filesystem::create_directories(root_);
     {
       std::ofstream out(workload_path());
-      save_workload(out, make_workload({2, 4, 8}, {3, 5, 3}));
+      out << workload_to_string(make_workload({2, 4, 8}, {3, 5, 3}));
     }
     {
       std::ofstream out(next_workload_path());
-      save_workload(out, make_workload({2, 4, 8}, {3, 5, 4}));
+      out << workload_to_string(make_workload({2, 4, 8}, {3, 5, 4}));
     }
   }
 

@@ -14,7 +14,6 @@
 #include <initializer_list>
 #include <limits>
 #include <map>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -409,9 +408,9 @@ void expect_stage_spans(const std::string& parent,
     std::uint64_t start = 0, end = 0, tid = 0;
   };
   std::map<std::string, std::vector<Span>> spans;
-  std::ostringstream trace;
+  std::string trace;
   obs::write_chrome_trace(trace);
-  const obs::JsonValue doc = obs::json_parse(trace.str());
+  const obs::JsonValue doc = obs::json_parse(trace);
   for (const obs::JsonValue& event :
        doc.at("traceEvents").expect_array("traceEvents").array) {
     const std::string& name = event.at("name").expect_string("name");

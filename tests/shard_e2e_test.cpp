@@ -49,7 +49,7 @@ class ShardE2E : public ::testing::Test {
     std::filesystem::create_directories(workload_dir());
     {
       std::ofstream out(workload_path());
-      save_workload(out, make_workload({2, 4, 8}, {3, 5, 3}));
+      out << workload_to_string(make_workload({2, 4, 8}, {3, 5, 3}));
     }
     ASSERT_EQ(run_sweep({"--shards", "4", "--jobs", "2"}, sharded_dir()), 0);
     ASSERT_EQ(run_sweep({}, single_dir()), 0);

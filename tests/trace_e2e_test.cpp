@@ -61,7 +61,7 @@ class TraceE2E : public ::testing::Test {
              ::testing::UnitTest::GetInstance()->current_test_info()->name());
     std::filesystem::create_directories(root_);
     std::ofstream out(path("workload.txt"));
-    save_workload(out, make_workload({2, 4, 8}, {3, 5, 3}));
+    out << workload_to_string(make_workload({2, 4, 8}, {3, 5, 3}));
   }
 
   void TearDown() override {

@@ -5,9 +5,12 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <iomanip>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -17,6 +20,7 @@
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
+#include "util/text.hpp"
 
 namespace tcsa {
 namespace {
@@ -523,29 +527,226 @@ TEST(Cli, HelpReturnsFalseAndLists) {
   EXPECT_NE(out.find("--n"), std::string::npos);
 }
 
+// --------------------------------------------------------------------- text
+//
+// src/ formats without iostreams; std::ostringstream is the oracle that
+// every value still comes out byte for byte as the stream printed it.
+
+// The log sink is a plain function; emit() calls it under its lock, so
+// appending to one string needs no lock of its own.
+std::string g_log_lines;
+void capture_log(std::string_view line) { g_log_lines += line; }
+
+template <typename T>
+std::string streamed(const T& value) {
+  std::ostringstream os;
+  os << value;
+  return os.str();
+}
+
+/// What TCSA_LOG(kInfo) << value emits, without the prefix and newline.
+template <typename T>
+std::string logged(const T& value) {
+  g_log_lines.clear();
+  set_log_sink(capture_log);
+  set_log_level(LogLevel::kInfo);
+  TCSA_LOG(kInfo) << value;
+  set_log_sink(nullptr);
+  set_log_level(LogLevel::kWarn);
+  const std::string prefix = "[tcsa INFO] ";
+  EXPECT_EQ(g_log_lines.compare(0, prefix.size(), prefix), 0) << g_log_lines;
+  EXPECT_EQ(g_log_lines.back(), '\n');
+  return g_log_lines.substr(prefix.size(),
+                            g_log_lines.size() - prefix.size() - 1);
+}
+
+template <typename T>
+void expect_integer_like_the_stream() {
+  using limits = std::numeric_limits<T>;
+  for (const T v : {limits::min(), limits::max(), T{0}, T{1}}) {
+    EXPECT_EQ(str_cat(v), streamed(v)) << +v;
+    EXPECT_EQ(logged(v), streamed(v)) << +v;
+    // Promoted, the 8-bit types take the integer path too.
+    EXPECT_EQ(str_cat(+v), streamed(+v));
+  }
+}
+
+TEST(Text, IntegersFormatLikeTheStream) {
+  expect_integer_like_the_stream<std::int8_t>();
+  expect_integer_like_the_stream<std::uint8_t>();
+  expect_integer_like_the_stream<std::int16_t>();
+  expect_integer_like_the_stream<std::uint16_t>();
+  expect_integer_like_the_stream<std::int32_t>();
+  expect_integer_like_the_stream<std::uint32_t>();
+  expect_integer_like_the_stream<std::int64_t>();
+  expect_integer_like_the_stream<std::uint64_t>();
+  expect_integer_like_the_stream<long long>();
+  expect_integer_like_the_stream<unsigned long long>();
+  expect_integer_like_the_stream<std::size_t>();
+  for (const bool b : {false, true}) {
+    EXPECT_EQ(str_cat(b), streamed(b));
+    EXPECT_EQ(logged(b), streamed(b));
+  }
+}
+
+const double kDoubles[] = {0.0,
+                           -0.0,
+                           0.1,
+                           1e-7,
+                           123456789.0,
+                           1e21,
+                           std::numeric_limits<double>::quiet_NaN(),
+                           -std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           1.0 / 3.0,
+                           -2.5,
+                           99999.95,
+                           1e300,
+                           -1.5e-300};
+
+TEST(Text, DoublesFormatLikeTheStreamDefault) {
+  for (const double v : kDoubles) {
+    EXPECT_EQ(str_cat(v), streamed(v));
+    EXPECT_EQ(logged(v), streamed(v));
+    EXPECT_EQ(str_cat(static_cast<float>(v)), streamed(static_cast<float>(v)));
+  }
+}
+
+TEST(Text, FixedMatchesStdFixedAtEveryPrecision) {
+  for (const double v : kDoubles) {
+    for (int precision = 0; precision <= 6; ++precision) {
+      std::ostringstream os;
+      os << std::fixed << std::setprecision(precision) << v;
+      EXPECT_EQ(str_cat(fixed(v, precision)), os.str())
+          << v << " at precision " << precision;
+      EXPECT_EQ(logged(fixed(v, precision)), os.str());
+    }
+  }
+}
+
+TEST(Text, StringsCharsAndHexLikeTheStream) {
+  const std::string text = "a string";
+  EXPECT_EQ(str_cat(text), streamed(text));
+  EXPECT_EQ(logged(text), streamed(text));
+  EXPECT_EQ(str_cat("literal"), streamed("literal"));
+  EXPECT_EQ(logged("literal"), streamed("literal"));
+  EXPECT_EQ(str_cat('x'), streamed('x'));
+  EXPECT_EQ(logged('x'), streamed('x'));
+  EXPECT_EQ(str_cat(std::string_view("view")), streamed("view"));
+  for (const std::uint64_t v :
+       {std::uint64_t{0}, std::uint64_t{255}, std::uint64_t{0xdeadbeef},
+        std::numeric_limits<std::uint64_t>::max()}) {
+    std::ostringstream os;
+    os << std::hex << v;
+    EXPECT_EQ(str_cat(hex(v)), os.str());
+  }
+  EXPECT_EQ(str_cat("a", 1, ' ', 2.5, std::string("b")), "a1 2.5b");
+}
+
+TEST(Text, PadMatchesSetw) {
+  for (const std::size_t width : {0u, 1u, 3u, 9u}) {
+    const auto setw = [width](const auto& value) {
+      std::ostringstream os;
+      os << std::setw(static_cast<int>(width)) << value;
+      return os.str();
+    };
+    EXPECT_EQ(str_cat(pad(width, 42)), setw(42));
+    EXPECT_EQ(str_cat(pad(width, -1234567)), setw(-1234567));
+    EXPECT_EQ(str_cat(pad(width, "abcd")), setw("abcd"));
+    EXPECT_EQ(str_cat(pad(width, '.')), setw('.'));
+    std::ostringstream os;
+    os << std::fixed << std::setprecision(2) << std::setw(static_cast<int>(width))
+       << 3.14159;
+    EXPECT_EQ(str_cat(pad(width, fixed(3.14159, 2))), os.str());
+  }
+}
+
+TEST(Text, TableToStringPadsLikeSetw) {
+  Table t({"name", "v"});
+  t.begin_row().add("alpha").add(std::int64_t{-1});
+  t.begin_row().add("b").add(22.5, 1);
+  t.begin_row().add("").add(std::uint64_t{123456});
+  std::ostringstream os;
+  const auto row = [&os](const std::string& a, const std::string& b) {
+    os << std::setw(5) << a << "  " << std::setw(6) << b << '\n';
+  };
+  row("name", "v");
+  os << std::string(13, '-') << '\n';
+  row("alpha", "-1");
+  row("b", "22.5");
+  row("", "123456");
+  EXPECT_EQ(t.to_string(), os.str());
+}
+
+TEST(Text, ParseIntPrefixReadsLikeIstream) {
+  for (const char* token :
+       {"0", "7", "+5", "-5", "+-5", "-+5", "+", "-", "", "12abc", "abc",
+        "99999999999999999999", "-9223372036854775808",
+        "9223372036854775807", "0x10", "007", "5.5"}) {
+    std::istringstream is(token);
+    long long expected = 0;
+    const bool ok = static_cast<bool>(is >> expected);
+    long long value = 0;
+    const std::string_view text(token);
+    const auto [end, ec] = parse_int_prefix(text, value);
+    EXPECT_EQ(ec == std::errc(), ok) << token;
+    if (ok) {
+      EXPECT_EQ(value, expected) << token;
+      is.clear();  // a number that ends the text set eofbit
+      EXPECT_EQ(end - text.data(), static_cast<std::ptrdiff_t>(is.tellg()))
+          << token;
+    }
+  }
+}
+
+TEST(Text, NextTokenAndNextLineSplitLikeTheStream) {
+  const std::string text = " \talpha\vbeta\f gamma\r\n\n delta  ";
+  std::istringstream is(text);
+  std::vector<std::string> expected;
+  for (std::string token; is >> token;) expected.push_back(token);
+  std::vector<std::string> got;
+  std::string_view rest = text;
+  for (std::string_view token = next_token(rest); !token.empty();
+       token = next_token(rest))
+    got.emplace_back(token);
+  EXPECT_EQ(got, expected);
+
+  for (const std::string doc : {"", "a", "a\n", "a\n\n", "\n", "a\nb",
+                                "a\r\nb\n", "\n\nx"}) {
+    std::istringstream lines(doc);
+    std::vector<std::string> want;
+    for (std::string line; std::getline(lines, line);) want.push_back(line);
+    std::vector<std::string> have;
+    std::string_view left = doc;
+    for (std::string_view line; next_line(left, line);) have.emplace_back(line);
+    EXPECT_EQ(have, want) << doc;
+  }
+}
+
 // ---------------------------------------------------------------------- log
 
 TEST(Log, RespectsLevelAndSink) {
-  std::ostringstream sink;
-  set_log_sink(&sink);
+  g_log_lines.clear();
+  set_log_sink(capture_log);
   set_log_level(LogLevel::kWarn);
   TCSA_LOG(kDebug) << "hidden";
   TCSA_LOG(kWarn) << "visible " << 42;
   set_log_sink(nullptr);
   set_log_level(LogLevel::kWarn);
-  EXPECT_EQ(sink.str().find("hidden"), std::string::npos);
-  EXPECT_NE(sink.str().find("visible 42"), std::string::npos);
-  EXPECT_NE(sink.str().find("WARN"), std::string::npos);
+  EXPECT_EQ(g_log_lines.find("hidden"), std::string::npos);
+  EXPECT_NE(g_log_lines.find("visible 42"), std::string::npos);
+  EXPECT_NE(g_log_lines.find("WARN"), std::string::npos);
 }
 
 TEST(Log, OffSilencesEverything) {
-  std::ostringstream sink;
-  set_log_sink(&sink);
+  g_log_lines.clear();
+  set_log_sink(capture_log);
   set_log_level(LogLevel::kOff);
   TCSA_LOG(kError) << "nope";
   set_log_sink(nullptr);
   set_log_level(LogLevel::kWarn);
-  EXPECT_TRUE(sink.str().empty());
+  EXPECT_TRUE(g_log_lines.empty());
 }
 
 TEST(Log, ConcurrentEmittersNeverInterleaveLines) {
@@ -553,8 +754,8 @@ TEST(Log, ConcurrentEmittersNeverInterleaveLines) {
   // operator<< calls, so lines from work-pool threads could interleave
   // piecewise. Hammer the sink from 8 threads and assert every emitted
   // line survives whole.
-  std::ostringstream sink;
-  set_log_sink(&sink);
+  g_log_lines.clear();
+  set_log_sink(capture_log);
   set_log_level(LogLevel::kInfo);
   constexpr int kThreads = 8;
   constexpr int kLines = 200;
@@ -570,7 +771,7 @@ TEST(Log, ConcurrentEmittersNeverInterleaveLines) {
   set_log_sink(nullptr);
   set_log_level(LogLevel::kWarn);
 
-  std::istringstream lines(sink.str());
+  std::istringstream lines(g_log_lines);
   std::string line;
   int total = 0;
   std::vector<int> per_thread(kThreads, 0);
