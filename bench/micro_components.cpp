@@ -1,6 +1,5 @@
 // M3 — component microbenchmarks (google-benchmark): validation,
-// serialisation, the EDF baseline, the water-filling bound, lossy reception
-// and observability overhead.
+// serialisation, the water-filling bound and observability overhead.
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -8,7 +7,6 @@
 #include <sstream>
 
 #include "alloc_count.hpp"
-#include "core/edf.hpp"
 #include "core/pamad.hpp"
 #include "core/theory.hpp"
 #include "model/serialize.hpp"
@@ -16,7 +14,6 @@
 #include "obs/artifact.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/lossy.hpp"
 #include "util/rng.hpp"
 #include "workload/distributions.hpp"
 
@@ -47,15 +44,6 @@ void BM_SerializeProgramRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_SerializeProgramRoundTrip);
 
-void BM_EdfSchedule(benchmark::State& state) {
-  const Workload w = make_paper_workload(GroupSizeShape::kUniform);
-  for (auto _ : state) {
-    const EdfSchedule s = schedule_edf(w, state.range(0));
-    benchmark::DoNotOptimize(s.program.occupied());
-  }
-}
-BENCHMARK(BM_EdfSchedule)->Arg(4)->Arg(16)->Unit(benchmark::kMillisecond);
-
 void BM_WaterfillingBound(benchmark::State& state) {
   const Workload w = make_paper_workload(GroupSizeShape::kUniform);
   for (auto _ : state) {
@@ -64,18 +52,6 @@ void BM_WaterfillingBound(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WaterfillingBound)->Arg(1)->Arg(13);
-
-void BM_LossySimulation(benchmark::State& state) {
-  const Workload w = make_paper_workload(GroupSizeShape::kUniform);
-  const PamadSchedule s = schedule_pamad(w, 13);
-  const LossModel model = LossModel::independent(0.1);
-  for (auto _ : state) {
-    const LossySimResult r = simulate_lossy(s.program, w, model, 3000, 9);
-    benchmark::DoNotOptimize(r.avg_delay);
-  }
-  state.SetItemsProcessed(state.iterations() * 3000);
-}
-BENCHMARK(BM_LossySimulation)->Unit(benchmark::kMillisecond);
 
 // Observability overhead in isolation: the per-site cost instrumented code
 // pays. Disabled rows are the acceptance budget (every PR-1 kernel carries

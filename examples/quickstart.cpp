@@ -2,7 +2,8 @@
 //
 // Build a workload, compute the Theorem 3.1 channel bound, schedule with
 // SUSC when channels suffice and PAMAD when they do not, validate, and
-// measure average delay with the simulator. Start here.
+// measure average delay with the simulator. Start here. Exits 1 if the SUSC
+// program fails validation (CTest runs it as Examples.Quickstart).
 #include <iostream>
 
 #include "core/channel_bound.hpp"
@@ -48,5 +49,5 @@ int main() {
   std::cout << "AvgD = " << measured.avg_delay << " slots (predicted "
             << pamad.frequencies.predicted_delay << "), deadline miss rate = "
             << measured.miss_rate << '\n';
-  return 0;
+  return report.valid ? 0 : 1;
 }

@@ -72,12 +72,16 @@ using namespace tcsa;
 
 namespace {
 
-/// Everything left in `file`, read to its end.
-std::string read_all(std::FILE* file) {
+/// Everything left in `file`, read to its end. A read error (a directory,
+/// a failing disk) is an operational failure naming `source`, not an early
+/// end of input.
+std::string read_all(std::FILE* file,
+                     const std::string& source = "standard input") {
   std::string text;
   char buf[1 << 16];
   for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, file)) > 0;)
     text.append(buf, n);
+  if (std::ferror(file)) throw std::runtime_error("failed reading " + source);
   return text;
 }
 
@@ -87,7 +91,7 @@ std::string slurp_file(const std::string& path,
   const std::unique_ptr<std::FILE, int (*)(std::FILE*)> file(
       std::fopen(path.c_str(), "r"), &std::fclose);
   if (!file) throw std::invalid_argument("cannot open " + what + ": " + path);
-  return read_all(file.get());
+  return read_all(file.get(), what + ": " + path);
 }
 
 Workload workload_from(const std::string& path) {

@@ -1,45 +1,8 @@
 #include "online/adaptive.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <memory>
-
 #include "core/channel_bound.hpp"
-#include "model/appearance_index.hpp"
-#include "online/estimator.hpp"
-#include "util/contracts.hpp"
-#include "util/rng.hpp"
 
 namespace tcsa {
-namespace {
-
-/// Largest ladder value t1 * c^k <= target (never above `target`).
-SlotCount ladder_floor(SlotCount target, SlotCount t1, SlotCount c) {
-  SlotCount value = t1;
-  while (value * c <= target) value *= c;
-  return value;
-}
-
-/// Rebuilds the workload from per-class estimates: estimates are rounded
-/// down onto a ladder anchored at the smallest estimate and forced strictly
-/// increasing (classes keep their identity and page counts).
-Workload workload_from_estimates(const Workload& initial,
-                                 const std::vector<SlotCount>& estimates,
-                                 SlotCount c) {
-  const SlotCount t1 = *std::min_element(estimates.begin(), estimates.end());
-  std::vector<GroupSpec> groups;
-  groups.reserve(estimates.size());
-  SlotCount previous = 0;
-  for (GroupId g = 0; g < initial.group_count(); ++g) {
-    SlotCount t = ladder_floor(estimates[static_cast<std::size_t>(g)], t1, c);
-    if (t <= previous) t = previous * c;  // enforce a strict ladder
-    groups.push_back(GroupSpec{t, initial.pages_in_group(g)});
-    previous = t;
-  }
-  return Workload(std::move(groups));
-}
-
-}  // namespace
 
 ScheduleOutcome choose_schedule(const Workload& workload,
                                 SlotCount channels) {
@@ -47,125 +10,6 @@ ScheduleOutcome choose_schedule(const Workload& workload,
                             ? Method::kSusc
                             : Method::kPamad;
   return make_schedule(method, workload, channels);
-}
-
-AdaptiveResult simulate_adaptive(const Workload& initial,
-                                 const std::vector<DriftPhase>& phases,
-                                 const AdaptiveConfig& config) {
-  TCSA_REQUIRE(!phases.empty(), "simulate_adaptive: need at least one phase");
-  TCSA_REQUIRE(config.channels >= 1, "simulate_adaptive: need a channel");
-  TCSA_REQUIRE(config.arrival_rate > 0.0,
-               "simulate_adaptive: arrival rate must be positive");
-  TCSA_REQUIRE(config.reschedule_period > 0.0,
-               "simulate_adaptive: reschedule period must be positive");
-  double previous_until = 0.0;
-  for (const DriftPhase& phase : phases) {
-    TCSA_REQUIRE(static_cast<GroupId>(phase.mean_tolerance.size()) ==
-                     initial.group_count(),
-                 "simulate_adaptive: one mean per content class required");
-    TCSA_REQUIRE(phase.until > previous_until,
-                 "simulate_adaptive: phases must advance in time");
-    previous_until = phase.until;
-    for (const SlotCount mean : phase.mean_tolerance)
-      TCSA_REQUIRE(mean >= 1, "simulate_adaptive: tolerances must be >= 1");
-  }
-  const double horizon = phases.back().until;
-
-  Rng rng(config.seed);
-  ToleranceEstimator estimator(initial.group_count());
-
-  Workload current = initial;
-  auto program = std::make_unique<BroadcastProgram>(
-      choose_schedule(current, config.channels).program);
-  auto index = std::make_unique<AppearanceIndex>(*program,
-                                                 current.total_pages());
-  double program_epoch = 0.0;  // when the current program started airing
-
-  AdaptiveResult result;
-  EpochStats epoch;
-  epoch.begin = 0.0;
-  double epoch_miss = 0.0;
-  double epoch_overrun = 0.0;
-  double total_miss = 0.0;
-  double total_overrun = 0.0;
-
-  std::size_t phase_idx = 0;
-  double next_reschedule = config.reschedule_period;
-  double now = rng.exponential(config.arrival_rate);
-
-  auto close_epoch = [&](double at) {
-    epoch.end = at;
-    epoch.miss_rate = epoch.requests
-                          ? epoch_miss / static_cast<double>(epoch.requests)
-                          : 0.0;
-    epoch.avg_overrun =
-        epoch.requests ? epoch_overrun / static_cast<double>(epoch.requests)
-                       : 0.0;
-    result.epochs.push_back(epoch);
-    epoch = EpochStats{};
-    epoch.begin = at;
-    epoch_miss = epoch_overrun = 0.0;
-  };
-
-  while (now < horizon) {
-    // Reschedule boundary first (event order matters for determinism).
-    while (now >= next_reschedule) {
-      if (config.adapt) {
-        std::vector<SlotCount> estimates(
-            static_cast<std::size_t>(initial.group_count()));
-        for (GroupId g = 0; g < initial.group_count(); ++g) {
-          estimates[static_cast<std::size_t>(g)] = estimator.estimate(
-              g, config.safety_quantile, current.expected_time(g));
-        }
-        current = workload_from_estimates(initial, estimates,
-                                          config.ladder_ratio);
-        program = std::make_unique<BroadcastProgram>(
-            choose_schedule(current, config.channels).program);
-        index = std::make_unique<AppearanceIndex>(*program,
-                                                  current.total_pages());
-        program_epoch = next_reschedule;
-        ++result.reschedules;
-      }
-      close_epoch(next_reschedule);
-      next_reschedule += config.reschedule_period;
-    }
-    while (phase_idx + 1 < phases.size() && now >= phases[phase_idx].until)
-      ++phase_idx;
-
-    // One client request: uniform page, personal tolerance around the
-    // phase mean, tolerance piggybacked to the server.
-    const auto page =
-        static_cast<PageId>(rng.uniform_int(0, initial.total_pages() - 1));
-    const GroupId cls = initial.group_of(page);
-    const double mean = static_cast<double>(
-        phases[phase_idx].mean_tolerance[static_cast<std::size_t>(cls)]);
-    const auto tolerance = static_cast<SlotCount>(std::max(
-        1.0, std::llround(rng.normal(mean, config.tolerance_jitter * mean)) *
-                 1.0));
-    estimator.add_sample(cls, tolerance);
-
-    const double wait = index->wait_after(page, now - program_epoch);
-    const double overrun = std::max(0.0, wait - static_cast<double>(tolerance));
-    ++epoch.requests;
-    ++result.requests;
-    if (overrun > 0.0) {
-      epoch_miss += 1.0;
-      total_miss += 1.0;
-    }
-    epoch_overrun += overrun;
-    total_overrun += overrun;
-
-    now += rng.exponential(config.arrival_rate);
-  }
-  close_epoch(horizon);
-
-  result.overall_miss_rate =
-      result.requests ? total_miss / static_cast<double>(result.requests)
-                      : 0.0;
-  result.overall_avg_overrun =
-      result.requests ? total_overrun / static_cast<double>(result.requests)
-                      : 0.0;
-  return result;
 }
 
 }  // namespace tcsa

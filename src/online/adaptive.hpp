@@ -1,72 +1,18 @@
-// adaptive.hpp — a broadcast server that learns and tracks expected times.
+// adaptive.hpp — the one reschedule entry point of the live server.
 //
-// End-to-end closed loop over the whole library (extension experiment A6):
-// client tolerances drift over time (e.g. commuters tighten traffic-page
-// deadlines during rush hour); every request piggybacks the client's true
-// tolerance; the server periodically re-estimates per-class expected times
-// (ToleranceEstimator), rounds them onto a Section-2 ladder, re-runs
-// SUSC/PAMAD as the Theorem 3.1 bound allows, and swaps the program. The
-// simulation measures what clients actually experience — miss rate against
-// each client's own tolerance — with adaptation on or off.
+// When the server starts, or a hot swap hands it a new workload with no
+// explicit method, it schedules through choose_schedule: SUSC when Theorem
+// 3.1's bound allows it, PAMAD otherwise. So "what airs after a workload
+// change" has a single definition.
 #pragma once
-
-#include <cstdint>
-#include <vector>
 
 #include "core/api.hpp"
 #include "model/workload.hpp"
 
 namespace tcsa {
 
-/// Schedules with SUSC when Theorem 3.1's bound allows, PAMAD otherwise —
-/// the one reschedule entry point every online component shares: the
-/// adaptive simulation below and the live AirServer's hot program swap both
-/// route through here, so "what airs after a workload change" has a single
-/// definition. Precondition: channels >= 1.
+/// Schedules with SUSC when Theorem 3.1's bound allows, PAMAD otherwise.
+/// Precondition: channels >= 1.
 ScheduleOutcome choose_schedule(const Workload& workload, SlotCount channels);
-
-/// One phase of the tolerance drift script: until `until` (exclusive, in
-/// slots), class c's clients draw tolerances around mean_tolerance[c].
-struct DriftPhase {
-  double until = 0.0;
-  std::vector<SlotCount> mean_tolerance;  ///< one mean per content class
-};
-
-/// Adaptive-server simulation recipe.
-struct AdaptiveConfig {
-  SlotCount channels = 4;
-  double arrival_rate = 2.0;        ///< client requests per slot (Poisson)
-  double reschedule_period = 500.0; ///< slots between re-estimations
-  double safety_quantile = 0.1;     ///< low quantile used as expected time
-  SlotCount ladder_ratio = 2;       ///< Section-2 ladder parameter c
-  double tolerance_jitter = 0.2;    ///< client sigma as fraction of the mean
-  bool adapt = true;                ///< false = keep the initial schedule
-  std::uint64_t seed = 11;
-};
-
-/// Aggregates for one reschedule period.
-struct EpochStats {
-  double begin = 0.0;
-  double end = 0.0;
-  std::uint64_t requests = 0;
-  double miss_rate = 0.0;   ///< wait > the client's own tolerance
-  double avg_overrun = 0.0; ///< mean max(0, wait - tolerance)
-};
-
-/// Whole-run outcome.
-struct AdaptiveResult {
-  std::vector<EpochStats> epochs;
-  std::uint64_t requests = 0;
-  double overall_miss_rate = 0.0;
-  double overall_avg_overrun = 0.0;
-  std::uint64_t reschedules = 0;
-};
-
-/// Simulates the closed loop. `initial` fixes the content classes and page
-/// counts (its expected times seed the first schedule); `phases` script the
-/// drift and must cover a positive horizon with one mean per class.
-AdaptiveResult simulate_adaptive(const Workload& initial,
-                                 const std::vector<DriftPhase>& phases,
-                                 const AdaptiveConfig& config);
 
 }  // namespace tcsa

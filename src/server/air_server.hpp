@@ -24,8 +24,8 @@
 // (DESIGN.md §7 "loop-per-core ownership").
 //
 // Hot program swap: any session may send a kSwap frame carrying a new
-// workload. Scheduling runs OFF the event loop threads (through the same
-// choose_schedule entry point the adaptive simulation uses), the resulting
+// workload. Scheduling runs OFF the event loop threads (through
+// choose_schedule, the same entry point start-up uses), the resulting
 // program is validity-checked, and a seam plan picks the airing rotation
 // that best preserves outstanding deadline promises; the new generation
 // activates at the next major-cycle boundary and is announced to every

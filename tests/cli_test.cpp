@@ -160,6 +160,17 @@ TEST_F(CliContract, StandardOutputThatCannotBeWrittenExitsOne) {
   EXPECT_EQ(stderr_text().find("usage:"), std::string::npos);
 }
 
+TEST_F(CliContract, UnreadableInputExitsOne) {
+  // A directory opens for reading and fails every read: that is an
+  // operational failure naming the path, not an empty workload.
+  const std::string path = dir_.string();
+  EXPECT_EQ(run({"--cmd", "bound", "--workload", path}), 1);
+  EXPECT_NE(stderr_text().find("failed reading workload file: " + path),
+            std::string::npos)
+      << stderr_text();
+  EXPECT_EQ(stderr_text().find("usage:"), std::string::npos);
+}
+
 TEST_F(CliContract, ServeFailsBeforeAiringWhenItsPortFileIsLost) {
   // A script polling the port file would never see the port: serve exits 1
   // before going on air instead of airing to nobody.

@@ -7,18 +7,15 @@
 
 #include "core/channel_bound.hpp"
 #include "core/delay_model.hpp"
-#include "core/edf.hpp"
 #include "core/mpb.hpp"
 #include "core/opt.hpp"
 #include "core/pamad.hpp"
 #include "core/susc.hpp"
 #include "core/theory.hpp"
-#include "index/air_index.hpp"
 #include "model/appearance_index.hpp"
 #include "model/serialize.hpp"
 #include "model/validate.hpp"
 #include "sim/broadcast_sim.hpp"
-#include "sim/lossy.hpp"
 #include "util/rng.hpp"
 #include "workload/rearrange.hpp"
 
@@ -157,69 +154,6 @@ TEST_P(FuzzCase, RearrangementInvariants) {
       EXPECT_EQ(v, t1) << "assigned time off the ladder";
       // Rounding down by less than a full ladder step.
       EXPECT_GT(plan.assigned_time[j] * c, requested[j]);
-    }
-  }
-}
-
-TEST_P(FuzzCase, EdfCoversEveryPage) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 999331 + 7);
-  for (int i = 0; i < 8; ++i) {
-    const Workload w = random_workload(rng);
-    const SlotCount channels = rng.uniform_int(1, min_channels(w));
-    const EdfSchedule s = schedule_edf(w, channels);
-    const AppearanceIndex idx(s.program, w.total_pages());
-    for (PageId page = 0; page < w.total_pages(); ++page) {
-      EXPECT_GE(idx.count(page), 1)
-          << w.describe() << " channels=" << channels << " page=" << page;
-    }
-  }
-}
-
-TEST_P(FuzzCase, LossFreeChannelMatchesCleanSimulator) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 7451 + 8);
-  for (int i = 0; i < 6; ++i) {
-    const Workload w = random_workload(rng);
-    const SlotCount channels = rng.uniform_int(1, min_channels(w));
-    const PamadSchedule s = schedule_pamad(w, channels);
-    const std::uint64_t seed = rng();
-    const LossySimResult lossy = simulate_lossy(
-        s.program, w, LossModel::independent(0.0), 5000, seed);
-    EXPECT_DOUBLE_EQ(lossy.avg_attempts, 1.0);
-    EXPECT_DOUBLE_EQ(lossy.loss_rate, 0.0);
-    // Mild loss can only make things worse.
-    const LossySimResult degraded = simulate_lossy(
-        s.program, w, LossModel::independent(0.3), 5000, seed);
-    EXPECT_GE(degraded.avg_wait, lossy.avg_wait - 1e-9);
-  }
-}
-
-TEST_P(FuzzCase, AirIndexProtocolInvariants) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 52361 + 9);
-  for (int i = 0; i < 6; ++i) {
-    const Workload w = random_workload(rng);
-    const SlotCount channels = rng.uniform_int(1, min_channels(w));
-    const PamadSchedule s = schedule_pamad(w, channels);
-    IndexConfig config;
-    config.strategy = rng.bernoulli(0.5) ? IndexStrategy::kOneM
-                                         : IndexStrategy::kDedicated;
-    config.fanout = rng.uniform_int(1, 16);
-    config.replication = rng.uniform_int(1, 6);
-    const IndexedBroadcast indexed(w, s.program, config);
-
-    const auto cycle = static_cast<double>(indexed.cycle_length());
-    for (int probe = 0; probe < 10; ++probe) {
-      const auto page =
-          static_cast<PageId>(rng.uniform_int(0, w.total_pages() - 1));
-      const AccessOutcome outcome =
-          indexed.access(page, rng.uniform_real(0.0, cycle));
-      EXPECT_DOUBLE_EQ(outcome.tuning_time, 3.0);
-      EXPECT_GE(outcome.latency, outcome.tuning_time - 1.0);
-      // Latency is bounded by probe + one directory period + one cycle.
-      EXPECT_LE(outcome.latency,
-                2.0 + static_cast<double>(indexed.directory_slots()) +
-                    2.0 * cycle)
-          << w.describe() << " strategy "
-          << index_strategy_name(config.strategy);
     }
   }
 }

@@ -1,5 +1,6 @@
-// End-to-end tests: the unified API, the sweep driver, and a downsized
-// Figure-5 reproduction asserting the paper's qualitative findings.
+// End-to-end tests: the unified API, the sweep driver (serial and
+// parallel), and a downsized Figure-5 reproduction asserting the paper's
+// qualitative findings.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -110,6 +111,44 @@ TEST(Sweep, RejectsEmptyConfig) {
   SweepConfig config;
   config.methods = {};
   EXPECT_THROW(run_sweep(w, config), std::invalid_argument);
+}
+
+TEST(ParallelSweep, BitIdenticalToSerial) {
+  const Workload w = make_paper_workload(GroupSizeShape::kNormal, 5, 150, 4, 2);
+  SweepConfig config;
+  config.methods = {Method::kPamad, Method::kMpb};
+  config.sim.requests.count = 1000;
+  const auto serial = run_sweep(w, config);
+  for (const unsigned threads : {2u, 4u, 0u}) {
+    const auto parallel = run_sweep_parallel(w, config, threads);
+    ASSERT_EQ(parallel.size(), serial.size()) << threads << " threads";
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_EQ(parallel[i].channels, serial[i].channels);
+      EXPECT_EQ(parallel[i].method, serial[i].method);
+      EXPECT_DOUBLE_EQ(parallel[i].avg_delay, serial[i].avg_delay) << i;
+      EXPECT_DOUBLE_EQ(parallel[i].predicted_delay,
+                       serial[i].predicted_delay);
+    }
+  }
+}
+
+TEST(ParallelSweep, SingleThreadFallsBackToSerial) {
+  const Workload w = make_workload({2, 4}, {4, 6});
+  SweepConfig config;
+  config.methods = {Method::kPamad};
+  config.sim.requests.count = 200;
+  const auto a = run_sweep(w, config);
+  const auto b = run_sweep_parallel(w, config, 1);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i)
+    EXPECT_DOUBLE_EQ(a[i].avg_delay, b[i].avg_delay);
+}
+
+TEST(ParallelSweep, RejectsEmptyConfigToo) {
+  const Workload w = make_workload({2}, {1});
+  SweepConfig config;
+  config.methods = {};
+  EXPECT_THROW(run_sweep_parallel(w, config, 2), std::invalid_argument);
 }
 
 // ------------------------------------- downsized Figure 5 (shape assertions)

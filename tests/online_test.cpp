@@ -1,167 +1,42 @@
-// Tests for the adaptive expected-time loop (src/online).
+// Tests for choose_schedule (src/online), the reschedule entry point the
+// live server's start-up and hot swap share.
 #include <gtest/gtest.h>
 
-#include <stdexcept>
-
+#include "core/channel_bound.hpp"
+#include "model/appearance_index.hpp"
+#include "model/validate.hpp"
 #include "online/adaptive.hpp"
-#include "online/estimator.hpp"
 #include "workload/distributions.hpp"
 
 namespace tcsa {
 namespace {
 
-// ---------------------------------------------------------------- estimator
+const Workload kWorkload = make_workload({4, 16, 64}, {10, 20, 30});
 
-TEST(Estimator, FallbackBeforeSamples) {
-  const ToleranceEstimator e(3);
-  EXPECT_EQ(e.estimate(0, 0.1, 42), 42);
-  EXPECT_EQ(e.sample_count(0), 0u);
+TEST(ChooseSchedule, SuscAtAndAboveTheBoundIsValid) {
+  const SlotCount bound = min_channels(kWorkload);
+  for (const SlotCount channels : {bound, bound + 1, 2 * bound}) {
+    const ScheduleOutcome outcome = choose_schedule(kWorkload, channels);
+    EXPECT_EQ(outcome.method, Method::kSusc) << "channels=" << channels;
+    EXPECT_EQ(outcome.program.channels(), channels);
+    const ValidityReport report = validate_program(outcome.program, kWorkload);
+    EXPECT_TRUE(report.valid) << "channels=" << channels;
+    EXPECT_LE(report.worst_lateness, 0) << "channels=" << channels;
+  }
 }
 
-TEST(Estimator, QuantileOfWindow) {
-  ToleranceEstimator e(1);
-  for (SlotCount t = 1; t <= 100; ++t) e.add_sample(0, t);
-  EXPECT_EQ(e.estimate(0, 0.0, 1), 1);
-  EXPECT_EQ(e.estimate(0, 1.0, 1), 100);
-  // 10th percentile of 1..100 ~ 10.
-  EXPECT_NEAR(static_cast<double>(e.estimate(0, 0.1, 1)), 10.0, 2.0);
-}
-
-TEST(Estimator, WindowEvictsOldest) {
-  ToleranceEstimator e(1, 4);
-  for (const SlotCount t : {100, 100, 100, 100}) e.add_sample(0, t);
-  EXPECT_EQ(e.estimate(0, 0.0, 1), 100);
-  // Four fresh small samples fully replace the old regime.
-  for (const SlotCount t : {5, 5, 5, 5}) e.add_sample(0, t);
-  EXPECT_EQ(e.estimate(0, 1.0, 1), 5);
-  EXPECT_EQ(e.sample_count(0), 4u);
-}
-
-TEST(Estimator, ClassesAreIndependent) {
-  ToleranceEstimator e(2);
-  e.add_sample(0, 10);
-  e.add_sample(1, 200);
-  EXPECT_EQ(e.estimate(0, 0.5, 1), 10);
-  EXPECT_EQ(e.estimate(1, 0.5, 1), 200);
-}
-
-TEST(Estimator, RejectsBadInput) {
-  ToleranceEstimator e(2);
-  EXPECT_THROW(e.add_sample(2, 10), std::invalid_argument);
-  EXPECT_THROW(e.add_sample(0, 0), std::invalid_argument);
-  EXPECT_THROW(e.estimate(0, 1.5, 1), std::invalid_argument);
-  EXPECT_THROW(ToleranceEstimator(0), std::invalid_argument);
-  EXPECT_THROW(ToleranceEstimator(1, 0), std::invalid_argument);
-}
-
-// ----------------------------------------------------------------- adaptive
-
-Workload small_workload() { return make_workload({4, 16, 64}, {10, 20, 30}); }
-
-std::vector<DriftPhase> steady_phases() {
-  return {DriftPhase{4000.0, {4, 16, 64}}};
-}
-
-TEST(Adaptive, RunsAndAggregates) {
-  AdaptiveConfig config;
-  config.channels = 4;
-  const AdaptiveResult r =
-      simulate_adaptive(small_workload(), steady_phases(), config);
-  EXPECT_GT(r.requests, 0u);
-  EXPECT_FALSE(r.epochs.empty());
-  EXPECT_GE(r.overall_miss_rate, 0.0);
-  EXPECT_LE(r.overall_miss_rate, 1.0);
-  std::uint64_t epoch_requests = 0;
-  for (const EpochStats& e : r.epochs) epoch_requests += e.requests;
-  EXPECT_EQ(epoch_requests, r.requests);
-}
-
-TEST(Adaptive, DeterministicInSeed) {
-  AdaptiveConfig config;
-  const AdaptiveResult a =
-      simulate_adaptive(small_workload(), steady_phases(), config);
-  const AdaptiveResult b =
-      simulate_adaptive(small_workload(), steady_phases(), config);
-  EXPECT_EQ(a.requests, b.requests);
-  EXPECT_DOUBLE_EQ(a.overall_miss_rate, b.overall_miss_rate);
-}
-
-TEST(Adaptive, SteadyStateWithAmpleChannelsHasFewMisses) {
-  AdaptiveConfig config;
-  config.channels = 12;  // comfortably above the bound
-  config.adapt = false;
-  const AdaptiveResult r =
-      simulate_adaptive(small_workload(), steady_phases(), config);
-  // Schedule meets the announced times; only clients whose personal
-  // tolerance jitters below the class mean can miss.
-  EXPECT_LT(r.overall_miss_rate, 0.35);
-}
-
-TEST(Adaptive, AdaptationBeatsStaticUnderTighteningDrift) {
-  // Clients tighten mid-run (rush hour): the static server keeps missing;
-  // the adaptive one reschedules to the learned tolerances.
-  const std::vector<DriftPhase> drift = {
-      DriftPhase{2000.0, {16, 64, 128}},   // relaxed morning
-      DriftPhase{10000.0, {4, 16, 64}},    // rush hour: everything tighter
-  };
-  const Workload initial = make_workload({16, 64, 128}, {10, 20, 30});
-  AdaptiveConfig config;
-  config.channels = 12;
-  config.reschedule_period = 500.0;
-
-  AdaptiveConfig frozen = config;
-  frozen.adapt = false;
-  const AdaptiveResult adaptive = simulate_adaptive(initial, drift, config);
-  const AdaptiveResult static_run = simulate_adaptive(initial, drift, frozen);
-  EXPECT_LT(adaptive.overall_miss_rate, static_run.overall_miss_rate);
-  EXPECT_GT(adaptive.reschedules, 0u);
-  EXPECT_EQ(static_run.reschedules, 0u);
-}
-
-TEST(Adaptive, RelaxingDriftFreesBandwidthWithoutExtraMisses) {
-  const std::vector<DriftPhase> drift = {
-      DriftPhase{2000.0, {4, 16, 64}},
-      DriftPhase{8000.0, {16, 64, 256}},  // everything relaxes
-  };
-  const Workload initial = small_workload();
-  AdaptiveConfig config;
-  config.channels = 8;
-  const AdaptiveResult r = simulate_adaptive(initial, drift, config);
-  // Late epochs should not be worse than the tight early ones.
-  const EpochStats& early = r.epochs.front();
-  const EpochStats& late = r.epochs.back();
-  EXPECT_LE(late.miss_rate, early.miss_rate + 0.1);
-}
-
-TEST(Adaptive, EpochBoundariesFollowReschedulePeriod) {
-  AdaptiveConfig config;
-  config.reschedule_period = 1000.0;
-  const AdaptiveResult r =
-      simulate_adaptive(small_workload(), steady_phases(), config);
-  ASSERT_GE(r.epochs.size(), 4u);
-  EXPECT_DOUBLE_EQ(r.epochs[0].begin, 0.0);
-  EXPECT_DOUBLE_EQ(r.epochs[0].end, 1000.0);
-  EXPECT_DOUBLE_EQ(r.epochs[1].end, 2000.0);
-  EXPECT_DOUBLE_EQ(r.epochs.back().end, 4000.0);
-}
-
-TEST(Adaptive, RejectsBadConfig) {
-  const Workload w = small_workload();
-  AdaptiveConfig config;
-  EXPECT_THROW(simulate_adaptive(w, {}, config), std::invalid_argument);
-  EXPECT_THROW(simulate_adaptive(w, {DriftPhase{100.0, {4, 16}}}, config),
-               std::invalid_argument);
-  EXPECT_THROW(
-      simulate_adaptive(w, {DriftPhase{100.0, {4, 16, 0}}}, config),
-      std::invalid_argument);
-  const std::vector<DriftPhase> backwards = {DriftPhase{100.0, {4, 16, 64}},
-                                             DriftPhase{50.0, {4, 16, 64}}};
-  EXPECT_THROW(simulate_adaptive(w, backwards, config),
-               std::invalid_argument);
-  AdaptiveConfig bad = config;
-  bad.channels = 0;
-  EXPECT_THROW(simulate_adaptive(w, steady_phases(), bad),
-               std::invalid_argument);
+TEST(ChooseSchedule, PamadBelowTheBoundAirsEveryPage) {
+  const SlotCount bound = min_channels(kWorkload);
+  ASSERT_GT(bound, 2);
+  for (const SlotCount channels : {SlotCount{1}, bound / 2, bound - 1}) {
+    const ScheduleOutcome outcome = choose_schedule(kWorkload, channels);
+    EXPECT_EQ(outcome.method, Method::kPamad) << "channels=" << channels;
+    EXPECT_EQ(outcome.program.channels(), channels);
+    const AppearanceIndex index(outcome.program, kWorkload.total_pages());
+    for (PageId page = 0; page < kWorkload.total_pages(); ++page)
+      EXPECT_GE(index.count(page), 1)
+          << "page " << page << " at channels=" << channels;
+  }
 }
 
 }  // namespace

@@ -1,91 +1,18 @@
-// Tests for the online EDF baseline and for the theory module
-// (waterfilling lower bound, capacity planning).
+// Tests for the theory module (waterfilling lower bound, capacity
+// planning).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
 
 #include "core/channel_bound.hpp"
-#include "core/delay_model.hpp"
-#include "core/edf.hpp"
 #include "core/opt.hpp"
 #include "core/pamad.hpp"
 #include "core/theory.hpp"
-#include "model/appearance_index.hpp"
-#include "sim/broadcast_sim.hpp"
 #include "workload/distributions.hpp"
 
 namespace tcsa {
 namespace {
-
-// ---------------------------------------------------------------------- EDF
-
-TEST(Edf, EveryPageAppears) {
-  const Workload w = make_workload({2, 4, 8}, {3, 5, 3});
-  const EdfSchedule s = schedule_edf(w, 2);
-  const AppearanceIndex idx(s.program, w.total_pages());
-  for (PageId page = 0; page < w.total_pages(); ++page)
-    EXPECT_GE(idx.count(page), 1) << "page " << page;
-}
-
-TEST(Edf, WorkConservingFillsEverySlot) {
-  const Workload w = make_workload({2, 4}, {3, 5});
-  const EdfSchedule s = schedule_edf(w, 2);
-  EXPECT_EQ(s.program.occupied(), s.program.capacity());
-}
-
-TEST(Edf, MoreChannelsThanPagesLeavesIdleSlots) {
-  const Workload w = make_workload({4}, {2});
-  const EdfSchedule s = schedule_edf(w, 3);
-  // Each column broadcasts at most one copy of each page.
-  EXPECT_LE(s.program.column_load(0), 3);
-}
-
-TEST(Edf, OverSubscribedWindowStillCoversAllPages) {
-  // n >> t_h * channels: the window extension logic must kick in.
-  const Workload w = make_workload({2, 4}, {40, 60});
-  const EdfSchedule s = schedule_edf(w, 1);
-  EXPECT_GE(s.program.cycle_length(), 100);
-  const AppearanceIndex idx(s.program, w.total_pages());
-  for (PageId page = 0; page < w.total_pages(); ++page)
-    EXPECT_GE(idx.count(page), 1);
-}
-
-TEST(Edf, TighterDeadlinesGetMoreAir) {
-  const Workload w = make_workload({2, 8}, {2, 2});
-  const EdfSchedule s = schedule_edf(w, 1);
-  const AppearanceIndex idx(s.program, w.total_pages());
-  // A t=2 page must air roughly 4x as often as a t=8 page.
-  EXPECT_GT(idx.count(0), 2 * idx.count(3));
-}
-
-TEST(Edf, DeterministicAcrossRuns) {
-  const Workload w = make_workload({2, 4, 8}, {3, 5, 3});
-  EXPECT_EQ(schedule_edf(w, 2).program, schedule_edf(w, 2).program);
-}
-
-TEST(Edf, RejectsBadArguments) {
-  const Workload w = make_workload({2}, {1});
-  EXPECT_THROW(schedule_edf(w, 0), std::invalid_argument);
-  EXPECT_THROW(schedule_edf(w, 1, 0), std::invalid_argument);
-}
-
-TEST(Edf, PamadBeatsEdfBelowTheBound) {
-  // The offline optimisation must beat the myopic greedy when bandwidth is
-  // scarce — that is the point of including the baseline.
-  const Workload w = make_paper_workload(GroupSizeShape::kUniform, 6, 300, 4, 2);
-  const SlotCount channels = min_channels(w) / 4;
-  const PamadSchedule pamad = schedule_pamad(w, channels);
-  const EdfSchedule edf = schedule_edf(w, channels);
-  SimConfig sim;
-  sim.requests.count = 20000;
-  const double pamad_delay =
-      simulate_requests(pamad.program, w, sim).avg_delay;
-  const double edf_delay = simulate_requests(edf.program, w, sim).avg_delay;
-  EXPECT_LT(pamad_delay, edf_delay);
-}
-
-// ------------------------------------------------------------------- theory
 
 TEST(Theory, SufficientChannelsMeanZeroLevel) {
   const Workload w = make_workload({2, 4}, {2, 3});
