@@ -6,7 +6,9 @@
 // actual tolerance on requests; the estimator keeps a bounded window of
 // recent samples per content class and reports a conservative low quantile
 // as the class's expected time. Rounding onto the scheduling ladder is the
-// caller's job (see adaptive.hpp), matching the Section-2 pipeline.
+// caller's job, as in the Section-2 pipeline. Nothing in the tree feeds it
+// yet: it is the first stage of the parked closed-loop direction
+// (estimator -> choose_schedule -> seam-planned swap; see ROADMAP.md).
 #pragma once
 
 #include <cstddef>
