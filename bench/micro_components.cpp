@@ -156,7 +156,7 @@ BENCHMARK(BM_ObsSnapshot);
 
 void BM_SnapshotImport(benchmark::State& state) {
   // Artifact ingestion cost: JSON text of the full live registry back to a
-  // MetricsSnapshot, the inner loop of `tcsactl obs merge/diff`.
+  // MetricsSnapshot, the inner loop of `tcsactl obs diff/report`.
   const std::string json = tcsa::obs::snapshot().to_json();
   for (auto _ : state) {
     const tcsa::obs::MetricsSnapshot snap = tcsa::obs::snapshot_from_json(json);

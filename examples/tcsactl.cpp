@@ -10,12 +10,11 @@
 //   tcsactl --cmd simulate --workload workload.tcsa --requests 3000 < prog.tcsa
 //   tcsactl --cmd demo     (prints a sample workload document)
 //
-// Cross-process observability (DESIGN.md §6): a sweep can shard across
-// forked child processes, each writing a manifest + metrics + trace +
-// points artifact set, and the `obs` subcommand family post-processes them:
+// Run artifacts (DESIGN.md §6): a sweep measures the Figure-5 grid on the
+// in-process worker pool and, with --out-dir, writes a manifest + metrics +
+// trace + points artifact set that the `obs` subcommands post-process:
 //
-//   tcsactl --cmd sweep --workload w.tcsa --shards 4 --jobs 4 --out-dir run/
-//   tcsactl obs merge  --dir run/                  (one trace, one snapshot)
+//   tcsactl --cmd sweep --workload w.tcsa --out-dir run/
 //   tcsactl obs diff   --base a.json --current b.json --rel-tol 0.05
 //   tcsactl obs report --dir run/                  (markdown summary)
 //
@@ -63,7 +62,6 @@
 #include "sim/broadcast_sim.hpp"
 #include "sim/sweep.hpp"
 #include "util/cli.hpp"
-#include "util/subprocess.hpp"
 #include "util/table.hpp"
 #include "util/text.hpp"
 #include "workload/trace.hpp"
@@ -182,8 +180,7 @@ std::vector<std::string> list_directory(const std::string& dir) {
   return names;
 }
 
-/// Unique-enough id shared by every shard of one run: the parent mints it
-/// and passes it down via --run-id.
+/// Unique-enough run id for a manifest written without --run-id.
 std::string default_run_id() {
   return str_cat("run-", hex(obs::trace_epoch_wall_us()), '-', ::getpid());
 }
@@ -197,8 +194,6 @@ struct ArtifactSet {
   std::string stem;
   std::string command;     ///< manifest "command"
   std::string digest;      ///< manifest "config_digest"
-  int shard_index = 0;
-  int shard_count = 1;
   std::string metrics_json = {};  ///< empty = no metrics file
   bool trace = false;             ///< stop tracing, write the Chrome trace
   std::string points_json = {};   ///< empty = no points file
@@ -211,8 +206,8 @@ void write_artifact_set(const Cli& cli, const ArtifactSet& set) {
   create_directories(dir);
   std::string run_id = cli.get_string("run-id");
   if (run_id.empty()) run_id = default_run_id();
-  obs::RunManifest manifest = obs::make_manifest(
-      run_id, set.shard_index, set.shard_count, set.digest, set.command);
+  obs::RunManifest manifest =
+      obs::make_manifest(run_id, set.digest, set.command);
   const auto file = [&set](const char* kind) {
     return set.stem + "." + kind + ".json";
   };
@@ -252,149 +247,41 @@ std::vector<FoundManifest> read_manifests(const std::string& dir) {
   return found;
 }
 
-// ------------------------------------------------- sharded sweep artifacts
-
-/// Everything one run directory holds, loaded and validated: a complete,
-/// config-consistent shard set plus its merged metrics and sorted points.
-struct RunArtifacts {
-  std::vector<obs::RunManifest> manifests;   ///< sorted by shard_index
-  obs::MetricsSnapshot metrics;              ///< merged across shards
-  std::vector<obs::TraceShard> traces;       ///< shards that wrote a trace
-  std::vector<obs::SweepPointRecord> points; ///< sorted (channels, method)
-};
-
-RunArtifacts collect_run(const std::string& dir) {
-  RunArtifacts run;
-  for (FoundManifest& found : read_manifests(dir))
-    run.manifests.push_back(std::move(found.manifest));
-  if (run.manifests.empty())
+/// The one manifest in run directory `dir`. None, or several (artifacts of
+/// more than one run), is a usage error that names what was found.
+obs::RunManifest the_manifest(const std::string& dir) {
+  std::vector<FoundManifest> found = read_manifests(dir);
+  if (found.empty())
     throw std::invalid_argument("no *.manifest.json artifacts in " + dir);
-  std::sort(run.manifests.begin(), run.manifests.end(),
-            [](const obs::RunManifest& a, const obs::RunManifest& b) {
-              return a.shard_index < b.shard_index;
-            });
-  const obs::RunManifest& first = run.manifests.front();
-  if (static_cast<int>(run.manifests.size()) != first.shard_count)
-    throw std::invalid_argument(
-        "incomplete run: " + std::to_string(run.manifests.size()) + " of " +
-        std::to_string(first.shard_count) + " shard manifests in " + dir);
-  for (std::size_t i = 0; i < run.manifests.size(); ++i) {
-    const obs::RunManifest& m = run.manifests[i];
-    if (m.run_id != first.run_id || m.config_digest != first.config_digest ||
-        m.shard_count != first.shard_count)
-      throw std::invalid_argument(
-          "shard manifests disagree on run_id/config_digest; " + dir +
-          " seems to hold artifacts from more than one run");
-    if (m.shard_index != static_cast<int>(i))
-      throw std::invalid_argument("duplicate or missing shard index " +
-                                  std::to_string(i) + " in " + dir);
-    if (!m.metrics_file.empty())
-      run.metrics.merge(obs::snapshot_from_json(
-          slurp_file(path_join(dir, m.metrics_file))));
-    if (!m.trace_file.empty())
-      run.traces.push_back(
-          {m, slurp_file(path_join(dir, m.trace_file))});
-    if (!m.points_file.empty()) {
-      const auto shard_points = obs::points_from_json(
-          slurp_file(path_join(dir, m.points_file)));
-      run.points.insert(run.points.end(), shard_points.begin(),
-                        shard_points.end());
-    }
+  if (found.size() > 1) {
+    std::vector<std::string> names;
+    for (const FoundManifest& f : found)
+      names.push_back(f.stem + ".manifest.json");
+    std::sort(names.begin(), names.end());
+    std::string message = str_cat(dir, " holds ", names.size(),
+                                  " manifests, one run expected:");
+    for (const std::string& name : names) str_append(message, ' ', name);
+    throw std::invalid_argument(message);
   }
-  std::sort(run.points.begin(), run.points.end(),
-            [](const obs::SweepPointRecord& a, const obs::SweepPointRecord& b) {
-              return a.channels != b.channels ? a.channels < b.channels
-                                              : a.method < b.method;
-            });
-  return run;
+  return std::move(found.front().manifest);
 }
 
 // ------------------------------------------------------ the sweep command
 
-/// Fork/exec parent: runs `shards` child sweeps, at most `jobs` at a time,
-/// each re-invoking this executable for one shard. Children inherit the
-/// grid-shaping flags verbatim, so every shard derives the identical grid
-/// and measures its disjoint round-robin slice of it.
-int run_sharded_parent(const Cli& cli, long long shards, long long jobs) {
-  const std::string workload = cli.get_string("workload");
-  const std::string out_dir = cli.get_string("out-dir");
-  if (workload.empty())
-    throw std::invalid_argument("--jobs needs --workload FILE (children "
-                                "cannot share the parent's stdin)");
-  if (out_dir.empty())
-    throw std::invalid_argument("--jobs needs --out-dir DIR to collect "
-                                "shard artifacts");
-  create_directories(out_dir);
-  std::string run_id = cli.get_string("run-id");
-  if (run_id.empty()) run_id = default_run_id();
-
-  const std::string exe = self_executable_path("tcsactl");
-  std::vector<Subprocess> window;
-  std::vector<std::string> logs;
-  const auto reap_oldest = [&] {
-    const int rc = window.front().wait();
-    if (rc != 0)
-      throw std::runtime_error("shard child exited with code " +
-                               std::to_string(rc) + "; see " + logs.front());
-    window.erase(window.begin());
-    logs.erase(logs.begin());
-  };
-  for (long long shard = 0; shard < shards; ++shard) {
-    while (static_cast<long long>(window.size()) >= std::max(1LL, jobs))
-      reap_oldest();
-    const std::string tag = out_dir + "/shard-" + std::to_string(shard);
-    SpawnOptions io;
-    io.stdout_path = tag + ".stdout.txt";
-    io.stderr_path = tag + ".log";
-    window.push_back(Subprocess::spawn(
-        {exe, "--cmd", "sweep", "--workload", workload, "--shards",
-         std::to_string(shards), "--shard-index", std::to_string(shard),
-         "--out-dir", out_dir, "--run-id", run_id, "--requests",
-         std::to_string(cli.get_int("requests")), "--seed",
-         std::to_string(cli.get_int("seed")), "--channels",
-         std::to_string(cli.get_int("channels"))},
-        io));
-    logs.push_back(io.stderr_path);
-  }
-  while (!window.empty()) reap_oldest();
-
-  // Collect: a parse-validated, complete artifact set or an error.
-  const RunArtifacts run = collect_run(out_dir);
-  print(stderr, "collected ", run.manifests.size(), " shard artifact sets",
-        " for run ", run_id, " in ", out_dir, "; merge with:\n",
-        "  tcsactl obs merge --dir ", out_dir, '\n');
-  return 0;
-}
-
-/// One in-process sweep — the whole grid by default, one shard of it when
-/// --shards/--shard-index say so — with optional artifact emission.
+/// Measures the sweep grid on the in-process worker pool (one thread per
+/// hardware thread) and, with --out-dir, writes its artifact set.
 int run_sweep_command(const Cli& cli) {
-  const long long shards = cli.get_int("shards");
-  const long long shard_index = cli.get_int("shard-index");
-  const long long jobs = cli.get_int("jobs");
-  if (shards < 1) throw std::invalid_argument("--shards must be >= 1");
-  if (jobs > 0) return run_sharded_parent(cli, shards, jobs);
-  if (shards > 1 && shard_index < 0)
-    throw std::invalid_argument(
-        "--shards > 1 needs --shard-index I (run one shard) or --jobs J "
-        "(fork all shards)");
-  if (shard_index >= shards)
-    throw std::invalid_argument("--shard-index must be < --shards");
-
   const Workload w = workload_from(cli.get_string("workload"));
   SweepConfig config;
   config.sim.requests.count = cli.get_int("requests");
   config.sim.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   if (const SlotCount channels = cli.get_int("channels"); channels > 0)
     config.max_channels = channels;
-  const SweepShard shard{
-      static_cast<unsigned>(shard_index < 0 ? 0 : shard_index),
-      static_cast<unsigned>(shards)};
 
   const std::string out_dir = cli.get_string("out-dir");
   // Artifact runs capture a trace alongside the metrics delta.
   if (!out_dir.empty()) obs::set_tracing_enabled(true);
-  const SweepReport report = run_sweep_shard(w, config, shard);
+  const SweepReport report = run_sweep_with_metrics(w, config, 0);
 
   std::string table = "channels method    AvgD      predicted  miss%     p95\n";
   for (const SweepPoint& p : report.points) {
@@ -425,15 +312,18 @@ int run_sweep_command(const Cli& cli) {
       r.window_overflows = static_cast<std::int64_t>(p.window_overflows);
       records.push_back(std::move(r));
     }
-    write_artifact_set(
-        cli, {.stem = "shard-" + std::to_string(shard.index),
-              .command = "sweep",
-              .digest = sweep_config_digest(w, config),
-              .shard_index = static_cast<int>(shard.index),
-              .shard_count = static_cast<int>(shard.count),
-              .metrics_json = report.metrics.to_json(),
-              .trace = true,
-              .points_json = obs::points_to_json(records)});
+    write_artifact_set(cli, {.stem = "sweep",
+                             .command = "sweep",
+                             .digest = sweep_config_digest(w, config),
+                             .metrics_json = report.metrics.to_json(),
+                             .trace = true,
+                             .points_json = obs::points_to_json(records)});
+    if (const std::uint64_t dropped = report.metrics.counter_value(
+            "tcsa_trace_spans_dropped_total");
+        dropped > 0)
+      print(stderr, "warning: ", dropped,
+            " spans were dropped by ring overflow; ", out_dir,
+            "/sweep.trace.json is incomplete\n");
   }
   return 0;
 }
@@ -474,7 +364,7 @@ int serve_main(int argc, const char* const* argv) {
   cli.add_string("trace-out", "", "write a Chrome trace to FILE");
   cli.add_string("out-dir", "",
                  "write a manifest + metrics + trace artifact set into DIR "
-                 "(mergeable with 'tcsactl obs merge')");
+                 "(summarise with 'tcsactl obs report --dir DIR')");
   cli.add_string("run-id", "", "artifact run id (default: clock + pid)");
   cli.add_int("admin-port", -1,
               "serve /metrics, /metrics.json, /healthz and /slots over HTTP "
@@ -680,7 +570,7 @@ int tune_main(int argc, const char* const* argv) {
     write_text_file(out_dir + "/tune.summary.json", summary.to_json() + "\n");
     // Clock-offset sidecar: 'tcsactl trace merge' picks up
     // <stem>.offset.json next to <stem>.manifest.json and corrects this
-    // shard's timeline by the measured offset.
+    // client's timeline by the measured offset.
     const TuneRequestStats& r = summary.requests;
     write_text_file(
         out_dir + "/tune.offset.json",
@@ -809,7 +699,7 @@ int loadgen_main(int argc, const char* const* argv) {
                  "document (diffable with 'tcsactl obs diff')");
   cli.add_string("out-dir", "",
                  "write a manifest + metrics artifact set into DIR "
-                 "(mergeable with 'tcsactl obs merge')");
+                 "(summarise with 'tcsactl obs report --dir DIR')");
   cli.add_string("run-id", "", "artifact run id (default: clock + pid)");
   if (!cli.parse(argc, argv)) return 0;
 
@@ -924,9 +814,14 @@ int dispatch(const Cli& cli) {
     const ScheduleOutcome outcome =
         make_schedule(parse_method(cli.get_string("method")), w, channels);
     print(stdout, program_to_string(outcome.program));
-    print(stderr, "scheduled ", method_name(outcome.method), " on ", channels,
-          " channels, cycle ", outcome.t_major, ", predicted AvgD ",
-          outcome.predicted_delay, '\n');
+    std::string summary =
+        str_cat("scheduled ", method_name(outcome.method), " on ", channels,
+                " channels, cycle ", outcome.t_major, ", predicted AvgD ",
+                outcome.predicted_delay);
+    if (outcome.window_overflows > 0)
+      str_append(summary, ", ", outcome.window_overflows,
+                 " copies outside their even-spread window");
+    print(stderr, summary, '\n');
     return 0;
   }
 
@@ -989,38 +884,6 @@ int dispatch(const Cli& cli) {
 
 // --------------------------------------------------- obs subcommand family
 
-/// `tcsactl obs merge --dir RUN/` → one Perfetto-loadable trace and one
-/// merged snapshot (plus merged points) from a complete shard set.
-int obs_merge(int argc, const char* const* argv) {
-  Cli cli("tcsactl obs merge",
-          "merge a sharded run's artifacts into one trace + one snapshot");
-  cli.add_string("dir", "", "run directory holding shard-*.manifest.json");
-  cli.add_string("out", "", "output prefix (default: DIR/merged)");
-  if (!cli.parse(argc, argv)) return 0;
-  const std::string dir = cli.get_string("dir");
-  if (dir.empty()) throw std::invalid_argument("obs merge needs --dir DIR");
-  std::string prefix = cli.get_string("out");
-  if (prefix.empty()) prefix = dir + "/merged";
-
-  const RunArtifacts run = collect_run(dir);
-  write_text_file(prefix + ".metrics.json", run.metrics.to_json());
-  if (!run.traces.empty())
-    write_text_file(prefix + ".trace.json",
-                    obs::merge_chrome_traces(run.traces));
-  if (!run.points.empty())
-    write_text_file(prefix + ".points.json", obs::points_to_json(run.points));
-  print(stderr, "merged ", run.manifests.size(), " shards (run ",
-        run.manifests.front().run_id, ", config ",
-        run.manifests.front().config_digest, ") -> ", prefix,
-        ".{metrics,trace,points}.json\n");
-  if (run.metrics.counter_value("tcsa_trace_spans_dropped_total") > 0)
-    print(stderr, "warning: ",
-          run.metrics.counter_value("tcsa_trace_spans_dropped_total"),
-          " spans were dropped by ring overflow; the merged trace "
-          "is incomplete\n");
-  return 0;
-}
-
 /// `tcsactl obs diff --base A --current B` → nonzero exit on drift beyond
 /// tolerance. Accepts snapshot exports and merged bench documents.
 int obs_diff(int argc, const char* const* argv) {
@@ -1059,14 +922,25 @@ int obs_diff(int argc, const char* const* argv) {
 /// markdown summary on stdout.
 int obs_report(int argc, const char* const* argv) {
   Cli cli("tcsactl obs report", "render a markdown run summary");
-  cli.add_string("dir", "", "run directory (reads manifests + artifacts)");
+  cli.add_string("dir", "",
+                 "run directory holding one *.manifest.json and its "
+                 "artifacts");
   cli.add_string("metrics", "", "metrics snapshot JSON (without --dir)");
   cli.add_string("points", "", "points JSON to tabulate (without --dir)");
   if (!cli.parse(argc, argv)) return 0;
   const std::string dir = cli.get_string("dir");
   if (!dir.empty()) {
-    const RunArtifacts run = collect_run(dir);
-    print(stdout, obs::report_markdown(run.metrics, run.manifests, run.points));
+    const obs::RunManifest manifest = the_manifest(dir);
+    const obs::MetricsSnapshot metrics =
+        manifest.metrics_file.empty()
+            ? obs::MetricsSnapshot{}
+            : obs::snapshot_from_json(
+                  slurp_file(path_join(dir, manifest.metrics_file)));
+    std::vector<obs::SweepPointRecord> points;
+    if (!manifest.points_file.empty())
+      points = obs::points_from_json(
+          slurp_file(path_join(dir, manifest.points_file)));
+    print(stdout, obs::report_markdown(metrics, &manifest, points));
     return 0;
   }
   const std::string metrics_path = cli.get_string("metrics");
@@ -1076,34 +950,31 @@ int obs_report(int argc, const char* const* argv) {
   if (const std::string p = cli.get_string("points"); !p.empty())
     points = obs::points_from_json(slurp_file(p));
   print(stdout, obs::report_markdown(
-                    obs::snapshot_from_json(slurp_file(metrics_path)), {},
-                    points));
+                    obs::snapshot_from_json(slurp_file(metrics_path)),
+                    nullptr, points));
   return 0;
 }
 
 int obs_main(int argc, const char* const* argv) {
-  // argv[0] is the subcommand ("merge" | "diff" | "report"); hand the rest
-  // to the subcommand's own Cli (which skips its argv[0] like any main).
+  // argv[0] is the subcommand ("diff" | "report"); hand the rest to the
+  // subcommand's own Cli (which skips its argv[0] like any main).
   if (argc < 1)
-    throw std::invalid_argument("usage: tcsactl obs <merge|diff|report> ...");
+    throw std::invalid_argument("usage: tcsactl obs <diff|report> ...");
   const std::string sub = argv[0];
-  if (sub == "merge") return obs_merge(argc, argv);
   if (sub == "diff") return obs_diff(argc, argv);
   if (sub == "report") return obs_report(argc, argv);
   throw std::invalid_argument("unknown obs subcommand: " + sub +
-                              " (expected merge | diff | report)");
+                              " (expected diff | report)");
 }
 
 // --------------------------------------------- trace subcommand family
 
-/// `tcsactl trace merge --dir DIR` — fuse the server's and the client's
-/// request traces onto one timeline. Unlike `obs merge` (shards of ONE
-/// run), serve and tune are separate runs with separate run ids and config
-/// digests, so this collector is lenient: it pairs every *.manifest.json
-/// with its trace, forges a common run identity, re-indexes the shards
-/// (server first — it is the clock reference), and corrects each client
-/// shard's timestamps by its measured clock offset (<stem>.offset.json,
-/// written by `tcsactl tune --out-dir`).
+/// `tcsactl trace merge --dir DIR` — fuse the server's and the clients'
+/// request traces onto one timeline. Serve and tune are separate runs with
+/// their own run ids and config digests: this pairs every *.manifest.json
+/// with its trace, puts the server first (it is the clock reference), and
+/// corrects each client's timestamps by its measured clock offset
+/// (<stem>.offset.json, written by `tcsactl tune --out-dir`).
 int trace_merge(int argc, const char* const* argv) {
   Cli cli("tcsactl trace merge",
           "fuse client + server request traces into one Chrome trace with "
@@ -1124,7 +995,7 @@ int trace_merge(int argc, const char* const* argv) {
   });
   if (found.empty())
     throw std::invalid_argument("no *.manifest.json with a trace in " + dir);
-  // The serving process is the reference timeline: its shard lands first
+  // The serving process is the reference timeline: its trace lands first
   // and offsets are corrections towards its clock.
   std::stable_sort(found.begin(), found.end(),
                    [](const FoundManifest& a, const FoundManifest& b) {
@@ -1133,16 +1004,12 @@ int trace_merge(int argc, const char* const* argv) {
                    });
   const std::uint64_t reference_wall = found.front().manifest.wall_epoch_us;
 
-  std::vector<obs::TraceShard> shards;
+  std::vector<obs::ProcessTrace> traces;
   std::uint64_t corrected = 0;
   for (std::size_t i = 0; i < found.size(); ++i) {
-    obs::TraceShard shard;
-    shard.manifest = found[i].manifest;
-    shard.manifest.run_id = "journey";       // forged common identity
-    shard.manifest.config_digest = "journey";
-    shard.manifest.shard_index = static_cast<int>(i);
-    shard.manifest.shard_count = static_cast<int>(found.size());
-    shard.trace_json =
+    obs::ProcessTrace trace;
+    trace.manifest = found[i].manifest;
+    trace.trace_json =
         slurp_file(path_join(dir, found[i].manifest.trace_file));
     const std::string sidecar =
         path_join(dir, found[i].stem + ".offset.json");
@@ -1159,16 +1026,16 @@ int trace_merge(int argc, const char* const* argv) {
         // claimed; with honest same-host clocks it collapses to ~0.
         const auto measured = static_cast<std::int64_t>(
             doc.at("offset_us").expect_number("offset_us"));
-        shard.clock_offset_us =
+        trace.clock_offset_us =
             measured - static_cast<std::int64_t>(
-                           shard.manifest.wall_epoch_us - reference_wall);
+                           trace.manifest.wall_epoch_us - reference_wall);
         ++corrected;
       }
     }
-    shards.push_back(std::move(shard));
+    traces.push_back(std::move(trace));
   }
-  write_text_file(out, obs::merge_chrome_traces(shards));
-  print(stderr, "trace merge: fused ", shards.size(), " timelines (",
+  write_text_file(out, obs::merge_chrome_traces(traces));
+  print(stderr, "trace merge: fused ", traces.size(), " timelines (",
         corrected, " clock-corrected) -> ", out, '\n');
   return 0;
 }
@@ -1404,14 +1271,16 @@ int run(int argc, const char* const* argv) {
   cli.add_string("cmd", "bound",
                  "bound | schedule | validate | simulate | sweep | inspect | "
                  "plan | demo (live serving: tcsactl serve|tune|swap --help; "
-                 "artifact tooling: tcsactl obs merge|diff|report --help)");
+                 "artifact tooling: tcsactl obs diff|report --help)");
   cli.add_string("method", "pamad", "scheduler for --cmd schedule "
                                     "(susc|pamad|mpb|opt|rr)");
   cli.add_int("channels", 0, "channel count (0 = Theorem 3.1 minimum)");
   cli.add_string("workload", "",
-                 "workload file for validate/simulate (default: none; "
+                 "workload file for validate/simulate/sweep (default: none; "
                  "bound/schedule read the workload from stdin)");
-  cli.add_int("requests", 3000, "simulated requests for --cmd simulate");
+  cli.add_int("requests", 3000,
+              "simulated requests for --cmd simulate (per point for --cmd "
+              "sweep)");
   cli.add_int("seed", 42, "simulation seed");
   cli.add_double("budget", 0.0, "with --cmd bound: also report the channel "
                                 "count for this AvgD budget");
@@ -1421,21 +1290,11 @@ int run(int argc, const char* const* argv) {
   cli.add_string("trace-out", "",
                  "write a Chrome trace_event JSON timeline of this run to "
                  "FILE (load in chrome://tracing or Perfetto)");
-  cli.add_int("shards", 1,
-              "with --cmd sweep: partition the sweep grid into this many "
-              "round-robin shards");
-  cli.add_int("shard-index", -1,
-              "with --cmd sweep --shards K: run only this shard (0-based) "
-              "in-process");
-  cli.add_int("jobs", 0,
-              "with --cmd sweep --shards K: fork/exec the shards as child "
-              "processes, at most JOBS at a time");
   cli.add_string("out-dir", "",
-                 "with --cmd sweep: write manifest + metrics + trace + "
-                 "points artifacts for each shard into DIR");
+                 "with --cmd sweep: write sweep.{manifest,metrics,trace,"
+                 "points}.json into DIR");
   cli.add_string("run-id", "",
-                 "artifact run id (shared across shards; default: minted "
-                 "from clock + pid)");
+                 "artifact run id (default: minted from clock + pid)");
   if (!cli.parse(argc, argv)) return 0;
 
   const std::string metrics_out = cli.get_string("metrics-out");

@@ -9,7 +9,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/contracts.hpp"
-#include "util/log.hpp"
 
 namespace tcsa {
 namespace {
@@ -174,10 +173,6 @@ PlacementResult place_even_spread(const Workload& workload,
     obs::counter_add_always(
         placement_metrics().overflows,
         static_cast<std::uint64_t>(result.window_overflows));
-  if (result.window_overflows > 0) {
-    TCSA_LOG(kWarn) << "place_even_spread: " << result.window_overflows
-                    << " copies fell outside their even-spread window";
-  }
   return result;
 }
 

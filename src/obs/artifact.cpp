@@ -20,7 +20,7 @@
 namespace tcsa::obs {
 namespace {
 
-constexpr const char* kManifestSchema = "tcsa-run-manifest/v1";
+constexpr const char* kManifestSchema = "tcsa-run-manifest/v2";
 
 /// Fixed-width helper for report tables (3 significant decimals).
 std::string format_fixed(double value) {
@@ -65,16 +65,11 @@ std::string fnv1a_digest(std::string_view canon) {
 
 const char* build_git_describe() noexcept { return TCSA_GIT_DESCRIBE; }
 
-RunManifest make_manifest(const std::string& run_id, int shard_index,
-                          int shard_count, const std::string& config_digest,
+RunManifest make_manifest(const std::string& run_id,
+                          const std::string& config_digest,
                           const std::string& command) {
-  TCSA_REQUIRE(shard_count >= 1, "manifest: shard_count must be >= 1");
-  TCSA_REQUIRE(shard_index >= 0 && shard_index < shard_count,
-               "manifest: shard_index out of range");
   RunManifest manifest;
   manifest.run_id = run_id;
-  manifest.shard_index = shard_index;
-  manifest.shard_count = shard_count;
   manifest.config_digest = config_digest;
   manifest.command = command;
   char host[256] = {};
@@ -89,8 +84,6 @@ std::string manifest_to_json(const RunManifest& manifest) {
   std::string out = "{\n";
   append_kv(out, "schema", kManifestSchema);
   append_kv(out, "run_id", manifest.run_id);
-  append_kv_int(out, "shard_index", manifest.shard_index);
-  append_kv_int(out, "shard_count", manifest.shard_count);
   append_kv(out, "config_digest", manifest.config_digest);
   append_kv(out, "command", manifest.command);
   append_kv(out, "hostname", manifest.hostname);
@@ -111,13 +104,6 @@ RunManifest manifest_from_json(const std::string& json) {
                "manifest: unknown schema tag");
   RunManifest manifest;
   manifest.run_id = doc.at("run_id").expect_string("run_id");
-  manifest.shard_index =
-      static_cast<int>(doc.at("shard_index").expect_int("shard_index"));
-  manifest.shard_count =
-      static_cast<int>(doc.at("shard_count").expect_int("shard_count"));
-  TCSA_REQUIRE(manifest.shard_count >= 1 && manifest.shard_index >= 0 &&
-                   manifest.shard_index < manifest.shard_count,
-               "manifest: shard coordinates out of range");
   manifest.config_digest =
       doc.at("config_digest").expect_string("config_digest");
   manifest.command = doc.at("command").expect_string("command");
@@ -239,17 +225,11 @@ bool snapshots_equal(const MetricsSnapshot& a, const MetricsSnapshot& b,
 
 // ------------------------------------------------------------ trace merge
 
-std::string merge_chrome_traces(const std::vector<TraceShard>& shards) {
-  TCSA_REQUIRE(!shards.empty(), "merge_chrome_traces: no shards");
-  std::uint64_t base_wall = shards.front().manifest.wall_epoch_us;
-  for (const TraceShard& shard : shards) {
-    TCSA_REQUIRE(shard.manifest.run_id == shards.front().manifest.run_id,
-                 "merge_chrome_traces: shards from different runs");
-    TCSA_REQUIRE(
-        shard.manifest.config_digest == shards.front().manifest.config_digest,
-        "merge_chrome_traces: shards from different configs");
-    base_wall = std::min(base_wall, shard.manifest.wall_epoch_us);
-  }
+std::string merge_chrome_traces(const std::vector<ProcessTrace>& traces) {
+  TCSA_REQUIRE(!traces.empty(), "merge_chrome_traces: no traces");
+  std::uint64_t base_wall = traces.front().manifest.wall_epoch_us;
+  for (const ProcessTrace& trace : traces)
+    base_wall = std::min(base_wall, trace.manifest.wall_epoch_us);
 
   struct MergedEvent {
     std::uint64_t ts = 0;
@@ -257,27 +237,27 @@ std::string merge_chrome_traces(const std::vector<TraceShard>& shards) {
   };
   std::vector<MergedEvent> events;
   std::string metadata;
-  for (const TraceShard& shard : shards) {
-    const RunManifest& m = shard.manifest;
-    // Wall-epoch shift plus the shard's measured clock correction. Signed:
-    // a shard whose clock runs ahead corrects backwards, clamped at the
+  for (std::size_t position = 0; position < traces.size(); ++position) {
+    const ProcessTrace& trace = traces[position];
+    const RunManifest& m = trace.manifest;
+    // Wall-epoch shift plus the trace's measured clock correction. Signed:
+    // a process whose clock runs ahead corrects backwards, clamped at the
     // merged origin so the document stays a valid Chrome trace.
     const std::int64_t shift =
         static_cast<std::int64_t>(m.wall_epoch_us - base_wall) +
-        shard.clock_offset_us;
-    const std::int64_t pid = m.shard_index + 1;  // re-keyed, collision-free
+        trace.clock_offset_us;
+    // Every process wrote pid 1: re-key by position, collision-free.
+    const std::int64_t pid = static_cast<std::int64_t>(position) + 1;
 
     // Perfetto/chrome://tracing shows this as the process title.
     metadata += "  {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": " +
                 std::to_string(pid) +
-                ", \"tid\": 0, \"args\": {\"name\": \"shard " +
-                std::to_string(m.shard_index) + "/" +
-                std::to_string(m.shard_count) + " · " +
-                json_escape(m.hostname) + " pid " + std::to_string(m.os_pid) +
-                "\"}},\n";
+                ", \"tid\": 0, \"args\": {\"name\": \"" +
+                json_escape(m.command) + " · " + json_escape(m.hostname) +
+                " pid " + std::to_string(m.os_pid) + "\"}},\n";
 
     const JsonValue doc =
-        json_parse(shard.trace_json).expect_object("trace document");
+        json_parse(trace.trace_json).expect_object("trace document");
     for (const JsonValue& raw :
          doc.at("traceEvents").expect_array("traceEvents").array) {
       JsonValue event = raw.expect_object("trace event");
@@ -478,23 +458,17 @@ std::vector<SweepPointRecord> points_from_json(const std::string& json) {
 // ----------------------------------------------------------------- report
 
 std::string report_markdown(const MetricsSnapshot& metrics,
-                            const std::vector<RunManifest>& shards,
+                            const RunManifest* manifest,
                             const std::vector<SweepPointRecord>& points) {
   std::string out = "# TCSA run report\n";
 
-  if (!shards.empty()) {
-    const RunManifest& first = shards.front();
-    out += "\nRun `" + first.run_id + "` — command `" + first.command +
-           "`, config digest `" + first.config_digest + "`, build `" +
-           first.git_describe + "`, " + std::to_string(shards.size()) + "/" +
-           std::to_string(first.shard_count) + " shard(s).\n";
-    out += "\n| shard | host | pid | trace epoch (wall µs) |\n";
-    out += "|---:|---|---:|---:|\n";
-    for (const RunManifest& m : shards)
-      out += "| " + std::to_string(m.shard_index) + " | " + m.hostname +
-             " | " + std::to_string(m.os_pid) + " | " +
-             std::to_string(m.wall_epoch_us) + " |\n";
-  }
+  if (manifest != nullptr)
+    out += "\nRun `" + manifest->run_id + "` — command `" + manifest->command +
+           "`, config digest `" + manifest->config_digest + "`, build `" +
+           manifest->git_describe + "`, host " + manifest->hostname +
+           " pid " + std::to_string(manifest->os_pid) +
+           ", trace epoch " + std::to_string(manifest->wall_epoch_us) +
+           " µs (wall).\n";
 
   const std::uint64_t requests =
       metrics.counter_value("tcsa_sim_requests_total");

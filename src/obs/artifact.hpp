@@ -1,24 +1,24 @@
 // artifact.hpp — the cross-process half of the observability layer.
 //
-// A single process exports a metrics snapshot and a Chrome trace; a sharded
-// sweep produces one of each *per shard process*. This module defines the
-// artifact model that makes those shards mergeable, diffable and
-// reportable after the fact:
+// A process exports a metrics snapshot and a Chrome trace. This module
+// defines the artifact model that keeps those exports readable, diffable
+// and fusable after the process is gone:
 //
-//  * RunManifest — provenance written alongside every export: run id, shard
-//    coordinates, config digest, host/pid, the wall-clock instant of the
-//    shard's trace epoch (the clock-alignment anchor), and the build's git
-//    describe. Schema: "tcsa-run-manifest/v1", documented in DESIGN.md §6.
+//  * RunManifest — provenance written alongside every export: run id,
+//    config digest, host/pid, the wall-clock instant of the process's trace
+//    epoch (the clock-alignment anchor), and the build's git describe.
+//    Schema: "tcsa-run-manifest/v2", documented in DESIGN.md §6.
 //  * snapshot_from_json — the strict importer for MetricsSnapshot::to_json
 //    output, whose histograms are sparse LogHistogram buckets plus count,
-//    sum and exact extremes, so merged shards keep exact tails.
+//    sum and exact extremes, so an imported snapshot keeps exact tails.
 //    import(export(s)) reproduces s exactly (help strings are not part of
 //    the export and come back empty; snapshots_equal ignores them).
 //    Malformed documents throw std::invalid_argument, never crash.
-//  * merge_chrome_traces — folds per-shard trace files onto one timeline:
-//    pids are re-keyed to the shard index (each process wrote pid 1), and
-//    timestamps shift by the difference between the shard's manifest epoch
-//    and the earliest epoch, so spans line up in absolute time.
+//  * merge_chrome_traces — folds several processes' trace files (a server
+//    and its clients) onto one timeline: pids are re-keyed by position
+//    (each process wrote pid 1), and timestamps shift by the difference
+//    between the process's manifest epoch and the earliest epoch, plus a
+//    measured clock offset, so spans line up in absolute time.
 //  * diff_snapshots — per-metric comparison with tolerances, the engine of
 //    the CI counter-regression gate; counters_from_json_document also
 //    understands merged google-benchmark documents (BENCH_micro.json) so
@@ -43,11 +43,8 @@ namespace tcsa::obs {
 /// manifest JSON; `*_file` entries are paths relative to the manifest's own
 /// directory (empty = that artifact was not written).
 struct RunManifest {
-  std::string run_id;            ///< shared by every shard of one run
-  int shard_index = 0;           ///< 0-based
-  int shard_count = 1;
-  std::string config_digest;     ///< sweep/config fingerprint; shards of one
-                                 ///< run must agree before merging
+  std::string run_id;            ///< --run-id, or minted from clock + pid
+  std::string config_digest;     ///< fingerprint of the command's config
   std::string command;           ///< producing command, e.g. "sweep"
   std::string hostname;
   std::string git_describe;      ///< build provenance (TCSA_GIT_DESCRIBE)
@@ -60,8 +57,8 @@ struct RunManifest {
 
 /// Fills provenance from the running process: hostname, pid, the trace
 /// epoch's wall-clock anchor, and the compiled-in git describe.
-RunManifest make_manifest(const std::string& run_id, int shard_index,
-                          int shard_count, const std::string& config_digest,
+RunManifest make_manifest(const std::string& run_id,
+                          const std::string& config_digest,
                           const std::string& command);
 
 /// A manifest's config_digest: FNV-1a 64 over a canonical description of
@@ -96,25 +93,24 @@ bool snapshots_equal(const MetricsSnapshot& a, const MetricsSnapshot& b,
 
 // ----------------------------------------------------------- trace merge
 
-/// One shard's trace artifact paired with the manifest that anchors it.
-struct TraceShard {
+/// One process's trace artifact paired with the manifest that anchors it.
+struct ProcessTrace {
   RunManifest manifest;
-  std::string trace_json;  ///< the shard's write_chrome_trace document
+  std::string trace_json;  ///< the process's write_chrome_trace document
   /// Measured clock correction added to every event timestamp on top of
-  /// the wall-epoch shift. Cross-host (or cross-clock) shards align their
-  /// wall epochs only as well as the two system clocks agree; a measured
-  /// offset (obs::ClockOffsetEstimator over request acks) corrects the
-  /// residual. 0 = trust the wall clocks.
+  /// the wall-epoch shift. Cross-host (or cross-clock) processes align
+  /// their wall epochs only as well as the two system clocks agree; a
+  /// measured offset (obs::ClockOffsetEstimator over request acks) corrects
+  /// the residual. 0 = trust the wall clocks.
   std::int64_t clock_offset_us = 0;
 };
 
-/// Merges shard timelines into one Chrome trace_event document. Events keep
-/// their names/tids/args; pid becomes shard_index + 1 (with process_name
-/// metadata naming the shard and its host pid) and ts shifts onto the
-/// earliest shard's axis via the manifest wall epochs plus each shard's
-/// measured clock_offset_us (clamped at 0). Shards must agree on run_id
-/// and config_digest.
-std::string merge_chrome_traces(const std::vector<TraceShard>& shards);
+/// Merges process timelines into one Chrome trace_event document. Events
+/// keep their names/tids/args; the trace at position i gets pid i + 1 (with
+/// process_name metadata naming its command, host and OS pid) and ts shifts
+/// onto the earliest process's axis via the manifest wall epochs plus each
+/// trace's measured clock_offset_us (clamped at 0).
+std::string merge_chrome_traces(const std::vector<ProcessTrace>& traces);
 
 // ------------------------------------------------------------------ diff
 
@@ -177,11 +173,11 @@ std::vector<SweepPointRecord> points_from_json(const std::string& json);
 
 // ---------------------------------------------------------------- report
 
-/// Markdown run summary: manifest provenance (when given), the counter
-/// table, histogram p50/p90/p99, and the per-point table with deadline-miss
-/// rates (when points are given). Works for one shard or a merged run.
+/// Markdown run summary: manifest provenance (when `manifest` is given),
+/// the counter table, histogram p50/p90/p99, and the per-point table with
+/// deadline-miss rates (when points are given).
 std::string report_markdown(const MetricsSnapshot& metrics,
-                            const std::vector<RunManifest>& shards,
+                            const RunManifest* manifest,
                             const std::vector<SweepPointRecord>& points);
 
 }  // namespace tcsa::obs

@@ -17,8 +17,8 @@
 // connects, frame decoding, jitter sampling — no cross-thread state on the
 // hot path). A coordinator phase machine ramps every thread up, opens one
 // shared measurement window, then tears everything down. The report is a
-// MetricsSnapshot-shaped JSON document so it merges and diffs with the
-// existing obs artifact tooling (tcsactl obs merge/diff).
+// MetricsSnapshot-shaped JSON document so it diffs and reports with the
+// existing obs artifact tooling (tcsactl obs diff/report).
 #pragma once
 
 #include <cstdint>

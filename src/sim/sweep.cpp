@@ -48,29 +48,7 @@ SweepPoint measure_point(const Workload& workload, const SweepConfig& config,
   return point;
 }
 
-/// The single sweep driver: every public entry point routes here. Points
-/// are independent by construction (per-point forked seeds, immutable
-/// workload), so result slot i never depends on scheduling; threads == 1
-/// runs inline on the calling thread with no pool spawned. A shard with
-/// count > 1 measures only its round-robin slice of the grid.
-std::vector<SweepPoint> run_sweep_impl(const Workload& workload,
-                                       const SweepConfig& config,
-                                       SweepShard shard, unsigned threads) {
-  TCSA_REQUIRE(shard.count >= 1, "run_sweep: shard count must be >= 1");
-  TCSA_REQUIRE(shard.index < shard.count, "run_sweep: shard index too large");
-  const auto grid = sweep_point_list(workload, config);
-  std::vector<std::pair<SlotCount, Method>> work;
-  for (std::size_t i = shard.index; i < grid.size(); i += shard.count)
-    work.push_back(grid[i]);
-  std::vector<SweepPoint> results(work.size());
-  parallel_for(work.size(), threads, [&](std::size_t i) {
-    results[i] = measure_point(workload, config, work[i].first, work[i].second);
-  });
-  return results;
-}
-
-}  // namespace
-
+/// The (channels, method) grid a config denotes, in measurement order.
 std::vector<std::pair<SlotCount, Method>> sweep_point_list(
     const Workload& workload, const SweepConfig& config) {
   TCSA_REQUIRE(!config.methods.empty(), "run_sweep: no methods selected");
@@ -93,33 +71,38 @@ std::vector<std::pair<SlotCount, Method>> sweep_point_list(
   return points;
 }
 
-std::vector<SweepPoint> run_sweep(const Workload& workload,
-                                  const SweepConfig& config) {
-  return run_sweep_impl(workload, config, SweepShard{}, 1);
-}
+}  // namespace
 
+/// The single sweep driver: every public entry point routes here. Points
+/// are independent by construction (per-point forked seeds, immutable
+/// workload), so result slot i never depends on scheduling; threads == 1
+/// runs inline on the calling thread with no pool spawned.
 std::vector<SweepPoint> run_sweep_parallel(const Workload& workload,
                                            const SweepConfig& config,
                                            unsigned threads) {
-  return run_sweep_impl(workload, config, SweepShard{}, threads);
+  const auto grid = sweep_point_list(workload, config);
+  std::vector<SweepPoint> results(grid.size());
+  parallel_for(grid.size(), threads, [&](std::size_t i) {
+    results[i] = measure_point(workload, config, grid[i].first, grid[i].second);
+  });
+  return results;
+}
+
+std::vector<SweepPoint> run_sweep(const Workload& workload,
+                                  const SweepConfig& config) {
+  return run_sweep_parallel(workload, config, 1);
 }
 
 SweepReport run_sweep_with_metrics(const Workload& workload,
                                    const SweepConfig& config,
                                    unsigned threads) {
-  return run_sweep_shard(workload, config, SweepShard{}, threads);
-}
-
-SweepReport run_sweep_shard(const Workload& workload,
-                            const SweepConfig& config, SweepShard shard,
-                            unsigned threads) {
   // Forcing the flag on (instead of requiring callers to pre-enable) keeps
   // the one-call contract: a report always carries a meaningful snapshot.
   const bool was_enabled = obs::enabled();
   obs::set_enabled(true);
   const obs::MetricsSnapshot before = obs::snapshot();
   SweepReport report;
-  report.points = run_sweep_impl(workload, config, shard, threads);
+  report.points = run_sweep_parallel(workload, config, threads);
   report.metrics = obs::snapshot().minus(before);
   obs::set_enabled(was_enabled);
   return report;

@@ -67,31 +67,10 @@ SweepReport run_sweep_with_metrics(const Workload& workload,
                                    const SweepConfig& config,
                                    unsigned threads = 1);
 
-/// The expanded (channels, method) grid a config denotes, in measurement
-/// order. Exposed so cross-process runners can partition the identical
-/// list the in-process drivers walk.
-std::vector<std::pair<SlotCount, Method>> sweep_point_list(
-    const Workload& workload, const SweepConfig& config);
-
-/// One shard of a cross-process sweep: shard `index` of `count` measures
-/// grid points index, index + count, index + 2·count, ... (round-robin, so
-/// expensive high-channel points spread evenly across shards).
-struct SweepShard {
-  unsigned index = 0;
-  unsigned count = 1;
-};
-
-/// run_sweep_with_metrics restricted to one shard's points. The union of
-/// the reports over all shards covers each grid point exactly once with the
-/// same per-point forked seeds, so shard results — and their merged metric
-/// deltas — match a single-process run of the whole grid.
-SweepReport run_sweep_shard(const Workload& workload,
-                            const SweepConfig& config, SweepShard shard,
-                            unsigned threads = 1);
-
 /// Stable fingerprint of (workload, sweep config): FNV-1a 64 over the
-/// serialized workload and every grid-shaping field. Shards stamp it into
-/// their manifests; the merge tool refuses shards whose digests differ.
+/// serialized workload and every grid-shaping field. `tcsactl --cmd sweep`
+/// stamps it into its manifest, so two runs' artifacts say whether they
+/// measured the same grid.
 std::string sweep_config_digest(const Workload& workload,
                                 const SweepConfig& config);
 

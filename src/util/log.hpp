@@ -1,7 +1,7 @@
 // log.hpp — small leveled logger.
 //
 // Benches and examples use INFO for progress; the library itself logs only at
-// DEBUG (scheduler internals) and WARN (e.g. placement-window overflow). The
+// DEBUG (scheduler internals) and WARN (e.g. OPT's search-budget bail). The
 // sink and level are process-global and test-overridable.
 #pragma once
 

@@ -117,12 +117,4 @@ int run_command(const std::vector<std::string>& argv,
   return child.wait();
 }
 
-std::string self_executable_path(const std::string& fallback) {
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof buf - 1);
-  if (n <= 0) return fallback;
-  buf[n] = '\0';
-  return buf;
-}
-
 }  // namespace tcsa

@@ -1,11 +1,11 @@
 // subprocess.hpp — minimal fork/exec child-process management (POSIX).
 //
-// The sharded sweep runner fork/execs one tcsactl child per shard and
-// collects their artifacts; tests use the same helper to drive the real
-// binary end to end. The surface is deliberately small: spawn a child with
-// an argv vector and optional stdio redirections, then wait for its exit
-// code. No shell is ever involved, so arguments need no quoting and a
-// hostile filename cannot become an injection.
+// The end-to-end tests use it to drive the real tcsactl binary (servers,
+// clients, sweeps) as separate processes. The surface is deliberately
+// small: spawn a child with an argv vector and optional stdio
+// redirections, then wait for its exit code. No shell is ever involved, so
+// arguments need no quoting and a hostile filename cannot become an
+// injection.
 #pragma once
 
 #include <string>
@@ -55,10 +55,5 @@ class Subprocess {
 /// Convenience: spawn + wait.
 int run_command(const std::vector<std::string>& argv,
                 const SpawnOptions& options = {});
-
-/// Path of the currently running executable (/proc/self/exe), or `fallback`
-/// when the link cannot be read. The sweep parent uses this to re-exec
-/// itself for child shards regardless of how it was invoked.
-std::string self_executable_path(const std::string& fallback);
 
 }  // namespace tcsa

@@ -73,14 +73,14 @@ TEST(Json, EscapesControlCharacters) {
 // ----------------------------------------------------------- manifest
 
 TEST(Manifest, RoundTripsThroughJson) {
-  obs::RunManifest m = obs::make_manifest("run-1", 2, 4, "fnv1a-abc", "sweep");
-  m.metrics_file = "shard-2.metrics.json";
-  m.trace_file = "shard-2.trace.json";
-  m.points_file = "shard-2.points.json";
-  const obs::RunManifest back = obs::manifest_from_json(obs::manifest_to_json(m));
+  obs::RunManifest m = obs::make_manifest("run-1", "fnv1a-abc", "sweep");
+  m.metrics_file = "sweep.metrics.json";
+  m.trace_file = "sweep.trace.json";
+  m.points_file = "sweep.points.json";
+  const std::string json = obs::manifest_to_json(m);
+  EXPECT_NE(json.find("\"tcsa-run-manifest/v2\""), std::string::npos);
+  const obs::RunManifest back = obs::manifest_from_json(json);
   EXPECT_EQ(back.run_id, "run-1");
-  EXPECT_EQ(back.shard_index, 2);
-  EXPECT_EQ(back.shard_count, 4);
   EXPECT_EQ(back.config_digest, "fnv1a-abc");
   EXPECT_EQ(back.command, "sweep");
   EXPECT_EQ(back.hostname, m.hostname);
@@ -95,6 +95,10 @@ TEST(Manifest, RoundTripsThroughJson) {
 TEST(Manifest, RejectsWrongSchemaAndMissingFields) {
   EXPECT_THROW(obs::manifest_from_json("{\"schema\":\"bogus/v9\"}"),
                std::invalid_argument);
+  // A v1 manifest (which carried shard coordinates) is a different schema.
+  std::string v1 = obs::manifest_to_json(obs::make_manifest("r", "d", "c"));
+  v1.replace(v1.find("/v2"), 3, "/v1");
+  EXPECT_THROW(obs::manifest_from_json(v1), std::invalid_argument);
   EXPECT_THROW(obs::manifest_from_json("{}"), std::invalid_argument);
   EXPECT_THROW(obs::manifest_from_json("[]"), std::invalid_argument);
 }
@@ -258,7 +262,7 @@ TEST(MergeAlgebra, CommutativeUpToGaugeSemantics) {
 
 TEST(MergeAlgebra, MinusThenMergeRestoresWhole) {
   // a.minus(b).merge(b) == a whenever b is an earlier state of a — the
-  // exact shape produced by run_sweep_shard's before/after delta. The
+  // exact shape produced by run_sweep_with_metrics' before/after delta. The
   // delta's extremes are bucket-edge bounds, yet merging b back restores
   // a's exact extremes.
   for (std::uint64_t trial = 0; trial < 50; ++trial) {
@@ -444,53 +448,51 @@ TEST(RegistryHistogram, ShardedQuantilesEqualOneLogHistogram) {
 
 // -------------------------------------------------------- trace merging
 
-obs::TraceShard fake_shard(int index, int count, std::uint64_t wall_us,
-                           const std::string& events) {
-  obs::TraceShard shard;
-  shard.manifest = obs::make_manifest("run-x", index, count, "fnv1a-1", "sweep");
-  shard.manifest.wall_epoch_us = wall_us;
-  shard.trace_json = "{\"traceEvents\":[" + events + "]}";
-  return shard;
+obs::ProcessTrace fake_trace(const std::string& command,
+                             std::uint64_t wall_us,
+                             const std::string& events) {
+  obs::ProcessTrace trace;
+  trace.manifest = obs::make_manifest("run-" + command, "fnv1a-" + command,
+                                      command);
+  trace.manifest.wall_epoch_us = wall_us;
+  trace.trace_json = "{\"traceEvents\":[" + events + "]}";
+  return trace;
 }
 
 TEST(TraceMerge, RekeysPidsAndAlignsClocks) {
-  const std::vector<obs::TraceShard> shards = {
-      fake_shard(0, 2, 1000,
+  // Two separate runs (their ids and digests differ): the merge keys them
+  // by position only.
+  const std::vector<obs::ProcessTrace> traces = {
+      fake_trace("serve", 1000,
                  R"({"name":"a","ph":"X","ts":5,"dur":2,"pid":4242,"tid":1})"),
-      fake_shard(1, 2, 1300,
+      fake_trace("tune", 1300,
                  R"({"name":"b","ph":"X","ts":5,"dur":2,"pid":4242,"tid":1})"),
   };
-  const obs::JsonValue doc = obs::json_parse(obs::merge_chrome_traces(shards));
+  const obs::JsonValue doc = obs::json_parse(obs::merge_chrome_traces(traces));
   const obs::JsonValue& events = doc.at("traceEvents");
 
   std::vector<std::uint64_t> span_ts;
   std::vector<std::uint64_t> span_pids;
-  int metadata = 0;
+  std::vector<std::string> process_names;
   for (const obs::JsonValue& e : events.array) {
     if (e.at("ph").string == "M") {
-      ++metadata;
+      process_names.push_back(e.at("args").at("name").string);
       continue;
     }
     span_pids.push_back(e.at("pid").uint_value);
     span_ts.push_back(e.at("ts").uint_value);
   }
   ASSERT_EQ(span_pids.size(), 2u);
-  EXPECT_EQ(metadata, 2);  // one process_name record per shard
-  // Shard 0 keeps ts=5; shard 1 started 300 µs later so its span shifts.
+  // One process_name record per trace, titled by the manifest's command.
+  ASSERT_EQ(process_names.size(), 2u);
+  EXPECT_EQ(process_names[0].rfind("serve · ", 0), 0u) << process_names[0];
+  EXPECT_EQ(process_names[1].rfind("tune · ", 0), 0u) << process_names[1];
+  // The first keeps ts=5; the second started 300 µs later so its span
+  // shifts.
   EXPECT_EQ(span_ts[0], 5u);
   EXPECT_EQ(span_ts[1], 305u);
-  EXPECT_EQ(span_pids[0], 1u);  // re-keyed to shard_index + 1
+  EXPECT_EQ(span_pids[0], 1u);  // re-keyed to position + 1
   EXPECT_EQ(span_pids[1], 2u);
-}
-
-TEST(TraceMerge, RefusesMixedRuns) {
-  std::vector<obs::TraceShard> shards = {
-      fake_shard(0, 2, 0, ""), fake_shard(1, 2, 0, "")};
-  shards[1].manifest.run_id = "other-run";
-  EXPECT_THROW(obs::merge_chrome_traces(shards), std::invalid_argument);
-  shards[1].manifest.run_id = "run-x";
-  shards[1].manifest.config_digest = "fnv1a-2";
-  EXPECT_THROW(obs::merge_chrome_traces(shards), std::invalid_argument);
 }
 
 // ------------------------------------------------ bench-document import

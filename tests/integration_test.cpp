@@ -3,6 +3,7 @@
 // qualitative findings.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "core/api.hpp"
@@ -142,6 +143,56 @@ TEST(ParallelSweep, SingleThreadFallsBackToSerial) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i)
     EXPECT_DOUBLE_EQ(a[i].avg_delay, b[i].avg_delay);
+}
+
+TEST(ParallelSweep, WithMetricsDoesTheSerialRunsWork) {
+  // The pooled sweep `tcsactl --cmd sweep` runs must do exactly the serial
+  // sweep's work: the same points, every counter except the pool's own
+  // (workers spawned, idle time) and the same simulated-wait histogram.
+  const Workload w = make_paper_workload(GroupSizeShape::kNormal, 5, 150, 4, 2);
+  SweepConfig config;
+  config.sim.requests.count = 500;
+  const SweepReport serial = run_sweep_with_metrics(w, config, 1);
+  const SweepReport pooled = run_sweep_with_metrics(w, config, 4);
+
+  ASSERT_EQ(pooled.points.size(), serial.points.size());
+  for (std::size_t i = 0; i < serial.points.size(); ++i) {
+    EXPECT_EQ(pooled.points[i].channels, serial.points[i].channels) << i;
+    EXPECT_EQ(pooled.points[i].method, serial.points[i].method) << i;
+    EXPECT_EQ(pooled.points[i].avg_delay, serial.points[i].avg_delay) << i;
+    EXPECT_EQ(pooled.points[i].predicted_delay,
+              serial.points[i].predicted_delay) << i;
+    EXPECT_EQ(pooled.points[i].miss_rate, serial.points[i].miss_rate) << i;
+    EXPECT_EQ(pooled.points[i].p95_delay, serial.points[i].p95_delay) << i;
+    EXPECT_EQ(pooled.points[i].t_major, serial.points[i].t_major) << i;
+    EXPECT_EQ(pooled.points[i].window_overflows,
+              serial.points[i].window_overflows) << i;
+  }
+
+  std::size_t compared = 0;
+  for (const obs::CounterSnapshot& c : serial.metrics.counters) {
+    if (c.name.starts_with("tcsa_pool_")) continue;
+    EXPECT_EQ(pooled.metrics.counter_value(c.name), c.value) << c.name;
+    ++compared;
+  }
+  for (const obs::CounterSnapshot& c : pooled.metrics.counters) {
+    if (c.name.starts_with("tcsa_pool_")) continue;
+    EXPECT_EQ(serial.metrics.counter_value(c.name), c.value) << c.name;
+  }
+  EXPECT_GE(compared, 5u);
+  EXPECT_EQ(serial.metrics.counter_value("tcsa_sweep_points_total"),
+            serial.points.size());
+  EXPECT_GT(serial.metrics.counter_value("tcsa_opt_nodes_total"), 0u);
+
+  const obs::HistogramSnapshot* sh =
+      serial.metrics.histogram("tcsa_sim_wait_slots");
+  const obs::HistogramSnapshot* ph =
+      pooled.metrics.histogram("tcsa_sim_wait_slots");
+  ASSERT_NE(sh, nullptr);
+  ASSERT_NE(ph, nullptr);
+  EXPECT_GT(sh->values.count(), 0u);
+  EXPECT_TRUE(ph->values == sh->values);
+  EXPECT_NEAR(ph->sum, sh->sum, 1e-6 * std::max(1.0, sh->sum));
 }
 
 TEST(ParallelSweep, RejectsEmptyConfigToo) {

@@ -1,7 +1,7 @@
 // serve_e2e_test.cpp — ISSUE acceptance: fork the real `tcsactl serve`,
 // tune in with the real `tcsactl tune --json`, and prove over actual
 // sockets and processes that the broadcast meets every deadline, survives a
-// hot swap from `tcsactl swap`, and leaves mergeable obs artifacts behind.
+// hot swap from `tcsactl swap`, and leaves reportable obs artifacts behind.
 #include <unistd.h>
 
 #include <chrono>
@@ -221,25 +221,31 @@ TEST_F(ServeE2E, WritesMergeableObsArtifacts) {
   ASSERT_NE(lag, nullptr);
   EXPECT_EQ(lag->values.count(), 6000u);
 
-  // The --out-dir artifact set is a well-formed single-shard run …
+  // The --out-dir artifact set is a well-formed run …
   const obs::RunManifest manifest =
       obs::manifest_from_json(slurp(art_dir + "/serve.manifest.json"));
   EXPECT_EQ(manifest.run_id, "serve-e2e");
   EXPECT_EQ(manifest.command, "serve");
-  EXPECT_EQ(manifest.shard_count, 1);
   EXPECT_FALSE(manifest.config_digest.empty());
+  const obs::MetricsSnapshot exported =
+      obs::snapshot_from_json(slurp(art_dir + "/" + manifest.metrics_file));
+  EXPECT_EQ(exported.counter_value("tcsa_server_slots_aired_total"), 6000u);
 
-  // … that `tcsactl obs merge` accepts like any sweep run.
-  SpawnOptions merge_options;
-  merge_options.stdout_path = path("merge.stdout.txt");
-  merge_options.stderr_path = path("merge.stderr.txt");
-  ASSERT_EQ(run_command({TCSACTL_PATH, "obs", "merge", "--dir", art_dir},
-                        merge_options),
+  // … that `tcsactl obs report --dir` summarises like any sweep run.
+  SpawnOptions report_options;
+  report_options.stdout_path = path("report.md");
+  report_options.stderr_path = path("report.stderr.txt");
+  ASSERT_EQ(run_command({TCSACTL_PATH, "obs", "report", "--dir", art_dir},
+                        report_options),
             0)
-      << slurp(path("merge.stderr.txt"));
-  const obs::MetricsSnapshot merged =
-      obs::snapshot_from_json(slurp(art_dir + "/merged.metrics.json"));
-  EXPECT_EQ(merged.counter_value("tcsa_server_slots_aired_total"), 6000u);
+      << slurp(path("report.stderr.txt"));
+  const std::string report = slurp(path("report.md"));
+  EXPECT_NE(report.find("Run `serve-e2e` — command `serve`"),
+            std::string::npos)
+      << report;
+  EXPECT_NE(report.find("| tcsa_server_slots_aired_total | 6000 |"),
+            std::string::npos)
+      << report;
 
   // The trace holds the server's span families.
   const obs::JsonValue trace =

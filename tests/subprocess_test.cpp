@@ -1,4 +1,4 @@
-// subprocess_test.cpp — the fork/exec wrapper behind sharded sweeps.
+// subprocess_test.cpp — the fork/exec wrapper behind the e2e suites.
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -77,12 +77,6 @@ TEST(Subprocess, ChildrenRunConcurrently) {
 TEST(Subprocess, WaitReportsSignalDeath) {
   const int rc = run_command({"sh", "-c", "kill -KILL $$"});
   EXPECT_EQ(rc, 128 + 9);
-}
-
-TEST(Subprocess, SelfExecutablePathResolves) {
-  const std::string self = self_executable_path("fallback");
-  EXPECT_NE(self, "fallback");
-  EXPECT_NE(self.find("test_subprocess"), std::string::npos);
 }
 
 }  // namespace
