@@ -15,15 +15,33 @@
 //     they ride as informational (non-`_total`) counters; the committed
 //     EXPERIMENTS.md records the measured ratios.
 //
+//   * BM_AirSlotAllocations — heap allocations per aired slot: one
+//     in-process server with metrics on and one full-mask raw-socket
+//     session whose receive buffer holds the whole run, so every flush
+//     completes and its queue never grows. The counter is the allocations
+//     of a run of kBaseSlots + 1024 slots minus those of a run of
+//     kBaseSlots, so start-up and shutdown cancel out. At one loop it
+//     moves by ±2 between runs (a few one-off allocations), well inside
+//     the counter gate's tolerance; at two, post batching makes it depend
+//     on timing, so it is reported without the `_total` suffix.
+//
 // Counter discipline: only values that are exact and machine-independent
 // end in `_total` (the counter gate extracts exactly those); every
 // latency/throughput measurement uses names without the suffix.
 #include <benchmark/benchmark.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+
 #include <cstdint>
+#include <string>
 #include <thread>
 
+#include "alloc_count.hpp"
 #include "model/workload.hpp"
+#include "net/framing.hpp"
+#include "net/socket.hpp"
 #include "obs/metrics.hpp"
 #include "server/air_server.hpp"
 #include "server/loadgen.hpp"
@@ -158,6 +176,63 @@ BENCHMARK(BM_AirCapacity)
     ->Args({4, 300})
     ->Args({4, 600})
     ->Iterations(1)
+    ->Unit(benchmark::kMillisecond);
+
+/// Heap allocations, on every thread, of one server run airing `slots`
+/// slots to one full-mask session that reads nothing until the run ends.
+double run_allocations(std::size_t loops, std::uint64_t slots) {
+  tcsa::AirServerConfig config;
+  config.slot_us = 100;
+  config.max_slots = slots;
+  config.loops = loops;
+  tcsa::AirServer server(tcsa::make_workload({2, 4, 8}, {3, 5, 3}), config);
+  // The receive buffer is sized before connecting, so the window covers
+  // the whole run (at most 1536 slots of four 32-byte kPage frames).
+  const tcsa::net::Fd client(::socket(AF_INET, SOCK_STREAM, 0));
+  const int rcvbuf = 4 << 20;
+  ::setsockopt(client.get(), SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(client.get(), reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) != 0)
+    return -1.0;
+  const std::string tune =
+      tcsa::net::encode(tcsa::net::TuneMsg{tcsa::net::kAllChannels});
+  if (::send(client.get(), tune.data(), tune.size(), MSG_NOSIGNAL) !=
+      static_cast<ssize_t>(tune.size()))
+    return -1.0;
+  const tcsa::obs::MetricsSnapshot before = tcsa::obs::snapshot();
+  const double calls =
+      tcsa_bench::allocations([&server] { server.run(); }).calls;
+  // A would-block flush means the receive buffer filled and the queue grew.
+  const tcsa::obs::MetricsSnapshot run = tcsa::obs::snapshot().minus(before);
+  return run.counter_value("tcsa_server_flush_eagain_total") == 0 ? calls
+                                                                  : -1.0;
+}
+
+void BM_AirSlotAllocations(benchmark::State& state) {
+  constexpr std::uint64_t kBaseSlots = 512;
+  const std::size_t loops = static_cast<std::size_t>(state.range(0));
+  const bool was_enabled = tcsa::obs::enabled();
+  tcsa::obs::set_enabled(true);
+  double per_1024 = 0.0;
+  for (auto _ : state) {
+    const double longer = run_allocations(loops, kBaseSlots + 1024);
+    const double shorter = run_allocations(loops, kBaseSlots);
+    if (longer < 0 || shorter < 0) {
+      state.SkipWithError("no session, or its receive buffer filled");
+      break;
+    }
+    per_1024 = longer - shorter;
+  }
+  tcsa::obs::set_enabled(was_enabled);
+  state.counters[loops == 1 ? "allocs_per_1024_slots_total"
+                            : "allocs_per_1024_slots"] =
+      benchmark::Counter(per_1024);
+}
+BENCHMARK(BM_AirSlotAllocations)->Arg(1)->Arg(2)->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -84,7 +84,9 @@ struct HelloMsg {
   std::uint32_t slot_us = 0;
   std::uint32_t channels = 0;
   std::uint32_t cycle_length = 0;
-  std::uint64_t next_slot = 0;  ///< the next global slot to air
+  /// The next slot the session's loop will deliver (kAnnounce: the
+  /// activation slot, whose frames follow it).
+  std::uint64_t next_slot = 0;
   std::string_view workload;    ///< model/serialize binary format
   auto tie() {
     return std::tie(generation, slot_us, channels, cycle_length, next_slot,
@@ -150,7 +152,7 @@ struct ReqAckMsg {
   std::uint64_t trace_id = 0;
   std::uint64_t recv_us = 0;
   std::uint64_t send_us = 0;
-  std::uint64_t next_slot = 0;       ///< next global slot to air
+  std::uint64_t next_slot = 0;       ///< next slot the session's loop delivers
   std::uint32_t page = 0;
   std::uint32_t expected_slots = 0;  ///< the page's promised wait t_p
   std::uint32_t generation = 0;      ///< the generation that promised it

@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
@@ -229,27 +228,6 @@ std::vector<FlightEvent> flight_load(const std::string& path, bool* sealed) {
               return a.ordinal < b.ordinal;
             });
   return events;
-}
-
-// ------------------------------------------------------- ReqPercentiles
-
-constexpr std::array kGaugeQs{0.50, 0.99, 0.999, 0.9999};
-constexpr std::array kGaugeNames{"p50", "p99", "p999", "p9999"};
-
-ReqPercentiles::ReqPercentiles(const std::string& base,
-                               const std::string& unit,
-                               const std::string& help)
-    : hist_(register_histogram(base + "_" + unit, help)) {
-  for (std::size_t i = 0; i < gauges_.size(); ++i)
-    gauges_[i] = register_gauge(base + "_" + kGaugeNames[i] + "_" + unit,
-                                help + " (" + kGaugeNames[i] + ", <1% error)");
-}
-
-void ReqPercentiles::publish() {
-  std::array<double, kGaugeQs.size()> value{};
-  histogram_values(hist_).quantiles(kGaugeQs, value);
-  for (std::size_t i = 0; i < gauges_.size(); ++i)
-    gauge_set(gauges_[i], value[i]);
 }
 
 }  // namespace tcsa::obs

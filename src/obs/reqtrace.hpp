@@ -1,5 +1,5 @@
-// reqtrace.hpp — per-request journey events, delay/slack percentiles,
-// and a crash-safe flight recorder.
+// reqtrace.hpp — per-request journey events and a crash-safe flight
+// recorder.
 //
 // The paper's contract is per-request: a page requested at time t must air
 // within its promised wait. PR 7 gave the server aggregate lenses (slot
@@ -18,8 +18,8 @@
 //      readable black box behind with no cooperation from the dying
 //      process. A fatal-signal handler and SIGQUIT additionally seal the
 //      header so postmortems know the ring stopped on purpose;
-//   3. nothing else — delay/slack *statistics* go through ReqPercentiles
-//      below, owned by whoever can compute the delay (the client knows
+//   3. nothing else — delay/slack *statistics* go through registry
+//      histograms, owned by whoever can compute the delay (the client knows
 //      deadlines, the server knows service time).
 //
 // Stage taxonomy (DESIGN.md §6 mirrors this list):
@@ -30,7 +30,7 @@
 //   client.req.done        journey closed; arg = signed slack in us
 //                          (negative slack = deadline missed)
 //   server.req.recv        kReq parsed on the owning loop            (t1)
-//   server.req.sched       kReqAck queued; arg = next global slot    (t2)
+//   server.req.sched       kReqAck queued; arg = its next_slot       (t2)
 //   server.req.encoded     the slot airing the page was encoded (or
 //                          cache-patched) with this request pending
 //   server.req.flushed     that slot's bytes pushed to this session's
@@ -43,14 +43,12 @@
 // benched by bench/micro_reqtrace).
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace tcsa::obs {
@@ -237,28 +235,5 @@ inline void req_event(std::uint64_t trace_id, ReqStage stage,
 }
 #define TCSA_REQ_EVENT(id, stage, t, arg) \
   ::tcsa::obs::req_event((id), (stage), (t), (arg))
-
-// --------------------------------------------------------- ReqPercentiles
-
-/// Per-request distribution exported through the registry: the histogram
-/// `<base>_<unit>` plus nearest-rank p50/p99/p999/p9999 gauges
-/// `<base>_p*_<unit>` that publish() reads off that same histogram
-/// (LogHistogram: relative error under 1%, integer values below 128
-/// exact). record() is one registry write into the calling thread's shard;
-/// publish() merges the shards under the registry lock, so call it off the
-/// per-request path.
-class ReqPercentiles {
- public:
-  ReqPercentiles(const std::string& base, const std::string& unit,
-                 const std::string& help);
-
-  void record(double value) noexcept { histogram_observe(hist_, value); }
-  /// Recomputes the four percentile gauges in one bucket scan.
-  void publish();
-
- private:
-  MetricId hist_;
-  std::array<MetricId, 4> gauges_{};  ///< p50, p99, p999, p9999
-};
 
 }  // namespace tcsa::obs

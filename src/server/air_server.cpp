@@ -200,12 +200,6 @@ AirServer::AirServer(Workload workload, AirServerConfig config)
                  std::move(binary)});
   generation_id_.store(1, std::memory_order_relaxed);
   note_generation(1);
-  // Touch the lazily-constructed request-delay percentiles NOW, while the
-  // server is still single-threaded: their constructors register metrics,
-  // and the registry's definition table must not grow while worker loops
-  // are concurrently bumping counters.
-  server_req_delay();
-  server_pull_delay();
   common_.max_session_buffer = config_.max_session_buffer;
   common_.session_send_buffer = config_.session_send_buffer;
   common_.slot_us = config_.slot_us;
@@ -216,17 +210,22 @@ AirServer::AirServer(Workload workload, AirServerConfig config)
             handle_swap_request(requester, std::move(payload));
           });
   };
-  common_.hooks.request = [this](LoopShard& shard, Session& session,
-                                 std::uint64_t trace_id, PageId page) {
-    on_request(shard, session, trace_id, page);
-  };
-  // No dangling waiters: a session's pull demands die with it, on loop 0
-  // (the id — not the reusable fd — names the session there).
-  common_.hooks.closed = [this](std::size_t loop, std::uint64_t id) {
-    if (pull_.channels() > 0)
+  // With the pull plane on, a kReq is demand for loop 0's table (the same
+  // single-writer forwarding as swap requests), and no waiter dangles: a
+  // session's demands die with it, on loop 0 (the id — not the reusable fd
+  // — names the session there).
+  if (pull_.channels() > 0) {
+    common_.hooks.demand = [this](std::size_t loop, std::uint64_t session_id,
+                                  std::uint64_t trace_id, PageId page) {
+      route(loop, 0, [this, session_id, trace_id, page] {
+        pull_.add_demand(session_id, trace_id, page, next_slot_,
+                         current_->workload.total_pages());
+      });
+    };
+    common_.hooks.closed = [this](std::size_t loop, std::uint64_t id) {
       route(loop, 0, [this, id] { pull_.drop_session(id); });
-  };
-  publish_hello(current_);
+    };
+  }
 
   // Shard 0 resolves the (possibly ephemeral) port; with several loops it
   // does so inside a reuseport group that shards 1..K-1 join at the
@@ -243,9 +242,8 @@ AirServer::AirServer(Workload workload, AirServerConfig config)
               : net::listen_reuseport(config_.bind_address,
                                       i == 0 ? config_.port : port_);
       if (i == 0) port_ = net::local_port(listener.get());
-      shards_.push_back(std::make_unique<LoopShard>(i, group_->loop(i),
-                                                    std::move(listener),
-                                                    common_));
+      shards_.push_back(std::make_unique<LoopShard>(
+          i, group_->loop(i), std::move(listener), common_, current_));
     }
   }
 
@@ -288,17 +286,6 @@ AirServer::AirServer(Workload workload, AirServerConfig config)
 
 AirServer::~AirServer() {
   if (swap_worker_.joinable()) swap_worker_.join();
-}
-
-void AirServer::publish_hello(const std::shared_ptr<const Generation>& gen) {
-  HelloSnapshot hello;
-  hello.id = gen->id;
-  hello.channels = static_cast<std::uint32_t>(gen->program.channels());
-  hello.cycle = static_cast<std::uint32_t>(gen->program.cycle_length());
-  hello.workload_binary = gen->workload_binary;
-  // Aliasing: the snapshot keeps the generation alive, not a copy.
-  hello.workload = std::shared_ptr<const Workload>(gen, &gen->workload);
-  common_.publish(std::move(hello));
 }
 
 std::vector<std::size_t> AirServer::sessions_per_loop() const {
@@ -528,8 +515,8 @@ std::uint64_t AirServer::next_cycle_boundary() const {
   return into == 0 ? next_slot_ : next_slot_ + (cycle - into);
 }
 
-void AirServer::maybe_activate_swap() {
-  if (!pending_ || next_cycle_boundary() != next_slot_) return;
+bool AirServer::maybe_activate_swap() {
+  if (!pending_ || next_cycle_boundary() != next_slot_) return false;
   TCSA_TRACE_SPAN("server.swap.apply");
   pending_->start_slot = next_slot_;
   current_ = std::move(pending_);
@@ -546,45 +533,31 @@ void AirServer::maybe_activate_swap() {
                     << " pending pull waiter(s) for pages beyond the new "
                        "workload";
   }
-  publish_hello(current_);
   obs::counter_add(server_metrics().swaps, 1);
   TCSA_LOG(kInfo) << "air server: generation " << current_->id
                   << " on air at slot " << next_slot_ << " (offset "
                   << current_->offset << ")";
-  // One encode, one shared buffer, N refcount bumps — on every loop. The
-  // snapshot above is republished *before* the tokens are posted, so a
-  // session greeted concurrently on another loop either already carries
-  // this generation in its hello (and the token skips it) or carries the
-  // old one (and the token reaches it): exactly one notification per
-  // session either way.
-  std::uint32_t gen_id = 0;
-  const net::SharedBuf shared = net::SharedBuf::wrap(
-      common_.hello_frame(net::FrameType::kAnnounce, &gen_id));
-  for (std::size_t i = 0; i < loop_count_; ++i) {
-    LoopShard* shard = shards_[i].get();
-    route(0, i, [shard, shared, gen_id] { shard->announce(shared, gen_id); });
-  }
+  return true;
 }
 
 void AirServer::air_slot() {
   TCSA_TRACE_SPAN_VAR(span, "server.slot");
-  maybe_activate_swap();
+  auto frames = std::make_shared<SlotFrames>();
+  frames->slot = next_slot_;
+  // One encode, one shared buffer: the activation slot's token carries the
+  // announce to every session on every loop, ahead of the slot's frames.
+  if (maybe_activate_swap())
+    frames->announce = net::SharedBuf::wrap(current_->hello(
+        net::FrameType::kAnnounce, config_.slot_us, next_slot_));
+  frames->generation = current_;
   const Generation& gen = *current_;
-  const SlotCount cycle = gen.program.cycle_length();
-  const SlotCount column =
-      (gen.offset + static_cast<SlotCount>(next_slot_ - gen.start_slot)) %
-      cycle;
+  const SlotCount column = gen.column(next_slot_);
   const std::uint64_t lag_us = clock_->lag_us(next_slot_);
   obs::histogram_observe(server_metrics().lag_hist,
                          static_cast<double>(lag_us));
   obs::counter_add(server_metrics().slots_aired, 1);
   if (admin_ && admin_->resume_accept())
     obs::counter_add(server_metrics().accept_backoffs, 1);
-  // One shard merge per 64 slots keeps it off every loop's request path.
-  if (next_slot_ % 64 == 0 && obs::enabled()) {
-    server_req_delay().publish();
-    server_pull_delay().publish();
-  }
 
   // Audience union across every shard: O(loops) atomic loads, exact
   // because each shard maintains per-channel subscriber counts. A channel
@@ -596,27 +569,18 @@ void AirServer::air_slot() {
   // Encode the slot's page frames back to back, in ascending channel
   // order, into one buffer shipped as a refcounted token. Per-slot cost:
   // O(channels) encodes here, O(sessions/K) queue appends per loop.
-  auto frames = std::make_shared<SlotFrames>();
-  frames->slot = next_slot_;
-  frames->page_by_channel.assign(channels, kNoPage);
-  frames->frame_offset.assign(channels + 1, 0);
   std::string bytes;
   bytes.reserve(std::min<std::size_t>(std::popcount(audience), channels) *
                 net::kPageFrameSize);
   for (std::size_t ch = 0; ch < channels; ++ch) {
-    const PageId page =
-        ((audience >> ch) & 1) != 0
-            ? gen.program.at(static_cast<SlotCount>(ch), column)
-            : kNoPage;
-    if (page != kNoPage) {
-      frames->page_by_channel[ch] = page;
-      net::append(bytes, net::PageMsg{.slot = next_slot_,
-                                      .generation = gen.id,
-                                      .channel = static_cast<std::uint32_t>(ch),
-                                      .page = page});
-      frames->aired_mask |= 1ull << ch;
-    }
-    frames->frame_offset[ch + 1] = static_cast<std::uint32_t>(bytes.size());
+    if (((audience >> ch) & 1) == 0) continue;
+    const PageId page = gen.program.at(static_cast<SlotCount>(ch), column);
+    if (page == kNoPage) continue;
+    net::append(bytes, net::PageMsg{.slot = next_slot_,
+                                    .generation = gen.id,
+                                    .channel = static_cast<std::uint32_t>(ch),
+                                    .page = page});
+    frames->aired_mask |= 1ull << ch;
   }
   const std::uint64_t aired_mask = frames->aired_mask;
   if (aired_mask != 0) {
@@ -631,11 +595,11 @@ void AirServer::air_slot() {
 
   // Workers are posted first, in loop order; shard 0 delivers last, inline.
   const std::shared_ptr<const SlotFrames> token = std::move(frames);
-  for (std::size_t k = 1; k <= loop_count_; ++k) {
-    const std::size_t i = k % loop_count_;  // 1, 2, ..., K-1, then 0
+  for (std::size_t i = 1; i < loop_count_; ++i) {
     LoopShard* shard = shards_[i].get();
-    route(0, i, [shard, token] { shard->deliver(*token); });
+    shard->loop().post([shard, token] { shard->deliver(*token); });
   }
+  shards_[0]->deliver(*token);
 
   // Worker depths are one token behind — a gauge reads "after the last
   // flush each loop completed", which is the honest aggregate anyway.
@@ -646,7 +610,7 @@ void AirServer::air_slot() {
                  static_cast<double>(queued));
 
   note_slot_aired(lag_us, aired_mask);
-  common_.slots_aired.fetch_add(1, std::memory_order_release);
+  slots_aired_.fetch_add(1, std::memory_order_release);
   ++next_slot_;
 }
 
@@ -656,39 +620,6 @@ void AirServer::route(std::size_t from, std::size_t to,
     fn();
   else
     shards_[to]->loop().post(std::move(fn));
-}
-
-void AirServer::on_request(LoopShard& shard, Session& session,
-                           std::uint64_t trace_id, PageId page) {
-  const std::uint64_t t_recv = obs::trace_now_us();
-  TCSA_REQ_EVENT(trace_id, obs::ReqStage::kServerRecv, t_recv, page);
-  obs::counter_add(server_metrics().reqs, 1);
-  // Promise + generation under the airing program, from the published
-  // hello snapshot — worker loops must not touch loop-0 program state.
-  std::uint32_t expected_slots = 0;
-  const std::uint32_t gen_id = common_.promise(page, &expected_slots);
-  session.pending.open(trace_id, page, t_recv);
-
-  // With the pull plane on, the request is real demand, not just a tracing
-  // hook: loop 0's demand table takes it (the same single-writer
-  // forwarding discipline as swap requests).
-  if (pull_.channels() > 0) {
-    const std::uint64_t session_id = session.id;
-    route(shard.index(), 0, [this, session_id, trace_id, page] {
-      pull_.add_demand(session_id, trace_id, page, next_slot_,
-                       current_->workload.total_pages());
-    });
-  }
-
-  const std::uint64_t next_slot =
-      common_.slots_aired.load(std::memory_order_acquire);
-  const std::uint64_t t_send = obs::trace_now_us();
-  TCSA_REQ_EVENT(trace_id, obs::ReqStage::kServerSched, t_send, next_slot);
-  shard.send(session, net::encode(net::ReqAckMsg{
-                          .trace_id = trace_id, .recv_us = t_recv,
-                          .send_us = t_send, .next_slot = next_slot,
-                          .page = page, .expected_slots = expected_slots,
-                          .generation = gen_id}));
 }
 
 void AirServer::handle_swap_request(SessionRef requester,

@@ -18,10 +18,11 @@
 // into their sessions — per-slot server cost is O(subscribed channels) in
 // encodes and O(sessions/loops) queue appends per loop, independent of
 // audience-times-bytes. SO_REUSEPORT clones the listener so the kernel
-// spreads accepted connections across loops. Hot swap requests from
-// sessions on other loops are forwarded to loop 0 the same way, and the
-// activation announce comes back as a cross-loop broadcast token
-// (DESIGN.md §7 "loop-per-core ownership").
+// spreads accepted connections across loops. Hot swap requests and pull
+// demand from sessions on other loops are forwarded to loop 0 the same way.
+// The token names its generation, and the activation slot's token carries
+// the announce, so what crosses loops is tokens, never state (DESIGN.md §7
+// "loop-per-core ownership").
 //
 // Hot program swap: any session may send a kSwap frame carrying a new
 // workload. Scheduling runs OFF the event loop threads (through
@@ -154,7 +155,7 @@ class AirServer {
 
   // --- cross-thread introspection (tests, health probes) ---
   std::uint64_t slots_aired() const noexcept {
-    return common_.slots_aired.load(std::memory_order_relaxed);
+    return slots_aired_.load(std::memory_order_relaxed);
   }
   std::uint32_t generation() const noexcept {
     return generation_id_.load(std::memory_order_relaxed);
@@ -171,30 +172,17 @@ class AirServer {
   bool uring_active() const noexcept { return uring_active_; }
 
  private:
-  /// One program generation: what is on air between two swaps.
-  struct Generation {
-    std::uint32_t id = 0;
-    Workload workload;
-    BroadcastProgram program;
-    SlotCount offset = 0;          // airing rotation (column of slot 0)
-    std::uint64_t start_slot = 0;  // global slot of its first aired column
-    std::string workload_binary;   // cached for hello/announce payloads
-  };
-
   void on_timer();
   void air_slot();
-  void maybe_activate_swap();
+  /// Puts the pending generation on air when next_slot_ is its boundary;
+  /// true when it did.
+  bool maybe_activate_swap();
   /// The next major-cycle boundary of the generation on air, where a
   /// pending swap activates (exact: slots advance deterministically).
   std::uint64_t next_cycle_boundary() const;
   /// Runs `fn` on loop `to`, called from loop `from`'s thread: inline when
   /// they are the same loop, else through the target loop's post().
   void route(std::size_t from, std::size_t to, std::function<void()> fn);
-  /// Opens a pending entry for a kReq, forwards pull demand to loop 0, and
-  /// acks at once with the server-side clock stamps (t1/t2 of the offset
-  /// exchange). Runs on the session's own loop.
-  void on_request(LoopShard& shard, Session& session, std::uint64_t trace_id,
-                  PageId page);
   /// Runs on loop 0 only (other loops forward via post()).
   /// Loop 0 checks only the cheap header fields; the workload is decoded
   /// on the swap worker, so no payload can stall the airing loop. One swap
@@ -216,7 +204,6 @@ class AirServer {
   void note_slot_aired(std::uint64_t lag_us, std::uint64_t aired_mask);
   void install_signal_pipe();
   void remove_signal_pipe();
-  void publish_hello(const std::shared_ptr<const Generation>& gen);
 
   AirServerConfig config_;
   SlotCount channels_ = 0;
@@ -238,7 +225,8 @@ class AirServer {
   net::Fd signal_wr_;
 
   // --- loop-0-only program state (single writer) ---
-  // On air; shared read-only with the swap worker and the hello snapshot.
+  // On air; shared read-only with the swap worker and, through the slot
+  // tokens, with every shard.
   std::shared_ptr<const Generation> current_;
   std::shared_ptr<Generation> pending_;   // activates at the next boundary
   std::uint64_t next_slot_ = 0;           // next global slot to air
@@ -256,6 +244,7 @@ class AirServer {
 
   bool uring_active_ = false;  // resolved at construction, then read-only
   std::atomic<std::uint32_t> generation_id_{0};
+  std::atomic<std::uint64_t> slots_aired_{0};  // == next_slot_, any thread
 };
 
 }  // namespace tcsa

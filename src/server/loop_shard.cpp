@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "obs/reqtrace.hpp"
 #include "server/server_metrics.hpp"
 #include "util/log.hpp"
 
@@ -24,44 +25,27 @@ constexpr std::size_t kUringIovPerTarget = 32;
 
 }  // namespace
 
-void ShardCommon::publish(HelloSnapshot snapshot) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  hello_ = std::move(snapshot);
-}
-
-std::string ShardCommon::hello_frame(net::FrameType type,
-                                     std::uint32_t* gen_out) const {
-  // slots_aired advances with the airing loop's next slot (both at the end
-  // of a slot), so any loop can stamp the slot.
-  const std::uint64_t next_slot = slots_aired.load(std::memory_order_acquire);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (gen_out) *gen_out = hello_.id;
-  return net::encode(net::HelloMsg{.generation = hello_.id,
-                                   .slot_us = slot_us,
-                                   .channels = hello_.channels,
-                                   .cycle_length = hello_.cycle,
-                                   .next_slot = next_slot,
-                                   .workload = hello_.workload_binary},
-                     type);
-}
-
-std::uint32_t ShardCommon::promise(PageId page,
-                                   std::uint32_t* expected_slots) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const Workload* workload = hello_.workload.get();
-  *expected_slots =
-      workload && static_cast<SlotCount>(page) < workload->total_pages()
-          ? static_cast<std::uint32_t>(workload->expected_time_of(page))
-          : 0;
-  return hello_.id;
+std::string Generation::hello(net::FrameType type, std::uint32_t slot_us,
+                              std::uint64_t next_slot) const {
+  return net::encode(
+      net::HelloMsg{.generation = id,
+                    .slot_us = slot_us,
+                    .channels = static_cast<std::uint32_t>(program.channels()),
+                    .cycle_length =
+                        static_cast<std::uint32_t>(program.cycle_length()),
+                    .next_slot = next_slot,
+                    .workload = workload_binary},
+      type);
 }
 
 LoopShard::LoopShard(std::size_t index, net::EventLoop& loop,
-                     net::Fd listener, ShardCommon& common)
+                     net::Fd listener, ShardCommon& common,
+                     std::shared_ptr<const Generation> on_air)
     : index_(index),
       loop_(loop),
       listener_(std::move(listener)),
       common_(common),
+      generation_(std::move(on_air)),
       queue_gauge_(obs::register_gauge(
           "tcsa_server_loop" + std::to_string(index) + "_queue_depth_bytes",
           "Bytes queued across loop " + std::to_string(index) +
@@ -99,9 +83,17 @@ void LoopShard::deliver(const SlotFrames& frames) {
     accept_paused_ = false;
     listen();
   }
+  generation_ = frames.generation;
+  next_slot_ = frames.slot + 1;
+  const Generation& gen = *generation_;
   dirty_.clear();
   std::uint64_t copied = 0;  // channels with a copy in channel_frames_
   for (auto& [fd, session] : sessions_) {
+    // This loop greets each session with the generation it has delivered,
+    // so every session here was greeted under an older one than a token's
+    // announce names: each hears it exactly once, in this flush, tuned or
+    // not.
+    if (frames.announce) enqueue(session, frames.announce);
     const std::uint64_t hit = session.mask & frames.aired_mask;
     if (hit == frames.aired_mask) {
       // Every aired channel: the whole slot buffer as one chunk, the same
@@ -120,11 +112,10 @@ void LoopShard::deliver(const SlotFrames& frames) {
         enqueue(session, copy);
       }
     }
-    bool dirty = hit != 0;
+    bool dirty = hit != 0 || frames.announce;
     if (!session.pending.empty()) {
-      session.pending.match_broadcast(frames.slot, session.mask,
-                                      frames.aired_mask,
-                                      frames.page_by_channel);
+      session.pending.match_broadcast(frames.slot, hit, gen.program,
+                                      gen.column(frames.slot));
       // Pull frames go to waiting sessions whatever their channel mask.
       for (std::size_t i = 0; i < frames.pull_pages.size(); ++i) {
         if (!session.pending.match_pull(frames.slot, frames.pull_pages[i]))
@@ -140,20 +131,6 @@ void LoopShard::deliver(const SlotFrames& frames) {
   for (const auto& [fd, session] : sessions_) queued += session.out.bytes();
   queued_bytes.store(queued, std::memory_order_release);
   obs::gauge_set(queue_gauge_, static_cast<double>(queued));
-}
-
-void LoopShard::announce(const net::SharedBuf& buf, std::uint32_t gen_id) {
-  // Flushed here, not left to the next slot's fan-out: a session whose
-  // mask airs nothing (untuned, or tuned to channels the new program left
-  // empty) is never in a fan-out, and the announce is its only news.
-  std::vector<int> fds;
-  for (auto& [fd, session] : sessions_) {
-    if (session.hello_generation >= gen_id) continue;
-    session.hello_generation = gen_id;
-    enqueue(session, buf);
-    fds.push_back(fd);
-  }
-  flush(fds);
 }
 
 void LoopShard::send(Session& session, std::string frame) {
@@ -326,8 +303,8 @@ void LoopShard::on_accept() {
     obs::counter_add(server_metrics().sessions_opened, 1);
     obs::gauge_set(server_metrics().sessions_gauge,
                    static_cast<double>(common_.sessions.fetch_add(1) + 1));
-    send(session, common_.hello_frame(net::FrameType::kHello,
-                                      &session.hello_generation));
+    send(session, generation_->hello(net::FrameType::kHello, common_.slot_us,
+                                     next_slot_));
   }
 }
 
@@ -382,11 +359,9 @@ void LoopShard::handle_frame(Session& session, int fd,
       set_mask(session, net::decode<net::TuneMsg>(frame.payload).mask);
       obs::counter_add(server_metrics().tunes, 1);
       return;
-    case net::FrameType::kReq: {
-      const auto req = net::decode<net::ReqMsg>(frame.payload);
-      common_.hooks.request(*this, session, req.trace_id, req.page);
+    case net::FrameType::kReq:
+      request(session, net::decode<net::ReqMsg>(frame.payload));
       return;
-    }
     case net::FrameType::kSwap:
       common_.hooks.swap(SessionRef{index_, fd, session.id},
                          std::string(frame.payload));
@@ -394,6 +369,33 @@ void LoopShard::handle_frame(Session& session, int fd,
     default:
       throw std::invalid_argument("unexpected frame type from client");
   }
+}
+
+void LoopShard::request(Session& session, const net::ReqMsg& req) {
+  const std::uint64_t t_recv = obs::trace_now_us();
+  TCSA_REQ_EVENT(req.trace_id, obs::ReqStage::kServerRecv, t_recv, req.page);
+  obs::counter_add(server_metrics().reqs, 1);
+  session.pending.open(req.trace_id, req.page, t_recv);
+  // With the pull plane on, the request is real demand, not just a tracing
+  // hook: loop 0's demand table takes it.
+  if (common_.hooks.demand)
+    common_.hooks.demand(index_, session.id, req.trace_id, req.page);
+
+  const Workload& workload = generation_->workload;
+  const std::uint32_t expected_slots =
+      static_cast<SlotCount>(req.page) < workload.total_pages()
+          ? static_cast<std::uint32_t>(workload.expected_time_of(req.page))
+          : 0;
+  const std::uint64_t t_send = obs::trace_now_us();
+  TCSA_REQ_EVENT(req.trace_id, obs::ReqStage::kServerSched, t_send,
+                 next_slot_);
+  send(session, net::encode(net::ReqAckMsg{.trace_id = req.trace_id,
+                                           .recv_us = t_recv,
+                                           .send_us = t_send,
+                                           .next_slot = next_slot_,
+                                           .page = req.page,
+                                           .expected_slots = expected_slots,
+                                           .generation = generation_->id}));
 }
 
 void LoopShard::set_mask(Session& session, std::uint64_t mask) {
@@ -415,7 +417,7 @@ void LoopShard::close(int fd, const char* reason) {
   if (it == sessions_.end()) return;
   TCSA_LOG(kDebug) << "air server: closing session fd=" << fd << " ("
                    << reason << ")";
-  common_.hooks.closed(index_, it->second.id);
+  if (common_.hooks.closed) common_.hooks.closed(index_, it->second.id);
   set_mask(it->second, 0);  // keep the audience union exact
   loop_.remove(fd);
   sessions_.erase(it);  // Fd destructor closes the socket

@@ -13,22 +13,25 @@
 // its listener until its next slot delivery; the pending connection waits
 // in the kernel backlog.
 //
-// The shard knows nothing of programs, generations or the pull plane: it
-// calls into the server (ShardHooks) only to forward kSwap and kReq frames
-// and to report a closed session.
+// What a session is told comes from the shard alone: the generation and
+// the slot of the last token it delivered give each hello at accept and
+// each kReqAck, and a token that activates a generation carries its
+// announce. The shard calls into the server (ShardHooks) only to forward
+// kSwap frames and pull demand, and to report a closed session.
 #pragma once
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
+#include "model/program.hpp"
 #include "model/workload.hpp"
 #include "net/event_loop.hpp"
 #include "net/framing.hpp"
@@ -57,7 +60,6 @@ struct Session {
   net::OutQueue out;            // chunked egress queue (shared buffers)
   std::uint64_t id = 0;         // monotonic, validates cross-loop refs
   std::uint64_t mask = 0;       // subscribed channel mask (0 = none yet)
-  std::uint32_t hello_generation = 0;  // gen the session last heard about
   bool want_write = false;      // EPOLLOUT currently armed
   PendingRequests pending;      // open traced requests (usually none)
 };
@@ -70,91 +72,88 @@ struct SessionRef {
   std::uint64_t id = 0;
 };
 
-/// One aired slot, shipped to every loop as a refcounted token: every aired
-/// channel's kPage frame, back to back in ascending channel order in one
-/// buffer, the mask of channels that aired, and the page each aired channel
-/// carried (so shards resolve their own sessions' pending requests without
-/// touching program state).
+/// One program generation: what is on air between two swaps. Immutable
+/// once on air, so loop 0, the swap worker and every shard share it.
+struct Generation {
+  std::uint32_t id = 0;
+  Workload workload;
+  BroadcastProgram program;
+  SlotCount offset = 0;          // airing rotation (column of slot 0)
+  std::uint64_t start_slot = 0;  // global slot of its first aired column
+  std::string workload_binary;   // cached for hello/announce payloads
+
+  /// The program column global `slot` airs (slot >= start_slot).
+  SlotCount column(std::uint64_t slot) const {
+    return (offset + static_cast<SlotCount>(slot - start_slot)) %
+           program.cycle_length();
+  }
+  /// This generation's kHello or kAnnounce (`type`) naming `next_slot`.
+  std::string hello(net::FrameType type, std::uint32_t slot_us,
+                    std::uint64_t next_slot) const;
+};
+
+/// One aired slot, shipped to every loop as a refcounted token: the
+/// generation it aired under, the mask of channels that aired, and every
+/// aired channel's kPage frame, back to back in ascending channel order in
+/// one buffer. The generation names each channel's page, so shards resolve
+/// their own sessions' pending requests without touching loop-0 state.
 struct SlotFrames {
   std::uint64_t slot = 0;
   std::uint64_t aired_mask = 0;
+  std::shared_ptr<const Generation> generation;
   net::SharedBuf bytes;  // null when nothing aired
-  /// Channel ch's frame is bytes[frame_offset[ch], frame_offset[ch + 1]),
-  /// empty unless ch aired; channels + 1 entries.
-  std::vector<std::uint32_t> frame_offset;
-  std::vector<PageId> page_by_channel;
+  /// The generation's kAnnounce, on its activation slot only.
+  net::SharedBuf announce;
   // On-demand airings riding the same token (usually empty): shards
   // deliver pull_frames[i] to every local session with a pending kReq
   // for pull_pages[i], independent of the session's channel mask.
   std::vector<net::SharedBuf> pull_frames;
   std::vector<PageId> pull_pages;
 
-  /// Channel ch's frame; a view into `bytes`, so it lives with the token.
+  /// Aired channel ch's frame; a view into `bytes`, so it lives with the
+  /// token. Every kPage frame is kPageFrameSize bytes, so its offset is the
+  /// count of aired channels below ch.
   std::string_view frame(std::size_t ch) const {
-    return bytes.view().substr(frame_offset[ch],
-                               frame_offset[ch + 1] - frame_offset[ch]);
+    const auto below = std::popcount(aired_mask & ((1ull << ch) - 1));
+    return bytes.view().substr(
+        static_cast<std::size_t>(below) * net::kPageFrameSize,
+        net::kPageFrameSize);
   }
 };
 
-/// Hello/announce ingredients, republished at each generation activation
-/// (the slot number is read live). `workload` is the on-air generation's
-/// own immutable workload, shared, so any loop can stamp a request ack
-/// with the page's promised wait t_p.
-struct HelloSnapshot {
-  std::uint32_t id = 0;
-  std::uint32_t channels = 0;
-  std::uint32_t cycle = 0;
-  std::string workload_binary;
-  std::shared_ptr<const Workload> workload;
-};
-
-class LoopShard;
-
 /// The shard's only calls into the server, made on the shard's thread.
+/// `demand` and `closed` are set only when pull channels are on.
 struct ShardHooks {
   /// A kSwap frame's payload from `requester`.
   std::function<void(const SessionRef& requester, std::string payload)> swap;
-  /// A parsed kReq; the handler may send (and so close) the session.
-  std::function<void(LoopShard& shard, Session& session,
+  /// A kReq's pull demand from session `session_id` of loop `loop`.
+  std::function<void(std::size_t loop, std::uint64_t session_id,
                      std::uint64_t trace_id, PageId page)>
-      request;
+      demand;
   /// Session `id` of loop `loop` closed, for any reason.
   std::function<void(std::size_t loop, std::uint64_t id)> closed;
 };
 
-/// What every shard shares: limits, hooks, the hello snapshot and the
-/// counters all loops add to. Owned by the server; outlives the shards.
+/// What every shard shares: limits, hooks and the counters all loops add
+/// to. Owned by the server; outlives the shards.
 struct ShardCommon {
   std::size_t max_session_buffer = 0;
   int session_send_buffer = 0;
   std::uint32_t slot_us = 0;
   ShardHooks hooks;
-  std::atomic<std::uint64_t> slots_aired{0};  // == the next slot to air
   std::atomic<std::uint64_t> evicted{0};
   /// Retired bytes across all loops: the timeline's per-slot delta reads
   /// this, not the registry counter, so it works with recording off.
   std::atomic<std::uint64_t> bytes_flushed{0};
   std::atomic<std::uint64_t> next_session_id{0};
   std::atomic<std::size_t> sessions{0};
-
-  void publish(HelloSnapshot snapshot);
-  /// A kHello or kAnnounce frame (`type`); any thread. `gen_out`
-  /// (optional) receives the generation id baked into the bytes.
-  std::string hello_frame(net::FrameType type,
-                          std::uint32_t* gen_out = nullptr) const;
-  /// The generation on air; `*expected_slots` gets `page`'s promised wait
-  /// under it (0 for a page outside the workload).
-  std::uint32_t promise(PageId page, std::uint32_t* expected_slots) const;
-
- private:
-  mutable std::mutex mutex_;
-  HelloSnapshot hello_;
 };
 
 class LoopShard {
  public:
+  /// `on_air` greets the sessions accepted before the first delivery.
   LoopShard(std::size_t index, net::EventLoop& loop, net::Fd listener,
-            ShardCommon& common);
+            ShardCommon& common, std::shared_ptr<const Generation> on_air);
   LoopShard(const LoopShard&) = delete;
   LoopShard& operator=(const LoopShard&) = delete;
 
@@ -168,12 +167,12 @@ class LoopShard {
   void stop() noexcept { running_ = false; }
   /// Bounded flush window, then closes every session and the listener.
   void drain_and_close();
-  /// Fans one slot's frames into the subscribed sessions and its pull
-  /// frames into the sessions waiting for them, flushes, retires the
-  /// requests that flush completed, and publishes the queue depth.
+  /// Takes the token's generation and slot as what sessions are told
+  /// next; queues its announce to every session, its frames to the
+  /// subscribed ones and its pull frames to the ones waiting for them;
+  /// flushes, retires the requests that flush completed, and publishes the
+  /// queue depth.
   void deliver(const SlotFrames& frames);
-  /// Sends the announce to every session not yet greeted under `gen_id`.
-  void announce(const net::SharedBuf& buf, std::uint32_t gen_id);
   /// Queues one encoded frame and flushes the session, which may close it.
   void send(Session& session, std::string frame);
   /// send() to the session `ref` names; dropped silently when that session
@@ -193,6 +192,10 @@ class LoopShard {
   void on_accept();
   void on_event(int fd, std::uint32_t events);
   void handle_frame(Session& session, int fd, const net::Frame& frame);
+  /// Opens a pending entry for a kReq, forwards its pull demand, and acks
+  /// at once with the server-side clock stamps (t1/t2 of the offset
+  /// exchange) and the page's promise under this loop's generation.
+  void request(Session& session, const net::ReqMsg& req);
   /// Queues `buf`, which holds `frames` whole frames.
   void enqueue(Session& session, net::SharedBuf buf, std::size_t frames = 1);
   /// The fan-out flush entry point: batches `fds` (each at most once)
@@ -214,6 +217,10 @@ class LoopShard {
   net::EventLoop& loop_;
   net::Fd listener_;  // SO_REUSEPORT clone (plain with one loop)
   ShardCommon& common_;
+  /// Generation of the last token delivered (or the one on air at start),
+  /// and the next slot this loop will deliver.
+  std::shared_ptr<const Generation> generation_;
+  std::uint64_t next_slot_ = 0;
   obs::MetricId queue_gauge_;
   std::unordered_map<int, Session> sessions_;
   std::array<std::uint32_t, 64> channel_subs_{};

@@ -1,6 +1,7 @@
 #include "server/pull_plane.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "net/framing.hpp"
 #include "obs/reqtrace.hpp"
@@ -123,12 +124,12 @@ void PendingRequests::open(std::uint64_t trace_id, PageId page,
                              false});
 }
 
-void PendingRequests::match_broadcast(
-    std::uint64_t slot, std::uint64_t subscribed, std::uint64_t aired_mask,
-    const std::vector<PageId>& page_by_channel) {
-  const std::uint64_t hit_mask = subscribed & aired_mask;
-  for (std::size_t ch = 0; ch < page_by_channel.size(); ++ch)
-    if ((hit_mask >> ch) & 1) match(slot, page_by_channel[ch], false);
+void PendingRequests::match_broadcast(std::uint64_t slot,
+                                      std::uint64_t hit_mask,
+                                      const BroadcastProgram& program,
+                                      SlotCount column) {
+  for (std::uint64_t bits = hit_mask; bits != 0; bits &= bits - 1)
+    match(slot, program.at(std::countr_zero(bits), column), false);
 }
 
 bool PendingRequests::match(std::uint64_t slot, PageId page, bool via_pull) {
@@ -156,9 +157,9 @@ void PendingRequests::retire(std::size_t queued_bytes) {
     // Separate service-time populations: the pull plane exists exactly for
     // the requests whose broadcast wait was unacceptable, so mixing them
     // into one distribution would hide the tail it fixes.
-    obs::ReqPercentiles& delay =
-        req.via_pull ? server_pull_delay() : server_req_delay();
-    delay.record(static_cast<double>(now - req.recv_us));
+    obs::histogram_observe(req.via_pull ? server_metrics().pull_delay
+                                        : server_metrics().req_delay,
+                           static_cast<double>(now - req.recv_us));
     return true;
   });
 }

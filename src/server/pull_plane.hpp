@@ -37,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "model/program.hpp"
 #include "model/types.hpp"
 #include "net/shared_buf.hpp"
 
@@ -155,12 +156,11 @@ class PendingRequests {
   /// reqs_dropped) the oldest when already at the cap.
   void open(std::uint64_t trace_id, PageId page, std::uint64_t recv_us);
 
-  /// Broadcast airing of `slot` on the channels of `aired_mask`, channel
-  /// ch carrying page_by_channel[ch]: matches every open request whose page
-  /// aired on a channel in the session's `subscribed` mask.
-  void match_broadcast(std::uint64_t slot, std::uint64_t subscribed,
-                       std::uint64_t aired_mask,
-                       const std::vector<PageId>& page_by_channel);
+  /// Broadcast airing of `slot`, which aired `program`'s `column`:
+  /// matches every open request whose page aired on a channel of
+  /// `hit_mask` (the session's subscribed channels that aired).
+  void match_broadcast(std::uint64_t slot, std::uint64_t hit_mask,
+                       const BroadcastProgram& program, SlotCount column);
 
   /// kPull airing of `page` at `slot`: matches every open request for the
   /// page (duplicates resolve off the one frame). True when any matched —

@@ -84,6 +84,14 @@ const ServerMetrics& server_metrics() {
       obs::register_histogram(
           "tcsa_server_slot_lag_us",
           "How late each slot aired vs its drift-free deadline (us)"),
+      obs::register_histogram(
+          "tcsa_server_req_delay_us",
+          "Traced request service time from kReq receipt to the flush of "
+          "the slot airing its page"),
+      obs::register_histogram(
+          "tcsa_server_pull_delay_us",
+          "Traced request service time for requests resolved by a kPull "
+          "airing (kReq receipt to the flush of the pull slot)"),
       obs::register_gauge("tcsa_server_sessions",
                           "Currently connected sessions"),
       obs::register_gauge("tcsa_server_generation",
@@ -106,22 +114,6 @@ const ServerMetrics& server_metrics() {
                             "memory (the connection waits in the backlog)"),
   };
   return metrics;
-}
-
-obs::ReqPercentiles& server_req_delay() {
-  static obs::ReqPercentiles percentiles(
-      "tcsa_server_req_delay", "us",
-      "Traced request service time from kReq receipt to the flush of the "
-      "slot airing its page");
-  return percentiles;
-}
-
-obs::ReqPercentiles& server_pull_delay() {
-  static obs::ReqPercentiles percentiles(
-      "tcsa_server_pull_delay", "us",
-      "Traced request service time for requests resolved by a kPull airing "
-      "(kReq receipt to the flush of the pull slot)");
-  return percentiles;
 }
 
 }  // namespace tcsa

@@ -1,12 +1,11 @@
 // server_metrics.hpp — the air server's metric handles, shared by the
 // airing plane, the delivery shards and the request plane. Registered once
-// per process on first use; the server touches every accessor in its
-// constructor, while still single-threaded, so the registry never grows
-// under concurrently recording loops.
+// per process on first use; the server touches them in its constructor,
+// while still single-threaded, so the registry never grows under
+// concurrently recording loops.
 #pragma once
 
 #include "obs/metrics.hpp"
-#include "obs/reqtrace.hpp"
 
 namespace tcsa {
 
@@ -39,6 +38,10 @@ struct ServerMetrics {
   obs::MetricId pull_waiters_served;
   obs::MetricId pull_waiters_dropped;
   obs::MetricId lag_hist;
+  /// Traced request service time, kReq receipt to the flush of the slot
+  /// airing its page (us): broadcast-served, then kPull-served requests.
+  obs::MetricId req_delay;
+  obs::MetricId pull_delay;
   obs::MetricId sessions_gauge;
   obs::MetricId generation_gauge;
   obs::MetricId queue_depth_gauge;
@@ -50,12 +53,5 @@ struct ServerMetrics {
 };
 
 const ServerMetrics& server_metrics();
-
-/// Server-side per-request service time (kReq receipt -> egress flush of
-/// the airing slot) for requests the broadcast resolved.
-obs::ReqPercentiles& server_req_delay();
-
-/// The same lens for requests a kPull airing resolved.
-obs::ReqPercentiles& server_pull_delay();
 
 }  // namespace tcsa

@@ -14,6 +14,7 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 using namespace tcsa;
 
@@ -444,6 +445,70 @@ TEST(RegistryHistogram, ShardedQuantilesEqualOneLogHistogram) {
   expect_reference(obs::snapshot(), "threads exited");
   EXPECT_TRUE(obs::histogram_values(id) == reference);
   obs::set_enabled(was_enabled);
+}
+
+/// Flips the process-wide metrics gate on for one test, starting from an
+/// empty registry, and restores the previous state after.
+class MetricsEnabledScope {
+ public:
+  MetricsEnabledScope() : was_(obs::enabled()) {
+    obs::set_enabled(true);
+    obs::reset_metrics();
+  }
+  ~MetricsEnabledScope() { obs::set_enabled(was_); }
+
+ private:
+  bool was_;
+};
+
+/// Nearest-rank q-quantile of the registry histogram `name`.
+double registry_quantile(const std::string& name, double q) {
+  return obs::snapshot().histogram(name)->values.quantile(q);
+}
+
+TEST(RegistryHistogram, NearestRankMatchesHandComputedValues) {
+  MetricsEnabledScope metrics_on;
+  const obs::MetricId id =
+      obs::register_histogram("test_reqtrace_delay_us", "test percentiles");
+  const auto tail = [](double q) {
+    return registry_quantile("test_reqtrace_delay_us", q);
+  };
+  EXPECT_EQ(tail(0.5), 0.0) << "empty histogram reads 0";
+  for (int i = 1; i <= 100; ++i)
+    obs::histogram_observe(id, static_cast<double>(i));
+  // Nearest rank over 1..100: ceil(q*100) picks the value directly.
+  EXPECT_EQ(tail(0.50), 50.0);
+  EXPECT_EQ(tail(0.99), 99.0);
+  EXPECT_EQ(tail(1.0), 100.0);
+  EXPECT_EQ(tail(0.0), 1.0);
+
+  const obs::MetricsSnapshot snap = obs::snapshot();
+  const obs::HistogramSnapshot* hist = snap.histogram("test_reqtrace_delay_us");
+  ASSERT_NE(hist, nullptr);
+  EXPECT_EQ(hist->values.count(), 100u);
+}
+
+TEST(RegistryHistogram, LargeStreamStaysWithinOnePercent) {
+  MetricsEnabledScope metrics_on;
+  const obs::MetricId id =
+      obs::register_histogram("test_reqtrace_big_us", "large stream test");
+  const auto tail = [](double q) {
+    return registry_quantile("test_reqtrace_big_us", q);
+  };
+  // Far past the old 2^17-sample reservoir; a uniform ramp 0..total-1 keeps
+  // the nearest-rank truth known: rank ceil(q*total) is value rank-1.
+  const std::uint64_t total = (std::uint64_t{1} << 17) + 60000;
+  for (std::uint64_t i = 0; i < total; ++i)
+    obs::histogram_observe(id, static_cast<double>(i));
+  EXPECT_EQ(obs::snapshot().histogram("test_reqtrace_big_us")->values.count(),
+            total);
+  for (const double q : {0.50, 0.99, 0.9999}) {
+    const double truth =
+        static_cast<double>(tcsa::nearest_rank_position(q, total) - 1);
+    EXPECT_NEAR(tail(q), truth, truth * 0.01) << "q=" << q;
+  }
+  EXPECT_EQ(tail(0.0), 0.0);
+  EXPECT_EQ(tail(1.0), static_cast<double>(total - 1));
 }
 
 // -------------------------------------------------------- trace merging

@@ -5,7 +5,6 @@
 
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,19 +13,11 @@
 
 #include "util/subprocess.hpp"
 
-#ifndef TCSACTL_PATH
-#error "cli_test requires -DTCSACTL_PATH=\"...\" from CMake"
-#endif
+#include "e2e_harness.hpp"
 
 namespace {
 
-std::string slurp(const std::string& path) {
-  std::ifstream file(path);
-  EXPECT_TRUE(file.is_open()) << path;
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  return buffer.str();
-}
+using tcsa::slurp;
 
 class CliContract : public ::testing::Test {
  protected:

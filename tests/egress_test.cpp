@@ -20,6 +20,8 @@
 #include "net/out_queue.hpp"
 #include "net/shared_buf.hpp"
 #include "net/socket.hpp"
+#include "model/program.hpp"
+#include "model/workload.hpp"
 #include "server/loop_shard.hpp"
 
 using namespace tcsa;
@@ -241,17 +243,27 @@ TEST(FlushQueue, ReportsAFatalErrorAndLeavesTheQueueIntact) {
 
 constexpr std::size_t kRigChannels = 4;
 
+/// The rig's generation: one column airing page 10 + ch on channel ch.
+std::shared_ptr<const Generation> rig_generation() {
+  static const auto generation = [] {
+    BroadcastProgram program(kRigChannels, 1);
+    for (std::uint32_t ch = 0; ch < kRigChannels; ++ch)
+      program.place(ch, 0, 10 + ch);
+    return std::make_shared<const Generation>(
+        Generation{1, make_workload({1}, {14}), std::move(program), 0, 0, ""});
+  }();
+  return generation;
+}
+
 /// One aired slot as the airing plane ships it: all four channels' kPage
 /// frames back to back, in channel order, in one buffer.
 SlotFrames four_channel_slot(std::uint64_t slot) {
   SlotFrames frames;
   frames.slot = slot;
-  frames.frame_offset.push_back(0);
+  frames.generation = rig_generation();
   std::string bytes;
   for (std::uint32_t ch = 0; ch < kRigChannels; ++ch) {
     bytes += page_frame(slot, 1, ch, 10 + ch);
-    frames.frame_offset.push_back(static_cast<std::uint32_t>(bytes.size()));
-    frames.page_by_channel.push_back(10 + ch);
     frames.aired_mask |= 1ull << ch;
   }
   frames.bytes = net::SharedBuf::wrap(std::move(bytes));
@@ -266,11 +278,10 @@ class ShardRig {
   explicit ShardRig(std::uint64_t mask) {
     common_.max_session_buffer = 1 << 20;
     common_.session_send_buffer = 4096;
-    common_.hooks.closed = [](std::size_t, std::uint64_t) {};
     net::Fd listener = net::listen_tcp("127.0.0.1", 0);
     const std::uint16_t port = net::local_port(listener.get());
     shard_ = std::make_unique<LoopShard>(0, loop_, std::move(listener),
-                                         common_);
+                                         common_, rig_generation());
     shard_->listen();
     client_ = net::connect_tcp("127.0.0.1", port);
     const int small = 4096;
@@ -302,7 +313,7 @@ class ShardRig {
   /// `expected` bytes (the shard flushes the rest on EPOLLOUT).
   std::string drain(std::size_t expected) {
     const std::size_t hello =
-        common_.hello_frame(net::FrameType::kHello).size();
+        rig_generation()->hello(net::FrameType::kHello, 0, 0).size();
     net::set_nonblocking(client_.get(), true);
     std::string stream;
     std::vector<char> buffer(1 << 16);

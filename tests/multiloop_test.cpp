@@ -1,6 +1,7 @@
 // multiloop_test.cpp — invariants of the sharded (loops > 1) air server:
 // session conservation across loop shards under churn, per-loop slow-client
 // eviction, announce exactly-once per session regardless of owning loop,
+// hello, ack and announce agreeing with the stream they precede,
 // broadcast validity at four loops, one encode per aired channel per slot,
 // identical bytes for full-mask and one-channel sessions, no stale frame
 // across a hot swap, an in-process loadgen smoke run, and its RSS probe.
@@ -9,13 +10,17 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <bit>
 #include <chrono>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -194,6 +199,175 @@ TEST(MultiLoop, UntunedSessionHearsTheAnnounceAtActivation) {
     }
     ASSERT_TRUE(announced) << "untuned session never received the announce";
     EXPECT_LE(heard_by_slot, reply.activation_slot + 64);
+  }
+}
+
+/// A raw full-mask session that checks, frame by frame, that what it is
+/// told agrees with what it then receives, and sends a kReq every eighth
+/// kPage.
+class WireSession {
+ public:
+  explicit WireSession(std::uint16_t port)
+      : fd_(net::connect_tcp("127.0.0.1", port)) {
+    net::set_nonblocking(fd_.get(), true);
+    send(net::encode(net::TuneMsg{net::kAllChannels}));
+  }
+
+  /// Reads what the socket holds and checks each frame.
+  void pump() {
+    char buffer[1 << 14];
+    for (;;) {
+      const ssize_t n = ::recv(fd_.get(), buffer, sizeof(buffer), 0);
+      if (n <= 0) break;
+      decoder_.feed(std::string_view(buffer, static_cast<std::size_t>(n)));
+    }
+    net::Frame frame;
+    while (decoder_.next(frame)) on_frame(frame);
+  }
+
+  bool greeted() const { return greeted_; }
+  std::uint32_t hello_generation() const { return hello_generation_; }
+  std::uint64_t pages() const { return pages_; }
+  std::uint64_t acks() const { return acks_; }
+  /// (generation, next_slot) of every announce heard.
+  const std::vector<std::pair<std::uint32_t, std::uint64_t>>& announces()
+      const {
+    return announces_;
+  }
+
+ private:
+  void send(const std::string& frame) {
+    ASSERT_EQ(::send(fd_.get(), frame.data(), frame.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(frame.size()));
+  }
+
+  void on_frame(const net::Frame& frame) {
+    switch (frame.type) {
+      case net::FrameType::kHello: {
+        ASSERT_FALSE(greeted_) << "a second hello";
+        const auto hello = net::decode<net::HelloMsg>(frame.payload);
+        greeted_ = true;
+        hello_generation_ = newest_generation_ = hello.generation;
+        hello_next_slot_ = hello.next_slot;
+        return;
+      }
+      case net::FrameType::kAnnounce: {
+        const auto announce = net::decode<net::HelloMsg>(frame.payload);
+        EXPECT_TRUE(pages_ == 0 || last_page_slot_ < announce.next_slot)
+            << "a kPage of slot " << last_page_slot_
+            << " came before the announce of slot " << announce.next_slot;
+        announces_.emplace_back(announce.generation, announce.next_slot);
+        newest_generation_ = std::max(newest_generation_, announce.generation);
+        return;
+      }
+      case net::FrameType::kPage: {
+        const auto page = net::decode<net::PageMsg>(frame.payload);
+        if (pages_ == 0) {
+          EXPECT_GE(page.slot, hello_next_slot_)
+              << "the first kPage precedes the slot the hello promised";
+        }
+        last_page_slot_ = page.slot;
+        newest_generation_ = std::max(newest_generation_, page.generation);
+        if (++pages_ % 8 == 0)
+          send(net::encode(net::ReqMsg{.trace_id = pages_,
+                                       .page = static_cast<std::uint32_t>(
+                                           pages_ / 8 % 11)}));
+        return;
+      }
+      case net::FrameType::kReqAck: {
+        const auto ack = net::decode<net::ReqAckMsg>(frame.payload);
+        EXPECT_GE(ack.generation, newest_generation_)
+            << "an ack names a generation older than a frame already seen";
+        ++acks_;
+        return;
+      }
+      default:
+        ADD_FAILURE() << "unexpected frame type "
+                      << static_cast<int>(frame.type);
+    }
+  }
+
+  net::Fd fd_;
+  net::FrameDecoder decoder_;
+  bool greeted_ = false;
+  std::uint32_t hello_generation_ = 0;
+  std::uint64_t hello_next_slot_ = 0;
+  std::uint32_t newest_generation_ = 0;
+  std::uint64_t last_page_slot_ = 0;
+  std::uint64_t pages_ = 0;
+  std::uint64_t acks_ = 0;
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> announces_;
+};
+
+// What a session is told agrees with the stream it then receives, at one
+// loop and at four: each session's first kPage is at or past the next slot
+// its hello named; each announce names the swap's activation slot and
+// reaches the stream before any kPage of that slot; and every kReqAck names
+// a generation no older than any frame its session had already seen.
+TEST(MultiLoop, HelloAckAndAnnounceAgreeWithTheStreamTheyPrecede) {
+  for (const std::size_t loops : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("loops=" + std::to_string(loops));
+    AirServerConfig config;
+    config.slot_us = 500;
+    config.max_slots = 0;
+    config.loops = loops;
+    ServerHarness harness(paper_workload(), config);
+    const std::uint16_t port = harness.server().port();
+
+    std::vector<std::unique_ptr<WireSession>> sessions;
+    const auto pump_until = [&](auto done) {
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!done() && std::chrono::steady_clock::now() < deadline) {
+        for (const auto& session : sessions) session->pump();
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+      EXPECT_TRUE(done());
+    };
+    const auto all_paged = [&] {
+      for (const auto& session : sessions)
+        if (session->pages() == 0) return false;
+      return true;
+    };
+
+    for (int i = 0; i < 6; ++i)
+      sessions.push_back(std::make_unique<WireSession>(port));
+    pump_until(all_paged);
+
+    SwapReply reply;
+    std::atomic<bool> replied{false};
+    std::thread swapper([&] {
+      TuneClient client(harness.client_options(0));
+      reply = client.request_swap(grown_workload());
+      replied.store(true, std::memory_order_release);
+    });
+    for (int i = 0; i < 6; ++i)  // some greeted before activation, some after
+      sessions.push_back(std::make_unique<WireSession>(port));
+    pump_until([&] { return replied.load(std::memory_order_acquire); });
+    swapper.join();
+    ASSERT_TRUE(reply.accepted) << reply.error;
+    pump_until([&] {
+      if (harness.server().slots_aired() < reply.activation_slot + 200)
+        return false;
+      for (const auto& session : sessions)
+        if (session->acks() == 0) return false;
+      return true;
+    });
+
+    std::size_t announced = 0;
+    for (const auto& session : sessions) {
+      ASSERT_TRUE(session->greeted());
+      if (session->hello_generation() == reply.generation) {
+        EXPECT_TRUE(session->announces().empty())
+            << "greeted under the new generation, then announced it";
+        continue;
+      }
+      ASSERT_EQ(session->announces().size(), 1u);
+      EXPECT_EQ(session->announces()[0].first, reply.generation);
+      EXPECT_EQ(session->announces()[0].second, reply.activation_slot);
+      ++announced;
+    }
+    EXPECT_GE(announced, 6u) << "the sessions greeted before the swap";
   }
 }
 

@@ -6,16 +6,10 @@
 // merged cross-process trace. Further tests check that the protocol itself
 // works with recording off, and drive the loadgen pull-SLO exit-code gate.
 #include <signal.h>
-#include <unistd.h>
 
-#include <chrono>
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -27,21 +21,11 @@
 #include "obs/metrics.hpp"
 #include "util/subprocess.hpp"
 
-#ifndef TCSACTL_PATH
-#error "pull_e2e_test requires -DTCSACTL_PATH=\"...\" from CMake"
-#endif
+#include "e2e_harness.hpp"
 
 using namespace tcsa;
 
 namespace {
-
-std::string slurp(const std::string& path) {
-  std::ifstream file(path);
-  EXPECT_TRUE(file.is_open()) << path;
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  return buffer.str();
-}
 
 /// Cross-process orderings on the merged timeline carry the clock
 /// estimator's error bound (see trace_e2e_test.cpp).
@@ -66,61 +50,13 @@ constexpr bool kUnderTsan = false;
 
 using Journey = std::map<std::string, std::int64_t>;
 
-class PullE2E : public ::testing::Test {
+class PullE2E : public E2EScene {
  protected:
-  void SetUp() override {
-    root_ = std::filesystem::path(testing::TempDir()) /
-            ("tcsa_pull_e2e_" + std::to_string(::getpid()) + "_" +
-             ::testing::UnitTest::GetInstance()->current_test_info()->name());
-    std::filesystem::create_directories(root_);
-    std::ofstream out(path("workload.txt"));
-    out << workload_to_string(make_workload({2, 4, 8}, {3, 5, 3}));
-  }
-
-  void TearDown() override {
-    // Failed runs keep their artifacts for the CI uploader (ci.yml).
-    if (::testing::Test::HasFailure()) return;
-    std::error_code ec;
-    std::filesystem::remove_all(root_, ec);
-  }
-
-  std::string path(const char* leaf) const { return (root_ / leaf).string(); }
-
-  int wait_for_port(const std::string& file) const {
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(20);
-    while (std::chrono::steady_clock::now() < deadline) {
-      if (std::filesystem::exists(file)) {
-        const std::string contents = slurp(file);
-        if (!contents.empty() && contents.back() == '\n')
-          return std::stoi(contents);
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    return 0;
-  }
-
-  Subprocess spawn_serve(std::vector<std::string> extra_flags) {
-    // Generous --slots: the serve must outlive a loadgen ramp plus a tune
-    // run even on a starved CI box; the tests SIGTERM it when done.
-    std::vector<std::string> argv = {
-        TCSACTL_PATH,     "serve",
-        "--workload",     path("workload.txt"),
-        "--port",         "0",
-        "--port-file",    path("port.txt"),
-        "--slot-us",      "500",
-        "--slots",        "60000",
-        "--pull-channels", "1"};
-    argv.insert(argv.end(), extra_flags.begin(), extra_flags.end());
-    SpawnOptions options;
-    options.stdout_path = path("serve.stdout.txt");
-    options.stderr_path = path("serve.stderr.txt");
-    Subprocess serve = Subprocess::spawn(argv, options);
-    port_ = wait_for_port(path("port.txt"));
-    EXPECT_GT(port_, 0) << "server never wrote its port file; stderr:\n"
-                        << slurp(path("serve.stderr.txt"));
-    return serve;
-  }
+  // Generous --slots: the serve must outlive a loadgen ramp plus a tune
+  // run even on a starved CI box; the tests SIGTERM it when done.
+  PullE2E()
+      : E2EScene("tcsa_pull_e2e_", {"--slot-us", "500", "--slots", "60000",
+                                    "--pull-channels", "1"}) {}
 
   /// Every *.req.* instant span of the merged trace, keyed by trace id.
   std::map<std::uint64_t, Journey> load_journeys(const std::string& file) {
@@ -142,9 +78,6 @@ class PullE2E : public ::testing::Test {
     }
     return journeys;
   }
-
-  std::filesystem::path root_;
-  int port_ = 0;
 };
 
 TEST_F(PullE2E, ImpatientAudienceIsServedByCoalescedTracedPullAirings) {

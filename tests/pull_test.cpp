@@ -208,13 +208,17 @@ TEST(PendingRequests, DuplicateEntriesForOnePageResolveOffOnePullFrame) {
 TEST(PendingRequests, BroadcastMatchesOnlyOnASubscribedChannelThatAired) {
   PendingRequests pending;
   pending.open(1, 4, 0);
-  const std::vector<PageId> pages = {4, 2, 4};
-  pending.match_broadcast(10, /*subscribed=*/0b010, /*aired=*/0b111, pages);
-  pending.match_broadcast(11, /*subscribed=*/0b001, /*aired=*/0b110, pages);
+  BroadcastProgram program(3, 2);  // column 1 airs pages {4, 2, 4}
+  program.place(0, 1, 4);
+  program.place(1, 1, 2);
+  program.place(2, 1, 4);
+  // The hit mask is the session's subscribed channels that aired.
+  pending.match_broadcast(10, /*hit=*/0b010 & 0b111, program, 1);
+  pending.match_broadcast(11, /*hit=*/0b001 & 0b110, program, 1);
   pending.retire(0);
   ASSERT_EQ(pending.entries().size(), 1u) << "matched off-mask or unaired";
 
-  pending.match_broadcast(12, /*subscribed=*/0b101, /*aired=*/0b100, pages);
+  pending.match_broadcast(12, /*hit=*/0b101 & 0b100, program, 1);
   EXPECT_EQ(pending.entries().front().encoded_slot, 12u);
   EXPECT_FALSE(pending.entries().front().via_pull);
   pending.retire(0);

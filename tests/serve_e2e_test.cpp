@@ -2,13 +2,9 @@
 // tune in with the real `tcsactl tune --json`, and prove over actual
 // sockets and processes that the broadcast meets every deadline, survives a
 // hot swap from `tcsactl swap`, and leaves reportable obs artifacts behind.
-#include <unistd.h>
-
 #include <chrono>
 #include <csignal>
-#include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,83 +19,25 @@
 #include "obs/metrics.hpp"
 #include "util/subprocess.hpp"
 
-#ifndef TCSACTL_PATH
-#error "serve_e2e_test requires -DTCSACTL_PATH=\"...\" from CMake"
-#endif
+#include "e2e_harness.hpp"
 
 using namespace tcsa;
 
 namespace {
 
-std::string slurp(const std::string& path) {
-  std::ifstream file(path);
-  EXPECT_TRUE(file.is_open()) << path;
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  return buffer.str();
-}
-
-class ServeE2E : public ::testing::Test {
+class ServeE2E : public E2EScene {
  protected:
+  ServeE2E() : E2EScene("tcsa_serve_e2e_", {"--slot-us", "300", "--slots",
+                                            "6000"}) {}
+
   void SetUp() override {
-    root_ = std::filesystem::path(testing::TempDir()) /
-            ("tcsa_serve_e2e_" + std::to_string(::getpid()) + "_" +
-             ::testing::UnitTest::GetInstance()->current_test_info()->name());
-    std::filesystem::create_directories(root_);
-    {
-      std::ofstream out(workload_path());
-      out << workload_to_string(make_workload({2, 4, 8}, {3, 5, 3}));
-    }
-    {
-      std::ofstream out(next_workload_path());
-      out << workload_to_string(make_workload({2, 4, 8}, {3, 5, 4}));
-    }
+    E2EScene::SetUp();
+    std::ofstream out(next_workload_path());
+    out << workload_to_string(make_workload({2, 4, 8}, {3, 5, 4}));
   }
 
-  void TearDown() override {
-    // A failed test keeps its scene — logs, artifacts, flight dumps — so
-    // CI can upload the directory (see the if: failure() step in ci.yml).
-    if (::testing::Test::HasFailure()) return;
-    std::error_code ec;
-    std::filesystem::remove_all(root_, ec);
-  }
-
-  std::string path(const char* leaf) const { return (root_ / leaf).string(); }
   std::string workload_path() const { return path("workload.txt"); }
   std::string next_workload_path() const { return path("next.txt"); }
-
-  /// Blocks until a --port-file/--admin-port-file appears (newline-
-  /// terminated), returning the port or 0 on timeout.
-  int wait_for_port(const std::string& file) const {
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(20);
-    while (std::chrono::steady_clock::now() < deadline) {
-      if (std::filesystem::exists(file)) {
-        const std::string contents = slurp(file);
-        if (!contents.empty() && contents.back() == '\n')
-          return std::stoi(contents);
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    return 0;
-  }
-
-  /// Forks `tcsactl serve` and blocks until its --port-file appears.
-  Subprocess spawn_serve(std::vector<std::string> extra_flags) {
-    std::vector<std::string> argv = {
-        TCSACTL_PATH, "serve",       "--workload",  workload_path(),
-        "--port",     "0",           "--port-file", path("port.txt"),
-        "--slot-us",  "300",         "--slots",     "6000"};
-    argv.insert(argv.end(), extra_flags.begin(), extra_flags.end());
-    SpawnOptions options;
-    options.stdout_path = path("serve.stdout.txt");
-    options.stderr_path = path("serve.stderr.txt");
-    Subprocess serve = Subprocess::spawn(argv, options);
-    port_ = wait_for_port(path("port.txt"));
-    EXPECT_GT(port_, 0) << "server never wrote its port file; stderr:\n"
-                        << slurp(path("serve.stderr.txt"));
-    return serve;
-  }
 
   int run_tune(const char* slots, const std::string& json_out) {
     SpawnOptions options;
@@ -109,9 +47,6 @@ class ServeE2E : public ::testing::Test {
                         "--slots", slots, "--json"},
                        options);
   }
-
-  std::filesystem::path root_;
-  int port_ = 0;
 };
 
 TEST_F(ServeE2E, TuneObservesZeroMissesAndSwapActivatesLive) {

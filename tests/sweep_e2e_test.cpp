@@ -8,7 +8,6 @@
 
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -24,21 +23,11 @@
 #include "util/text.hpp"
 #include "workload/distributions.hpp"
 
-#ifndef TCSACTL_PATH
-#error "sweep_e2e_test requires -DTCSACTL_PATH=\"...\" from CMake"
-#endif
+#include "e2e_harness.hpp"
 
 using namespace tcsa;
 
 namespace {
-
-std::string slurp(const std::string& path) {
-  std::ifstream file(path);
-  EXPECT_TRUE(file.is_open()) << path;
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  return buffer.str();
-}
 
 /// The workload and grid every run here measures: the demo workload at
 /// 400 requests, seed 7, channels 1 through the Theorem 3.1 minimum.
