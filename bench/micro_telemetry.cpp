@@ -9,8 +9,7 @@
 //   * BM_TimelineSnapshot — copying a full 4096-cell ring out from a
 //     scraper's thread, the /slots handler's dominant cost.
 //   * BM_WatchdogObserve — the whole per-slot call the server makes: one
-//     timeline record plus the watchdog's breach check, amortizing the
-//     read-back of each 256-slot window across the window.
+//     timeline record plus the watchdog's breach check.
 //   * BM_PrometheusExpose — registry scrape + text exposition for a
 //     registry the size the server actually exposes.
 //
@@ -81,27 +80,22 @@ void BM_WatchdogObserve(benchmark::State& state) {
   for (auto _ : state) {
     const tcsa::obs::SlotRecord rec = make_record(slot++);
     timeline.record(rec);
-    dog.observe(timeline, static_cast<double>(rec.lag_us()), rec.actual_us);
+    dog.observe(static_cast<double>(rec.lag_us()), rec.actual_us);
   }
-  // Fixed pass for the counter gate: 1024 slots close exactly 4 windows.
-  tcsa::obs::SlotTimeline fixed_timeline(kRing);
-  tcsa::obs::SloWatchdog fixed(kNeverBreaches, quiet);
-  for (std::uint64_t s = 0; s < 1024; ++s) {
-    const tcsa::obs::SlotRecord rec = make_record(s);
-    fixed_timeline.record(rec);
-    fixed.observe(fixed_timeline, static_cast<double>(rec.lag_us()),
-                  rec.actual_us);
-  }
-  state.counters["watchdog_window"] =
-      static_cast<double>(tcsa::obs::SloWatchdog::kWindow);
-  state.counters["watchdog_windows_closed_total"] =
-      static_cast<double>(fixed.windows());
+  // Fixed pass for the counter gate: 1024 slots lagging s mod 400 us
+  // against a 300 us SLO breach on lags 301..399 of the first two
+  // 400-slot blocks, exactly 2 x 99 = 198 times.
+  tcsa::obs::SloWatchdog fixed(300.0, quiet);
+  for (std::int64_t s = 0; s < 1024; ++s)
+    fixed.observe(static_cast<double>(s % 400), s * 300);
+  state.counters["watchdog_breaches_total"] =
+      static_cast<double>(fixed.breaches());
 }
 BENCHMARK(BM_WatchdogObserve);
 
 void BM_PrometheusExpose(benchmark::State& state) {
   // A registry shaped like a live server's: the tcsa_server_* counter
-  // family, the watchdog gauges, and one latency histogram.
+  // family, a handful of gauges, and one latency histogram.
   const bool was_enabled = tcsa::obs::enabled();
   tcsa::obs::set_enabled(true);
   for (int i = 0; i < 16; ++i) {

@@ -58,35 +58,6 @@ double analytic_average_delay(const Workload& workload,
   return sum / static_cast<double>(workload.total_pages());
 }
 
-double analytic_average_delay_weighted(const Workload& workload,
-                                       std::span<const SlotCount> S,
-                                       SlotCount channels,
-                                       std::span<const double> page_weights) {
-  TCSA_REQUIRE(static_cast<SlotCount>(page_weights.size()) ==
-                   workload.total_pages(),
-               "weighted delay: one weight per page required");
-  const auto t_major =
-      static_cast<double>(major_cycle(workload, S, channels));
-  double weighted_sum = 0.0;
-  double weight_total = 0.0;
-  for (GroupId g = 0; g < workload.group_count(); ++g) {
-    const double spacing =
-        t_major / static_cast<double>(S[static_cast<std::size_t>(g)]);
-    const double delay = even_spacing_delay(spacing, workload.expected_time(g));
-    const PageId first = workload.first_page(g);
-    for (SlotCount j = 0; j < workload.pages_in_group(g); ++j) {
-      const double w =
-          page_weights[static_cast<std::size_t>(first) +
-                       static_cast<std::size_t>(j)];
-      TCSA_REQUIRE(w >= 0.0, "weighted delay: negative weight");
-      weighted_sum += w * delay;
-      weight_total += w;
-    }
-  }
-  TCSA_REQUIRE(weight_total > 0.0, "weighted delay: all weights zero");
-  return weighted_sum / weight_total;
-}
-
 double analytic_group_weighted_delay(const Workload& workload,
                                      std::span<const SlotCount> S,
                                      SlotCount channels,
@@ -110,25 +81,6 @@ double analytic_group_weighted_delay(const Workload& workload,
   }
   TCSA_REQUIRE(weight_total > 0.0, "weighted delay: all weights zero");
   return weighted_sum / weight_total;
-}
-
-std::vector<double> group_weights_from_page_weights(
-    const Workload& workload, std::span<const double> page_weights) {
-  TCSA_REQUIRE(static_cast<SlotCount>(page_weights.size()) ==
-                   workload.total_pages(),
-               "group weights: one page weight per page required");
-  std::vector<double> weights(
-      static_cast<std::size_t>(workload.group_count()), 0.0);
-  for (GroupId g = 0; g < workload.group_count(); ++g) {
-    const PageId first = workload.first_page(g);
-    double sum = 0.0;
-    for (SlotCount j = 0; j < workload.pages_in_group(g); ++j)
-      sum += page_weights[static_cast<std::size_t>(first) +
-                          static_cast<std::size_t>(j)];
-    weights[static_cast<std::size_t>(g)] =
-        sum / static_cast<double>(workload.pages_in_group(g));
-  }
-  return weights;
 }
 
 double paper_stage_delay(const Workload& workload,

@@ -22,7 +22,6 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "model/workload.hpp"
 
@@ -46,14 +45,6 @@ double analytic_average_delay(const Workload& workload,
                               std::span<const SlotCount> S,
                               SlotCount channels);
 
-/// Weighted variant for non-uniform access (Zipf extension): `page_weights`
-/// holds one non-negative weight per page; the result is the weight-averaged
-/// expected delay.
-double analytic_average_delay_weighted(const Workload& workload,
-                                       std::span<const SlotCount> S,
-                                       SlotCount channels,
-                                       std::span<const double> page_weights);
-
 /// Group-weighted expected delay: like analytic_average_delay but with
 /// access probability proportional to group_weights[g] per page of group g
 /// (the general prob_access of Section 4.1; the paper evaluates the uniform
@@ -62,11 +53,6 @@ double analytic_group_weighted_delay(const Workload& workload,
                                      std::span<const SlotCount> S,
                                      SlotCount channels,
                                      std::span<const double> group_weights);
-
-/// Collapses per-page access weights to per-group means (pages of a group
-/// share a frequency, so only the group totals matter to the optimiser).
-std::vector<double> group_weights_from_page_weights(
-    const Workload& workload, std::span<const double> page_weights);
 
 /// The paper's stage objective D'_{upto+1} over groups [0, upto] (0-based,
 /// inclusive): Equation (7) with F = sum_{j<=upto} S_j P_j and

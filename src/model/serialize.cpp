@@ -159,33 +159,12 @@ BroadcastProgram program_from_string(std::string_view text) {
 namespace {
 
 constexpr std::uint32_t kWorkloadMagic = 0x42574354;  // "TCWB" LE
-constexpr std::uint32_t kProgramMagic = 0x42504354;   // "TCPB" LE
 constexpr std::uint8_t kBinaryVersion = 1;
 
 /// Hostile-input allocation caps: a swap frame will never legitimately
 /// carry more, and a corrupt length must not become a multi-GiB resize.
 constexpr std::uint32_t kMaxBinaryGroups = 1u << 16;
 constexpr std::uint64_t kMaxBinaryCells = 1ull << 26;
-
-void check_header(WireReader& reader, std::uint32_t magic,
-                  const char* what) {
-  if (reader.read_u32() != magic)
-    throw std::invalid_argument(std::string("binary ") + what +
-                                ": bad magic");
-  const std::uint8_t version = reader.read_u8();
-  if (version != kBinaryVersion)
-    throw std::invalid_argument(std::string("binary ") + what +
-                                ": unsupported version " +
-                                std::to_string(version));
-}
-
-void finish(const WireReader& reader, std::size_t* consumed) {
-  if (consumed == nullptr) {
-    reader.expect_done();
-  } else {
-    *consumed = reader.consumed();
-  }
-}
 
 }  // namespace
 
@@ -205,9 +184,13 @@ std::string workload_to_binary(const Workload& workload) {
   return out;
 }
 
-Workload workload_from_binary(std::string_view bytes, std::size_t* consumed) {
+Workload workload_from_binary(std::string_view bytes) {
   WireReader reader(bytes);
-  check_header(reader, kWorkloadMagic, "workload");
+  if (reader.read_u32() != kWorkloadMagic)
+    throw std::invalid_argument("binary workload: bad magic");
+  if (const std::uint8_t version = reader.read_u8(); version != kBinaryVersion)
+    throw std::invalid_argument("binary workload: unsupported version " +
+                                std::to_string(version));
   const std::uint32_t h = reader.read_u32();
   if (h < 1 || h > kMaxBinaryGroups)
     throw std::invalid_argument("binary workload: group count " +
@@ -229,62 +212,13 @@ Workload workload_from_binary(std::string_view bytes, std::size_t* consumed) {
     }
     groups.push_back(GroupSpec{expected_time, pages});
   }
-  finish(reader, consumed);
+  reader.expect_done();
   try {
     return Workload(std::move(groups));
   } catch (const std::invalid_argument& e) {
     throw std::invalid_argument(std::string("binary workload: invalid: ") +
                                 e.what());
   }
-}
-
-void append_program_binary(std::string& out,
-                           const BroadcastProgram& program) {
-  wire_put_u32(out, kProgramMagic);
-  wire_put_u8(out, kBinaryVersion);
-  wire_put_i64(out, program.channels());
-  wire_put_i64(out, program.cycle_length());
-  for (SlotCount ch = 0; ch < program.channels(); ++ch)
-    for (SlotCount s = 0; s < program.cycle_length(); ++s)
-      wire_put_u32(out, program.at(ch, s));
-}
-
-std::string program_to_binary(const BroadcastProgram& program) {
-  std::string out;
-  append_program_binary(out, program);
-  return out;
-}
-
-BroadcastProgram program_from_binary(std::string_view bytes,
-                                     std::size_t* consumed) {
-  WireReader reader(bytes);
-  check_header(reader, kProgramMagic, "program");
-  const SlotCount channels = reader.read_i64();
-  const SlotCount cycle = reader.read_i64();
-  if (channels < 1 || cycle < 1)
-    throw std::invalid_argument("binary program: degenerate shape");
-  // Bound each dimension before multiplying: a hostile 2^40 x 2^40 shape
-  // would wrap the 64-bit product right past the cell cap.
-  if (static_cast<std::uint64_t>(channels) > kMaxBinaryCells ||
-      static_cast<std::uint64_t>(cycle) > kMaxBinaryCells ||
-      static_cast<std::uint64_t>(channels) *
-              static_cast<std::uint64_t>(cycle) >
-          kMaxBinaryCells)
-    throw std::invalid_argument("binary program: shape exceeds cell cap");
-  // Reject truncation before building the (possibly large) grid.
-  if (reader.remaining() <
-      static_cast<std::uint64_t>(channels) *
-          static_cast<std::uint64_t>(cycle) * sizeof(std::uint32_t))
-    throw std::invalid_argument("binary program: truncated grid");
-  BroadcastProgram program(channels, cycle);
-  for (SlotCount ch = 0; ch < channels; ++ch) {
-    for (SlotCount s = 0; s < cycle; ++s) {
-      const std::uint32_t cell = reader.read_u32();
-      if (cell != kNoPage) program.place(ch, s, cell);
-    }
-  }
-  finish(reader, consumed);
-  return program;
 }
 
 }  // namespace tcsa

@@ -16,23 +16,20 @@
 //   shape <channels> <cycle_length>
 //   row <channel> <cell> <cell> ...    (one line per channel; '.' = empty)
 //
-// A compact *binary* encoding of both types also lives here — the wire
-// protocol's swap frame ships whole workloads (and optionally programs)
-// inside length-delimited network frames where the text format's tokenizing
-// would be pure overhead. Layout (little-endian, util/wire.hpp):
+// A compact *binary* encoding of workloads also lives here — the wire
+// protocol's hello and swap frames ship whole workloads inside
+// length-delimited network frames where the text format's tokenizing would
+// be pure overhead. Layout (little-endian, util/wire.hpp):
 //
 //   workload: magic "TCWB" (u32) | version u8 | group_count u32
 //             | group_count x { expected_time i64, pages i64 }
-//   program:  magic "TCPB" (u32) | version u8 | channels i64 | cycle i64
-//             | channels*cycle x page u32 (kNoPage = empty), row-major
 //
-// Binary loads enforce the same invariants as the text loaders (the
-// Workload/BroadcastProgram constructors validate), reject truncated input
-// with std::invalid_argument, and cap the declared shape so a hostile
-// length cannot trigger an absurd allocation.
+// The binary load enforces the same invariants as the text loader (the
+// Workload constructor validates), rejects truncated input with
+// std::invalid_argument, and caps the declared size so a hostile length
+// cannot trigger an absurd allocation.
 #pragma once
 
-#include <cstddef>
 #include <string>
 #include <string_view>
 
@@ -59,23 +56,10 @@ BroadcastProgram program_from_string(std::string_view text);
 void append_workload_binary(std::string& out, const Workload& workload);
 std::string workload_to_binary(const Workload& workload);
 
-/// Parses a binary workload. With `consumed == nullptr` the document must
-/// span the whole buffer (trailing bytes are an error); otherwise the number
-/// of bytes read is returned through `consumed` so documents can be
-/// concatenated. Throws std::invalid_argument on truncation, bad magic /
-/// version, a total page count above the program codec's cell cap, or any
-/// workload invariant violation.
-Workload workload_from_binary(std::string_view bytes,
-                              std::size_t* consumed = nullptr);
-
-/// Appends the binary encoding of `program` to `out`.
-void append_program_binary(std::string& out, const BroadcastProgram& program);
-std::string program_to_binary(const BroadcastProgram& program);
-
-/// Parses a binary program; same consumption contract as
-/// workload_from_binary. Rejects shapes above an internal cell cap before
-/// allocating.
-BroadcastProgram program_from_binary(std::string_view bytes,
-                                     std::size_t* consumed = nullptr);
+/// Parses a binary workload spanning the whole buffer (trailing bytes are
+/// an error). Throws std::invalid_argument on truncation, bad magic /
+/// version, a total page count above the cell cap (more pages than any
+/// program could air), or any workload invariant violation.
+Workload workload_from_binary(std::string_view bytes);
 
 }  // namespace tcsa

@@ -59,20 +59,6 @@ GroupId Workload::group_of(PageId page) const {
   return page_group_[page];
 }
 
-bool Workload::uniform_ratio(SlotCount& ratio) const noexcept {
-  if (groups_.size() == 1) {
-    ratio = 1;
-    return true;
-  }
-  const SlotCount c = groups_[1].expected_time / groups_[0].expected_time;
-  for (std::size_t i = 1; i < groups_.size(); ++i) {
-    if (groups_[i].expected_time != groups_[i - 1].expected_time * c)
-      return false;
-  }
-  ratio = c;
-  return true;
-}
-
 std::string Workload::describe() const {
   std::string text = str_cat("h=", groups_.size(), " n=", total_pages_, " t=[");
   for (std::size_t i = 0; i < groups_.size(); ++i) {

@@ -62,10 +62,6 @@ class Workload {
     return expected_time(group_of(page));
   }
 
-  /// True when the ladder is uniformly geometric (single c); then returns c
-  /// via `ratio`. h == 1 counts as geometric with ratio 1.
-  bool uniform_ratio(SlotCount& ratio) const noexcept;
-
   const std::vector<GroupSpec>& groups() const noexcept { return groups_; }
 
   /// One-line human-readable description, e.g. "h=3 n=11 t=[2,4,8] P=[3,5,3]".

@@ -9,17 +9,14 @@
 #include <csignal>
 #include <cerrno>
 #include <cstring>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
 #include "core/channel_bound.hpp"
 #include "obs/artifact.hpp"
 #include "model/serialize.hpp"
-#include "model/validate.hpp"
 #include "obs/reqtrace.hpp"
 #include "obs/trace.hpp"
-#include "online/adaptive.hpp"
 #include "server/server_metrics.hpp"
 #include "util/contracts.hpp"
 #include "util/log.hpp"
@@ -30,105 +27,6 @@ namespace {
 void note_generation(std::uint32_t id) {
   obs::gauge_set(server_metrics().generation_gauge, static_cast<double>(id));
 }
-
-/// One common page's seam state: the promise the old program left it, and
-/// its completions so far in the time-ordered sweep of the new program, each
-/// in (0, T_new]. promised == 0: not a common page on air in the old
-/// program; last == 0: not yet seen in the new one.
-struct SeamPage {
-  std::uint32_t promised = 0;
-  std::uint32_t first = 0;
-  std::uint32_t last = 0;
-};
-
-}  // namespace
-
-SwapPlan plan_swap_seam(const Workload& current_workload,
-                        const BroadcastProgram& current_program,
-                        SlotCount current_offset,
-                        const Workload& next_workload,
-                        const BroadcastProgram& next_program) {
-  const SlotCount old_cycle = current_program.cycle_length();
-  const SlotCount cycle = next_program.cycle_length();
-  TCSA_REQUIRE(std::max(old_cycle, cycle) <
-                   std::numeric_limits<std::uint32_t>::max(),
-               "plan_swap_seam: cycle too long for 32-bit completion times");
-  const SlotCount old_pages = current_workload.total_pages();
-  const SlotCount new_pages = next_workload.total_pages();
-  const SlotCount common = std::min(old_pages, new_pages);
-  std::vector<SeamPage> seam(static_cast<std::size_t>(common));
-
-  // Outstanding promise per common page: the wait the continued old cycle
-  // would have delivered from the boundary. Slot s airs ((s - phase) mod
-  // T_old) + 1 slots after it, so the promise is the minimum of that over
-  // the page's slots — one pass in any order.
-  const SlotCount phase = (current_offset % old_cycle + old_cycle) % old_cycle;
-  for (SlotCount ch = 0; ch < current_program.channels(); ++ch) {
-    for (SlotCount s = 0; s < old_cycle; ++s) {
-      const PageId p = current_program.at(ch, s);
-      if (p == kNoPage) continue;
-      TCSA_REQUIRE(static_cast<SlotCount>(p) < old_pages,
-                   "plan_swap_seam: program references unknown page");
-      if (static_cast<SlotCount>(p) >= common) continue;
-      const auto wait =
-          static_cast<std::uint32_t>((s - phase + old_cycle) % old_cycle + 1);
-      std::uint32_t& promised = seam[p].promised;
-      if (promised == 0 || wait < promised) promised = wait;
-    }
-  }
-
-  // At rotation r, page p next completes at its first appearance a_k with
-  // a_{k-1} <= r < a_k (past the last one it wraps to a_0 + T), so the
-  // seam lateness is L(r) = max_p(a_k - promised_p) - r. Each page's
-  // appearances cut [0, T) into intervals on which a_k - promised_p is
-  // constant, and that value rises from one interval to the next. So the
-  // open interval of a page is the largest-valued one it has started, and
-  // max_p is the largest value of any interval started at or before r:
-  // record the largest value starting at each column — a time-ordered
-  // sweep opens each page's interval at its previous completion — then
-  // sweep r upward with a running maximum. O(cells + T) time, 12 bytes per
-  // common page plus O(T).
-  // opens[c]: the largest value of an interval that starts at column c.
-  std::vector<SlotCount> opens(static_cast<std::size_t>(cycle),
-                               std::numeric_limits<SlotCount>::min());
-  const auto open_at = [&](SlotCount column, SlotCount value) {
-    SlotCount& top = opens[static_cast<std::size_t>(column)];
-    top = std::max(top, value);
-  };
-  next_program.for_each_in_time_order([&](SlotCount slot, PageId p) {
-    TCSA_REQUIRE(static_cast<SlotCount>(p) < new_pages,
-                 "plan_swap_seam: program references unknown page");
-    if (static_cast<SlotCount>(p) >= common) return;
-    SeamPage& page = seam[p];
-    if (page.promised == 0) return;
-    const auto done = static_cast<std::uint32_t>(slot + 1);
-    if (page.last == 0) page.first = done;
-    if (page.last < done)
-      open_at(page.last, SlotCount{done} - SlotCount{page.promised});
-    page.last = done;
-  });
-  bool any = false;
-  for (const SeamPage& page : seam) {
-    if (page.last == 0) continue;  // not common to both programs
-    any = true;
-    if (page.last < cycle)
-      open_at(page.last, SlotCount{page.first} + cycle -
-                             SlotCount{page.promised});
-  }
-  if (!any) return SwapPlan{0, 0};
-
-  SwapPlan best{0, std::numeric_limits<SlotCount>::max()};
-  SlotCount worst = std::numeric_limits<SlotCount>::min();
-  for (SlotCount r = 0; r < cycle; ++r) {
-    worst = std::max(worst, opens[static_cast<std::size_t>(r)]);
-    const SlotCount lateness = worst - r;
-    if (lateness < best.seam_lateness) best = SwapPlan{r, lateness};
-    if (best.seam_lateness <= 0) break;  // smallest seam-clean rotation wins
-  }
-  return best;
-}
-
-namespace {
 
 /// Self-pipe write end for the signal handlers: the only async-signal-safe
 /// way back into the event loop is write(2) on a pre-opened fd.
@@ -147,7 +45,8 @@ extern "C" void tcsa_on_signal(int) {
 /// SQE array stays a page-scale mapping per loop.
 constexpr unsigned kUringEntries = 256;
 
-/// Slots the /slots ring keeps; the watchdog's window is the newest 256.
+/// Slots the /slots ring keeps; /healthz's lag percentiles read the newest
+/// 256.
 constexpr std::size_t kTimelineSlots = 4096;
 /// Events in the flight-recorder ring.
 constexpr std::uint32_t kFlightEvents = 4096;
@@ -177,27 +76,17 @@ AirServer::AirServer(Workload workload, AirServerConfig config)
   TCSA_REQUIRE(config_.pull_channels <= 16,
                "AirServer: pull_channels must be in [0, 16]");
 
-  ScheduleOutcome outcome = [&] {
-    TCSA_TRACE_SPAN("server.start.schedule");
-    return config_.method
-               ? make_schedule(*config_.method, workload, channels_)
-               : choose_schedule(workload, channels_);
-  }();
-  const ValidityReport report = [&] {
-    TCSA_TRACE_SPAN("server.start.validate");
-    return validate_program(outcome.program, workload, 1);
-  }();
-  if (!report.valid) {
+  PlannedGeneration first =
+      plan_generation(std::move(workload), channels_, config_.method, nullptr);
+  // Start-up airs whatever the workload allows; a swap
+  // (handle_swap_request) refuses an invalid program instead.
+  if (!first.report.valid) {
     TCSA_LOG(kWarn) << "air server: initial program is invalid (worst "
                        "lateness "
-                    << report.worst_lateness
+                    << first.report.worst_lateness
                     << " slots); clients will observe deadline misses";
   }
-
-  std::string binary = workload_to_binary(workload);
-  current_ = std::make_shared<const Generation>(
-      Generation{1, std::move(workload), std::move(outcome.program), 0, 0,
-                 std::move(binary)});
+  current_ = std::move(first.generation);
   generation_id_.store(1, std::memory_order_relaxed);
   note_generation(1);
   common_.max_session_buffer = config_.max_session_buffer;
@@ -251,19 +140,22 @@ AirServer::AirServer(Workload workload, AirServerConfig config)
   // classic per-session sendmsg flush.
   {
     TCSA_TRACE_SPAN("server.start.egress");
-    try {
-      if (!net::UringFlusher::supported())
-        throw std::runtime_error("io_uring unavailable (probe failed)");
-      for (auto& shard : shards_)
-        shard->uring = std::make_unique<net::UringFlusher>(kUringEntries);
-      uring_active_ = true;
-      TCSA_LOG(kInfo) << "air server: io_uring egress on (" << loop_count_
-                      << " ring(s) x " << shards_[0]->uring->capacity()
-                      << " entries)";
-    } catch (const std::exception& e) {
-      for (auto& shard : shards_) shard->uring.reset();
-      TCSA_LOG(kInfo) << "air server: " << e.what()
-                      << "; using sendmsg flush";
+    if (!net::UringFlusher::supported()) {
+      TCSA_LOG(kInfo) << "air server: io_uring unavailable (probe failed); "
+                         "using sendmsg flush";
+    } else {
+      try {
+        for (auto& shard : shards_)
+          shard->uring = std::make_unique<net::UringFlusher>(kUringEntries);
+        uring_active_ = true;
+        TCSA_LOG(kInfo) << "air server: io_uring egress on (" << loop_count_
+                        << " ring(s) x " << shards_[0]->uring->capacity()
+                        << " entries)";
+      } catch (const std::exception& e) {
+        for (auto& shard : shards_) shard->uring.reset();
+        TCSA_LOG(kInfo) << "air server: " << e.what()
+                        << "; using sendmsg flush";
+      }
     }
   }
   uptime_gauge_ = obs::register_gauge(
@@ -308,21 +200,23 @@ void AirServer::run() {
       TCSA_LOG(kWarn) << "air server: " << flight.error();
     }
   }
-  clock_ = std::make_unique<net::SlotClock>(config_.slot_us);
-  on_air_epoch_us_ = clock_->now_us();
   obs::gauge_set(server_metrics().loops_gauge,
                  static_cast<double>(loop_count_));
   LoopShard& shard0 = *shards_[0];
   shard0.listen();
   shard0.loop().add(timer_.fd(), EPOLLIN,
                     [this](std::uint32_t) { on_timer(); });
-  // Admin goes live only now: its handlers read loop-0 state (clock_,
-  // next_slot_) that exists from here on, and loop 0 first polls below.
+  // Admin handlers read loop-0 state (clock_, next_slot_), and they run
+  // only inside loop 0's poll below, after the clock exists.
   if (admin_) admin_->start();
   if (config_.install_signal_handlers) install_signal_pipe();
   timer_.arm_after_us(0);
   running_ = true;
   group_->start_workers([this](std::size_t index) { shards_[index]->run(); });
+  // The epoch is slot 0's due time: taken last, so start-up work is not
+  // charged to slot 0 as lag.
+  clock_ = std::make_unique<net::SlotClock>(config_.slot_us);
+  on_air_epoch_us_ = clock_->now_us();
 
   std::exception_ptr error;
   try {
@@ -443,9 +337,10 @@ std::string AirServer::healthz_json() const {
   }
   field("sessions_per_loop", per_loop + "]");
   number("evictions", sessions_evicted());
-  number("slot_lag_p50_us", watchdog_.p50_us());
-  number("slot_lag_p99_us", watchdog_.p99_us());
-  number("slot_lag_p999_us", watchdog_.p999_us());
+  const obs::LagPercentiles lag = obs::recent_lag_percentiles(timeline_);
+  number("slot_lag_p50_us", lag.p50_us);
+  number("slot_lag_p99_us", lag.p99_us);
+  number("slot_lag_p999_us", lag.p999_us);
   number("slo_breaches", watchdog_.breaches());
   number("pull_channels", config_.pull_channels);
   if (config_.pull_channels > 0) {
@@ -482,7 +377,7 @@ void AirServer::note_slot_aired(std::uint64_t lag_us,
   rec.aired_mask = aired_mask;
   timeline_.record(rec);
   last_timeline_bytes_ = flushed;
-  watchdog_.observe(timeline_, static_cast<double>(lag_us), now_us);
+  watchdog_.observe(static_cast<double>(lag_us), now_us);
 }
 
 void AirServer::stop() {
@@ -654,11 +549,13 @@ void AirServer::handle_swap_request(SessionRef requester,
     reject("swap: channel count exceeds the 64-channel mask limit");
     return;
   }
-  const bool auto_method = method_byte == net::kSwapMethodAuto;
-  if (!auto_method &&
-      method_byte > static_cast<std::uint8_t>(Method::kRoundRobin)) {
-    reject("swap: unknown scheduling method");
-    return;
+  std::optional<Method> method;
+  if (method_byte != net::kSwapMethodAuto) {
+    if (method_byte > static_cast<std::uint8_t>(Method::kRoundRobin)) {
+      reject("swap: unknown scheduling method");
+      return;
+    }
+    method = static_cast<Method>(method_byte);
   }
 
   if (swap_worker_.joinable()) swap_worker_.join();
@@ -667,7 +564,7 @@ void AirServer::handle_swap_request(SessionRef requester,
 
   // The worker shares the on-air generation (immutable once on air) and
   // must not touch any other loop-thread state.
-  swap_worker_ = std::thread([this, channels, auto_method, method_byte,
+  swap_worker_ = std::thread([this, channels, method,
                               payload = std::move(payload), old = current_] {
     TCSA_TRACE_SPAN("server.reschedule");
     std::shared_ptr<Generation> gen;
@@ -678,32 +575,16 @@ void AirServer::handle_swap_request(SessionRef requester,
       Workload w =
           workload_from_binary(net::decode<net::SwapMsg>(payload).workload);
       error.clear();
-      // One child span per stage, so a traced slow swap names its stage.
-      ScheduleOutcome outcome = [&] {
-        TCSA_TRACE_SPAN("server.swap.schedule");
-        return auto_method ? choose_schedule(w, channels)
-                           : make_schedule(static_cast<Method>(method_byte), w,
-                                           channels);
-      }();
-      const ValidityReport report = [&] {
-        TCSA_TRACE_SPAN("server.swap.validate");
-        return validate_program(outcome.program, w, 1);
-      }();
-      if (!report.valid) {
+      PlannedGeneration next =
+          plan_generation(std::move(w), channels, method, old.get());
+      // A swap never puts an invalid program on air.
+      if (!next.report.valid) {
         error = "rescheduled program is invalid (worst lateness " +
-                std::to_string(report.worst_lateness) + " slots): " +
-                report.violations.front();
+                std::to_string(next.report.worst_lateness) + " slots): " +
+                next.report.violations.front();
       } else {
-        const SwapPlan plan = [&] {
-          TCSA_TRACE_SPAN("server.swap.seam");
-          return plan_swap_seam(old->workload, old->program, old->offset, w,
-                                outcome.program);
-        }();
-        seam = plan.seam_lateness;
-        std::string binary = workload_to_binary(w);
-        gen = std::make_shared<Generation>(
-            Generation{old->id + 1, std::move(w), std::move(outcome.program),
-                       plan.offset, 0, std::move(binary)});
+        seam = next.seam_lateness;
+        gen = std::move(next.generation);
       }
     } catch (const std::exception& e) {
       error += e.what();

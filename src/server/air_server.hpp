@@ -2,8 +2,10 @@
 //
 // AirServer walks a BroadcastProgram cycle slot-by-slot on a drift-free
 // slot clock and multicasts each slot's per-channel page frames to every
-// subscribed TCP session (net/framing wire format). It is built from two
+// subscribed TCP session (net/framing wire format). It is built from three
 // parts, each hiding one decision the server itself no longer knows:
+//  - plan_generation (generation.hpp), how the program that goes on air is
+//    built: schedule, validate, seam-plan;
 //  - LoopShard (loop_shard.hpp), one per-core epoll loop's sessions:
 //    accept, decode, fan-out, the io_uring-or-sendmsg flush, eviction;
 //  - the request plane (pull_plane.hpp): per-session pending kReq
@@ -25,10 +27,11 @@
 // "loop-per-core ownership").
 //
 // Hot program swap: any session may send a kSwap frame carrying a new
-// workload. Scheduling runs OFF the event loop threads (through
-// choose_schedule, the same entry point start-up uses), the resulting
-// program is validity-checked, and a seam plan picks the airing rotation
-// that best preserves outstanding deadline promises; the new generation
+// workload. A worker thread, OFF the event loop threads, plans the next
+// generation through plan_generation (generation.hpp), the one function
+// start-up uses too: schedule, validate, and pick the airing rotation that
+// best preserves outstanding deadline promises. Start-up airs an invalid
+// program with a warning; a swap refuses one. An accepted generation
 // activates at the next major-cycle boundary and is announced to every
 // session (DESIGN.md §7 gives the seam argument).
 #pragma once
@@ -52,6 +55,7 @@
 #include "obs/metrics.hpp"
 #include "obs/timeline.hpp"
 #include "obs/watchdog.hpp"
+#include "server/generation.hpp"
 #include "server/loop_shard.hpp"
 #include "server/pull_plane.hpp"
 
@@ -94,34 +98,6 @@ struct AirServerConfig {
   /// SIGKILL'd server still leaves its black box behind.
   std::string flight_out;
 };
-
-/// Outcome of seam planning for a major-cycle-boundary swap: air the new
-/// program rotated by `offset` columns; `seam_lateness` is the worst
-/// remaining slack violation in slots (<= 0 means every outstanding
-/// deadline promise for pages common to both workloads is preserved).
-struct SwapPlan {
-  SlotCount offset = 0;
-  SlotCount seam_lateness = 0;
-};
-
-/// Picks the airing rotation of `next_program` minimizing the swap seam:
-/// for every page p common to both workloads, the promise outstanding at
-/// the boundary is "p completes within first_old(p) slots" (what the old
-/// program would have delivered had it kept cycling); the plan minimizes
-/// max_p(first_new(p) - first_old(p)). `current_offset` is the rotation the
-/// old program airs under. Rotation preserves validity condition (2) — the
-/// appearance gaps of a cyclic program are rotation-invariant. Returns the
-/// first seam-clean rotation, or failing that the first that minimizes the
-/// lateness. One pass over the old program, one time-ordered sweep of the
-/// new one and one sweep over the rotations: O(cells + T) time, 12 bytes
-/// per common page plus O(T_new + channels), no AppearanceIndex. Throws
-/// std::invalid_argument when either program names a page outside its
-/// workload.
-SwapPlan plan_swap_seam(const Workload& current_workload,
-                        const BroadcastProgram& current_program,
-                        SlotCount current_offset,
-                        const Workload& next_workload,
-                        const BroadcastProgram& next_program);
 
 /// The broadcast server. Construction schedules the initial program and
 /// binds the listener shards (so port() is valid before run()); run() airs
@@ -219,7 +195,7 @@ class AirServer {
   // --- telemetry plane ---
   std::unique_ptr<net::HttpAdmin> admin_;  // null when admin_port < 0
   obs::SlotTimeline timeline_;             // the /slots ring
-  obs::SloWatchdog watchdog_;              // reads timeline_; loop 0 only
+  obs::SloWatchdog watchdog_;              // loop 0 only
   std::uint64_t last_timeline_bytes_ = 0;  // loop-0-only delta base
   net::Fd signal_rd_;                      // self-pipe read end (loop 0)
   net::Fd signal_wr_;

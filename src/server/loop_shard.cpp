@@ -25,19 +25,6 @@ constexpr std::size_t kUringIovPerTarget = 32;
 
 }  // namespace
 
-std::string Generation::hello(net::FrameType type, std::uint32_t slot_us,
-                              std::uint64_t next_slot) const {
-  return net::encode(
-      net::HelloMsg{.generation = id,
-                    .slot_us = slot_us,
-                    .channels = static_cast<std::uint32_t>(program.channels()),
-                    .cycle_length =
-                        static_cast<std::uint32_t>(program.cycle_length()),
-                    .next_slot = next_slot,
-                    .workload = workload_binary},
-      type);
-}
-
 LoopShard::LoopShard(std::size_t index, net::EventLoop& loop,
                      net::Fd listener, ShardCommon& common,
                      std::shared_ptr<const Generation> on_air)

@@ -31,8 +31,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "model/program.hpp"
-#include "model/workload.hpp"
 #include "net/event_loop.hpp"
 #include "net/framing.hpp"
 #include "net/out_queue.hpp"
@@ -40,6 +38,7 @@
 #include "net/socket.hpp"
 #include "net/uring_flush.hpp"
 #include "obs/metrics.hpp"
+#include "server/generation.hpp"
 #include "server/pull_plane.hpp"
 
 namespace tcsa {
@@ -70,26 +69,6 @@ struct SessionRef {
   std::size_t loop = 0;
   int fd = -1;
   std::uint64_t id = 0;
-};
-
-/// One program generation: what is on air between two swaps. Immutable
-/// once on air, so loop 0, the swap worker and every shard share it.
-struct Generation {
-  std::uint32_t id = 0;
-  Workload workload;
-  BroadcastProgram program;
-  SlotCount offset = 0;          // airing rotation (column of slot 0)
-  std::uint64_t start_slot = 0;  // global slot of its first aired column
-  std::string workload_binary;   // cached for hello/announce payloads
-
-  /// The program column global `slot` airs (slot >= start_slot).
-  SlotCount column(std::uint64_t slot) const {
-    return (offset + static_cast<SlotCount>(slot - start_slot)) %
-           program.cycle_length();
-  }
-  /// This generation's kHello or kAnnounce (`type`) naming `next_slot`.
-  std::string hello(net::FrameType type, std::uint32_t slot_us,
-                    std::uint64_t next_slot) const;
 };
 
 /// One aired slot, shipped to every loop as a refcounted token: the

@@ -84,7 +84,6 @@ class WireReader {
   std::string_view read_rest() { return read_bytes(remaining()); }
 
   std::size_t remaining() const noexcept { return data_.size() - pos_; }
-  std::size_t consumed() const noexcept { return pos_; }
 
   /// Throws when input remains — for formats that own their whole buffer.
   void expect_done() const {

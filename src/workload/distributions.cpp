@@ -59,16 +59,6 @@ std::vector<double> shape_weights(GroupSizeShape shape, GroupId h) {
 
 }  // namespace
 
-GroupSizeShape parse_shape(const std::string& name) {
-  if (name == "uniform") return GroupSizeShape::kUniform;
-  if (name == "normal") return GroupSizeShape::kNormal;
-  if (name == "lskewed") return GroupSizeShape::kLSkewed;
-  if (name == "sskewed") return GroupSizeShape::kSSkewed;
-  if (name == "zipf") return GroupSizeShape::kZipf;
-  if (name == "binomial") return GroupSizeShape::kBinomial;
-  throw std::invalid_argument("unknown group-size shape: " + name);
-}
-
 std::string shape_name(GroupSizeShape shape) {
   switch (shape) {
     case GroupSizeShape::kUniform: return "uniform";

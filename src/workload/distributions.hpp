@@ -33,9 +33,6 @@ enum class GroupSizeShape {
   kBinomial,  // extension: C(h-1, g) weights
 };
 
-/// Parses "uniform" / "normal" / "lskewed" / "sskewed" / "zipf" / "binomial".
-GroupSizeShape parse_shape(const std::string& name);
-
 /// Canonical lower-case name of a shape.
 std::string shape_name(GroupSizeShape shape);
 

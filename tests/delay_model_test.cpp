@@ -158,36 +158,6 @@ TEST(AnalyticDelay, BothObjectivesAgreeOnZero) {
   EXPECT_DOUBLE_EQ(analytic_average_delay(w, S, channels), 0.0);
 }
 
-TEST(AnalyticDelay, WeightedUniformMatchesUnweighted) {
-  const Workload w = make_workload({2, 4}, {3, 5});
-  const std::vector<SlotCount> S = {1, 1};
-  const std::vector<double> weights(8, 1.0);
-  EXPECT_DOUBLE_EQ(analytic_average_delay_weighted(w, S, 1, weights),
-                   analytic_average_delay(w, S, 1));
-}
-
-TEST(AnalyticDelay, WeightedSkewsTowardHotGroups) {
-  const Workload w = make_workload({2, 4}, {4, 4});
-  const std::vector<SlotCount> S = {1, 1};
-  // All weight on the tight-deadline group -> larger average delay than all
-  // weight on the loose group.
-  std::vector<double> hot_tight = {1, 1, 1, 1, 0, 0, 0, 0};
-  std::vector<double> hot_loose = {0, 0, 0, 0, 1, 1, 1, 1};
-  EXPECT_GT(analytic_average_delay_weighted(w, S, 1, hot_tight),
-            analytic_average_delay_weighted(w, S, 1, hot_loose));
-}
-
-TEST(AnalyticDelay, WeightedRejectsBadWeights) {
-  const Workload w = make_workload({2}, {2});
-  const std::vector<SlotCount> S = {1};
-  EXPECT_THROW(
-      analytic_average_delay_weighted(w, S, 1, std::vector<double>{1.0}),
-      std::invalid_argument);
-  EXPECT_THROW(analytic_average_delay_weighted(w, S, 1,
-                                               std::vector<double>{0.0, 0.0}),
-               std::invalid_argument);
-}
-
 // --------------------------------------- model vs simulation (ground truth)
 
 // The analytic model predicts the simulator's AvgD once placement actually

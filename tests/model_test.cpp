@@ -59,19 +59,6 @@ TEST(Workload, SingleGroup) {
   const Workload w = make_workload({5}, {7});
   EXPECT_EQ(w.group_count(), 1);
   EXPECT_EQ(w.max_expected_time(), 5);
-  SlotCount c = 0;
-  EXPECT_TRUE(w.uniform_ratio(c));
-  EXPECT_EQ(c, 1);
-}
-
-TEST(Workload, UniformRatioDetection) {
-  SlotCount c = 0;
-  EXPECT_TRUE(make_workload({2, 4, 8}, {1, 1, 1}).uniform_ratio(c));
-  EXPECT_EQ(c, 2);
-  EXPECT_TRUE(make_workload({3, 9, 27}, {1, 1, 1}).uniform_ratio(c));
-  EXPECT_EQ(c, 3);
-  // Mixed ratios form a legal ladder but are not uniformly geometric.
-  EXPECT_FALSE(make_workload({2, 4, 12}, {1, 1, 1}).uniform_ratio(c));
 }
 
 TEST(Workload, RejectsNonDividingTimes) {

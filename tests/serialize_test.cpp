@@ -116,7 +116,7 @@ TEST(SerializeProgram, RejectsMissingRows) {
 }
 
 // ------------------------------------------------------- binary encodings
-// (the swap frame's payload format — see DESIGN.md §7)
+// (the hello and swap frames' workload format — see DESIGN.md §7)
 
 TEST(BinaryWorkload, RoundTrip) {
   for (const GroupSizeShape shape : paper_shapes()) {
@@ -175,66 +175,6 @@ TEST(BinaryWorkload, RejectsBadMagicVersionTrailingJunkAndHostileCounts) {
                    {{1, 2}, {2, std::numeric_limits<std::int64_t>::max()}})),
                std::invalid_argument);
   EXPECT_THROW(workload_from_binary(with_groups({{1, 4294967295}})),
-               std::invalid_argument);
-}
-
-TEST(BinaryWorkload, ConsumedSupportsConcatenatedDocuments) {
-  const Workload a = make_workload({2, 4, 8}, {3, 5, 3});
-  const Workload b = make_workload({3}, {2});
-  std::string bytes = workload_to_binary(a);
-  const std::size_t first_len = bytes.size();
-  append_workload_binary(bytes, b);
-  std::size_t consumed = 0;
-  EXPECT_EQ(workload_from_binary(bytes, &consumed), a);
-  ASSERT_EQ(consumed, first_len);
-  EXPECT_EQ(workload_from_binary(
-                std::string_view(bytes).substr(consumed), &consumed),
-            b);
-  // Without `consumed`, the same concatenation is trailing junk.
-  EXPECT_THROW(workload_from_binary(bytes), std::invalid_argument);
-}
-
-TEST(BinaryProgram, RoundTripIncludingEmptyCells) {
-  BroadcastProgram sparse(2, 3);
-  sparse.place(0, 0, 7);
-  sparse.place(1, 2, 0);
-  EXPECT_EQ(program_from_binary(program_to_binary(sparse)), sparse);
-  const Workload w = make_workload({2, 4, 8}, {3, 5, 3});
-  const BroadcastProgram susc = schedule_susc(w);
-  EXPECT_EQ(program_from_binary(program_to_binary(susc)), susc);
-  const PamadSchedule pamad = schedule_pamad(w, 3);
-  EXPECT_EQ(program_from_binary(program_to_binary(pamad.program)),
-            pamad.program);
-}
-
-TEST(BinaryProgram, EveryTruncationPrefixIsRejected) {
-  const std::string bytes =
-      program_to_binary(schedule_susc(make_workload({2, 4}, {1, 7})));
-  for (std::size_t len = 0; len < bytes.size(); ++len)
-    EXPECT_THROW(program_from_binary(bytes.substr(0, len)),
-                 std::invalid_argument)
-        << "prefix of " << len << " bytes parsed";
-}
-
-TEST(BinaryProgram, RejectsHostileShapeBeforeAllocating) {
-  const auto with_shape = [](std::int64_t channels, std::int64_t cycle) {
-    // magic | version | shape, no grid: the cap must fire before the
-    // truncated-grid check could even matter.
-    std::string bytes = program_to_binary(BroadcastProgram(1, 1)).substr(0, 5);
-    const auto put_i64 = [&bytes](std::int64_t v) {
-      for (int i = 0; i < 8; ++i)
-        bytes.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    };
-    put_i64(channels);
-    put_i64(cycle);
-    return bytes;
-  };
-  // Product above the cell cap.
-  EXPECT_THROW(program_from_binary(with_shape(1 << 20, 1 << 20)),
-               std::invalid_argument);
-  // Product that wraps the 64-bit multiply back under the cap.
-  EXPECT_THROW(program_from_binary(
-                   with_shape(std::int64_t{1} << 40, std::int64_t{1} << 40)),
                std::invalid_argument);
 }
 

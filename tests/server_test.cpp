@@ -400,7 +400,7 @@ TEST(AirServer, OutOfDescriptorsBacksOffAcceptAndStaysOnAir) {
 }
 
 /// Checks the recorded trace: `parent` was recorded once, and each of
-/// `stages` once, on the parent's thread, inside it and in this order.
+/// `stages` once inside it, on the parent's thread and in this order.
 void expect_stage_spans(const std::string& parent,
                         std::initializer_list<const char*> stages) {
   ASSERT_EQ(obs::trace_spans_dropped(), 0u);
@@ -422,11 +422,16 @@ void expect_stage_spans(const std::string& parent,
   const Span outer = spans[parent].front();
   std::uint64_t previous_end = outer.start;
   for (const char* stage : stages) {
-    ASSERT_EQ(spans[stage].size(), 1u) << stage;
-    const Span& child = spans[stage].front();
-    EXPECT_EQ(child.tid, outer.tid) << stage;
+    // Start-up and a swap share the planning stages, so only the spans
+    // inside this parent count.
+    std::vector<Span> inside;
+    for (const Span& span : spans[stage])
+      if (span.tid == outer.tid && span.start >= outer.start &&
+          span.end <= outer.end)
+        inside.push_back(span);
+    ASSERT_EQ(inside.size(), 1u) << stage;
+    const Span& child = inside.front();
     EXPECT_GE(child.start, previous_end) << stage;
-    EXPECT_LE(child.end, outer.end) << stage;
     previous_end = child.end;
   }
 }
@@ -447,8 +452,8 @@ TEST(AirServer, TracedSwapSpansEachWorkerStage) {
   }
   obs::set_tracing_enabled(false);
   expect_stage_spans("server.reschedule",
-                     {"server.swap.schedule", "server.swap.validate",
-                      "server.swap.seam"});
+                     {"server.plan.schedule", "server.plan.validate",
+                      "server.plan.seam"});
 }
 
 // Likewise a traced start: the constructor's server.start span holds one
@@ -464,7 +469,7 @@ TEST(AirServer, TracedStartSpansEachStage) {
   }
   obs::set_tracing_enabled(false);
   expect_stage_spans("server.start",
-                     {"server.start.schedule", "server.start.validate",
+                     {"server.plan.schedule", "server.plan.validate",
                       "server.start.listen", "server.start.egress"});
 }
 

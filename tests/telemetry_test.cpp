@@ -1,8 +1,8 @@
 // telemetry_test.cpp — unit tests for the live telemetry plane: the
-// SlotTimeline seqlock ring, the SloWatchdog reading it back, and the
-// HttpAdmin GET responder (served from an EventLoop polled on a thread,
-// scraped with the blocking http_get client — the same pairing AirServer
-// and tcsactl use in production).
+// SlotTimeline seqlock ring, the lag percentiles read back off it, the
+// SloWatchdog's breach check, and the HttpAdmin GET responder (served from
+// an EventLoop polled on a thread, scraped with the blocking http_get
+// client — the same pairing AirServer and tcsactl use in production).
 
 #include <gtest/gtest.h>
 #include <poll.h>
@@ -140,59 +140,63 @@ TEST(SlotTimeline, JsonDumpHonoursMax) {
 
 // ------------------------------------------------------------- watchdog
 
-/// Airs one slot the way AirServer does: record it in the timeline, then
-/// let the watchdog check it.
-void air(obs::SlotTimeline& timeline, obs::SloWatchdog& dog,
-         std::int64_t lag_us, std::int64_t now_us) {
+/// Records one slot aired `lag_us` late at `now_us` in the timeline.
+void record_lag(obs::SlotTimeline& timeline, std::int64_t lag_us,
+                std::int64_t now_us) {
   obs::SlotRecord rec;
   rec.slot = timeline.recorded();
   rec.scheduled_us = now_us - lag_us;
   rec.actual_us = now_us;
   timeline.record(rec);
-  dog.observe(timeline, static_cast<double>(lag_us), now_us);
 }
 
-constexpr std::int64_t kWindow = obs::SloWatchdog::kWindow;
+/// Airs one slot the way AirServer does: record it in the timeline, then
+/// let the watchdog check its lag.
+void air(obs::SlotTimeline& timeline, obs::SloWatchdog& dog,
+         std::int64_t lag_us, std::int64_t now_us) {
+  record_lag(timeline, lag_us, now_us);
+  dog.observe(static_cast<double>(lag_us), now_us);
+}
+
+constexpr std::int64_t kWindow = obs::kLagWindow;
 
 TEST(SloWatchdog, ConstantLagCollapsesAllPercentiles) {
   obs::SlotTimeline timeline(4096);
-  obs::SloWatchdog dog;
-  for (std::int64_t i = 0; i + 1 < kWindow; ++i) air(timeline, dog, 250, i);
-  EXPECT_EQ(dog.p99_us(), 0.0);  // nothing published before a full window
-  air(timeline, dog, 250, kWindow);
-  EXPECT_EQ(dog.windows(), 1u);
-  EXPECT_DOUBLE_EQ(dog.p50_us(), 250.0);
-  EXPECT_DOUBLE_EQ(dog.p99_us(), 250.0);
-  EXPECT_DOUBLE_EQ(dog.p999_us(), 250.0);
+  EXPECT_EQ(obs::recent_lag_percentiles(timeline).p99_us, 0.0);  // no slots
+  for (std::int64_t i = 0; i + 1 < kWindow; ++i) record_lag(timeline, 250, i);
+  // Fewer than a window's records: the percentiles cover what there is.
+  const obs::LagPercentiles lag = obs::recent_lag_percentiles(timeline);
+  EXPECT_DOUBLE_EQ(lag.p50_us, 250.0);
+  EXPECT_DOUBLE_EQ(lag.p99_us, 250.0);
+  EXPECT_DOUBLE_EQ(lag.p999_us, 250.0);
 }
 
 TEST(SloWatchdog, RampSeparatesTheTailFromTheMedian) {
   obs::SlotTimeline timeline(4096);
-  obs::SloWatchdog dog;
-  for (std::int64_t i = 1; i <= kWindow; ++i) air(timeline, dog, i, i);
-  EXPECT_EQ(dog.windows(), 1u);
+  for (std::int64_t i = 1; i <= kWindow; ++i) record_lag(timeline, i, i);
+  const obs::LagPercentiles lag = obs::recent_lag_percentiles(timeline);
   // Nearest-rank over 1..256: the median sits mid-ramp, the tail at the top.
-  EXPECT_GE(dog.p50_us(), 120.0);
-  EXPECT_LE(dog.p50_us(), 136.0);
-  EXPECT_GE(dog.p99_us(), 250.0);
-  EXPECT_GE(dog.p999_us(), dog.p99_us());
-  EXPECT_GT(dog.p99_us(), dog.p50_us());
+  EXPECT_GE(lag.p50_us, 120.0);
+  EXPECT_LE(lag.p50_us, 136.0);
+  EXPECT_GE(lag.p99_us, 250.0);
+  EXPECT_GE(lag.p999_us, lag.p99_us);
+  EXPECT_GT(lag.p99_us, lag.p50_us);
 }
 
 TEST(SloWatchdog, PercentilesAreTheNearestRankOfTheNewestWindowOnly) {
   // The timeline is the only store of lags: a window of huge lags that
   // has scrolled out must not leak into the next window's percentiles.
   obs::SlotTimeline timeline(4096);
-  obs::SloWatchdog dog;
-  for (std::int64_t i = 0; i < kWindow; ++i) air(timeline, dog, 1'000'000, i);
-  EXPECT_DOUBLE_EQ(dog.p50_us(), 1e6);
+  for (std::int64_t i = 0; i < kWindow; ++i)
+    record_lag(timeline, 1'000'000, i);
+  EXPECT_DOUBLE_EQ(obs::recent_lag_percentiles(timeline).p50_us, 1e6);
   for (std::int64_t i = 1; i <= kWindow; ++i)
-    air(timeline, dog, i, kWindow + i);
-  EXPECT_EQ(dog.windows(), 2u);
+    record_lag(timeline, i, kWindow + i);
+  const obs::LagPercentiles lag = obs::recent_lag_percentiles(timeline);
   // Ranks ceil(q * 256): 128, 254 (253.44 rounded up) and 256.
-  EXPECT_DOUBLE_EQ(dog.p50_us(), 128.0);
-  EXPECT_DOUBLE_EQ(dog.p99_us(), 254.0);
-  EXPECT_DOUBLE_EQ(dog.p999_us(), 256.0);
+  EXPECT_DOUBLE_EQ(lag.p50_us, 128.0);
+  EXPECT_DOUBLE_EQ(lag.p99_us, 254.0);
+  EXPECT_DOUBLE_EQ(lag.p999_us, 256.0);
 }
 
 TEST(SloWatchdog, BreachesCountAndWarningsAreRateLimited) {
@@ -221,9 +225,9 @@ TEST(SloWatchdog, ZeroThresholdDisablesBreachChecks) {
   EXPECT_FALSE(warned);
 }
 
-TEST(SloWatchdog, PublishesGaugesAndBreachCounterEvenWhenDisabled) {
-  // The watchdog uses the *_always recorders: SLO state must stay visible
-  // on a scrape even when per-request recording is gated off.
+TEST(SloWatchdog, CountsBreachesEvenWhenRecordingIsDisabled) {
+  // The watchdog uses the *_always recorder: SLO breaches must stay
+  // visible on a scrape even when per-request recording is gated off.
   const bool was_enabled = obs::enabled();
   obs::set_enabled(false);
   obs::SlotTimeline timeline(4096);
@@ -234,7 +238,6 @@ TEST(SloWatchdog, PublishesGaugesAndBreachCounterEvenWhenDisabled) {
   const obs::MetricsSnapshot snap = obs::snapshot();
   EXPECT_GE(snap.counter_value("tcsa_slo_breach_total"),
             static_cast<std::uint64_t>(kWindow));
-  EXPECT_DOUBLE_EQ(snap.gauge_value("tcsa_slot_lag_p99_us"), 40.0);
 }
 
 // ------------------------------------------------------------ http admin

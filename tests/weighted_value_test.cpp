@@ -34,15 +34,6 @@ TEST(WeightedDelay, WeightOnLateGroupRaisesDelay) {
             analytic_group_weighted_delay(w, S, 1, hot_loose));
 }
 
-TEST(WeightedDelay, GroupWeightsFromPageWeights) {
-  const Workload w = make_workload({2, 4}, {2, 3});
-  const std::vector<double> pages = {1.0, 3.0, 2.0, 2.0, 2.0};
-  const auto groups = group_weights_from_page_weights(w, pages);
-  ASSERT_EQ(groups.size(), 2u);
-  EXPECT_DOUBLE_EQ(groups[0], 2.0);  // (1+3)/2
-  EXPECT_DOUBLE_EQ(groups[1], 2.0);  // (2+2+2)/3
-}
-
 TEST(WeightedDelay, RejectsBadWeights) {
   const Workload w = make_workload({2, 4}, {1, 1});
   const std::vector<SlotCount> S = {1, 1};
@@ -50,8 +41,6 @@ TEST(WeightedDelay, RejectsBadWeights) {
                std::invalid_argument);
   EXPECT_THROW(analytic_group_weighted_delay(
                    w, S, 1, std::vector<double>{0.0, 0.0}),
-               std::invalid_argument);
-  EXPECT_THROW(group_weights_from_page_weights(w, std::vector<double>{1.0}),
                std::invalid_argument);
 }
 

@@ -14,15 +14,6 @@ namespace {
 
 // ------------------------------------------------------------ distributions
 
-TEST(Distributions, ParseRoundTrip) {
-  for (GroupSizeShape s : {GroupSizeShape::kUniform, GroupSizeShape::kNormal,
-                           GroupSizeShape::kLSkewed, GroupSizeShape::kSSkewed,
-                           GroupSizeShape::kZipf, GroupSizeShape::kBinomial}) {
-    EXPECT_EQ(parse_shape(shape_name(s)), s);
-  }
-  EXPECT_THROW(parse_shape("nope"), std::invalid_argument);
-}
-
 TEST(Distributions, PaperShapesAreTheFigureFive4) {
   const auto shapes = paper_shapes();
   ASSERT_EQ(shapes.size(), 4u);
