@@ -167,18 +167,4 @@ void BM_SnapshotImport(benchmark::State& state) {
 }
 BENCHMARK(BM_SnapshotImport);
 
-void BM_SnapshotMerge(benchmark::State& state) {
-  // K-shard merge cost: merging K copies of the live registry simulates
-  // collecting a K-process sweep (same names and bucket layouts per shard).
-  const tcsa::obs::MetricsSnapshot shard = tcsa::obs::snapshot();
-  const int shards = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    tcsa::obs::MetricsSnapshot merged = shard;
-    for (int i = 1; i < shards; ++i) merged.merge(shard);
-    benchmark::DoNotOptimize(merged.counters.size());
-  }
-  state.SetLabel(std::to_string(shards) + " shards");
-}
-BENCHMARK(BM_SnapshotMerge)->Arg(2)->Arg(8);
-
 }  // namespace

@@ -58,31 +58,6 @@ double analytic_average_delay(const Workload& workload,
   return sum / static_cast<double>(workload.total_pages());
 }
 
-double analytic_group_weighted_delay(const Workload& workload,
-                                     std::span<const SlotCount> S,
-                                     SlotCount channels,
-                                     std::span<const double> group_weights) {
-  TCSA_REQUIRE(static_cast<GroupId>(group_weights.size()) ==
-                   workload.group_count(),
-               "weighted delay: one weight per group required");
-  const auto t_major =
-      static_cast<double>(major_cycle(workload, S, channels));
-  double weighted_sum = 0.0;
-  double weight_total = 0.0;
-  for (GroupId g = 0; g < workload.group_count(); ++g) {
-    const double weight = group_weights[static_cast<std::size_t>(g)] *
-                          static_cast<double>(workload.pages_in_group(g));
-    TCSA_REQUIRE(weight >= 0.0, "weighted delay: negative weight");
-    const double spacing =
-        t_major / static_cast<double>(S[static_cast<std::size_t>(g)]);
-    weighted_sum +=
-        weight * even_spacing_delay(spacing, workload.expected_time(g));
-    weight_total += weight;
-  }
-  TCSA_REQUIRE(weight_total > 0.0, "weighted delay: all weights zero");
-  return weighted_sum / weight_total;
-}
-
 double paper_stage_delay(const Workload& workload,
                          std::span<const SlotCount> S, SlotCount channels,
                          GroupId upto) {

@@ -45,15 +45,6 @@ double analytic_average_delay(const Workload& workload,
                               std::span<const SlotCount> S,
                               SlotCount channels);
 
-/// Group-weighted expected delay: like analytic_average_delay but with
-/// access probability proportional to group_weights[g] per page of group g
-/// (the general prob_access of Section 4.1; the paper evaluates the uniform
-/// special case). Weights must be non-negative with a positive total.
-double analytic_group_weighted_delay(const Workload& workload,
-                                     std::span<const SlotCount> S,
-                                     SlotCount channels,
-                                     std::span<const double> group_weights);
-
 /// The paper's stage objective D'_{upto+1} over groups [0, upto] (0-based,
 /// inclusive): Equation (7) with F = sum_{j<=upto} S_j P_j and
 /// t_major = ceil(F / channels). S entries beyond `upto` are ignored.

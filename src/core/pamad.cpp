@@ -9,28 +9,26 @@
 namespace tcsa {
 namespace {
 
-/// Exact stage objective: true expected delay restricted to the prefix
-/// groups [0, upto], optionally access-weighted (weights == nullptr means
-/// uniform). Mirrors paper_stage_delay's scope.
+/// Exact stage objective: true expected delay under uniform page access,
+/// restricted to the prefix groups [0, upto]. Mirrors paper_stage_delay's
+/// scope.
 double exact_stage_delay(const Workload& workload,
                          std::span<const SlotCount> S, SlotCount channels,
-                         GroupId upto, const double* weights) {
+                         GroupId upto) {
   SlotCount slots = 0;
   for (GroupId g = 0; g <= upto; ++g)
     slots += S[static_cast<std::size_t>(g)] * workload.pages_in_group(g);
   const auto t_major = static_cast<double>((slots + channels - 1) / channels);
   double sum = 0.0;
-  double weight_total = 0.0;
+  double pages = 0.0;
   for (GroupId g = 0; g <= upto; ++g) {
-    const double weight =
-        (weights != nullptr ? weights[static_cast<std::size_t>(g)] : 1.0) *
-        static_cast<double>(workload.pages_in_group(g));
+    const auto group_pages = static_cast<double>(workload.pages_in_group(g));
     const double spacing =
         t_major / static_cast<double>(S[static_cast<std::size_t>(g)]);
-    sum += weight * even_spacing_delay(spacing, workload.expected_time(g));
-    weight_total += weight;
+    sum += group_pages * even_spacing_delay(spacing, workload.expected_time(g));
+    pages += group_pages;
   }
-  return weight_total > 0.0 ? sum / weight_total : 0.0;
+  return pages > 0.0 ? sum / pages : 0.0;
 }
 
 /// Fills S[0..upto] from the ratio vector: S_j = prod_{l=j}^{upto-1} r_l with
@@ -130,36 +128,10 @@ PamadFrequencies pamad_frequencies(const Workload& workload,
       [&](std::span<const SlotCount> S, GroupId stage) {
         return objective == PamadObjective::kPaper
                    ? paper_stage_delay(workload, S, channels, stage)
-                   : exact_stage_delay(workload, S, channels, stage, nullptr);
+                   : exact_stage_delay(workload, S, channels, stage);
       });
   result.predicted_delay =
       analytic_average_delay(workload, result.S, channels);
-  return result;
-}
-
-PamadFrequencies pamad_frequencies_weighted(
-    const Workload& workload, SlotCount channels,
-    std::span<const double> group_weights) {
-  TCSA_REQUIRE(static_cast<GroupId>(group_weights.size()) ==
-                   workload.group_count(),
-               "pamad_frequencies_weighted: one weight per group required");
-  double total = 0.0;
-  for (const double w : group_weights) {
-    TCSA_REQUIRE(w >= 0.0,
-                 "pamad_frequencies_weighted: negative weight");
-    total += w;
-  }
-  TCSA_REQUIRE(total > 0.0,
-               "pamad_frequencies_weighted: all weights zero");
-
-  PamadFrequencies result = search_frequencies(
-      workload, channels,
-      [&](std::span<const SlotCount> S, GroupId stage) {
-        return exact_stage_delay(workload, S, channels, stage,
-                                 group_weights.data());
-      });
-  result.predicted_delay = analytic_group_weighted_delay(
-      workload, result.S, channels, group_weights);
   return result;
 }
 

@@ -17,7 +17,6 @@
 // The resulting frequencies go through the Algorithm 4 even-spread placer.
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "core/placement.hpp"
@@ -50,16 +49,6 @@ enum class PamadObjective {
 PamadFrequencies pamad_frequencies(const Workload& workload,
                                    SlotCount channels,
                                    PamadObjective objective);
-
-/// Access-weighted Algorithm 3 (extension): pages of group g carry access
-/// weight group_weights[g] — the general prob_access of Section 4.1, whose
-/// uniform special case is the paper's setting. Uses the exact expected-
-/// delay objective (the published form's constant-factor equivalence only
-/// holds under uniform access); `predicted_delay` is the weighted
-/// expectation at the chosen frequencies.
-PamadFrequencies pamad_frequencies_weighted(
-    const Workload& workload, SlotCount channels,
-    std::span<const double> group_weights);
 
 /// Complete PAMAD schedule: frequencies + Algorithm 4 placement.
 struct PamadSchedule {

@@ -192,8 +192,7 @@ MetricsSnapshot snapshot_from_json(const std::string& json) {
   return snap;
 }
 
-bool snapshots_equal(const MetricsSnapshot& a, const MetricsSnapshot& b,
-                     double sum_eps) {
+bool snapshots_equal(const MetricsSnapshot& a, const MetricsSnapshot& b) {
   if (a.counters.size() != b.counters.size() ||
       a.gauges.size() != b.gauges.size() ||
       a.histograms.size() != b.histograms.size())
@@ -217,8 +216,7 @@ bool snapshots_equal(const MetricsSnapshot& a, const MetricsSnapshot& b,
     const auto it = hists.find(h.name);
     if (it == hists.end()) return false;
     const HistogramSnapshot& mine = *it->second;
-    if (!(mine.values == h.values)) return false;
-    if (std::abs(mine.sum - h.sum) > sum_eps) return false;
+    if (!(mine.values == h.values) || mine.sum != h.sum) return false;
   }
   return true;
 }

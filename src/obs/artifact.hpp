@@ -86,10 +86,8 @@ MetricsSnapshot snapshot_from_json(const std::string& json);
 
 /// Semantic equality, order-insensitive by metric name (gauges: name and
 /// labels), ignoring help text (registry metadata, not snapshot identity).
-/// Counters and histograms compare exactly; histogram sums within
-/// `sum_eps` because merge reassociates floating-point addition.
-bool snapshots_equal(const MetricsSnapshot& a, const MetricsSnapshot& b,
-                     double sum_eps = 0.0);
+/// Counters, gauges and histograms (sums included) compare exactly.
+bool snapshots_equal(const MetricsSnapshot& a, const MetricsSnapshot& b);
 
 // ----------------------------------------------------------- trace merge
 

@@ -357,36 +357,6 @@ LogHistogram histogram_values(MetricId id) {
   return Registry::instance().histogram(id);
 }
 
-void MetricsSnapshot::merge(const MetricsSnapshot& other) {
-  for (const CounterSnapshot& theirs : other.counters) {
-    const auto it = find_named(counters, theirs.name);
-    if (it == counters.end()) {
-      counters.push_back(theirs);
-    } else {
-      it->value += theirs.value;
-    }
-  }
-  for (const GaugeSnapshot& theirs : other.gauges) {
-    const auto it = std::find_if(gauges.begin(), gauges.end(), [&](const auto& g) {
-      return g.name == theirs.name && g.labels == theirs.labels;
-    });
-    if (it == gauges.end()) {
-      gauges.push_back(theirs);
-    } else {
-      it->value = theirs.value;  // last writer wins
-    }
-  }
-  for (const HistogramSnapshot& theirs : other.histograms) {
-    const auto it = find_named(histograms, theirs.name);
-    if (it == histograms.end()) {
-      histograms.push_back(theirs);
-    } else {
-      it->values.merge(theirs.values);
-      it->sum += theirs.sum;
-    }
-  }
-}
-
 MetricsSnapshot MetricsSnapshot::minus(const MetricsSnapshot& base) const {
   MetricsSnapshot delta = *this;
   for (CounterSnapshot& mine : delta.counters) {

@@ -22,7 +22,7 @@
 //  * enabled: thread-local shard lookup + relaxed load-then-store;
 //  * scrape: each shard's written 64-bucket blocks are read, and a snapshot
 //    histogram allocates 16 B per written bucket (none when empty), so a
-//    scrape, merge, minus or import costs the buckets written.
+//    scrape, minus or import costs the buckets written.
 //
 // Registration is idempotent by name and typically hangs off a function-local
 // static at the instrumentation site, so it runs once per process.
@@ -107,11 +107,6 @@ struct MetricsSnapshot {
   std::vector<CounterSnapshot> counters;
   std::vector<GaugeSnapshot> gauges;
   std::vector<HistogramSnapshot> histograms;
-
-  /// Sums counters and merges histograms by name; gauges take the other
-  /// side's value (last writer wins, matching gauge semantics). Metrics
-  /// present on only one side are kept. Associative, like OnlineStats::merge.
-  void merge(const MetricsSnapshot& other);
 
   /// Counter/histogram delta against an earlier snapshot of the same
   /// process (gauges keep their current value). Used by sweeps and benches

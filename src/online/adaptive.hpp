@@ -7,12 +7,19 @@
 #pragma once
 
 #include "core/api.hpp"
+#include "core/channel_bound.hpp"
 #include "model/workload.hpp"
 
 namespace tcsa {
 
 /// Schedules with SUSC when Theorem 3.1's bound allows, PAMAD otherwise.
 /// Precondition: channels >= 1.
-ScheduleOutcome choose_schedule(const Workload& workload, SlotCount channels);
+inline ScheduleOutcome choose_schedule(const Workload& workload,
+                                       SlotCount channels) {
+  const Method method = channels_sufficient(workload, channels)
+                            ? Method::kSusc
+                            : Method::kPamad;
+  return make_schedule(method, workload, channels);
+}
 
 }  // namespace tcsa

@@ -92,22 +92,6 @@ bool Rng::bernoulli(double p) {
   return uniform01() < p;
 }
 
-std::size_t Rng::weighted_index(const std::vector<double>& weights) {
-  TCSA_REQUIRE(!weights.empty(), "weighted_index: empty weights");
-  double total = 0.0;
-  for (double w : weights) {
-    TCSA_REQUIRE(w >= 0.0, "weighted_index: negative weight");
-    total += w;
-  }
-  TCSA_REQUIRE(total > 0.0, "weighted_index: all weights zero");
-  double x = uniform01() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    x -= weights[i];
-    if (x < 0.0) return i;
-  }
-  return weights.size() - 1;  // floating-point tail
-}
-
 Rng Rng::fork(std::uint64_t tag) noexcept {
   // Mix the parent's next output with the tag so children are decorrelated
   // both from the parent stream and from differently-tagged siblings.

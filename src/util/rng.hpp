@@ -56,11 +56,6 @@ class Rng {
   /// Bernoulli trial with probability p in [0, 1].
   bool bernoulli(double p);
 
-  /// Index sampled from a discrete distribution proportional to `weights`
-  /// (all weights >= 0, at least one > 0). O(n) per draw; for repeated
-  /// sampling from the same weights use DiscreteSampler below.
-  std::size_t weighted_index(const std::vector<double>& weights);
-
   /// Independent child generator; `tag` distinguishes siblings.
   Rng fork(std::uint64_t tag) noexcept;
 

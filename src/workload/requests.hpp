@@ -48,8 +48,8 @@ std::vector<Request> generate_requests(const Workload& workload, double window,
                                        const RequestConfig& config, Rng& rng);
 
 /// Per-page access weights implied by a popularity model (sums to anything;
-/// callers normalise). Exposed so the analytic delay model can be reweighted
-/// for the Zipf extension.
+/// callers normalise). generate_requests and sim/hybrid draw request pages
+/// by them.
 std::vector<double> access_weights(const Workload& workload,
                                    Popularity popularity, double zipf_theta);
 

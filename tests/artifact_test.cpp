@@ -1,5 +1,5 @@
 // artifact_test.cpp — the cross-process artifact model: JSON parsing,
-// snapshot import round-trips, merge algebra, trace merging and diffing.
+// snapshot import round-trips, snapshot deltas, trace merging and diffing.
 #include <cmath>
 #include <cstdint>
 #include <latch>
@@ -108,19 +108,14 @@ TEST(Manifest, RejectsWrongSchemaAndMissingFields) {
 
 /// A randomized snapshot: a handful of counters, gauges and histograms.
 /// Histograms record heavy-tailed, mixed-sign, fractional samples, or none.
-/// `name_salt` keeps two generations disjoint. With `half` the result is
-/// an earlier state of the snapshot an identically seeded generator yields
-/// without it: counters halved, and each histogram holding the first half
-/// of its samples.
-obs::MetricsSnapshot random_snapshot(Rng& rng, const std::string& name_salt,
-                                     bool half = false) {
+/// `name_salt` keeps two generations disjoint.
+obs::MetricsSnapshot random_snapshot(Rng& rng, const std::string& name_salt) {
   obs::MetricsSnapshot s;
   const int n_counters = static_cast<int>(rng.uniform_int(0, 5));
   for (int i = 0; i < n_counters; ++i) {
     obs::CounterSnapshot c;
     c.name = "tcsa_" + name_salt + "_c" + std::to_string(i) + "_total";
     c.value = rng();  // full 64-bit range: exercises the exact-u64 path
-    if (half) c.value /= 2;
     s.counters.push_back(c);
   }
   const int n_gauges = static_cast<int>(rng.uniform_int(0, 3));
@@ -138,7 +133,6 @@ obs::MetricsSnapshot random_snapshot(Rng& rng, const std::string& name_salt,
     for (std::size_t k = 0; k < n; ++k) {
       const double magnitude = std::exp(rng.uniform_real(-2.0, 14.0));
       const double x = rng.bernoulli(0.2) ? -magnitude : magnitude;
-      if (half && 2 * k >= n) continue;
       h.values.record(x);
       h.sum += x;
     }
@@ -223,59 +217,7 @@ TEST(SnapshotImport, FuzzedGarbageNeverCrashes) {
   }
 }
 
-// ------------------------------------------------------- merge algebra
-
-TEST(MergeAlgebra, AssociativeOnDisjointAndOverlappingNames) {
-  Rng rng(11);
-  for (int trial = 0; trial < 50; ++trial) {
-    // Overlap is the interesting case: b and c share the "ab" salt with a.
-    obs::MetricsSnapshot a = random_snapshot(rng, "ab");
-    obs::MetricsSnapshot b = random_snapshot(rng, "ab");
-    obs::MetricsSnapshot c = random_snapshot(rng, "cd");
-
-    obs::MetricsSnapshot left = a;   // (a ⊕ b) ⊕ c
-    left.merge(b);
-    left.merge(c);
-    obs::MetricsSnapshot bc = b;     // a ⊕ (b ⊕ c)
-    bc.merge(c);
-    obs::MetricsSnapshot right = a;
-    right.merge(bc);
-    EXPECT_TRUE(obs::snapshots_equal(left, right, 1e-9)) << "trial " << trial;
-  }
-}
-
-TEST(MergeAlgebra, CommutativeUpToGaugeSemantics) {
-  // Gauges are last-writer-wins, so commutativity is only promised for
-  // counter/histogram content; generate gauge-free snapshots.
-  Rng rng(12);
-  for (int trial = 0; trial < 50; ++trial) {
-    obs::MetricsSnapshot a = random_snapshot(rng, "ab");
-    obs::MetricsSnapshot b = random_snapshot(rng, "ab");
-    a.gauges.clear();
-    b.gauges.clear();
-    obs::MetricsSnapshot ab = a;
-    ab.merge(b);
-    obs::MetricsSnapshot ba = b;
-    ba.merge(a);
-    EXPECT_TRUE(obs::snapshots_equal(ab, ba, 1e-9)) << "trial " << trial;
-  }
-}
-
-TEST(MergeAlgebra, MinusThenMergeRestoresWhole) {
-  // a.minus(b).merge(b) == a whenever b is an earlier state of a — the
-  // exact shape produced by run_sweep_with_metrics' before/after delta. The
-  // delta's extremes are bucket-edge bounds, yet merging b back restores
-  // a's exact extremes.
-  for (std::uint64_t trial = 0; trial < 50; ++trial) {
-    Rng whole_rng(1300 + trial);
-    Rng part_rng(1300 + trial);
-    const obs::MetricsSnapshot a = random_snapshot(whole_rng, "w");
-    const obs::MetricsSnapshot b = random_snapshot(part_rng, "w", true);
-    obs::MetricsSnapshot restored = a.minus(b);
-    restored.merge(b);
-    EXPECT_TRUE(obs::snapshots_equal(restored, a, 1e-6)) << "trial " << trial;
-  }
-}
+// ------------------------------------------------------- snapshot deltas
 
 TEST(MergeAlgebra, MinusBoundsTheDeltaExtremesByItsBuckets) {
   obs::LogHistogram base, whole;

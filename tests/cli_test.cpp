@@ -11,7 +11,7 @@
 
 #include <gtest/gtest.h>
 
-#include "util/subprocess.hpp"
+#include "subprocess.hpp"
 
 #include "e2e_harness.hpp"
 

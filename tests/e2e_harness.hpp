@@ -19,7 +19,7 @@
 
 #include "model/serialize.hpp"
 #include "model/workload.hpp"
-#include "util/subprocess.hpp"
+#include "subprocess.hpp"
 
 #ifndef TCSACTL_PATH
 #error "e2e_harness.hpp requires -DTCSACTL_PATH=\"...\" from CMake"

@@ -171,29 +171,6 @@ TEST_F(ObsTest, SnapshotMinusIsolatesARun) {
   EXPECT_EQ(delta.counter_value("tcsa_test_delta_total"), 7u);
 }
 
-TEST_F(ObsTest, SnapshotMergeSumsByName) {
-  const obs::MetricId c =
-      obs::register_counter("tcsa_test_merge_total", "merge");
-  const obs::MetricId h =
-      obs::register_histogram("tcsa_test_merge_hist", "merge hist");
-  const obs::MetricsSnapshot before = obs::snapshot();
-  obs::counter_add(c, 3);
-  obs::histogram_observe(h, 0.5);
-  const obs::MetricsSnapshot first = obs::snapshot().minus(before);
-  obs::counter_add(c, 4);
-  obs::histogram_observe(h, 1.5);
-  obs::MetricsSnapshot merged = first;
-  merged.merge(obs::snapshot().minus(before).minus(first));
-  EXPECT_EQ(merged.counter_value("tcsa_test_merge_total"), 7u);
-  const obs::HistogramSnapshot* hist =
-      merged.histogram("tcsa_test_merge_hist");
-  ASSERT_NE(hist, nullptr);
-  EXPECT_EQ(hist->values.count(), 2u);
-  EXPECT_EQ(hist->values.min(), 0.5);
-  EXPECT_EQ(hist->values.max(), 1.5);
-  EXPECT_DOUBLE_EQ(hist->sum, 2.0);
-}
-
 TEST_F(ObsTest, CounterValueOfUnknownNameIsZero) {
   EXPECT_EQ(obs::snapshot().counter_value("tcsa_no_such_metric_total"), 0u);
   EXPECT_EQ(obs::snapshot().histogram("tcsa_no_such_hist"), nullptr);

@@ -1,7 +1,7 @@
 // Tests for the request-journey layer: the NTP-style clock-offset
-// estimator, the crash-safe flight recorder (including a SIGKILL'd child),
-// trace-id minting, the bounded log-linear histogram and the request
-// percentiles built on it.
+// estimator, the crash-safe flight recorder (including a SIGKILL'd child
+// and a mutation fuzz of its loader), trace-id minting, the bounded
+// log-linear histogram and the request percentiles built on it.
 #include <signal.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <set>
 #include <string>
@@ -253,6 +254,58 @@ TEST_F(FlightRecorderTest, RejectsForeignAndTruncatedFiles) {
   rec.close();
   std::filesystem::resize_file(path_, 64 + 10 * 48);
   EXPECT_THROW(flight_load(path_), std::runtime_error);
+}
+
+TEST_F(FlightRecorderTest, MutatedRingsThrowOrLoadInOrdinalOrder) {
+  // flight_load parses whatever a crashed process left on disk, so it must
+  // take any bytes: every mutation of a wrapped ring (random byte flips,
+  // random truncation) either throws std::runtime_error or loads events in
+  // strictly increasing ordinal.
+  constexpr std::uint32_t kCapacity = 8;
+  FlightRecorder rec;
+  ASSERT_TRUE(rec.open(path_, kCapacity)) << rec.error();
+  for (std::uint64_t i = 1; i <= 19; ++i)
+    rec.record(i, ReqStage::kServerFlushed, i * 10, i);
+  rec.close();
+  std::string ring;
+  {
+    std::ifstream file(path_, std::ios::binary);
+    ring.assign(std::istreambuf_iterator<char>(file),
+                std::istreambuf_iterator<char>());
+  }
+  ASSERT_EQ(ring.size(), 64u + kCapacity * 48u);
+
+  tcsa::Rng rng(20261020);
+  int loaded = 0;
+  int threw = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    std::string bytes = ring;
+    const int flips = static_cast<int>(rng.uniform_int(1, 8));
+    for (int f = 0; f < flips; ++f) {
+      const auto pos = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(bytes.size()) - 1));
+      bytes[pos] = static_cast<char>(rng.uniform_int(0, 255));
+    }
+    if (rng.bernoulli(0.25))
+      bytes.resize(static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(bytes.size()) - 1)));
+    {
+      std::ofstream file(path_, std::ios::binary | std::ios::trunc);
+      file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    try {
+      const std::vector<FlightEvent> events = flight_load(path_);
+      for (std::size_t i = 1; i < events.size(); ++i)
+        ASSERT_LT(events[i - 1].ordinal, events[i].ordinal) << "trial " << trial;
+      ++loaded;
+    } catch (const std::runtime_error&) {
+      ++threw;
+    }
+  }
+  // Both outcomes occur: the mutations reach the header checks and the
+  // cell replay alike.
+  EXPECT_GT(loaded, 0);
+  EXPECT_GT(threw, 0);
 }
 
 TEST_F(FlightRecorderTest, RecordWhileClosedIsANoOp) {

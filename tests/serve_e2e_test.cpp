@@ -17,7 +17,7 @@
 #include "obs/artifact.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "util/subprocess.hpp"
+#include "subprocess.hpp"
 
 #include "e2e_harness.hpp"
 

@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "util/subprocess.hpp"
+#include "subprocess.hpp"
 
 using namespace tcsa;
 

@@ -1,4 +1,4 @@
-#include "util/subprocess.hpp"
+#include "subprocess.hpp"
 
 #include <fcntl.h>
 #include <sys/wait.h>

@@ -19,7 +19,7 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "sim/sweep.hpp"
-#include "util/subprocess.hpp"
+#include "subprocess.hpp"
 #include "util/text.hpp"
 #include "workload/distributions.hpp"
 

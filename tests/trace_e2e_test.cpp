@@ -18,7 +18,7 @@
 #include "model/workload.hpp"
 #include "obs/json.hpp"
 #include "obs/reqtrace.hpp"
-#include "util/subprocess.hpp"
+#include "subprocess.hpp"
 
 #include "e2e_harness.hpp"
 

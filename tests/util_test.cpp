@@ -161,22 +161,6 @@ TEST(Rng, BernoulliRejectsOutOfRangeP) {
   EXPECT_THROW(rng.bernoulli(1.1), std::invalid_argument);
 }
 
-TEST(Rng, WeightedIndexRespectsWeights) {
-  Rng rng(29);
-  const std::vector<double> w = {1.0, 0.0, 3.0};
-  int counts[3] = {};
-  for (int i = 0; i < 40000; ++i) ++counts[rng.weighted_index(w)];
-  EXPECT_EQ(counts[1], 0);
-  EXPECT_NEAR(counts[2] / 40000.0, 0.75, 0.02);
-}
-
-TEST(Rng, WeightedIndexRejectsBadWeights) {
-  Rng rng(1);
-  EXPECT_THROW(rng.weighted_index({}), std::invalid_argument);
-  EXPECT_THROW(rng.weighted_index({0.0, 0.0}), std::invalid_argument);
-  EXPECT_THROW(rng.weighted_index({1.0, -1.0}), std::invalid_argument);
-}
-
 TEST(Rng, ForkedChildrenAreIndependentAndDeterministic) {
   Rng parent1(99), parent2(99);
   Rng childA1 = parent1.fork(1);
