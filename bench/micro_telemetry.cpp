@@ -6,6 +6,7 @@
 //   * BM_TimelineRecord — one seqlock ring append; the per-slot tax the
 //     airing loop pays for /slots forensics. Must stay in the tens of
 //     nanoseconds: at 300us slots even 1us would be 0.3% of the budget.
+//     timeline_bytes_total is the ring's size, capacity x 32-byte cells.
 //   * BM_TimelineSnapshot — copying a full 4096-cell ring out from a
 //     scraper's thread, the /slots handler's dominant cost.
 //   * BM_WatchdogObserve — the whole per-slot call the server makes: one
@@ -26,13 +27,14 @@
 
 namespace {
 
-constexpr std::size_t kRing = 4096;  // the server's /slots ring
+constexpr std::size_t kRing = 4096;      // the server's /slots ring
+constexpr std::uint32_t kSlotUs = 300;  // a 300 us slot clock
 
 tcsa::obs::SlotRecord make_record(std::uint64_t slot) {
   tcsa::obs::SlotRecord rec;
   rec.slot = slot;
-  rec.scheduled_us = static_cast<std::int64_t>(slot * 300);
-  rec.actual_us = static_cast<std::int64_t>(slot * 300 + 7);
+  rec.scheduled_us = static_cast<std::int64_t>(slot * kSlotUs);
+  rec.actual_us = rec.scheduled_us + 7;
   rec.bytes_flushed = 4096;
   rec.sessions = 2000;
   rec.evictions = 0;
@@ -42,23 +44,26 @@ tcsa::obs::SlotRecord make_record(std::uint64_t slot) {
 }
 
 void BM_TimelineRecord(benchmark::State& state) {
-  tcsa::obs::SlotTimeline timeline(kRing);
+  tcsa::obs::SlotTimeline timeline(kRing, kSlotUs);
   std::uint64_t slot = 0;
   for (auto _ : state) {
     timeline.record(make_record(slot++));
   }
   // Fixed pass for the counter gate: one ring's worth of appends, exact on
   // every machine regardless of how many iterations the timing loop ran.
-  tcsa::obs::SlotTimeline fixed(kRing);
+  tcsa::obs::SlotTimeline fixed(kRing, kSlotUs);
   for (std::uint64_t s = 0; s < kRing; ++s) fixed.record(make_record(s));
   state.counters["timeline_records_total"] =
       static_cast<double>(fixed.recorded());
   state.counters["timeline_cells"] = static_cast<double>(kRing);
+  // The ring's footprint: a record that grows shows its cost here.
+  state.counters["timeline_bytes_total"] = static_cast<double>(
+      fixed.capacity() * tcsa::obs::SlotTimeline::kCellBytes);
 }
 BENCHMARK(BM_TimelineRecord);
 
 void BM_TimelineSnapshot(benchmark::State& state) {
-  tcsa::obs::SlotTimeline timeline(kRing);
+  tcsa::obs::SlotTimeline timeline(kRing, kSlotUs);
   for (std::uint64_t slot = 0; slot < kRing; ++slot) {
     timeline.record(make_record(slot));
   }
@@ -74,7 +79,7 @@ BENCHMARK(BM_TimelineSnapshot);
 void BM_WatchdogObserve(benchmark::State& state) {
   constexpr double kNeverBreaches = 1e9;  // measure the healthy path
   const auto quiet = [](const std::string&) {};
-  tcsa::obs::SlotTimeline timeline(kRing);
+  tcsa::obs::SlotTimeline timeline(kRing, kSlotUs);
   tcsa::obs::SloWatchdog dog(kNeverBreaches, quiet);
   std::uint64_t slot = 0;
   for (auto _ : state) {

@@ -2,26 +2,59 @@
 
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <utility>
 
 #include "util/contracts.hpp"
 
 namespace tcsa::net {
 
+namespace {
+
+/// Chunks in a ring's first allocation: a session keeping up with the slot
+/// clock holds a frame or two, a backlogged one doubles from here.
+constexpr std::size_t kInitialChunks = 16;
+
+}  // namespace
+
+OutQueue::OutQueue(OutQueue&& other) noexcept
+    : ring_(std::move(other.ring_)),
+      capacity_(std::exchange(other.capacity_, 0)),
+      head_(std::exchange(other.head_, 0)),
+      count_(std::exchange(other.count_, 0)),
+      bytes_(std::exchange(other.bytes_, 0)) {}
+
+OutQueue& OutQueue::operator=(OutQueue&& other) noexcept {
+  ring_ = std::move(other.ring_);
+  capacity_ = std::exchange(other.capacity_, 0);
+  head_ = std::exchange(other.head_, 0);
+  count_ = std::exchange(other.count_, 0);
+  bytes_ = std::exchange(other.bytes_, 0);
+  return *this;
+}
+
 void OutQueue::push(SharedBuf buf) {
   if (buf.empty()) return;
+  if (count_ == capacity_) {
+    const std::size_t grown = capacity_ == 0 ? kInitialChunks : 2 * capacity_;
+    auto ring = std::make_unique<OutChunk[]>(grown);
+    for (std::size_t i = 0; i < count_; ++i) ring[i] = std::move(ring_[at(i)]);
+    ring_ = std::move(ring);
+    capacity_ = grown;
+    head_ = 0;
+  }
   bytes_ += buf.size();
-  chunks_.push_back(OutChunk{std::move(buf), 0});
+  ring_[at(count_)] = OutChunk{std::move(buf), 0};
+  ++count_;
 }
 
 std::size_t OutQueue::gather(struct iovec* iov, std::size_t max_iov) const {
-  std::size_t count = 0;
-  for (const OutChunk& chunk : chunks_) {
-    if (count == max_iov) break;
-    iov[count].iov_base =
-        const_cast<char*>(chunk.buf.data() + chunk.offset);
-    iov[count].iov_len = chunk.buf.size() - chunk.offset;
-    ++count;
+  const std::size_t count = std::min(count_, max_iov);
+  for (std::size_t i = 0; i < count; ++i) {
+    const OutChunk& chunk = ring_[at(i)];
+    iov[i].iov_base = const_cast<char*>(chunk.buf.data() + chunk.offset);
+    iov[i].iov_len = chunk.buf.size() - chunk.offset;
   }
   return count;
 }
@@ -31,7 +64,7 @@ std::size_t OutQueue::consume(std::size_t n) {
   bytes_ -= n;
   std::size_t retired = 0;
   while (n > 0) {
-    OutChunk& front = chunks_.front();
+    OutChunk& front = ring_[head_];
     const std::size_t remaining = front.buf.size() - front.offset;
     if (n < remaining) {
       front.offset += n;
@@ -39,13 +72,17 @@ std::size_t OutQueue::consume(std::size_t n) {
     }
     n -= remaining;
     retired += front.buf.size();
-    chunks_.pop_front();
+    front = OutChunk{};  // drops the buffer's reference now
+    head_ = at(1);
+    --count_;
   }
   return retired;
 }
 
 void OutQueue::clear() {
-  chunks_.clear();
+  for (std::size_t i = 0; i < count_; ++i) ring_[at(i)] = OutChunk{};
+  head_ = 0;
+  count_ = 0;
   bytes_ = 0;
 }
 

@@ -2,11 +2,14 @@
 //
 // A session behind a full socket used to buffer bytes in one std::string,
 // paying a copy per enqueue and an O(buffered) memmove per partial send.
-// OutQueue replaces that with a deque of {SharedBuf, offset} chunks:
+// OutQueue replaces that with a ring of {SharedBuf, offset} chunks:
 // enqueueing a frame shared by many sessions is one refcount bump, a fully
-// sent chunk retires with an O(1) pop_front, and a partially sent front
-// chunk just advances its offset. Queued-bytes accounting (bytes()) is the
-// quantity the slow-client eviction cap is measured against.
+// sent chunk retires in O(1) from the front, and a partially sent front
+// chunk just advances its offset. The ring's storage is a power of two of
+// chunks that it keeps when flushes empty it and doubles only when full,
+// so a session whose flushes keep up never allocates. Queued-bytes
+// accounting (bytes()) is the quantity the slow-client eviction cap is
+// measured against.
 //
 // flush_queue() drains a queue into a non-blocking socket with
 // sendmsg(iovec) batching — up to kFlushBatch chunks (bounded by IOV_MAX)
@@ -22,7 +25,7 @@
 #include <sys/uio.h>
 
 #include <cstddef>
-#include <deque>
+#include <memory>
 
 #include "net/shared_buf.hpp"
 
@@ -42,17 +45,21 @@ struct OutChunk {
 
 class OutQueue {
  public:
+  OutQueue() = default;
+  OutQueue(OutQueue&& other) noexcept;
+  OutQueue& operator=(OutQueue&& other) noexcept;
+
   /// Enqueues a buffer (refcount bump, no byte copy). Empty buffers are
   /// ignored — a zero-length chunk would make a sendmsg iovec no-op.
   void push(SharedBuf buf);
 
-  bool empty() const noexcept { return chunks_.empty(); }
+  bool empty() const noexcept { return count_ == 0; }
 
   /// Bytes queued but not yet sent (the eviction-cap quantity).
   std::size_t bytes() const noexcept { return bytes_; }
 
   /// Queued chunk count (offsets make this ≠ bytes()/frame_size).
-  std::size_t chunks() const noexcept { return chunks_.size(); }
+  std::size_t chunks() const noexcept { return count_; }
 
   /// Fills up to `max_iov` iovecs with the unsent spans of the front
   /// chunks, in queue order. Returns the number filled.
@@ -65,13 +72,22 @@ class OutQueue {
   /// Precondition: n <= bytes().
   std::size_t consume(std::size_t n);
 
+  /// Drops every chunk; the ring keeps its storage.
   void clear();
 
   /// Front chunk, for tests. Precondition: !empty().
-  const OutChunk& front() const { return chunks_.front(); }
+  const OutChunk& front() const { return ring_[head_]; }
 
  private:
-  std::deque<OutChunk> chunks_;
+  /// Ring slot of the `i`-th queued chunk (0 = front).
+  std::size_t at(std::size_t i) const noexcept {
+    return (head_ + i) & (capacity_ - 1);
+  }
+
+  std::unique_ptr<OutChunk[]> ring_;  ///< capacity_ slots, a power of two
+  std::size_t capacity_ = 0;
+  std::size_t head_ = 0;   ///< slot of the front chunk
+  std::size_t count_ = 0;  ///< queued chunks
   std::size_t bytes_ = 0;
 };
 

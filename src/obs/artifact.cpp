@@ -121,7 +121,8 @@ RunManifest manifest_from_json(const std::string& json) {
 // -------------------------------------------------------- snapshot import
 
 MetricsSnapshot snapshot_from_json(const std::string& json) {
-  const JsonValue doc = json_parse(json).expect_object("snapshot");
+  const JsonValue doc =
+      json_parse(json, JsonPairs::kPacked).expect_object("snapshot");
   // Exactly the exporter's three sections: an unknown section means the
   // document is not a snapshot (or a future schema this build predates).
   TCSA_REQUIRE(doc.object.size() == 3,
@@ -163,12 +164,7 @@ MetricsSnapshot snapshot_from_json(const std::string& json) {
     std::vector<LogHistogram::Bucket> buckets;
     std::uint64_t total = 0;
     const std::string what = name + ".buckets";
-    for (const JsonValue& raw : obj.at("buckets").expect_array(what).array) {
-      const JsonValue& pair = raw.expect_array(what);
-      TCSA_REQUIRE(pair.array.size() == 2,
-                   "snapshot: a bucket is an [index, count] pair");
-      const std::uint64_t index = pair.array[0].expect_uint(what);
-      const std::uint64_t n = pair.array[1].expect_uint(what);
+    for (const auto& [index, n] : obj.at("buckets").expect_uint_pairs(what)) {
       TCSA_REQUIRE(index < LogHistogram::kBuckets,
                    "snapshot: bucket index out of range");
       TCSA_REQUIRE(buckets.empty() || index > buckets.back().index,

@@ -20,7 +20,8 @@ constexpr int kMaxDepth = 64;
 
 class Parser {
  public:
-  explicit Parser(const std::string& text) : text_(text) {}
+  Parser(const std::string& text, JsonPairs pairs)
+      : text_(text), pack_pairs_(pairs == JsonPairs::kPacked) {}
 
   JsonValue document() {
     JsonValue value = parse_value(0);
@@ -118,8 +119,15 @@ class Parser {
       ++pos_;
       return value;
     }
+    // Pairs pack while every element so far was one (and the nodes would
+    // not have been too deep); the first other element unpacks them.
+    bool packing = pack_pairs_ && depth + 2 <= kMaxDepth;
     while (true) {
-      value.array.push_back(parse_value(depth + 1));
+      if (!packing || !scan_uint_pair(value.uint_pairs)) {
+        if (packing) unpack_pairs(value);
+        packing = false;
+        value.array.push_back(parse_value(depth + 1));
+      }
       skip_ws();
       if (peek() == ',') {
         ++pos_;
@@ -128,6 +136,68 @@ class Parser {
       expect(']');
       return value;
     }
+  }
+
+  /// Appends a `[uint, uint]` element at pos_ to `pairs`; on anything else
+  /// leaves pos_ where it was and returns false.
+  bool scan_uint_pair(std::vector<std::array<std::uint64_t, 2>>& pairs) {
+    const std::size_t start = pos_;
+    std::array<std::uint64_t, 2> pair{};
+    const bool ok = scan_char('[') && scan_uint(pair[0]) &&
+                    scan_char(',') && scan_uint(pair[1]) && scan_char(']');
+    if (ok)
+      pairs.push_back(pair);
+    else
+      pos_ = start;
+    return ok;
+  }
+
+  /// Skips whitespace, then consumes `c` if it is next.
+  bool scan_char(char c) {
+    skip_ws();
+    if (pos_ >= text_.size() || text_[pos_] != c) return false;
+    ++pos_;
+    return true;
+  }
+
+  /// A plain digit run that parse_number would read as an exact u64:
+  /// no leading zero, no fraction or exponent after it, no overflow.
+  bool scan_uint(std::uint64_t& out) {
+    skip_ws();
+    const std::size_t start = pos_;
+    std::uint64_t v = 0;
+    while (pos_ < text_.size() &&
+           std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
+      const auto digit = static_cast<std::uint64_t>(text_[pos_] - '0');
+      if (v > (UINT64_MAX - digit) / 10) return false;
+      v = v * 10 + digit;
+      ++pos_;
+    }
+    const std::size_t digits = pos_ - start;
+    if (digits == 0 || (digits > 1 && text_[start] == '0')) return false;
+    if (pos_ < text_.size() &&
+        (text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E'))
+      return false;
+    out = v;
+    return true;
+  }
+
+  /// Turns the packed pairs read so far back into nodes, as parse_value
+  /// would have built them.
+  static void unpack_pairs(JsonValue& value) {
+    for (const auto& pair : value.uint_pairs) {
+      JsonValue node;
+      node.kind = JsonValue::Kind::kArray;
+      for (const std::uint64_t u : pair) {
+        JsonValue& number = node.array.emplace_back();
+        number.kind = JsonValue::Kind::kNumber;
+        number.number = static_cast<double>(u);
+        number.uint_value = u;
+        number.is_uint = true;
+      }
+      value.array.push_back(std::move(node));
+    }
+    value.uint_pairs.clear();
   }
 
   std::string parse_string() {
@@ -243,6 +313,7 @@ class Parser {
   }
 
   const std::string& text_;
+  const bool pack_pairs_;
   std::size_t pos_ = 0;
 };
 
@@ -299,8 +370,16 @@ const JsonValue& JsonValue::at(const std::string& key) const {
   return *value;
 }
 
-JsonValue json_parse(const std::string& text) {
-  return Parser(text).document();
+std::span<const std::array<std::uint64_t, 2>> JsonValue::expect_uint_pairs(
+    const std::string& what) const {
+  if (kind != Kind::kArray || !array.empty())
+    kind_error(what, "an array of [non-negative integer, "
+                     "non-negative integer] pairs");
+  return uint_pairs;
+}
+
+JsonValue json_parse(const std::string& text, JsonPairs pairs) {
+  return Parser(text, pairs).document();
 }
 
 namespace {
@@ -321,6 +400,11 @@ void serialize_into(const JsonValue& value, std::string& out) {
     case JsonValue::Kind::kArray: {
       out += '[';
       bool first = true;
+      for (const auto& [a, b] : value.uint_pairs) {
+        if (!first) out += ", ";
+        first = false;
+        out += '[' + std::to_string(a) + ", " + std::to_string(b) + ']';
+      }
       for (const JsonValue& item : value.array) {
         if (!first) out += ", ";
         first = false;

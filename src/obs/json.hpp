@@ -12,9 +12,16 @@
 // Numbers keep their exact unsigned-integer value when the token is a plain
 // digit run that fits in 64 bits, so counter values round-trip losslessly
 // past the 2^53 double cliff.
+//
+// A histogram export is mostly [index, count] pairs. Parsed as nodes, each
+// pair costs three JsonValues and a heap allocation, so a reader that wants
+// only the pairs asks for JsonPairs::kPacked: an array of plain-integer
+// pairs then lands in one flat vector of JsonValue::uint_pairs.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,6 +42,9 @@ class JsonValue {
   std::string string;
   std::vector<JsonValue> array;
   std::vector<std::pair<std::string, JsonValue>> object;
+  /// An array of [uint, uint] pairs parsed with JsonPairs::kPacked; `array`
+  /// is then empty. An array holding anything else keeps its nodes.
+  std::vector<std::array<std::uint64_t, 2>> uint_pairs;
 
   bool is(Kind k) const noexcept { return kind == k; }
 
@@ -49,14 +59,26 @@ class JsonValue {
   double expect_number(const std::string& what) const;
   std::uint64_t expect_uint(const std::string& what) const;
   std::int64_t expect_int(const std::string& what) const;
+  /// The pairs of an array read with JsonPairs::kPacked; throws when the
+  /// value is not an array or holds anything but [uint, uint] pairs.
+  std::span<const std::array<std::uint64_t, 2>> expect_uint_pairs(
+      const std::string& what) const;
 
   /// Required object member (throws naming the key when missing).
   const JsonValue& at(const std::string& key) const;
 };
 
+/// How json_parse reads an array whose elements are all two-element arrays
+/// of plain non-negative integers (no sign, fraction or exponent, < 2^64).
+enum class JsonPairs {
+  kNodes,   ///< like any other array: a JsonValue per pair and per number
+  kPacked,  ///< straight into JsonValue::uint_pairs
+};
+
 /// Parses one JSON document; trailing non-whitespace is an error.
 /// Throws std::invalid_argument with a byte offset on malformed input.
-JsonValue json_parse(const std::string& text);
+JsonValue json_parse(const std::string& text,
+                     JsonPairs pairs = JsonPairs::kNodes);
 
 /// `text` with JSON string escaping applied (no surrounding quotes).
 std::string json_escape(const std::string& text);

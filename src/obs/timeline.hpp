@@ -5,13 +5,17 @@
 // evictions, program generation, per-channel aired mask). The admin
 // endpoint's /slots handler — and any other thread — can snapshot the ring
 // at any moment without pausing airing: each cell is a seqlock (odd seq =
-// mid-write) whose payload fields are themselves relaxed atomics, so a torn
-// read is impossible and TSan sees no race; an inconsistent cell is simply
-// retried or dropped.
+// mid-write) whose payload fields are themselves atomics, so a torn read is
+// impossible and TSan sees no race; an inconsistent cell is simply dropped.
 //
 // The ring holds the last `capacity` slots. That is deliberate: jitter
 // forensics needs the recent past at full per-slot resolution, while the
 // long-run aggregates already live in the metrics registry's histograms.
+//
+// A cell is four 64-bit words (32 B). The slot is not stored: slots are
+// recorded in order from 0, so a record's slot is its ordinal. Nor is the
+// scheduled time: it is slot × slot_us, the drift-free slot clock's
+// deadline, and the actual time is that plus the stored lag.
 #pragma once
 
 #include <atomic>
@@ -23,6 +27,11 @@
 namespace tcsa::obs {
 
 /// One aired slot, as observed by the airing loop.
+///
+/// The ring keeps lag_us(), bytes_flushed, sessions, evictions and
+/// generation in 32 bits each. Each saturates at UINT32_MAX (71 minutes of
+/// lag, 4 GiB flushed in one slot) and never wraps; a negative lag reads
+/// back as 0. aired_mask is kept whole.
 struct SlotRecord {
   std::uint64_t slot = 0;          ///< program slot index
   std::int64_t scheduled_us = 0;   ///< deadline per the drift-free slot clock
@@ -35,16 +44,24 @@ struct SlotRecord {
 
   /// Airing lag: how late the slot went on air (>= 0 in a healthy server).
   std::int64_t lag_us() const noexcept { return actual_us - scheduled_us; }
+
+  bool operator==(const SlotRecord&) const = default;
 };
 
 class SlotTimeline {
  public:
-  /// `capacity` = number of most-recent slots retained; at least 1.
-  explicit SlotTimeline(std::size_t capacity);
+  /// Bytes one record occupies in the ring.
+  static constexpr std::size_t kCellBytes = 32;
+
+  /// `capacity` = number of most-recent slots retained (at least 1);
+  /// `slot_us` = the slot clock's slot length, so slot s was scheduled at
+  /// s × slot_us.
+  SlotTimeline(std::size_t capacity, std::uint32_t slot_us);
 
   /// Appends one record. Single writer (the airing loop); never blocks,
-  /// never allocates.
-  void record(const SlotRecord& rec) noexcept;
+  /// never allocates. Precondition: `rec.slot == recorded()` and
+  /// `rec.scheduled_us == rec.slot × slot_us` — the ring stores neither.
+  void record(const SlotRecord& rec);
 
   /// Copies out up to `max_records` of the most recent records, oldest
   /// first (0 = all retained). Safe from any thread while the writer runs;
@@ -61,27 +78,32 @@ class SlotTimeline {
   }
 
  private:
-  // One cell per slot: a seq word (odd while the writer is inside) and 8
-  // payload words mirroring SlotRecord's fields.
-  static constexpr std::size_t kWords = 8;
-  static constexpr std::size_t kCellWords = 1 + kWords;
-  struct Free {
-    void operator()(std::uint64_t* words) const noexcept;
+  /// One slot. `seq_generation` holds the seqlock word in its low half and
+  /// the generation in its high half; the other words pack two 32-bit
+  /// fields low-then-high. A cell's seq is odd while the writer is inside
+  /// it and 2 × (lap + 1) once lap `ordinal / capacity` is written, so a
+  /// reader knows which ordinal a cell holds without storing the slot.
+  struct Cell {
+    std::uint64_t seq_generation;
+    std::uint64_t lag_bytes;           ///< lag_us | bytes_flushed << 32
+    std::uint64_t sessions_evictions;  ///< sessions | evictions << 32
+    std::uint64_t aired_mask;
+  };
+  static_assert(sizeof(Cell) == kCellBytes, "a slot record is 32 bytes");
+
+  /// The cells are one anonymous mapping: a cell only has to start with an
+  /// even seq, which zero is, and readers never look past head_, so no cell
+  /// is written before its first slot — the ring's pages fault in as the
+  /// airing loop reaches them instead of all at start-up.
+  struct Unmap {
+    std::size_t bytes;
+    void operator()(Cell* cells) const noexcept;
   };
 
-  /// Word `i` of cell `cell` (0 = seq, 1 + k = payload word k), accessed
-  /// atomically. The storage is plain calloc'd words: a cell only has to
-  /// start with an even seq, which zero is, and readers never look past
-  /// head_, so no cell is written before its first slot — the ring's pages
-  /// fault in as the airing loop reaches them instead of all at start-up.
-  std::atomic_ref<std::uint64_t> word(std::size_t cell,
-                                      std::size_t i) const noexcept {
-    return std::atomic_ref<std::uint64_t>(words_[cell * kCellWords + i]);
-  }
-
-  std::size_t capacity_;                          ///< cells, fixed, >= 1
-  std::unique_ptr<std::uint64_t[], Free> words_;  ///< capacity_ cells
-  std::atomic<std::uint64_t> head_{0};            ///< next record ordinal
+  std::size_t capacity_;                ///< cells, fixed, >= 1
+  std::uint64_t slot_us_;
+  std::unique_ptr<Cell[], Unmap> cells_;
+  std::atomic<std::uint64_t> head_{0};  ///< next record ordinal = next slot
 };
 
 }  // namespace tcsa::obs

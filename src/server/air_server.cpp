@@ -55,7 +55,7 @@ constexpr std::uint32_t kFlightEvents = 4096;
 
 AirServer::AirServer(Workload workload, AirServerConfig config)
     : config_(std::move(config)),
-      timeline_(kTimelineSlots),
+      timeline_(kTimelineSlots, config_.slot_us),
       watchdog_(config_.slo_breach_us,
                 [](const std::string& msg) {
                   TCSA_LOG(kWarn) << "air server: " << msg;

@@ -67,6 +67,51 @@ TEST(Json, RejectsRunawayNesting) {
   EXPECT_THROW(obs::json_parse(deep), std::invalid_argument);
 }
 
+TEST(Json, PacksUintPairArraysOnRequest) {
+  const std::string text =
+      R"({"b": [[1, 2], [ 3 ,18446744073709551615 ]], "e": [],)"
+      R"( "mixed": [[1, 2], [3, 4.5], [5, 6]], "short": [[1, 2], [3]],)"
+      R"( "big": [[18446744073709551616, 1]], "flat": [1, 2]})";
+  const obs::JsonValue nodes = obs::json_parse(text);
+  const obs::JsonValue packed = obs::json_parse(text, obs::JsonPairs::kPacked);
+  // Packed or not, the document is the same one.
+  EXPECT_EQ(obs::json_serialize(packed), obs::json_serialize(nodes));
+
+  const obs::JsonValue& b = packed.at("b");
+  EXPECT_TRUE(b.array.empty());
+  ASSERT_EQ(b.uint_pairs.size(), 2u);
+  EXPECT_EQ(b.uint_pairs[1][0], 3u);
+  EXPECT_EQ(b.uint_pairs[1][1], UINT64_MAX);
+  EXPECT_EQ(b.expect_uint_pairs("b").size(), 2u);
+  EXPECT_TRUE(packed.at("e").expect_uint_pairs("e").empty());
+  // One element that is not a plain pair keeps the whole array as nodes.
+  for (const char* key : {"mixed", "short", "big", "flat"}) {
+    const obs::JsonValue& v = packed.at(key);
+    EXPECT_TRUE(v.uint_pairs.empty()) << key;
+    EXPECT_EQ(v.array.size(), nodes.at(key).array.size()) << key;
+    EXPECT_THROW(v.expect_uint_pairs(key), std::invalid_argument) << key;
+  }
+  EXPECT_TRUE(nodes.at("b").uint_pairs.empty());
+  EXPECT_EQ(packed.at("mixed").array[2].array[1].uint_value, 6u);
+}
+
+TEST(Json, PackedParsingRejectsWhatNodesReject) {
+  const char* bad[] = {
+      "[[1,2]",  "[[1,2],]", "[[01,2]]", "[[1,2]]x", "[[1,-]]",
+      "[[1,2],", "[[1 2]]",  "[[1,]]",   "[[1,2,]]", "[[1,2],[3,4]",
+  };
+  for (const char* text : bad) {
+    EXPECT_THROW(obs::json_parse(text), std::invalid_argument) << text;
+    EXPECT_THROW(obs::json_parse(text, obs::JsonPairs::kPacked),
+                 std::invalid_argument)
+        << text;
+  }
+  std::string deep(100, '[');
+  deep += std::string(100, ']');
+  EXPECT_THROW(obs::json_parse(deep, obs::JsonPairs::kPacked),
+               std::invalid_argument);
+}
+
 TEST(Json, EscapesControlCharacters) {
   EXPECT_EQ(obs::json_escape("a\"b\\c\nd\te\x01"), "a\\\"b\\\\c\\nd\\te\\u0001");
 }
@@ -187,6 +232,36 @@ TEST(SnapshotImport, RejectsMalformedSnapshots) {
               {"le":"+Inf","count":0}]})"),
       // a bucket that is not an [index, count] pair:
       hist(R"({"count":1,"sum":1,"min":1,"max":1,"buckets":[[2753,1,0]]})"),
+  };
+  for (const std::string& text : bad)
+    EXPECT_THROW(obs::snapshot_from_json(text), std::invalid_argument) << text;
+}
+
+TEST(SnapshotImport, RejectsMalformedBucketPairs) {
+  const auto buckets = [](const std::string& pairs) {
+    return R"({"counters":{},"gauges":{},"histograms":{"h":)"
+           R"({"count":2,"sum":3,"min":1,"max":2,"buckets":)" +
+           pairs + "}}}";
+  };
+  // The well-formed document first, so each case below fails on its pair.
+  EXPECT_NO_THROW(obs::snapshot_from_json(buckets("[[2753,1],[2754,1]]")));
+  const std::string bad[] = {
+      // three elements, and one:
+      buckets("[[2753,1],[2754,1,0]]"),
+      buckets("[[2753,1,0],[2754,1]]"),
+      buckets("[[2753,1],[2754]]"),
+      // negative numbers:
+      buckets("[[-2753,1],[2754,1]]"),
+      buckets("[[2753,1],[2754,-1]]"),
+      // non-integers, including integral values written as reals:
+      buckets("[[2753,1],[2754,1.5]]"),
+      buckets("[[2753.0,1],[2754,1]]"),
+      buckets("[[2753,1e0],[2754,1]]"),
+      buckets("[[2753,\"1\"],[2754,1]]"),
+      buckets("[[2753,1],[2754,18446744073709551616]]"),
+      // not an array of pairs at all:
+      buckets("[2753,1]"),
+      buckets("{}"),
   };
   for (const std::string& text : bad)
     EXPECT_THROW(obs::snapshot_from_json(text), std::invalid_argument) << text;

@@ -367,4 +367,86 @@ void LogHistogramReference::quantiles(std::span<const double> qs,
   }
 }
 
+// ------------------------------------------------ SlotTimelineReference
+
+SlotTimelineReference::SlotTimelineReference(std::size_t capacity)
+    : capacity_(std::max<std::size_t>(capacity, 1)),
+      words_(capacity_ * kCellWords, 0) {}
+
+void SlotTimelineReference::record(const obs::SlotRecord& rec) noexcept {
+  const std::uint64_t ordinal = head_.load(std::memory_order_relaxed);
+  const std::size_t cell = ordinal % capacity_;
+  const std::uint64_t seq = word(cell, 0).load(std::memory_order_relaxed);
+  word(cell, 0).store(seq + 1, std::memory_order_release);
+  word(cell, 1).store(rec.slot, std::memory_order_relaxed);
+  word(cell, 2).store(static_cast<std::uint64_t>(rec.scheduled_us),
+                      std::memory_order_relaxed);
+  word(cell, 3).store(static_cast<std::uint64_t>(rec.actual_us),
+                      std::memory_order_relaxed);
+  word(cell, 4).store(rec.bytes_flushed, std::memory_order_relaxed);
+  word(cell, 5).store(rec.sessions, std::memory_order_relaxed);
+  word(cell, 6).store(rec.evictions, std::memory_order_relaxed);
+  word(cell, 7).store(rec.generation, std::memory_order_relaxed);
+  word(cell, 8).store(rec.aired_mask, std::memory_order_relaxed);
+  word(cell, 0).store(seq + 2, std::memory_order_release);
+  head_.store(ordinal + 1, std::memory_order_release);
+}
+
+std::vector<obs::SlotRecord> SlotTimelineReference::snapshot(
+    std::size_t max_records) const {
+  const std::uint64_t head = head_.load(std::memory_order_acquire);
+  std::uint64_t available = std::min<std::uint64_t>(head, capacity_);
+  if (max_records != 0)
+    available = std::min<std::uint64_t>(available, max_records);
+  std::vector<obs::SlotRecord> out;
+  for (std::uint64_t ordinal = head - available; ordinal < head; ++ordinal) {
+    const std::size_t cell = ordinal % capacity_;
+    obs::SlotRecord rec;
+    bool consistent = false;
+    for (int attempt = 0; attempt < 2 && !consistent; ++attempt) {
+      const std::uint64_t before =
+          word(cell, 0).load(std::memory_order_acquire);
+      if (before % 2 != 0) continue;
+      rec.slot = word(cell, 1).load(std::memory_order_relaxed);
+      rec.scheduled_us = static_cast<std::int64_t>(
+          word(cell, 2).load(std::memory_order_relaxed));
+      rec.actual_us = static_cast<std::int64_t>(
+          word(cell, 3).load(std::memory_order_relaxed));
+      rec.bytes_flushed = word(cell, 4).load(std::memory_order_relaxed);
+      rec.sessions = word(cell, 5).load(std::memory_order_relaxed);
+      rec.evictions = word(cell, 6).load(std::memory_order_relaxed);
+      rec.generation = word(cell, 7).load(std::memory_order_relaxed);
+      rec.aired_mask = word(cell, 8).load(std::memory_order_relaxed);
+      consistent = before == word(cell, 0).load(std::memory_order_acquire);
+    }
+    if (consistent) out.push_back(rec);
+  }
+  return out;
+}
+
+std::string SlotTimelineReference::to_json(std::size_t max_records) const {
+  std::string out = "{\n  \"capacity\": ";
+  out += std::to_string(capacity_);
+  out += ",\n  \"recorded\": ";
+  out += std::to_string(recorded());
+  out += ",\n  \"slots\": [";
+  bool first = true;
+  for (const obs::SlotRecord& rec : snapshot(max_records)) {
+    out += first ? "\n" : ",\n";
+    first = false;
+    out += "    {\"slot\": " + std::to_string(rec.slot);
+    out += ", \"scheduled_us\": " + std::to_string(rec.scheduled_us);
+    out += ", \"actual_us\": " + std::to_string(rec.actual_us);
+    out += ", \"lag_us\": " + std::to_string(rec.lag_us());
+    out += ", \"bytes_flushed\": " + std::to_string(rec.bytes_flushed);
+    out += ", \"sessions\": " + std::to_string(rec.sessions);
+    out += ", \"evictions\": " + std::to_string(rec.evictions);
+    out += ", \"generation\": " + std::to_string(rec.generation);
+    out += ", \"aired_mask\": " + std::to_string(rec.aired_mask);
+    out += '}';
+  }
+  out += "\n  ]\n}\n";
+  return out;
+}
+
 }  // namespace tcsa

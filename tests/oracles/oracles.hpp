@@ -1,17 +1,20 @@
 // oracles.hpp — the naive reference implementations the optimised
-// SUSC, validation, seam-planning, placement, simulator and histogram paths
-// are checked against, bit for bit. Test and benchmark code only: none of
+// SUSC, validation, seam-planning, placement, simulator, histogram and
+// slot-timeline paths are checked against, bit for bit. Test and benchmark code only: none of
 // this ships in the library.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/placement.hpp"
 #include "model/appearance_index.hpp"
 #include "model/validate.hpp"
 #include "obs/log_histogram.hpp"
+#include "obs/timeline.hpp"
 #include "server/air_server.hpp"
 #include "sim/broadcast_sim.hpp"
 
@@ -81,6 +84,35 @@ class LogHistogramReference {
   std::uint64_t count_ = 0;
   double min_ = 0.0;
   double max_ = 0.0;
+};
+
+/// The 72-byte-cell seqlock ring: every SlotRecord field in its own 64-bit
+/// payload word beside the seq word, so nothing is derived and nothing
+/// saturates. obs::SlotTimeline, which packs a record into 32 bytes, must
+/// return equal snapshot() and to_json() output for records whose packed
+/// fields fit in 32 bits.
+class SlotTimelineReference {
+ public:
+  explicit SlotTimelineReference(std::size_t capacity);
+
+  void record(const obs::SlotRecord& rec) noexcept;
+  std::vector<obs::SlotRecord> snapshot(std::size_t max_records = 0) const;
+  std::string to_json(std::size_t max_records = 0) const;
+  std::uint64_t recorded() const noexcept {
+    return head_.load(std::memory_order_acquire);
+  }
+
+ private:
+  static constexpr std::size_t kCellWords = 9;  ///< seq + 8 payload words
+
+  std::atomic_ref<std::uint64_t> word(std::size_t cell,
+                                      std::size_t i) const noexcept {
+    return std::atomic_ref<std::uint64_t>(words_[cell * kCellWords + i]);
+  }
+
+  std::size_t capacity_;
+  mutable std::vector<std::uint64_t> words_;
+  std::atomic<std::uint64_t> head_{0};
 };
 
 }  // namespace tcsa

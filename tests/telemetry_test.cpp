@@ -10,7 +10,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,12 +23,15 @@
 #include "obs/metrics.hpp"
 #include "obs/timeline.hpp"
 #include "obs/watchdog.hpp"
+#include "oracles.hpp"
 
 namespace {
 
 using namespace tcsa;
 
 // ------------------------------------------------------------- timeline
+
+constexpr std::uint32_t kSlotUs = 100;  // make_record's slot length
 
 obs::SlotRecord make_record(std::uint64_t slot) {
   obs::SlotRecord rec;
@@ -42,7 +47,7 @@ obs::SlotRecord make_record(std::uint64_t slot) {
 }
 
 TEST(SlotTimeline, SnapshotReturnsRecordsOldestFirst) {
-  obs::SlotTimeline timeline(8);
+  obs::SlotTimeline timeline(8, kSlotUs);
   for (std::uint64_t s = 0; s < 5; ++s) timeline.record(make_record(s));
   EXPECT_EQ(timeline.capacity(), 8u);
   EXPECT_EQ(timeline.recorded(), 5u);
@@ -59,7 +64,7 @@ TEST(SlotTimeline, SnapshotReturnsRecordsOldestFirst) {
 }
 
 TEST(SlotTimeline, RingKeepsOnlyTheMostRecentCapacityRecords) {
-  obs::SlotTimeline timeline(4);
+  obs::SlotTimeline timeline(4, kSlotUs);
   for (std::uint64_t s = 0; s < 11; ++s) timeline.record(make_record(s));
   EXPECT_EQ(timeline.recorded(), 11u);
 
@@ -70,7 +75,7 @@ TEST(SlotTimeline, RingKeepsOnlyTheMostRecentCapacityRecords) {
 }
 
 TEST(SlotTimeline, SnapshotMaxLimitsToTheNewestRecords) {
-  obs::SlotTimeline timeline(16);
+  obs::SlotTimeline timeline(16, kSlotUs);
   for (std::uint64_t s = 0; s < 10; ++s) timeline.record(make_record(s));
 
   const std::vector<obs::SlotRecord> slots = timeline.snapshot(3);
@@ -84,7 +89,7 @@ TEST(SlotTimeline, ConcurrentReadersNeverSeeTornRecords) {
   // Torn cells would show internally inconsistent fields; the seqlock must
   // instead drop them, so every returned record satisfies the writer's
   // invariant actual == scheduled + (slot % 7).
-  obs::SlotTimeline timeline(4);
+  obs::SlotTimeline timeline(4, kSlotUs);
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> checked{0};
 
@@ -116,7 +121,7 @@ TEST(SlotTimeline, ConcurrentReadersNeverSeeTornRecords) {
 }
 
 TEST(SlotTimeline, JsonDumpParsesBackWithLagPerSlot) {
-  obs::SlotTimeline timeline(8);
+  obs::SlotTimeline timeline(8, kSlotUs);
   for (std::uint64_t s = 0; s < 3; ++s) timeline.record(make_record(s));
 
   const obs::JsonValue doc = obs::json_parse(timeline.to_json());
@@ -130,7 +135,7 @@ TEST(SlotTimeline, JsonDumpParsesBackWithLagPerSlot) {
 }
 
 TEST(SlotTimeline, JsonDumpHonoursMax) {
-  obs::SlotTimeline timeline(8);
+  obs::SlotTimeline timeline(8, kSlotUs);
   for (std::uint64_t s = 0; s < 6; ++s) timeline.record(make_record(s));
   const obs::JsonValue doc = obs::json_parse(timeline.to_json(2));
   const obs::JsonValue& slots = doc.at("slots").expect_array("slots");
@@ -138,15 +143,105 @@ TEST(SlotTimeline, JsonDumpHonoursMax) {
   EXPECT_EQ(slots.array[0].at("slot").number, 4.0);
 }
 
+TEST(SlotTimeline, RecordsOutOfOrderThrow) {
+  obs::SlotTimeline timeline(4, kSlotUs);
+  timeline.record(make_record(0));
+  EXPECT_THROW(timeline.record(make_record(2)), std::invalid_argument);
+  EXPECT_THROW(timeline.record(make_record(0)), std::invalid_argument);
+  obs::SlotRecord off_clock = make_record(1);
+  off_clock.scheduled_us += 1;
+  EXPECT_THROW(timeline.record(off_clock), std::invalid_argument);
+  timeline.record(make_record(1));
+  EXPECT_EQ(timeline.recorded(), 2u);
+  ASSERT_EQ(timeline.snapshot().size(), 2u);
+  EXPECT_EQ(timeline.snapshot()[1], make_record(1));
+}
+
+constexpr std::uint64_t kMax32 = std::numeric_limits<std::uint32_t>::max();
+
+/// A value for a 32-bit packed field: mostly small, sometimes at the
+/// field's limit, and above it only when `wide`.
+std::uint64_t field_value(std::mt19937_64& rng, bool wide) {
+  switch (rng() % 8) {
+    case 0: return kMax32;
+    case 1: return kMax32 - 1;
+    case 2: return wide ? kMax32 + 1 : 0;
+    case 3: return wide ? rng() >> 1 : rng() % (kMax32 + 1);
+    default: return rng() % 5000;
+  }
+}
+
+/// A random sequential stream through the packed ring and the 72-byte
+/// reference ring, comparing snapshot() and to_json() as it goes: several
+/// laps of a small ring, max_records trims (0, in range and past the
+/// capacity), generation and aired-mask changes. With `wide`, the 32-bit
+/// fields also go past UINT32_MAX, and the reference is fed the record as
+/// SlotRecord documents it reads back: each such field saturated.
+void run_against_reference(std::uint64_t seed, bool wide) {
+  std::mt19937_64 rng(seed);
+  const std::size_t capacity = 1 + rng() % 40;
+  const std::uint32_t slot_us = static_cast<std::uint32_t>(1 + rng() % 5000);
+  obs::SlotTimeline packed(capacity, slot_us);
+  SlotTimelineReference reference(capacity);
+  const std::uint64_t records = capacity * (3 + rng() % 4) + rng() % capacity;
+  obs::SlotRecord rec;
+  for (std::uint64_t s = 0; s < records; ++s) {
+    rec.slot = s;
+    rec.scheduled_us = static_cast<std::int64_t>(s * slot_us);
+    rec.actual_us =
+        rec.scheduled_us + static_cast<std::int64_t>(field_value(rng, wide));
+    rec.bytes_flushed = field_value(rng, wide);
+    rec.sessions = field_value(rng, wide);
+    rec.evictions = field_value(rng, wide);
+    if (rng() % 8 == 0) rec.generation = field_value(rng, wide);
+    if (rng() % 4 == 0) rec.aired_mask = rng() >> (rng() % 64);
+    packed.record(rec);
+    obs::SlotRecord expected = rec;
+    expected.actual_us =
+        rec.scheduled_us + static_cast<std::int64_t>(std::min<std::uint64_t>(
+                               static_cast<std::uint64_t>(rec.lag_us()),
+                               kMax32));
+    expected.bytes_flushed = std::min(rec.bytes_flushed, kMax32);
+    expected.sessions = std::min(rec.sessions, kMax32);
+    expected.evictions = std::min(rec.evictions, kMax32);
+    expected.generation = std::min(rec.generation, kMax32);
+    ASSERT_TRUE(wide || expected == rec);
+    reference.record(expected);
+    if (rng() % 4 == 0 || s + 1 == records) {
+      const std::size_t max_records = rng() % (capacity + 3);
+      ASSERT_EQ(packed.snapshot(max_records), reference.snapshot(max_records))
+          << "seed " << seed << " slot " << s;
+      ASSERT_EQ(packed.to_json(max_records), reference.to_json(max_records))
+          << "seed " << seed << " slot " << s;
+    }
+  }
+  EXPECT_EQ(packed.recorded(), reference.recorded());
+}
+
+TEST(SlotTimeline, MatchesTheReferenceRingOnRandomStreams) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed)
+    run_against_reference(seed, /*wide=*/false);
+}
+
+TEST(SlotTimeline, WideFieldsSaturateAtUint32Max) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed)
+    run_against_reference(seed, /*wide=*/true);
+
+  obs::SlotTimeline timeline(2, kSlotUs);
+  obs::SlotRecord rec;
+  rec.actual_us = -5;  // a negative lag reads back as 0
+  timeline.record(rec);
+  EXPECT_EQ(timeline.snapshot()[0].lag_us(), 0);
+}
+
 // ------------------------------------------------------------- watchdog
 
-/// Records one slot aired `lag_us` late at `now_us` in the timeline.
-void record_lag(obs::SlotTimeline& timeline, std::int64_t lag_us,
-                std::int64_t now_us) {
+/// Records the next slot, aired `lag_us` late, in the timeline.
+void record_lag(obs::SlotTimeline& timeline, std::int64_t lag_us) {
   obs::SlotRecord rec;
   rec.slot = timeline.recorded();
-  rec.scheduled_us = now_us - lag_us;
-  rec.actual_us = now_us;
+  rec.scheduled_us = static_cast<std::int64_t>(rec.slot * kSlotUs);
+  rec.actual_us = rec.scheduled_us + lag_us;
   timeline.record(rec);
 }
 
@@ -154,16 +249,16 @@ void record_lag(obs::SlotTimeline& timeline, std::int64_t lag_us,
 /// let the watchdog check its lag.
 void air(obs::SlotTimeline& timeline, obs::SloWatchdog& dog,
          std::int64_t lag_us, std::int64_t now_us) {
-  record_lag(timeline, lag_us, now_us);
+  record_lag(timeline, lag_us);
   dog.observe(static_cast<double>(lag_us), now_us);
 }
 
 constexpr std::int64_t kWindow = obs::kLagWindow;
 
 TEST(SloWatchdog, ConstantLagCollapsesAllPercentiles) {
-  obs::SlotTimeline timeline(4096);
+  obs::SlotTimeline timeline(4096, kSlotUs);
   EXPECT_EQ(obs::recent_lag_percentiles(timeline).p99_us, 0.0);  // no slots
-  for (std::int64_t i = 0; i + 1 < kWindow; ++i) record_lag(timeline, 250, i);
+  for (std::int64_t i = 0; i + 1 < kWindow; ++i) record_lag(timeline, 250);
   // Fewer than a window's records: the percentiles cover what there is.
   const obs::LagPercentiles lag = obs::recent_lag_percentiles(timeline);
   EXPECT_DOUBLE_EQ(lag.p50_us, 250.0);
@@ -172,8 +267,8 @@ TEST(SloWatchdog, ConstantLagCollapsesAllPercentiles) {
 }
 
 TEST(SloWatchdog, RampSeparatesTheTailFromTheMedian) {
-  obs::SlotTimeline timeline(4096);
-  for (std::int64_t i = 1; i <= kWindow; ++i) record_lag(timeline, i, i);
+  obs::SlotTimeline timeline(4096, kSlotUs);
+  for (std::int64_t i = 1; i <= kWindow; ++i) record_lag(timeline, i);
   const obs::LagPercentiles lag = obs::recent_lag_percentiles(timeline);
   // Nearest-rank over 1..256: the median sits mid-ramp, the tail at the top.
   EXPECT_GE(lag.p50_us, 120.0);
@@ -186,12 +281,12 @@ TEST(SloWatchdog, RampSeparatesTheTailFromTheMedian) {
 TEST(SloWatchdog, PercentilesAreTheNearestRankOfTheNewestWindowOnly) {
   // The timeline is the only store of lags: a window of huge lags that
   // has scrolled out must not leak into the next window's percentiles.
-  obs::SlotTimeline timeline(4096);
+  obs::SlotTimeline timeline(4096, kSlotUs);
   for (std::int64_t i = 0; i < kWindow; ++i)
-    record_lag(timeline, 1'000'000, i);
+    record_lag(timeline, 1'000'000);
   EXPECT_DOUBLE_EQ(obs::recent_lag_percentiles(timeline).p50_us, 1e6);
   for (std::int64_t i = 1; i <= kWindow; ++i)
-    record_lag(timeline, i, kWindow + i);
+    record_lag(timeline, i);
   const obs::LagPercentiles lag = obs::recent_lag_percentiles(timeline);
   // Ranks ceil(q * 256): 128, 254 (253.44 rounded up) and 256.
   EXPECT_DOUBLE_EQ(lag.p50_us, 128.0);
@@ -201,7 +296,7 @@ TEST(SloWatchdog, PercentilesAreTheNearestRankOfTheNewestWindowOnly) {
 
 TEST(SloWatchdog, BreachesCountAndWarningsAreRateLimited) {
   std::vector<std::string> warnings;
-  obs::SlotTimeline timeline(4096);
+  obs::SlotTimeline timeline(4096, kSlotUs);
   obs::SloWatchdog dog(500.0, [&](const std::string& message) {
     warnings.push_back(message);
   });
@@ -217,7 +312,7 @@ TEST(SloWatchdog, BreachesCountAndWarningsAreRateLimited) {
 
 TEST(SloWatchdog, ZeroThresholdDisablesBreachChecks) {
   bool warned = false;
-  obs::SlotTimeline timeline(4096);
+  obs::SlotTimeline timeline(4096, kSlotUs);
   obs::SloWatchdog dog(0.0, [&](const std::string&) { warned = true; });
   for (std::int64_t i = 0; i < kWindow; ++i)
     air(timeline, dog, 1'000'000'000, i);
@@ -230,7 +325,7 @@ TEST(SloWatchdog, CountsBreachesEvenWhenRecordingIsDisabled) {
   // visible on a scrape even when per-request recording is gated off.
   const bool was_enabled = obs::enabled();
   obs::set_enabled(false);
-  obs::SlotTimeline timeline(4096);
+  obs::SlotTimeline timeline(4096, kSlotUs);
   obs::SloWatchdog dog(10.0, [](const std::string&) {});
   for (std::int64_t i = 0; i < kWindow; ++i) air(timeline, dog, 40, i);
   obs::set_enabled(was_enabled);
