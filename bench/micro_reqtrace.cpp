@@ -8,7 +8,7 @@
 //     fetch_add claim plus six relaxed stores into a MAP_SHARED ring.
 //     ISSUE acceptance pins this within 2x of BM_TimelineRecord in
 //     micro_telemetry — both are one-cell ring appends.
-//   * BM_ReqEventFlightTrace — recorder open AND tracing on (`--out-dir`):
+//   * BM_ReqEventFlightTrace — recorder open AND tracing on (`--trace-out`):
 //     adds the Chrome-trace ring append, the full-instrumentation cost.
 //   * BM_FlightReplay — flight_load over a full ring, the postmortem
 //     (`tcsactl trace flight`) side; off the hot path but bounded.

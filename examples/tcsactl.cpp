@@ -10,13 +10,18 @@
 //   tcsactl --cmd simulate --workload workload.tcsa --requests 3000 < prog.tcsa
 //   tcsactl --cmd demo     (prints a sample workload document)
 //
-// Run artifacts (DESIGN.md §6): a sweep measures the Figure-5 grid on the
-// in-process worker pool and, with --out-dir, writes a manifest + metrics +
-// trace + points artifact set that the `obs` subcommands post-process:
+// Run artifacts (DESIGN.md §6): commands export a metrics snapshot
+// (--metrics-out; loadgen's --json-out) and a Chrome trace (--trace-out on
+// the --cmd commands, serve and tune) that describes itself — command,
+// host, pid, the wall clock of its trace epoch, and for `tune` the measured
+// clock offset to the server — so the `obs` and `trace` subcommands need
+// nothing else to post-process them:
 //
-//   tcsactl --cmd sweep --workload w.tcsa --out-dir run/
-//   tcsactl obs diff   --base a.json --current b.json --rel-tol 0.05
-//   tcsactl obs report --dir run/                  (markdown summary)
+//   tcsactl --cmd sweep --workload w.tcsa --metrics-out m.json
+//           --trace-out t.json
+//   tcsactl obs diff    --base a.json --current b.json --rel-tol 0.05
+//   tcsactl obs report  --metrics m.json            (markdown summary)
+//   tcsactl trace merge serve.trace.json tune.trace.json --out journey.json
 //
 // And the live side (DESIGN.md §7) — put a program on air, listen to it,
 // swap it without taking it off air:
@@ -31,15 +36,11 @@
 // Exit codes: 0 success, 1 operational failure (connection refused, invalid
 // program, metric drift), 2 usage error (unknown subcommand/flag, missing
 // required flag) with a usage hint on stderr.
-#include <dirent.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <climits>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <stdexcept>
 
@@ -122,154 +123,27 @@ void write_metrics_file(const std::string& path) {
              prometheus ? snap.to_prometheus() : snap.to_json());
 }
 
-void write_trace_file(const std::string& path) {
+/// Stops tracing and writes this process's Chrome trace, describing itself
+/// as `origin`, to `path`. Spans lost to ring overflow make the file
+/// incomplete, which is worth a warning wherever a trace is written.
+void write_trace_file(const std::string& path, const obs::TraceOrigin& origin) {
+  obs::set_tracing_enabled(false);
   std::string trace;
-  obs::write_chrome_trace(trace);
+  obs::write_chrome_trace(trace, origin);
   write_file(path, "trace file", trace);
+  if (const std::uint64_t dropped = obs::trace_spans_dropped(); dropped > 0)
+    print(stderr, "warning: ", dropped,
+          " spans were dropped by ring overflow; ", path, " is incomplete\n");
 }
 
 void write_text_file(const std::string& path, const std::string& text) {
   write_file(path, "file", text);
 }
 
-// The few path operations tcsactl needs, on POSIX calls: std::filesystem
-// links iostreams and std::locale (DESIGN.md §5). Failures read as
-// std::filesystem::filesystem_error's did.
-
-[[noreturn]] void throw_fs_error(const char* what, const std::string& path,
-                                 int error) {
-  throw std::runtime_error(std::string("filesystem error: ") + what + ": " +
-                           std::strerror(error) + " [" + path + "]");
-}
-
-/// `dir` / `name`, as std::filesystem::path's operator/ joins them.
-std::string path_join(const std::string& dir, const std::string& name) {
-  if (dir.empty() || name.starts_with('/')) return name;
-  return dir.ends_with('/') ? dir + name : dir + '/' + name;
-}
-
-bool path_exists(const std::string& path) {
-  struct stat st {};
-  return ::stat(path.c_str(), &st) == 0;
-}
-
-/// Creates `dir` and its missing parents (mkdir -p).
-void create_directories(const std::string& dir) {
-  for (std::size_t end = dir.find('/', 1);; end = dir.find('/', end + 1)) {
-    const std::string prefix = dir.substr(0, end);
-    if (::mkdir(prefix.c_str(), 0777) != 0 && errno != EEXIST)
-      throw_fs_error("cannot create directories", dir, errno);
-    if (end == std::string::npos) break;
-  }
-  struct stat st {};
-  if (::stat(dir.c_str(), &st) != 0 || !S_ISDIR(st.st_mode))
-    throw_fs_error("cannot create directories", dir, ENOTDIR);
-}
-
-/// The names in `dir`, in directory order, without "." and "..".
-std::vector<std::string> list_directory(const std::string& dir) {
-  const std::unique_ptr<DIR, int (*)(DIR*)> handle(::opendir(dir.c_str()),
-                                                   &::closedir);
-  if (!handle)
-    throw_fs_error("directory iterator cannot open directory", dir, errno);
-  std::vector<std::string> names;
-  while (const dirent* entry = ::readdir(handle.get())) {
-    const std::string_view name = entry->d_name;
-    if (name != "." && name != "..") names.emplace_back(name);
-  }
-  return names;
-}
-
-/// Unique-enough run id for a manifest written without --run-id.
-std::string default_run_id() {
-  return str_cat("run-", hex(obs::trace_epoch_wall_us()), '-', ::getpid());
-}
-
-// --------------------------------------------------------- artifact sets
-
-/// What one command writes into its --out-dir: <stem>.manifest.json plus
-/// whichever of <stem>.{metrics,trace,points}.json it has. Callers may
-/// omit only fields with a default (-Wmissing-field-initializers).
-struct ArtifactSet {
-  std::string stem;
-  std::string command;     ///< manifest "command"
-  std::string digest;      ///< manifest "config_digest"
-  std::string metrics_json = {};  ///< empty = no metrics file
-  bool trace = false;             ///< stop tracing, write the Chrome trace
-  std::string points_json = {};   ///< empty = no points file
-};
-
-/// Writes `set` into the directory of --out-dir, stamped with --run-id (or
-/// a fresh id), manifest last so a reader never sees it name a missing file.
-void write_artifact_set(const Cli& cli, const ArtifactSet& set) {
-  const std::string dir = cli.get_string("out-dir");
-  create_directories(dir);
-  std::string run_id = cli.get_string("run-id");
-  if (run_id.empty()) run_id = default_run_id();
-  obs::RunManifest manifest =
-      obs::make_manifest(run_id, set.digest, set.command);
-  const auto file = [&set](const char* kind) {
-    return set.stem + "." + kind + ".json";
-  };
-  if (!set.metrics_json.empty()) {
-    manifest.metrics_file = file("metrics");
-    write_text_file(dir + "/" + manifest.metrics_file, set.metrics_json);
-  }
-  if (set.trace) {
-    manifest.trace_file = file("trace");
-    obs::set_tracing_enabled(false);
-    write_trace_file(dir + "/" + manifest.trace_file);
-  }
-  if (!set.points_json.empty()) {
-    manifest.points_file = file("points");
-    write_text_file(dir + "/" + manifest.points_file, set.points_json);
-  }
-  write_text_file(dir + "/" + file("manifest"),
-                  obs::manifest_to_json(manifest));
-}
-
-/// One <stem>.manifest.json found in a run directory.
-struct FoundManifest {
-  std::string stem;
-  obs::RunManifest manifest;
-};
-
-/// Parses every *.manifest.json in `dir`, in directory order.
-std::vector<FoundManifest> read_manifests(const std::string& dir) {
-  constexpr std::string_view kSuffix = ".manifest.json";
-  std::vector<FoundManifest> found;
-  for (const std::string& name : list_directory(dir)) {
-    if (!name.ends_with(kSuffix)) continue;
-    found.push_back(
-        {name.substr(0, name.size() - kSuffix.size()),
-         obs::manifest_from_json(slurp_file(path_join(dir, name)))});
-  }
-  return found;
-}
-
-/// The one manifest in run directory `dir`. None, or several (artifacts of
-/// more than one run), is a usage error that names what was found.
-obs::RunManifest the_manifest(const std::string& dir) {
-  std::vector<FoundManifest> found = read_manifests(dir);
-  if (found.empty())
-    throw std::invalid_argument("no *.manifest.json artifacts in " + dir);
-  if (found.size() > 1) {
-    std::vector<std::string> names;
-    for (const FoundManifest& f : found)
-      names.push_back(f.stem + ".manifest.json");
-    std::sort(names.begin(), names.end());
-    std::string message = str_cat(dir, " holds ", names.size(),
-                                  " manifests, one run expected:");
-    for (const std::string& name : names) str_append(message, ' ', name);
-    throw std::invalid_argument(message);
-  }
-  return std::move(found.front().manifest);
-}
-
 // ------------------------------------------------------ the sweep command
 
 /// Measures the sweep grid on the in-process worker pool (one thread per
-/// hardware thread) and, with --out-dir, writes its artifact set.
+/// hardware thread).
 int run_sweep_command(const Cli& cli) {
   const Workload w = workload_from(cli.get_string("workload"));
   SweepConfig config;
@@ -278,9 +152,6 @@ int run_sweep_command(const Cli& cli) {
   if (const SlotCount channels = cli.get_int("channels"); channels > 0)
     config.max_channels = channels;
 
-  const std::string out_dir = cli.get_string("out-dir");
-  // Artifact runs capture a trace alongside the metrics delta.
-  if (!out_dir.empty()) obs::set_tracing_enabled(true);
   const SweepReport report = run_sweep_with_metrics(w, config, 0);
 
   std::string table = "channels method    AvgD      predicted  miss%     p95\n";
@@ -297,34 +168,6 @@ int run_sweep_command(const Cli& cli) {
         report.metrics.counter_value("tcsa_sim_requests_total"),
         " simulated requests\n");
 
-  if (!out_dir.empty()) {
-    std::vector<obs::SweepPointRecord> records;
-    records.reserve(report.points.size());
-    for (const SweepPoint& p : report.points) {
-      obs::SweepPointRecord r;
-      r.channels = static_cast<std::int64_t>(p.channels);
-      r.method = method_name(p.method);
-      r.avg_delay = p.avg_delay;
-      r.predicted_delay = p.predicted_delay;
-      r.miss_rate = p.miss_rate;
-      r.p95_delay = p.p95_delay;
-      r.t_major = static_cast<std::int64_t>(p.t_major);
-      r.window_overflows = static_cast<std::int64_t>(p.window_overflows);
-      records.push_back(std::move(r));
-    }
-    write_artifact_set(cli, {.stem = "sweep",
-                             .command = "sweep",
-                             .digest = sweep_config_digest(w, config),
-                             .metrics_json = report.metrics.to_json(),
-                             .trace = true,
-                             .points_json = obs::points_to_json(records)});
-    if (const std::uint64_t dropped = report.metrics.counter_value(
-            "tcsa_trace_spans_dropped_total");
-        dropped > 0)
-      print(stderr, "warning: ", dropped,
-            " spans were dropped by ring overflow; ", out_dir,
-            "/sweep.trace.json is incomplete\n");
-  }
   return 0;
 }
 
@@ -361,11 +204,9 @@ int serve_main(int argc, const char* const* argv) {
   cli.add_string("metrics-out", "",
                  "write a metrics snapshot to FILE when going off air "
                  "(JSON; Prometheus text if FILE ends in .prom)");
-  cli.add_string("trace-out", "", "write a Chrome trace to FILE");
-  cli.add_string("out-dir", "",
-                 "write a manifest + metrics + trace artifact set into DIR "
-                 "(summarise with 'tcsactl obs report --dir DIR')");
-  cli.add_string("run-id", "", "artifact run id (default: clock + pid)");
+  cli.add_string("trace-out", "",
+                 "write a Chrome trace to FILE when going off air (the "
+                 "reference timeline of 'tcsactl trace merge')");
   cli.add_int("admin-port", -1,
               "serve /metrics, /metrics.json, /healthz and /slots over HTTP "
               "on this port (0 = ephemeral, -1 = no admin endpoint)");
@@ -424,21 +265,10 @@ int serve_main(int argc, const char* const* argv) {
   Workload workload = workload_from(cli.get_string("workload"));
   const std::string metrics_out = cli.get_string("metrics-out");
   const std::string trace_out = cli.get_string("trace-out");
-  const std::string out_dir = cli.get_string("out-dir");
-  if (!metrics_out.empty() || !out_dir.empty()) obs::set_enabled(true);
   // A live admin endpoint is a standing request for metrics: scrapes of a
   // server that never wrote an export file must still see real counters.
-  if (config.admin_port >= 0) obs::set_enabled(true);
-  if (!trace_out.empty() || !out_dir.empty()) obs::set_tracing_enabled(true);
-  // Only --out-dir's manifest reads the digest; the server takes the
-  // workload, so it is hashed here, and only when it will be read.
-  const std::string digest =
-      out_dir.empty()
-          ? std::string()
-          : obs::fnv1a_digest(workload_to_string(workload) +
-                              "|channels=" + std::to_string(config.channels) +
-                              "|method=" + cli.get_string("method") +
-                              "|slot_us=" + std::to_string(config.slot_us));
+  if (!metrics_out.empty() || config.admin_port >= 0) obs::set_enabled(true);
+  if (!trace_out.empty()) obs::set_tracing_enabled(true);
 
   AirServer server(std::move(workload), config);
   if (const std::string port_file = cli.get_string("port-file");
@@ -468,16 +298,8 @@ int serve_main(int argc, const char* const* argv) {
         server.sessions_evicted(), " evictions)\n");
 
   if (!metrics_out.empty()) write_metrics_file(metrics_out);
-  if (!trace_out.empty()) {
-    obs::set_tracing_enabled(false);
-    write_trace_file(trace_out);
-  }
-  if (!out_dir.empty())
-    write_artifact_set(cli, {.stem = "serve",
-                             .command = "serve",
-                             .digest = digest,
-                             .metrics_json = obs::snapshot().to_json(),
-                             .trace = true});
+  if (!trace_out.empty())
+    write_trace_file(trace_out, obs::this_process("serve"));
   return 0;
 }
 
@@ -525,11 +347,10 @@ int tune_main(int argc, const char* const* argv) {
               "to a pull request (0 = each page's own promised wait t_p; "
               "-1 = classic immediate requests)");
   cli.add_flag("json", "print the summary as one JSON object on stdout");
-  cli.add_string("out-dir", "",
-                 "write a manifest + request trace + clock-offset sidecar "
-                 "into DIR (fuse with the server's via 'tcsactl trace "
-                 "merge')");
-  cli.add_string("run-id", "", "artifact run id (default: clock + pid)");
+  cli.add_string("trace-out", "",
+                 "write a Chrome trace of the request journeys, with the "
+                 "measured clock offset to the server, to FILE (fuse with "
+                 "the server's via 'tcsactl trace merge')");
   if (!cli.parse(argc, argv)) return 0;
 
   TuneClient::Options options;
@@ -548,8 +369,8 @@ int tune_main(int argc, const char* const* argv) {
   const long long patience = cli.get_int("patience-slots");
   if (patience < -1)
     throw std::invalid_argument("tune: --patience-slots must be >= -1");
-  const std::string out_dir = cli.get_string("out-dir");
-  if (!out_dir.empty()) obs::set_tracing_enabled(true);
+  const std::string trace_out = cli.get_string("trace-out");
+  if (!trace_out.empty()) obs::set_tracing_enabled(true);
 
   TuneClient client(options);
   print(stderr, "tcsactl tune: generation ", client.generation(), ", ",
@@ -558,26 +379,11 @@ int tune_main(int argc, const char* const* argv) {
         client.tune_in_slot(), '\n');
   client.run(slots, requests, patience);
   const TuneSummary summary = client.summary();
-  if (!out_dir.empty()) {
-    write_artifact_set(
-        cli, {.stem = "tune",
-              .command = "tune",
-              .digest = obs::fnv1a_digest(
-                  "tune|host=" + options.host +
-                  "|port=" + std::to_string(options.port) +
-                  "|requests=" + std::to_string(requests)),
-              .trace = true});
-    write_text_file(out_dir + "/tune.summary.json", summary.to_json() + "\n");
-    // Clock-offset sidecar: 'tcsactl trace merge' picks up
-    // <stem>.offset.json next to <stem>.manifest.json and corrects this
-    // client's timeline by the measured offset.
-    const TuneRequestStats& r = summary.requests;
-    write_text_file(
-        out_dir + "/tune.offset.json",
-        std::string("{\"schema\": \"tcsa-clock-offset/v1\", ") +
-            "\"offset_us\": " + std::to_string(r.clock_offset_us) +
-            ", \"rtt_us\": " + std::to_string(r.clock_rtt_us) +
-            ", \"samples\": " + std::to_string(r.clock_samples) + "}\n");
+  if (!trace_out.empty()) {
+    obs::TraceOrigin origin = obs::this_process("tune");
+    origin.clock_offset_us = summary.requests.clock_offset_us;
+    origin.clock_samples = summary.requests.clock_samples;
+    write_trace_file(trace_out, origin);
   }
   if (cli.get_flag("json")) {
     print(stdout, summary.to_json(), '\n');
@@ -697,10 +503,6 @@ int loadgen_main(int argc, const char* const* argv) {
   cli.add_string("json-out", "",
                  "write the report to FILE as a metrics-snapshot JSON "
                  "document (diffable with 'tcsactl obs diff')");
-  cli.add_string("out-dir", "",
-                 "write a manifest + metrics artifact set into DIR "
-                 "(summarise with 'tcsactl obs report --dir DIR')");
-  cli.add_string("run-id", "", "artifact run id (default: clock + pid)");
   if (!cli.parse(argc, argv)) return 0;
 
   LoadGenConfig config;
@@ -757,15 +559,6 @@ int loadgen_main(int argc, const char* const* argv) {
   if (const std::string json_out = cli.get_string("json-out");
       !json_out.empty())
     write_text_file(json_out, report.to_json());
-  if (!cli.get_string("out-dir").empty())
-    write_artifact_set(
-        cli, {.stem = "loadgen",
-              .command = "loadgen",
-              .digest = obs::fnv1a_digest(
-                  "loadgen|sessions=" + std::to_string(config.sessions) +
-                  "|threads=" + std::to_string(config.threads) +
-                  "|duration_ms=" + std::to_string(config.duration_ms)),
-              .metrics_json = report.to_json()});
 
   if (report.sessions_connected == 0) {
     print(stderr, "tcsactl loadgen: no session ever connected\n");
@@ -918,40 +711,16 @@ int obs_diff(int argc, const char* const* argv) {
   return 0;
 }
 
-/// `tcsactl obs report --dir RUN/` (or --metrics FILE [--points FILE]) →
-/// markdown summary on stdout.
+/// `tcsactl obs report --metrics FILE` → markdown summary on stdout.
 int obs_report(int argc, const char* const* argv) {
   Cli cli("tcsactl obs report", "render a markdown run summary");
-  cli.add_string("dir", "",
-                 "run directory holding one *.manifest.json and its "
-                 "artifacts");
-  cli.add_string("metrics", "", "metrics snapshot JSON (without --dir)");
-  cli.add_string("points", "", "points JSON to tabulate (without --dir)");
+  cli.add_string("metrics", "", "metrics snapshot JSON (--metrics-out)");
   if (!cli.parse(argc, argv)) return 0;
-  const std::string dir = cli.get_string("dir");
-  if (!dir.empty()) {
-    const obs::RunManifest manifest = the_manifest(dir);
-    const obs::MetricsSnapshot metrics =
-        manifest.metrics_file.empty()
-            ? obs::MetricsSnapshot{}
-            : obs::snapshot_from_json(
-                  slurp_file(path_join(dir, manifest.metrics_file)));
-    std::vector<obs::SweepPointRecord> points;
-    if (!manifest.points_file.empty())
-      points = obs::points_from_json(
-          slurp_file(path_join(dir, manifest.points_file)));
-    print(stdout, obs::report_markdown(metrics, &manifest, points));
-    return 0;
-  }
   const std::string metrics_path = cli.get_string("metrics");
   if (metrics_path.empty())
-    throw std::invalid_argument("obs report needs --dir or --metrics");
-  std::vector<obs::SweepPointRecord> points;
-  if (const std::string p = cli.get_string("points"); !p.empty())
-    points = obs::points_from_json(slurp_file(p));
+    throw std::invalid_argument("obs report needs --metrics FILE");
   print(stdout, obs::report_markdown(
-                    obs::snapshot_from_json(slurp_file(metrics_path)),
-                    nullptr, points));
+                    obs::snapshot_from_json(slurp_file(metrics_path))));
   return 0;
 }
 
@@ -969,74 +738,44 @@ int obs_main(int argc, const char* const* argv) {
 
 // --------------------------------------------- trace subcommand family
 
-/// `tcsactl trace merge --dir DIR` — fuse the server's and the clients'
-/// request traces onto one timeline. Serve and tune are separate runs with
-/// their own run ids and config digests: this pairs every *.manifest.json
-/// with its trace, puts the server first (it is the clock reference), and
-/// corrects each client's timestamps by its measured clock offset
-/// (<stem>.offset.json, written by `tcsactl tune --out-dir`).
+/// `tcsactl trace merge TRACE... [--out FILE]` — fuse the server's and the
+/// clients' traces onto one timeline. Each file describes itself, so the
+/// server (the clock reference) is found by its command and each client is
+/// corrected by the clock offset it measured.
 int trace_merge(int argc, const char* const* argv) {
-  Cli cli("tcsactl trace merge",
-          "fuse client + server request traces into one Chrome trace with "
-          "measured clock-offset alignment");
-  cli.add_string("dir", "",
-                 "directory holding serve + tune manifests/traces "
-                 "(+ optional *.offset.json sidecars)");
-  cli.add_string("out", "", "output file (default: DIR/journey.trace.json)");
-  if (!cli.parse(argc, argv)) return 0;
-  const std::string dir = cli.get_string("dir");
-  if (dir.empty()) throw std::invalid_argument("trace merge needs --dir DIR");
-  std::string out = cli.get_string("out");
-  if (out.empty()) out = dir + "/journey.trace.json";
-
-  std::vector<FoundManifest> found = read_manifests(dir);
-  std::erase_if(found, [](const FoundManifest& f) {
-    return f.manifest.trace_file.empty();
-  });
-  if (found.empty())
-    throw std::invalid_argument("no *.manifest.json with a trace in " + dir);
-  // The serving process is the reference timeline: its trace lands first
-  // and offsets are corrections towards its clock.
-  std::stable_sort(found.begin(), found.end(),
-                   [](const FoundManifest& a, const FoundManifest& b) {
-                     return (a.manifest.command == "serve") >
-                            (b.manifest.command == "serve");
-                   });
-  const std::uint64_t reference_wall = found.front().manifest.wall_epoch_us;
-
-  std::vector<obs::ProcessTrace> traces;
-  std::uint64_t corrected = 0;
-  for (std::size_t i = 0; i < found.size(); ++i) {
-    obs::ProcessTrace trace;
-    trace.manifest = found[i].manifest;
-    trace.trace_json =
-        slurp_file(path_join(dir, found[i].manifest.trace_file));
-    const std::string sidecar =
-        path_join(dir, found[i].stem + ".offset.json");
-    if (i > 0 && path_exists(sidecar)) {
-      const obs::JsonValue doc = obs::json_parse(slurp_file(sidecar))
-                                     .expect_object("offset sidecar");
-      if (doc.at("schema").expect_string("schema") != "tcsa-clock-offset/v1")
-        throw std::invalid_argument("unknown offset sidecar schema in " +
-                                    sidecar);
-      if (doc.at("samples").expect_uint("samples") > 0) {
-        // The estimator measured (reference trace clock - our trace clock).
-        // The merge already shifts by the wall-epoch difference, so the
-        // correction is the measured offset minus what the wall clocks
-        // claimed; with honest same-host clocks it collapses to ~0.
-        const auto measured = static_cast<std::int64_t>(
-            doc.at("offset_us").expect_number("offset_us"));
-        trace.clock_offset_us =
-            measured - static_cast<std::int64_t>(
-                           trace.manifest.wall_epoch_us - reference_wall);
-        ++corrected;
-      }
+  // Trace files are positional; Cli takes the flags, of which only --out
+  // has a value.
+  std::vector<std::string> paths;
+  std::vector<const char*> flags = {argv[0]};
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (!arg.starts_with('-')) {
+      paths.emplace_back(arg);
+      continue;
     }
-    traces.push_back(std::move(trace));
+    flags.push_back(argv[i]);
+    if (arg == "--out" && i + 1 < argc) flags.push_back(argv[++i]);
   }
-  write_text_file(out, obs::merge_chrome_traces(traces));
+  Cli cli("tcsactl trace merge TRACE...",
+          "fuse serve + tune --trace-out files into one Chrome trace with "
+          "measured clock-offset alignment");
+  cli.add_string("out", "", "output file (default: standard output)");
+  if (!cli.parse(static_cast<int>(flags.size()), flags.data())) return 0;
+  if (paths.empty())
+    throw std::invalid_argument("trace merge needs one or more trace files");
+
+  std::vector<obs::TraceFile> traces;
+  for (const std::string& path : paths)
+    traces.push_back({path, slurp_file(path, "trace file")});
+  const obs::MergedTrace merged = obs::merge_chrome_traces(traces);
+  const std::string out = cli.get_string("out");
+  if (out.empty())
+    print(stdout, merged.json);
+  else
+    write_text_file(out, merged.json);
   print(stderr, "trace merge: fused ", traces.size(), " timelines (",
-        corrected, " clock-corrected) -> ", out, '\n');
+        merged.clock_corrected, " clock-corrected) -> ",
+        out.empty() ? "standard output" : out, '\n');
   return 0;
 }
 
@@ -1230,8 +969,10 @@ int stat_main(int argc, const char* const* argv) {
     host = target.substr(0, colon);
     port_text = target.substr(colon + 1);
   }
-  const long long port = std::atoll(port_text.c_str());
-  if (port < 1 || port > 65535)
+  long long port = 0;
+  const auto [end, error] = parse_int_prefix(port_text, port);
+  if (error != std::errc() || end != port_text.data() + port_text.size() ||
+      port < 1 || port > 65535)
     throw std::invalid_argument("stat: bad port in target '" + target + "'");
 
   const long long watch_s = cli.get_int("watch");
@@ -1290,11 +1031,6 @@ int run(int argc, const char* const* argv) {
   cli.add_string("trace-out", "",
                  "write a Chrome trace_event JSON timeline of this run to "
                  "FILE (load in chrome://tracing or Perfetto)");
-  cli.add_string("out-dir", "",
-                 "with --cmd sweep: write sweep.{manifest,metrics,trace,"
-                 "points}.json into DIR");
-  cli.add_string("run-id", "",
-                 "artifact run id (default: minted from clock + pid)");
   if (!cli.parse(argc, argv)) return 0;
 
   const std::string metrics_out = cli.get_string("metrics-out");
@@ -1304,7 +1040,8 @@ int run(int argc, const char* const* argv) {
 
   const int rc = dispatch(cli);
   if (!metrics_out.empty()) write_metrics_file(metrics_out);
-  if (!trace_out.empty()) write_trace_file(trace_out);
+  if (!trace_out.empty())
+    write_trace_file(trace_out, obs::this_process(cli.get_string("cmd")));
   return rc;
 }
 

@@ -42,9 +42,6 @@ class LoopGroup {
   EventLoop& loop(std::size_t index) { return *loops_[index]; }
   const EventLoop& loop(std::size_t index) const { return *loops_[index]; }
 
-  /// The caller-driven loop (index 0).
-  EventLoop& primary() { return *loops_[0]; }
-
   /// Spawns one thread per worker loop (indices 1..size()-1), each running
   /// `body(index)`. `body` must return only when that loop is done (the
   /// server's body polls until a stop token arrives). No-op when size()==1.

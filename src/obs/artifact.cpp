@@ -1,14 +1,11 @@
 #include "obs/artifact.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <map>
 
 #include "obs/json.hpp"
-#include "obs/trace.hpp"
 #include "util/contracts.hpp"
 
 // Build provenance: the CMake configure step captures `git describe` into
@@ -20,8 +17,6 @@
 namespace tcsa::obs {
 namespace {
 
-constexpr const char* kManifestSchema = "tcsa-run-manifest/v2";
-
 /// Fixed-width helper for report tables (3 significant decimals).
 std::string format_fixed(double value) {
   char buf[32];
@@ -29,94 +24,9 @@ std::string format_fixed(double value) {
   return buf;
 }
 
-void append_kv(std::string& out, const char* key, const std::string& value,
-               bool last = false) {
-  out += "  \"";
-  out += key;
-  out += "\": \"";
-  out += json_escape(value);
-  out += last ? "\"\n" : "\",\n";
-}
-
-void append_kv_int(std::string& out, const char* key, std::int64_t value,
-                   bool last = false) {
-  out += "  \"";
-  out += key;
-  out += "\": ";
-  out += std::to_string(value);
-  out += last ? "\n" : ",\n";
-}
-
 }  // namespace
 
-// --------------------------------------------------------------- manifest
-
-std::string fnv1a_digest(std::string_view canon) {
-  std::uint64_t hash = 1469598103934665603ULL;  // FNV offset basis
-  for (const char c : canon) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;  // FNV prime
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "fnv1a-%016llx",
-                static_cast<unsigned long long>(hash));
-  return buf;
-}
-
 const char* build_git_describe() noexcept { return TCSA_GIT_DESCRIBE; }
-
-RunManifest make_manifest(const std::string& run_id,
-                          const std::string& config_digest,
-                          const std::string& command) {
-  RunManifest manifest;
-  manifest.run_id = run_id;
-  manifest.config_digest = config_digest;
-  manifest.command = command;
-  char host[256] = {};
-  if (::gethostname(host, sizeof host - 1) == 0) manifest.hostname = host;
-  manifest.git_describe = TCSA_GIT_DESCRIBE;
-  manifest.os_pid = static_cast<std::int64_t>(::getpid());
-  manifest.wall_epoch_us = trace_epoch_wall_us();
-  return manifest;
-}
-
-std::string manifest_to_json(const RunManifest& manifest) {
-  std::string out = "{\n";
-  append_kv(out, "schema", kManifestSchema);
-  append_kv(out, "run_id", manifest.run_id);
-  append_kv(out, "config_digest", manifest.config_digest);
-  append_kv(out, "command", manifest.command);
-  append_kv(out, "hostname", manifest.hostname);
-  append_kv(out, "git_describe", manifest.git_describe);
-  append_kv_int(out, "os_pid", manifest.os_pid);
-  append_kv_int(out, "wall_epoch_us",
-                static_cast<std::int64_t>(manifest.wall_epoch_us));
-  append_kv(out, "metrics_file", manifest.metrics_file);
-  append_kv(out, "trace_file", manifest.trace_file);
-  append_kv(out, "points_file", manifest.points_file, /*last=*/true);
-  out += "}\n";
-  return out;
-}
-
-RunManifest manifest_from_json(const std::string& json) {
-  const JsonValue doc = json_parse(json).expect_object("manifest");
-  TCSA_REQUIRE(doc.at("schema").expect_string("schema") == kManifestSchema,
-               "manifest: unknown schema tag");
-  RunManifest manifest;
-  manifest.run_id = doc.at("run_id").expect_string("run_id");
-  manifest.config_digest =
-      doc.at("config_digest").expect_string("config_digest");
-  manifest.command = doc.at("command").expect_string("command");
-  manifest.hostname = doc.at("hostname").expect_string("hostname");
-  manifest.git_describe =
-      doc.at("git_describe").expect_string("git_describe");
-  manifest.os_pid = doc.at("os_pid").expect_int("os_pid");
-  manifest.wall_epoch_us = doc.at("wall_epoch_us").expect_uint("wall_epoch_us");
-  manifest.metrics_file = doc.at("metrics_file").expect_string("metrics_file");
-  manifest.trace_file = doc.at("trace_file").expect_string("trace_file");
-  manifest.points_file = doc.at("points_file").expect_string("points_file");
-  return manifest;
-}
 
 // -------------------------------------------------------- snapshot import
 
@@ -215,86 +125,6 @@ bool snapshots_equal(const MetricsSnapshot& a, const MetricsSnapshot& b) {
     if (!(mine.values == h.values) || mine.sum != h.sum) return false;
   }
   return true;
-}
-
-// ------------------------------------------------------------ trace merge
-
-std::string merge_chrome_traces(const std::vector<ProcessTrace>& traces) {
-  TCSA_REQUIRE(!traces.empty(), "merge_chrome_traces: no traces");
-  std::uint64_t base_wall = traces.front().manifest.wall_epoch_us;
-  for (const ProcessTrace& trace : traces)
-    base_wall = std::min(base_wall, trace.manifest.wall_epoch_us);
-
-  struct MergedEvent {
-    std::uint64_t ts = 0;
-    std::string json;
-  };
-  std::vector<MergedEvent> events;
-  std::string metadata;
-  for (std::size_t position = 0; position < traces.size(); ++position) {
-    const ProcessTrace& trace = traces[position];
-    const RunManifest& m = trace.manifest;
-    // Wall-epoch shift plus the trace's measured clock correction. Signed:
-    // a process whose clock runs ahead corrects backwards, clamped at the
-    // merged origin so the document stays a valid Chrome trace.
-    const std::int64_t shift =
-        static_cast<std::int64_t>(m.wall_epoch_us - base_wall) +
-        trace.clock_offset_us;
-    // Every process wrote pid 1: re-key by position, collision-free.
-    const std::int64_t pid = static_cast<std::int64_t>(position) + 1;
-
-    // Perfetto/chrome://tracing shows this as the process title.
-    metadata += "  {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": " +
-                std::to_string(pid) +
-                ", \"tid\": 0, \"args\": {\"name\": \"" +
-                json_escape(m.command) + " · " + json_escape(m.hostname) +
-                " pid " + std::to_string(m.os_pid) + "\"}},\n";
-
-    const JsonValue doc =
-        json_parse(trace.trace_json).expect_object("trace document");
-    for (const JsonValue& raw :
-         doc.at("traceEvents").expect_array("traceEvents").array) {
-      JsonValue event = raw.expect_object("trace event");
-      const std::int64_t shifted =
-          static_cast<std::int64_t>(event.at("ts").expect_uint("event ts")) +
-          shift;
-      const std::uint64_t ts =
-          shifted < 0 ? 0 : static_cast<std::uint64_t>(shifted);
-      bool saw_pid = false;
-      for (auto& [key, member] : event.object) {
-        if (key == "ts") {
-          member.is_uint = true;
-          member.uint_value = ts;
-          member.number = static_cast<double>(ts);
-        } else if (key == "pid") {
-          member.is_uint = true;
-          member.uint_value = static_cast<std::uint64_t>(pid);
-          member.number = static_cast<double>(pid);
-          saw_pid = true;
-        }
-      }
-      TCSA_REQUIRE(saw_pid, "merge_chrome_traces: event without pid");
-      events.push_back({ts, "  " + json_serialize(event)});
-    }
-  }
-  std::stable_sort(events.begin(), events.end(),
-                   [](const MergedEvent& a, const MergedEvent& b) {
-                     return a.ts < b.ts;
-                   });
-
-  std::string out = "{\"traceEvents\": [\n";
-  out += metadata;
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    out += events[i].json;
-    out += i + 1 == events.size() ? "\n" : ",\n";
-  }
-  if (events.empty() && !metadata.empty()) {
-    // Trim the trailing ",\n" the metadata loop appended.
-    out.erase(out.size() - 2);
-    out += "\n";
-  }
-  out += "], \"displayTimeUnit\": \"ms\"}\n";
-  return out;
 }
 
 // ------------------------------------------------------------------- diff
@@ -407,62 +237,10 @@ MetricsSnapshot counters_from_json_document(const std::string& json) {
   return snap;
 }
 
-// ----------------------------------------------------------------- points
-
-std::string points_to_json(const std::vector<SweepPointRecord>& points) {
-  std::string out = "{\n  \"points\": [";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const SweepPointRecord& p = points[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "    {\"channels\": " + std::to_string(p.channels) +
-           ", \"method\": \"" + json_escape(p.method) +
-           "\", \"avg_delay\": " + json_number(p.avg_delay) +
-           ", \"predicted_delay\": " + json_number(p.predicted_delay) +
-           ", \"miss_rate\": " + json_number(p.miss_rate) +
-           ", \"p95_delay\": " + json_number(p.p95_delay) +
-           ", \"t_major\": " + std::to_string(p.t_major) +
-           ", \"window_overflows\": " + std::to_string(p.window_overflows) +
-           "}";
-  }
-  out += "\n  ]\n}\n";
-  return out;
-}
-
-std::vector<SweepPointRecord> points_from_json(const std::string& json) {
-  const JsonValue doc = json_parse(json).expect_object("points document");
-  std::vector<SweepPointRecord> points;
-  for (const JsonValue& raw : doc.at("points").expect_array("points").array) {
-    const JsonValue& obj = raw.expect_object("point");
-    SweepPointRecord p;
-    p.channels = obj.at("channels").expect_int("channels");
-    p.method = obj.at("method").expect_string("method");
-    p.avg_delay = obj.at("avg_delay").expect_number("avg_delay");
-    p.predicted_delay =
-        obj.at("predicted_delay").expect_number("predicted_delay");
-    p.miss_rate = obj.at("miss_rate").expect_number("miss_rate");
-    p.p95_delay = obj.at("p95_delay").expect_number("p95_delay");
-    p.t_major = obj.at("t_major").expect_int("t_major");
-    p.window_overflows =
-        obj.at("window_overflows").expect_int("window_overflows");
-    points.push_back(std::move(p));
-  }
-  return points;
-}
-
 // ----------------------------------------------------------------- report
 
-std::string report_markdown(const MetricsSnapshot& metrics,
-                            const RunManifest* manifest,
-                            const std::vector<SweepPointRecord>& points) {
+std::string report_markdown(const MetricsSnapshot& metrics) {
   std::string out = "# TCSA run report\n";
-
-  if (manifest != nullptr)
-    out += "\nRun `" + manifest->run_id + "` — command `" + manifest->command +
-           "`, config digest `" + manifest->config_digest + "`, build `" +
-           manifest->git_describe + "`, host " + manifest->hostname +
-           " pid " + std::to_string(manifest->os_pid) +
-           ", trace epoch " + std::to_string(manifest->wall_epoch_us) +
-           " µs (wall).\n";
 
   const std::uint64_t requests =
       metrics.counter_value("tcsa_sim_requests_total");
@@ -474,18 +252,6 @@ std::string report_markdown(const MetricsSnapshot& metrics,
                         static_cast<double>(requests)) +
            "%** (" + std::to_string(misses) + " of " +
            std::to_string(requests) + " simulated requests).\n";
-
-  if (!points.empty()) {
-    out += "\n## Sweep points\n\n";
-    out += "| channels | method | AvgD | predicted | miss % | p95 |\n";
-    out += "|---:|---|---:|---:|---:|---:|\n";
-    for (const SweepPointRecord& p : points)
-      out += "| " + std::to_string(p.channels) + " | " + p.method + " | " +
-             format_fixed(p.avg_delay) + " | " +
-             format_fixed(p.predicted_delay) + " | " +
-             format_fixed(100.0 * p.miss_rate) + " | " +
-             format_fixed(p.p95_delay) + " |\n";
-  }
 
   if (!metrics.counters.empty()) {
     out += "\n## Counters\n\n| counter | value |\n|---|---:|\n";

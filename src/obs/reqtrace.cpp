@@ -116,7 +116,6 @@ bool FlightRecorder::open(const std::string& path, std::uint32_t capacity) {
   // Magic last: a replay never mistakes a half-initialized file for a ring.
   hdr->magic = kFlightMagic;
   fd_ = fd;
-  path_ = path;
   map_bytes_ = bytes;
   capacity_ = capacity;
   error_.clear();

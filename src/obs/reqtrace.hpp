@@ -196,7 +196,6 @@ class FlightRecorder {
   /// Total records ever written to the open ring (0 while closed).
   std::uint64_t recorded() const noexcept;
 
-  const std::string& file_path() const noexcept { return path_; }
   const std::string& error() const noexcept { return error_; }
 
  private:
@@ -204,7 +203,6 @@ class FlightRecorder {
   std::size_t map_bytes_ = 0;
   std::uint32_t capacity_ = 0;
   int fd_ = -1;
-  std::string path_;
   std::string error_;
 };
 

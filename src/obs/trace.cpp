@@ -1,13 +1,19 @@
 #include "obs/trace.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "util/contracts.hpp"
 
 namespace tcsa::obs {
 namespace {
@@ -209,7 +215,17 @@ void record_span(const char* name, std::uint64_t start_us,
   ring.push(event);
 }
 
-void write_chrome_trace(std::string& out) {
+TraceOrigin this_process(std::string command) {
+  TraceOrigin origin;
+  origin.command = std::move(command);
+  char host[256] = {};
+  if (::gethostname(host, sizeof host - 1) == 0) origin.hostname = host;
+  origin.os_pid = static_cast<std::int64_t>(::getpid());
+  origin.wall_epoch_us = trace_epoch_wall_us();
+  return origin;
+}
+
+void write_chrome_trace(std::string& out, const TraceOrigin& origin) {
   const std::vector<Event> events = TraceBuffer::instance().collect();
   out += "{\"traceEvents\": [";
   bool first = true;
@@ -233,7 +249,153 @@ void write_chrome_trace(std::string& out) {
     }
     out += '}';
   }
-  out += "\n], \"displayTimeUnit\": \"ms\"}\n";
+  out += "\n], \"displayTimeUnit\": \"ms\", \"otherData\": {\"command\": \"";
+  out += json_escape(origin.command);
+  out += "\", \"hostname\": \"";
+  out += json_escape(origin.hostname);
+  out += "\", \"os_pid\": ";
+  out += std::to_string(origin.os_pid);
+  out += ", \"wall_epoch_us\": ";
+  out += std::to_string(origin.wall_epoch_us);
+  out += ", \"clock_offset_us\": ";
+  out += std::to_string(origin.clock_offset_us);
+  out += ", \"clock_samples\": ";
+  out += std::to_string(origin.clock_samples);
+  out += "}}\n";
+}
+
+namespace {
+
+/// One parsed trace document and the origin it carries.
+struct Process {
+  JsonValue doc;
+  TraceOrigin origin;
+};
+
+/// Parses a write_chrome_trace document; every error names `source`.
+Process parse_trace(const std::string& trace_json, const std::string& source) {
+  try {
+    Process p{json_parse(trace_json), {}};
+    const JsonValue* other = p.doc.expect_object("trace document")
+                                 .find("otherData");
+    if (other == nullptr)
+      throw std::invalid_argument("trace has no \"otherData\" origin");
+    const JsonValue& o = other->expect_object("otherData");
+    p.origin.command = o.at("command").expect_string("command");
+    p.origin.hostname = o.at("hostname").expect_string("hostname");
+    p.origin.os_pid = o.at("os_pid").expect_int("os_pid");
+    p.origin.wall_epoch_us = o.at("wall_epoch_us").expect_uint("wall_epoch_us");
+    p.origin.clock_offset_us =
+        o.at("clock_offset_us").expect_int("clock_offset_us");
+    p.origin.clock_samples = o.at("clock_samples").expect_uint("clock_samples");
+    return p;
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(source + ": " + e.what());
+  }
+}
+
+}  // namespace
+
+TraceOrigin read_trace_origin(const std::string& trace_json,
+                              const std::string& source) {
+  return parse_trace(trace_json, source).origin;
+}
+
+MergedTrace merge_chrome_traces(const std::vector<TraceFile>& traces) {
+  TCSA_REQUIRE(!traces.empty(), "merge_chrome_traces: no traces");
+  std::vector<Process> processes;
+  for (const TraceFile& trace : traces)
+    processes.push_back(parse_trace(trace.json, trace.source));
+  // The server is the clock reference (measured offsets are towards its
+  // clock), so its timeline comes first; the rest keep argument order.
+  const auto server = std::find_if(
+      processes.begin(), processes.end(),
+      [](const Process& p) { return p.origin.command == "serve"; });
+  if (server != processes.end())
+    std::rotate(processes.begin(), server, server + 1);
+  const std::uint64_t reference_wall = processes.front().origin.wall_epoch_us;
+  std::uint64_t base_wall = reference_wall;
+  for (const Process& p : processes)
+    base_wall = std::min(base_wall, p.origin.wall_epoch_us);
+
+  MergedTrace merged;
+  struct MergedEvent {
+    std::uint64_t ts = 0;
+    std::string json;
+  };
+  std::vector<MergedEvent> events;
+  std::string metadata;
+  for (std::size_t position = 0; position < processes.size(); ++position) {
+    const TraceOrigin& origin = processes[position].origin;
+    // Onto the earliest wall epoch. A measured offset is to the
+    // reference's trace clock, which sits reference_wall - base_wall
+    // into the merged axis; the wall clocks alone agree only as well as
+    // two system clocks do. Signed: a process whose clock runs ahead
+    // shifts backwards, clamped at the merged origin.
+    std::int64_t shift =
+        static_cast<std::int64_t>(origin.wall_epoch_us - base_wall);
+    if (position > 0 && origin.clock_samples > 0) {
+      shift = origin.clock_offset_us +
+              static_cast<std::int64_t>(reference_wall - base_wall);
+      ++merged.clock_corrected;
+    }
+    // Every process wrote pid 1: re-key by position, collision-free.
+    const std::int64_t pid = static_cast<std::int64_t>(position) + 1;
+
+    // Perfetto/chrome://tracing shows this as the process title.
+    metadata += "  {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": " +
+                std::to_string(pid) +
+                ", \"tid\": 0, \"args\": {\"name\": \"" +
+                json_escape(origin.command) + " · " +
+                json_escape(origin.hostname) + " pid " +
+                std::to_string(origin.os_pid) + "\"}},\n";
+
+    for (const JsonValue& raw : processes[position]
+                                    .doc.at("traceEvents")
+                                    .expect_array("traceEvents")
+                                    .array) {
+      JsonValue event = raw.expect_object("trace event");
+      const std::int64_t shifted =
+          static_cast<std::int64_t>(event.at("ts").expect_uint("event ts")) +
+          shift;
+      const std::uint64_t ts =
+          shifted < 0 ? 0 : static_cast<std::uint64_t>(shifted);
+      bool saw_pid = false;
+      for (auto& [key, member] : event.object) {
+        if (key == "ts") {
+          member.is_uint = true;
+          member.uint_value = ts;
+          member.number = static_cast<double>(ts);
+        } else if (key == "pid") {
+          member.is_uint = true;
+          member.uint_value = static_cast<std::uint64_t>(pid);
+          member.number = static_cast<double>(pid);
+          saw_pid = true;
+        }
+      }
+      TCSA_REQUIRE(saw_pid, "merge_chrome_traces: event without pid");
+      events.push_back({ts, "  " + json_serialize(event)});
+    }
+  }
+  std::stable_sort(events.begin(), events.end(),
+                   [](const MergedEvent& a, const MergedEvent& b) {
+                     return a.ts < b.ts;
+                   });
+
+  std::string& out = merged.json;
+  out = "{\"traceEvents\": [\n";
+  out += metadata;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    out += events[i].json;
+    out += i + 1 == events.size() ? "\n" : ",\n";
+  }
+  if (events.empty()) {
+    // Trim the trailing ",\n" the metadata loop appended.
+    out.erase(out.size() - 2);
+    out += "\n";
+  }
+  out += "], \"displayTimeUnit\": \"ms\"}\n";
+  return merged;
 }
 
 void clear_trace() {

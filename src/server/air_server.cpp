@@ -20,6 +20,7 @@
 #include "server/server_metrics.hpp"
 #include "util/contracts.hpp"
 #include "util/log.hpp"
+#include "util/text.hpp"
 
 namespace tcsa {
 namespace {
@@ -299,14 +300,20 @@ void AirServer::setup_admin_routes() {
       return {503, "application/json", "{\"status\": \"off air\"}\n"};
     return {200, "application/json", healthz_json()};
   });
-  // /slots dumps the airing timeline; ?max=N trims to the newest N.
+  // /slots dumps the airing timeline; ?max=N trims to the newest N (0 or
+  // no max: the whole ring). Anything but a whole non-negative number
+  // (max=-1, max=abc, max=5x) is a 400.
   admin_->route("/slots", [this](std::string_view query) -> net::HttpResponse {
     std::size_t max_records = 0;
     constexpr std::string_view kMax = "max=";
     if (const std::size_t pos = query.find(kMax);
         pos != std::string_view::npos) {
-      max_records = static_cast<std::size_t>(
-          std::atoll(std::string(query.substr(pos + kMax.size())).c_str()));
+      std::string_view value = query.substr(pos + kMax.size());
+      value = value.substr(0, value.find('&'));
+      const auto [end, error] = parse_int_prefix(value, max_records);
+      if (error != std::errc() || end != value.data() + value.size())
+        return {400, "text/plain; charset=utf-8",
+                "max must be a non-negative integer\n"};
     }
     return {200, "application/json", timeline_.to_json(max_records)};
   });

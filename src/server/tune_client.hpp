@@ -163,12 +163,6 @@ class TuneClient {
   /// normal frame pump (run).
   void want_page(PageId page, std::int64_t patience_slots = 0);
 
-  /// RTT-symmetric estimate of (server trace clock - client trace clock),
-  /// refined by every request ack.
-  const obs::ClockOffsetEstimator& clock_offset() const noexcept {
-    return offset_;
-  }
-
   /// Sends a hot-swap request and pumps frames until the reply arrives.
   /// `channels` 0 keeps the server's count; `method` < 0 lets the server
   /// choose (SUSC when the bound allows, else PAMAD).

@@ -3,12 +3,9 @@
 #include <utility>
 
 #include "core/channel_bound.hpp"
-#include "model/serialize.hpp"
-#include "obs/artifact.hpp"
 #include "obs/trace.hpp"
 #include "util/contracts.hpp"
 #include "util/parallel.hpp"
-#include "util/text.hpp"
 
 namespace tcsa {
 namespace {
@@ -106,23 +103,6 @@ SweepReport run_sweep_with_metrics(const Workload& workload,
   report.metrics = obs::snapshot().minus(before);
   obs::set_enabled(was_enabled);
   return report;
-}
-
-std::string sweep_config_digest(const Workload& workload,
-                                const SweepConfig& config) {
-  // Canonical serialization of everything that shapes the grid or the
-  // per-point streams; hashed with FNV-1a 64 (stable across platforms).
-  std::string canon = workload_to_string(workload);
-  str_append(canon, "|min=", config.min_channels,
-             "|max=", config.max_channels, "|step=", config.step,
-             "|seed=", config.sim.seed, "|req=", config.sim.requests.count,
-             "|pop=", static_cast<int>(config.sim.requests.popularity),
-             "|theta=", config.sim.requests.zipf_theta,
-             "|arr=", static_cast<int>(config.sim.requests.arrivals),
-             "|rate=", config.sim.requests.poisson_rate, "|methods=");
-  for (const Method method : config.methods)
-    str_append(canon, method_name(method), ',');
-  return obs::fnv1a_digest(canon);
 }
 
 }  // namespace tcsa

@@ -67,11 +67,4 @@ SweepReport run_sweep_with_metrics(const Workload& workload,
                                    const SweepConfig& config,
                                    unsigned threads = 1);
 
-/// Stable fingerprint of (workload, sweep config): FNV-1a 64 over the
-/// serialized workload and every grid-shaping field. `tcsactl --cmd sweep`
-/// stamps it into its manifest, so two runs' artifacts say whether they
-/// measured the same grid.
-std::string sweep_config_digest(const Workload& workload,
-                                const SweepConfig& config);
-
 }  // namespace tcsa

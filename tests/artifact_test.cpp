@@ -1,5 +1,6 @@
 // artifact_test.cpp — the cross-process artifact model: JSON parsing,
-// snapshot import round-trips, snapshot deltas, trace merging and diffing.
+// snapshot import round-trips, snapshot deltas, self-describing traces and
+// their merge, and diffing.
 #include <cmath>
 #include <cstdint>
 #include <latch>
@@ -13,6 +14,7 @@
 #include "obs/artifact.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -114,39 +116,6 @@ TEST(Json, PackedParsingRejectsWhatNodesReject) {
 
 TEST(Json, EscapesControlCharacters) {
   EXPECT_EQ(obs::json_escape("a\"b\\c\nd\te\x01"), "a\\\"b\\\\c\\nd\\te\\u0001");
-}
-
-// ----------------------------------------------------------- manifest
-
-TEST(Manifest, RoundTripsThroughJson) {
-  obs::RunManifest m = obs::make_manifest("run-1", "fnv1a-abc", "sweep");
-  m.metrics_file = "sweep.metrics.json";
-  m.trace_file = "sweep.trace.json";
-  m.points_file = "sweep.points.json";
-  const std::string json = obs::manifest_to_json(m);
-  EXPECT_NE(json.find("\"tcsa-run-manifest/v2\""), std::string::npos);
-  const obs::RunManifest back = obs::manifest_from_json(json);
-  EXPECT_EQ(back.run_id, "run-1");
-  EXPECT_EQ(back.config_digest, "fnv1a-abc");
-  EXPECT_EQ(back.command, "sweep");
-  EXPECT_EQ(back.hostname, m.hostname);
-  EXPECT_EQ(back.git_describe, m.git_describe);
-  EXPECT_EQ(back.os_pid, m.os_pid);
-  EXPECT_EQ(back.wall_epoch_us, m.wall_epoch_us);
-  EXPECT_EQ(back.metrics_file, m.metrics_file);
-  EXPECT_EQ(back.trace_file, m.trace_file);
-  EXPECT_EQ(back.points_file, m.points_file);
-}
-
-TEST(Manifest, RejectsWrongSchemaAndMissingFields) {
-  EXPECT_THROW(obs::manifest_from_json("{\"schema\":\"bogus/v9\"}"),
-               std::invalid_argument);
-  // A v1 manifest (which carried shard coordinates) is a different schema.
-  std::string v1 = obs::manifest_to_json(obs::make_manifest("r", "d", "c"));
-  v1.replace(v1.find("/v2"), 3, "/v1");
-  EXPECT_THROW(obs::manifest_from_json(v1), std::invalid_argument);
-  EXPECT_THROW(obs::manifest_from_json("{}"), std::invalid_argument);
-  EXPECT_THROW(obs::manifest_from_json("[]"), std::invalid_argument);
 }
 
 // ----------------------------------------------- snapshot import/export
@@ -530,51 +499,127 @@ TEST(RegistryHistogram, LargeStreamStaysWithinOnePercent) {
 
 // -------------------------------------------------------- trace merging
 
-obs::ProcessTrace fake_trace(const std::string& command,
-                             std::uint64_t wall_us,
-                             const std::string& events) {
-  obs::ProcessTrace trace;
-  trace.manifest = obs::make_manifest("run-" + command, "fnv1a-" + command,
-                                      command);
-  trace.manifest.wall_epoch_us = wall_us;
-  trace.trace_json = "{\"traceEvents\":[" + events + "]}";
-  return trace;
+/// A write_chrome_trace document holding one span `name` at ts 5, written
+/// as `command` with its trace epoch at `wall_us`.
+std::string one_span_trace(const char* name, const std::string& command,
+                           std::uint64_t wall_us,
+                           std::int64_t clock_offset_us = 0,
+                           std::uint64_t clock_samples = 0) {
+  obs::TraceOrigin origin = obs::this_process(command);
+  origin.wall_epoch_us = wall_us;
+  origin.clock_offset_us = clock_offset_us;
+  origin.clock_samples = clock_samples;
+  obs::clear_trace();
+  obs::record_span(name, 5, 2);
+  std::string json;
+  obs::write_chrome_trace(json, origin);
+  obs::clear_trace();
+  return json;
+}
+
+/// A merged document's spans and process titles, in document order.
+struct MergedView {
+  std::vector<std::string> process_names;
+  std::vector<std::string> span_names;
+  std::vector<std::uint64_t> span_ts;
+  std::vector<std::uint64_t> span_pids;
+};
+
+MergedView view(const std::string& merged) {
+  MergedView v;
+  const obs::JsonValue doc = obs::json_parse(merged);
+  for (const obs::JsonValue& e : doc.at("traceEvents").array) {
+    if (e.at("ph").string == "M") {
+      v.process_names.push_back(e.at("args").at("name").string);
+      continue;
+    }
+    v.span_names.push_back(e.at("name").string);
+    v.span_pids.push_back(e.at("pid").uint_value);
+    v.span_ts.push_back(e.at("ts").uint_value);
+  }
+  return v;
+}
+
+TEST(TraceOrigin, RoundTripsThroughTheTraceDocument) {
+  obs::TraceOrigin origin = obs::this_process("tune");
+  origin.clock_offset_us = -42;
+  origin.clock_samples = 7;
+  std::string json;
+  obs::write_chrome_trace(json, origin);
+  const obs::TraceOrigin back = obs::read_trace_origin(json, "t.json");
+  EXPECT_EQ(back.command, "tune");
+  EXPECT_FALSE(back.hostname.empty());
+  EXPECT_EQ(back.hostname, origin.hostname);
+  EXPECT_EQ(back.os_pid, origin.os_pid);
+  EXPECT_EQ(back.wall_epoch_us, obs::trace_epoch_wall_us());
+  EXPECT_EQ(back.clock_offset_us, -42);
+  EXPECT_EQ(back.clock_samples, 7u);
 }
 
 TEST(TraceMerge, RekeysPidsAndAlignsClocks) {
-  // Two separate runs (their ids and digests differ): the merge keys them
-  // by position only.
-  const std::vector<obs::ProcessTrace> traces = {
-      fake_trace("serve", 1000,
-                 R"({"name":"a","ph":"X","ts":5,"dur":2,"pid":4242,"tid":1})"),
-      fake_trace("tune", 1300,
-                 R"({"name":"b","ph":"X","ts":5,"dur":2,"pid":4242,"tid":1})"),
-  };
-  const obs::JsonValue doc = obs::json_parse(obs::merge_chrome_traces(traces));
-  const obs::JsonValue& events = doc.at("traceEvents");
-
-  std::vector<std::uint64_t> span_ts;
-  std::vector<std::uint64_t> span_pids;
-  std::vector<std::string> process_names;
-  for (const obs::JsonValue& e : events.array) {
-    if (e.at("ph").string == "M") {
-      process_names.push_back(e.at("args").at("name").string);
-      continue;
-    }
-    span_pids.push_back(e.at("pid").uint_value);
-    span_ts.push_back(e.at("ts").uint_value);
-  }
-  ASSERT_EQ(span_pids.size(), 2u);
-  // One process_name record per trace, titled by the manifest's command.
-  ASSERT_EQ(process_names.size(), 2u);
-  EXPECT_EQ(process_names[0].rfind("serve · ", 0), 0u) << process_names[0];
-  EXPECT_EQ(process_names[1].rfind("tune · ", 0), 0u) << process_names[1];
+  // No measured offsets: the wall epochs alone place the timelines.
+  const obs::MergedTrace merged = obs::merge_chrome_traces(
+      {{"serve.json", one_span_trace("a", "serve", 1000)},
+       {"tune.json", one_span_trace("b", "tune", 1300)}});
+  EXPECT_EQ(merged.clock_corrected, 0u);
+  const MergedView v = view(merged.json);
+  ASSERT_EQ(v.span_pids.size(), 2u);
+  // One process_name record per trace, titled by its command.
+  ASSERT_EQ(v.process_names.size(), 2u);
+  EXPECT_EQ(v.process_names[0].rfind("serve · ", 0), 0u) << v.process_names[0];
+  EXPECT_EQ(v.process_names[1].rfind("tune · ", 0), 0u) << v.process_names[1];
   // The first keeps ts=5; the second started 300 µs later so its span
   // shifts.
-  EXPECT_EQ(span_ts[0], 5u);
-  EXPECT_EQ(span_ts[1], 305u);
-  EXPECT_EQ(span_pids[0], 1u);  // re-keyed to position + 1
-  EXPECT_EQ(span_pids[1], 2u);
+  EXPECT_EQ(v.span_ts[0], 5u);
+  EXPECT_EQ(v.span_ts[1], 305u);
+  EXPECT_EQ(v.span_pids[0], 1u);  // re-keyed to position + 1
+  EXPECT_EQ(v.span_pids[1], 2u);
+}
+
+TEST(TraceMerge, CorrectsAClientByItsMeasuredOffset) {
+  // The client's wall clock claims it started 100 µs before the server,
+  // but it measured the server's trace clock to run 250 µs ahead of its
+  // own: its span lands 250 µs after the same local ts on the server's
+  // axis, whatever the wall clocks said. The server is the reference even
+  // when named second.
+  const obs::MergedTrace merged = obs::merge_chrome_traces(
+      {{"tune.json", one_span_trace("b", "tune", 900, 250, 3)},
+       {"serve.json", one_span_trace("a", "serve", 1000)}});
+  EXPECT_EQ(merged.clock_corrected, 1u);
+  const MergedView v = view(merged.json);
+  ASSERT_EQ(v.process_names.size(), 2u);
+  EXPECT_EQ(v.process_names[0].rfind("serve · ", 0), 0u) << v.process_names[0];
+  // Merged axis origin: the client's earlier wall epoch (900), so the
+  // server's ts 5 is 105 and the client's ts 5 is 100 + 250 + 5.
+  ASSERT_EQ(v.span_names.size(), 2u);
+  EXPECT_EQ(v.span_names[0], "a");
+  EXPECT_EQ(v.span_ts[0], 105u);
+  EXPECT_EQ(v.span_pids[0], 1u);
+  EXPECT_EQ(v.span_names[1], "b");
+  EXPECT_EQ(v.span_ts[1], 355u);
+  EXPECT_EQ(v.span_pids[1], 2u);
+}
+
+TEST(TraceMerge, RefusesATraceWithoutOriginNamingTheFile) {
+  const std::string serve = one_span_trace("a", "serve", 1000);
+  const auto error_of = [&](const std::string& other) {
+    try {
+      obs::merge_chrome_traces({{"serve.json", serve}, {"old.json", other}});
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  const std::string bare = error_of("{\"traceEvents\": []}");
+  EXPECT_NE(bare.find("old.json"), std::string::npos) << bare;
+  EXPECT_NE(bare.find("otherData"), std::string::npos) << bare;
+  // An origin missing a field is as unusable as none.
+  std::string partial = serve;
+  partial.replace(partial.find("\"clock_samples\""), 15, "\"samples\"");
+  const std::string missing = error_of(partial);
+  EXPECT_NE(missing.find("old.json"), std::string::npos) << missing;
+  EXPECT_NE(missing.find("clock_samples"), std::string::npos) << missing;
+  EXPECT_NE(error_of("not json").find("old.json"), std::string::npos);
 }
 
 // ------------------------------------------------ bench-document import
@@ -603,22 +648,6 @@ TEST(BenchImport, FallsBackToSnapshotGrammar) {
   EXPECT_EQ(s.counter_value("tcsa_x_total"), 9u);
   EXPECT_THROW(obs::counters_from_json_document("{\"neither\":1}"),
                std::invalid_argument);
-}
-
-// ------------------------------------------------------- sweep points
-
-TEST(SweepPoints, RoundTripThroughJson) {
-  std::vector<obs::SweepPointRecord> points(2);
-  points[0] = {3, "pamad", 1.5, 1.25, 0.01, 4.0, 96, 0};
-  points[1] = {4, "opt", 0.5, 0.5, 0.0, 1.0, 96, 2};
-  const std::vector<obs::SweepPointRecord> back =
-      obs::points_from_json(obs::points_to_json(points));
-  ASSERT_EQ(back.size(), 2u);
-  EXPECT_EQ(back[0].channels, 3);
-  EXPECT_EQ(back[0].method, "pamad");
-  EXPECT_DOUBLE_EQ(back[0].avg_delay, 1.5);
-  EXPECT_DOUBLE_EQ(back[0].miss_rate, 0.01);
-  EXPECT_EQ(back[1].window_overflows, 2);
 }
 
 }  // namespace

@@ -162,6 +162,47 @@ TEST_F(CliContract, UnreadableInputExitsOne) {
   EXPECT_EQ(stderr_text().find("usage:"), std::string::npos);
 }
 
+TEST_F(CliContract, StatRefusesATargetWhosePortIsNotAllDigits) {
+  // The port is parsed in full: "80x" must not connect to port 80.
+  for (const char* target : {"127.0.0.1:80x", "127.0.0.1:x80", "127.0.0.1:",
+                             "127.0.0.1:-1", "127.0.0.1:0", "127.0.0.1:65536",
+                             "127.0.0.1:99999999999999999999"}) {
+    EXPECT_EQ(run({"stat", target}), 2) << target;
+    EXPECT_NE(stderr_text().find("bad port in target"), std::string::npos)
+        << target << ": " << stderr_text();
+  }
+}
+
+TEST_F(CliContract, RetiredArtifactOptionsExitTwo) {
+  // Traces describe themselves, so no command writes a run directory any
+  // more and nothing reads one.
+  const std::vector<std::vector<std::string>> cases = {
+      {"--cmd", "demo", "--out-dir", dir_.string()},
+      {"--cmd", "demo", "--run-id", "r"},
+      {"serve", "--out-dir", dir_.string()},
+      {"serve", "--run-id", "r"},
+      {"tune", "--port", "1", "--out-dir", dir_.string()},
+      {"tune", "--port", "1", "--run-id", "r"},
+      {"loadgen", "--port", "1", "--out-dir", dir_.string()},
+      {"loadgen", "--port", "1", "--run-id", "r"},
+      {"obs", "report", "--dir", dir_.string()},
+      {"obs", "report", "--points", "p.json"},
+      {"trace", "merge", "--dir", dir_.string()}};
+  for (const std::vector<std::string>& args : cases) {
+    EXPECT_EQ(run(args), 2) << args[0] << ' ' << args[1];
+    EXPECT_NE(stderr_text().find("usage:"), std::string::npos);
+  }
+}
+
+TEST_F(CliContract, TraceMergeRefusesATraceWithoutOriginNamingIt) {
+  const std::string bare = write("bare.trace.json", "{\"traceEvents\": []}\n");
+  EXPECT_EQ(run({"trace", "merge", bare}), 2);
+  EXPECT_NE(stderr_text().find(bare), std::string::npos) << stderr_text();
+  EXPECT_NE(stderr_text().find("otherData"), std::string::npos)
+      << stderr_text();
+  EXPECT_EQ(run({"trace", "merge"}), 2);
+}
+
 TEST_F(CliContract, ServeFailsBeforeAiringWhenItsPortFileIsLost) {
   // A script polling the port file would never see the port: serve exits 1
   // before going on air instead of airing to nobody.

@@ -436,7 +436,7 @@ TEST_P(SlotEncode, OneEncodePerAiredChannelPerSlotWhateverTheAudience) {
   ASSERT_EQ(obs::trace_spans_dropped(), 0u);
 
   std::string trace;
-  obs::write_chrome_trace(trace);
+  obs::write_chrome_trace(trace, obs::this_process("test"));
   const obs::JsonValue doc = obs::json_parse(trace);
   std::uint64_t slots = 0;
   std::uint64_t aired_frames = 0;

@@ -305,7 +305,7 @@ TEST_F(ObsTest, ChromeTraceJsonHasEventFields) {
   obs::record_span("test.span", 10, 5, "pages", 17);
   obs::set_tracing_enabled(false);
   std::string json;
-  obs::write_chrome_trace(json);
+  obs::write_chrome_trace(json, obs::this_process("test"));
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"name\": \"test.span\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
@@ -384,7 +384,7 @@ TEST_F(ObsTest, ParallelSearchTracesSubtreeSpans) {
   ASSERT_FALSE(r.S.empty());
   obs::set_tracing_enabled(false);
   std::string json;
-  obs::write_chrome_trace(json);
+  obs::write_chrome_trace(json, obs::this_process("test"));
   EXPECT_NE(json.find("opt.ladder_search"), std::string::npos);
   EXPECT_NE(json.find("opt.subtree"), std::string::npos);
   obs::clear_trace();
@@ -412,7 +412,7 @@ TEST_F(ObsTest, RingOverflowCountsDroppedSpans) {
 
   // The retained window still holds exactly `capacity` newest spans.
   std::string out;
-  obs::write_chrome_trace(out);
+  obs::write_chrome_trace(out, obs::this_process("test"));
   obs::clear_trace();
   EXPECT_EQ(obs::trace_spans_dropped(), 0u);  // reset with the buffer
 }

@@ -81,10 +81,9 @@ class PullE2E : public E2EScene {
 };
 
 TEST_F(PullE2E, ImpatientAudienceIsServedByCoalescedTracedPullAirings) {
-  const std::string art = path("art");
   Subprocess serve = spawn_serve({"--loops", "4", "--pull-policy", "lwf",
                                   "--metrics-out", path("metrics.json"),
-                                  "--out-dir", art, "--run-id", "pull-e2e"});
+                                  "--trace-out", path("serve.trace.json")});
 
   // Phase A — a flash crowd of impatient sessions. 48 sessions over the 4
   // broadcast channels issue wants for the page they just saw and time out
@@ -120,12 +119,12 @@ TEST_F(PullE2E, ImpatientAudienceIsServedByCoalescedTracedPullAirings) {
   // Phase B — one traced impatient client, after the crowd is gone so the
   // single pull channel answers within a slot or two of each timeout.
   SpawnOptions tune_options;
-  tune_options.stdout_path = path("tune.stdout.txt");
+  tune_options.stdout_path = path("tune.json");
   tune_options.stderr_path = path("tune.stderr.txt");
   ASSERT_EQ(run_command({TCSACTL_PATH, "tune", "--port",
                          std::to_string(port_), "--slots", "600",
                          "--requests", "16", "--patience-slots", "1",
-                         "--out-dir", art, "--run-id", "pull-e2e-tune"},
+                         "--json", "--trace-out", path("tune.trace.json")},
                         tune_options),
             0)
       << slurp(path("tune.stderr.txt"));
@@ -135,8 +134,7 @@ TEST_F(PullE2E, ImpatientAudienceIsServedByCoalescedTracedPullAirings) {
 
   // Every timed-out want was served, and the pull channel (not luck with
   // the broadcast schedule) answered at least some of them.
-  const obs::JsonValue summary =
-      obs::json_parse(slurp(art + "/tune.summary.json"));
+  const obs::JsonValue summary = obs::json_parse(slurp(path("tune.json")));
   const obs::JsonValue& wants = summary.at("wants");
   EXPECT_EQ(wants.at("issued").expect_uint("issued"), 16u);
   EXPECT_EQ(wants.at("undecided").expect_uint("undecided"), 0u);
@@ -169,7 +167,9 @@ TEST_F(PullE2E, ImpatientAudienceIsServedByCoalescedTracedPullAirings) {
   SpawnOptions merge_options;
   merge_options.stdout_path = path("merge.stdout.txt");
   merge_options.stderr_path = path("merge.stderr.txt");
-  ASSERT_EQ(run_command({TCSACTL_PATH, "trace", "merge", "--dir", art},
+  ASSERT_EQ(run_command({TCSACTL_PATH, "trace", "merge",
+                         path("serve.trace.json"), path("tune.trace.json"),
+                         "--out", path("journey.trace.json")},
                         merge_options),
             0)
       << slurp(path("merge.stderr.txt"));
@@ -177,7 +177,7 @@ TEST_F(PullE2E, ImpatientAudienceIsServedByCoalescedTracedPullAirings) {
             std::string::npos);
 
   const std::map<std::uint64_t, Journey> journeys =
-      load_journeys(art + "/journey.trace.json");
+      load_journeys(path("journey.trace.json"));
   std::size_t pull_journeys = 0;
   std::size_t pull_delivered = 0;
   std::size_t closed_pull_journeys = 0;

@@ -17,6 +17,7 @@
 #include "obs/artifact.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "subprocess.hpp"
 
 #include "e2e_harness.hpp"
@@ -135,11 +136,16 @@ TEST_F(ServeE2E, FourLoopServeMeetsDeadlinesAndLoadgenReports) {
 }
 
 TEST_F(ServeE2E, WritesMergeableObsArtifacts) {
-  const std::string art_dir = path("artifacts");
   Subprocess serve = spawn_serve({"--metrics-out", path("metrics.json"),
-                                  "--out-dir", art_dir, "--run-id",
-                                  "serve-e2e"});
-  ASSERT_EQ(run_tune("200", path("tune.json")), 0)
+                                  "--trace-out", path("serve.trace.json")});
+  SpawnOptions tune_options;
+  tune_options.stdout_path = path("tune.json");
+  tune_options.stderr_path = path("tune.stderr.txt");
+  ASSERT_EQ(run_command({TCSACTL_PATH, "tune", "--port", std::to_string(port_),
+                         "--slots", "200", "--json", "--trace-out",
+                         path("tune.trace.json")},
+                        tune_options),
+            0)
       << slurp(path("tune.stderr.txt"));
   EXPECT_EQ(serve.wait(), 0) << slurp(path("serve.stderr.txt"));
 
@@ -156,41 +162,52 @@ TEST_F(ServeE2E, WritesMergeableObsArtifacts) {
   ASSERT_NE(lag, nullptr);
   EXPECT_EQ(lag->values.count(), 6000u);
 
-  // The --out-dir artifact set is a well-formed run …
-  const obs::RunManifest manifest =
-      obs::manifest_from_json(slurp(art_dir + "/serve.manifest.json"));
-  EXPECT_EQ(manifest.run_id, "serve-e2e");
-  EXPECT_EQ(manifest.command, "serve");
-  EXPECT_FALSE(manifest.config_digest.empty());
-  const obs::MetricsSnapshot exported =
-      obs::snapshot_from_json(slurp(art_dir + "/" + manifest.metrics_file));
-  EXPECT_EQ(exported.counter_value("tcsa_server_slots_aired_total"), 6000u);
-
-  // … that `tcsactl obs report --dir` summarises like any sweep run.
+  // `tcsactl obs report` summarises it like any sweep's.
   SpawnOptions report_options;
   report_options.stdout_path = path("report.md");
   report_options.stderr_path = path("report.stderr.txt");
-  ASSERT_EQ(run_command({TCSACTL_PATH, "obs", "report", "--dir", art_dir},
+  ASSERT_EQ(run_command({TCSACTL_PATH, "obs", "report", "--metrics",
+                         path("metrics.json")},
                         report_options),
             0)
       << slurp(path("report.stderr.txt"));
-  const std::string report = slurp(path("report.md"));
-  EXPECT_NE(report.find("Run `serve-e2e` — command `serve`"),
+  EXPECT_NE(slurp(path("report.md"))
+                .find("| tcsa_server_slots_aired_total | 6000 |"),
             std::string::npos)
-      << report;
-  EXPECT_NE(report.find("| tcsa_server_slots_aired_total | 6000 |"),
-            std::string::npos)
-      << report;
+      << slurp(path("report.md"));
 
-  // The trace holds the server's span families.
-  const obs::JsonValue trace =
-      obs::json_parse(slurp(art_dir + "/serve.trace.json"));
+  // The server's trace names its command and holds its span families.
+  const std::string serve_trace = slurp(path("serve.trace.json"));
+  EXPECT_EQ(obs::read_trace_origin(serve_trace, "serve.trace.json").command,
+            "serve");
   bool saw_slot_span = false;
+  const obs::JsonValue trace = obs::json_parse(serve_trace);
   for (const obs::JsonValue& e : trace.at("traceEvents").array)
     if (const obs::JsonValue* name = e.find("name");
         name && name->string == "server.slot")
       saw_slot_span = true;
   EXPECT_TRUE(saw_slot_span);
+
+  // The two traces merge with nothing beside them, the server first
+  // whatever the argument order.
+  SpawnOptions merge_options;
+  merge_options.stdout_path = path("merge.stdout.txt");
+  merge_options.stderr_path = path("merge.stderr.txt");
+  ASSERT_EQ(run_command({TCSACTL_PATH, "trace", "merge",
+                         path("tune.trace.json"), path("serve.trace.json"),
+                         "--out", path("journey.trace.json")},
+                        merge_options),
+            0)
+      << slurp(path("merge.stderr.txt"));
+  std::vector<std::string> titles;
+  const obs::JsonValue merged =
+      obs::json_parse(slurp(path("journey.trace.json")));
+  for (const obs::JsonValue& e : merged.at("traceEvents").array)
+    if (e.at("ph").string == "M")
+      titles.push_back(e.at("args").at("name").string);
+  ASSERT_EQ(titles.size(), 2u);
+  EXPECT_EQ(titles[0].rfind("serve · ", 0), 0u) << titles[0];
+  EXPECT_EQ(titles[1].rfind("tune · ", 0), 0u) << titles[1];
 }
 
 // ---------------------------------------------------------- admin plane

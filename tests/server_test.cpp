@@ -26,6 +26,7 @@
 #include "model/validate.hpp"
 #include "model/workload.hpp"
 #include "net/framing.hpp"
+#include "net/http_admin.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -409,7 +410,7 @@ void expect_stage_spans(const std::string& parent,
   };
   std::map<std::string, std::vector<Span>> spans;
   std::string trace;
-  obs::write_chrome_trace(trace);
+  obs::write_chrome_trace(trace, obs::this_process("test"));
   const obs::JsonValue doc = obs::json_parse(trace);
   for (const obs::JsonValue& event :
        doc.at("traceEvents").expect_array("traceEvents").array) {
@@ -678,6 +679,24 @@ TEST(AirServer, ExportsServerMetrics) {
       delta.histogram("tcsa_server_slot_lag_us");
   ASSERT_NE(lag, nullptr);
   EXPECT_GE(lag->values.count(), 200u);
+}
+
+// /slots?max= takes only a whole non-negative number: a negative, partly
+// numeric or non-numeric max is a 400, not a wrapped or zero (whole-ring)
+// read.
+TEST(AirServer, SlotsRefusesAMaxThatIsNotANumber) {
+  AirServerConfig config;
+  config.slot_us = 1000;
+  config.admin_port = 0;
+  ServerHarness harness(paper_workload(), config);
+  const std::uint16_t port = harness.server().admin_port();
+  for (const char* query : {"/slots?max=-1", "/slots?max=abc",
+                            "/slots?max=5x", "/slots?max=",
+                            "/slots?max=99999999999999999999999"})
+    EXPECT_EQ(net::http_get("127.0.0.1", port, query).status, 400) << query;
+  const net::HttpResponse ok = net::http_get("127.0.0.1", port, "/slots?max=2");
+  EXPECT_EQ(ok.status, 200);
+  EXPECT_LE(obs::json_parse(ok.body).at("slots").array.size(), 2u);
 }
 
 // Zero-copy fan-out acceptance: with several full-mask subscribers, frame

@@ -1,11 +1,13 @@
 // sweep_e2e_test.cpp — `tcsactl --cmd sweep` measures the grid on the
-// in-process worker pool: its artifact set must be complete, its points,
-// stdout table and work counters must equal the serial library sweep's,
-// its trace must hold one span per point, `obs diff` and `obs report` must
-// work on what it wrote, and its output must not depend on which worker
-// measured which point. Drives the real tcsactl binary via fork/exec.
+// in-process worker pool: its metrics and trace exports must be written,
+// its stdout table and work counters must equal the serial library
+// sweep's, its trace must describe itself and hold one span per point,
+// `obs diff` and `obs report` must work on what it wrote, and its output
+// must not depend on which worker measured which point. Drives the real
+// tcsactl binary via fork/exec.
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -18,6 +20,7 @@
 #include "obs/artifact.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "sim/sweep.hpp"
 #include "subprocess.hpp"
 #include "util/text.hpp"
@@ -40,7 +43,8 @@ SweepConfig demo_config() {
   return config;
 }
 
-/// Shared fixture: one `--cmd sweep --out-dir` run, made once.
+/// Shared fixture: one `--cmd sweep` run exporting its metrics and trace
+/// into run/, made once.
 class SweepE2E : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -50,7 +54,8 @@ class SweepE2E : public ::testing::Test {
     std::filesystem::create_directories(run_dir());
     std::ofstream(workload_path()) << workload_to_string(demo_workload());
     ASSERT_EQ(sweep({"--workload", workload_path(), "--requests", "400",
-                     "--seed", "7", "--out-dir", run_dir()},
+                     "--seed", "7", "--metrics-out", artifact("metrics"),
+                     "--trace-out", artifact("trace")},
                     "run"),
               0)
         << slurp(path("run.stderr.txt"));
@@ -96,47 +101,32 @@ class SweepE2E : public ::testing::Test {
 std::filesystem::path* SweepE2E::root_ = nullptr;
 
 TEST_F(SweepE2E, WritesCompleteArtifactSet) {
-  for (const char* kind : {"manifest", "metrics", "trace", "points"})
-    EXPECT_TRUE(std::filesystem::exists(artifact(kind))) << kind;
-  std::size_t manifests = 0;
+  std::vector<std::string> files;
   for (const auto& entry : std::filesystem::directory_iterator(run_dir()))
-    manifests += entry.path().string().ends_with(".manifest.json");
-  EXPECT_EQ(manifests, 1u);
+    files.push_back(entry.path().filename().string());
+  std::sort(files.begin(), files.end());
+  EXPECT_EQ(files, (std::vector<std::string>{"sweep.metrics.json",
+                                             "sweep.trace.json"}));
 
-  const obs::RunManifest m =
-      obs::manifest_from_json(slurp(artifact("manifest")));
-  EXPECT_EQ(m.command, "sweep");
-  EXPECT_FALSE(m.run_id.empty());
-  EXPECT_EQ(m.config_digest,
-            sweep_config_digest(demo_workload(), demo_config()));
-  EXPECT_EQ(m.metrics_file, "sweep.metrics.json");
-  EXPECT_EQ(m.trace_file, "sweep.trace.json");
-  EXPECT_EQ(m.points_file, "sweep.points.json");
-  EXPECT_GT(m.wall_epoch_us, 0u);
+  // The trace names the command and process that wrote it.
+  const obs::TraceOrigin origin =
+      obs::read_trace_origin(slurp(artifact("trace")), artifact("trace"));
+  EXPECT_EQ(origin.command, "sweep");
+  EXPECT_FALSE(origin.hostname.empty());
+  EXPECT_GT(origin.os_pid, 0);
+  EXPECT_GT(origin.wall_epoch_us, 0u);
+  EXPECT_EQ(origin.clock_samples, 0u);
 }
 
 TEST_F(SweepE2E, PointsAndTableMatchSerialLibrarySweep) {
   const std::vector<SweepPoint> serial =
       run_sweep(demo_workload(), demo_config());
-  const auto points = obs::points_from_json(slurp(artifact("points")));
-  ASSERT_EQ(points.size(), serial.size());
-  ASSERT_FALSE(points.empty());
+  ASSERT_FALSE(serial.empty());
   std::string table = "channels method    AvgD      predicted  miss%     p95\n";
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    const SweepPoint& s = serial[i];
-    EXPECT_EQ(points[i].channels, static_cast<std::int64_t>(s.channels)) << i;
-    EXPECT_EQ(points[i].method, method_name(s.method)) << i;
-    EXPECT_EQ(points[i].avg_delay, s.avg_delay) << i;
-    EXPECT_EQ(points[i].predicted_delay, s.predicted_delay) << i;
-    EXPECT_EQ(points[i].miss_rate, s.miss_rate) << i;
-    EXPECT_EQ(points[i].p95_delay, s.p95_delay) << i;
-    EXPECT_EQ(points[i].t_major, static_cast<std::int64_t>(s.t_major)) << i;
-    EXPECT_EQ(points[i].window_overflows,
-              static_cast<std::int64_t>(s.window_overflows)) << i;
+  for (const SweepPoint& s : serial)
     str_append(table, s.channels, '\t', method_name(s.method), '\t',
                s.avg_delay, '\t', s.predicted_delay, '\t',
                100.0 * s.miss_rate, '\t', s.p95_delay, '\n');
-  }
   EXPECT_EQ(slurp(path("run.stdout.txt")), table);
 }
 
@@ -211,29 +201,15 @@ TEST_F(SweepE2E, ObsDiffGatesByExitCode) {
 }
 
 TEST_F(SweepE2E, ObsReportSummarizesTheRun) {
-  ASSERT_EQ(tcsactl({"obs", "report", "--dir", run_dir()}, "report"), 0)
+  ASSERT_EQ(tcsactl({"obs", "report", "--metrics", artifact("metrics")},
+                    "report"),
+            0)
       << slurp(path("report.stderr.txt"));
   const std::string md = slurp(path("report.stdout.txt"));
-  const obs::RunManifest m =
-      obs::manifest_from_json(slurp(artifact("manifest")));
   EXPECT_NE(md.find("# TCSA run report"), std::string::npos);
-  EXPECT_NE(md.find("Run `" + m.run_id + "` — command `sweep`"),
-            std::string::npos)
-      << md;
+  EXPECT_NE(md.find("Overall deadline-miss rate"), std::string::npos) << md;
   EXPECT_NE(md.find("tcsa_sweep_points_total"), std::string::npos);
-  EXPECT_NE(md.find("| channels | method |"), std::string::npos);
-}
-
-TEST_F(SweepE2E, ObsReportRefusesADirectoryOfSeveralRuns) {
-  const std::string two = path("two-runs");
-  std::filesystem::create_directories(two);
-  for (const char* stem : {"sweep", "other"})
-    std::filesystem::copy_file(artifact("manifest"),
-                               two + "/" + stem + ".manifest.json");
-  EXPECT_EQ(tcsactl({"obs", "report", "--dir", two}, "report-two"), 2);
-  const std::string err = slurp(path("report-two.stderr.txt"));
-  EXPECT_NE(err.find("other.manifest.json"), std::string::npos) << err;
-  EXPECT_NE(err.find("sweep.manifest.json"), std::string::npos) << err;
+  EXPECT_NE(md.find("| tcsa_sim_wait_slots |"), std::string::npos) << md;
 }
 
 TEST_F(SweepE2E, RetiredShardOptionsExitTwo) {

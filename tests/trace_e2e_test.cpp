@@ -18,6 +18,7 @@
 #include "model/workload.hpp"
 #include "obs/json.hpp"
 #include "obs/reqtrace.hpp"
+#include "obs/trace.hpp"
 #include "subprocess.hpp"
 
 #include "e2e_harness.hpp"
@@ -71,23 +72,22 @@ class TraceE2E : public E2EScene {
 };
 
 TEST_F(TraceE2E, MergedJourneysCarryEverySpanInCausalOrder) {
-  const std::string art = path("art");
-  Subprocess serve = spawn_serve({"--out-dir", art, "--run-id", "trace-e2e"});
+  Subprocess serve = spawn_serve({"--trace-out", path("serve.trace.json")});
 
-  // A traced audience member: 600 slots, 12 page requests, artifacts
-  // (trace + clock-offset sidecar) into the same directory as the server's.
+  // A traced audience member: 600 slots, 12 page requests, its summary on
+  // stdout and its trace (carrying the measured clock offset) in a file.
   SpawnOptions tune_options;
-  tune_options.stdout_path = path("tune.stdout.txt");
+  tune_options.stdout_path = path("tune.json");
   tune_options.stderr_path = path("tune.stderr.txt");
   ASSERT_EQ(run_command({TCSACTL_PATH, "tune", "--port",
                          std::to_string(port_), "--slots", "600",
-                         "--requests", "12", "--out-dir", art, "--run-id",
-                         "trace-e2e-tune"},
+                         "--requests", "12", "--json", "--trace-out",
+                         path("tune.trace.json")},
                         tune_options),
             0)
       << slurp(path("tune.stderr.txt"));
 
-  // Graceful end so the server flushes its artifacts.
+  // Graceful end so the server writes its trace.
   ASSERT_EQ(::kill(static_cast<pid_t>(serve.pid()), SIGTERM), 0);
   EXPECT_EQ(serve.wait(), 0) << slurp(path("serve.stderr.txt"));
 
@@ -95,7 +95,9 @@ TEST_F(TraceE2E, MergedJourneysCarryEverySpanInCausalOrder) {
   SpawnOptions merge_options;
   merge_options.stdout_path = path("merge.stdout.txt");
   merge_options.stderr_path = path("merge.stderr.txt");
-  ASSERT_EQ(run_command({TCSACTL_PATH, "trace", "merge", "--dir", art},
+  ASSERT_EQ(run_command({TCSACTL_PATH, "trace", "merge",
+                         path("serve.trace.json"), path("tune.trace.json"),
+                         "--out", path("journey.trace.json")},
                         merge_options),
             0)
       << slurp(path("merge.stderr.txt"));
@@ -105,7 +107,7 @@ TEST_F(TraceE2E, MergedJourneysCarryEverySpanInCausalOrder) {
   // Golden schema: the merged document is a Chrome trace whose journeys
   // carry all nine span families of the taxonomy.
   const std::map<std::uint64_t, Journey> journeys =
-      load_journeys(art + "/journey.trace.json");
+      load_journeys(path("journey.trace.json"));
   const std::vector<std::string> kStages = {
       "client.req.sent",    "server.req.recv",     "server.req.sched",
       "client.req.acked",   "server.req.encoded",  "server.req.flushed",
@@ -154,18 +156,21 @@ TEST_F(TraceE2E, MergedJourneysCarryEverySpanInCausalOrder) {
         << "merged trace never saw " << stage;
 
   // The tune summary reports the same request activity it traced.
-  const obs::JsonValue summary =
-      obs::json_parse(slurp(art + "/tune.summary.json"));
+  const obs::JsonValue summary = obs::json_parse(slurp(path("tune.json")));
   const obs::JsonValue& requests = summary.at("requests");
   EXPECT_EQ(requests.at("sent").expect_uint("sent"), 12u);
   EXPECT_EQ(requests.at("completed").expect_uint("completed"), complete);
 
-  // The offset sidecar that powered the correction is well-formed.
-  const obs::JsonValue offset =
-      obs::json_parse(slurp(art + "/tune.offset.json"));
-  EXPECT_EQ(offset.at("schema").expect_string("schema"),
-            "tcsa-clock-offset/v1");
-  EXPECT_GE(offset.at("samples").expect_uint("samples"), 1u);
+  // The offset that powered the correction is the one the summary reports,
+  // carried in the client's trace.
+  const obs::TraceOrigin tune = obs::read_trace_origin(
+      slurp(path("tune.trace.json")), path("tune.trace.json"));
+  EXPECT_EQ(tune.command, "tune");
+  EXPECT_GE(tune.clock_samples, 1u);
+  EXPECT_EQ(tune.clock_samples,
+            requests.at("clock_samples").expect_uint("clock_samples"));
+  EXPECT_EQ(tune.clock_offset_us,
+            requests.at("clock_offset_us").expect_int("clock_offset_us"));
 }
 
 TEST_F(TraceE2E, SigkilledServerLeavesAReplayableFlightRing) {
